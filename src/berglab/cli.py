@@ -46,6 +46,7 @@ from .toeplitz import (
     export_matrix_csv,
     gamma_sequence,
     operator_norm,
+    resolve_assembly_spec,
     toeplitz_matrix,
     toeplitz_matrix_with_stderr,
 )
@@ -163,7 +164,9 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     d = args.d if args.d is not None else (geometry.n if geometry else None)
     if d is None:
         raise DomainError("matrix needs --d or a geometry via --n/--ell/--k")
-    spec = _spec_from(args)
+    expr = parse_symbol(args.symbol, geometry)
+    # record the orders the assembly uses, not the 0 = auto request
+    spec = resolve_assembly_spec(expr, d, args.D, _spec_from(args))
     plan = {
         "symbol": args.symbol,
         "d": d,
@@ -173,11 +176,12 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         "seed": spec.seed,
         "size": count_basis(d, args.D),
     }
+    if spec.scheme == GAUSS_JACOBI:
+        plan.update(q=spec.q, angular=spec.angular)
     if args.dry_run:
         _echo(plan)
         print("plan: assemble the truncated matrix" + (" and write CSV" if args.out else ""))
         return 0
-    expr = parse_symbol(args.symbol, geometry)
     space = WeightedSpace(d, args.mu, geometry=geometry)
     mat = toeplitz_matrix(expr, space, args.D, spec)
     _echo(plan)

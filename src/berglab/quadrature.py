@@ -8,15 +8,17 @@ trigonometric monomials exactly below the chosen order.  The Monte Carlo
 scheme samples the same factorization with a seeded generator and serves
 as an independent cross-check and as the fallback in high dimension.
 
-All rules return plain (nodes, weights) arrays; weights sum to the total
-mass of the measure, which is 1 for the normalized ball volumes.
+The ball rule is kept factored (radial x simplex nodes, each carrying a
+torus of phases) so that assembly can stream it; flat (nodes, weights)
+arrays are built on demand.  Weights sum to the total mass of the
+measure, which is 1 for the normalized ball volumes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -47,7 +49,8 @@ def is_symbolic(f: object) -> bool:
 GAUSS_JACOBI = "gauss_jacobi"
 MONTE_CARLO = "monte_carlo"
 
-# node-array cap: ~3 GiB of complex128 at d=4 is already past desk scale
+# product-rule cap: 20 M symbol evaluations per assembly, and ~3 GiB of
+# complex128 for a caller that asks for the flat nodes at d=4, are past desk scale
 _MAX_RULE_NODES = 20_000_000
 
 
@@ -100,17 +103,55 @@ def gauss_jacobi_rule(q: int, a_exp: float, b_exp: float) -> Tuple[np.ndarray, n
 
 @dataclass(frozen=True)
 class BallRule:
-    """Flat node/weight arrays for a weighted ball volume."""
+    """Product rule for a weighted ball volume, kept in factored form.
+
+    The rule is radial x simplex x equispaced phases^d.  Radial node i
+    (one radial x simplex pair) carries the moduli ``radii[i]`` and the
+    weight ``radial_weights[i]``, shared by the n_phase^d nodes of its
+    torus, whose phase on axis j is 2 pi k_j / n_phase.  The flat arrays
+    ``nodes``, ``weights`` and ``radial_t`` (phase axes varying fastest)
+    are built on first access, for callers that sum over nodes directly.
+    """
 
     d: int
     lam: float
-    nodes: np.ndarray  # (N, d) complex
-    weights: np.ndarray  # (N,) real
-    radial_t: np.ndarray  # (N,) |z|^2 per node
+    radii: np.ndarray  # (N_rs, d) real moduli |z_j|
+    radial_weights: np.ndarray  # (N_rs,) weight of each node on that torus
+    n_phase: int
+
+    @property
+    def n_radial(self) -> int:
+        return self.radii.shape[0]
 
     @property
     def size(self) -> int:
-        return self.weights.shape[0]
+        return self.n_radial * self.n_phase**self.d
+
+    def torus_nodes(self, rows: slice = slice(None)) -> np.ndarray:
+        """Nodes on the tori of radial nodes ``rows``, shape (n, P, ..., P, d)."""
+        d, p = self.d, self.n_phase
+        radii = self.radii[rows]
+        phase = np.exp(1j * (2.0 * math.pi * np.arange(p) / p))
+        out = np.empty((radii.shape[0],) + (p,) * d + (d,), dtype=complex)
+        for axis in range(d):
+            ph_shape = [1] * (1 + d)
+            ph_shape[1 + axis] = p
+            out[..., axis] = radii[:, axis].reshape(-1, *([1] * d)) * phase.reshape(
+                ph_shape
+            )
+        return out
+
+    @cached_property
+    def nodes(self) -> np.ndarray:  # (N, d) complex
+        return self.torus_nodes().reshape(-1, self.d)
+
+    @cached_property
+    def weights(self) -> np.ndarray:  # (N,) real
+        return np.repeat(self.radial_weights, self.n_phase**self.d)
+
+    @cached_property
+    def radial_t(self) -> np.ndarray:  # (N,) |z|^2 per node
+        return np.repeat(np.sum(self.radii**2, axis=1), self.n_phase**self.d)
 
 
 def ball_rule(
@@ -123,14 +164,15 @@ def ball_rule(
     """Deterministic product rule for the normalized weight on the d-ball.
 
     Exact for integrands z^alpha conj(z)^beta with |alpha|, |beta| bounded
-    by roughly q_radial and phase differences below n_phase.
+    by roughly q_radial and phase differences below n_phase.  Rules over
+    the node budget are refused before anything of their size is built.
     """
     if q_polar is None:
         q_polar = q_radial
     u, wu = gauss_jacobi_rule(q_radial, lam, float(d - 1))
     # Simplex fractions of t = |z|^2 across the d axes.
-    frac_nodes = [np.ones((1,))]
-    frac_weights = [np.ones((1,))]
+    s = np.ones((1, 1))
+    ws = np.ones((1,))
     if d > 1:
         axes_v = []
         axes_w = []
@@ -141,41 +183,23 @@ def ball_rule(
         grids = np.meshgrid(*axes_v, indexing="ij")
         wgrids = np.meshgrid(*axes_w, indexing="ij")
         vv = np.stack([g.ravel() for g in grids], axis=-1)  # (Nv, d-1)
-        ww = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
+        ws = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
         s = np.empty((vv.shape[0], d))
         remaining = np.ones(vv.shape[0])
         for i in range(d - 1):
             s[:, i] = remaining * vv[:, i]
             remaining = remaining * (1.0 - vv[:, i])
         s[:, d - 1] = remaining
-        frac_nodes = [s]
-        frac_weights = [ww]
-    s = frac_nodes[0] if d > 1 else np.ones((1, 1))
-    ws = frac_weights[0]
 
-    theta = 2.0 * math.pi * np.arange(n_phase) / n_phase
-    phase = np.exp(1j * theta)
-
-    # Assemble the flat product grid: radial x fractions x phases^d.
     n_frac = s.shape[0]
-    shape = (q_radial, n_frac) + (n_phase,) * d
-    total = int(np.prod(shape))
+    total = q_radial * n_frac * n_phase**d
     if total > _MAX_RULE_NODES:
         raise DomainError(
             f"the product rule needs {total} nodes (over the "
             f"{_MAX_RULE_NODES} desk budget); lower the cutoff, the "
             "dimension or the requested orders, or switch to sampling"
         )
-    nodes = np.empty((total, d), dtype=complex)
-    uu = u.reshape(q_radial, 1, *([1] * d))
-    radial_t = np.broadcast_to(uu, shape).ravel()
-    for axis in range(d):
-        r_axis = np.sqrt(uu * s[:, axis].reshape(1, n_frac, *([1] * d)))
-        ph_shape = [1] * (2 + d)
-        ph_shape[2 + axis] = n_phase
-        nodes[:, axis] = np.broadcast_to(
-            r_axis * phase.reshape(ph_shape), shape
-        ).ravel()
+    radii = np.sqrt(u.reshape(q_radial, 1, 1) * s.reshape(1, n_frac, d))
 
     log_c = (
         sp_special.gammaln(d + lam + 1.0)
@@ -184,10 +208,13 @@ def ball_rule(
     )
     scale = math.exp(log_c - d * math.log(2.0) + d * math.log(2.0 * math.pi / n_phase))
     w_full = scale * wu.reshape(q_radial, 1) * ws.reshape(1, n_frac)
-    weights = np.broadcast_to(
-        w_full.reshape(q_radial, n_frac, *([1] * d)), shape
-    ).ravel() / 1.0
-    return BallRule(d=d, lam=lam, nodes=nodes, weights=weights, radial_t=np.asarray(radial_t))
+    return BallRule(
+        d=d,
+        lam=lam,
+        radii=radii.reshape(-1, d),
+        radial_weights=w_full.ravel(),
+        n_phase=n_phase,
+    )
 
 
 def monte_carlo_points(

@@ -2,10 +2,17 @@
 
 A symbol f on the d-ball at weight lam is compressed to the span of the
 normalized monomials of degree <= D.  Entry (beta, alpha) of the matrix
-is <f e_alpha, e_beta>.  The general path evaluates one product
-quadrature rule and contracts a weighted Vandermonde matrix with itself;
-symbols that only depend on group radii (or on |z|^2) skip quadrature
-over phases entirely and are assembled as exact diagonals.
+is <f e_alpha, e_beta>.  The general Gauss-Jacobi path streams the
+product rule (radial x simplex x equispaced phases^d) one slab of radial
+nodes at a time: on each torus of phases the phase sum of f z^alpha
+conj(z)^beta is one DFT coefficient of the symbol samples, at
+beta - alpha, so an FFT over the phase axes plus real radial powers give
+every entry.  With ``angular = 2D + deg + 1`` phases no frequency an
+entry needs aliases onto another, so polynomial symbols stay exact.
+Monte Carlo samples have no torus structure and contract a weighted
+Vandermonde matrix with itself instead.  Symbols that only depend on
+group radii (or on |z|^2) skip quadrature over phases entirely and are
+assembled as exact diagonals.
 
 Truncation is compression: norms computed here are lower bounds that
 increase toward the operator norm as D grows.
@@ -31,6 +38,7 @@ from .core import (
 from .errors import DomainError
 from .quadrature import (
     MONTE_CARLO,
+    BallRule,
     PointFunction,
     QuadratureSpec,
     as_point_function,
@@ -336,14 +344,17 @@ def _profile_degree(a: object) -> int:
 def _vandermonde_block(
     z: np.ndarray, basis: TruncatedBasis
 ) -> np.ndarray:
-    """Normalized monomials evaluated on a slab of nodes, shape (N, K)."""
+    """Normalized monomials evaluated on a slab of nodes, shape (N, K).
+
+    Real input (the moduli |z_j|) gives the real radial powers.
+    """
     n_pts = z.shape[0]
     exps = basis.exponent_array()
-    out = np.ones((n_pts, basis.count), dtype=complex)
+    out = np.ones((n_pts, basis.count), dtype=z.dtype)
     for ax in range(basis.d):
         degs = exps[:, ax]
         max_deg = int(degs.max()) if degs.size else 0
-        powers = np.empty((n_pts, max_deg + 1), dtype=complex)
+        powers = np.empty((n_pts, max_deg + 1), dtype=z.dtype)
         powers[:, 0] = 1.0
         col = z[:, ax]
         for p in range(1, max_deg + 1):
@@ -374,7 +385,51 @@ def _assemble_from_nodes(
     return acc
 
 
-def _leaves_polynomial_class(e) -> bool:
+# Working-set caps for one slab of the torus assembly, in array elements:
+# nodes on the slab's tori, and gathered (beta, alpha) phase coefficients.
+_SLAB_NODES = 1 << 18
+_SLAB_ENTRIES = 1 << 20
+
+
+def _assemble_on_torus(
+    rule: BallRule, fn: PointFunction, basis: TruncatedBasis
+) -> np.ndarray:
+    """Entries from the factored product rule, streamed by radial slab.
+
+    On the torus of radial node i the phase sum of f z^alpha conj(z)^beta
+    is the DFT coefficient F_i[beta - alpha (mod P)] of the symbol samples,
+    so entry (beta, alpha) is sum_i w_i R[i, beta] R[i, alpha] F_i[beta -
+    alpha] with R the real normalized radial powers.  Each slab holds at
+    most _SLAB_NODES torus nodes and _SLAB_ENTRIES gathered coefficients
+    (never fewer than one torus), whatever the rule size or K.
+    """
+    d, p = basis.d, rule.n_phase
+    k = basis.count
+    n_torus = p**d
+    exps = basis.exponent_array()
+    diff = np.mod(exps[:, None, :] - exps[None, :, :], p)  # beta - alpha
+    shift = np.ravel_multi_index(tuple(np.moveaxis(diff, -1, 0)), (p,) * d).ravel()
+    slab = max(1, min(_SLAB_NODES // n_torus, _SLAB_ENTRIES // (k * k)))
+    acc = np.zeros(k * k, dtype=complex)
+    for start in range(0, rule.n_radial, slab):
+        rows = slice(start, min(start + slab, rule.n_radial))
+        z = rule.torus_nodes(rows)
+        n = z.shape[0]
+        fv = np.asarray(fn(z.reshape(-1, d)))
+        if not np.all(np.isfinite(fv)):
+            raise DomainError("symbol evaluates non-finite on a quadrature node")
+        fv = np.broadcast_to(fv, (n * n_torus,)).reshape(z.shape[:-1])
+        coef = np.fft.fftn(fv, axes=tuple(range(1, d + 1))).reshape(n, n_torus)
+        r = _vandermonde_block(rule.radii[rows], basis)
+        wr = r * rule.radial_weights[rows, None]
+        pair = (wr[:, :, None] * r[:, None, :]).reshape(n, k * k)
+        # real and imaginary parts apart: no complex copy of ``pair``
+        acc.real += np.einsum("ip,ip->p", coef.real[:, shift], pair)
+        acc.imag += np.einsum("ip,ip->p", coef.imag[:, shift], pair)
+    return acc.reshape(k, k)
+
+
+def _is_non_polynomial(e) -> bool:
     """True when evaluation is not polynomial in (z, conj z) jointly."""
     if isinstance(e, ProductSymbol):
         return True
@@ -383,18 +438,38 @@ def _leaves_polynomial_class(e) -> bool:
     if isinstance(e, Power):
         if isinstance(e.base, GroupRadius) and e.exponent % 2 == 0:
             return False
-        return _leaves_polynomial_class(e.base)
+        return _is_non_polynomial(e.base)
     if isinstance(e, BinOp):
         if e.op == "/":
             return True
-        return _leaves_polynomial_class(e.lhs) or _leaves_polynomial_class(e.rhs)
+        return _is_non_polynomial(e.lhs) or _is_non_polynomial(e.rhs)
     if isinstance(e, Func):
         if e.name == "sqrt":
             return True
-        return _leaves_polynomial_class(e.arg)
+        return _is_non_polynomial(e.arg)
     if isinstance(e, Neg):
-        return _leaves_polynomial_class(e.arg)
+        return _is_non_polynomial(e.arg)
     return False
+
+
+def resolve_assembly_spec(
+    f: SymbolLike, d: int, D: int, spec: QuadratureSpec
+) -> QuadratureSpec:
+    """The quadrature orders the general assembly uses for this request.
+
+    Explicit orders pass through.  Automatic ones follow the cutoff and
+    the symbol's degree hint; rational or root-bearing symbols get 24
+    extra radial nodes, because their integrands converge geometrically
+    in the radial order instead of terminating.  Sampling specs have no
+    orders and are returned as they are.
+    """
+    if spec.scheme == MONTE_CARLO:
+        return spec
+    deg_hint = symbol_degree_hint(f) if is_symbolic(f) else 8
+    resolved = spec.resolved(d, D, deg_hint)
+    if spec.q == 0 and is_symbolic(f) and _is_non_polynomial(f):
+        resolved = replace(resolved, q=resolved.q + 24)
+    return resolved
 
 
 def _group_levels(basis: TruncatedBasis, geometry) -> np.ndarray:
@@ -463,20 +538,15 @@ def toeplitz_matrix(
                 return OperatorMatrix.diagonal(basis, values, label=label)
 
     fn = as_point_function(f, geometry)
-    deg_hint = symbol_degree_hint(f) if is_symbolic(f) else 8
 
     if spec.scheme == MONTE_CARLO:
         z, _ = monte_carlo_points(space.d, space.lam, spec.n_samples, spec.seed)
         weights = np.full(z.shape[0], 1.0 / z.shape[0])
         entries = _assemble_from_nodes(z, weights, fn, basis)
     else:
-        resolved = spec.resolved(space.d, D, deg_hint)
-        if spec.q == 0 and is_symbolic(f) and _leaves_polynomial_class(f):
-            # rational or root-bearing integrands converge geometrically
-            # in the radial order instead of terminating, so buy margin
-            resolved = replace(resolved, q=resolved.q + 24)
+        resolved = resolve_assembly_spec(f, space.d, D, spec)
         rule = ball_rule(space.d, space.lam, resolved.q, resolved.angular)
-        entries = _assemble_from_nodes(rule.nodes, rule.weights, fn, basis)
+        entries = _assemble_on_torus(rule, fn, basis)
 
     if use_fast_paths and is_symbolic(f):
         entries = _apply_vanishing_masks(entries, f, basis, geometry, space.d)

@@ -1,9 +1,18 @@
 """Command-line behaviour: exit codes, documented examples, determinism."""
 
+import json
 import pathlib
 
+import numpy as np
 import pytest
 
+from berglab import (
+    BallGeometry,
+    QuadratureSpec,
+    WeightedSpace,
+    parse_symbol,
+    toeplitz_matrix,
+)
 from berglab.cli import main
 
 
@@ -189,3 +198,29 @@ def test_suite_bad_config_is_exit_one(capsys, tmp_path):
 def test_help_exits_zero(capsys):
     assert run(capsys, ["--help"])[0] == 0
     assert run(capsys, ["matrix", "--help"])[0] == 0
+
+
+def test_matrix_sidecar_records_resolved_orders(capsys, tmp_path):
+    text = "re(z1) / (2 - abs2(z))"
+    p = tmp_path / "m.csv"
+    code, out, err = run(
+        capsys,
+        ["matrix", "--symbol", text, "--n", "2", "--ell", "2", "--k", "2",
+         "--mu", "0.5", "--D", "4", "--out", str(p)],
+    )
+    assert code == 0
+    quad = json.loads((tmp_path / "m.csv.meta.json").read_text())["quadrature"]
+    assert quad["q"] > 0 and quad["angular"] > 0
+    assert f"# q = {quad['q']}" in out and f"# angular = {quad['angular']}" in out
+    rows = np.loadtxt(p, delimiter=",", skiprows=1)
+    k = int(rows[:, 0].max()) + 1
+    written = np.zeros((k, k), dtype=complex)
+    written[rows[:, 0].astype(int), rows[:, 1].astype(int)] = rows[:, 2] + 1j * rows[:, 3]
+    geo = BallGeometry(2, 2, (2,))
+    again = toeplitz_matrix(
+        parse_symbol(text, geo),
+        WeightedSpace(2, 0.5, geometry=geo),
+        4,
+        QuadratureSpec(q=quad["q"], angular=quad["angular"]),
+    )
+    assert np.array_equal(again.entries, written)
