@@ -23,21 +23,23 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import special as sp_special
-from scipy import stats as sp_stats
 
+from .core import format_float
 from .errors import DomainError
 from .quadrature import (
     MONTE_CARLO,
+    PointFunction,
     QuadratureSpec,
+    SymbolLike,
     as_point_function,
     ball_rule,
-    is_symbolic,
     monte_carlo_points,
 )
 from .symbols import (
     ProductSymbol,
     SymbolExpr,
     eval_on_points,
+    is_symbolic,
     radial_profile,
     symbol_degree_hint,
     symbol_to_text,
@@ -47,8 +49,6 @@ from .toeplitz import (
     OperatorMatrix,
     radial_toeplitz_diagonal,
 )
-
-SymbolLike = Union[SymbolExpr, Callable[[np.ndarray], np.ndarray]]
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +104,24 @@ def kernel_coefficients(
     return math.pow(1.0 - t, 0.5 * s_exp) * basis_norms * mono
 
 
+def kernel_masses(s_exp: float, n_terms: int, t: float) -> np.ndarray:
+    """Degree-m masses of the normalized kernel at radius^2 t > 0, m < n_terms.
+
+    The squared kernel coefficients of degree m sum to C(s + m - 1, m)
+    t^m (1 - t)^s with s = d + mu + 1, a negative-binomial law in m; the
+    binomial is taken in log space so degrees in the thousands stay finite.
+    """
+    ms = np.arange(n_terms, dtype=float)
+    log_p = (
+        sp_special.gammaln(s_exp + ms)
+        - sp_special.gammaln(ms + 1.0)
+        - sp_special.gammaln(s_exp)
+        + ms * math.log(t)
+        + s_exp * math.log1p(-t)
+    )
+    return np.exp(log_p)
+
+
 def berezin_of_operator(
     M: OperatorMatrix,
     mu: float,
@@ -157,23 +175,20 @@ def _radial_berezin_values(
         terms = 1
     else:
         # the kernel masses are negative-binomial in the degree; cut at the
-        # quantile carrying all but tail_tol of the mass
-        quant = sp_stats.nbinom.ppf(1.0 - tail_tol, s_exp, 1.0 - t_max)
+        # quantile carrying all but tail_tol of the mass: nbdtrik inverts
+        # the CDF over real degrees, one CDF step (betainc) settles the integer
+        q, p_max = 1.0 - tail_tol, 1.0 - t_max
+        quant = float(np.ceil(sp_special.nbdtrik(q, s_exp, p_max)))
+        if quant > 0.0 and sp_special.betainc(s_exp, quant, p_max) >= q:
+            quant -= 1.0
         terms = int(min(max_terms, quant + 16))
     lam = radial_toeplitz_diagonal(profile, d, nu, terms)
-    ms = np.arange(terms + 1, dtype=float)
-    log_binom = (
-        sp_special.gammaln(s_exp + ms)
-        - sp_special.gammaln(ms + 1.0)
-        - sp_special.gammaln(s_exp)
-    )
     out = np.empty(t_points.shape, dtype=float)
     for i, t in np.ndenumerate(t_points):
         if t == 0.0:
             out[i] = lam[0]
             continue
-        log_p = log_binom + ms * math.log(t) + s_exp * math.log1p(-t)
-        p = np.exp(log_p)
+        p = kernel_masses(s_exp, terms + 1, t)
         if 1.0 - float(p.sum()) > 1e3 * tail_tol:
             raise DomainError(
                 "kernel expansion truncated too early for the requested point"
@@ -245,41 +260,6 @@ def berezin_of_symbol(
     return complex(np.dot(rule.weights, values))
 
 
-def berezin_of_symbol_kernel_form(
-    g: SymbolLike,
-    mu: float,
-    z: Sequence[complex],
-    spec: QuadratureSpec,
-) -> complex:
-    """Same transform computed without substitution, against |k_z|^2.
-
-    Cross-checks the Mobius route: the two must agree to quadrature
-    accuracy because the pullback identity is exact.
-    """
-    z_arr = np.asarray(z, dtype=complex).reshape(-1)
-    d = z_arr.shape[0]
-    t = float(np.sum(np.abs(z_arr) ** 2))
-    if t >= 1.0:
-        raise DomainError("Berezin evaluation needs an interior point")
-    s_exp = d + mu + 1.0
-    fn = as_point_function(g)
-
-    def integrand(w: np.ndarray) -> np.ndarray:
-        inner = w @ np.conj(z_arr)
-        dens = (1.0 - t) ** s_exp / np.abs(1.0 - inner) ** (2.0 * s_exp)
-        return np.asarray(fn(w)) * dens
-
-    r = math.sqrt(t)
-    closeness = max(1.0 - r, 1e-3)
-    resolved = spec.resolved(d, 8, symbol_degree_hint(g) if is_symbolic(g) else 8)
-    q_eff = max(resolved.q, min(128, int(14.0 / math.sqrt(closeness)) + 8))
-    ang_cap = 4096 if d == 1 else 128
-    ang_eff = max(resolved.angular, min(ang_cap, int(30.0 / closeness) + 8))
-    rule = ball_rule(d, mu, q_eff, ang_eff)
-    values = integrand(rule.nodes)
-    return complex(np.dot(rule.weights, values))
-
-
 # ---------------------------------------------------------------------------
 # Probes
 
@@ -294,12 +274,8 @@ class DecayTable:
     def csv_lines(self, header: str = "mu,sup_error") -> List[str]:
         lines = [header]
         for a, b in self.rows:
-            lines.append(f"{_fmt(a)},{_fmt(b)}")
+            lines.append(f"{format_float(a)},{format_float(b)}")
         return lines
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def quantization_probe(
@@ -359,34 +335,7 @@ def boundary_vanishing_probe(
 # Matrix symbols and spectra
 
 
-class CsTruncated:
-    """A symbol frozen outside radius s: values on rays stop changing there."""
-
-    def __init__(self, base: SymbolLike, s: float):
-        if not 0.0 < s < 1.0:
-            raise DomainError(f"truncation radius must lie in (0,1), got {s}")
-        self.base = base
-        self.s = s
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        single = z.ndim == 1
-        if single:
-            z = z[None, :]
-        r = np.sqrt(np.sum(np.abs(z) ** 2, axis=-1))
-        scale = np.where(r > self.s, self.s / np.maximum(r, 1e-300), 1.0)
-        fn = as_point_function(self.base)
-        out = np.asarray(fn(z * scale[..., None]))
-        return out[0] if single else out
-
-    def __repr__(self) -> str:
-        inner = (
-            symbol_to_text(self.base) if is_symbolic(self.base) else repr(self.base)
-        )
-        return f"CsTruncated({inner}, s={self.s})"
-
-
-MatrixEntry = Union[SymbolExpr, CsTruncated, Callable[[np.ndarray], np.ndarray]]
+MatrixEntry = Union[SymbolExpr, PointFunction]
 
 
 @dataclass(frozen=True)
@@ -447,14 +396,6 @@ class MatrixSymbol:
         return np.linalg.det(vals)
 
 
-def truncate_symbol_cs(c: MatrixSymbol, s: float) -> MatrixSymbol:
-    """Freeze every entry radially outside s."""
-    rows = tuple(
-        tuple(CsTruncated(entry, s) for entry in row) for row in c.entries
-    )
-    return MatrixSymbol(entries=rows)
-
-
 def _sphere_directions(d: int, count: int, seed: int) -> np.ndarray:
     """Axis directions, pairwise mixes, then seeded random fill, (N, d)."""
     out = []
@@ -502,13 +443,14 @@ class SpectrumSample:
         lines = ["rho_total,radius,re_det,im_det,abs_det"]
         for rho_total, radius, v in self.rows:
             lines.append(
-                f"{rho_total},{_fmt(radius)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}"
+                f"{rho_total},{format_float(radius)},{format_float(v.real)},"
+                f"{format_float(v.imag)},{format_float(abs(v))}"
             )
         return lines
 
 
 def essential_spectrum_sample(
-    c: Union[MatrixSymbol, SymbolExpr, CsTruncated],
+    c: Union[MatrixSymbol, MatrixEntry],
     d_inner: int,
     R: int = 0,
     radii: Optional[Sequence[float]] = None,
@@ -575,7 +517,7 @@ class MinSingularTable:
     def csv_lines(self) -> List[str]:
         lines = ["size,sigma_min"]
         for k, s in self.rows:
-            lines.append(f"{k},{_fmt(s)}")
+            lines.append(f"{k},{format_float(s)}")
         return lines
 
 
@@ -599,38 +541,28 @@ def min_singular_probe(matrices: Sequence[OperatorMatrix]) -> MinSingularTable:
 
 @dataclass(frozen=True)
 class FredholmReport:
-    """Index report with its per-level decomposition and numeric evidence."""
+    """Index report with the spectrum sample that backs it."""
 
     index: int
-    per_level: Tuple[Tuple[Tuple[int, ...], int, int], ...]  # (rho, hdim, index)
-    sigma_min: Optional[MinSingularTable]
     sample: SpectrumSample
 
     def text_lines(self) -> List[str]:
-        lines = [f"index = {self.index}"]
-        for rho, hdim, ind in self.per_level:
-            lines.append(f"level rho={rho}: dim={hdim} index_term={ind}")
-        if self.sigma_min is not None:
-            lines.append(f"sigma_min trend: {self.sigma_min.verdict}")
-            for k, s in self.sigma_min.rows:
-                lines.append(f"  size={k} sigma_min={_fmt(s)}")
-        lines.append(
-            f"min |det c| over samples = {_fmt(self.sample.min_abs_det)}"
-            f" (threshold {_fmt(self.sample.threshold)})"
-        )
-        return lines
+        return [
+            f"index = {self.index}",
+            f"min |det c| over samples = {format_float(self.sample.min_abs_det)}"
+            f" (threshold {format_float(self.sample.threshold)})",
+        ]
 
 
 def fredholm_index_report(
-    c: Union[MatrixSymbol, SymbolExpr, CsTruncated],
+    c: Union[MatrixSymbol, MatrixEntry],
     sample: SpectrumSample,
-    blocks: Sequence[object] = (),
 ) -> FredholmReport:
-    """Index 0 with per-level terms, refusing non-Fredholm input.
+    """Index 0, refusing non-Fredholm input.
 
     The index value follows from the family being homotopic to a constant
-    invertible symbol within the sampled class; the numerics supplied here
-    (sigma_min trends per block) corroborate rather than re-derive it.
+    invertible symbol within the sampled class; the sample corroborates
+    the Fredholm verdict rather than re-deriving the index.
     """
     if not sample.fredholm:
         rho_total, point = sample.argmin_point
@@ -643,16 +575,4 @@ def fredholm_index_report(
             "symbol is not Fredholm over the sampled sets: "
             f"|det c| = {sample.min_abs_det:.3e} at {where}"
         )
-    per_level = []
-    mats = []
-    for blk in blocks:
-        rho = tuple(getattr(blk, "rho_tuple", getattr(blk, "rho", ())))
-        hdim = int(getattr(blk, "hdim", 1))
-        per_level.append((rho, hdim, 0))
-        block = getattr(blk, "block", blk)
-        if isinstance(block, OperatorMatrix):
-            mats.append(block)
-    table = min_singular_probe(mats) if mats else None
-    return FredholmReport(
-        index=0, per_level=tuple(per_level), sigma_min=table, sample=sample
-    )
+    return FredholmReport(index=0, sample=sample)

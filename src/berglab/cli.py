@@ -22,7 +22,7 @@ from .berezin import (
     fredholm_index_report,
     quantization_probe,
 )
-from .core import BallGeometry, WeightedSpace, count_basis, levels_up_to
+from .core import BallGeometry, WeightedSpace, count_basis, format_float, levels_up_to
 from .errors import DomainError
 from .levels import verify_tensor_factorization
 from .quadrature import GAUSS_JACOBI, MONTE_CARLO, QuadratureSpec
@@ -36,7 +36,6 @@ from .suites import (
 )
 from .symbols import (
     ProductSymbol,
-    SymbolSyntaxError,
     classify_symbol,
     parse_symbol,
     rebase_inner,
@@ -50,9 +49,6 @@ from .toeplitz import (
     toeplitz_matrix,
     toeplitz_matrix_with_stderr,
 )
-
-_FMT = repr
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2; bad flags are validation errors."""
@@ -185,7 +181,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     space = WeightedSpace(d, args.mu, geometry=geometry)
     mat = toeplitz_matrix(expr, space, args.D, spec)
     _echo(plan)
-    print(f"size = {mat.size}, norm = {_FMT(operator_norm(mat))}")
+    print(f"size = {mat.size}, norm = {format_float(operator_norm(mat))}")
     if args.out:
         export_matrix_csv(mat, args.out, symbol_text=args.symbol, spec=spec)
         print(f"wrote {args.out}")
@@ -211,7 +207,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     lines = ["rho,gamma"]
     for rho in seq.levels:
         rho_txt = " ".join(str(v) for v in rho)
-        lines.append(f"{rho_txt},{_FMT(seq(rho))}")
+        lines.append(f"{rho_txt},{format_float(seq(rho))}")
     _write_or_print(lines, args.out)
     return 0
 
@@ -228,7 +224,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
     space = WeightedSpace(args.d, args.mu)
     value = operator_norm(toeplitz_matrix(expr, space, args.D, spec))
     _echo(plan)
-    print(_FMT(value))
+    print(format_float(value))
     return 0
 
 
@@ -282,7 +278,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         ok = ok and rep.passed
         rho_txt = " ".join(str(v) for v in rho)
         lines.append(
-            f"{rho_txt},{_FMT(rep.mu)},{_FMT(rep.max_deviation)},{int(rep.passed)}"
+            f"{rho_txt},{format_float(rep.mu)},"
+            f"{format_float(rep.max_deviation)},{int(rep.passed)}"
         )
         print(rep.summary())
     _write_or_print(lines, args.out)
@@ -317,8 +314,8 @@ def cmd_berezin(args: argparse.Namespace) -> int:
     op_side = berezin_of_operator(mat, args.mu, z)
     sym_side = berezin_of_symbol(expr, args.mu, z, spec)
     _echo(plan)
-    print(f"operator side = {_FMT(op_side.real)} + {_FMT(op_side.imag)}i")
-    print(f"symbol side   = {_FMT(sym_side.real)} + {_FMT(sym_side.imag)}i")
+    print(f"operator side = {format_float(op_side.real)} + {format_float(op_side.imag)}i")
+    print(f"symbol side   = {format_float(sym_side.real)} + {format_float(sym_side.imag)}i")
     print(f"difference    = {abs(op_side - sym_side):.3e}")
     return 0
 
@@ -380,7 +377,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     print(
         "verdict: "
         + ("Fredholm" if sample.fredholm else "non-Fredholm")
-        + f" (min |det| = {_FMT(sample.min_abs_det)})"
+        + f" (min |det| = {format_float(sample.min_abs_det)})"
     )
     _write_or_print(sample.csv_lines(), args.out)
     return 0
@@ -543,13 +540,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SymbolSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DomainError, OSError) as exc:  # parse errors are DomainErrors too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -42,6 +42,12 @@ def beta_fn(x: float, y: float) -> float:
     return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
 
 
+def format_float(x: float) -> str:
+    """Shortest text that reads back as the same float: the one number
+    format of every table, CSV and report line."""
+    return repr(float(x))
+
+
 def _check_weight(lam: float) -> None:
     if not lam > -1.0:
         raise DomainError(f"weight must exceed -1, got {lam}")
@@ -120,10 +126,6 @@ class WeightedSpace:
             - self.d * math.log(math.pi)
             - log_gamma(self.lam + 1.0)
         )
-
-    @property
-    def volume_const(self) -> float:
-        return math.exp(self.log_volume_const)
 
 
 @dataclass(frozen=True)
@@ -243,6 +245,17 @@ class TruncatedBasis:
     def exponent_array(self) -> np.ndarray:
         """Basis exponents as an integer array of shape (count, d)."""
         return np.array(self.indices, dtype=np.int64).reshape(self.count, self.d)
+
+    def group_degrees(self, k: Sequence[int]) -> np.ndarray:
+        """Group degrees (level_of) of every basis index's leading
+        sum(k) exponents, shape (count, len(k))."""
+        exps = self.exponent_array()
+        out = np.empty((self.count, len(k)), dtype=np.int64)
+        pos = 0
+        for j, kj in enumerate(k):
+            out[:, j] = exps[:, pos : pos + kj].sum(axis=1)
+            pos += kj
+        return out
 
 
 def enumerate_basis(d: int, D: int, lam: float) -> TruncatedBasis:

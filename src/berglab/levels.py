@@ -18,11 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .berezin import berezin_of_operator
+from .berezin import berezin_of_operator, kernel_masses
 from .core import (
     BallGeometry,
     Level,
@@ -33,27 +33,20 @@ from .core import (
     count_basis,
     dim_level,
     enumerate_basis,
-    level_of,
     levels_up_to,
     make_level,
 )
 from .errors import DomainError, InvarianceError
-from .quadrature import (
-    MONTE_CARLO,
-    QuadratureSpec,
-    is_symbolic,
-)
+from .quadrature import MONTE_CARLO, QuadratureSpec, SymbolLike
 from .symbols import (
     ProductSymbol,
-    SymbolExpr,
-    _winding,
+    group_winding,
+    is_symbolic,
     quasi_radial_profile,
     rebase_inner,
-    symbol_to_text,
 )
 from .toeplitz import (
     OperatorMatrix,
-    SymbolLike,
     gamma_quasi_radial,
     operator_norm,
     radial_toeplitz_diagonal,
@@ -186,10 +179,6 @@ class LevelBlock:
         return self.level.rho
 
     @property
-    def rho_tuple(self) -> Tuple[int, ...]:
-        return self.level.rho
-
-    @property
     def mu(self) -> float:
         return self.level.mu
 
@@ -200,19 +189,9 @@ class LevelBlock:
         return bool(np.max(np.abs(off)) <= tol * scale)
 
 
-def _group_level_vectors(basis: TruncatedBasis, geometry: BallGeometry) -> np.ndarray:
-    exps = basis.exponent_array()
-    out = np.empty((basis.count, geometry.m), dtype=np.int64)
-    pos = 0
-    for j, kj in enumerate(geometry.k):
-        out[:, j] = exps[:, pos : pos + kj].sum(axis=1)
-        pos += kj
-    return out
-
-
 def off_block_mass(M: OperatorMatrix, geometry: BallGeometry) -> Tuple[float, float]:
     """Frobenius mass outside the level-diagonal blocks, and the total."""
-    lv = _group_level_vectors(M.basis, geometry)
+    lv = M.basis.group_degrees(geometry.k)
     same = np.all(lv[:, None, :] == lv[None, :, :], axis=-1)
     total = float(np.linalg.norm(M.entries))
     off = float(np.linalg.norm(np.where(same, 0.0, M.entries)))
@@ -380,7 +359,7 @@ def _factor_on_level(
             return g * np.eye(hdim, dtype=complex)
         if geometry.ell >= 2:
             geo_a = BallGeometry(geometry.ell, geometry.ell, geometry.k)
-            if _winding(a, geo_a) != (0,) * geometry.m:
+            if group_winding(a, geo_a) != (0,) * geometry.m:
                 raise DomainError(
                     "the z'-factor must be invariant under the group torus action"
                 )
@@ -459,22 +438,10 @@ def verify_tensor_factorization(
     beta_pair = index_map.pair_of(int(wb))
     alpha_pair = index_map.pair_of(int(wa))
     max_dev = float(dev[wb, wa])
+    passed, max_ratio = max_dev < tol, 0.0
     if mc:
-        margin = 5.0 * se_sub + 1e-12
-        ratios = dev / margin
-        max_ratio = float(np.max(ratios))
+        max_ratio = float(np.max(dev / (5.0 * se_sub + 1e-12)))
         passed = max_ratio <= 1.0
-        return FactorizationReport(
-            rho=rho_t,
-            mu=level.mu,
-            max_deviation=max_dev,
-            worst_beta=beta_pair[0] + beta_pair[1],
-            worst_alpha=alpha_pair[0] + alpha_pair[1],
-            tol=tol,
-            passed=passed,
-            monte_carlo=True,
-            max_se_ratio=max_ratio,
-        )
     return FactorizationReport(
         rho=rho_t,
         mu=level.mu,
@@ -482,7 +449,9 @@ def verify_tensor_factorization(
         worst_beta=beta_pair[0] + beta_pair[1],
         worst_alpha=alpha_pair[0] + alpha_pair[1],
         tol=tol,
-        passed=max_dev < tol,
+        passed=passed,
+        monte_carlo=mc,
+        max_se_ratio=max_ratio,
     )
 
 
@@ -548,42 +517,21 @@ def _diagonal_berezin_grid(
     diag: np.ndarray, d: int, mu: float, t_points: np.ndarray
 ) -> np.ndarray:
     """Berezin values of a diagonal block at radial points t = |z|^2."""
-    from scipy import special as sp_special
-
     s_exp = d + mu + 1.0
-    ms = np.arange(diag.shape[0], dtype=float)
-    log_binom = (
-        sp_special.gammaln(s_exp + ms)
-        - sp_special.gammaln(ms + 1.0)
-        - sp_special.gammaln(s_exp)
-    )
     out = np.empty(t_points.shape[0], dtype=complex)
     for i, t in enumerate(t_points):
         if t <= 0.0:
             out[i] = diag[0]
             continue
-        log_p = log_binom + ms * math.log(t) + s_exp * math.log1p(-t)
-        p = np.exp(log_p)
-        out[i] = np.dot(p, diag)
+        out[i] = np.dot(kernel_masses(s_exp, diag.shape[0], t), diag)
     return out
 
 
 def _kernel_tail(d: int, mu: float, t: float, D: int) -> float:
     """Mass of the reproducing kernel beyond degree D at radius^2 = t."""
-    from scipy import special as sp_special
-
     if t <= 0.0:
         return 0.0
-    s_exp = d + mu + 1.0
-    ms = np.arange(D + 1, dtype=float)
-    log_p = (
-        sp_special.gammaln(s_exp + ms)
-        - sp_special.gammaln(ms + 1.0)
-        - sp_special.gammaln(s_exp)
-        + ms * math.log(t)
-        + s_exp * math.log1p(-t)
-    )
-    return float(max(0.0, 1.0 - np.exp(log_p).sum()))
+    return float(max(0.0, 1.0 - kernel_masses(d + mu + 1.0, D + 1, t).sum()))
 
 
 class RecoveredSymbol:

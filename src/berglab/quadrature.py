@@ -22,29 +22,14 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
+# roots_jacobi imports scipy.linalg on its first call; importing it here
+# pays that once with the package instead of inside the first rule build
+import scipy.linalg  # noqa: F401
 from scipy import special as sp_special
 
-from .core import BallGeometry, WeightedSpace, level_of
+from .core import BallGeometry, WeightedSpace
 from .errors import DomainError
-from .symbols import (
-    BinOp,
-    Const,
-    Coord,
-    Func,
-    GroupRadius,
-    Neg,
-    Power,
-    ProductSymbol,
-    SymbolExpr,
-    eval_on_points,
-)
-
-_AST_TYPES = (Const, Coord, GroupRadius, Func, BinOp, Power, Neg, ProductSymbol)
-
-
-def is_symbolic(f: object) -> bool:
-    """True for DSL values (AST nodes and product symbols)."""
-    return isinstance(f, _AST_TYPES)
+from .symbols import ProductSymbol, SymbolExpr, eval_on_points, is_symbolic
 
 GAUSS_JACOBI = "gauss_jacobi"
 MONTE_CARLO = "monte_carlo"
@@ -201,11 +186,7 @@ def ball_rule(
         )
     radii = np.sqrt(u.reshape(q_radial, 1, 1) * s.reshape(1, n_frac, d))
 
-    log_c = (
-        sp_special.gammaln(d + lam + 1.0)
-        - d * math.log(math.pi)
-        - sp_special.gammaln(lam + 1.0)
-    )
+    log_c = WeightedSpace(d, lam).log_volume_const
     scale = math.exp(log_c - d * math.log(2.0) + d * math.log(2.0 * math.pi / n_phase))
     w_full = scale * wu.reshape(q_radial, 1) * ws.reshape(1, n_frac)
     return BallRule(
@@ -237,10 +218,11 @@ def monte_carlo_points(
 
 
 PointFunction = Callable[[np.ndarray], np.ndarray]
+SymbolLike = Union[SymbolExpr, ProductSymbol, PointFunction]
 
 
 def as_point_function(
-    f: Union[SymbolExpr, ProductSymbol, PointFunction],
+    f: SymbolLike,
     geometry: Optional[BallGeometry] = None,
     allow_boundary: bool = False,
 ) -> PointFunction:
@@ -266,7 +248,7 @@ def _check_finite(values: np.ndarray, nodes: np.ndarray) -> None:
 
 
 def integrate_ball(
-    f: Union[SymbolExpr, ProductSymbol, PointFunction],
+    f: SymbolLike,
     space: WeightedSpace,
     spec: QuadratureSpec,
     *,
@@ -286,7 +268,7 @@ def integrate_ball(
 
 
 def monte_carlo_integral(
-    f: Union[SymbolExpr, ProductSymbol, PointFunction],
+    f: SymbolLike,
     space: WeightedSpace,
     spec: QuadratureSpec,
 ) -> Tuple[complex, float]:
@@ -299,121 +281,6 @@ def monte_carlo_integral(
     var = float(np.mean(np.abs(values - mean) ** 2))
     stderr = math.sqrt(var / spec.n_samples)
     return mean, stderr
-
-
-def axis_winding(
-    expr: Union[SymbolExpr, ProductSymbol],
-    d: int,
-    zc_offset: int = 0,
-) -> Optional[Tuple[int, ...]]:
-    """Per-axis phase degree of the symbol, or None if not homogeneous.
-
-    When defined, the pairing of f z^alpha against z^beta vanishes exactly
-    unless beta = alpha + winding, so those matrix entries can be set to
-    zero without integrating.  ``zc_offset`` places zc-coordinates on the
-    full-ball axes (the split point for full-ball evaluation, 0 on the
-    inner ball itself).
-    """
-    if isinstance(expr, ProductSymbol):
-        geo = expr.geometry
-        if geo is None:
-            return None
-        wa = axis_winding(expr.a, geo.ell)
-        wc = axis_winding(expr.c, geo.n - geo.ell)
-        if wa is None or wc is None:
-            return None
-        return wa + wc
-
-    zero = (0,) * d
-
-    def walk(node: SymbolExpr) -> Optional[Tuple[int, ...]]:
-        if isinstance(node, Const):
-            return zero
-        if isinstance(node, GroupRadius):
-            return zero
-        if isinstance(node, Coord):
-            if node.index is None:
-                return None
-            axis = node.index - 1 + (zc_offset if node.part == "zc" else 0)
-            if axis >= d:
-                return None
-            out = [0] * d
-            out[axis] = 1
-            return tuple(out)
-        if isinstance(node, Neg):
-            return walk(node.arg)
-        if isinstance(node, Func):
-            if node.name == "abs2":
-                arg = node.arg
-                if isinstance(arg, Coord) and arg.index is None:
-                    return zero
-                w = walk(arg)
-                return zero if w is not None else None
-            if node.name == "conj":
-                w = walk(node.arg)
-                return tuple(-v for v in w) if w is not None else None
-            w = walk(node.arg)
-            return zero if w == zero else None
-        if isinstance(node, Power):
-            w = walk(node.base)
-            return tuple(node.exponent * v for v in w) if w is not None else None
-        if isinstance(node, BinOp):
-            wl = walk(node.lhs)
-            wr = walk(node.rhs)
-            if wl is None or wr is None:
-                return None
-            if node.op == "*":
-                return tuple(a + b for a, b in zip(wl, wr))
-            if node.op == "/":
-                return tuple(a - b for a, b in zip(wl, wr))
-            return wl if wl == wr else None
-        raise TypeError(f"unexpected node {node!r}")
-
-    return walk(expr)
-
-
-def inner_product_weighted(
-    f: Union[SymbolExpr, ProductSymbol, PointFunction],
-    alpha: Sequence[int],
-    beta: Sequence[int],
-    space: WeightedSpace,
-    spec: QuadratureSpec,
-) -> complex:
-    """<f z^alpha, z^beta> against the weighted volume (monomials unscaled).
-
-    For phase-homogeneous f the result is exactly 0 whenever the exponents
-    are incompatible with the winding; that case short-circuits.
-    """
-    alpha = tuple(int(v) for v in alpha)
-    beta = tuple(int(v) for v in beta)
-    if len(alpha) != space.d or len(beta) != space.d:
-        raise DomainError("multi-index length does not match the space dimension")
-    if is_symbolic(f):
-        offset = space.geometry.ell if space.geometry is not None else 0
-        w = axis_winding(f, space.d, zc_offset=offset)
-        if w is not None and tuple(a + ww for a, ww in zip(alpha, w)) != beta:
-            return 0.0
-
-    fn = as_point_function(f, space.geometry)
-    deg = sum(alpha) + sum(beta)
-
-    def integrand(z: np.ndarray) -> np.ndarray:
-        mono = np.ones(z.shape[0], dtype=complex)
-        for ax in range(space.d):
-            if alpha[ax]:
-                mono = mono * z[:, ax] ** alpha[ax]
-            if beta[ax]:
-                mono = mono * np.conj(z[:, ax]) ** beta[ax]
-        return np.asarray(fn(z)) * mono
-
-    if spec.scheme == MONTE_CARLO:
-        value, _ = monte_carlo_integral(integrand, WeightedSpace(space.d, space.lam), spec)
-        return value
-    resolved = spec.resolved(space.d, max(sum(alpha), sum(beta)), 4)
-    rule = ball_rule(space.d, space.lam, max(resolved.q, deg // 2 + 2), resolved.angular)
-    values = integrand(rule.nodes)
-    _check_finite(values, rule.nodes)
-    return complex(np.dot(rule.weights, values))
 
 
 @dataclass(frozen=True)
@@ -430,10 +297,6 @@ class SimplexRule:
     powers: Tuple[int, ...]
     radii: np.ndarray
     weights: np.ndarray
-
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
 
 
 def simplex_radial_rule(
@@ -472,28 +335,3 @@ def simplex_radial_rule(
     return SimplexRule(
         m=m, lam=lam, powers=powers, radii=np.sqrt(t), weights=ww
     )
-
-
-def torus_invariant_zero(
-    f: Union[SymbolExpr, ProductSymbol],
-    geometry: BallGeometry,
-    alpha: Sequence[int],
-    beta: Sequence[int],
-) -> bool:
-    """True when group-degree bookkeeping forces the pairing to vanish.
-
-    Cruder than the per-axis winding: only requires invariance under the
-    per-group torus action, in which case pairings between different group
-    degrees of the z' part vanish.
-    """
-    from .symbols import _winding  # local import to keep the module graph acyclic
-
-    if isinstance(f, ProductSymbol):
-        w = (0,) * geometry.m
-    else:
-        w = _winding(f, geometry)
-    if w != (0,) * geometry.m:
-        return False
-    a_prime = tuple(alpha[: geometry.ell])
-    b_prime = tuple(beta[: geometry.ell])
-    return level_of(a_prime, geometry.k) != level_of(b_prime, geometry.k)

@@ -30,7 +30,7 @@ from .berezin import (
     min_singular_probe,
     quantization_probe,
 )
-from .core import BallGeometry, WeightedSpace, count_basis, levels_up_to
+from .core import BallGeometry, WeightedSpace, count_basis, format_float, levels_up_to
 from .errors import DomainError
 from .levels import (
     block_norms,
@@ -39,7 +39,7 @@ from .levels import (
     recover_symbol_and_remainder,
     verify_tensor_factorization,
 )
-from .quadrature import GAUSS_JACOBI, MONTE_CARLO, QuadratureSpec
+from .quadrature import GAUSS_JACOBI, MONTE_CARLO, QuadratureSpec, as_point_function
 from .symbols import (
     Const,
     ProductSymbol,
@@ -54,9 +54,6 @@ from .toeplitz import (
     toeplitz_matrix,
     toeplitz_matrix_with_stderr,
 )
-
-_FMT = repr
-
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -273,7 +270,7 @@ class ExperimentConfig:
             "geometry.n": geo.n,
             "geometry.ell": geo.ell,
             "geometry.k": " ".join(str(v) for v in geo.k),
-            "space.lambda": _FMT(self.lam),
+            "space.lambda": format_float(self.lam),
             "truncation.D": self.D,
             "truncation.R": self.R,
             "truncation.D_eval": self.D_eval,
@@ -293,12 +290,12 @@ class ExperimentConfig:
             ),
             "schedule.radii": self.radii_count,
             "grid.points": self.grid_points,
-            "grid.tmax": _FMT(self.grid_tmax),
+            "grid.tmax": format_float(self.grid_tmax),
             "out.dir": self.out_dir,
             "threads": self.threads,
         }
         for name in sorted(self.tolerances):
-            pairs[f"tol.{name}"] = _FMT(self.tolerances[name])
+            pairs[f"tol.{name}"] = format_float(self.tolerances[name])
         return "\n".join(f"{k} = {pairs[k]}" for k in sorted(pairs))
 
     def worker_count(self) -> int:
@@ -347,10 +344,6 @@ def _radial_grid(d: int, tmax: float, points: int) -> np.ndarray:
     grid = np.zeros((points, d), dtype=complex)
     grid[:, 0] = np.sqrt(ts)
     return grid
-
-
-def _inner_symbol(expr: SymbolExpr) -> SymbolExpr:
-    return rebase_inner(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +412,8 @@ def run_norm_identity(cfg: ExperimentConfig) -> SuiteResult:
 
     lines = ["k,mu,closed_form,sigma_diagonal,sigma_quadrature"]
     for k_level, mu, closed, sd, sq in rows:
-        lines.append(f"{k_level},{_FMT(mu)},{_FMT(closed)},{_FMT(sd)},{_FMT(sq)}")
+        vals = ",".join(format_float(v) for v in (mu, closed, sd, sq))
+        lines.append(f"{k_level},{vals}")
     res.tables["norm_identity.csv"] = lines
     return res
 
@@ -492,8 +486,8 @@ def run_factorization_suite(cfg: ExperimentConfig) -> SuiteResult:
         for r in reports:
             rho_txt = " ".join(str(v) for v in r.rho)
             lines.append(
-                f"{a_text},{c_text},{rho_txt},{_FMT(r.mu)},"
-                f"{_FMT(r.max_deviation)},{int(r.passed)}"
+                f"{a_text},{c_text},{rho_txt},{format_float(r.mu)},"
+                f"{format_float(r.max_deviation)},{int(r.passed)}"
             )
     res.tables["factorization.csv"] = lines
 
@@ -526,7 +520,7 @@ def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
     geo = cfg.geometry
     d_in = geo.d_inner
     tol = cfg.tolerances
-    c_in = _inner_symbol(cfg.c_expr)
+    c_in = rebase_inner(cfg.c_expr)
     mus = list(cfg.mu_schedule)
 
     semi_norms = []
@@ -568,7 +562,7 @@ def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
     res.add(
         "single_generator",
         nrm_single == 0.0,
-        f"||T_c T_1 - T_c|| = {_FMT(nrm_single)}",
+        f"||T_c T_1 - T_c|| = {format_float(nrm_single)}",
     )
 
     grid = _radial_grid(d_in, cfg.grid_tmax, cfg.grid_points)
@@ -583,7 +577,7 @@ def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
 
     lines = ["mu,semicommutator_norm"]
     for mu, v in zip(mus, semi_norms):
-        lines.append(f"{mu},{_FMT(v)}")
+        lines.append(f"{mu},{format_float(v)}")
     res.tables["quantization_semicommutator.csv"] = lines
 
     # operator side vs symbol side of the Berezin transform; the cutoff
@@ -632,8 +626,6 @@ def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
     recovery = recover_symbol_and_remainder(
         eval_blocks, grid, cfg.spec, remainder_blocks=rem_blocks
     )
-    from .quadrature import as_point_function
-
     c_fn = as_point_function(c_in)
     true_vals = np.asarray(c_fn(grid))
     sup_err = float(np.max(np.abs(recovery.values - true_vals)))

@@ -12,20 +12,22 @@ The grammar (whitespace insensitive)::
 
 ``z<i>`` indexes ball coordinates starting at 1; ``zc<i>`` indexes the
 second coordinate block (offset by the split point on the full ball, no
-offset on the z''-ball itself).  Bare ``z`` and ``zc`` denote the whole
+offset on the z''-ball itself) and is refused in the ``a`` factor of a
+product, which lives on z' alone.  Bare ``z`` and ``zc`` denote the whole
 tuple and are only meaningful under ``abs2``.  ``r<j>`` is the modulus of
 the j-th coordinate group under a declared partition; it is also the
 natural variable for profiles living on the set of group radii.
 
 ASTs are immutable; evaluation is vectorized over arrays of points.
+This is the one module that inspects node types: every syntactic
+analysis (validation, winding, classification, degree) lives here.
 """
 
 from __future__ import annotations
 
-import math
 import re as _re
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -296,6 +298,7 @@ def parse_symbol(
 
     When a geometry is supplied, coordinate and group indices are checked
     against it (z against n, zc against n - ell, r against the partition).
+    Group radii are refused in the c factor and zc in the a factor.
     """
     tokens = _tokenize(text)
     parser = _Parser(tokens)
@@ -322,12 +325,9 @@ def parse_symbol(
             raise SymbolSyntaxError(
                 f"unexpected trailing input {tail.text!r}", tail.line, tail.col
             )
-        if geometry is not None:
-            _validate(a, dim=geometry.ell, geometry=geometry, allow_radius=True)
-            _validate(c, dim=geometry.d_inner, geometry=None, allow_radius=False)
-        else:
-            _validate(a, dim=None, geometry=None, allow_radius=True)
-            _validate(c, dim=None, geometry=None, allow_radius=False)
+        # a lives on z' alone, so zc there would silently alias a z coordinate
+        _validate(a, geometry.ell if geometry else None, geometry, allow_zc=False)
+        _validate(c, geometry.d_inner if geometry else None, None, allow_radius=False)
         return ProductSymbol(a=a, c=c, geometry=geometry)
     expr = parser.parse_expr()
     tail = parser.peek()
@@ -336,24 +336,48 @@ def parse_symbol(
             f"unexpected trailing input {tail.text!r}", tail.line, tail.col
         )
     if geometry is not None:
-        _validate(expr, dim=geometry.n, geometry=geometry, allow_radius=True)
+        _validate(expr, geometry.n, geometry)
     return expr
+
+
+def _children(node: SymbolExpr) -> Tuple[SymbolExpr, ...]:
+    if isinstance(node, (Func, Neg)):
+        return (node.arg,)
+    if isinstance(node, Power):
+        return (node.base,)
+    if isinstance(node, BinOp):
+        return (node.lhs, node.rhs)
+    return ()
+
+
+def _nodes(expr: SymbolExpr) -> Iterator[SymbolExpr]:
+    """Every node of the expression, in source (pre-)order."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_children(node)))
 
 
 def _validate(
     expr: SymbolExpr,
     dim: Optional[int],
     geometry: Optional[BallGeometry],
-    allow_radius: bool,
+    *,
+    allow_radius: bool = True,
+    allow_zc: bool = True,
 ) -> None:
     """Range-check coordinate and group indices against a dimension.
 
     ``dim=None`` skips the range checks but keeps the structural ones
-    (radius placement), for parsing without a geometry.
+    (radius and zc placement), for parsing without a geometry.
     """
-
-    def walk(node: SymbolExpr) -> None:
+    for node in _nodes(expr):
         if isinstance(node, Coord):
+            if node.part == "zc" and not allow_zc:
+                raise SymbolSyntaxError(
+                    "zc coordinates are not available in the a factor", *node.pos
+                )
             if node.index is not None:
                 limit = dim
                 if node.part == "zc" and geometry is not None:
@@ -373,17 +397,6 @@ def _validate(
                     f"group r{node.group} exceeds the partition size {geometry.m}",
                     *node.pos,
                 )
-        elif isinstance(node, Func):
-            walk(node.arg)
-        elif isinstance(node, Neg):
-            walk(node.arg)
-        elif isinstance(node, BinOp):
-            walk(node.lhs)
-            walk(node.rhs)
-        elif isinstance(node, Power):
-            walk(node.base)
-
-    walk(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -633,53 +646,61 @@ def eval_profile(expr: SymbolExpr, radii: np.ndarray) -> np.ndarray:
 # Classification
 
 
-def _winding(node: SymbolExpr, geometry: BallGeometry) -> Optional[Tuple[int, ...]]:
-    """Phase degree of the node under the per-group torus action on z'.
+_AST_TYPES = (Const, Coord, GroupRadius, Func, BinOp, Power, Neg, ProductSymbol)
 
-    Returns a vector of per-group winding numbers for phase-homogeneous
-    expressions and None when homogeneity cannot be established; None means
-    the symbol is treated as non-invariant (sound, not complete).
+
+def is_symbolic(f: object) -> bool:
+    """True for DSL values (AST nodes and product symbols)."""
+    return isinstance(f, _AST_TYPES)
+
+
+def _winding(
+    node: SymbolExpr, slots: Sequence[Optional[int]], m: int, zc_offset: int
+) -> Optional[Tuple[int, ...]]:
+    """Phase degree of the node under an m-dimensional torus action.
+
+    ``slots[axis]`` is the torus coordinate rotating that axis, or None
+    where the torus does not act; zc-coordinates sit ``zc_offset`` axes
+    in.  Returns the winding vector of a phase-homogeneous expression and
+    None when homogeneity cannot be established (an axis past the slots
+    counts as unknown); None means the symbol is treated as
+    non-invariant (sound, not complete).
     """
-    m = geometry.m
     zero = (0,) * m
-
-    if isinstance(node, Const):
-        return zero
-    if isinstance(node, GroupRadius):
+    if isinstance(node, (Const, GroupRadius)):
         return zero
     if isinstance(node, Coord):
         if node.index is None:
             # Whole-tuple coordinates only appear under abs2, handled there.
             return None
-        axis = node.index - 1 if node.part == "z" else geometry.ell + node.index - 1
-        if axis >= geometry.ell:
-            return zero
+        axis = node.index - 1 + (zc_offset if node.part == "zc" else 0)
+        if axis >= len(slots):
+            return None
         out = [0] * m
-        out[geometry.group_of(axis)] = 1
+        if slots[axis] is not None:
+            out[slots[axis]] = 1
         return tuple(out)
     if isinstance(node, Neg):
-        return _winding(node.arg, geometry)
+        return _winding(node.arg, slots, m, zc_offset)
     if isinstance(node, Func):
-        if node.name == "abs2":
-            arg = node.arg
-            if isinstance(arg, Coord) and arg.index is None:
-                return zero
-            w = _winding(arg, geometry)
-            return zero if w is not None else None
-        if node.name == "conj":
-            w = _winding(node.arg, geometry)
-            return tuple(-v for v in w) if w is not None else None
-        # re, im and sqrt preserve invariance only for invariant arguments.
-        w = _winding(node.arg, geometry)
-        return zero if w == zero else None
-    if isinstance(node, Power):
-        w = _winding(node.base, geometry)
+        arg = node.arg
+        if node.name == "abs2" and isinstance(arg, Coord) and arg.index is None:
+            return zero
+        w = _winding(arg, slots, m, zc_offset)
         if w is None:
             return None
-        return tuple(node.exponent * v for v in w)
+        if node.name == "abs2":
+            return zero
+        if node.name == "conj":
+            return tuple(-v for v in w)
+        # re, im and sqrt preserve invariance only for invariant arguments.
+        return zero if w == zero else None
+    if isinstance(node, Power):
+        w = _winding(node.base, slots, m, zc_offset)
+        return tuple(node.exponent * v for v in w) if w is not None else None
     if isinstance(node, BinOp):
-        wl = _winding(node.lhs, geometry)
-        wr = _winding(node.rhs, geometry)
+        wl = _winding(node.lhs, slots, m, zc_offset)
+        wr = _winding(node.rhs, slots, m, zc_offset)
         if wl is None or wr is None:
             return None
         if node.op == "*":
@@ -690,26 +711,60 @@ def _winding(node: SymbolExpr, geometry: BallGeometry) -> Optional[Tuple[int, ..
     raise TypeError(f"unexpected node {node!r}")
 
 
-def _node_census(node: SymbolExpr, acc: dict) -> None:
-    if isinstance(node, Coord):
-        if node.index is None:
-            acc["full_z" if node.part == "z" else "full_zc"] = True
-        else:
-            acc["coords"].add((node.part, node.index))
-    elif isinstance(node, GroupRadius):
-        acc["radii"].add(node.group)
-    elif isinstance(node, Func):
-        if node.name == "abs2" and isinstance(node.arg, Coord) and node.arg.index is None:
-            acc["full_z" if node.arg.part == "z" else "full_zc"] = True
-        else:
-            _node_census(node.arg, acc)
-    elif isinstance(node, Neg):
-        _node_census(node.arg, acc)
-    elif isinstance(node, BinOp):
-        _node_census(node.lhs, acc)
-        _node_census(node.rhs, acc)
-    elif isinstance(node, Power):
-        _node_census(node.base, acc)
+def axis_winding(
+    expr: Union[SymbolExpr, ProductSymbol],
+    d: int,
+    zc_offset: int = 0,
+) -> Optional[Tuple[int, ...]]:
+    """Per-axis phase degree of the symbol on the d-ball, or None.
+
+    When defined, the pairing of f z^alpha against z^beta vanishes exactly
+    unless beta = alpha + winding, so those matrix entries can be set to
+    zero without integrating.  ``zc_offset`` places zc-coordinates on the
+    full-ball axes (the split point for full-ball evaluation, 0 on the
+    inner ball itself).
+    """
+    if isinstance(expr, ProductSymbol):
+        geo = expr.geometry
+        if geo is None:
+            return None
+        wa = axis_winding(expr.a, geo.ell)
+        wc = axis_winding(expr.c, geo.d_inner)
+        if wa is None or wc is None:
+            return None
+        return wa + wc
+    return _winding(expr, range(d), d, zc_offset)
+
+
+def group_winding(
+    expr: Union[SymbolExpr, ProductSymbol], geometry: BallGeometry
+) -> Optional[Tuple[int, ...]]:
+    """Phase degree under the per-group torus action on z', or None.
+
+    This is not the per-axis winding summed within groups: re(z1 conj(z2))
+    with z1, z2 in one group has group winding 0 but no per-axis winding.
+    The stretch in a product symbol only touches moduli, so the group
+    winding of the a-factor is the group winding of the whole.
+    """
+    if isinstance(expr, ProductSymbol):
+        expr = expr.a
+    slots = [geometry.group_of(axis) for axis in range(geometry.ell)]
+    slots += [None] * geometry.d_inner
+    return _winding(expr, slots, geometry.m, geometry.ell)
+
+
+def _census(expr: SymbolExpr) -> dict:
+    """Coordinates, group radii and whole tuples the expression uses."""
+    acc: dict = {"coords": set(), "radii": set(), "full_z": False, "full_zc": False}
+    for node in _nodes(expr):
+        if isinstance(node, Coord):
+            if node.index is None:
+                acc["full_z" if node.part == "z" else "full_zc"] = True
+            else:
+                acc["coords"].add((node.part, node.index))
+        elif isinstance(node, GroupRadius):
+            acc["radii"].add(node.group)
+    return acc
 
 
 def classify_symbol(
@@ -726,8 +781,7 @@ def classify_symbol(
         geo = expr.geometry if expr.geometry is not None else geometry
         return SymbolClass("Product", k=geo.k if geo is not None else None)
 
-    acc: dict = {"coords": set(), "radii": set(), "full_z": False, "full_zc": False}
-    _node_census(expr, acc)
+    acc = _census(expr)
     uses_coords = bool(acc["coords"])
     uses_radii = bool(acc["radii"])
     k = geometry.k if geometry is not None else None
@@ -749,8 +803,7 @@ def classify_symbol(
         )
         if inner_only:
             return SymbolClass("CzOnly", k=k)
-        w = _winding(expr, geometry)
-        if w == (0,) * geometry.m:
+        if group_winding(expr, geometry) == (0,) * geometry.m:
             return SymbolClass("TorusInvariant", k=k)
     return SymbolClass("General", k=k)
 
@@ -764,8 +817,7 @@ def radial_profile(
     abs2(z) of the full tuple, r1 with a single-group partition, and
     constants; otherwise None.
     """
-    acc: dict = {"coords": set(), "radii": set(), "full_z": False, "full_zc": False}
-    _node_census(expr, acc)
+    acc = _census(expr)
     if acc["coords"] or acc["full_zc"]:
         return None
     if acc["radii"] and acc["radii"] != {1}:
@@ -785,8 +837,7 @@ def quasi_radial_profile(
     expr: SymbolExpr, m: int
 ) -> Optional[Callable[[np.ndarray], np.ndarray]]:
     """Interpret the symbol as a profile a(r_1, ..., r_m), or None."""
-    acc: dict = {"coords": set(), "radii": set(), "full_z": False, "full_zc": False}
-    _node_census(expr, acc)
+    acc = _census(expr)
     if acc["coords"] or acc["full_zc"]:
         return None
     if any(g > m for g in acc["radii"]):
@@ -822,30 +873,48 @@ def rebase_inner(expr: SymbolExpr) -> SymbolExpr:
     return expr
 
 
+def _degree(node: Union[SymbolExpr, ProductSymbol]) -> Tuple[int, bool]:
+    """Degree hint in (z, conj z), and whether evaluation is polynomial
+    in (z, conj z) jointly."""
+    if isinstance(node, ProductSymbol):
+        return _degree(node.a)[0] + _degree(node.c)[0], False
+    if isinstance(node, Const):
+        return 0, True
+    if isinstance(node, Coord):
+        return 1, True
+    if isinstance(node, GroupRadius):
+        return 1, False
+    if isinstance(node, Neg):
+        return _degree(node.arg)
+    if isinstance(node, Func):
+        deg, poly = _degree(node.arg)
+        if node.name == "abs2":
+            return 2 * max(1, deg), poly
+        return deg, poly and node.name != "sqrt"
+    if isinstance(node, Power):
+        deg, poly = _degree(node.base)
+        # an even power of a group radius is a polynomial in |z_j|^2
+        even_radius = isinstance(node.base, GroupRadius) and node.exponent % 2 == 0
+        return node.exponent * deg, poly or even_radius
+    if isinstance(node, BinOp):
+        (dl, pl), (dr, pr) = _degree(node.lhs), _degree(node.rhs)
+        poly = pl and pr and node.op != "/"
+        if node.op == "*":
+            return dl + dr, poly
+        if node.op == "/":
+            return dl, poly
+        return max(dl, dr), poly
+    raise TypeError(f"unexpected node {node!r}")
+
+
 def symbol_degree_hint(expr: Union[SymbolExpr, ProductSymbol]) -> int:
     """Crude bound on the polynomial degree in (z, conj z), for quadrature
     order selection.  Division contributes its numerator only; rational
     symbols are handled by raising the order, not by exactness."""
-    if isinstance(expr, ProductSymbol):
-        return symbol_degree_hint(expr.a) + symbol_degree_hint(expr.c)
-    if isinstance(expr, Const):
-        return 0
-    if isinstance(expr, Coord):
-        return 1
-    if isinstance(expr, GroupRadius):
-        return 1
-    if isinstance(expr, Neg):
-        return symbol_degree_hint(expr.arg)
-    if isinstance(expr, Func):
-        if expr.name == "abs2":
-            return 2 * max(1, symbol_degree_hint(expr.arg))
-        return symbol_degree_hint(expr.arg)
-    if isinstance(expr, Power):
-        return expr.exponent * symbol_degree_hint(expr.base)
-    if isinstance(expr, BinOp):
-        if expr.op == "*":
-            return symbol_degree_hint(expr.lhs) + symbol_degree_hint(expr.rhs)
-        if expr.op == "/":
-            return symbol_degree_hint(expr.lhs)
-        return max(symbol_degree_hint(expr.lhs), symbol_degree_hint(expr.rhs))
-    raise TypeError(f"unexpected node {expr!r}")
+    return _degree(expr)[0]
+
+
+def is_polynomial(expr: Union[SymbolExpr, ProductSymbol]) -> bool:
+    """True when evaluation is polynomial in (z, conj z) jointly; group
+    radii, roots, division and product symbols are not."""
+    return _degree(expr)[1]

@@ -28,10 +28,10 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (
-    MultiIndex,
     TruncatedBasis,
     WeightedSpace,
     enumerate_basis,
+    format_float,
     level_of,
     levels_up_to,
 )
@@ -41,31 +41,27 @@ from .quadrature import (
     BallRule,
     PointFunction,
     QuadratureSpec,
+    SymbolLike,
     as_point_function,
-    axis_winding,
     ball_rule,
     gauss_jacobi_rule,
-    is_symbolic,
     monte_carlo_points,
     simplex_radial_rule,
 )
 from .symbols import (
     BinOp,
-    Func,
-    GroupRadius,
-    Neg,
-    Power,
     ProductSymbol,
     SymbolExpr,
-    _winding,
+    axis_winding,
     classify_symbol,
+    group_winding,
+    is_polynomial,
+    is_symbolic,
     quasi_radial_profile,
     radial_profile,
     symbol_degree_hint,
     symbol_to_text,
 )
-
-SymbolLike = Union[SymbolExpr, ProductSymbol, PointFunction]
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,11 +94,6 @@ class OperatorMatrix:
             self.entries[self.basis.index_of(beta), self.basis.index_of(alpha)]
         )
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return bool(
-            np.max(np.abs(self.entries - self.entries.conj().T)) <= tol
-        )
-
     def _require_same_basis(self, other: "OperatorMatrix") -> None:
         b1, b2 = self.basis, other.basis
         if (b1.d, b1.D, b1.lam) != (b2.d, b2.D, b2.lam) or b1.indices != b2.indices:
@@ -133,11 +124,6 @@ class OperatorMatrix:
         return OperatorMatrix(self.basis, self.entries * scalar, label=self.label)
 
     __rmul__ = __mul__
-
-    def conj_transpose(self) -> "OperatorMatrix":
-        return OperatorMatrix(
-            self.basis, self.entries.conj().T.copy(), label=f"adj({self.label})"
-        )
 
     @staticmethod
     def identity(basis: TruncatedBasis) -> "OperatorMatrix":
@@ -267,23 +253,6 @@ class GammaSequence:
     @property
     def levels(self) -> Tuple[Tuple[int, ...], ...]:
         return tuple(self.values.keys())
-
-    def oscillation(self, min_total: int = 0) -> float:
-        """sup |gamma(rho) - gamma(rho')| over unit steps with |rho| >= L.
-
-        Descriptive output only; slow oscillation has no finite test.
-        """
-        worst = 0.0
-        for rho, g in self.values.items():
-            if sum(rho) < min_total:
-                continue
-            for j in range(len(rho)):
-                step = list(rho)
-                step[j] += 1
-                key = tuple(step)
-                if key in self.values:
-                    worst = max(worst, abs(g - self.values[key]))
-        return worst
 
 
 def gamma_sequence(
@@ -429,29 +398,6 @@ def _assemble_on_torus(
     return acc.reshape(k, k)
 
 
-def _is_non_polynomial(e) -> bool:
-    """True when evaluation is not polynomial in (z, conj z) jointly."""
-    if isinstance(e, ProductSymbol):
-        return True
-    if isinstance(e, GroupRadius):
-        return True
-    if isinstance(e, Power):
-        if isinstance(e.base, GroupRadius) and e.exponent % 2 == 0:
-            return False
-        return _is_non_polynomial(e.base)
-    if isinstance(e, BinOp):
-        if e.op == "/":
-            return True
-        return _is_non_polynomial(e.lhs) or _is_non_polynomial(e.rhs)
-    if isinstance(e, Func):
-        if e.name == "sqrt":
-            return True
-        return _is_non_polynomial(e.arg)
-    if isinstance(e, Neg):
-        return _is_non_polynomial(e.arg)
-    return False
-
-
 def resolve_assembly_spec(
     f: SymbolLike, d: int, D: int, spec: QuadratureSpec
 ) -> QuadratureSpec:
@@ -467,20 +413,9 @@ def resolve_assembly_spec(
         return spec
     deg_hint = symbol_degree_hint(f) if is_symbolic(f) else 8
     resolved = spec.resolved(d, D, deg_hint)
-    if spec.q == 0 and is_symbolic(f) and _is_non_polynomial(f):
+    if spec.q == 0 and is_symbolic(f) and not is_polynomial(f):
         resolved = replace(resolved, q=resolved.q + 24)
     return resolved
-
-
-def _group_levels(basis: TruncatedBasis, geometry) -> np.ndarray:
-    """Group-degree vectors of the z' part for each basis index, (K, m)."""
-    exps = basis.exponent_array()
-    out = np.empty((basis.count, geometry.m), dtype=np.int64)
-    pos = 0
-    for j, kj in enumerate(geometry.k):
-        out[:, j] = exps[:, pos : pos + kj].sum(axis=1)
-        pos += kj
-    return out
 
 
 def toeplitz_matrix(
@@ -573,15 +508,8 @@ def _apply_vanishing_masks(
         keep = np.all(diff == np.asarray(w_axis)[None, None, :], axis=-1)
         return np.where(keep, entries, 0.0)
     if geometry is not None and d == geometry.n:
-        # The stretch in a product symbol only touches moduli, so the
-        # group winding of the a-factor is the group winding of the whole.
-        w_grp = (
-            _winding(f.a, geometry)
-            if isinstance(f, ProductSymbol)
-            else _winding(f, geometry)
-        )
-        if w_grp == (0,) * geometry.m:
-            lv = _group_levels(basis, geometry)
+        if group_winding(f, geometry) == (0,) * geometry.m:
+            lv = basis.group_degrees(geometry.k)
             keep = np.all(lv[:, None, :] == lv[None, :, :], axis=-1)
             return np.where(keep, entries, 0.0)
     return entries
@@ -710,10 +638,6 @@ def semicommutator(
 # Export
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def export_matrix_csv(
     M: OperatorMatrix,
     path: str,
@@ -733,7 +657,7 @@ def export_matrix_csv(
         row = M.entries[i]
         for j in range(k):
             v = row[j]
-            lines.append(f"{i},{j},{_fmt(v.real)},{_fmt(v.imag)}")
+            lines.append(f"{i},{j},{format_float(v.real)},{format_float(v.imag)}")
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -24,6 +24,27 @@ from berglab import (
 )
 from berglab.berezin import kernel_coefficients
 from berglab.core import enumerate_basis
+from berglab.quadrature import as_point_function, ball_rule
+
+
+def _kernel_form_berezin(g, mu, z):
+    """Reference transform without the Mobius substitution: g integrated
+    against |k_z|^2 dv_mu directly, on a fixed product rule (deep enough
+    for |z| <= 0.65) streamed by radial slab."""
+    z = np.asarray(z, dtype=complex)
+    d = z.shape[0]
+    t = float(np.sum(np.abs(z) ** 2))
+    s_exp = d + mu + 1.0
+    fn = as_point_function(g)
+    rule = ball_rule(d, mu, 32, 64)
+    total = 0j
+    for start in range(0, rule.n_radial, 64):
+        rows = slice(start, start + 64)
+        w = rule.torus_nodes(rows).reshape(-1, d)
+        dens = (1.0 - t) ** s_exp / np.abs(1.0 - w @ np.conj(z)) ** (2.0 * s_exp)
+        weights = np.repeat(rule.radial_weights[rows], rule.n_phase**d)
+        total += np.dot(weights, np.asarray(fn(w)) * dens)
+    return complex(total)
 
 
 def test_mobius_is_an_involution():
@@ -92,6 +113,21 @@ def test_berezin_sides_agree_off_origin():
         op_side = berezin_of_operator(mat, 2.0, z)
         sym_side = berezin_of_symbol(f, 2.0, z, spec)
         assert abs(op_side - sym_side) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "text", ["re(z1)", "z1*conj(z2) + abs2(z1)", "1/(2 - abs2(z))", "re(z1)^2"]
+)
+def test_berezin_matches_kernel_form(text):
+    # the Mobius pullback (and, for 1/(2 - abs2(z)), the radial diagonal
+    # expansion) against a direct kernel-form integral
+    spec = QuadratureSpec()
+    f = parse_symbol(text, BallGeometry(2, 2, (2,)))
+    points = ([0.3 + 0.1j, -0.15 + 0.15j], [0.5 - 0.2j, 0.25 + 0.2j])  # |z| 0.38, 0.63
+    for z in points:
+        for mu in (0.0, 2.0):
+            want = _kernel_form_berezin(f, mu, z)
+            assert abs(berezin_of_symbol(f, mu, z, spec) - want) <= 1e-12, (z, mu)
 
 
 def test_quantization_probe_decay():

@@ -1,0 +1,79 @@
+"""Source hygiene checks that need only the standard library."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import berglab
+
+SRC = Path(berglab.__file__).resolve().parent
+
+
+def _annotation_strings(tree):
+    """Identifiers inside string annotations (forward references)."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for ann in annotations:
+        for sub in ast.walk(ann):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                names.update(re.findall(r"[A-Za-z_]\w*", sub.value))
+    return names
+
+
+def unused_imports(path):
+    """Names a module imports and never uses; ``# noqa: F401`` exempts."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _annotation_strings(tree)
+    return sorted(f"{path.name}:{line}: {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":  # re-exports
+            found += unused_imports(path)
+    assert found == []
+
+
+def test_public_names_resolve():
+    missing = [name for name in berglab.__all__ if not hasattr(berglab, name)]
+    assert missing == []
+    assert len(set(berglab.__all__)) == len(berglab.__all__)
+
+
+def test_package_import_stays_light():
+    # scipy.stats costs most of a second to import; scipy.linalg is loaded
+    # up front so the first quadrature rule does not pay for it
+    code = (
+        "import sys; import berglab; "
+        "print('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "True"]

@@ -9,6 +9,7 @@ from berglab import (
     QuadratureSpec,
     WeightedSpace,
     block_norms,
+    classify_symbol,
     count_basis,
     dim_level,
     extract_level_block,
@@ -177,3 +178,24 @@ def test_recovery_grid_csv_headers():
     assert len(lines) == 3
     rem = report.remainder_csv_lines()
     assert rem[0] == "rho,mu,hdim,remainder_norm"
+
+
+def test_group_invariance_without_axis_winding():
+    """Symbols invariant under the group torus but not under each axis's
+    rotation: the group winding is not the per-axis winding summed."""
+    g = BallGeometry(3, 2, (2,))
+    space = WeightedSpace(3, 0.0, geometry=g)
+    for text in ("re(z1*conj(z2)) * re(zc1)", "abs2(z1) + re(zc1)"):
+        f = parse_symbol(text, g)
+        assert str(classify_symbol(f, g)) == "TorusInvariant", text
+        fast = toeplitz_matrix(f, space, 4, QuadratureSpec())
+        # exact: the level mask is applied, not mere roundoff
+        assert off_block_mass(fast, g)[0] == 0.0, text
+        honest = toeplitz_matrix(f, space, 4, QuadratureSpec(), use_fast_paths=False)
+        assert off_block_mass(honest, g)[0] < 1e-14, text
+
+    spec = QuadratureSpec(q=16, angular=12)
+    f = parse_symbol("prod(a = re(z1*conj(z2)), c = 1 - abs2(zc))", g)
+    assert off_block_mass(toeplitz_matrix(f, space, 2, spec), g)[0] == 0.0
+    report = verify_tensor_factorization(f.a, f.c, g, 0.0, (1,), 2, spec)
+    assert report.passed and report.max_deviation < 1e-12

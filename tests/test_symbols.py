@@ -171,6 +171,16 @@ def test_syntax_errors_carry_position():
         parse_symbol("z1 @ z2", None)
 
 
+def test_zc_is_refused_in_the_a_factor():
+    # a lives on z' alone; zc1 there used to evaluate silently as z1
+    for geometry in (BallGeometry(3, 2, (2,)), None):
+        with pytest.raises(SymbolSyntaxError) as exc:
+            parse_symbol("prod(a = re(zc1), c = 1)", geometry)
+        assert (exc.value.line, exc.value.col) == (1, 13)
+        assert "a factor" in str(exc.value)
+    parse_symbol("prod(a = re(z1), c = re(zc1))", BallGeometry(3, 2, (2,)))
+
+
 def test_power_requires_integer_exponent():
     with pytest.raises(SymbolSyntaxError):
         parse_symbol("z1^2.5", None)
