@@ -151,50 +151,64 @@ def berezin_of_operator(
     return value, tail
 
 
-def _radial_berezin_values(
-    profile: Callable[[np.ndarray], np.ndarray],
-    d: int,
-    nu: float,
-    t_points: np.ndarray,
-    *,
-    tail_tol: float = 1e-13,
-    max_terms: int = 400_000,
-) -> np.ndarray:
-    """Berezin transform of a radial symbol at radial points t = |z|^2.
+# kernel mass left out of the radial expansion of berezin_of_symbol
+_TAIL_TOL = 1e-13
 
-    Expands over the diagonal eigenvalue sequence with negative-binomial
-    kernel masses; the expansion length is driven by the kernel tail at the
-    largest requested t.
+
+def kernel_tail(s_exp: float, D: int, t) -> np.ndarray:
+    """Kernel mass beyond degree D at radius^2 t, elementwise in t.
+
+    The closed form of the negative-binomial tail of ``kernel_masses``:
+    P(m > D) = I_t(D + 1, s), the regularized incomplete beta function.
     """
+    return sp_special.betainc(D + 1.0, s_exp, t)
+
+
+def radial_berezin_sum(
+    eigenvalues: np.ndarray, s_exp: float, t_points: np.ndarray
+) -> np.ndarray:
+    """Berezin transform of a radial operator at radial points t = |z|^2.
+
+    A radial operator acts on the degree-m monomials as eigenvalues[m], so
+    its transform is sum_m masses_m(t) eigenvalues[m] with the kernel
+    masses at s = d + mu + 1, in every dimension d.  Degrees past the
+    sequence are dropped; the values are complex when the eigenvalues are.
+    """
+    lam = np.asarray(eigenvalues)
     t_points = np.asarray(t_points, dtype=float)
-    t_max = float(np.max(t_points)) if t_points.size else 0.0
-    s_exp = d + nu + 1.0
-    if t_max >= 1.0:
-        raise DomainError("radial Berezin needs interior points")
-    if t_max == 0.0:
-        terms = 1
-    else:
-        # the kernel masses are negative-binomial in the degree; cut at the
-        # quantile carrying all but tail_tol of the mass: nbdtrik inverts
-        # the CDF over real degrees, one CDF step (betainc) settles the integer
-        q, p_max = 1.0 - tail_tol, 1.0 - t_max
-        quant = float(np.ceil(sp_special.nbdtrik(q, s_exp, p_max)))
-        if quant > 0.0 and sp_special.betainc(s_exp, quant, p_max) >= q:
-            quant -= 1.0
-        terms = int(min(max_terms, quant + 16))
-    lam = radial_toeplitz_diagonal(profile, d, nu, terms)
-    out = np.empty(t_points.shape, dtype=float)
+    out = np.empty(t_points.shape, dtype=np.result_type(lam, float))
     for i, t in np.ndenumerate(t_points):
         if t == 0.0:
             out[i] = lam[0]
-            continue
-        p = kernel_masses(s_exp, terms + 1, t)
-        if 1.0 - float(p.sum()) > 1e3 * tail_tol:
+        else:
+            out[i] = np.dot(kernel_masses(s_exp, lam.shape[0], t), lam)
+    return out
+
+
+def _radial_berezin_value(
+    profile: Callable[[np.ndarray], np.ndarray], d: int, nu: float, t: float
+) -> complex:
+    """Berezin transform of a radial symbol at a point with |z|^2 = t < 1.
+
+    Expands over the diagonal eigenvalue sequence with negative-binomial
+    kernel masses, cut where all but 1e-13 of the mass at t is carried.
+    """
+    s_exp = d + nu + 1.0
+    terms = 1
+    if t > 0.0:
+        # nbdtrik inverts the negative-binomial CDF over real degrees, one
+        # CDF step (betainc) settles the integer
+        q, p = 1.0 - _TAIL_TOL, 1.0 - t
+        quant = float(np.ceil(sp_special.nbdtrik(q, s_exp, p)))
+        if quant > 0.0 and sp_special.betainc(s_exp, quant, p) >= q:
+            quant -= 1.0
+        terms = int(min(400_000, quant + 16))
+        if kernel_tail(s_exp, terms, t) > 1e3 * _TAIL_TOL:
             raise DomainError(
                 "kernel expansion truncated too early for the requested point"
             )
-        out[i] = float(np.dot(p, lam))
-    return out
+    lam = radial_toeplitz_diagonal(profile, d, nu, terms)
+    return complex(radial_berezin_sum(lam, s_exp, np.array([t]))[0])
 
 
 def berezin_of_symbol(
@@ -224,9 +238,7 @@ def berezin_of_symbol(
     if is_symbolic(g) and not isinstance(g, ProductSymbol):
         profile = radial_profile(g)
         if profile is not None:
-            return complex(
-                _radial_berezin_values(profile, d, nu, np.array([t]))[0]
-            )
+            return _radial_berezin_value(profile, d, nu, t)
 
     fn = as_point_function(g)
 

@@ -105,14 +105,19 @@ def _write_or_print(lines: List[str], out: Optional[str]) -> None:
             print(line)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="config file supplying defaults")
-    sub.add_argument("--out", help="output file or directory")
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed")
-    sub.add_argument(
-        "--threads", type=int, default=0, help="worker pool size (0 = cores)"
-    )
-    sub.add_argument("--tol", type=float, default=None, help="tolerance override")
+_FLAGS = {
+    "--config": dict(help="config file supplying defaults"),
+    "--out": dict(help="output file or directory"),
+    "--seed": dict(type=int, default=None, help="RNG seed"),
+    "--threads": dict(type=int, default=0, help="worker pool size (0 = cores)"),
+    "--tol": dict(type=float, default=None, help="tolerance override"),
+}
+
+
+def _add_common(sub: argparse.ArgumentParser, *flags: str) -> None:
+    """Register --dry-run plus the named flags the subcommand reads."""
+    for flag in flags:
+        sub.add_argument(flag, **_FLAGS[flag])
     sub.add_argument(
         "--dry-run",
         action="store_true",
@@ -203,6 +208,8 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     geometry = BallGeometry(sum(k), sum(k), k)
     profile = parse_symbol(args.profile, geometry)
     seq = gamma_sequence(profile, k, args.lam, args.rmax)
+    if any(isinstance(v, complex) for v in seq.values.values()):
+        raise DomainError("gamma prints one real column; the profile is complex-valued")
     _echo(plan)
     lines = ["rho,gamma"]
     for rho in seq.levels:
@@ -453,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=int, required=True, help="degree cutoff")
     _add_geometry(p)
     _add_quad(p)
-    _add_common(p)
+    _add_common(p, "--out", "--seed")
     p.set_defaults(func=cmd_matrix)
 
     p = subs.add_parser("gamma", help="tabulate the quasi-radial eigenvalues")
@@ -461,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, help="partition, e.g. '2' or '1,1'")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--rmax", type=int, default=5)
-    _add_common(p)
+    _add_common(p, "--out")
     p.set_defaults(func=cmd_gamma)
 
     p = subs.add_parser("norm", help="sigma_max of a truncated matrix")
@@ -470,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--D", type=int, required=True)
     _add_quad(p)
-    _add_common(p)
+    _add_common(p, "--seed")
     p.set_defaults(func=cmd_norm)
 
     p = subs.add_parser("decompose", help="verify the level factorization")
@@ -481,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=int, default=3)
     _add_geometry(p)
     _add_quad(p)
-    _add_common(p)
+    _add_common(p, "--out", "--seed", "--tol")
     p.set_defaults(func=cmd_decompose)
 
     p = subs.add_parser("berezin", help="transform values at a point")
@@ -491,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=int, default=48)
     p.add_argument("--z", required=True, help="point, e.g. '0.3+0.1i,0'")
     _add_quad(p)
-    _add_common(p)
+    _add_common(p, "--seed")
     p.set_defaults(func=cmd_berezin)
 
     p = subs.add_parser("quantize", help="Berezin error decay table")
@@ -501,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=int, default=25)
     p.add_argument("--tmax", type=float, default=0.9)
     _add_quad(p)
-    _add_common(p)
+    _add_common(p, "--out", "--seed")
     p.set_defaults(func=cmd_quantize)
 
     p = subs.add_parser("spectrum", help="essential spectrum sample")
@@ -513,18 +520,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--weight-k", default=None, help="partition for the profile")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    _add_common(p)
+    _add_common(p, "--out", "--seed")
     p.set_defaults(func=cmd_spectrum)
 
     p = subs.add_parser("fredholm", help="index report for a boundary-regular symbol")
     p.add_argument("--symbol", required=True)
     p.add_argument("--d", type=int, required=True)
-    _add_common(p)
+    _add_common(p, "--out", "--seed")
     p.set_defaults(func=cmd_fredholm)
 
     p = subs.add_parser("suite", help="run the experiment suites")
     p.add_argument("--only", default=None, help="comma list of suite names")
-    _add_common(p)
+    _add_common(p, "--config", "--out", "--seed", "--threads")
     p.set_defaults(func=cmd_suite)
 
     return parser

@@ -15,6 +15,7 @@ infinite-level limit through the node 1/(d + mu + 1) -> 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .berezin import berezin_of_operator, kernel_masses
+from .berezin import berezin_of_operator, kernel_tail, radial_berezin_sum
 from .core import (
     BallGeometry,
     Level,
@@ -182,11 +183,24 @@ class LevelBlock:
     def mu(self) -> float:
         return self.level.mu
 
-    def is_diagonal(self, tol: float = 1e-12) -> bool:
-        e = self.block.entries
-        off = e - np.diag(np.diag(e))
-        scale = max(1.0, float(np.max(np.abs(e))))
-        return bool(np.max(np.abs(off)) <= tol * scale)
+    @functools.cached_property
+    def radial_eigenvalues(self) -> Optional[np.ndarray]:
+        """Per-degree eigenvalues of a radial block, else None.
+
+        A block is radial when it is diagonal and constant on each degree,
+        both to 1e-12 of its largest entry (at least 1).  Checked once.
+        """
+        mags = np.abs(self.block.entries)
+        scale = max(1.0, float(np.max(mags)))
+        np.fill_diagonal(mags, 0.0)
+        if np.max(mags) > 1e-12 * scale:
+            return None
+        diag = np.diagonal(self.block.entries)
+        degrees = self.inner_basis.degrees
+        eigenvalues = diag[np.searchsorted(degrees, np.arange(self.inner_basis.D + 1))]
+        if np.max(np.abs(diag - eigenvalues[degrees])) > 1e-12 * scale:
+            return None
+        return eigenvalues
 
 
 def off_block_mass(M: OperatorMatrix, geometry: BallGeometry) -> Tuple[float, float]:
@@ -428,8 +442,13 @@ def verify_tensor_factorization(
     level = make_level(rho_t, lam, geometry.ell)
     inner_space = WeightedSpace(geometry.d_inner, level.mu)
     c_inner = rebase_inner(c) if is_symbolic(c) else c
-    b_mat = toeplitz_matrix(c_inner, inner_space, D - total, spec)
-    a_mat = _factor_on_level(a, geometry, lam, rho_t, spec, index_map.prime_indices)
+    # the Kronecker route is the reference: under sampling it takes the
+    # rule, so its own noise stays out of the 5 SE gate
+    kron_spec = QuadratureSpec(q=spec.q, angular=spec.angular) if mc else spec
+    b_mat = toeplitz_matrix(c_inner, inner_space, D - total, kron_spec)
+    a_mat = _factor_on_level(
+        a, geometry, lam, rho_t, kron_spec, index_map.prime_indices
+    )
     kron = np.kron(a_mat, b_mat.entries)
 
     dev = np.abs(sub - kron)
@@ -513,45 +532,26 @@ class RecoveryReport:
         return max((row[3] for row in self.by_level), default=0.0)
 
 
-def _diagonal_berezin_grid(
-    diag: np.ndarray, d: int, mu: float, t_points: np.ndarray
-) -> np.ndarray:
-    """Berezin values of a diagonal block at radial points t = |z|^2."""
-    s_exp = d + mu + 1.0
-    out = np.empty(t_points.shape[0], dtype=complex)
-    for i, t in enumerate(t_points):
-        if t <= 0.0:
-            out[i] = diag[0]
-            continue
-        out[i] = np.dot(kernel_masses(s_exp, diag.shape[0], t), diag)
-    return out
-
-
-def _kernel_tail(d: int, mu: float, t: float, D: int) -> float:
-    """Mass of the reproducing kernel beyond degree D at radius^2 = t."""
-    if t <= 0.0:
-        return 0.0
-    return float(max(0.0, 1.0 - kernel_masses(d + mu + 1.0, D + 1, t).sum()))
+# Recovery keeps the blocks whose kernel tail beyond their cutoff is at
+# most _TAIL_CAP at the point, and extrapolates through at most
+# _MAX_NODES of them.
+_TAIL_CAP = 1e-9
+_MAX_NODES = 6
 
 
 class RecoveredSymbol:
     """Callable estimate of the inner symbol from a family of blocks.
 
-    At each point the blocks whose truncation still resolves the kernel
-    are kept; with two or more distinct weights the values extrapolate
-    through u = 1/(d + mu + 1) to u = 0, otherwise the largest reliable
-    weight wins.  Falls back to the largest weight outright when nothing
-    is reliable (far outside the trusted radius).
+    Each block's Berezin transform is its kernel-mass sum at |z|^2 when the
+    block is radial, its dense quadratic form otherwise.  At each point the
+    blocks whose truncation still resolves the kernel are kept; with two or
+    more of them the values extrapolate through u = 1/(d + mu + 1) to u = 0,
+    otherwise the largest reliable weight wins.  Falls back to the largest
+    weight outright when nothing is reliable (far outside the trusted
+    radius).
     """
 
-    def __init__(
-        self,
-        blocks: Sequence[LevelBlock],
-        *,
-        extrapolate: bool = True,
-        tail_cap: float = 1e-9,
-        max_nodes: int = 6,
-    ):
+    def __init__(self, blocks: Sequence[LevelBlock]):
         if not blocks:
             raise DomainError("recovery needs at least one block")
         by_mu: Dict[float, LevelBlock] = {}
@@ -562,70 +562,39 @@ class RecoveredSymbol:
                 by_mu[mu] = blk
         self.blocks = [by_mu[mu] for mu in sorted(by_mu, reverse=True)]
         self.d = self.blocks[0].inner_basis.d
-        self.extrapolate = extrapolate
-        self.tail_cap = tail_cap
-        self.max_nodes = max_nodes
-        self.all_diagonal = all(b.is_diagonal() for b in self.blocks)
-
-    def _usable(self, t: float) -> List[LevelBlock]:
-        out = [
-            b
-            for b in self.blocks
-            if _kernel_tail(b.inner_basis.d, b.mu, t, b.inner_basis.D)
-            <= self.tail_cap
-        ]
-        return out[: self.max_nodes]
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         single = z.ndim == 1
         if single:
             z = z[None, :]
+        t = np.sum(np.abs(z) ** 2, axis=1)
+        s_exps = np.array([b.inner_basis.d + b.mu + 1.0 for b in self.blocks])
+        # usable[i, j]: block j enters the value at point i
+        tails = [
+            kernel_tail(s, b.inner_basis.D, t) for s, b in zip(s_exps, self.blocks)
+        ]
+        usable = np.array(tails).T <= _TAIL_CAP
+        usable &= np.cumsum(usable, axis=1) <= _MAX_NODES
+        usable[~usable.any(axis=1), 0] = True
+        table = np.zeros(usable.shape, dtype=complex)
+        for j, blk in enumerate(self.blocks):
+            rows = np.flatnonzero(usable[:, j])
+            eigenvalues = blk.radial_eigenvalues
+            if eigenvalues is None:
+                table[rows, j] = [
+                    berezin_of_operator(blk.block, blk.mu, z[i]) for i in rows
+                ]
+            else:
+                table[rows, j] = radial_berezin_sum(eigenvalues, s_exps[j], t[rows])
         out = np.empty(z.shape[0], dtype=complex)
         for i in range(z.shape[0]):
-            out[i] = self._at_point(z[i])
-        return out[0] if single else out
-
-    def _at_point(self, z: np.ndarray) -> complex:
-        t = float(np.sum(np.abs(z) ** 2))
-        usable = self._usable(t)
-        if not usable:
-            blk = self.blocks[0]
-            return berezin_of_operator(blk.block, blk.mu, z)
-        if not self.extrapolate or len(usable) < 2:
-            blk = usable[0]
-            return berezin_of_operator(blk.block, blk.mu, z)
-        us = np.array([1.0 / (b.inner_basis.d + b.mu + 1.0) for b in usable])
-        vals = np.array(
-            [berezin_of_operator(b.block, b.mu, z) for b in usable]
-        )
-        return complex(_neville_to_zero(us, vals))
-
-    def radial_values(self, t_points: np.ndarray) -> np.ndarray:
-        """Vectorized values at radial points when every block is diagonal."""
-        if not self.all_diagonal:
-            raise DomainError("radial evaluation needs diagonal blocks")
-        t_points = np.asarray(t_points, dtype=float)
-        out = np.empty(t_points.shape[0], dtype=complex)
-        per_block = {
-            id(b): _diagonal_berezin_grid(
-                np.diag(b.block.entries), b.inner_basis.d, b.mu, t_points
-            )
-            for b in self.blocks
-        }
-        for i, t in enumerate(t_points):
-            usable = self._usable(float(t))
-            if not usable:
-                out[i] = per_block[id(self.blocks[0])][i]
-            elif not self.extrapolate or len(usable) < 2:
-                out[i] = per_block[id(usable[0])][i]
+            cols = np.flatnonzero(usable[i])
+            if cols.size == 1:
+                out[i] = table[i, cols[0]]
             else:
-                us = np.array(
-                    [1.0 / (b.inner_basis.d + b.mu + 1.0) for b in usable]
-                )
-                vals = np.array([per_block[id(b)][i] for b in usable])
-                out[i] = complex(_neville_to_zero(us, vals))
-        return out
+                out[i] = _neville_to_zero(1.0 / s_exps[cols], table[i, cols])
+        return out[0] if single else out
 
 
 def recover_symbol_and_remainder(
@@ -633,7 +602,6 @@ def recover_symbol_and_remainder(
     grid: np.ndarray,
     spec: Optional[QuadratureSpec] = None,
     *,
-    extrapolate: bool = True,
     remainder_blocks: Optional[Sequence[LevelBlock]] = None,
 ) -> RecoveryReport:
     """Estimate the inner symbol and the per-level remainders.
@@ -648,32 +616,25 @@ def recover_symbol_and_remainder(
     grid = np.asarray(grid, dtype=complex)
     if grid.ndim == 1:
         grid = grid[:, None]
-    estimator = RecoveredSymbol(list(blocks), extrapolate=extrapolate)
+    estimator = RecoveredSymbol(list(blocks))
     values = estimator(grid)
+    # radial blocks make the estimate radial, with the profile below
+    radial = all(b.radial_eigenvalues is not None for b in estimator.blocks)
+    axis = np.eye(1, estimator.d)
+
+    def profile(t: np.ndarray) -> np.ndarray:
+        return estimator(np.sqrt(t)[:, None] * axis)
 
     targets = list(remainder_blocks) if remainder_blocks is not None else list(blocks)
     by_level: List[Tuple[Tuple[int, ...], float, int, float]] = []
     for blk in targets:
-        d = blk.inner_basis.d
-        D = blk.inner_basis.D
-        if estimator.all_diagonal and blk.is_diagonal():
-            # the diagonal route only carries real values, so split
-            diag_re = radial_toeplitz_diagonal(
-                lambda tt: estimator.radial_values(np.asarray(tt)).real,
-                d,
-                blk.mu,
-                D,
-            )
-            diag_im = radial_toeplitz_diagonal(
-                lambda tt: estimator.radial_values(np.asarray(tt)).imag,
-                d,
-                blk.mu,
-                D,
-            )
-            n_mat = blk.block.entries - np.diag(diag_re + 1j * diag_im)
+        basis = blk.inner_basis
+        if radial and blk.radial_eigenvalues is not None:
+            per_degree = radial_toeplitz_diagonal(profile, basis.d, blk.mu, basis.D)
+            n_mat = blk.block.entries - np.diag(per_degree[basis.degrees])
         else:
             t_est = toeplitz_matrix(
-                estimator, WeightedSpace(d, blk.mu), D, spec
+                estimator, WeightedSpace(basis.d, blk.mu), basis.D, spec
             )
             n_mat = blk.block.entries - t_est.entries
         by_level.append(
@@ -685,5 +646,5 @@ def recover_symbol_and_remainder(
         values=np.asarray(values),
         by_level=tuple(by_level),
         eval_mus=mus,
-        extrapolated=extrapolate and len(mus) >= 2,
+        extrapolated=len(mus) >= 2,
     )

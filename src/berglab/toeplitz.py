@@ -143,31 +143,20 @@ class OperatorMatrix:
 # Diagonal closed forms
 
 
-def radial_eigenvalue(
-    a: Union[SymbolExpr, Callable[[np.ndarray], np.ndarray]],
-    d: int,
-    mu: float,
-    m: int,
-    q: Optional[int] = None,
-) -> float:
-    """Eigenvalue of a radial symbol on degree-m monomials at weight mu.
+def _normalized_moment(w: np.ndarray, vals: np.ndarray):
+    """w @ vals / w @ 1 for real weights w (a matrix or one vector).
 
-    Computes the ratio of the a-weighted moment to the plain moment with a
-    single Jacobi rule, so a == 1 returns exactly 1.0 and polynomial
-    profiles are integrated exactly.
+    Each part of the values gets its own real matvec on a contiguous copy,
+    the same kernel the ones vector takes, so a == 1 gives num == den
+    bitwise.  The imaginary part is reduced only when it is nonzero, so
+    real profiles give real, bitwise unchanged results.
     """
-    if m < 0:
-        raise DomainError(f"degree must be nonnegative, got {m}")
-    profile = _as_radial_profile(a)
-    if q is None:
-        q = max(32, _profile_degree(a))
-    t, w = gauss_jacobi_rule(q, float(mu), float(m + d - 1))
-    vals = np.asarray(profile(t), dtype=complex)
-    # contiguous copy: the strided .real view would hit a different dot
-    # kernel than the ones vector and lose the bitwise a == 1 identity
-    num = np.dot(w, np.ascontiguousarray(vals.real))
-    den = np.dot(w, np.ones_like(w))
-    return float(num / den)
+    vals = np.asarray(vals, dtype=complex)
+    den = np.dot(w, np.ones(w.shape[-1]))
+    out = np.dot(w, np.ascontiguousarray(vals.real)) / den
+    if np.any(vals.imag):
+        out = out + 1j * (np.dot(w, np.ascontiguousarray(vals.imag)) / den)
+    return out
 
 
 def radial_toeplitz_diagonal(
@@ -193,13 +182,7 @@ def radial_toeplitz_diagonal(
     ms = np.arange(D + 1, dtype=float)
     log_a = log_w[None, :] + ms[:, None] * log_t[None, :]
     log_a -= np.max(log_a, axis=1, keepdims=True)
-    aw = np.exp(log_a)
-    # one real matvec for each side: a == 1 then gives num == den bitwise
-    # (contiguous copy keeps both sides on the same gemv kernel)
-    vals = np.ascontiguousarray(np.real(np.asarray(profile(t), dtype=complex)))
-    num = aw @ vals
-    den = aw @ np.ones(aw.shape[1])
-    return num / den
+    return _normalized_moment(np.exp(log_a), profile(t))
 
 
 def gamma_quasi_radial(
@@ -208,12 +191,13 @@ def gamma_quasi_radial(
     lam: float,
     rho: Sequence[int],
     q: Optional[int] = None,
-) -> float:
+) -> complex:
     """Diagonal value of a quasi-radial symbol on the level rho.
 
     Normalized moment of the profile over the set of group radii against
     (1 - |r|^2)^lam prod r_j^(2 rho_j + 2 k_j - 1) dr; the normalization is
-    the same quadrature sum with a == 1, so constants are exact.
+    the same quadrature sum with a == 1, so constants are exact.  A real
+    profile gives a float.
     """
     k = tuple(int(v) for v in k)
     rho = tuple(int(v) for v in rho)
@@ -226,11 +210,7 @@ def gamma_quasi_radial(
         q = max(24, _profile_degree(a))
     powers = tuple(2 * r + 2 * kk - 1 for r, kk in zip(rho, k))
     rule = simplex_radial_rule(lam, powers, q)
-    vals = np.asarray(profile(rule.radii), dtype=complex)
-    # same contiguity note as radial_eigenvalue
-    num = np.dot(rule.weights, np.ascontiguousarray(vals.real))
-    den = np.dot(rule.weights, np.ones_like(rule.weights))
-    return float(num / den)
+    return _normalized_moment(rule.weights, profile(rule.radii)).item()
 
 
 @dataclass(frozen=True)
@@ -240,10 +220,10 @@ class GammaSequence:
     k: Tuple[int, ...]
     lam: float
     R: int
-    values: Dict[Tuple[int, ...], float] = field(repr=False)
+    values: Dict[Tuple[int, ...], complex] = field(repr=False)
     label: str = ""
 
-    def __call__(self, rho: Sequence[int]) -> float:
+    def __call__(self, rho: Sequence[int]) -> complex:
         key = tuple(int(v) for v in rho)
         try:
             return self.values[key]
@@ -461,7 +441,7 @@ def toeplitz_matrix(
             profile = quasi_radial_profile(f, geometry.m)
             if profile is not None:
                 values = np.empty(basis.count, dtype=complex)
-                cache: Dict[Tuple[int, ...], float] = {}
+                cache: Dict[Tuple[int, ...], complex] = {}
                 for i, alpha in enumerate(basis.indices):
                     rho = level_of(alpha, geometry.k)
                     if rho not in cache:

@@ -22,7 +22,7 @@ from berglab import (
     quantization_probe,
     toeplitz_matrix,
 )
-from berglab.berezin import kernel_coefficients
+from berglab.berezin import kernel_coefficients, kernel_masses, kernel_tail
 from berglab.core import enumerate_basis
 from berglab.quadrature import as_point_function, ball_rule
 
@@ -244,3 +244,17 @@ def test_min_singular_probe_verdicts():
     assert min_singular_probe(dec_mats).verdict == "decaying"
     with pytest.raises(DomainError):
         min_singular_probe([])
+
+
+def test_kernel_tail_is_the_mass_beyond_the_cutoff():
+    for s_exp, D, t in [(2.0, 10, 0.3), (12.0, 40, 0.5), (4.5, 200, 0.9)]:
+        mass = float(kernel_masses(s_exp, D + 1, t).sum())
+        assert kernel_tail(s_exp, D, t) == pytest.approx(1.0 - mass, abs=1e-14)
+
+
+def test_radial_berezin_keeps_the_imaginary_part():
+    spec = QuadratureSpec()
+    real = berezin_of_symbol(parse_symbol("abs2(z)", None), 0.0, [0.5], spec)
+    got = berezin_of_symbol(parse_symbol("i*abs2(z)", None), 0.0, [0.5], spec)
+    assert got == pytest.approx(1j * real, abs=1e-15)
+    assert abs(got - 0.589j) < 1e-3

@@ -64,6 +64,23 @@ def test_bad_flag_is_exit_one(capsys):
     assert "error:" in err
 
 
+def test_flag_on_a_command_that_ignores_it_is_exit_one(capsys):
+    code, out, err = run(
+        capsys,
+        ["norm", "--symbol", "1", "--d", "1", "--mu", "0", "--D", "4", "--threads", "2"],
+    )
+    assert code == 1
+    assert "error:" in err
+
+
+def test_gamma_refuses_complex_profile(capsys):
+    code, out, err = run(
+        capsys, ["gamma", "--k", "1,1", "--profile", "i*r1^2", "--rmax", "2"]
+    )
+    assert code == 1
+    assert err.startswith("error:")
+
+
 def test_unknown_command_is_exit_one(capsys):
     code, out, err = run(capsys, ["frobnicate"])
     assert code == 1

@@ -8,6 +8,7 @@ from berglab import (
     InvarianceError,
     QuadratureSpec,
     WeightedSpace,
+    berezin_of_operator,
     block_norms,
     classify_symbol,
     count_basis,
@@ -21,10 +22,12 @@ from berglab import (
     reassemble_from_levels,
     recover_symbol_and_remainder,
     toeplitz_matrix,
+    toeplitz_matrix_with_stderr,
     u_rho_index_map,
     verify_tensor_factorization,
 )
 from berglab.levels import _neville_to_zero
+from berglab.quadrature import MONTE_CARLO
 
 
 @pytest.fixture
@@ -164,6 +167,55 @@ def test_recovery_reproduces_inner_symbol():
     got = np.array([v.real for v in report.values])
     assert np.max(np.abs(got - exact)) < 2.0 / 96.0
     assert report.max_remainder() < 1e-6
+
+
+def test_radial_recovery_on_an_inner_two_ball():
+    """Radial blocks of an inner 2-ball: the kernel-mass sums match the
+    dense quadratic forms extrapolated the same way, on and off the axis."""
+    g = BallGeometry(3, 1, (1,))
+    spec = QuadratureSpec()
+    c = parse_symbol("1 - abs2(zc)", None)
+    blocks = [level_block_direct(c, g, 0.0, (r,), 40, spec) for r in (16, 12, 8)]
+    # |z|^2 <= 0.25: every block's kernel tail is below the usability cap
+    grid = np.array([[0.0, 0.0], [0.3, 0.0], [0.2 + 0.1j, -0.3j], [0.3j, 0.35]])
+    report = recover_symbol_and_remainder(blocks, grid, spec)
+    us = np.array([1.0 / (2 + b.mu + 1.0) for b in blocks])
+    for z, got in zip(grid, report.values):
+        dense = np.array([berezin_of_operator(b.block, b.mu, z) for b in blocks])
+        assert abs(got - _neville_to_zero(us, dense)) <= 1e-12
+    assert len(report.by_level) == 3
+    assert all(np.isfinite(row[3]) for row in report.by_level)
+
+
+def test_recovery_of_a_non_radial_symbol():
+    """Dense blocks take the quadratic forms and the general remainder
+    route; the values are pinned from an independent earlier run."""
+    g = BallGeometry(2, 1, (1,))
+    spec = QuadratureSpec()
+    c = parse_symbol("re(z1) + 1 - abs2(z)", None)
+    blocks = [level_block_direct(c, g, 0.0, (r,), 40, spec) for r in (16, 24, 32)]
+    assert all(b.radial_eigenvalues is None for b in blocks)
+    rem = [level_block_direct(c, g, 0.0, (16,), 8, spec)]
+    grid = np.array([[0.0], [0.3], [0.2 + 0.3j]])
+    report = recover_symbol_and_remainder(blocks, grid, spec, remainder_blocks=rem)
+    expect = [0.9999999999998367, 1.2100057559319315, 1.070006583324554]
+    assert np.max(np.abs(report.values - expect)) < 1e-12
+    assert report.max_remainder() == pytest.approx(0.03383505358695569, abs=1e-12)
+
+
+def test_monte_carlo_factorization_gate():
+    """The Kronecker reference takes the rule, not the samples, so the
+    5 SE gate meets only the full route's own noise."""
+    g = BallGeometry(2, 1, (1,))
+    spec = QuadratureSpec(scheme=MONTE_CARLO, n_samples=400_000, seed=7)
+    f = parse_symbol("prod(a = 1 - r1^2, c = re(zc1))", g)
+    space = WeightedSpace(2, 0.0, geometry=g)
+    full, se = toeplitz_matrix_with_stderr(f, space, 8, spec)
+    for rho in levels_up_to(6, g.m):
+        rep = verify_tensor_factorization(
+            f.a, f.c, g, 0.0, rho, 8, spec, full_matrix=full, full_se=se
+        )
+        assert rep.passed, rep.summary()
 
 
 def test_recovery_grid_csv_headers():

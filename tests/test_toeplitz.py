@@ -15,7 +15,6 @@ from berglab import (
     gamma_sequence,
     operator_norm,
     parse_symbol,
-    radial_eigenvalue,
     radial_toeplitz_diagonal,
     semicommutator,
     toeplitz_matrix,
@@ -36,7 +35,7 @@ def test_identity_symbol_gives_exact_identity():
 def test_radial_eigenvalue_closed_form():
     # a(t) = t acting on degree-m monomials of the d-ball, weight mu
     for d, mu, m in [(1, 0.0, 0), (1, 2.0, 5), (2, 0.5, 3), (3, 1.0, 0)]:
-        got = radial_eigenvalue(lambda t: t, d, mu, m)
+        got = radial_toeplitz_diagonal(lambda t: t, d, mu, m)[m]
         assert got == pytest.approx((m + d) / (m + d + mu + 1.0), abs=1e-13)
 
 
@@ -94,6 +93,29 @@ def test_fast_and_slow_paths_agree():
         fast = toeplitz_matrix(f, space, 4, QuadratureSpec())
         slow = toeplitz_matrix(f, space, 4, QuadratureSpec(), use_fast_paths=False)
         assert np.max(np.abs(fast.entries - slow.entries)) < 1e-9, text
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("text", ["i*abs2(z)", "(1+i)*(1-abs2(z))"])
+def test_complex_radial_fast_path_matches_quadrature(d, text):
+    space = WeightedSpace(d, 0.5)
+    f = parse_symbol(text, None)
+    fast = toeplitz_matrix(f, space, 4, QuadratureSpec())
+    honest = toeplitz_matrix(f, space, 4, QuadratureSpec(), use_fast_paths=False)
+    assert np.max(np.abs(fast.entries - honest.entries)) <= 1e-10
+
+
+def test_complex_quasi_radial_fast_path_matches_quadrature():
+    g = BallGeometry(2, 2, (1, 1))
+    f = parse_symbol("i*r1^2", g)
+    space = WeightedSpace(2, 0.0, geometry=g)
+    fast = toeplitz_matrix(f, space, 4, QuadratureSpec())
+    honest = toeplitz_matrix(f, space, 4, QuadratureSpec(), use_fast_paths=False)
+    assert np.max(np.abs(fast.entries - honest.entries)) <= 1e-10
+    seq = gamma_sequence(f, (1, 1), 0.0, 2)
+    real = gamma_sequence(parse_symbol("r1^2", g), (1, 1), 0.0, 2)
+    for rho in seq.levels:
+        assert seq(rho) == pytest.approx(1j * real(rho), abs=1e-15)
 
 
 def test_real_symbol_gives_hermitian_matrix():
