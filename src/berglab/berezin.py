@@ -47,6 +47,8 @@ from .symbols import (
 from .toeplitz import (
     GammaSequence,
     OperatorMatrix,
+    _radial_order,
+    _require_budget,
     radial_toeplitz_diagonal,
 )
 
@@ -185,6 +187,40 @@ def radial_berezin_sum(
     return out
 
 
+def radial_expansion_degree(d: int, nu: float, t: float) -> int:
+    """Cutoff degree of the radial Berezin expansion at |z|^2 = t < 1.
+
+    The expansion carries all but 1e-13 of the kernel mass at t.  A point
+    so close to the sphere that the eigenvalue table of the expansion
+    (degrees x radial nodes) would pass the desk budget is refused with a
+    ``DomainError`` before anything is built.
+    """
+    if not 0.0 <= t < 1.0:
+        raise DomainError(f"radial expansion needs 0 <= |z|^2 < 1, got {t!r}")
+    if t == 0.0:
+        return 1
+    s_exp = d + nu + 1.0
+    # nbdtrik inverts the negative-binomial CDF over real degrees, one CDF
+    # step (betainc) settles the integer
+    q, p = 1.0 - _TAIL_TOL, 1.0 - t
+    quant = float(np.ceil(sp_special.nbdtrik(q, s_exp, p)))
+    if quant > 0.0 and sp_special.betainc(s_exp, quant, p) >= q:
+        quant -= 1.0
+    # counts past the budget are all refused alike; the clip keeps int() finite
+    terms = int(min(quant + 16, 1e12))
+    # q: the order radial_toeplitz_diagonal takes for a profile callable
+    _require_budget(
+        (terms + 1) * _radial_order(terms, 16),
+        f"the radial Berezin expansion at |z|^2 = {t!r}",
+        "take a point farther from the sphere",
+    )
+    if kernel_tail(s_exp, terms, t) > 1e3 * _TAIL_TOL:
+        raise DomainError(
+            "kernel expansion truncated too early for the requested point"
+        )
+    return terms
+
+
 def _radial_berezin_value(
     profile: Callable[[np.ndarray], np.ndarray], d: int, nu: float, t: float
 ) -> complex:
@@ -193,22 +229,8 @@ def _radial_berezin_value(
     Expands over the diagonal eigenvalue sequence with negative-binomial
     kernel masses, cut where all but 1e-13 of the mass at t is carried.
     """
-    s_exp = d + nu + 1.0
-    terms = 1
-    if t > 0.0:
-        # nbdtrik inverts the negative-binomial CDF over real degrees, one
-        # CDF step (betainc) settles the integer
-        q, p = 1.0 - _TAIL_TOL, 1.0 - t
-        quant = float(np.ceil(sp_special.nbdtrik(q, s_exp, p)))
-        if quant > 0.0 and sp_special.betainc(s_exp, quant, p) >= q:
-            quant -= 1.0
-        terms = int(min(400_000, quant + 16))
-        if kernel_tail(s_exp, terms, t) > 1e3 * _TAIL_TOL:
-            raise DomainError(
-                "kernel expansion truncated too early for the requested point"
-            )
-    lam = radial_toeplitz_diagonal(profile, d, nu, terms)
-    return complex(radial_berezin_sum(lam, s_exp, np.array([t]))[0])
+    lam = radial_toeplitz_diagonal(profile, d, nu, radial_expansion_degree(d, nu, t))
+    return complex(radial_berezin_sum(lam, d + nu + 1.0, np.array([t]))[0])
 
 
 def berezin_of_symbol(

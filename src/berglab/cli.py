@@ -42,10 +42,10 @@ from .symbols import (
     symbol_to_text,
 )
 from .toeplitz import (
+    assembly_path,
     export_matrix_csv,
     gamma_sequence,
     operator_norm,
-    resolve_assembly_spec,
     toeplitz_matrix,
     toeplitz_matrix_with_stderr,
 )
@@ -166,8 +166,10 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     if d is None:
         raise DomainError("matrix needs --d or a geometry via --n/--ell/--k")
     expr = parse_symbol(args.symbol, geometry)
+    space = WeightedSpace(d, args.mu, geometry=geometry)
     # record the orders the assembly uses, not the 0 = auto request
-    spec = resolve_assembly_spec(expr, d, args.D, _spec_from(args))
+    path = assembly_path(expr, space, args.D, _spec_from(args))
+    spec = path.spec
     plan = {
         "symbol": args.symbol,
         "d": d,
@@ -183,12 +185,14 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         _echo(plan)
         print("plan: assemble the truncated matrix" + (" and write CSV" if args.out else ""))
         return 0
-    space = WeightedSpace(d, args.mu, geometry=geometry)
     mat = toeplitz_matrix(expr, space, args.D, spec)
     _echo(plan)
     print(f"size = {mat.size}, norm = {format_float(operator_norm(mat))}")
     if args.out:
-        export_matrix_csv(mat, args.out, symbol_text=args.symbol, spec=spec)
+        export_matrix_csv(
+            mat, args.out, symbol_text=args.symbol, spec=spec,
+            extra={"assembly": path.record()},
+        )
         print(f"wrote {args.out}")
     return 0
 

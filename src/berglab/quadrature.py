@@ -139,6 +139,15 @@ class BallRule:
         return np.repeat(np.sum(self.radii**2, axis=1), self.n_phase**self.d)
 
 
+def ball_rule_size(
+    d: int, q_radial: int, n_phase: int, q_polar: Optional[int] = None
+) -> int:
+    """Node count of ``ball_rule`` at these orders, without building it."""
+    if q_polar is None:
+        q_polar = q_radial
+    return q_radial * q_polar ** (d - 1) * n_phase**d
+
+
 def ball_rule(
     d: int,
     lam: float,
@@ -154,6 +163,13 @@ def ball_rule(
     """
     if q_polar is None:
         q_polar = q_radial
+    total = ball_rule_size(d, q_radial, n_phase, q_polar)
+    if total > _MAX_RULE_NODES:
+        raise DomainError(
+            f"the product rule needs {total} nodes (over the "
+            f"{_MAX_RULE_NODES} desk budget); lower the cutoff, the "
+            "dimension or the requested orders, or switch to sampling"
+        )
     u, wu = gauss_jacobi_rule(q_radial, lam, float(d - 1))
     # Simplex fractions of t = |z|^2 across the d axes.
     s = np.ones((1, 1))
@@ -177,13 +193,6 @@ def ball_rule(
         s[:, d - 1] = remaining
 
     n_frac = s.shape[0]
-    total = q_radial * n_frac * n_phase**d
-    if total > _MAX_RULE_NODES:
-        raise DomainError(
-            f"the product rule needs {total} nodes (over the "
-            f"{_MAX_RULE_NODES} desk budget); lower the cutoff, the "
-            "dimension or the requested orders, or switch to sampling"
-        )
     radii = np.sqrt(u.reshape(q_radial, 1, 1) * s.reshape(1, n_frac, d))
 
     log_c = WeightedSpace(d, lam).log_volume_const

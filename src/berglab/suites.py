@@ -29,6 +29,7 @@ from .berezin import (
     fredholm_index_report,
     min_singular_probe,
     quantization_probe,
+    radial_expansion_degree,
 )
 from .core import BallGeometry, WeightedSpace, count_basis, format_float, levels_up_to
 from .errors import DomainError
@@ -39,7 +40,14 @@ from .levels import (
     recover_symbol_and_remainder,
     verify_tensor_factorization,
 )
-from .quadrature import GAUSS_JACOBI, MONTE_CARLO, QuadratureSpec, as_point_function
+from .quadrature import (
+    _MAX_RULE_NODES,
+    GAUSS_JACOBI,
+    MONTE_CARLO,
+    QuadratureSpec,
+    as_point_function,
+    ball_rule_size,
+)
 from .symbols import (
     Const,
     ProductSymbol,
@@ -48,6 +56,7 @@ from .symbols import (
     rebase_inner,
 )
 from .toeplitz import (
+    assembly_path,
     gamma_sequence,
     operator_norm,
     semicommutator,
@@ -119,6 +128,9 @@ _MAX_ELL = 2
 _MAX_D = 12
 _MAX_R = 10
 _MAX_MATRIX = 2000
+
+# weight of the quantization suite's boundary-vanishing probe
+_BOUNDARY_MU = 2.0
 
 
 def parse_config_text(text: str) -> Dict[str, str]:
@@ -211,6 +223,20 @@ class ExperimentConfig:
                 f"the {_MAX_MATRIX} envelope"
             )
 
+        # the boundary probe's last radius must stay within the budget of
+        # the radial Berezin expansion
+        radii_count = int(values["schedule.radii"])
+        if radii_count < 1:
+            raise DomainError(f"schedule.radii must be at least 1, got {radii_count}")
+        r_last = default_radius_schedule(radii_count, include_terminal=False)[-1]
+        try:
+            radial_expansion_degree(geometry.d_inner, _BOUNDARY_MU, r_last**2)
+        except DomainError as exc:
+            raise DomainError(
+                f"schedule.radii = {radii_count} takes the boundary probe to "
+                f"r = {r_last!r}: {exc}"
+            ) from None
+
         # inner evaluation cutoff shrinks until the matrix fits
         d_eval = int(values["truncation.D_eval"])
         while d_eval > 1 and count_basis(geometry.d_inner, d_eval) > _MAX_MATRIX:
@@ -252,7 +278,7 @@ class ExperimentConfig:
             mu_schedule=tuple(values["schedule.mu"]),
             eval_levels=tuple(values["schedule.eval_levels"]),
             remainder_levels=tuple(values["schedule.remainder_levels"]),
-            radii_count=int(values["schedule.radii"]),
+            radii_count=radii_count,
             grid_points=int(values["grid.points"]),
             grid_tmax=float(values["grid.tmax"]),
             tolerances=tolerances,
@@ -514,6 +540,27 @@ def run_factorization_suite(cfg: ExperimentConfig) -> SuiteResult:
     return res
 
 
+def _probe_cutoff(symbols: Sequence[SymbolExpr], d: int, spec: QuadratureSpec) -> int:
+    """Largest cutoff <= 60 whose matrices of these symbols on the d-ball
+    fit the matrix envelope and whose product rules fit the node budget."""
+
+    def fits(D: int) -> bool:
+        if count_basis(d, D) > _MAX_MATRIX:
+            return False
+        for sym in symbols:
+            path = assembly_path(sym, WeightedSpace(d, 0.0), D, spec)
+            if path.kind == "torus" and ball_rule_size(
+                d, path.spec.q, path.spec.angular
+            ) > _MAX_RULE_NODES:
+                return False
+        return True
+
+    probe_D = 60
+    while probe_D > 4 and not fits(probe_D):
+        probe_D -= 1
+    return probe_D
+
+
 def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
     """Semicommutator decay, Berezin error decay, boundary table, recovery."""
     res = SuiteResult("quantization")
@@ -583,12 +630,10 @@ def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
     # operator side vs symbol side of the Berezin transform; the cutoff
     # must swallow the kernel mass at the probe radii, so stay at t <= 1/2
     worst_consistency = 0.0
-    probe_D = 60
-    while probe_D > 4 and count_basis(d_in, probe_D) > _MAX_MATRIX:
-        probe_D -= 1
     probe_mus = sorted(set(mus))[:2] if len(mus) >= 2 else mus
     inner_geo = BallGeometry(d_in, d_in, (d_in,))
     probe_symbols = [c_in, parse_symbol("re(z1)", inner_geo)]
+    probe_D = _probe_cutoff(probe_symbols, d_in, cfg.spec)
     keep = np.sum(np.abs(grid) ** 2, axis=1) <= 0.5
     probe_pts = grid[keep][:: max(1, int(np.count_nonzero(keep)) // 4 or 1)]
     for mu in probe_mus:
@@ -605,7 +650,7 @@ def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
     )
 
     radii = default_radius_schedule(cfg.radii_count, include_terminal=False)
-    boundary = boundary_vanishing_probe(c_in, 2.0, radii, spec=cfg.spec)
+    boundary = boundary_vanishing_probe(c_in, _BOUNDARY_MU, radii, spec=cfg.spec)
     b_errs = [row[1] for row in boundary.rows]
     res.add(
         "boundary_vanishing",

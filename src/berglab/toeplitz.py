@@ -9,10 +9,16 @@ conj(z)^beta is one DFT coefficient of the symbol samples, at
 beta - alpha, so an FFT over the phase axes plus real radial powers give
 every entry.  With ``angular = 2D + deg + 1`` phases no frequency an
 entry needs aliases onto another, so polynomial symbols stay exact.
-Monte Carlo samples have no torus structure and contract a weighted
-Vandermonde matrix with itself instead.  Symbols that only depend on
+Monte Carlo samples have no torus structure and contract the monomial
+values with themselves instead.  The monomials are built row by row in a
+(K, n) layout: each axis gets a table of powers of the samples, and row
+alpha is the product of one table row per axis times its norm.  Samples
+are taken in chunks of at most _SLAB_ENTRIES monomial values, built into
+buffers reused from chunk to chunk; the second moment behind the
+standard errors takes |e|^2 as re^2 + im^2.  Symbols that only depend on
 group radii (or on |z|^2) skip quadrature over phases entirely and are
-assembled as exact diagonals.
+assembled as exact diagonals.  Dense arrays past _MAX_DENSE_ENTRIES are
+refused before they are allocated.
 
 Truncation is compression: norms computed here are lower bounds that
 increase toward the operator norm as D grows.
@@ -30,6 +36,7 @@ import numpy as np
 from .core import (
     TruncatedBasis,
     WeightedSpace,
+    count_basis,
     enumerate_basis,
     format_float,
     level_of,
@@ -62,6 +69,22 @@ from .symbols import (
     symbol_degree_hint,
     symbol_to_text,
 )
+
+
+# Largest dense array an assembly may allocate, in entries: a K x K
+# matrix (K <= 8192, 1.07 GB complex) or a (D + 1) x q radial moment table
+_MAX_DENSE_ENTRIES = 1 << 26
+
+
+def _require_budget(
+    entries: int, what: str, advice: str = "lower the cutoff or the dimension"
+) -> None:
+    """Refuse, before allocating, an array over the dense-entry budget."""
+    if entries > _MAX_DENSE_ENTRIES:
+        raise DomainError(
+            f"{what} needs {entries} entries (over the {_MAX_DENSE_ENTRIES} "
+            f"desk budget); {advice}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +159,7 @@ class OperatorMatrix:
         vals = np.asarray(values, dtype=complex)
         if vals.shape != (basis.count,):
             raise DomainError("diagonal length does not match the basis")
+        _require_budget(basis.count**2, f"a {basis.count} x {basis.count} matrix")
         return OperatorMatrix(basis, np.diag(vals), label=label)
 
 
@@ -173,7 +197,8 @@ def radial_toeplitz_diagonal(
     """
     profile = _as_radial_profile(a)
     if q is None:
-        q = max(48, (D + _profile_degree(a)) // 2 + 4)
+        q = _radial_order(D, _profile_degree(a))
+    _require_budget((D + 1) * q, f"the radial moment table for degrees <= {D}")
     t, w = gauss_jacobi_rule(q, float(mu), float(d - 1))
     if np.any(w <= 0.0):
         raise DomainError("quadrature produced nonpositive weights")
@@ -286,8 +311,51 @@ def _profile_degree(a: object) -> int:
     return 16
 
 
+def _radial_order(D: int, degree: int) -> int:
+    """Gauss-Jacobi nodes of the radial diagonal for degrees <= D."""
+    return max(48, (D + degree) // 2 + 4)
+
+
 # ---------------------------------------------------------------------------
 # Assembly
+
+
+def _monomial_rows(
+    z: np.ndarray,
+    basis: TruncatedBasis,
+    out: Optional[np.ndarray] = None,
+    tmp: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Normalized monomials on a slab of nodes, one row per basis index.
+
+    Each axis gets a power table of shape (max_deg + 1, N) by repeated
+    multiplication; row alpha is then ((P0[a0] * P1[a1]) * ...) * norm,
+    built from contiguous row gathers.  ``out`` and ``tmp`` are optional
+    (K, N) buffers of z's dtype.  Real input (the moduli |z_j|) gives the
+    real radial powers.
+    """
+    n_pts = z.shape[0]
+    exps = basis.exponent_array()
+    if out is None:
+        out = np.empty((basis.count, n_pts), dtype=z.dtype)
+    if tmp is None and basis.d > 1:
+        tmp = np.empty_like(out)
+    for ax in range(basis.d):
+        degs = exps[:, ax]
+        max_deg = int(degs.max()) if degs.size else 0
+        powers = np.empty((max_deg + 1, n_pts), dtype=z.dtype)
+        powers[0] = 1.0
+        col = z[:, ax]
+        for p in range(1, max_deg + 1):
+            np.multiply(powers[p - 1], col, out=powers[p])
+        # mode="clip" writes straight into the buffer ("raise" buffers)
+        if ax == 0:
+            np.take(powers, degs, axis=0, out=out, mode="clip")
+        else:
+            np.take(powers, degs, axis=0, out=tmp, mode="clip")
+            out *= tmp
+    out *= basis.norms[:, None]
+    return out
 
 
 def _vandermonde_block(
@@ -295,22 +363,59 @@ def _vandermonde_block(
 ) -> np.ndarray:
     """Normalized monomials evaluated on a slab of nodes, shape (N, K).
 
-    Real input (the moduli |z_j|) gives the real radial powers.
+    A transposed view of ``_monomial_rows``.
     """
-    n_pts = z.shape[0]
-    exps = basis.exponent_array()
-    out = np.ones((n_pts, basis.count), dtype=z.dtype)
-    for ax in range(basis.d):
-        degs = exps[:, ax]
-        max_deg = int(degs.max()) if degs.size else 0
-        powers = np.empty((n_pts, max_deg + 1), dtype=z.dtype)
-        powers[:, 0] = 1.0
-        col = z[:, ax]
-        for p in range(1, max_deg + 1):
-            powers[:, p] = powers[:, p - 1] * col
-        out *= powers[:, degs]
-    out *= basis.norms[None, :]
-    return out
+    return _monomial_rows(z, basis).T
+
+
+# Working-set caps for one slab of the torus assembly and one chunk of the
+# node sums, in array elements: nodes on the slab's tori, and gathered
+# (beta, alpha) phase coefficients or monomial values.
+_SLAB_NODES = 1 << 18
+_SLAB_ENTRIES = 1 << 20
+
+
+def _node_sums(
+    nodes: np.ndarray,
+    weights: np.ndarray,
+    fn: PointFunction,
+    basis: TruncatedBasis,
+    second_moment: bool = False,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """sum_i w_i f(z_i) conj(e_beta(z_i)) e_alpha(z_i) over a flat node set.
+
+    With ``second_moment`` the sum of w_i |f(z_i)|^2 |e_beta(z_i)|^2
+    |e_alpha(z_i)|^2 comes along, the |e|^2 taken as re^2 + im^2.  Nodes
+    are taken in chunks of at most _SLAB_ENTRIES monomial values (never
+    fewer than one node), each built into the same preallocated buffers.
+    """
+    k = basis.count
+    total = nodes.shape[0]
+    chunk = max(1, min(total, _SLAB_ENTRIES // k))
+    acc = np.zeros((k, k), dtype=complex)
+    acc2 = np.zeros((k, k)) if second_moment else None
+    # flat buffers, so the shorter last chunk still gets contiguous rows
+    bufs = [np.empty(k * chunk, dtype=complex) for _ in range(2)]
+    if second_moment:
+        bufs += [np.empty(k * chunk) for _ in range(2)]
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        z = nodes[start:stop]
+        fv = np.asarray(fn(z))
+        if not np.all(np.isfinite(fv)):
+            raise DomainError("symbol evaluates non-finite on a quadrature node")
+        w = weights[start:stop]
+        v, work, *sq = (b[: k * (stop - start)].reshape(k, -1) for b in bufs)
+        _monomial_rows(z, basis, v, work)
+        if second_moment:
+            np.multiply(v.real, v.real, out=sq[0])
+            np.multiply(v.imag, v.imag, out=sq[1])
+            sq[0] += sq[1]
+            np.multiply(sq[0], w * np.abs(fv) ** 2, out=sq[1])
+            acc2 += sq[0] @ sq[1].T
+        np.multiply(v, w * fv, out=work)
+        acc += np.conjugate(v, out=v) @ work.T
+    return acc, acc2
 
 
 def _assemble_from_nodes(
@@ -319,25 +424,7 @@ def _assemble_from_nodes(
     fn: PointFunction,
     basis: TruncatedBasis,
 ) -> np.ndarray:
-    k = basis.count
-    chunk = max(1024, 8_000_000 // max(k, 1))
-    total = nodes.shape[0]
-    acc = np.zeros((k, k), dtype=complex)
-    for start in range(0, total, chunk):
-        sl = slice(start, min(start + chunk, total))
-        z = nodes[sl]
-        fv = np.asarray(fn(z))
-        if not np.all(np.isfinite(fv)):
-            raise DomainError("symbol evaluates non-finite on a quadrature node")
-        v = _vandermonde_block(z, basis)
-        acc += v.conj().T @ (v * (weights[sl] * fv)[:, None])
-    return acc
-
-
-# Working-set caps for one slab of the torus assembly, in array elements:
-# nodes on the slab's tori, and gathered (beta, alpha) phase coefficients.
-_SLAB_NODES = 1 << 18
-_SLAB_ENTRIES = 1 << 20
+    return _node_sums(nodes, weights, fn, basis)[0]
 
 
 def _assemble_on_torus(
@@ -371,7 +458,10 @@ def _assemble_on_torus(
         coef = np.fft.fftn(fv, axes=tuple(range(1, d + 1))).reshape(n, n_torus)
         r = _vandermonde_block(rule.radii[rows], basis)
         wr = r * rule.radial_weights[rows, None]
-        pair = (wr[:, :, None] * r[:, None, :]).reshape(n, k * k)
+        # C order whatever the layout of r (a transposed view): einsum's
+        # summation order follows the operand layout
+        pair = np.multiply(wr[:, :, None], r[:, None, :], order="C")
+        pair = pair.reshape(n, k * k)
         # real and imaginary parts apart: no complex copy of ``pair``
         acc.real += np.einsum("ip,ip->p", coef.real[:, shift], pair)
         acc.imag += np.einsum("ip,ip->p", coef.imag[:, shift], pair)
@@ -398,6 +488,75 @@ def resolve_assembly_spec(
     return resolved
 
 
+@dataclass(frozen=True)
+class AssemblyPath:
+    """The route ``toeplitz_matrix`` takes for one request, with its orders.
+
+    ``kind`` is "radial" (a diagonal of radial eigenvalues of ``profile``,
+    a function of |z|^2, from a Gauss-Jacobi rule of ``q`` nodes),
+    "quasi_radial" (a diagonal of the gamma sequence of ``profile``, a
+    function of the group radii, at simplex order ``q``), "torus" (the
+    product rule of ``spec``) or "monte_carlo" (the samples of ``spec``).
+    ``spec`` is the resolved request whatever the path.
+    """
+
+    kind: str
+    spec: QuadratureSpec
+    q: Optional[int] = None
+    profile: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, repr=False
+    )
+
+    def record(self) -> dict:
+        """The path and the orders it used, for run records."""
+        if self.kind == "torus":
+            return {"path": self.kind, "q": self.spec.q, "angular": self.spec.angular}
+        if self.kind == "monte_carlo":
+            return {
+                "path": self.kind,
+                "n_samples": self.spec.n_samples,
+                "seed": self.spec.seed,
+            }
+        return {"path": self.kind, "q": self.q}
+
+
+def assembly_path(
+    f: SymbolLike,
+    space: WeightedSpace,
+    D: int,
+    spec: QuadratureSpec,
+    *,
+    use_fast_paths: bool = True,
+) -> AssemblyPath:
+    """The route and orders ``toeplitz_matrix`` uses for this request.
+
+    Refuses, with a ``DomainError``, a basis whose dense matrix would
+    exceed the desk budget, before anything of that size is built.
+    """
+    k = count_basis(space.d, D)
+    _require_budget(k * k, f"a {k} x {k} matrix")
+    resolved = resolve_assembly_spec(f, space.d, D, spec)
+    geometry = space.geometry
+    if use_fast_paths and is_symbolic(f) and not isinstance(f, ProductSymbol):
+        kind = classify_symbol(f, geometry).kind
+        hint = symbol_degree_hint(f)
+        if kind == "Radial":
+            profile = radial_profile(f)
+            if profile is not None:
+                q = _radial_order(D, hint)
+                return AssemblyPath("radial", resolved, q, profile)
+        if (
+            kind == "QuasiRadial"
+            and geometry is not None
+            and sum(geometry.k) == space.d
+        ):
+            profile = quasi_radial_profile(f, geometry.m)
+            if profile is not None:
+                return AssemblyPath("quasi_radial", resolved, max(24, hint), profile)
+    kind = "monte_carlo" if spec.scheme == MONTE_CARLO else "torus"
+    return AssemblyPath(kind, resolved)
+
+
 def toeplitz_matrix(
     f: SymbolLike,
     space: WeightedSpace,
@@ -415,52 +574,38 @@ def toeplitz_matrix(
     rotation bookkeeping forces to vanish are set to exactly zero.
     ``use_fast_paths=False`` forces plain quadrature for every entry,
     which is the honest reference the fast paths are tested against.
+    ``assembly_path`` names the route taken.
     """
+    path = assembly_path(f, space, D, spec, use_fast_paths=use_fast_paths)
     basis = enumerate_basis(space.d, D, space.lam)
     geometry = space.geometry
     if label is None:
         label = symbol_to_text(f) if is_symbolic(f) else "callable"
 
-    if use_fast_paths and is_symbolic(f) and not isinstance(f, ProductSymbol):
-        cls = classify_symbol(f, geometry)
-        if cls.kind == "Radial":
-            profile = radial_profile(f)
-            if profile is not None:
-                per_degree = radial_toeplitz_diagonal(
-                    profile, space.d, space.lam, D,
-                    q=max(48, (D + symbol_degree_hint(f)) // 2 + 4),
+    if path.kind == "radial":
+        per_degree = radial_toeplitz_diagonal(
+            path.profile, space.d, space.lam, D, q=path.q
+        )
+        return OperatorMatrix.diagonal(basis, per_degree[basis.degrees], label=label)
+    if path.kind == "quasi_radial":
+        values = np.empty(basis.count, dtype=complex)
+        cache: Dict[Tuple[int, ...], complex] = {}
+        for i, alpha in enumerate(basis.indices):
+            rho = level_of(alpha, geometry.k)
+            if rho not in cache:
+                cache[rho] = gamma_quasi_radial(
+                    path.profile, geometry.k, space.lam, rho, q=path.q
                 )
-                return OperatorMatrix.diagonal(
-                    basis, per_degree[basis.degrees], label=label
-                )
-        if (
-            cls.kind == "QuasiRadial"
-            and geometry is not None
-            and sum(geometry.k) == space.d
-        ):
-            profile = quasi_radial_profile(f, geometry.m)
-            if profile is not None:
-                values = np.empty(basis.count, dtype=complex)
-                cache: Dict[Tuple[int, ...], complex] = {}
-                for i, alpha in enumerate(basis.indices):
-                    rho = level_of(alpha, geometry.k)
-                    if rho not in cache:
-                        cache[rho] = gamma_quasi_radial(
-                            profile, geometry.k, space.lam, rho,
-                            q=max(24, symbol_degree_hint(f)),
-                        )
-                    values[i] = cache[rho]
-                return OperatorMatrix.diagonal(basis, values, label=label)
+            values[i] = cache[rho]
+        return OperatorMatrix.diagonal(basis, values, label=label)
 
     fn = as_point_function(f, geometry)
-
-    if spec.scheme == MONTE_CARLO:
+    if path.kind == "monte_carlo":
         z, _ = monte_carlo_points(space.d, space.lam, spec.n_samples, spec.seed)
         weights = np.full(z.shape[0], 1.0 / z.shape[0])
         entries = _assemble_from_nodes(z, weights, fn, basis)
     else:
-        resolved = resolve_assembly_spec(f, space.d, D, spec)
-        rule = ball_rule(space.d, space.lam, resolved.q, resolved.angular)
+        rule = ball_rule(space.d, space.lam, path.spec.q, path.spec.angular)
         entries = _assemble_on_torus(rule, fn, basis)
 
     if use_fast_paths and is_symbolic(f):
@@ -509,28 +654,21 @@ def toeplitz_matrix_with_stderr(
     """
     if spec.scheme != MONTE_CARLO:
         raise DomainError("standard errors are only defined for sampling schemes")
+    k = count_basis(space.d, D)
+    _require_budget(k * k, f"a {k} x {k} matrix")
     basis = enumerate_basis(space.d, D, space.lam)
     geometry = space.geometry
     fn = as_point_function(f, geometry)
     z, _ = monte_carlo_points(space.d, space.lam, spec.n_samples, spec.seed)
     n = z.shape[0]
-    k = basis.count
-    chunk = max(1024, 8_000_000 // max(k, 1))
-    acc = np.zeros((k, k), dtype=complex)
-    acc2 = np.zeros((k, k), dtype=float)
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        zz = z[sl]
-        fv = np.asarray(fn(zz))
-        if not np.all(np.isfinite(fv)):
-            raise DomainError("symbol evaluates non-finite on a sample point")
-        v = _vandermonde_block(zz, basis)
-        acc += v.conj().T @ (v * (fv / n)[:, None])
-        a2 = np.abs(v) ** 2
-        acc2 += a2.T @ (a2 * (np.abs(fv) ** 2 / n)[:, None])
+    acc, acc2 = _node_sums(z, np.full(n, 1.0 / n), fn, basis, second_moment=True)
     var = np.maximum(acc2 - np.abs(acc) ** 2, 0.0) / max(n - 1, 1)
     label = symbol_to_text(f) if is_symbolic(f) else "callable"
     return OperatorMatrix(basis, acc, label=label), np.sqrt(var)
+
+
+# iteration cap of the power method in operator_norm
+_POWER_ITERATIONS = 20_000
 
 
 def operator_norm(
@@ -541,9 +679,12 @@ def operator_norm(
 ) -> float:
     """Largest singular value.
 
-    Small matrices go through the dense solver; large ones use power
-    iteration on A*A with two fixed starting vectors (all-ones and
-    alternating signs) so runs are deterministic.
+    Small matrices go through the dense solver.  Large ones take the
+    Hermitian eigensolver when the matrix equals its adjoint exactly, and
+    otherwise power iteration on A*A with two fixed starting vectors
+    (all-ones and alternating signs) so runs are deterministic.  Power
+    iteration that does not converge within its iteration cap raises a
+    ``DomainError``.
     """
     a = M.entries if isinstance(M, OperatorMatrix) else np.asarray(M, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -557,11 +698,13 @@ def operator_norm(
         raise DomainError(f"unknown method {method!r}")
     if method == "svd" or (method == "auto" and k <= 1024):
         return float(np.linalg.svd(a, compute_uv=False)[0])
+    if method == "auto" and np.array_equal(a, a.conj().T):
+        return float(np.max(np.abs(np.linalg.eigvalsh(a))))
 
     def run(x: np.ndarray) -> float:
         x = x / np.linalg.norm(x)
         sigma = 0.0
-        for _ in range(20_000):
+        for _ in range(_POWER_ITERATIONS):
             y = a @ x
             x_next = a.conj().T @ y
             nrm = np.linalg.norm(x_next)
@@ -572,7 +715,10 @@ def operator_norm(
             if abs(sigma_new - sigma) <= tol * max(1.0, sigma_new):
                 return sigma_new
             sigma = sigma_new
-        return sigma
+        raise DomainError(
+            f"power iteration did not converge to relative tolerance {tol:g} "
+            f"in {_POWER_ITERATIONS} iterations (last estimate {sigma!r})"
+        )
 
     start1 = np.ones(k, dtype=complex)
     start2 = np.array([(-1.0) ** i for i in range(k)], dtype=complex)

@@ -1,5 +1,7 @@
 """Transforms, boundary probes and the Fredholm machinery."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,12 @@ from berglab import (
     quantization_probe,
     toeplitz_matrix,
 )
-from berglab.berezin import kernel_coefficients, kernel_masses, kernel_tail
+from berglab.berezin import (
+    kernel_coefficients,
+    kernel_masses,
+    kernel_tail,
+    radial_expansion_degree,
+)
 from berglab.core import enumerate_basis
 from berglab.quadrature import as_point_function, ball_rule
 
@@ -258,3 +265,17 @@ def test_radial_berezin_keeps_the_imaginary_part():
     got = berezin_of_symbol(parse_symbol("i*abs2(z)", None), 0.0, [0.5], spec)
     assert got == pytest.approx(1j * real, abs=1e-15)
     assert abs(got - 0.589j) < 1e-3
+
+
+@pytest.mark.parametrize("t", [1.0 - 1e-4, 1.0 - 1e-12])
+def test_radial_expansion_near_the_sphere_is_refused_before_allocating(t):
+    # at t = 1 - 1e-4 the expansion needs ~42,000 degrees: a 42,000 x 21,000
+    # eigenvalue table, far past the budget
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="desk budget"):
+        f = parse_symbol("abs2(z)", None)
+        berezin_of_symbol(f, 2.0, [np.sqrt(t)], QuadratureSpec())
+    assert time.perf_counter() - start < 1.0
+    # the default probe schedule stays well inside it
+    r = default_radius_schedule(6, include_terminal=False)[-1]
+    assert radial_expansion_degree(1, 2.0, r**2) < 2000

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -241,3 +242,32 @@ def test_matrix_sidecar_records_resolved_orders(capsys, tmp_path):
         QuadratureSpec(q=quad["q"], angular=quad["angular"]),
     )
     assert np.array_equal(again.entries, written)
+
+
+def test_oversized_matrix_is_refused_before_allocating(capsys):
+    # d = 4, D = 40: K = 135,751, a 295 GB dense matrix on the radial path
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, ["matrix", "--symbol", "abs2(z)", "--d", "4", "--mu", "0", "--D", "40"]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err.startswith("error:") and "desk budget" in err
+
+
+@pytest.mark.parametrize(
+    "text, record",
+    [
+        ("1/(2-abs2(z))", {"path": "radial", "q": 48}),
+        ("z1*conj(z2) + 1", {"path": "torus", "q": 8, "angular": 11}),
+    ],
+)
+def test_matrix_sidecar_records_the_assembly_path(capsys, tmp_path, text, record):
+    p = tmp_path / "m.csv"
+    code, out, err = run(
+        capsys,
+        ["matrix", "--symbol", text, "--d", "2", "--mu", "1", "--D", "4", "--out", str(p)],
+    )
+    assert code == 0
+    meta = json.loads((tmp_path / "m.csv.meta.json").read_text())
+    assert meta["assembly"] == record

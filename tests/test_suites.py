@@ -3,15 +3,21 @@
 import pytest
 
 from berglab import (
+    BallGeometry,
     DomainError,
+    QuadratureSpec,
+    count_basis,
     default_config,
     load_config,
     parse_config_text,
+    parse_symbol,
+    resolve_assembly_spec,
     run_all,
     summary_lines,
     write_outputs,
 )
-from berglab.suites import ExperimentConfig
+from berglab.quadrature import _MAX_RULE_NODES, ball_rule_size
+from berglab.suites import ExperimentConfig, _probe_cutoff
 
 
 def test_parse_config_text_basics():
@@ -145,3 +151,32 @@ def test_outputs_byte_identical_across_runs(tmp_path):
     assert t1 == t2
     s1 = (d1 / "summary.txt").read_bytes()
     assert s1 == (d2 / "summary.txt").read_bytes()
+
+
+def test_boundary_schedule_is_refused_past_the_expansion_budget():
+    # r = 1 - 2^-9 needs ~10,000 degrees on the disk at mu = 2; 1 - 2^-10
+    # would need a 20,000 x 10,000 eigenvalue table
+    assert ExperimentConfig.from_mapping({"schedule.radii": "9"}).radii_count == 9
+    for radii in ("10", "60", "0"):
+        with pytest.raises(DomainError, match="schedule.radii"):
+            ExperimentConfig.from_mapping({"schedule.radii": radii})
+
+
+def test_berezin_probe_cutoff_fits_the_rule_budget():
+    spec = QuadratureSpec()
+    # the 1-ball keeps the full cutoff
+    disk = BallGeometry(1, 1, (1,))
+    assert _probe_cutoff([parse_symbol("re(z1)", disk)], 1, spec) == 60
+    # geometry.n = 3 leaves an inner 2-ball, where D = 60 would ask for a
+    # 60,964,864-node rule; the cutoff shrinks until the rule fits
+    inner = BallGeometry(2, 2, (2,))
+    probe = [parse_symbol("1 - abs2(z)", inner), parse_symbol("re(z1)", inner)]
+
+    def rule_nodes(D):
+        resolved = resolve_assembly_spec(probe[1], 2, D, spec)
+        return ball_rule_size(2, resolved.q, resolved.angular)
+
+    assert rule_nodes(60) == 60_964_864
+    D = _probe_cutoff(probe, 2, spec)
+    assert 4 < D < 60 and count_basis(2, D) <= 2000
+    assert rule_nodes(D) <= _MAX_RULE_NODES < rule_nodes(D + 1)

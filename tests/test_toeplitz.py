@@ -8,8 +8,10 @@ import pytest
 from berglab import (
     BallGeometry,
     DomainError,
+    OperatorMatrix,
     QuadratureSpec,
     WeightedSpace,
+    assembly_path,
     export_matrix_csv,
     gamma_quasi_radial,
     gamma_sequence,
@@ -20,6 +22,8 @@ from berglab import (
     toeplitz_matrix,
     toeplitz_matrix_with_stderr,
 )
+from berglab import toeplitz
+from berglab.core import enumerate_basis
 from berglab.quadrature import MONTE_CARLO
 
 
@@ -210,3 +214,55 @@ def test_rational_symbol_assembles_accurately():
     # diagonal oracle via the radial route at high order
     diag = radial_toeplitz_diagonal(lambda t: 1.0 / (2.0 - t), 1, 0.0, 6, q=80)
     assert np.max(np.abs(np.diag(mat.entries).real - diag)) < 1e-9
+
+
+def test_power_iteration_reports_non_convergence(monkeypatch):
+    # k > 1024 and not Hermitian takes power iteration, whose estimate
+    # here moves by ~(0.5/1)^2 per step: 3 steps cannot meet the tolerance
+    vals = np.linspace(0.1, 0.5, 1100)
+    vals[-1] = 1.0
+    a = np.diag(1j * vals)
+    monkeypatch.setattr(toeplitz, "_POWER_ITERATIONS", 3)
+    with pytest.raises(DomainError, match="3 iterations"):
+        operator_norm(a)
+    monkeypatch.undo()
+    assert operator_norm(a) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_large_hermitian_norm_takes_the_eigensolver(monkeypatch):
+    rng = np.random.default_rng(2)
+    b = rng.normal(size=(1100, 1100)) + 1j * rng.normal(size=(1100, 1100))
+    a = b + b.conj().T
+    expect = float(np.linalg.svd(a, compute_uv=False)[0])
+    monkeypatch.setattr(toeplitz, "_POWER_ITERATIONS", 0)  # power iteration would raise
+    assert operator_norm(a) == pytest.approx(expect, rel=1e-12)
+
+
+def test_oversized_dense_matrices_are_refused():
+    # K = 8193 is the first basis size past the 2^26-entry budget
+    basis = enumerate_basis(1, 8192, 0.0)
+    with pytest.raises(DomainError, match="desk budget"):
+        OperatorMatrix.diagonal(basis, np.ones(basis.count))
+    with pytest.raises(DomainError, match="desk budget"):
+        f = parse_symbol("abs2(z)", None)
+        toeplitz_matrix(f, WeightedSpace(4, 0.0), 40, QuadratureSpec())
+    with pytest.raises(DomainError, match="desk budget"):
+        radial_toeplitz_diagonal(lambda t: t, 1, 0.0, 20_000)
+
+
+def test_assembly_path_names_the_route_and_its_orders():
+    space = WeightedSpace(2, 1.0, geometry=BallGeometry(2, 2, (1, 1)))
+    spec = QuadratureSpec()
+    radial = assembly_path(parse_symbol("1/(2-abs2(z))", space.geometry), space, 4, spec)
+    assert radial.record() == {"path": "radial", "q": 48}
+    quasi = assembly_path(parse_symbol("r1^2", space.geometry), space, 4, spec)
+    assert quasi.record() == {"path": "quasi_radial", "q": 24}
+    general = parse_symbol("z1*conj(z2) + 1", space.geometry)
+    torus = assembly_path(general, space, 4, spec)
+    assert torus.record() == {"path": "torus", "q": 8, "angular": 11}
+    assert assembly_path(parse_symbol("r1^2", space.geometry), space, 4, spec,
+                         use_fast_paths=False).kind == "torus"
+    mc = QuadratureSpec(scheme=MONTE_CARLO, n_samples=1000, seed=3)
+    assert assembly_path(general, space, 4, mc).record() == {
+        "path": "monte_carlo", "n_samples": 1000, "seed": 3,
+    }
