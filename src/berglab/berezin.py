@@ -33,6 +33,7 @@ from .quadrature import (
     SymbolLike,
     as_point_function,
     ball_rule,
+    evaluate_finite,
     monte_carlo_points,
 )
 from .symbols import (
@@ -275,8 +276,7 @@ def berezin_of_symbol(
 
     if spec.scheme == MONTE_CARLO:
         pts, _ = monte_carlo_points(d, nu, spec.n_samples, spec.seed)
-        values = pulled(pts)
-        return complex(np.mean(values))
+        return complex(np.mean(evaluate_finite(pulled, pts)))
 
     deg = symbol_degree_hint(g) if is_symbolic(g) else 8
     resolved = spec.resolved(d, 8, deg)
@@ -288,10 +288,7 @@ def berezin_of_symbol(
     ang_cap = 4096 if d == 1 else 128
     ang_eff = max(resolved.angular, min(ang_cap, int(30.0 / closeness) + 8))
     rule = ball_rule(d, nu, q_eff, ang_eff)
-    values = pulled(rule.nodes)
-    if not np.all(np.isfinite(values)):
-        raise DomainError("pullback evaluates non-finite on a quadrature node")
-    return complex(np.dot(rule.weights, values))
+    return complex(np.dot(rule.weights, evaluate_finite(pulled, rule.nodes)))
 
 
 # ---------------------------------------------------------------------------

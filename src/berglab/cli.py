@@ -24,10 +24,12 @@ from .berezin import (
 )
 from .core import BallGeometry, WeightedSpace, count_basis, format_float, levels_up_to
 from .errors import DomainError
-from .levels import verify_tensor_factorization
+from .levels import full_route_matrix, verify_tensor_factorization
 from .quadrature import GAUSS_JACOBI, MONTE_CARLO, QuadratureSpec
 from .suites import (
     ExperimentConfig,
+    _as_int_list,
+    _radial_grid,
     default_config,
     load_config,
     run_all,
@@ -47,43 +49,36 @@ from .toeplitz import (
     gamma_sequence,
     operator_norm,
     toeplitz_matrix,
-    toeplitz_matrix_with_stderr,
 )
 
 class _Parser(argparse.ArgumentParser):
-    """argparse defaults to exit code 2; bad flags are validation errors."""
+    """argparse defaults to exit code 2; bad flags are validation errors.
+
+    Partition flags parse as the config's integer lists do.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.register("type", "partition", _as_int_list)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.exit(1, f"error: {message}\n")
-
-
-def _parse_k(text: str) -> tuple:
-    try:
-        parts = tuple(int(p) for p in text.replace(",", " ").split())
-    except ValueError:
-        raise DomainError(f"cannot parse partition {text!r}") from None
-    if not parts:
-        raise DomainError("empty partition")
-    return parts
 
 
 def _geometry_from(args: argparse.Namespace) -> Optional[BallGeometry]:
     if args.n is None:
         return None
     ell = args.ell if args.ell is not None else 1
-    k = _parse_k(args.k) if args.k else (ell,)
+    k = args.k or (ell,)
     return BallGeometry(args.n, ell, k)
 
 
 def _spec_from(args: argparse.Namespace) -> QuadratureSpec:
-    scheme = getattr(args, "scheme", GAUSS_JACOBI) or GAUSS_JACOBI
-    if scheme not in (GAUSS_JACOBI, MONTE_CARLO):
-        raise DomainError(f"unknown scheme {scheme!r}")
     return QuadratureSpec(
-        scheme=scheme,
-        q=getattr(args, "q", 0) or 0,
-        angular=getattr(args, "angular", 0) or 0,
-        n_samples=getattr(args, "samples", 100_000) or 100_000,
+        scheme=args.scheme,
+        q=args.q,
+        angular=args.angular,
+        n_samples=args.samples or 100_000,
         seed=args.seed if args.seed is not None else 20_260_813,
     )
 
@@ -128,7 +123,7 @@ def _add_common(sub: argparse.ArgumentParser, *flags: str) -> None:
 def _add_geometry(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, default=None, help="total complex dimension")
     sub.add_argument("--ell", type=int, default=None, help="split point")
-    sub.add_argument("--k", default=None, help="partition, e.g. '1,1'")
+    sub.add_argument("--k", type="partition", default=None, help="partition, e.g. '1,1'")
 
 
 def _add_quad(sub: argparse.ArgumentParser) -> None:
@@ -198,7 +193,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
-    k = _parse_k(args.k)
+    k = args.k
     plan = {
         "profile": args.profile,
         "k": k,
@@ -264,11 +259,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     composite = parse_symbol(f"prod(a = {args.a}, c = {args.c})", geometry)
     _echo(plan)
     space = WeightedSpace(geometry.n, args.lam, geometry=geometry)
-    if spec.scheme == MONTE_CARLO:
-        full, full_se = toeplitz_matrix_with_stderr(composite, space, args.D, spec)
-    else:
-        full = toeplitz_matrix(composite, space, args.D, spec, use_fast_paths=False)
-        full_se = None
+    full, full_se = full_route_matrix(composite, space, args.D, spec)
     lines = ["rho,mu,max_deviation,passed"]
     worst = 0.0
     ok = True
@@ -347,9 +338,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
         return 0
     geometry = BallGeometry(args.d, args.d, (args.d,))
     expr = parse_symbol(args.symbol, geometry)
-    ts = np.linspace(0.0, args.tmax, args.grid_points)
-    grid = np.zeros((args.grid_points, args.d), dtype=complex)
-    grid[:, 0] = np.sqrt(ts)
+    grid = _radial_grid(args.d, args.tmax, args.grid_points)
     table = quantization_probe(expr, mus, grid, spec)
     _echo(plan)
     _write_or_print(table.csv_lines(), args.out)
@@ -377,7 +366,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     expr = _inner_symbol(args.symbol)
     gamma = None
     if args.weight_profile:
-        k = _parse_k(args.weight_k) if args.weight_k else (1,)
+        k = args.weight_k or (1,)
         geo = BallGeometry(sum(k), sum(k), k)
         profile = parse_symbol(args.weight_profile, geo)
         gamma = gamma_sequence(profile, k, args.lam, args.R)
@@ -469,7 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gamma", help="tabulate the quasi-radial eigenvalues")
     p.add_argument("--profile", required=True, help="profile in group radii")
-    p.add_argument("--k", required=True, help="partition, e.g. '2' or '1,1'")
+    p.add_argument(
+        "--k", type="partition", required=True, help="partition, e.g. '2' or '1,1'"
+    )
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--rmax", type=int, default=5)
     _add_common(p, "--out")
@@ -522,7 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--weight-profile", default=None, help="quasi-radial profile for gamma"
     )
-    p.add_argument("--weight-k", default=None, help="partition for the profile")
+    p.add_argument(
+        "--weight-k", type="partition", default=None, help="partition for the profile"
+    )
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     _add_common(p, "--out", "--seed")
     p.set_defaults(func=cmd_spectrum)

@@ -390,6 +390,20 @@ def _factor_on_level(
     raise DomainError("the z'-factor must be a symbol, not a raw callable")
 
 
+def full_route_matrix(
+    f: SymbolLike, space: WeightedSpace, D: int, spec: QuadratureSpec
+) -> Tuple[OperatorMatrix, Optional[np.ndarray]]:
+    """The full route of the factorization check, with its standard errors.
+
+    Sampling specs give the Monte Carlo matrix and its per-entry standard
+    errors; rules give plain quadrature with the fast paths off and no
+    errors.  Neither uses the factorization it is compared against.
+    """
+    if spec.scheme == MONTE_CARLO:
+        return toeplitz_matrix_with_stderr(f, space, D, spec)
+    return toeplitz_matrix(f, space, D, spec, use_fast_paths=False), None
+
+
 def verify_tensor_factorization(
     a: SymbolLike,
     c: SymbolLike,
@@ -419,20 +433,16 @@ def verify_tensor_factorization(
     total = sum(rho_t)
     if total > D:
         raise DomainError(f"level total {total} exceeds the cutoff {D}")
-    f_ac = ProductSymbol(a=a, c=c, geometry=geometry)
-    space = WeightedSpace(geometry.n, lam, geometry=geometry)
-
     mc = spec.scheme == MONTE_CARLO
     se_sub = None
-    if full_matrix is not None:
-        full = full_matrix
-        se = full_se
-        if mc and se is None:
-            raise DomainError("the sampling scheme needs full_se alongside full_matrix")
-    elif mc:
-        full, se = toeplitz_matrix_with_stderr(f_ac, space, D, spec)
+    if full_matrix is None:
+        f_ac = ProductSymbol(a=a, c=c, geometry=geometry)
+        space = WeightedSpace(geometry.n, lam, geometry=geometry)
+        full, se = full_route_matrix(f_ac, space, D, spec)
+    elif mc and full_se is None:
+        raise DomainError("the sampling scheme needs full_se alongside full_matrix")
     else:
-        full = toeplitz_matrix(f_ac, space, D, spec, use_fast_paths=False)
+        full, se = full_matrix, full_se
     index_map = u_rho_index_map(rho_t, geometry, D)
     pos = index_map.positions
     sub = full.entries[np.ix_(pos, pos)]

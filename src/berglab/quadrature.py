@@ -247,13 +247,17 @@ def as_point_function(
     return fn
 
 
-def _check_finite(values: np.ndarray, nodes: np.ndarray) -> None:
-    finite = np.isfinite(values)
-    if not np.all(finite):
-        bad = np.argwhere(~finite)[0]
-        raise DomainError(
-            f"symbol evaluates non-finite at quadrature node {nodes[tuple(bad)]}"
-        )
+def evaluate_finite(fn: PointFunction, nodes: np.ndarray) -> np.ndarray:
+    """fn on nodes of shape (n, d), one value per node.
+
+    This is the one finiteness check of every rule and sampler: a value
+    that is not finite is refused with a ``DomainError`` naming its node.
+    """
+    values = np.broadcast_to(np.asarray(fn(nodes)), nodes.shape[:-1])
+    if not np.all(np.isfinite(values)):
+        bad = np.flatnonzero(~np.isfinite(values))[0]
+        raise DomainError(f"symbol evaluates non-finite at quadrature node {nodes[bad]}")
+    return values
 
 
 def integrate_ball(
@@ -271,8 +275,7 @@ def integrate_ball(
         return value
     resolved = spec.resolved(space.d, max_degree, sym_degree)
     rule = ball_rule(space.d, space.lam, resolved.q, resolved.angular)
-    values = np.asarray(fn(rule.nodes))
-    _check_finite(values, rule.nodes)
+    values = evaluate_finite(fn, rule.nodes)
     return complex(np.dot(rule.weights, values))
 
 
@@ -284,8 +287,7 @@ def monte_carlo_integral(
     """Monte Carlo estimate and its standard error."""
     fn = as_point_function(f, space.geometry)
     z, _ = monte_carlo_points(space.d, space.lam, spec.n_samples, spec.seed)
-    values = np.asarray(fn(z))
-    _check_finite(values, z)
+    values = evaluate_finite(fn, z)
     mean = complex(np.mean(values))
     var = float(np.mean(np.abs(values - mean) ** 2))
     stderr = math.sqrt(var / spec.n_samples)

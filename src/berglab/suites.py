@@ -35,6 +35,7 @@ from .core import BallGeometry, WeightedSpace, count_basis, format_float, levels
 from .errors import DomainError
 from .levels import (
     block_norms,
+    full_route_matrix,
     level_block_direct,
     off_block_mass,
     recover_symbol_and_remainder,
@@ -61,7 +62,6 @@ from .toeplitz import (
     operator_norm,
     semicommutator,
     toeplitz_matrix,
-    toeplitz_matrix_with_stderr,
 )
 
 # ---------------------------------------------------------------------------
@@ -242,11 +242,8 @@ class ExperimentConfig:
         while d_eval > 1 and count_basis(geometry.d_inner, d_eval) > _MAX_MATRIX:
             d_eval -= 1
 
-        scheme = str(values["quad.scheme"])
-        if scheme not in (GAUSS_JACOBI, MONTE_CARLO):
-            raise DomainError(f"unknown quad.scheme {scheme!r}")
         spec = QuadratureSpec(
-            scheme=scheme,
+            scheme=str(values["quad.scheme"]),
             q=int(values["quad.q"]),
             angular=int(values["quad.angular"]),
             n_samples=int(values["quad.samples"]),
@@ -468,14 +465,7 @@ def run_factorization_suite(cfg: ExperimentConfig) -> SuiteResult:
     def one_pair(texts: Tuple[str, str]):
         a_text, c_text = texts
         composite = parse_symbol(f"prod(a = {a_text}, c = {c_text})", geo)
-        mc = cfg.spec.scheme == MONTE_CARLO
-        if mc:
-            full, se = toeplitz_matrix_with_stderr(composite, space, cfg.D, cfg.spec)
-        else:
-            full = toeplitz_matrix(
-                composite, space, cfg.D, cfg.spec, use_fast_paths=False
-            )
-            se = None
+        full, se = full_route_matrix(composite, space, cfg.D, cfg.spec)
         reports = []
         for rho in levels:
             reports.append(

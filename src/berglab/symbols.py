@@ -5,8 +5,10 @@ The grammar (whitespace insensitive)::
     expr    := ['-'] term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
     factor  := atom ['^' uint]
-    atom    := number | 'i' | coord | 'r' uint | func '(' expr ')' | '(' expr ')'
-    coord   := 'z' [uint] | 'zc' [uint]
+    atom    := number | 'i' | coord | 'r' uint | 'abs2' '(' tuple ')'
+             | func '(' expr ')' | '(' expr ')'
+    coord   := 'z' uint | 'zc' uint
+    tuple   := 'z' | 'zc'
     func    := 're' | 'im' | 'conj' | 'abs2' | 'sqrt'
     product := 'prod(' 'a' '=' expr ',' 'c' '=' expr ')'
 
@@ -14,20 +16,24 @@ The grammar (whitespace insensitive)::
 second coordinate block (offset by the split point on the full ball, no
 offset on the z''-ball itself) and is refused in the ``a`` factor of a
 product, which lives on z' alone.  Bare ``z`` and ``zc`` denote the whole
-tuple and are only meaningful under ``abs2``.  ``r<j>`` is the modulus of
-the j-th coordinate group under a declared partition; it is also the
-natural variable for profiles living on the set of group radii.
+tuple and stand only as the entire argument of ``abs2``; anywhere else
+they are a parse error.  ``r<j>`` is the modulus of the j-th coordinate
+group under a declared partition; it is also the natural variable for
+profiles living on the set of group radii.  It is a function of |z| alone
+only when one group spans the whole ball.
 
 ASTs are immutable; evaluation is vectorized over arrays of points.
-This is the one module that inspects node types: every syntactic
-analysis (validation, winding, classification, degree) lives here.
+This is the one module that inspects node types.  Every analysis
+(printing, evaluation, validation, winding, degree, renaming) is a
+visitor handed to the one bottom-up traversal ``_fold``, which reads the
+children of each node type from ``_CHILD_FIELDS``.
 """
 
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -98,6 +104,33 @@ class Neg:
 
 
 SymbolExpr = Union[Const, Coord, GroupRadius, Func, BinOp, Power, Neg]
+
+# The child fields of each node type, in source order.
+_CHILD_FIELDS = {Const: (), Coord: (), GroupRadius: (), Func: ("arg",),
+                 BinOp: ("lhs", "rhs"), Power: ("base",), Neg: ("arg",)}
+
+_T = TypeVar("_T")
+
+
+def _fold(node: SymbolExpr, visit: Callable[[SymbolExpr, list], _T]) -> _T:
+    """The one traversal: ``visit(node, results)`` runs on every node after
+    its children, with their results in source order."""
+    try:
+        fields = _CHILD_FIELDS[type(node)]
+    except KeyError:
+        raise TypeError(f"unexpected node {node!r}") from None
+    return visit(node, [_fold(getattr(node, f), visit) for f in fields] if fields else [])
+
+
+def _rebuild(node: SymbolExpr, children: list) -> SymbolExpr:
+    """The node with its children replaced, through the child table."""
+    if not children:
+        return node
+    return replace(node, **dict(zip(_CHILD_FIELDS[type(node)], children)))
+
+
+def _is_tuple(node: SymbolExpr) -> bool:
+    return isinstance(node, Coord) and node.index is None
 
 
 @dataclass(frozen=True)
@@ -183,8 +216,8 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def peek(self, ahead: int = 0) -> _Token:
+        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
 
     def next(self) -> _Token:
         tok = self.tokens[self.i]
@@ -267,21 +300,25 @@ class _Parser:
             return Const(1j, pos=pos)
         if name in _FUNCS:
             self.expect_op("(")
-            arg = self.parse_expr()
+            whole, close = self.peek(), self.peek(1)
+            if name == "abs2" and whole.text in ("z", "zc") and close.text == ")":
+                self.next()
+                arg: SymbolExpr = Coord(whole.text, None, pos=(whole.line, whole.col))
+            else:
+                arg = self.parse_expr()
             self.expect_op(")")
             return Func(name, arg, pos=pos)
-        m = _re.fullmatch(r"zc(\d*)", name)
+        m = _re.fullmatch(r"(zc|z)(\d*)", name)
         if m:
-            idx = int(m.group(1)) if m.group(1) else None
+            if not m.group(2):
+                raise SymbolSyntaxError(
+                    f"bare {name!r} is only valid as the whole argument of abs2(...)",
+                    *pos,
+                )
+            idx = int(m.group(2))
             if idx == 0:
                 raise SymbolSyntaxError("coordinate indices start at 1", *pos)
-            return Coord("zc", idx, pos=pos)
-        m = _re.fullmatch(r"z(\d*)", name)
-        if m:
-            idx = int(m.group(1)) if m.group(1) else None
-            if idx == 0:
-                raise SymbolSyntaxError("coordinate indices start at 1", *pos)
-            return Coord("z", idx, pos=pos)
+            return Coord(m.group(1), idx, pos=pos)
         m = _re.fullmatch(r"r(\d+)", name)
         if m:
             grp = int(m.group(1))
@@ -340,25 +377,6 @@ def parse_symbol(
     return expr
 
 
-def _children(node: SymbolExpr) -> Tuple[SymbolExpr, ...]:
-    if isinstance(node, (Func, Neg)):
-        return (node.arg,)
-    if isinstance(node, Power):
-        return (node.base,)
-    if isinstance(node, BinOp):
-        return (node.lhs, node.rhs)
-    return ()
-
-
-def _nodes(expr: SymbolExpr) -> Iterator[SymbolExpr]:
-    """Every node of the expression, in source (pre-)order."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(_children(node)))
-
-
 def _validate(
     expr: SymbolExpr,
     dim: Optional[int],
@@ -370,9 +388,11 @@ def _validate(
     """Range-check coordinate and group indices against a dimension.
 
     ``dim=None`` skips the range checks but keeps the structural ones
-    (radius and zc placement), for parsing without a geometry.
+    (radius and zc placement), for parsing without a geometry.  Leaves
+    are visited in source order, so the first offending token is named.
     """
-    for node in _nodes(expr):
+
+    def visit(node: SymbolExpr, _children: list) -> None:
         if isinstance(node, Coord):
             if node.part == "zc" and not allow_zc:
                 raise SymbolSyntaxError(
@@ -398,55 +418,62 @@ def _validate(
                     *node.pos,
                 )
 
+    _fold(expr, visit)
+
 
 # ---------------------------------------------------------------------------
 # Canonical printer
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 1, "^": 3}
+# Precedence of each printed form: sums, differences, negation and negative
+# or complex constants 1, products and quotients 2, powers 3, atoms 4.
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def _print(node: SymbolExpr, parent_prec: int, right_side: bool) -> str:
+def _wrap(printed: Tuple[str, int], need: int) -> str:
+    """The one parenthesisation rule: a form binding looser than its slot
+    needs gets parentheses."""
+    text, prec = printed
+    return text if prec >= need else f"({text})"
+
+
+def _const_text(v: complex) -> Tuple[str, int]:
+    if v == 1j:
+        return "i", 4
+    if v.imag == 0.0:
+        x = v.real
+        text = str(int(x)) if x == int(x) and abs(x) < 1e15 else repr(x)
+        return text, 4 if x >= 0 else 1
+    re_text = _wrap(_const_text(complex(v.real)), 0)
+    im_text = _wrap(_const_text(complex(v.imag)), 2)
+    return f"{re_text} + {im_text}*i", 1
+
+
+def _print(node: SymbolExpr, children: list) -> Tuple[str, int]:
+    """Printer visitor: the (text, precedence) pair of a node."""
     if isinstance(node, Const):
-        v = node.value
-        if v == 1j:
-            s, prec = "i", 4
-        elif v.imag == 0.0:
-            x = v.real
-            s = str(int(x)) if x == int(x) and abs(x) < 1e15 else repr(x)
-            prec = 4 if x >= 0 else 1
-        else:
-            s = f"{_print(Const(complex(v.real)), 0, False)} + {_print(Const(complex(v.imag)), 2, False)}*i"
-            prec = 1
-        return f"({s})" if prec < parent_prec or (prec == parent_prec and right_side) else s
+        return _const_text(node.value)
     if isinstance(node, Coord):
-        return f"{node.part}{node.index if node.index is not None else ''}"
+        return f"{node.part}{node.index if node.index is not None else ''}", 4
     if isinstance(node, GroupRadius):
-        return f"r{node.group}"
+        return f"r{node.group}", 4
     if isinstance(node, Func):
-        return f"{node.name}({_print(node.arg, 0, False)})"
+        return f"{node.name}({children[0][0]})", 4
     if isinstance(node, Neg):
-        inner = _print(node.arg, 2, False)
-        s = f"-{inner}"
-        return f"({s})" if parent_prec >= 2 or right_side else s
+        return f"-{_wrap(children[0], 2)}", 1
     if isinstance(node, Power):
-        s = f"{_print(node.base, 4, False)}^{node.exponent}"
-        return f"({s})" if parent_prec > 3 else s
-    if isinstance(node, BinOp):
-        prec = _PRECEDENCE[node.op]
-        lhs = _print(node.lhs, prec, False)
-        rhs = _print(node.rhs, prec, True)
-        s = f"{lhs} {node.op} {rhs}"
-        # Equal precedence on the right needs parentheses: the grammar is
-        # left associative, so "a - (b - c)" must not round-trip to "a - b - c".
-        return f"({s})" if prec < parent_prec or (prec == parent_prec and right_side) else s
-    raise TypeError(f"unexpected node {node!r}")
+        return f"{_wrap(children[0], 4)}^{node.exponent}", 3
+    # The grammar is left associative: an equal-precedence right operand
+    # keeps its parentheses, so "a - (b - c)" does not print as "a - b - c".
+    prec = _PRECEDENCE[node.op]
+    lhs, rhs = children
+    return f"{_wrap(lhs, prec)} {node.op} {_wrap(rhs, prec + 1)}", prec
 
 
 def symbol_to_text(expr: Union[SymbolExpr, ProductSymbol]) -> str:
     """Canonical text form; parsing it back gives a structurally equal AST."""
     if isinstance(expr, ProductSymbol):
-        return f"prod(a = {_print(expr.a, 0, False)}, c = {_print(expr.c, 0, False)})"
-    return _print(expr, 0, False)
+        return f"prod(a = {_fold(expr.a, _print)[0]}, c = {_fold(expr.c, _print)[0]})"
+    return _fold(expr, _print)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +502,7 @@ class _EvalContext:
             )
         return self.z[..., axis]
 
-    def tuple_abs2(self, part: Optional[str]) -> np.ndarray:
+    def tuple_abs2(self, part: str) -> np.ndarray:
         if self.z is None:
             if self.r is None:
                 raise DomainError("no point data to evaluate abs2 against")
@@ -507,49 +534,41 @@ class _EvalContext:
         stop = start + self.k[group - 1]
         return np.sqrt(np.sum(np.abs(self.z[..., start:stop]) ** 2, axis=-1))
 
-
-def _eval(node: SymbolExpr, ctx: _EvalContext) -> np.ndarray:
-    if isinstance(node, Const):
-        return np.asarray(node.value)
-    if isinstance(node, Coord):
-        if node.index is None:
-            raise DomainError(
-                f"line {node.pos[0]}, column {node.pos[1]}: bare {node.part!r} "
-                "is only valid inside abs2(...)"
-            )
-        return ctx.coord(node.part, node.index, node.pos)
-    if isinstance(node, GroupRadius):
-        return ctx.radius(node.group, node.pos).astype(complex)
-    if isinstance(node, Neg):
-        return -_eval(node.arg, ctx)
-    if isinstance(node, Func):
-        if node.name == "abs2":
-            arg = node.arg
-            if isinstance(arg, Coord) and arg.index is None:
-                return ctx.tuple_abs2(arg.part).astype(complex)
-            v = _eval(arg, ctx)
-            return (np.abs(v) ** 2).astype(complex)
-        v = _eval(node.arg, ctx)
-        if node.name == "re":
-            return np.real(v).astype(complex)
-        if node.name == "im":
-            return np.imag(v).astype(complex)
-        if node.name == "conj":
-            return np.conj(v)
-        if node.name == "sqrt":
-            real = np.real(v)
-            if np.any(np.abs(np.imag(v)) > 1e-10) or np.any(real < -1e-12):
-                raise DomainError(
-                    f"line {node.pos[0]}, column {node.pos[1]}: sqrt needs a "
-                    "nonnegative real argument"
-                )
-            return np.sqrt(np.clip(real, 0.0, None)).astype(complex)
-        raise AssertionError(f"unknown function {node.name}")
-    if isinstance(node, Power):
-        return _eval(node.base, ctx) ** node.exponent
-    if isinstance(node, BinOp):
-        lhs = _eval(node.lhs, ctx)
-        rhs = _eval(node.rhs, ctx)
+    def visit(self, node: SymbolExpr, children: list) -> np.ndarray:
+        """Evaluation visitor: the values of a node on this context."""
+        if isinstance(node, Const):
+            return np.asarray(node.value)
+        if isinstance(node, Coord):
+            if node.index is None:
+                # a whole tuple stands only under abs2, and takes its value
+                return self.tuple_abs2(node.part).astype(complex)
+            return self.coord(node.part, node.index, node.pos)
+        if isinstance(node, GroupRadius):
+            return self.radius(node.group, node.pos).astype(complex)
+        if isinstance(node, Neg):
+            return -children[0]
+        if isinstance(node, Func):
+            v = children[0]
+            if node.name == "abs2":
+                return v if _is_tuple(node.arg) else (np.abs(v) ** 2).astype(complex)
+            if node.name == "re":
+                return np.real(v).astype(complex)
+            if node.name == "im":
+                return np.imag(v).astype(complex)
+            if node.name == "conj":
+                return np.conj(v)
+            if node.name == "sqrt":
+                real = np.real(v)
+                if np.any(np.abs(np.imag(v)) > 1e-10) or np.any(real < -1e-12):
+                    raise DomainError(
+                        f"line {node.pos[0]}, column {node.pos[1]}: sqrt needs a "
+                        "nonnegative real argument"
+                    )
+                return np.sqrt(np.clip(real, 0.0, None)).astype(complex)
+            raise AssertionError(f"unknown function {node.name}")
+        if isinstance(node, Power):
+            return children[0] ** node.exponent
+        lhs, rhs = children
         if node.op == "+":
             return lhs + rhs
         if node.op == "-":
@@ -558,7 +577,9 @@ def _eval(node: SymbolExpr, ctx: _EvalContext) -> np.ndarray:
             return lhs * rhs
         with np.errstate(divide="ignore", invalid="ignore"):
             return lhs / rhs
-    raise TypeError(f"unexpected node {node!r}")
+
+    def evaluate(self, expr: SymbolExpr) -> np.ndarray:
+        return _fold(expr, self.visit)
 
 
 def eval_on_points(
@@ -607,13 +628,13 @@ def eval_on_points(
             z_out = z[..., : geo.ell] / stretch[..., None]
         a_ctx = _EvalContext(z=z_out, r=None, zc_offset=0, k=geo.k)
         c_ctx = _EvalContext(z=z_in, r=None, zc_offset=0, k=None)
-        return np.asarray(_eval(expr.a, a_ctx) * _eval(expr.c, c_ctx))
+        return np.asarray(a_ctx.evaluate(expr.a) * c_ctx.evaluate(expr.c))
     if zc_offset is None:
         zc_offset = geometry.ell if geometry is not None else 0
     ctx = _EvalContext(
         z=z, r=None, zc_offset=zc_offset, k=geometry.k if geometry else None
     )
-    out = _eval(expr, ctx)
+    out = ctx.evaluate(expr)
     return np.broadcast_to(np.asarray(out), z.shape[:-1]).copy()
 
 
@@ -637,8 +658,7 @@ def eval_profile(expr: SymbolExpr, radii: np.ndarray) -> np.ndarray:
     r = np.asarray(radii, dtype=float)
     if r.ndim == 1:
         r = r[:, None]
-    ctx = _EvalContext(z=None, r=r, zc_offset=0, k=None)
-    out = _eval(expr, ctx)
+    out = _EvalContext(z=None, r=r, zc_offset=0, k=None).evaluate(expr)
     return np.broadcast_to(np.asarray(out), r.shape[:-1]).copy()
 
 
@@ -646,7 +666,7 @@ def eval_profile(expr: SymbolExpr, radii: np.ndarray) -> np.ndarray:
 # Classification
 
 
-_AST_TYPES = (Const, Coord, GroupRadius, Func, BinOp, Power, Neg, ProductSymbol)
+_AST_TYPES = (*_CHILD_FIELDS, ProductSymbol)
 
 
 def is_symbolic(f: object) -> bool:
@@ -655,9 +675,9 @@ def is_symbolic(f: object) -> bool:
 
 
 def _winding(
-    node: SymbolExpr, slots: Sequence[Optional[int]], m: int, zc_offset: int
+    expr: SymbolExpr, slots: Sequence[Optional[int]], m: int, zc_offset: int
 ) -> Optional[Tuple[int, ...]]:
-    """Phase degree of the node under an m-dimensional torus action.
+    """Phase degree of the symbol under an m-dimensional torus action.
 
     ``slots[axis]`` is the torus coordinate rotating that axis, or None
     where the torus does not act; zc-coordinates sit ``zc_offset`` axes
@@ -667,48 +687,41 @@ def _winding(
     non-invariant (sound, not complete).
     """
     zero = (0,) * m
-    if isinstance(node, (Const, GroupRadius)):
-        return zero
-    if isinstance(node, Coord):
-        if node.index is None:
-            # Whole-tuple coordinates only appear under abs2, handled there.
-            return None
-        axis = node.index - 1 + (zc_offset if node.part == "zc" else 0)
-        if axis >= len(slots):
-            return None
-        out = [0] * m
-        if slots[axis] is not None:
-            out[slots[axis]] = 1
-        return tuple(out)
-    if isinstance(node, Neg):
-        return _winding(node.arg, slots, m, zc_offset)
-    if isinstance(node, Func):
-        arg = node.arg
-        if node.name == "abs2" and isinstance(arg, Coord) and arg.index is None:
+
+    def visit(node: SymbolExpr, children: list) -> Optional[Tuple[int, ...]]:
+        if isinstance(node, (Const, GroupRadius)) or _is_tuple(node):
+            # a whole tuple stands only under abs2, which is invariant
             return zero
-        w = _winding(arg, slots, m, zc_offset)
-        if w is None:
+        if isinstance(node, Coord):
+            axis = node.index - 1 + (zc_offset if node.part == "zc" else 0)
+            if axis >= len(slots):
+                return None
+            out = [0] * m
+            if slots[axis] is not None:
+                out[slots[axis]] = 1
+            return tuple(out)
+        if any(w is None for w in children):
             return None
-        if node.name == "abs2":
-            return zero
-        if node.name == "conj":
-            return tuple(-v for v in w)
-        # re, im and sqrt preserve invariance only for invariant arguments.
-        return zero if w == zero else None
-    if isinstance(node, Power):
-        w = _winding(node.base, slots, m, zc_offset)
-        return tuple(node.exponent * v for v in w) if w is not None else None
-    if isinstance(node, BinOp):
-        wl = _winding(node.lhs, slots, m, zc_offset)
-        wr = _winding(node.rhs, slots, m, zc_offset)
-        if wl is None or wr is None:
-            return None
+        if isinstance(node, Neg):
+            return children[0]
+        if isinstance(node, Func):
+            w = children[0]
+            if node.name == "abs2":
+                return zero
+            if node.name == "conj":
+                return tuple(-v for v in w)
+            # re, im and sqrt preserve invariance only for invariant arguments.
+            return zero if w == zero else None
+        if isinstance(node, Power):
+            return tuple(node.exponent * v for v in children[0])
+        wl, wr = children
         if node.op == "*":
             return tuple(a + b for a, b in zip(wl, wr))
         if node.op == "/":
             return tuple(a - b for a, b in zip(wl, wr))
         return wl if wl == wr else None
-    raise TypeError(f"unexpected node {node!r}")
+
+    return _fold(expr, visit)
 
 
 def axis_winding(
@@ -753,18 +766,22 @@ def group_winding(
     return _winding(expr, slots, geometry.m, geometry.ell)
 
 
-def _census(expr: SymbolExpr) -> dict:
-    """Coordinates, group radii and whole tuples the expression uses."""
-    acc: dict = {"coords": set(), "radii": set(), "full_z": False, "full_zc": False}
-    for node in _nodes(expr):
+# the whole tuple z, which stands only under abs2, as _leaves names it
+_WHOLE_Z = ("z", None)
+
+
+def _leaves(expr: SymbolExpr) -> FrozenSet[Tuple[str, Optional[int]]]:
+    """The variables the expression names: ("z" or "zc", index, None for
+    the whole tuple) for coordinates and ("r", group) for group radii."""
+
+    def visit(node: SymbolExpr, children: list) -> FrozenSet:
         if isinstance(node, Coord):
-            if node.index is None:
-                acc["full_z" if node.part == "z" else "full_zc"] = True
-            else:
-                acc["coords"].add((node.part, node.index))
-        elif isinstance(node, GroupRadius):
-            acc["radii"].add(node.group)
-    return acc
+            return frozenset({(node.part, node.index)})
+        if isinstance(node, GroupRadius):
+            return frozenset({("r", node.group)})
+        return frozenset().union(*children)
+
+    return _fold(expr, visit)
 
 
 def classify_symbol(
@@ -776,30 +793,22 @@ def classify_symbol(
     The verdict is sound but not complete: every QuasiRadial or
     TorusInvariant answer implies true invariance under the group torus
     action, while a disguised invariant expression may come back General.
+    Radial is the verdict of ``radial_profile``.
     """
     if isinstance(expr, ProductSymbol):
         geo = expr.geometry if expr.geometry is not None else geometry
         return SymbolClass("Product", k=geo.k if geo is not None else None)
 
-    acc = _census(expr)
-    uses_coords = bool(acc["coords"])
-    uses_radii = bool(acc["radii"])
     k = geometry.k if geometry is not None else None
-
-    if not uses_coords and not acc["full_zc"]:
-        # Only group radii, |z|^2 and constants.
-        if not uses_radii:
-            return SymbolClass("Radial", k=k)
-        if geometry is None or geometry.m == 1:
-            if acc["full_z"]:
-                return SymbolClass("QuasiRadial", k=k)
-            return SymbolClass("Radial", k=k) if (k is not None and len(k) == 1) else SymbolClass("QuasiRadial", k=k)
+    if radial_profile(expr, geometry) is not None:
+        return SymbolClass("Radial", k=k)
+    leaves = _leaves(expr)
+    if all(part == "r" for part, _ in leaves - {_WHOLE_Z}):
         return SymbolClass("QuasiRadial", k=k)
-
     if geometry is not None:
-        inner_only = not acc["full_z"] and not uses_radii and all(
-            (part == "zc") or (idx > geometry.ell)
-            for part, idx in acc["coords"]
+        inner_only = all(
+            part == "zc" or (part == "z" and index is not None and index > geometry.ell)
+            for part, index in leaves
         )
         if inner_only:
             return SymbolClass("CzOnly", k=k)
@@ -809,26 +818,24 @@ def classify_symbol(
 
 
 def radial_profile(
-    expr: SymbolExpr,
+    expr: SymbolExpr, geometry: Optional[BallGeometry] = None
 ) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-    """Interpret the symbol as a function of t = |z|^2 on its own ball.
+    """Interpret the symbol as a function a(t) of t = |z|^2 on its ball.
 
-    Returns a vectorized profile a(t) when the expression uses only
-    abs2(z) of the full tuple, r1 with a single-group partition, and
-    constants; otherwise None.
+    This is the one judgement of radiality.  The expression may use
+    abs2(z) of the whole tuple and constants; a group radius counts as
+    |z| only when the geometry has one group spanning the whole ball, so
+    r1 qualifies under k = (n,) and nowhere else.  Returns a vectorized
+    profile, or None.
     """
-    acc = _census(expr)
-    if acc["coords"] or acc["full_zc"]:
-        return None
-    if acc["radii"] and acc["radii"] != {1}:
+    spans = geometry is not None and geometry.k == (geometry.n,)
+    allowed = {_WHOLE_Z, ("r", 1)} if spans else {_WHOLE_Z}
+    if not _leaves(expr) <= allowed:
         return None
 
     def profile(t: np.ndarray) -> np.ndarray:
         t_arr = np.asarray(t, dtype=float)
-        r = np.sqrt(np.clip(t_arr, 0.0, None))[..., None]
-        ctx = _EvalContext(z=None, r=r, zc_offset=0, k=None)
-        out = _eval(expr, ctx)
-        return np.broadcast_to(np.asarray(out), t_arr.shape).copy()
+        return eval_profile(expr, np.sqrt(np.clip(t_arr, 0.0, None))[..., None])
 
     return profile
 
@@ -837,10 +844,8 @@ def quasi_radial_profile(
     expr: SymbolExpr, m: int
 ) -> Optional[Callable[[np.ndarray], np.ndarray]]:
     """Interpret the symbol as a profile a(r_1, ..., r_m), or None."""
-    acc = _census(expr)
-    if acc["coords"] or acc["full_zc"]:
-        return None
-    if any(g > m for g in acc["radii"]):
+    leaves = _leaves(expr) - {_WHOLE_Z}
+    if any(part != "r" or index > m for part, index in leaves):
         return None
 
     def profile(radii: np.ndarray) -> np.ndarray:
@@ -856,28 +861,16 @@ def rebase_inner(expr: SymbolExpr) -> SymbolExpr:
     preserves values while letting the inner factor of a product symbol
     hit every single-ball fast path.
     """
-    if isinstance(expr, Coord):
-        if expr.part == "zc":
-            return Coord("z", expr.index, pos=expr.pos)
-        return expr
-    if isinstance(expr, Func):
-        return Func(expr.name, rebase_inner(expr.arg), pos=expr.pos)
-    if isinstance(expr, Neg):
-        return Neg(rebase_inner(expr.arg), pos=expr.pos)
-    if isinstance(expr, BinOp):
-        return BinOp(
-            expr.op, rebase_inner(expr.lhs), rebase_inner(expr.rhs), pos=expr.pos
-        )
-    if isinstance(expr, Power):
-        return Power(rebase_inner(expr.base), expr.exponent, pos=expr.pos)
-    return expr
+
+    def visit(node: SymbolExpr, children: list) -> SymbolExpr:
+        if isinstance(node, Coord) and node.part == "zc":
+            return Coord("z", node.index, pos=node.pos)
+        return _rebuild(node, children)
+
+    return _fold(expr, visit)
 
 
-def _degree(node: Union[SymbolExpr, ProductSymbol]) -> Tuple[int, bool]:
-    """Degree hint in (z, conj z), and whether evaluation is polynomial
-    in (z, conj z) jointly."""
-    if isinstance(node, ProductSymbol):
-        return _degree(node.a)[0] + _degree(node.c)[0], False
+def _degree_visit(node: SymbolExpr, children: list) -> Tuple[int, bool]:
     if isinstance(node, Const):
         return 0, True
     if isinstance(node, Coord):
@@ -885,26 +878,32 @@ def _degree(node: Union[SymbolExpr, ProductSymbol]) -> Tuple[int, bool]:
     if isinstance(node, GroupRadius):
         return 1, False
     if isinstance(node, Neg):
-        return _degree(node.arg)
+        return children[0]
     if isinstance(node, Func):
-        deg, poly = _degree(node.arg)
+        deg, poly = children[0]
         if node.name == "abs2":
             return 2 * max(1, deg), poly
         return deg, poly and node.name != "sqrt"
     if isinstance(node, Power):
-        deg, poly = _degree(node.base)
+        deg, poly = children[0]
         # an even power of a group radius is a polynomial in |z_j|^2
         even_radius = isinstance(node.base, GroupRadius) and node.exponent % 2 == 0
         return node.exponent * deg, poly or even_radius
-    if isinstance(node, BinOp):
-        (dl, pl), (dr, pr) = _degree(node.lhs), _degree(node.rhs)
-        poly = pl and pr and node.op != "/"
-        if node.op == "*":
-            return dl + dr, poly
-        if node.op == "/":
-            return dl, poly
-        return max(dl, dr), poly
-    raise TypeError(f"unexpected node {node!r}")
+    (dl, pl), (dr, pr) = children
+    poly = pl and pr and node.op != "/"
+    if node.op == "*":
+        return dl + dr, poly
+    if node.op == "/":
+        return dl, poly
+    return max(dl, dr), poly
+
+
+def _degree(expr: Union[SymbolExpr, ProductSymbol]) -> Tuple[int, bool]:
+    """Degree hint in (z, conj z), and whether evaluation is polynomial
+    in (z, conj z) jointly."""
+    if isinstance(expr, ProductSymbol):
+        return _fold(expr.a, _degree_visit)[0] + _fold(expr.c, _degree_visit)[0], False
+    return _fold(expr, _degree_visit)
 
 
 def symbol_degree_hint(expr: Union[SymbolExpr, ProductSymbol]) -> int:

@@ -51,6 +51,7 @@ from .quadrature import (
     SymbolLike,
     as_point_function,
     ball_rule,
+    evaluate_finite,
     gauss_jacobi_rule,
     monte_carlo_points,
     simplex_radial_rule,
@@ -60,7 +61,6 @@ from .symbols import (
     ProductSymbol,
     SymbolExpr,
     axis_winding,
-    classify_symbol,
     group_winding,
     is_polynomial,
     is_symbolic,
@@ -195,7 +195,7 @@ def radial_toeplitz_diagonal(
     The per-degree monomial factor t^m is folded into the weights in log
     space, which stays finite for cutoffs in the thousands.
     """
-    profile = _as_radial_profile(a)
+    profile = _as_profile(a, radial_profile, "a radial profile in t = |z|^2")
     if q is None:
         q = _radial_order(D, _profile_degree(a))
     _require_budget((D + 1) * q, f"the radial moment table for degrees <= {D}")
@@ -230,7 +230,9 @@ def gamma_quasi_radial(
         raise DomainError("level and partition lengths differ")
     if any(v < 0 for v in rho):
         raise DomainError(f"level entries must be nonnegative, got {rho}")
-    profile = _as_group_profile(a, len(k))
+    profile = _as_profile(
+        a, lambda e: quasi_radial_profile(e, len(k)), "a profile in the group radii"
+    )
     if q is None:
         q = max(24, _profile_degree(a))
     powers = tuple(2 * r + 2 * kk - 1 for r, kk in zip(rho, k))
@@ -279,30 +281,20 @@ def gamma_sequence(
     return GammaSequence(k=k, lam=lam, R=R, values=values, label=label)
 
 
-def _as_radial_profile(
+def _as_profile(
     a: Union[SymbolExpr, Callable[[np.ndarray], np.ndarray]],
+    judge: Callable[[SymbolExpr], Optional[Callable[[np.ndarray], np.ndarray]]],
+    what: str,
 ) -> Callable[[np.ndarray], np.ndarray]:
+    """A callable profile as it is, or a symbol's profile as ``judge`` reads it."""
     if is_symbolic(a):
-        profile = radial_profile(a)
+        profile = judge(a)
         if profile is None:
-            raise DomainError("symbol is not radial; no profile in t = |z|^2")
+            raise DomainError(f"symbol is not {what}")
         return profile
     if callable(a):
         return a
-    raise DomainError(f"cannot interpret {a!r} as a radial profile")
-
-
-def _as_group_profile(
-    a: Union[SymbolExpr, Callable[[np.ndarray], np.ndarray]], m: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    if is_symbolic(a):
-        profile = quasi_radial_profile(a, m)
-        if profile is None:
-            raise DomainError("symbol is not a function of the group radii")
-        return profile
-    if callable(a):
-        return a
-    raise DomainError(f"cannot interpret {a!r} as a group-radius profile")
+    raise DomainError(f"cannot interpret {a!r} as {what}")
 
 
 def _profile_degree(a: object) -> int:
@@ -401,9 +393,7 @@ def _node_sums(
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
         z = nodes[start:stop]
-        fv = np.asarray(fn(z))
-        if not np.all(np.isfinite(fv)):
-            raise DomainError("symbol evaluates non-finite on a quadrature node")
+        fv = evaluate_finite(fn, z)
         w = weights[start:stop]
         v, work, *sq = (b[: k * (stop - start)].reshape(k, -1) for b in bufs)
         _monomial_rows(z, basis, v, work)
@@ -451,10 +441,7 @@ def _assemble_on_torus(
         rows = slice(start, min(start + slab, rule.n_radial))
         z = rule.torus_nodes(rows)
         n = z.shape[0]
-        fv = np.asarray(fn(z.reshape(-1, d)))
-        if not np.all(np.isfinite(fv)):
-            raise DomainError("symbol evaluates non-finite on a quadrature node")
-        fv = np.broadcast_to(fv, (n * n_torus,)).reshape(z.shape[:-1])
+        fv = evaluate_finite(fn, z.reshape(-1, d)).reshape(z.shape[:-1])
         coef = np.fft.fftn(fv, axes=tuple(range(1, d + 1))).reshape(n, n_torus)
         r = _vandermonde_block(rule.radii[rows], basis)
         wr = r * rule.radial_weights[rows, None]
@@ -538,21 +525,16 @@ def assembly_path(
     resolved = resolve_assembly_spec(f, space.d, D, spec)
     geometry = space.geometry
     if use_fast_paths and is_symbolic(f) and not isinstance(f, ProductSymbol):
-        kind = classify_symbol(f, geometry).kind
         hint = symbol_degree_hint(f)
-        if kind == "Radial":
-            profile = radial_profile(f)
-            if profile is not None:
-                q = _radial_order(D, hint)
-                return AssemblyPath("radial", resolved, q, profile)
-        if (
-            kind == "QuasiRadial"
-            and geometry is not None
-            and sum(geometry.k) == space.d
-        ):
-            profile = quasi_radial_profile(f, geometry.m)
-            if profile is not None:
-                return AssemblyPath("quasi_radial", resolved, max(24, hint), profile)
+        # the group radii of the geometry are moduli on this space's ball
+        # only where its groups cover that ball
+        covers = geometry is not None and sum(geometry.k) == space.d
+        profile = radial_profile(f, geometry if covers else None)
+        if profile is not None:
+            return AssemblyPath("radial", resolved, _radial_order(D, hint), profile)
+        profile = quasi_radial_profile(f, geometry.m) if covers else None
+        if profile is not None:
+            return AssemblyPath("quasi_radial", resolved, max(24, hint), profile)
     kind = "monte_carlo" if spec.scheme == MONTE_CARLO else "torus"
     return AssemblyPath(kind, resolved)
 

@@ -271,3 +271,29 @@ def test_matrix_sidecar_records_the_assembly_path(capsys, tmp_path, text, record
     assert code == 0
     meta = json.loads((tmp_path / "m.csv.meta.json").read_text())
     assert meta["assembly"] == record
+
+
+def test_group_radius_on_part_of_the_ball_takes_the_torus_path(capsys, tmp_path):
+    p = tmp_path / "m.csv"
+    geometry = ["--n", "2", "--ell", "1"]
+    code, out, err = run(
+        capsys,
+        ["matrix", "--symbol", "r1^2", *geometry, "--mu", "0", "--D", "3", "--out", str(p)],
+    )
+    assert code == 0
+    meta = json.loads((tmp_path / "m.csv.meta.json").read_text())
+    assert meta["assembly"]["path"] == "torus"
+    code, out, err = run(capsys, ["parse", "--symbol", "r1^2", *geometry])
+    assert code == 0 and "class: QuasiRadial(1,)" in out.splitlines()
+
+
+def test_bare_tuple_outside_abs2_is_a_parse_error(capsys):
+    code, out, err = run(capsys, ["parse", "--symbol", "re(z) + 1"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 1, column 4:") and "abs2" in err
+
+
+def test_bad_partition_is_exit_one(capsys):
+    code, out, err = run(capsys, ["gamma", "--k", "1,x", "--profile", "r1^2"])
+    assert code == 1
+    assert err.startswith("error:") and "partition" in err

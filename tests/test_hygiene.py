@@ -5,9 +5,11 @@ import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import berglab
+from berglab import symbols
 
 SRC = Path(berglab.__file__).resolve().parent
 
@@ -77,3 +79,29 @@ def test_package_import_stays_light():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == ["False", "True"]
+
+
+def test_only_the_symbol_module_inspects_node_types():
+    """No module but symbols.py names an AST node type in isinstance."""
+    node_types = {t.__name__ for t in typing.get_args(symbols.SymbolExpr)}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "symbols.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+            ):
+                continue
+            named = set()
+            for sub in ast.walk(node.args[1]):
+                if isinstance(sub, ast.Name):
+                    named.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    named.add(sub.attr)
+            found += [f"{path.name}:{node.lineno}: {n}" for n in sorted(named & node_types)]
+    assert node_types == {"Const", "Coord", "GroupRadius", "Func", "BinOp", "Power", "Neg"}
+    assert found == []

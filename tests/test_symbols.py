@@ -19,7 +19,7 @@ from berglab import (
     rebase_inner,
     symbol_to_text,
 )
-from berglab.symbols import symbol_degree_hint
+from berglab.symbols import axis_winding, group_winding, symbol_degree_hint
 
 ROUNDTRIP_CORPUS = [
     "1",
@@ -171,6 +171,21 @@ def test_syntax_errors_carry_position():
         parse_symbol("z1 @ z2", None)
 
 
+@pytest.mark.parametrize("geometry", [None, BallGeometry(2, 2, (2,))])
+@pytest.mark.parametrize(
+    "text, col",
+    [("re(z) + 1", 4), ("z", 1), ("1 - zc", 5), ("abs2(z + 1)", 6), ("abs2((z))", 7)],
+)
+def test_bare_tuple_is_refused_outside_abs2(geometry, text, col):
+    with pytest.raises(SymbolSyntaxError) as exc:
+        parse_symbol(text, geometry)
+    assert (exc.value.line, exc.value.col) == (1, col)
+    assert "abs2" in str(exc.value)
+    assert symbol_to_text(parse_symbol("abs2(z) - abs2(zc)", geometry)) == (
+        "abs2(z) - abs2(zc)"
+    )
+
+
 def test_zc_is_refused_in_the_a_factor():
     # a lives on z' alone; zc1 there used to evaluate silently as z1
     for geometry in (BallGeometry(3, 2, (2,)), None):
@@ -201,6 +216,16 @@ def test_classification_table():
         str(classify_symbol(parse_symbol("prod(a = 1, c = zc1)", split), split))
         == "Product"
     )
+
+
+def test_group_radius_is_radial_only_when_one_group_spans_the_ball():
+    spans = BallGeometry(2, 2, (2,))
+    assert str(classify_symbol(parse_symbol("r1^2", spans), spans)) == "Radial"
+    for part in (BallGeometry(2, 1, (1,)), BallGeometry(3, 2, (2,))):
+        assert str(classify_symbol(parse_symbol("r1^2", part), part)) == (
+            f"QuasiRadial{part.k}"
+        )
+    assert str(classify_symbol(parse_symbol("r1^2", None))) == "QuasiRadial"
 
 
 def test_product_symbol_parses_without_geometry():
@@ -242,22 +267,31 @@ def test_degree_hint_monotone_in_structure():
     assert d_prod >= 3
 
 
-_LEAF = st.sampled_from(["1", "2.5", "z1", "z2", "abs2(z)", "re(z1)", "conj(z2)"])
+# z1, z2 form the one group and zc1 is z3; r1 is |z'|
+_G = BallGeometry(3, 2, (2,))
+_POINT = np.array([[0.21 + 0.05j, -0.3j, 0.1 + 0.2j]])
+_LEAVES = (
+    "1", "2.5", "z1", "z2", "zc1", "abs2(z)", "abs2(zc)", "sqrt(abs2(z))",
+    "re(z1)", "conj(z2)",
+)
 
 
 def _combine(children):
     a, b = children
     return st.sampled_from(
-        [f"({a} + {b})", f"({a} - {b})", f"({a} * {b})", f"(-({a}))", f"({a})^2"]
+        [
+            f"({a} + {b})", f"({a} - {b})", f"({a} * {b})", f"(-({a}))", f"({a})^2",
+            f"conj({a})", f"im({a})", f"({a}) / (2 - abs2(z))",
+        ]
     )
 
 
 @st.composite
-def _expr_text(draw, depth=3):
+def _expr_text(draw, depth=3, radius=True):
     if depth == 0 or draw(st.booleans()):
-        return draw(_LEAF)
-    a = draw(_expr_text(depth=depth - 1))
-    b = draw(_expr_text(depth=depth - 1))
+        return draw(st.sampled_from(_LEAVES + (("r1",) if radius else ())))
+    a = draw(_expr_text(depth=depth - 1, radius=radius))
+    b = draw(_expr_text(depth=depth - 1, radius=radius))
     return draw(_combine((a, b)))
 
 
@@ -272,9 +306,49 @@ def test_roundtrip_property(text):
 @given(_expr_text())
 @settings(max_examples=40, deadline=None)
 def test_print_preserves_value(text):
-    expr = parse_symbol(text, None)
-    again = parse_symbol(symbol_to_text(expr), None)
-    z = np.array([[0.21 + 0.05j, -0.3j]])
-    v1 = eval_on_points(expr, z)[0]
-    v2 = eval_on_points(again, z)[0]
+    expr = parse_symbol(text, _G)
+    again = parse_symbol(symbol_to_text(expr), _G)
+    v1 = eval_on_points(expr, _POINT, geometry=_G)[0]
+    v2 = eval_on_points(again, _POINT, geometry=_G)[0]
     assert v1 == pytest.approx(v2, abs=1e-13)
+
+
+def _rotation_gap(expr, phases, winding, theta):
+    """|f(e^{i theta} z) - e^{i w.theta} f(z)| relative to |f(z)| (or 1)."""
+    rotated = eval_on_points(expr, _POINT * np.exp(1j * phases), geometry=_G)[0]
+    value = eval_on_points(expr, _POINT, geometry=_G)[0]
+    expected = np.exp(1j * np.dot(winding, theta)) * value
+    return abs(rotated - expected) / max(1.0, abs(value))
+
+
+_ANGLE = st.floats(-3.2, 3.2, allow_nan=False)
+
+
+@given(_expr_text(), st.tuples(_ANGLE, _ANGLE, _ANGLE))
+@settings(max_examples=80, deadline=None)
+def test_axis_winding_is_sound(text, theta):
+    # an independent route: rotate the point and compare values
+    expr = parse_symbol(text, _G)
+    winding = axis_winding(expr, _G.n, zc_offset=_G.ell)
+    if winding is not None:
+        assert _rotation_gap(expr, np.array(theta), winding, theta) <= 1e-12
+
+
+@given(_expr_text(), _ANGLE)
+@settings(max_examples=80, deadline=None)
+def test_group_winding_is_sound(text, theta):
+    # the group torus turns z1 and z2 together and leaves z'' alone
+    expr = parse_symbol(text, _G)
+    winding = group_winding(expr, _G)
+    if winding is not None:
+        phases = np.array([theta, theta, 0.0])
+        assert _rotation_gap(expr, phases, winding, (theta,)) <= 1e-12
+
+
+@given(_expr_text(radius=False))
+@settings(max_examples=40, deadline=None)
+def test_rebase_inner_keeps_values_on_the_inner_ball(text):
+    expr = parse_symbol(text, None)
+    rebased = rebase_inner(expr)
+    assert symbol_to_text(rebased) == symbol_to_text(expr).replace("zc", "z")
+    assert eval_on_points(rebased, _POINT)[0] == eval_on_points(expr, _POINT)[0]

@@ -266,3 +266,35 @@ def test_assembly_path_names_the_route_and_its_orders():
     assert assembly_path(general, space, 4, mc).record() == {
         "path": "monte_carlo", "n_samples": 1000, "seed": 3,
     }
+
+
+@pytest.mark.parametrize(
+    "geometry", [BallGeometry(2, 1, (1,)), BallGeometry(3, 2, (2,))]
+)
+def test_group_radius_on_part_of_the_ball_is_not_radial(geometry):
+    # r1 is |z'| here, not |z|: no radial diagonal may stand in for it
+    space = WeightedSpace(geometry.n, 0.0, geometry=geometry)
+    spec = QuadratureSpec()
+    f = parse_symbol("r1^2", geometry)
+    assert assembly_path(f, space, 3, spec).kind == "torus"
+    fast = toeplitz_matrix(f, space, 3, spec)
+    honest = toeplitz_matrix(f, space, 3, spec, use_fast_paths=False)
+    assert np.max(np.abs(fast.entries - honest.entries)) <= 1e-12
+
+
+def test_group_radius_matches_the_modulus_of_its_group():
+    g = BallGeometry(2, 1, (1,))
+    space = WeightedSpace(2, 0.0, geometry=g)
+    r1 = toeplitz_matrix(parse_symbol("r1^2", g), space, 3, QuadratureSpec())
+    z1 = toeplitz_matrix(parse_symbol("abs2(z1)", g), space, 3, QuadratureSpec())
+    assert np.max(np.abs(r1.entries - z1.entries)) <= 1e-12
+
+
+def test_group_radius_spanning_the_ball_stays_radial():
+    g = BallGeometry(2, 2, (2,))
+    space = WeightedSpace(2, 0.0, geometry=g)
+    f = parse_symbol("r1^2", g)
+    assert assembly_path(f, space, 3, QuadratureSpec()).kind == "radial"
+    fast = toeplitz_matrix(f, space, 3, QuadratureSpec())
+    abs2 = toeplitz_matrix(parse_symbol("abs2(z)", g), space, 3, QuadratureSpec())
+    assert np.max(np.abs(fast.entries - abs2.entries)) <= 1e-12
