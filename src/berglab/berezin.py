@@ -147,7 +147,9 @@ def berezin_of_operator(
     coef = kernel_coefficients(
         basis.norms, basis.exponent_array(), z, s_exp
     )
-    value = complex(np.vdot(coef, M.entries @ coef))
+    # a diagonal form gives sum_i d_i |coef_i|^2 without a dense matrix
+    image = M.diag * coef if M.diag is not None else M.entries @ coef
+    value = complex(np.vdot(coef, image))
     if not return_tail:
         return value
     tail = max(0.0, 1.0 - float(np.vdot(coef, coef).real))

@@ -227,7 +227,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
         return 0
     geometry = BallGeometry(args.d, args.d, (args.d,))
     expr = parse_symbol(args.symbol, geometry)
-    space = WeightedSpace(args.d, args.mu)
+    space = WeightedSpace(args.d, args.mu, geometry=geometry)
     value = operator_norm(toeplitz_matrix(expr, space, args.D, spec))
     _echo(plan)
     print(format_float(value))

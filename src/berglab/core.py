@@ -107,7 +107,10 @@ class BallGeometry:
 
 @dataclass(frozen=True)
 class WeightedSpace:
-    """A weighted Bergman-type space on the ball of complex dimension d."""
+    """A weighted Bergman-type space on the ball of complex dimension d.
+
+    A geometry, when given, splits this same ball: its ``n`` must be d.
+    """
 
     d: int
     lam: float
@@ -117,6 +120,11 @@ class WeightedSpace:
         if self.d < 1:
             raise DomainError(f"dimension must be positive, got {self.d}")
         _check_weight(self.lam)
+        if self.geometry is not None and self.geometry.n != self.d:
+            raise DomainError(
+                f"space dimension d = {self.d} differs from the geometry's "
+                f"n = {self.geometry.n}"
+            )
 
     @property
     def log_volume_const(self) -> float:

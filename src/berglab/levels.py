@@ -164,8 +164,11 @@ class LevelBlock:
     ``block`` is the factor acting on the inner space: for a pure
     inner-variable symbol the level is I (x) block, and for a product
     symbol it is (factor on the z'-slot) (x) block up to the z'-factor's
-    scalar part.  ``pair_entries``, when present, is the full compression
-    of the source matrix to the level in flat pair order.
+    scalar part.  A radial or quasi-radial symbol's block from
+    ``level_block_direct`` is a diagonal form of K values, which the
+    radial check, the Berezin sums and the remainders read without
+    building the K x K matrix.  ``pair_entries``, when present, is the
+    full compression of the source matrix to the level in flat pair order.
     """
 
     level: Level
@@ -188,14 +191,18 @@ class LevelBlock:
         """Per-degree eigenvalues of a radial block, else None.
 
         A block is radial when it is diagonal and constant on each degree,
-        both to 1e-12 of its largest entry (at least 1).  Checked once.
+        both to 1e-12 of its largest entry (at least 1).  A diagonal form
+        skips the off-diagonal scan; a dense block's largest entry is on
+        the diagonal whenever that scan passes.  Checked once.
         """
-        mags = np.abs(self.block.entries)
-        scale = max(1.0, float(np.max(mags)))
-        np.fill_diagonal(mags, 0.0)
-        if np.max(mags) > 1e-12 * scale:
-            return None
-        diag = np.diagonal(self.block.entries)
+        block = self.block
+        diag = block.diag if block.diag is not None else np.diagonal(block.entries)
+        scale = max(1.0, float(np.max(np.abs(diag))))
+        if block.diag is None:
+            mags = np.abs(block.entries)
+            np.fill_diagonal(mags, 0.0)
+            if np.max(mags) > 1e-12 * scale:
+                return None
         degrees = self.inner_basis.degrees
         eigenvalues = diag[np.searchsorted(degrees, np.arange(self.inner_basis.D + 1))]
         if np.max(np.abs(diag - eigenvalues[degrees])) > 1e-12 * scale:
@@ -641,12 +648,12 @@ def recover_symbol_and_remainder(
         basis = blk.inner_basis
         if radial and blk.radial_eigenvalues is not None:
             per_degree = radial_toeplitz_diagonal(profile, basis.d, blk.mu, basis.D)
-            n_mat = blk.block.entries - np.diag(per_degree[basis.degrees])
+            t_est = OperatorMatrix.diagonal(basis, per_degree[basis.degrees])
         else:
             t_est = toeplitz_matrix(
                 estimator, WeightedSpace(basis.d, blk.mu), basis.D, spec
             )
-            n_mat = blk.block.entries - t_est.entries
+        n_mat = blk.block - t_est
         by_level.append(
             (blk.rho, float(blk.mu), blk.hdim, operator_norm(n_mat))
         )

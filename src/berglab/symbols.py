@@ -194,6 +194,10 @@ def _tokenize(text: str) -> List[_Token]:
         col = pos - line_start + 1
         m = _NUM_RE.match(text, pos)
         if m:
+            if float(m.group()) == float("inf"):
+                raise SymbolSyntaxError(
+                    f"number {m.group()!r} overflows a float", line, col
+                )
             tokens.append(_Token("num", m.group(), line, col))
             pos = m.end()
             continue

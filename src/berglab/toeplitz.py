@@ -17,8 +17,11 @@ are taken in chunks of at most _SLAB_ENTRIES monomial values, built into
 buffers reused from chunk to chunk; the second moment behind the
 standard errors takes |e|^2 as re^2 + im^2.  Symbols that only depend on
 group radii (or on |z|^2) skip quadrature over phases entirely and are
-assembled as exact diagonals.  Dense arrays past _MAX_DENSE_ENTRIES are
-refused before they are allocated.
+assembled as exact diagonals, kept as their K values: an OperatorMatrix
+has a dense form and a diagonal form, and the diagonal one builds its
+K x K entries only when a caller asks for them.  Arrays past
+_MAX_DENSE_ENTRIES are refused before they are allocated, and so are
+diagonal forms whose dense form would be.
 
 Truncation is compression: norms computed here are lower bounds that
 increase toward the operator norm as D grows.
@@ -87,80 +90,112 @@ def _require_budget(
         )
 
 
-@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense compression of an operator to a truncated monomial basis.
+    """Compression of an operator to a truncated monomial basis.
 
     ``entries[i, j]`` is the coefficient of basis vector i in the image of
     basis vector j, i.e. row index = output (beta), column = input (alpha).
+
+    A matrix is stored dense, or, when built by ``diagonal``, as its K
+    diagonal values ``diag`` (None for a dense matrix).  A diagonal form
+    builds ``entries`` (``np.diag`` of the values) only on first access
+    and keeps it; the norm, the Berezin transform, the level checks and
+    products, sums and scalings of diagonal forms read ``diag`` instead.
     """
 
-    basis: TruncatedBasis
-    entries: np.ndarray = field(repr=False)
-    label: str = ""
+    __slots__ = ("basis", "label", "diag", "_dense")
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=complex)
-        k = self.basis.count
+    def __init__(
+        self, basis: TruncatedBasis, entries: np.ndarray, label: str = ""
+    ) -> None:
+        arr = np.asarray(entries, dtype=complex)
+        k = basis.count
         if arr.shape != (k, k):
             raise DomainError(
                 f"matrix shape {arr.shape} does not match the basis size {k}"
             )
-        object.__setattr__(self, "entries", arr)
+        self.basis = basis
+        self.label = label
+        self.diag: Optional[np.ndarray] = None
+        self._dense: Optional[np.ndarray] = arr
+
+    @classmethod
+    def diagonal(
+        cls, basis: TruncatedBasis, values: Sequence[complex], label: str = ""
+    ) -> "OperatorMatrix":
+        """The diagonal matrix of ``values``, kept as the K values.
+
+        Refused, like a dense matrix, when its dense form would pass the
+        desk budget.
+        """
+        vals = np.asarray(values, dtype=complex)
+        if vals.shape != (basis.count,):
+            raise DomainError("diagonal length does not match the basis")
+        _require_budget(basis.count**2, f"a {basis.count} x {basis.count} matrix")
+        out = cls.__new__(cls)
+        out.basis = basis
+        out.label = label
+        out.diag = vals
+        out._dense = None
+        return out
+
+    @staticmethod
+    def identity(basis: TruncatedBasis) -> "OperatorMatrix":
+        return OperatorMatrix.diagonal(basis, np.ones(basis.count), label="1")
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._dense is None:
+            self._dense = np.diag(self.diag)
+        return self._dense
 
     @property
     def size(self) -> int:
         return self.basis.count
 
     def entry(self, beta: Sequence[int], alpha: Sequence[int]) -> complex:
-        return complex(
-            self.entries[self.basis.index_of(beta), self.basis.index_of(alpha)]
-        )
+        i, j = self.basis.index_of(beta), self.basis.index_of(alpha)
+        if self.diag is not None:
+            return complex(self.diag[i]) if i == j else 0j
+        return complex(self.entries[i, j])
 
     def _require_same_basis(self, other: "OperatorMatrix") -> None:
         b1, b2 = self.basis, other.basis
         if (b1.d, b1.D, b1.lam) != (b2.d, b2.D, b2.lam) or b1.indices != b2.indices:
             raise DomainError("operator matrices live on different bases")
 
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+    def _combine(self, other: "OperatorMatrix", diag_op, dense_op, label: str):
+        """diag_op of two diagonal forms stays diagonal; else dense_op."""
         self._require_same_basis(other)
-        return OperatorMatrix(
-            self.basis, self.entries @ other.entries,
-            label=f"({self.label})({other.label})",
+        if self.diag is not None and other.diag is not None:
+            return OperatorMatrix.diagonal(
+                self.basis, diag_op(self.diag, other.diag), label
+            )
+        return OperatorMatrix(self.basis, dense_op(self.entries, other.entries), label)
+
+    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        return self._combine(
+            other, np.multiply, np.matmul, f"({self.label})({other.label})"
         )
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._require_same_basis(other)
-        return OperatorMatrix(
-            self.basis, self.entries + other.entries,
-            label=f"{self.label} + {other.label}",
-        )
+        return self._combine(other, np.add, np.add, f"{self.label} + {other.label}")
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._require_same_basis(other)
-        return OperatorMatrix(
-            self.basis, self.entries - other.entries,
-            label=f"{self.label} - {other.label}",
+        return self._combine(
+            other, np.subtract, np.subtract, f"{self.label} - {other.label}"
         )
 
     def __mul__(self, scalar: complex) -> "OperatorMatrix":
+        if self.diag is not None:
+            return OperatorMatrix.diagonal(self.basis, self.diag * scalar, self.label)
         return OperatorMatrix(self.basis, self.entries * scalar, label=self.label)
 
     __rmul__ = __mul__
 
-    @staticmethod
-    def identity(basis: TruncatedBasis) -> "OperatorMatrix":
-        return OperatorMatrix(basis, np.eye(basis.count, dtype=complex), label="1")
-
-    @staticmethod
-    def diagonal(
-        basis: TruncatedBasis, values: Sequence[complex], label: str = ""
-    ) -> "OperatorMatrix":
-        vals = np.asarray(values, dtype=complex)
-        if vals.shape != (basis.count,):
-            raise DomainError("diagonal length does not match the basis")
-        _require_budget(basis.count**2, f"a {basis.count} x {basis.count} matrix")
-        return OperatorMatrix(basis, np.diag(vals), label=label)
+    def __repr__(self) -> str:
+        form = "diagonal" if self.diag is not None else "dense"
+        return f"OperatorMatrix({form}, K={self.size}, label={self.label!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +218,10 @@ def _normalized_moment(w: np.ndarray, vals: np.ndarray):
     return out
 
 
+# entries of the radial moment table built per pass (at least 8 rows)
+_MOMENT_ENTRIES = 1 << 16
+
+
 def radial_toeplitz_diagonal(
     a: Union[SymbolExpr, Callable[[np.ndarray], np.ndarray]],
     d: int,
@@ -193,7 +232,11 @@ def radial_toeplitz_diagonal(
     """All radial eigenvalues for degrees 0..D from one quadrature rule.
 
     The per-degree monomial factor t^m is folded into the weights in log
-    space, which stays finite for cutoffs in the thousands.
+    space, which stays finite for cutoffs in the thousands.  The (D + 1)
+    x q table of those weights is built about _MOMENT_ENTRIES at a time,
+    in blocks of a multiple of 8 degrees: BLAS matvec kernels reduce rows
+    in groups of up to 8, so each degree is reduced as a single-threaded
+    product over the whole table would reduce it.
     """
     profile = _as_profile(a, radial_profile, "a radial profile in t = |z|^2")
     if q is None:
@@ -204,10 +247,15 @@ def radial_toeplitz_diagonal(
         raise DomainError("quadrature produced nonpositive weights")
     log_w = np.log(w)
     log_t = np.log(t)
-    ms = np.arange(D + 1, dtype=float)
-    log_a = log_w[None, :] + ms[:, None] * log_t[None, :]
-    log_a -= np.max(log_a, axis=1, keepdims=True)
-    return _normalized_moment(np.exp(log_a), profile(t))
+    vals = profile(t)
+    rows = max(8, _MOMENT_ENTRIES // q // 8 * 8)
+    parts = []
+    for start in range(0, D + 1, rows):
+        ms = np.arange(start, min(start + rows, D + 1), dtype=float)
+        log_a = log_w[None, :] + ms[:, None] * log_t[None, :]
+        log_a -= np.max(log_a, axis=1, keepdims=True)
+        parts.append(_normalized_moment(np.exp(log_a, out=log_a), vals))
+    return np.concatenate(parts)
 
 
 def gamma_quasi_radial(
@@ -614,7 +662,7 @@ def _apply_vanishing_masks(
         diff = exps[:, None, :] - exps[None, :, :]  # beta - alpha
         keep = np.all(diff == np.asarray(w_axis)[None, None, :], axis=-1)
         return np.where(keep, entries, 0.0)
-    if geometry is not None and d == geometry.n:
+    if geometry is not None:
         if group_winding(f, geometry) == (0,) * geometry.m:
             lv = basis.group_degrees(geometry.k)
             keep = np.all(lv[:, None, :] == lv[None, :, :], axis=-1)
@@ -661,13 +709,21 @@ def operator_norm(
 ) -> float:
     """Largest singular value.
 
-    Small matrices go through the dense solver.  Large ones take the
+    A diagonal form gives the largest modulus of its values, without a
+    dense matrix.  Small dense matrices go through the dense solver.  Large ones take the
     Hermitian eigensolver when the matrix equals its adjoint exactly, and
     otherwise power iteration on A*A with two fixed starting vectors
     (all-ones and alternating signs) so runs are deterministic.  Power
     iteration that does not converge within its iteration cap raises a
     ``DomainError``.
     """
+    if method not in ("auto", "svd", "power"):
+        raise DomainError(f"unknown method {method!r}")
+    if isinstance(M, OperatorMatrix) and M.diag is not None:
+        # the singular values of a diagonal are the moduli of its entries
+        if not np.all(np.isfinite(M.diag)):
+            raise DomainError("matrix has non-finite entries")
+        return float(np.max(np.abs(M.diag)))
     a = M.entries if isinstance(M, OperatorMatrix) else np.asarray(M, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("operator norm needs a square matrix")
@@ -676,8 +732,6 @@ def operator_norm(
     k = a.shape[0]
     if k == 0:
         return 0.0
-    if method not in ("auto", "svd", "power"):
-        raise DomainError(f"unknown method {method!r}")
     if method == "svd" or (method == "auto" and k <= 1024):
         return float(np.linalg.svd(a, compute_uv=False)[0])
     if method == "auto" and np.array_equal(a, a.conj().T):
@@ -720,7 +774,7 @@ def semicommutator(
 
     The product of compressions differs from the compressed product by
     terms supported above the cutoff; for diagonal (radial) factors the
-    difference vanishes and the result is exact.
+    difference vanishes, the result is exact, and it is a diagonal form.
     """
     t1 = toeplitz_matrix(c1, space, D, spec, use_fast_paths=use_fast_paths)
     t2 = toeplitz_matrix(c2, space, D, spec, use_fast_paths=use_fast_paths)
@@ -736,10 +790,11 @@ def semicommutator(
             return np.asarray(f1(z)) * np.asarray(f2(z))
 
     t12 = toeplitz_matrix(product, space, D, spec, use_fast_paths=use_fast_paths)
-    out = t1.entries @ t2.entries - t12.entries
-    return OperatorMatrix(
-        t1.basis, out, label=f"semi({t1.label}, {t2.label})"
-    )
+    out = t1 @ t2 - t12
+    label = f"semi({t1.label}, {t2.label})"
+    if out.diag is not None:
+        return OperatorMatrix.diagonal(t1.basis, out.diag, label=label)
+    return OperatorMatrix(t1.basis, out.entries, label=label)
 
 
 # ---------------------------------------------------------------------------

@@ -297,3 +297,30 @@ def test_bad_partition_is_exit_one(capsys):
     code, out, err = run(capsys, ["gamma", "--k", "1,x", "--profile", "r1^2"])
     assert code == 1
     assert err.startswith("error:") and "partition" in err
+
+
+def test_overflowing_literal_is_exit_one(capsys):
+    code, out, err = run(capsys, ["parse", "--symbol", "1e999"])
+    assert code == 1
+    assert err.startswith("error:") and "overflows" in err
+
+
+def test_geometry_of_another_dimension_is_exit_one(capsys):
+    argv = ["matrix", "--symbol", "zc1", "--d", "1", "--n", "2", "--ell", "1",
+            "--mu", "0", "--D", "2"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "d = 1" in err and "n = 2" in err
+
+
+def test_norm_reads_group_radii_on_its_one_group(capsys):
+    """norm parses and assembles under one geometry: r1 is |z| there."""
+    values = []
+    for text in ("r1^2", "abs2(z)"):
+        code, out, err = run(
+            capsys, ["norm", "--symbol", text, "--d", "2", "--mu", "0", "--D", "4"]
+        )
+        assert code == 0 and err == ""
+        values.append(float(out.splitlines()[-1]))
+    assert abs(values[0] - values[1]) <= 1e-14

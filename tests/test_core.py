@@ -49,6 +49,12 @@ def test_weighted_space_validates_weight():
         WeightedSpace(0, 0.0)
 
 
+def test_weighted_space_refuses_a_geometry_of_another_dimension():
+    WeightedSpace(2, 0.0, geometry=BallGeometry(2, 1, (1,)))
+    with pytest.raises(DomainError, match="d = 1 .* n = 2"):
+        WeightedSpace(1, 0.0, geometry=BallGeometry(2, 1, (1,)))
+
+
 def test_count_basis_is_binomial():
     for d in range(1, 5):
         for D in range(0, 9):

@@ -105,3 +105,39 @@ def test_only_the_symbol_module_inspects_node_types():
             found += [f"{path.name}:{node.lineno}: {n}" for n in sorted(named & node_types)]
     assert node_types == {"Const", "Coord", "GroupRadius", "Func", "BinOp", "Power", "Neg"}
     assert found == []
+
+
+def _np_diag_calls(tree):
+    """(qualified scope, line) of every ``np.diag(...)`` call in a module."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "diag"
+                and isinstance(child.func.value, ast.Name)
+                and child.func.value.id == "np"
+            ):
+                found.append((".".join(scope), child.lineno))
+            walk(child, inner)
+
+    walk(tree, ())
+    return found
+
+
+def test_only_operator_matrix_materializes_a_diagonal():
+    """Diagonal operators stay K values: ``np.diag`` builds a dense
+    diagonal only where ``OperatorMatrix.entries`` materializes one."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for scope, line in _np_diag_calls(ast.parse(path.read_text())):
+            found.append(f"{path.name}:{line}: {scope or '<module>'}")
+    assert len(found) == 1, found
+    assert found[0].startswith("toeplitz.py:") and found[0].endswith(
+        ": OperatorMatrix.entries"
+    )

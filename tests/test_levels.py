@@ -1,11 +1,15 @@
 """Level decomposition, factorization and symbol recovery."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from berglab import (
     BallGeometry,
     InvarianceError,
+    OperatorMatrix,
     QuadratureSpec,
     WeightedSpace,
     berezin_of_operator,
@@ -251,3 +255,61 @@ def test_group_invariance_without_axis_winding():
     assert off_block_mass(toeplitz_matrix(f, space, 2, spec), g)[0] == 0.0
     report = verify_tensor_factorization(f.a, f.c, g, 0.0, (1,), 2, spec)
     assert report.passed and report.max_deviation < 1e-12
+
+
+def _dense_block(blk):
+    dense = OperatorMatrix(blk.inner_basis, np.diag(blk.block.diag), blk.block.label)
+    return dataclasses.replace(blk, block=dense)
+
+
+def test_diagonal_blocks_give_the_dense_blocks_recovery():
+    """Radial eigenvalues, values and remainders of diagonal blocks agree
+    with the same blocks stored dense."""
+    g = BallGeometry(3, 1, (1,))
+    spec = QuadratureSpec()
+    c = parse_symbol("(1+i)*(1 - abs2(zc)) + 0.5*abs2(zc)^2", None)
+    blocks = [level_block_direct(c, g, 0.0, (r,), 24, spec) for r in (16, 12, 8)]
+    dense = [_dense_block(b) for b in blocks]
+    assert all(b.block.diag is not None for b in blocks)
+    assert all(b.block.diag is None for b in dense)
+    for blk, ref in zip(blocks, dense):
+        assert np.array_equal(blk.radial_eigenvalues, ref.radial_eigenvalues)
+    grid = np.array([[0.0, 0.0], [0.3, 0.0], [0.2 + 0.1j, -0.3j]])
+    got = recover_symbol_and_remainder(blocks, grid, spec)
+    ref = recover_symbol_and_remainder(dense, grid, spec)
+    assert np.array_equal(got.values, ref.values)
+    for (_, _, _, n1), (_, _, _, n2) in zip(got.by_level, ref.by_level):
+        assert abs(n1 - n2) <= 1e-15 * n2
+    assert all(b.block._dense is None for b in blocks)  # never materialized
+
+
+def test_radial_eigenvalues_refuse_non_radial_diagonals():
+    g = BallGeometry(3, 1, (1,))
+    blk = level_block_direct(parse_symbol("1 - abs2(zc)", None), g, 0.0, (4,), 3,
+                             QuadratureSpec())
+    values = blk.block.diag.copy()
+    values[2] += 1e-9  # (0, 1) drifts off the degree-1 eigenvalue of (1, 0)
+    skewed = OperatorMatrix.diagonal(blk.inner_basis, values)
+    assert dataclasses.replace(blk, block=skewed).radial_eigenvalues is None
+    assert blk.radial_eigenvalues is not None
+
+
+def test_deep_radial_recovery_never_builds_a_dense_block():
+    """A disk block at D_inner = 1800 through recovery stays O(K) in memory."""
+    g = BallGeometry(2, 1, (1,))
+    spec = QuadratureSpec()
+    c = parse_symbol("2 - abs2(zc)", None)
+    k = 1801
+    grid = np.sqrt(np.linspace(0.0, 0.3, 6))[:, None].astype(complex)
+    tracemalloc.start()
+    try:
+        blk = level_block_direct(c, g, 0.0, (32,), 1800, spec)
+        assert blk.radial_eigenvalues is not None
+        report = recover_symbol_and_remainder([blk], grid, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blk.inner_basis.count == k
+    assert peak < k * k * 16 / 10
+    assert blk.block._dense is None
+    assert len(report.by_level) == 1 and np.isfinite(report.max_remainder())

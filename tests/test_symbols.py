@@ -196,6 +196,15 @@ def test_zc_is_refused_in_the_a_factor():
     parse_symbol("prod(a = re(z1), c = re(zc1))", BallGeometry(3, 2, (2,)))
 
 
+@pytest.mark.parametrize("text, col", [("1e999", 1), ("2 - 1e400*abs2(z)", 5), ("9" * 400, 1)])
+def test_overflowing_literal_is_refused_at_its_token(text, col):
+    with pytest.raises(SymbolSyntaxError) as exc:
+        parse_symbol(text, None)
+    assert (exc.value.line, exc.value.col) == (1, col)
+    assert "overflows" in str(exc.value)
+    assert symbol_to_text(parse_symbol("1e308", None)) == "1e+308"
+
+
 def test_power_requires_integer_exponent():
     with pytest.raises(SymbolSyntaxError):
         parse_symbol("z1^2.5", None)

@@ -12,9 +12,11 @@ from berglab import (
     QuadratureSpec,
     WeightedSpace,
     assembly_path,
+    berezin_of_operator,
     export_matrix_csv,
     gamma_quasi_radial,
     gamma_sequence,
+    level_of,
     operator_norm,
     parse_symbol,
     radial_toeplitz_diagonal,
@@ -298,3 +300,116 @@ def test_group_radius_spanning_the_ball_stays_radial():
     fast = toeplitz_matrix(f, space, 3, QuadratureSpec())
     abs2 = toeplitz_matrix(parse_symbol("abs2(z)", g), space, 3, QuadratureSpec())
     assert np.max(np.abs(fast.entries - abs2.entries)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Diagonal forms
+
+RADIAL_CASES = [
+    (1, 0.0, "2 - abs2(z)"),
+    (2, 1.5, "1/(2-abs2(z))"),
+    (3, 0.5, "(1+i)*(1-abs2(z))"),
+]
+QUASI_RADIAL_CASES = [((1, 1), "r1^2 - 2*r2^4"), ((2, 1), "i*r1^2 + r2^2")]
+
+
+def _radial_case(d, mu, text, D=6):
+    g = BallGeometry(d, d, (d,))
+    mat = toeplitz_matrix(parse_symbol(text, g), WeightedSpace(d, mu, geometry=g), D,
+                          QuadratureSpec())
+    return mat, radial_toeplitz_diagonal(parse_symbol(text, g), d, mu, D)
+
+
+def _quasi_radial_case(k, text, lam=0.5, D=5):
+    g = BallGeometry(sum(k), sum(k), k)
+    f = parse_symbol(text, g)
+    mat = toeplitz_matrix(f, WeightedSpace(g.n, lam, geometry=g), D, QuadratureSpec())
+    gammas = [gamma_quasi_radial(f, k, lam, level_of(a, k)) for a in mat.basis.indices]
+    return mat, np.array(gammas, dtype=complex)
+
+
+def _diagonal_cases():
+    for d, mu, text in RADIAL_CASES:
+        mat, per_degree = _radial_case(d, mu, text)
+        yield mat, per_degree[mat.basis.degrees]
+    for k, text in QUASI_RADIAL_CASES:
+        yield _quasi_radial_case(k, text)
+
+
+def _dense_copy(mat):
+    return OperatorMatrix(mat.basis, mat.entries.copy(), label=mat.label)
+
+
+def _rel_dev(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+def test_diagonal_forms_materialize_the_closed_form_diagonal_bitwise():
+    for mat, values in _diagonal_cases():
+        assert mat.diag is not None
+        assert np.array_equal(mat.diag, values)
+        entries = mat.entries
+        assert np.array_equal(entries, np.diag(values))
+        assert mat.entries is entries  # built once
+        beta, alpha = mat.basis.indices[-1], mat.basis.indices[0]
+        assert mat.entry(beta, beta) == entries[-1, -1]
+        assert mat.entry(beta, alpha) == 0.0
+
+
+def test_diagonal_norm_and_berezin_match_the_dense_matrix():
+    for mat, _ in _diagonal_cases():
+        dense = _dense_copy(mat)
+        assert dense.diag is None
+        assert _rel_dev(operator_norm(mat), operator_norm(dense)) <= 1e-15
+        z = np.full(mat.basis.d, 0.3 + 0.2j) / np.sqrt(mat.basis.d)
+        mu = mat.basis.lam
+        assert _rel_dev(
+            berezin_of_operator(mat, mu, z), berezin_of_operator(dense, mu, z)
+        ) <= 1e-15
+
+
+def test_diagonal_algebra_stays_diagonal():
+    (a, _), (b, _) = _radial_case(2, 1.0, "1 - abs2(z)"), _radial_case(2, 1.0, "i*abs2(z)")
+    for out, ref in [
+        (a @ b, a.entries @ b.entries),
+        (a + b, a.entries + b.entries),
+        (a - b, a.entries - b.entries),
+        (a * (2 - 1j), a.entries * (2 - 1j)),
+        ((2 - 1j) * a, a.entries * (2 - 1j)),
+    ]:
+        assert out.diag is not None
+        assert _rel_dev(out.entries, ref) <= 1e-15
+    assert OperatorMatrix.identity(a.basis).diag is not None
+    assert np.array_equal(OperatorMatrix.identity(a.basis).entries, np.eye(a.size))
+
+
+def test_semicommutator_of_diagonals_is_diagonal():
+    space = WeightedSpace(1, 2.0)
+    c1, c2 = parse_symbol("1 - abs2(z)", None), parse_symbol("i*abs2(z)^2 + 1", None)
+    spec = QuadratureSpec()
+    sc = semicommutator(c1, c2, space, 12, spec)
+    assert sc.diag is not None
+    t1, t2 = (toeplitz_matrix(c, space, 12, spec) for c in (c1, c2))
+    t12 = toeplitz_matrix(parse_symbol("(1 - abs2(z))*(i*abs2(z)^2 + 1)", None),
+                          space, 12, spec)
+    ref = t1.entries @ t2.entries - t12.entries
+    assert _rel_dev(sc.entries, ref) <= 1e-15
+    assert _rel_dev(operator_norm(sc), operator_norm(ref)) <= 1e-15
+
+
+def test_dense_consumers_accept_diagonal_forms(tmp_path):
+    mat, _ = _radial_case(1, 1.0, "2 - abs2(z)", D=4)
+    other = toeplitz_matrix(parse_symbol("re(z1)", None), WeightedSpace(1, 1.0), 4,
+                            QuadratureSpec())
+    assert other.diag is None
+    for out, ref in [(mat @ other, np.diag(mat.diag) @ other.entries),
+                     (other @ mat, other.entries @ np.diag(mat.diag)),
+                     (mat - other, np.diag(mat.diag) - other.entries)]:
+        assert out.diag is None
+        assert np.array_equal(out.entries, ref)
+    p1, p2 = tmp_path / "diag.csv", tmp_path / "dense.csv"
+    export_matrix_csv(mat, str(p1), symbol_text="2 - abs2(z)")
+    export_matrix_csv(_dense_copy(mat), str(p2), symbol_text="2 - abs2(z)")
+    assert p1.read_bytes() == p2.read_bytes()
+    assert len(p1.read_text().splitlines()) == 1 + mat.size**2
