@@ -2,11 +2,13 @@
 
 The operator-side transform is a quadratic form against the coefficient
 vector of the normalized reproducing kernel in the truncated basis; the
-symbol-side transform integrates the Mobius pullback of the symbol.  Both
-carry explicit truncation bookkeeping: the operator side reports the
-neglected kernel mass, the symbol side upgrades its quadrature orders as
-the evaluation point approaches the boundary (the pullback develops a
-near-pole there).
+symbol-side transform integrates the Mobius pullback of the symbol.  That
+integral is <T_{g o phi_z} 1, 1>, the degree-0 entry of the pullback's
+Toeplitz matrix, so it is assembled, streamed, as any matrix is; no flat
+node array is built.  Both sides carry explicit truncation bookkeeping:
+``kernel_tail`` is the kernel mass the operator side neglects, and the
+symbol side upgrades its quadrature orders as the evaluation point
+approaches the boundary (the pullback develops a near-pole there).
 
 Spectral objects (essential spectrum, Fredholm verdicts) are finite
 surrogates: boundary values are sampled along a radius schedule plus the
@@ -18,13 +20,13 @@ constructed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import special as sp_special
 
-from .core import format_float
+from .core import WeightedSpace, format_float
 from .errors import DomainError
 from .quadrature import (
     MONTE_CARLO,
@@ -32,9 +34,6 @@ from .quadrature import (
     QuadratureSpec,
     SymbolLike,
     as_point_function,
-    ball_rule,
-    evaluate_finite,
-    monte_carlo_points,
 )
 from .symbols import (
     ProductSymbol,
@@ -51,6 +50,7 @@ from .toeplitz import (
     _radial_order,
     _require_budget,
     radial_toeplitz_diagonal,
+    toeplitz_matrix,
 )
 
 
@@ -99,7 +99,7 @@ def kernel_coefficients(
     """Coefficients of the normalized kernel at z in the truncated basis."""
     z_arr = np.asarray(z, dtype=complex).reshape(-1)
     t = float(np.sum(np.abs(z_arr) ** 2))
-    if t >= 1.0:
+    if not t < 1.0:  # NaN coordinates fail this too
         raise DomainError("Berezin evaluation needs an interior point")
     mono = np.ones(exponents.shape[0], dtype=complex)
     for ax in range(exponents.shape[1]):
@@ -125,18 +125,11 @@ def kernel_masses(s_exp: float, n_terms: int, t: float) -> np.ndarray:
     return np.exp(log_p)
 
 
-def berezin_of_operator(
-    M: OperatorMatrix,
-    mu: float,
-    z: Sequence[complex],
-    *,
-    return_tail: bool = False,
-):
+def berezin_of_operator(M: OperatorMatrix, mu: float, z: Sequence[complex]) -> complex:
     """Diagonal kernel coefficient <M k_z, k_z> on the truncation.
 
-    The neglected kernel mass (1 minus the squared norm of the truncated
-    coefficient vector) bounds the truncation error relative to ||M||; it
-    is returned alongside the value when asked for.
+    The neglected kernel mass, ``kernel_tail(d + mu + 1, D, |z|^2)``,
+    bounds the truncation error relative to ||M||.
     """
     basis = M.basis
     if abs(basis.lam - mu) > 1e-12:
@@ -149,11 +142,7 @@ def berezin_of_operator(
     )
     # a diagonal form gives sum_i d_i |coef_i|^2 without a dense matrix
     image = M.diag * coef if M.diag is not None else M.entries @ coef
-    value = complex(np.vdot(coef, image))
-    if not return_tail:
-        return value
-    tail = max(0.0, 1.0 - float(np.vdot(coef, coef).real))
-    return value, tail
+    return complex(np.vdot(coef, image))
 
 
 # kernel mass left out of the radial expansion of berezin_of_symbol
@@ -241,29 +230,25 @@ def berezin_of_symbol(
     mu: float,
     z: Sequence[complex],
     spec: QuadratureSpec,
-    *,
-    m_shift: int = 0,
 ) -> complex:
     """Integral of g against the Mobius-pulled-back weight at z.
 
-    ``m_shift`` raises the effective weight; the shifted transform of a
-    symbol coincides with the plain transform at weight mu + m_shift.
     Radial symbols take a diagonal expansion instead of quadrature, which
-    stays accurate arbitrarily close to the boundary.
+    stays accurate arbitrarily close to the boundary.  Any other symbol
+    gives <T_{g o phi_z} 1, 1>_mu, the degree-0 entry of the pullback's
+    Toeplitz matrix, from the samples of a sampling spec or from a product
+    rule whose orders grow as z nears the sphere.
     """
-    if m_shift < 0:
-        raise DomainError(f"shift must be nonnegative, got {m_shift}")
-    nu = mu + m_shift
     z_arr = np.asarray(z, dtype=complex).reshape(-1)
     d = z_arr.shape[0]
     t = float(np.sum(np.abs(z_arr) ** 2))
-    if t >= 1.0:
+    if not t < 1.0:  # NaN coordinates fail this too
         raise DomainError("Berezin evaluation needs an interior point")
 
     if is_symbolic(g) and not isinstance(g, ProductSymbol):
         profile = radial_profile(g)
         if profile is not None:
-            return _radial_berezin_value(profile, d, nu, t)
+            return _radial_berezin_value(profile, d, mu, t)
 
     fn = as_point_function(g)
 
@@ -276,21 +261,17 @@ def berezin_of_symbol(
             x = np.where(over[..., None], x * (1.0 - 1e-13), x)
         return np.asarray(fn(x))
 
-    if spec.scheme == MONTE_CARLO:
-        pts, _ = monte_carlo_points(d, nu, spec.n_samples, spec.seed)
-        return complex(np.mean(evaluate_finite(pulled, pts)))
-
-    deg = symbol_degree_hint(g) if is_symbolic(g) else 8
-    resolved = spec.resolved(d, 8, deg)
-    # The pullback has a near-pole at distance ~ (1 - |z|) outside the
-    # closed ball; raise the orders as the point approaches the boundary.
-    r = math.sqrt(t)
-    closeness = max(1.0 - r, 1e-3)
-    q_eff = max(resolved.q, min(128, int(14.0 / math.sqrt(closeness)) + 8))
-    ang_cap = 4096 if d == 1 else 128
-    ang_eff = max(resolved.angular, min(ang_cap, int(30.0 / closeness) + 8))
-    rule = ball_rule(d, nu, q_eff, ang_eff)
-    return complex(np.dot(rule.weights, evaluate_finite(pulled, rule.nodes)))
+    if spec.scheme != MONTE_CARLO:
+        deg = symbol_degree_hint(g) if is_symbolic(g) else 8
+        resolved = spec.resolved(d, 8, deg)
+        # The pullback has a near-pole at distance ~ (1 - |z|) outside the
+        # closed ball; raise the orders as the point approaches the boundary.
+        closeness = max(1.0 - math.sqrt(t), 1e-3)
+        q_eff = max(resolved.q, min(128, int(14.0 / math.sqrt(closeness)) + 8))
+        ang_cap = 4096 if d == 1 else 128
+        ang_eff = max(resolved.angular, min(ang_cap, int(30.0 / closeness) + 8))
+        spec = replace(spec, q=q_eff, angular=ang_eff)
+    return complex(toeplitz_matrix(pulled, WeightedSpace(d, mu), 0, spec).entries[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +300,14 @@ def quantization_probe(
 ) -> DecayTable:
     """sup-grid |B_mu[c] - c| for each mu; the decay surrogate.
 
-    The grid is an array of interior points, shape (N, d).
+    The grid is an array of interior points, shape (N, d), with N >= 1.
     """
     spec = spec or QuadratureSpec()
     grid = np.asarray(grid, dtype=complex)
     if grid.ndim == 1:
         grid = grid[:, None]
+    if grid.shape[0] == 0:
+        raise DomainError("the probe grid needs at least one point")
     c_fn = as_point_function(c)
     c_vals = np.asarray(c_fn(grid))
     rows = []
@@ -338,25 +321,24 @@ def quantization_probe(
     return DecayTable(rows=tuple(rows), label=label)
 
 
+# the probe's ray: e_1 of the disk
+_PROBE_DIRECTION = np.array([1.0 + 0.0j])
+
+
 def boundary_vanishing_probe(
     f: SymbolLike,
     mu: float,
     radii: Sequence[float],
-    direction: Optional[Sequence[complex]] = None,
     spec: Optional[QuadratureSpec] = None,
 ) -> DecayTable:
-    """|f(z) - B_mu[f](z)| along a ray approaching the sphere."""
+    """|f(z) - B_mu[f](z)| at z = r e_1 on the disk, r approaching 1."""
     spec = spec or QuadratureSpec()
-    if direction is None:
-        direction = (1.0,)
-    dir_arr = np.asarray(direction, dtype=complex).reshape(-1)
-    dir_arr = dir_arr / math.sqrt(float(np.sum(np.abs(dir_arr) ** 2)))
     f_fn = as_point_function(f)
     rows = []
     for r in radii:
         if not 0.0 <= r < 1.0:
             raise DomainError(f"probe radius must lie in [0, 1), got {r}")
-        z = r * dir_arr
+        z = r * _PROBE_DIRECTION
         fv = complex(np.asarray(f_fn(z[None, :]))[0])
         bv = berezin_of_symbol(f, mu, z, spec)
         rows.append((float(r), abs(fv - bv)))
@@ -482,6 +464,12 @@ class SpectrumSample:
         return lines
 
 
+# sphere directions per radius, and the Fredholm threshold relative to
+# the largest sampled |det|
+_SPECTRUM_DIRECTIONS = 48
+_FREDHOLM_THRESHOLD_REL = 1e-6
+
+
 def essential_spectrum_sample(
     c: Union[MatrixSymbol, MatrixEntry],
     d_inner: int,
@@ -489,21 +477,20 @@ def essential_spectrum_sample(
     radii: Optional[Sequence[float]] = None,
     *,
     gamma: Optional[GammaSequence] = None,
-    n_directions: int = 48,
     seed: int = 20_260_813,
-    threshold_rel: float = 1e-6,
 ) -> SpectrumSample:
     """Sample det c near and on the boundary sphere (and over levels).
 
     Fredholmness of the operator family is judged by whether |det c| stays
-    away from zero over all samples; with a gamma sequence the sampled
-    quantity is det(gamma(rho) c) over levels |rho| <= R as well.
+    above _FREDHOLM_THRESHOLD_REL times its largest sampled value; with a
+    gamma sequence the sampled quantity is det(gamma(rho) c) over levels
+    |rho| <= R as well.
     """
     if not isinstance(c, MatrixSymbol):
         c = MatrixSymbol.scalar(c)
     if radii is None:
         radii = default_radius_schedule()
-    dirs = _sphere_directions(d_inner, n_directions, seed)
+    dirs = _sphere_directions(d_inner, _SPECTRUM_DIRECTIONS, seed)
     rows: List[Tuple[int, float, complex]] = []
     min_abs = math.inf
     max_abs = 0.0
@@ -529,7 +516,7 @@ def essential_spectrum_sample(
                 if a < min_abs:
                     min_abs = a
                     argmin = (rho_total, tuple(pts[i]))
-    threshold = threshold_rel * max_abs
+    threshold = _FREDHOLM_THRESHOLD_REL * max_abs
     return SpectrumSample(
         rows=tuple(rows),
         min_abs_det=float(min_abs),

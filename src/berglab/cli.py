@@ -54,7 +54,8 @@ from .toeplitz import (
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2; bad flags are validation errors.
 
-    Partition flags parse as the config's integer lists do.
+    Partition flags and other integer lists (``--mus``) parse as the
+    config's integer lists do.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -324,11 +325,10 @@ def cmd_berezin(args: argparse.Namespace) -> int:
 
 def cmd_quantize(args: argparse.Namespace) -> int:
     spec = _spec_from(args)
-    mus = [int(v) for v in args.mus.replace(",", " ").split()]
     plan = {
         "symbol": args.symbol,
         "d": args.d,
-        "mus": " ".join(str(v) for v in mus),
+        "mus": " ".join(str(v) for v in args.mus),
         "grid_points": args.grid_points,
         "tmax": args.tmax,
     }
@@ -339,7 +339,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     geometry = BallGeometry(args.d, args.d, (args.d,))
     expr = parse_symbol(args.symbol, geometry)
     grid = _radial_grid(args.d, args.tmax, args.grid_points)
-    table = quantization_probe(expr, mus, grid, spec)
+    table = quantization_probe(expr, args.mus, grid, spec)
     _echo(plan)
     _write_or_print(table.csv_lines(), args.out)
     return 0
@@ -499,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("quantize", help="Berezin error decay table")
     p.add_argument("--symbol", required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--mus", default="1,2,4,8,16,32")
+    p.add_argument("--mus", type="partition", default="1,2,4,8,16,32")
     p.add_argument("--grid-points", type=int, default=25)
     p.add_argument("--tmax", type=float, default=0.9)
     _add_quad(p)

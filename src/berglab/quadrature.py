@@ -9,9 +9,12 @@ scheme samples the same factorization with a seeded generator and serves
 as an independent cross-check and as the fallback in high dimension.
 
 The ball rule is kept factored (radial x simplex nodes, each carrying a
-torus of phases) so that assembly can stream it; flat (nodes, weights)
-arrays are built on demand.  Weights sum to the total mass of the
-measure, which is 1 for the normalized ball volumes.
+torus of phases) so that assembly can stream it.  No library code sums
+over a rule or a sample set outside the Toeplitz assembly: an integral
+against the weight is the degree-0 entry of the integrand's matrix.  The
+flat (nodes, weights) views of a rule are built on demand, for tests and
+the benchmark tracer.  Weights sum to the total mass of the measure,
+which is 1 for the normalized ball volumes.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .symbols import ProductSymbol, SymbolExpr, eval_on_points, is_symbolic
 GAUSS_JACOBI = "gauss_jacobi"
 MONTE_CARLO = "monte_carlo"
 
-# product-rule cap: 20 M symbol evaluations per assembly, and ~3 GiB of
-# complex128 for a caller that asks for the flat nodes at d=4, are past desk scale
+# product-rule cap: 20 M symbol evaluations per assembly are past desk scale
+# (the flat views, built only for tests and the tracer, would be ~3 GiB at d=4)
 _MAX_RULE_NODES = 20_000_000
 
 
@@ -95,7 +98,8 @@ class BallRule:
     weight ``radial_weights[i]``, shared by the n_phase^d nodes of its
     torus, whose phase on axis j is 2 pi k_j / n_phase.  The flat arrays
     ``nodes``, ``weights`` and ``radial_t`` (phase axes varying fastest)
-    are built on first access, for callers that sum over nodes directly.
+    are built on first access; only tests and the benchmark tracer read
+    them, since the assembly streams the factored form.
     """
 
     d: int
@@ -139,31 +143,20 @@ class BallRule:
         return np.repeat(np.sum(self.radii**2, axis=1), self.n_phase**self.d)
 
 
-def ball_rule_size(
-    d: int, q_radial: int, n_phase: int, q_polar: Optional[int] = None
-) -> int:
+def ball_rule_size(d: int, q_radial: int, n_phase: int) -> int:
     """Node count of ``ball_rule`` at these orders, without building it."""
-    if q_polar is None:
-        q_polar = q_radial
-    return q_radial * q_polar ** (d - 1) * n_phase**d
+    return q_radial**d * n_phase**d
 
 
-def ball_rule(
-    d: int,
-    lam: float,
-    q_radial: int,
-    n_phase: int,
-    q_polar: Optional[int] = None,
-) -> BallRule:
+def ball_rule(d: int, lam: float, q_radial: int, n_phase: int) -> BallRule:
     """Deterministic product rule for the normalized weight on the d-ball.
 
     Exact for integrands z^alpha conj(z)^beta with |alpha|, |beta| bounded
-    by roughly q_radial and phase differences below n_phase.  Rules over
-    the node budget are refused before anything of their size is built.
+    by roughly q_radial and phase differences below n_phase.  Each simplex
+    fraction takes q_radial nodes too.  Rules over the node budget are
+    refused before anything of their size is built.
     """
-    if q_polar is None:
-        q_polar = q_radial
-    total = ball_rule_size(d, q_radial, n_phase, q_polar)
+    total = ball_rule_size(d, q_radial, n_phase)
     if total > _MAX_RULE_NODES:
         raise DomainError(
             f"the product rule needs {total} nodes (over the "
@@ -178,7 +171,7 @@ def ball_rule(
         axes_v = []
         axes_w = []
         for i in range(1, d):
-            v, wv = gauss_jacobi_rule(q_polar, float(d - 1 - i), 0.0)
+            v, wv = gauss_jacobi_rule(q_radial, float(d - 1 - i), 0.0)
             axes_v.append(v)
             axes_w.append(wv)
         grids = np.meshgrid(*axes_v, indexing="ij")
@@ -258,40 +251,6 @@ def evaluate_finite(fn: PointFunction, nodes: np.ndarray) -> np.ndarray:
         bad = np.flatnonzero(~np.isfinite(values))[0]
         raise DomainError(f"symbol evaluates non-finite at quadrature node {nodes[bad]}")
     return values
-
-
-def integrate_ball(
-    f: SymbolLike,
-    space: WeightedSpace,
-    spec: QuadratureSpec,
-    *,
-    max_degree: int = 8,
-    sym_degree: int = 4,
-) -> complex:
-    """Integral of f against the normalized weight on the d-ball."""
-    fn = as_point_function(f, space.geometry)
-    if spec.scheme == MONTE_CARLO:
-        value, _ = monte_carlo_integral(fn, space, spec)
-        return value
-    resolved = spec.resolved(space.d, max_degree, sym_degree)
-    rule = ball_rule(space.d, space.lam, resolved.q, resolved.angular)
-    values = evaluate_finite(fn, rule.nodes)
-    return complex(np.dot(rule.weights, values))
-
-
-def monte_carlo_integral(
-    f: SymbolLike,
-    space: WeightedSpace,
-    spec: QuadratureSpec,
-) -> Tuple[complex, float]:
-    """Monte Carlo estimate and its standard error."""
-    fn = as_point_function(f, space.geometry)
-    z, _ = monte_carlo_points(space.d, space.lam, spec.n_samples, spec.seed)
-    values = evaluate_finite(fn, z)
-    mean = complex(np.mean(values))
-    var = float(np.mean(np.abs(values - mean) ** 2))
-    stderr = math.sqrt(var / spec.n_samples)
-    return mean, stderr
 
 
 @dataclass(frozen=True)

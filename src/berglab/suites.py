@@ -237,6 +237,16 @@ class ExperimentConfig:
                 f"r = {r_last!r}: {exc}"
             ) from None
 
+        # the quantization suite builds its grid only after other stages
+        grid_points = int(values["grid.points"])
+        grid_tmax = float(values["grid.tmax"])
+        try:
+            _radial_grid(geometry.d_inner, grid_tmax, grid_points)
+        except DomainError as exc:
+            raise DomainError(
+                f"grid.points = {grid_points}, grid.tmax = {grid_tmax!r}: {exc}"
+            ) from None
+
         # inner evaluation cutoff shrinks until the matrix fits
         d_eval = int(values["truncation.D_eval"])
         while d_eval > 1 and count_basis(geometry.d_inner, d_eval) > _MAX_MATRIX:
@@ -276,8 +286,8 @@ class ExperimentConfig:
             eval_levels=tuple(values["schedule.eval_levels"]),
             remainder_levels=tuple(values["schedule.remainder_levels"]),
             radii_count=radii_count,
-            grid_points=int(values["grid.points"]),
-            grid_tmax=float(values["grid.tmax"]),
+            grid_points=grid_points,
+            grid_tmax=grid_tmax,
             tolerances=tolerances,
             out_dir=str(values["out.dir"]),
             threads=int(values["threads"]),
@@ -363,6 +373,11 @@ class SuiteResult:
 
 
 def _radial_grid(d: int, tmax: float, points: int) -> np.ndarray:
+    """``points`` points z = (sqrt(t), 0, ...) with t equispaced on [0, tmax]."""
+    if points < 1:
+        raise DomainError(f"the radial grid needs at least one point, got {points}")
+    if not 0.0 <= tmax < 1.0:
+        raise DomainError(f"the radial grid's tmax must lie in [0, 1), got {tmax!r}")
     ts = np.linspace(0.0, tmax, points)
     grid = np.zeros((points, d), dtype=complex)
     grid[:, 0] = np.sqrt(ts)

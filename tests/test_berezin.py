@@ -31,7 +31,7 @@ from berglab.berezin import (
     radial_expansion_degree,
 )
 from berglab.core import enumerate_basis
-from berglab.quadrature import as_point_function, ball_rule
+from berglab.quadrature import MONTE_CARLO, as_point_function, ball_rule, monte_carlo_points
 
 
 def _kernel_form_berezin(g, mu, z):
@@ -137,6 +137,22 @@ def test_berezin_matches_kernel_form(text):
             assert abs(berezin_of_symbol(f, mu, z, spec) - want) <= 1e-12, (z, mu)
 
 
+@pytest.mark.parametrize(
+    "text, mu, z",
+    [("z1*conj(z2) + abs2(z1)", 2.0, (0.5, 0.35j)), ("re(z1)", 0.0, (0.63, 0.0))],
+)
+def test_monte_carlo_berezin_is_the_sample_mean_of_the_pullback(text, mu, z):
+    # the sampling branch: the mean of g o phi_z over the weight's samples
+    spec = QuadratureSpec(scheme=MONTE_CARLO, n_samples=50_000, seed=9)
+    f = parse_symbol(text, None)
+    pts, _ = monte_carlo_points(2, mu, spec.n_samples, spec.seed)
+    want = complex(np.mean(as_point_function(f)(mobius(np.asarray(z), pts))))
+    got = berezin_of_symbol(f, mu, z, spec)
+    assert abs(got - want) <= 1e-14
+    # and it estimates the kernel-form integral to sampling accuracy
+    assert abs(got - _kernel_form_berezin(f, mu, z)) < 2e-2
+
+
 def test_quantization_probe_decay():
     spec = QuadratureSpec()
     f = parse_symbol("1 - abs2(z)", None)
@@ -149,6 +165,8 @@ def test_quantization_probe_decay():
     assert errs[0] == pytest.approx(1.0 / 3.0, abs=1e-9)
     lines = table.csv_lines()
     assert lines[0] == "mu,sup_error"
+    with pytest.raises(DomainError, match="at least one point"):
+        quantization_probe(f, [1.0], np.zeros((0, 1)), spec)
 
 
 def test_boundary_probe_monotone_and_validated():

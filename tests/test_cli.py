@@ -324,3 +324,41 @@ def test_norm_reads_group_radii_on_its_one_group(capsys):
         assert code == 0 and err == ""
         values.append(float(out.splitlines()[-1]))
     assert abs(values[0] - values[1]) <= 1e-14
+
+
+@pytest.mark.parametrize("mus", ["1,x", "", "2.5"])
+def test_bad_weight_list_is_exit_one(capsys, mus):
+    code, out, err = run(capsys, ["quantize", "--symbol", "1-abs2(z)", "--d", "1",
+                                  "--mus", mus])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--mus" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, word",
+    [("--grid-points", "0", "point"), ("--grid-points", "-2", "point"),
+     ("--tmax", "-0.5", "tmax"), ("--tmax", "1", "tmax")],
+)
+def test_bad_quantization_grid_is_exit_one(capsys, flag, value, word):
+    # a sup over no points is not an error bound
+    code, out, err = run(capsys, ["quantize", "--symbol", "1-abs2(z)", "--d", "1",
+                                  "--mus", "1,2", flag, value])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and word in err
+
+
+def test_quantize_parses_its_weight_list(capsys):
+    code, out, err = run(capsys, ["quantize", "--symbol", "1-abs2(z)", "--d", "1",
+                                  "--mus", "1 2,4", "--grid-points", "3", "--tmax", "0.5"])
+    assert code == 0 and err == ""
+    assert "# mus = 1 2 4" in out.splitlines()
+    rows = [l for l in out.splitlines() if not l.startswith("#")]
+    assert rows[0] == "mu,sup_error" and [r.split(",")[0] for r in rows[1:]] == ["1.0", "2.0", "4.0"]
+
+
+def test_non_finite_berezin_point_is_exit_one(capsys):
+    argv = ["berezin", "--symbol", "re(z1)", "--d", "1", "--mu", "1", "--D", "5",
+            "--z", "nan"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:") and "interior point" in err

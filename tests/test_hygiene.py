@@ -141,3 +141,16 @@ def test_only_operator_matrix_materializes_a_diagonal():
     assert found[0].startswith("toeplitz.py:") and found[0].endswith(
         ": OperatorMatrix.entries"
     )
+
+
+def test_only_the_quadrature_module_reads_flat_rule_views():
+    """Rules are summed only by streamed assembly: outside quadrature.py no
+    module reads an attribute named ``nodes`` or ``radial_t``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "quadrature.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("nodes", "radial_t"):
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert found == []

@@ -12,10 +12,10 @@ from berglab import (
     WeightedSpace,
     ball_rule,
     gauss_jacobi_rule,
-    integrate_ball,
-    monte_carlo_integral,
     monte_carlo_points,
     parse_symbol,
+    toeplitz_matrix,
+    toeplitz_matrix_with_stderr,
 )
 from berglab.core import beta_fn, monomial_moment
 from berglab.quadrature import GAUSS_JACOBI, MONTE_CARLO
@@ -96,21 +96,29 @@ def test_monte_carlo_radial_law():
     assert abs(t.mean() - mean) < 5.0 * math.sqrt(var / n)
 
 
+# An integral against the weight is the degree-0 entry <T_f 1, 1> of the
+# integrand's Toeplitz matrix; the library has no other summation.
+
+
 def test_integrate_ball_routes_agree():
     g = BallGeometry(2, 1, (1,))
     f = parse_symbol("abs2(z1) * (1 - abs2(z))", g)
     space = WeightedSpace(2, 0.5, geometry=g)
-    exact = integrate_ball(f, space, QuadratureSpec())
-    mc_val, mc_err = monte_carlo_integral(
-        f, space, QuadratureSpec(scheme=MONTE_CARLO, n_samples=200_000, seed=5)
+    exact = toeplitz_matrix(f, space, 0, QuadratureSpec()).entries[0, 0]
+    n = 200_000
+    m, se = toeplitz_matrix_with_stderr(
+        f, space, 0, QuadratureSpec(scheme=MONTE_CARLO, n_samples=n, seed=5)
     )
-    assert abs(mc_val - exact) < 5.0 * mc_err + 1e-12
+    # the stderr matrix divides the sample variance by n - 1; the gate is
+    # 5 standard errors of the variance divided by n
+    mc_err = se[0, 0] * math.sqrt((n - 1) / n)
+    assert abs(m.entries[0, 0] - exact) < 5.0 * mc_err + 1e-12
 
 
 def test_integrate_constant_is_exact():
     space = WeightedSpace(1, 0.0)
-    val = integrate_ball(parse_symbol("1", None), space, QuadratureSpec())
-    assert val == pytest.approx(1.0, abs=1e-15)
+    val = toeplitz_matrix(parse_symbol("1", None), space, 0, QuadratureSpec())
+    assert val.entries[0, 0] == 1.0
 
 
 def test_spec_validation():

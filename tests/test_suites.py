@@ -162,6 +162,16 @@ def test_boundary_schedule_is_refused_past_the_expansion_budget():
             ExperimentConfig.from_mapping({"schedule.radii": radii})
 
 
+def test_radial_grid_is_validated_at_config_time():
+    # an empty grid would make the quantization suite die after its
+    # semicommutator stage; a tmax on or past the sphere has no transform
+    assert ExperimentConfig.from_mapping({"grid.points": "1", "grid.tmax": "0"}).grid_points == 1
+    for key, value in (("grid.points", "0"), ("grid.points", "-4"),
+                       ("grid.tmax", "1"), ("grid.tmax", "-0.1"), ("grid.tmax", "nan")):
+        with pytest.raises(DomainError, match=key):
+            ExperimentConfig.from_mapping({key: value})
+
+
 def test_berezin_probe_cutoff_fits_the_rule_budget():
     spec = QuadratureSpec()
     # the 1-ball keeps the full cutoff

@@ -19,11 +19,12 @@ from berglab import (
     QuadratureSpec,
     WeightedSpace,
     ball_rule,
+    berezin_of_symbol,
     parse_symbol,
     resolve_assembly_spec,
     toeplitz_matrix,
 )
-from berglab import toeplitz
+from berglab import quadrature, toeplitz
 from berglab.core import enumerate_basis, monomial_moment
 from berglab.quadrature import as_point_function
 
@@ -127,7 +128,23 @@ def test_slab_size_does_not_change_entries(monkeypatch):
     assert np.max(np.abs(whole.entries - streamed.entries)) <= 1e-14
 
 
-def test_gauss_jacobi_assembly_builds_no_flat_arrays(monkeypatch):
+def _general_assembly_on_b3():
+    geo = BallGeometry(3, 3, (3,))
+    f = parse_symbol("re(z1) + 2*abs2(z2)*conj(z3)", geo)
+    m = toeplitz_matrix(f, WeightedSpace(3, 0.0), 3, QuadratureSpec(), use_fast_paths=False)
+    return m.entries
+
+
+def _berezin_off_axis_on_b2():
+    # non-radial, so the transform is the degree-0 entry of the pullback
+    f = parse_symbol("re(z1) + 2*abs2(z2)*conj(z1)", None)
+    return berezin_of_symbol(f, 1.0, (0.3 + 0.1j, -0.2j), QuadratureSpec())
+
+
+@pytest.mark.parametrize(
+    "run", [_general_assembly_on_b3, _berezin_off_axis_on_b2], ids=["assembly", "berezin"]
+)
+def test_gauss_jacobi_assembly_builds_no_flat_arrays(monkeypatch, run):
     def refuse(*args, **kwargs):
         raise AssertionError("flat node array built")
 
@@ -141,24 +158,45 @@ def test_gauss_jacobi_assembly_builds_no_flat_arrays(monkeypatch):
     monkeypatch.setattr(toeplitz, "_vandermonde_block", real_powers_only)
     monkeypatch.setattr(BallRule, "nodes", property(refuse))
     monkeypatch.setattr(BallRule, "weights", property(refuse))
-    geo = BallGeometry(3, 3, (3,))
-    f = parse_symbol("re(z1) + 2*abs2(z2)*conj(z3)", geo)
-    m = toeplitz_matrix(f, WeightedSpace(3, 0.0), 3, QuadratureSpec(), use_fast_paths=False)
-    assert np.all(np.isfinite(m.entries))
+    monkeypatch.setattr(BallRule, "radial_t", property(refuse))
+    assert np.all(np.isfinite(run()))
 
 
-def test_streamed_memory_stays_below_the_flat_node_array():
+def _assembly_at_d24():
     # d = 2, D = 24: 2.0M nodes, so the flat node array alone is 65 MB and
     # the dense route's Vandermonde would be 10.6 GB
     f = parse_symbol("z1*conj(z2) + 1", None)
     spec = resolve_assembly_spec(f, 2, 24, QuadratureSpec())
-    n_nodes = ball_rule(2, 0.0, spec.q, spec.angular).size
+    toeplitz_matrix(f, WeightedSpace(2, 0.0), 24, spec, use_fast_paths=False)
+
+
+def _berezin_point_on_b2():
+    # |z| = 0.49 on B²: the pullback rule has 3.3M nodes, a 105 MB flat array
+    f = parse_symbol("z1*conj(z2) + abs2(z1)", None)
+    berezin_of_symbol(f, 0.0, (0.45, 0.2j), QuadratureSpec())
+
+
+@pytest.mark.parametrize(
+    "run", [_assembly_at_d24, _berezin_point_on_b2], ids=["assembly", "berezin"]
+)
+def test_streamed_memory_stays_below_the_flat_node_array(monkeypatch, run):
+    sizes = []
+    size_of = quadrature.ball_rule_size
+
+    def recording_size(*args):
+        sizes.append(size_of(*args))
+        return sizes[-1]
+
+    # every product rule is sized by this before it is built
+    monkeypatch.setattr(quadrature, "ball_rule_size", recording_size)
     tracemalloc.start()
     try:
-        toeplitz_matrix(f, WeightedSpace(2, 0.0), 24, spec, use_fast_paths=False)
+        run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    (n_nodes,) = sizes
+    assert n_nodes > 10**6
     assert peak < n_nodes * 2 * 16
 
 
