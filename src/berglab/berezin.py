@@ -97,7 +97,11 @@ def kernel_coefficients(
     s_exp: float,
 ) -> np.ndarray:
     """Coefficients of the normalized kernel at z in the truncated basis."""
-    z_arr = np.asarray(z, dtype=complex).reshape(-1)
+    z_arr = np.asarray(z, dtype=complex)
+    d = exponents.shape[1]
+    if z_arr.shape[-1:] != (d,) or z_arr.size != d:
+        raise DomainError(f"a point of shape {z_arr.shape} is not a point of the {d}-ball")
+    z_arr = z_arr.reshape(-1)
     t = float(np.sum(np.abs(z_arr) ** 2))
     if not t < 1.0:  # NaN coordinates fail this too
         raise DomainError("Berezin evaluation needs an interior point")

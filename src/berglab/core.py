@@ -159,20 +159,6 @@ def make_level(rho: Sequence[int], lam: float, ell: int) -> Level:
     return Level(rho=rho_t, total=total, mu=lam + total + ell)
 
 
-def level_of(alpha_prime: Sequence[int], k: Sequence[int]) -> Tuple[int, ...]:
-    """Group degrees of a z'-multi-index under the partition k."""
-    if len(alpha_prime) != sum(k):
-        raise DomainError(
-            f"multi-index length {len(alpha_prime)} does not match partition {tuple(k)}"
-        )
-    out = []
-    pos = 0
-    for kj in k:
-        out.append(int(sum(alpha_prime[pos : pos + kj])))
-        pos += kj
-    return tuple(out)
-
-
 def dim_level(rho: Sequence[int], k: Sequence[int]) -> int:
     """Number of z'-monomials with group degrees rho.
 
@@ -255,8 +241,8 @@ class TruncatedBasis:
         return np.array(self.indices, dtype=np.int64).reshape(self.count, self.d)
 
     def group_degrees(self, k: Sequence[int]) -> np.ndarray:
-        """Group degrees (level_of) of every basis index's leading
-        sum(k) exponents, shape (count, len(k))."""
+        """Group degrees of every basis index's leading sum(k) exponents,
+        shape (count, len(k)): the one level labelling of the basis."""
         exps = self.exponent_array()
         out = np.empty((self.count, len(k)), dtype=np.int64)
         pos = 0

@@ -1,10 +1,11 @@
 """Level decomposition: invariant subspaces, blocks, and symbol recovery.
 
 A torus-invariant symbol leaves each subspace spanned by the monomials of
-a fixed group degree rho invariant.  Reordering the truncated basis by
-(rho, z'-index, z''-index) realizes the decomposition as a permutation;
-within one level the matrix is a Kronecker product of a small factor on
-the z'-slot and a Toeplitz matrix on the inner ball at the shifted weight
+a fixed group degree rho invariant.  A level is read off the basis' group
+degrees (``TruncatedBasis.group_degrees``), never enumerated again, and
+its positions are sorted into (z'-index, z''-index) pairs; within one
+level the matrix is a Kronecker product of a small factor on the z'-slot
+and a Toeplitz matrix on the inner ball at the shifted weight
 mu = lam + |rho| + ell.  The inner index varies fastest, matching the
 numpy Kronecker convention.
 
@@ -16,7 +17,6 @@ infinite-level limit through the node 1/(d + mu + 1) -> 0.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,7 +30,6 @@ from .core import (
     MultiIndex,
     TruncatedBasis,
     WeightedSpace,
-    compositions,
     count_basis,
     dim_level,
     enumerate_basis,
@@ -60,86 +59,39 @@ from .toeplitz import (
 # Index bookkeeping
 
 
-def _prime_indices(rho: Sequence[int], k: Sequence[int]) -> Tuple[MultiIndex, ...]:
-    """z'-multi-indices of the given group degrees, deterministic order.
-
-    Each group runs through its degree-rho_j compositions independently
-    (lexicographically descending), outer groups varying slowest.
-    """
-    per_group = [tuple(compositions(int(r), int(kk))) for r, kk in zip(rho, k)]
-    out = []
-    for combo in itertools.product(*per_group):
-        flat: Tuple[int, ...] = ()
-        for part in combo:
-            flat = flat + part
-        out.append(flat)
-    return tuple(out)
+def _check_split(basis: TruncatedBasis, geometry: BallGeometry) -> None:
+    if geometry.n != basis.d:
+        raise DomainError(
+            f"geometry dimension {geometry.n} does not match the basis "
+            f"dimension {basis.d}"
+        )
 
 
-@dataclass(frozen=True)
-class LevelIndexMap:
-    """Bijection between full-ball indices of one level and index pairs."""
+def level_positions(
+    basis: TruncatedBasis, geometry: BallGeometry, rho: Sequence[int]
+) -> np.ndarray:
+    """Basis positions of the level rho in Kronecker pair order.
 
-    rho: Tuple[int, ...]
-    D: int
-    prime_indices: Tuple[MultiIndex, ...]
-    inner_indices: Tuple[MultiIndex, ...]
-    positions: np.ndarray = field(repr=False)  # flat pair order -> full position
-
-    @property
-    def hdim(self) -> int:
-        return len(self.prime_indices)
-
-    @property
-    def inner_count(self) -> int:
-        return len(self.inner_indices)
-
-    def pair_of(self, flat: int) -> Tuple[MultiIndex, MultiIndex]:
-        p, i = divmod(int(flat), self.inner_count)
-        return self.prime_indices[p], self.inner_indices[i]
-
-    def flat_of(self, alpha_prime: MultiIndex, alpha_inner: MultiIndex) -> int:
-        p = self.prime_indices.index(tuple(alpha_prime))
-        i = self.inner_indices.index(tuple(alpha_inner))
-        return p * self.inner_count + i
-
-
-def u_rho_index_map(
-    rho: Sequence[int], geometry: BallGeometry, D: int
-) -> LevelIndexMap:
-    """Order the level's basis vectors as (z'-index) x (z''-index) pairs.
-
-    The flat position runs the inner index fastest, so a level block of a
+    The level is the rows whose group degrees equal rho.  They are sorted
+    by z'-exponents descending (z'_1 first) and, within one z', kept in
+    basis order, so the inner index varies fastest and a level block of a
     factorizable operator is literally a Kronecker product in this order.
     """
+    _check_split(basis, geometry)
     rho_t = tuple(int(v) for v in rho)
     if len(rho_t) != geometry.m:
         raise DomainError(
             f"level length {len(rho_t)} does not match the partition {geometry.k}"
         )
     total = sum(rho_t)
-    if total > D:
-        raise DomainError(f"level total {total} exceeds the cutoff {D}")
+    if total > basis.D:
+        raise DomainError(f"level total {total} exceeds the cutoff {basis.D}")
     if geometry.d_inner < 1:
         raise DomainError("level maps need a nonempty second coordinate block")
-    primes = _prime_indices(rho_t, geometry.k)
-    inner_basis_indices: List[MultiIndex] = []
-    for deg in range(D - total + 1):
-        inner_basis_indices.extend(compositions(deg, geometry.d_inner))
-    full = enumerate_basis(geometry.n, D, 0.0)
-    positions = np.empty(len(primes) * len(inner_basis_indices), dtype=np.int64)
-    flat = 0
-    for ap in primes:
-        for ai in inner_basis_indices:
-            positions[flat] = full.index_of(ap + ai)
-            flat += 1
-    return LevelIndexMap(
-        rho=rho_t,
-        D=D,
-        prime_indices=primes,
-        inner_indices=tuple(inner_basis_indices),
-        positions=positions,
-    )
+    rows = np.flatnonzero(np.all(basis.group_degrees(geometry.k) == rho_t, axis=1))
+    primes = basis.exponent_array()[rows, : geometry.ell]
+    # lexsort is stable and takes its last key as the primary one
+    return rows[np.lexsort(-primes[:, ::-1].T)]
 
 
 def level_count_identity(n: int, ell: int, k: Sequence[int], D: int) -> bool:
@@ -176,7 +128,6 @@ class LevelBlock:
     inner_basis: TruncatedBasis
     block: OperatorMatrix
     pair_entries: Optional[np.ndarray] = field(repr=False, default=None)
-    index_map: Optional[LevelIndexMap] = field(repr=False, default=None)
 
     @property
     def rho(self) -> Tuple[int, ...]:
@@ -212,6 +163,7 @@ class LevelBlock:
 
 def off_block_mass(M: OperatorMatrix, geometry: BallGeometry) -> Tuple[float, float]:
     """Frobenius mass outside the level-diagonal blocks, and the total."""
+    _check_split(M.basis, geometry)
     lv = M.basis.group_degrees(geometry.k)
     same = np.all(lv[:, None, :] == lv[None, :, :], axis=-1)
     total = float(np.linalg.norm(M.entries))
@@ -234,11 +186,8 @@ def extract_level_block(
     decomposition does not apply.
     """
     basis = M.basis
-    if geometry.n != basis.d:
-        raise DomainError("geometry dimension does not match the matrix basis")
     rho_t = tuple(int(v) for v in rho)
-    index_map = u_rho_index_map(rho_t, geometry, basis.D)
-    pos = index_map.positions
+    pos = level_positions(basis, geometry, rho_t)
     comp = np.setdiff1d(np.arange(basis.count), pos)
     frob = float(np.linalg.norm(M.entries))
     off2 = float(np.linalg.norm(M.entries[np.ix_(pos, comp)])) ** 2
@@ -255,17 +204,16 @@ def extract_level_block(
     inner_basis = enumerate_basis(
         geometry.d_inner, basis.D - sum(rho_t), level.mu
     )
-    ic = index_map.inner_count
+    ic = inner_basis.count
     block = OperatorMatrix(
         inner_basis, sub[:ic, :ic].copy(), label=f"{M.label}|rho={rho_t}"
     )
     return LevelBlock(
         level=level,
-        hdim=index_map.hdim,
+        hdim=len(pos) // ic,
         inner_basis=inner_basis,
         block=block,
         pair_entries=sub,
-        index_map=index_map,
     )
 
 
@@ -303,8 +251,6 @@ def level_block_direct(
         hdim=dim_level(rho_t, geometry.k),
         inner_basis=inner_basis,
         block=block,
-        pair_entries=None,
-        index_map=None,
     )
 
 
@@ -314,9 +260,8 @@ def block_norms(
     """sigma_max of each level compression of a full-ball matrix."""
     out: Dict[Tuple[int, ...], float] = {}
     for rho in levels_up_to(M.basis.D, geometry.m):
-        index_map = u_rho_index_map(rho, geometry, M.basis.D)
-        sub = M.entries[np.ix_(index_map.positions, index_map.positions)]
-        out[rho] = operator_norm(sub)
+        pos = level_positions(M.basis, geometry, rho)
+        out[rho] = operator_norm(M.entries[np.ix_(pos, pos)])
     return out
 
 
@@ -328,8 +273,7 @@ def reassemble_from_levels(M: OperatorMatrix, geometry: BallGeometry) -> np.ndar
     """
     out = np.zeros_like(M.entries)
     for rho in levels_up_to(M.basis.D, geometry.m):
-        index_map = u_rho_index_map(rho, geometry, M.basis.D)
-        pos = index_map.positions
+        pos = level_positions(M.basis, geometry, rho)
         out[np.ix_(pos, pos)] = M.entries[np.ix_(pos, pos)]
     return out
 
@@ -369,10 +313,11 @@ def _factor_on_level(
     lam: float,
     rho: Tuple[int, ...],
     spec: QuadratureSpec,
-    prime_indices: Tuple[MultiIndex, ...],
+    primes: np.ndarray,
 ) -> np.ndarray:
-    """The z'-slot factor of T_a restricted to one level, hdim x hdim."""
-    hdim = len(prime_indices)
+    """The z'-slot factor of T_a restricted to one level, hdim x hdim;
+    ``primes`` holds the level's z'-exponents in pair order."""
+    hdim = len(primes)
     if is_symbolic(a):
         profile = quasi_radial_profile(a, geometry.m)
         if profile is not None:
@@ -387,8 +332,8 @@ def _factor_on_level(
             space_a = WeightedSpace(geometry.ell, lam, geometry=geo_a)
             t_a = toeplitz_matrix(a, space_a, sum(rho), spec)
             out = np.empty((hdim, hdim), dtype=complex)
-            for p, bp in enumerate(prime_indices):
-                for q, aq in enumerate(prime_indices):
+            for p, bp in enumerate(primes):
+                for q, aq in enumerate(primes):
                     out[p, q] = t_a.entry(bp, aq)
             return out
         raise DomainError(
@@ -434,7 +379,9 @@ def verify_tensor_factorization(
 
     ``full_matrix`` (with ``full_se`` for the sampling scheme) lets a
     caller checking many levels of one symbol reuse a single assembly; it
-    must come from the same symbol, weight, cutoff and scheme.
+    must come from the same symbol, weight, cutoff and scheme.  A matrix
+    on another dimension, cutoff or weight, or standard errors of another
+    shape, are refused.
     """
     rho_t = tuple(int(v) for v in rho)
     total = sum(rho_t)
@@ -450,8 +397,17 @@ def verify_tensor_factorization(
         raise DomainError("the sampling scheme needs full_se alongside full_matrix")
     else:
         full, se = full_matrix, full_se
-    index_map = u_rho_index_map(rho_t, geometry, D)
-    pos = index_map.positions
+        fb = full.basis
+        if (fb.d, fb.D) != (geometry.n, D) or abs(fb.lam - lam) > 1e-12:
+            raise DomainError(
+                f"full_matrix lives on (d, D, lam) = ({fb.d}, {fb.D}, {fb.lam}), "
+                f"the check asks for ({geometry.n}, {D}, {lam})"
+            )
+        if se is not None and np.shape(se) != full.entries.shape:
+            raise DomainError(
+                f"full_se has shape {np.shape(se)}, the matrix {full.entries.shape}"
+            )
+    pos = level_positions(full.basis, geometry, rho_t)
     sub = full.entries[np.ix_(pos, pos)]
     if mc:
         se_sub = se[np.ix_(pos, pos)]
@@ -463,16 +419,13 @@ def verify_tensor_factorization(
     # rule, so its own noise stays out of the 5 SE gate
     kron_spec = QuadratureSpec(q=spec.q, angular=spec.angular) if mc else spec
     b_mat = toeplitz_matrix(c_inner, inner_space, D - total, kron_spec)
-    a_mat = _factor_on_level(
-        a, geometry, lam, rho_t, kron_spec, index_map.prime_indices
-    )
+    primes = full.basis.exponent_array()[pos[:: b_mat.basis.count], : geometry.ell]
+    a_mat = _factor_on_level(a, geometry, lam, rho_t, kron_spec, primes)
     kron = np.kron(a_mat, b_mat.entries)
 
     dev = np.abs(sub - kron)
     worst_flat = int(np.argmax(dev))
     wb, wa = np.unravel_index(worst_flat, dev.shape)
-    beta_pair = index_map.pair_of(int(wb))
-    alpha_pair = index_map.pair_of(int(wa))
     max_dev = float(dev[wb, wa])
     passed, max_ratio = max_dev < tol, 0.0
     if mc:
@@ -482,8 +435,8 @@ def verify_tensor_factorization(
         rho=rho_t,
         mu=level.mu,
         max_deviation=max_dev,
-        worst_beta=beta_pair[0] + beta_pair[1],
-        worst_alpha=alpha_pair[0] + alpha_pair[1],
+        worst_beta=full.basis.indices[pos[wb]],
+        worst_alpha=full.basis.indices[pos[wa]],
         tol=tol,
         passed=passed,
         monte_carlo=mc,
@@ -583,6 +536,8 @@ class RecoveredSymbol:
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         single = z.ndim == 1
+        if z.ndim not in (1, 2) or z.shape[-1] != self.d:
+            raise DomainError(f"points of shape {z.shape} are not on the {self.d}-ball")
         if single:
             z = z[None, :]
         t = np.sum(np.abs(z) ** 2, axis=1)

@@ -143,6 +143,29 @@ class BallRule:
         return np.repeat(np.sum(self.radii**2, axis=1), self.n_phase**self.d)
 
 
+def _stick_breaking(
+    rules: Sequence[Tuple[np.ndarray, np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tensor product of 1-D rules on (0, 1), broken into simplex pieces.
+
+    Piece j takes the fraction v_j of what pieces 0..j-1 left over.
+    Returns (pieces (N, len(rules)), remainder (N,), weights (N,)); with
+    no rules, one node of weight 1 with the whole stick left over.
+    """
+    if not rules:
+        return np.empty((1, 0)), np.ones(1), np.ones(1)
+    grids = np.meshgrid(*[v for v, _ in rules], indexing="ij")
+    wgrids = np.meshgrid(*[w for _, w in rules], indexing="ij")
+    vv = np.stack([g.ravel() for g in grids], axis=-1)
+    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
+    pieces = np.empty_like(vv)
+    remaining = np.ones(vv.shape[0])
+    for j in range(len(rules)):
+        pieces[:, j] = remaining * vv[:, j]
+        remaining = remaining * (1.0 - vv[:, j])
+    return pieces, remaining, weights
+
+
 def ball_rule_size(d: int, q_radial: int, n_phase: int) -> int:
     """Node count of ``ball_rule`` at these orders, without building it."""
     return q_radial**d * n_phase**d
@@ -165,25 +188,10 @@ def ball_rule(d: int, lam: float, q_radial: int, n_phase: int) -> BallRule:
         )
     u, wu = gauss_jacobi_rule(q_radial, lam, float(d - 1))
     # Simplex fractions of t = |z|^2 across the d axes.
-    s = np.ones((1, 1))
-    ws = np.ones((1,))
-    if d > 1:
-        axes_v = []
-        axes_w = []
-        for i in range(1, d):
-            v, wv = gauss_jacobi_rule(q_radial, float(d - 1 - i), 0.0)
-            axes_v.append(v)
-            axes_w.append(wv)
-        grids = np.meshgrid(*axes_v, indexing="ij")
-        wgrids = np.meshgrid(*axes_w, indexing="ij")
-        vv = np.stack([g.ravel() for g in grids], axis=-1)  # (Nv, d-1)
-        ws = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-        s = np.empty((vv.shape[0], d))
-        remaining = np.ones(vv.shape[0])
-        for i in range(d - 1):
-            s[:, i] = remaining * vv[:, i]
-            remaining = remaining * (1.0 - vv[:, i])
-        s[:, d - 1] = remaining
+    pieces, rest, ws = _stick_breaking(
+        [gauss_jacobi_rule(q_radial, float(d - 1 - i), 0.0) for i in range(1, d)]
+    )
+    s = np.column_stack([pieces, rest])
 
     n_frac = s.shape[0]
     radii = np.sqrt(u.reshape(q_radial, 1, 1) * s.reshape(1, n_frac, d))
@@ -283,22 +291,12 @@ def simplex_radial_rule(
         raise DomainError(f"radial exponents must be odd and positive, got {powers}")
     m = len(powers)
     c = [(p - 1) // 2 for p in powers]
-    axes_nodes = []
-    axes_weights = []
-    for j in range(m):
-        a_exp = lam + (m - 1 - j) + sum(c[j + 1 :])
-        v, wv = gauss_jacobi_rule(q, float(a_exp), float(c[j]))
-        axes_nodes.append(v)
-        axes_weights.append(wv)
-    grids = np.meshgrid(*axes_nodes, indexing="ij")
-    wgrids = np.meshgrid(*axes_weights, indexing="ij")
-    vv = np.stack([g.ravel() for g in grids], axis=-1)
-    ww = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-    t = np.empty_like(vv)
-    remaining = np.ones(vv.shape[0])
-    for j in range(m):
-        t[:, j] = remaining * vv[:, j]
-        remaining = remaining * (1.0 - vv[:, j])
+    t, _, ww = _stick_breaking(
+        [
+            gauss_jacobi_rule(q, float(lam + (m - 1 - j) + sum(c[j + 1 :])), float(c[j]))
+            for j in range(m)
+        ]
+    )
     # The substitution contributes 2^-m; fold it into the weights so the
     # rule integrates directly against the r-measure.
     ww = ww * math.exp(-m * math.log(2.0))

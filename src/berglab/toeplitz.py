@@ -42,7 +42,6 @@ from .core import (
     count_basis,
     enumerate_basis,
     format_float,
-    level_of,
     levels_up_to,
 )
 from .errors import DomainError
@@ -618,16 +617,13 @@ def toeplitz_matrix(
         )
         return OperatorMatrix.diagonal(basis, per_degree[basis.degrees], label=label)
     if path.kind == "quasi_radial":
-        values = np.empty(basis.count, dtype=complex)
-        cache: Dict[Tuple[int, ...], complex] = {}
-        for i, alpha in enumerate(basis.indices):
-            rho = level_of(alpha, geometry.k)
-            if rho not in cache:
-                cache[rho] = gamma_quasi_radial(
-                    path.profile, geometry.k, space.lam, rho, q=path.q
-                )
-            values[i] = cache[rho]
-        return OperatorMatrix.diagonal(basis, values, label=label)
+        k = geometry.k
+        levels, of_row = np.unique(basis.group_degrees(k), axis=0, return_inverse=True)
+        gammas = np.array(
+            [gamma_quasi_radial(path.profile, k, space.lam, rho, q=path.q) for rho in levels],
+            dtype=complex,
+        )
+        return OperatorMatrix.diagonal(basis, gammas[of_row.reshape(-1)], label=label)
 
     fn = as_point_function(f, geometry)
     if path.kind == "monte_carlo":

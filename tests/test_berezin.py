@@ -92,6 +92,18 @@ def test_kernel_coefficients_match_binomial_series():
     assert float(np.vdot(coeffs, coeffs).real) <= 1.0 + 1e-14
 
 
+def test_berezin_refuses_a_point_of_another_dimension():
+    mat = toeplitz_matrix(parse_symbol("1 - abs2(z)", None), WeightedSpace(1, 0.0), 8,
+                          QuadratureSpec())
+    for z in ([0.3, 0.4], [], [[0.3], [0.1]]):
+        with pytest.raises(DomainError):
+            berezin_of_operator(mat, 0.0, z)
+    basis = enumerate_basis(2, 3, 0.0)
+    with pytest.raises(DomainError):
+        kernel_coefficients(basis.norms, basis.exponent_array(), [0.3], 4.0)
+    assert berezin_of_operator(mat, 0.0, [0.3]) == berezin_of_operator(mat, 0.0, [[0.3]])
+
+
 def test_berezin_of_identity_operator_is_one():
     # cutoff deep enough that the kernel tail sits below the tolerance
     space = WeightedSpace(1, 1.0)

@@ -16,7 +16,6 @@ from berglab import (
     count_basis,
     dim_level,
     enumerate_basis,
-    level_of,
     levels_up_to,
 )
 from berglab.core import compositions, monomial_moment
@@ -94,11 +93,14 @@ def test_norm_constant_matches_gamma_formula():
             )
 
 
-def test_level_of_groups_degrees():
+def test_group_degrees_sum_each_group():
     k = (2, 1)
-    assert level_of((0, 0, 0), k) == (0, 0)
-    assert level_of((1, 2, 3), k) == (3, 3)
-    assert level_of((4, 0, 1), k) == (4, 1)
+    basis = enumerate_basis(4, 6, 0.0)
+    lv = basis.group_degrees(k)
+    assert lv.shape == (basis.count, 2)
+    assert tuple(lv[basis.index_of((0, 0, 0, 0))]) == (0, 0)
+    assert tuple(lv[basis.index_of((1, 2, 3, 0))]) == (3, 3)
+    assert tuple(lv[basis.index_of((4, 0, 1, 1))]) == (4, 1)
 
 
 def test_dim_level_is_binomial():

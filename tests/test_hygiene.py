@@ -154,3 +154,19 @@ def test_only_the_quadrature_module_reads_flat_rule_views():
             if isinstance(node, ast.Attribute) and node.attr in ("nodes", "radial_t"):
                 found.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert found == []
+
+
+def test_only_the_core_module_enumerates_compositions():
+    """Levels are read off the basis' group degrees, never enumerated
+    again: outside core.py no module calls ``compositions``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "compositions":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

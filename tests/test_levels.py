@@ -1,6 +1,7 @@
 """Level decomposition, factorization and symbol recovery."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,17 +9,21 @@ import pytest
 
 from berglab import (
     BallGeometry,
+    DomainError,
     InvarianceError,
     OperatorMatrix,
     QuadratureSpec,
+    RecoveredSymbol,
     WeightedSpace,
     berezin_of_operator,
     block_norms,
     classify_symbol,
     count_basis,
     dim_level,
+    enumerate_basis,
     extract_level_block,
     level_block_direct,
+    level_positions,
     levels_up_to,
     off_block_mass,
     operator_norm,
@@ -27,9 +32,9 @@ from berglab import (
     recover_symbol_and_remainder,
     toeplitz_matrix,
     toeplitz_matrix_with_stderr,
-    u_rho_index_map,
     verify_tensor_factorization,
 )
+from berglab.core import compositions
 from berglab.levels import _neville_to_zero
 from berglab.quadrature import MONTE_CARLO
 
@@ -39,26 +44,47 @@ def split31():
     return BallGeometry(3, 2, (1, 1))
 
 
-def test_index_map_partitions_basis(split31):
+def _pair_positions(basis, geometry, rho):
+    """Reference pair order built by enumeration: each z' of the per-group
+    compositions product (outer groups slowest), followed by every inner
+    index of degree <= D - |rho|, looked up in the basis."""
+    per_group = [compositions(r, kj) for r, kj in zip(rho, geometry.k)]
+    primes = [sum(combo, ()) for combo in itertools.product(*per_group)]
+    inner = [
+        a for deg in range(basis.D - sum(rho) + 1)
+        for a in compositions(deg, geometry.d_inner)
+    ]
+    return [basis.index_of(p + i) for p in primes for i in inner]
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [BallGeometry(3, 2, (1, 1)), BallGeometry(4, 3, (2, 1)), BallGeometry(3, 1, (1,))],
+    ids=["n3_k11", "n4_k21", "n3_k1"],
+)
+def test_level_positions_match_the_pair_construction(geometry):
     D = 5
-    total = count_basis(split31.n, D)
-    covered = set()
-    for rho in levels_up_to(D, split31.m):
-        imap = u_rho_index_map(rho, split31, D)
-        assert imap.hdim == dim_level(rho, split31.k)
-        assert imap.inner_count == count_basis(split31.d_inner, D - sum(rho))
-        for pos in imap.positions:
-            assert pos not in covered
-            covered.add(pos)
-    assert len(covered) == total
+    basis = enumerate_basis(geometry.n, D, 0.0)
+    covered = []
+    for rho in levels_up_to(D, geometry.m):
+        pos = level_positions(basis, geometry, rho)
+        assert pos.tolist() == _pair_positions(basis, geometry, rho)
+        inner_count = count_basis(geometry.d_inner, D - sum(rho))
+        assert len(pos) == dim_level(rho, geometry.k) * inner_count
+        covered.extend(pos.tolist())
+    assert sorted(covered) == list(range(basis.count))
 
 
-def test_index_map_orders_inner_fastest(split31):
-    imap = u_rho_index_map((1, 0), split31, 4)
-    # flat index i = i_prime * inner_count + i_inner
-    for flat in range(imap.hdim * imap.inner_count):
-        ap, ai = imap.pair_of(flat)
-        assert imap.flat_of(ap, ai) == flat
+def test_level_positions_refuse_a_foreign_level(split31):
+    basis = enumerate_basis(3, 4, 0.0)
+    for geometry, rho in [
+        (BallGeometry(4, 2, (1, 1)), (1, 0)),  # another dimension
+        (split31, (1,)),  # another partition length
+        (split31, (3, 2)),  # total over the cutoff
+        (BallGeometry(3, 3, (2, 1)), (1, 0)),  # no inner block
+    ]:
+        with pytest.raises(DomainError):
+            level_positions(basis, geometry, rho)
 
 
 def test_extract_block_identity_tensor(split31):
@@ -117,6 +143,38 @@ def test_reassemble_recovers_matrix(split31):
     M = toeplitz_matrix(f, space, 4, spec)
     back = reassemble_from_levels(M, split31)
     assert np.max(np.abs(back - M.entries)) < 1e-12
+
+
+@pytest.mark.parametrize("check", [off_block_mass, block_norms, reassemble_from_levels])
+def test_level_checks_refuse_a_geometry_of_another_dimension(split31, check):
+    space = WeightedSpace(2, 0.0)
+    M = toeplitz_matrix(parse_symbol("1 - abs2(z)", None), space, 3, QuadratureSpec())
+    with pytest.raises(DomainError):
+        check(M, split31)
+
+
+def test_factorization_refuses_a_mismatched_full_matrix():
+    g = BallGeometry(2, 1, (1,))
+    spec = QuadratureSpec()
+    f = parse_symbol("prod(a = r1^2, c = 1 - abs2(zc))", g)
+
+    def full(lam, D):
+        return toeplitz_matrix(f, WeightedSpace(2, lam, geometry=g), D, spec)
+
+    ok = full(0.0, 3)
+    other_ball = toeplitz_matrix(parse_symbol("1", None), WeightedSpace(3, 0.0), 3, spec)
+    for M, se in [
+        (full(1.0, 3), None),  # another weight
+        (full(0.0, 4), None),  # another cutoff
+        (other_ball, None),  # another dimension
+        (ok, np.zeros((4, 4))),  # standard errors of another shape
+    ]:
+        with pytest.raises(DomainError):
+            verify_tensor_factorization(
+                f.a, f.c, g, 0.0, (1,), 3, spec, full_matrix=M, full_se=se
+            )
+    rep = verify_tensor_factorization(f.a, f.c, g, 0.0, (1,), 3, spec, full_matrix=ok)
+    assert rep.passed, rep.summary()
 
 
 @pytest.mark.parametrize(
@@ -220,6 +278,20 @@ def test_monte_carlo_factorization_gate():
             f.a, f.c, g, 0.0, rho, 8, spec, full_matrix=full, full_se=se
         )
         assert rep.passed, rep.summary()
+
+
+def test_recovery_refuses_points_of_another_dimension():
+    g = BallGeometry(2, 1, (1,))
+    spec = QuadratureSpec()
+    radial = [level_block_direct(parse_symbol("1 - abs2(zc)", None), g, 0.0, (8,), 24, spec)]
+    dense = [level_block_direct(parse_symbol("re(z1) + 1 - abs2(z)", None), g, 0.0,
+                                (8,), 8, spec)]
+    with pytest.raises(DomainError):
+        recover_symbol_and_remainder(radial, np.array([[0.3, 0.4]]), spec)
+    for z in ([0.3, 0.4], np.array([[0.3, 0.4]]), 0.3):
+        with pytest.raises(DomainError):
+            RecoveredSymbol(dense)(z)
+    assert RecoveredSymbol(dense)(np.array([[0.3], [0.1j]])).shape == (2,)
 
 
 def test_recovery_grid_csv_headers():

@@ -16,7 +16,6 @@ from berglab import (
     export_matrix_csv,
     gamma_quasi_radial,
     gamma_sequence,
-    level_of,
     operator_norm,
     parse_symbol,
     radial_toeplitz_diagonal,
@@ -324,7 +323,7 @@ def _quasi_radial_case(k, text, lam=0.5, D=5):
     g = BallGeometry(sum(k), sum(k), k)
     f = parse_symbol(text, g)
     mat = toeplitz_matrix(f, WeightedSpace(g.n, lam, geometry=g), D, QuadratureSpec())
-    gammas = [gamma_quasi_radial(f, k, lam, level_of(a, k)) for a in mat.basis.indices]
+    gammas = [gamma_quasi_radial(f, k, lam, rho) for rho in mat.basis.group_degrees(k)]
     return mat, np.array(gammas, dtype=complex)
 
 
