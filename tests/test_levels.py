@@ -75,6 +75,42 @@ def test_level_positions_match_the_pair_construction(geometry):
     assert sorted(covered) == list(range(basis.count))
 
 
+def test_index_map_partitions_basis(split31):
+    D = 5
+    basis = enumerate_basis(split31.n, D, 0.0)
+    covered = set()
+    for rho in levels_up_to(D, split31.m):
+        pos = level_positions(basis, split31, rho)
+        inner_count = count_basis(split31.d_inner, D - sum(rho))
+        assert len(pos) == dim_level(rho, split31.k) * inner_count
+        for p in pos.tolist():
+            assert p not in covered
+            covered.add(p)
+    assert len(covered) == count_basis(split31.n, D)
+
+
+def test_index_map_orders_inner_fastest(split31):
+    D = 4
+    for geometry, rho in [(split31, (1, 0)), (BallGeometry(4, 3, (2, 1)), (2, 1))]:
+        basis = enumerate_basis(geometry.n, D, 0.0)
+        pos = level_positions(basis, geometry, rho)
+        inner_count = count_basis(geometry.d_inner, D - sum(rho))
+        hdim = dim_level(rho, geometry.k)
+        d_prime = geometry.n - geometry.d_inner
+        # flat index i = i_prime * inner_count + i_inner: each run of
+        # inner_count positions shares its z' part and walks the inner
+        # indices in the same order.
+        rows = [basis.indices[p] for p in pos.tolist()]
+        assert len(rows) == hdim * inner_count
+        primes = []
+        for i_prime in range(hdim):
+            run = rows[i_prime * inner_count:(i_prime + 1) * inner_count]
+            assert len({a[:d_prime] for a in run}) == 1
+            assert [a[d_prime:] for a in run] == [a[d_prime:] for a in rows[:inner_count]]
+            primes.append(run[0][:d_prime])
+        assert len(set(primes)) == hdim
+
+
 def test_level_positions_refuse_a_foreign_level(split31):
     basis = enumerate_basis(3, 4, 0.0)
     for geometry, rho in [
