@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy import special as sp_special
 
-from .core import WeightedSpace, format_float
+from .core import BallGeometry, WeightedSpace, csv_lines, format_float
 from .errors import DomainError
 from .quadrature import (
     MONTE_CARLO,
@@ -234,6 +234,8 @@ def berezin_of_symbol(
     mu: float,
     z: Sequence[complex],
     spec: QuadratureSpec,
+    *,
+    geometry: Optional[BallGeometry] = None,
 ) -> complex:
     """Integral of g against the Mobius-pulled-back weight at z.
 
@@ -241,7 +243,8 @@ def berezin_of_symbol(
     stays accurate arbitrarily close to the boundary.  Any other symbol
     gives <T_{g o phi_z} 1, 1>_mu, the degree-0 entry of the pullback's
     Toeplitz matrix, from the samples of a sampling spec or from a product
-    rule whose orders grow as z nears the sphere.
+    rule whose orders grow as z nears the sphere.  The geometry, when
+    given, declares the partition that group radii such as ``r1`` read.
     """
     z_arr = np.asarray(z, dtype=complex).reshape(-1)
     d = z_arr.shape[0]
@@ -250,11 +253,11 @@ def berezin_of_symbol(
         raise DomainError("Berezin evaluation needs an interior point")
 
     if is_symbolic(g) and not isinstance(g, ProductSymbol):
-        profile = radial_profile(g)
+        profile = radial_profile(g, geometry)
         if profile is not None:
             return _radial_berezin_value(profile, d, mu, t)
 
-    fn = as_point_function(g)
+    fn = as_point_function(g, geometry)
 
     def pulled(w: np.ndarray) -> np.ndarray:
         x = mobius(z_arr, w)
@@ -290,10 +293,7 @@ class DecayTable:
     label: str = ""
 
     def csv_lines(self, header: str = "mu,sup_error") -> List[str]:
-        lines = [header]
-        for a, b in self.rows:
-            lines.append(f"{format_float(a)},{format_float(b)}")
-        return lines
+        return csv_lines(header, self.rows)
 
 
 def quantization_probe(
@@ -301,10 +301,13 @@ def quantization_probe(
     mu_list: Sequence[float],
     grid: np.ndarray,
     spec: Optional[QuadratureSpec] = None,
+    *,
+    geometry: Optional[BallGeometry] = None,
 ) -> DecayTable:
     """sup-grid |B_mu[c] - c| for each mu; the decay surrogate.
 
     The grid is an array of interior points, shape (N, d), with N >= 1.
+    The geometry is passed on to :func:`berezin_of_symbol`.
     """
     spec = spec or QuadratureSpec()
     grid = np.asarray(grid, dtype=complex)
@@ -312,13 +315,13 @@ def quantization_probe(
         grid = grid[:, None]
     if grid.shape[0] == 0:
         raise DomainError("the probe grid needs at least one point")
-    c_fn = as_point_function(c)
+    c_fn = as_point_function(c, geometry)
     c_vals = np.asarray(c_fn(grid))
     rows = []
     for mu in mu_list:
         worst = 0.0
         for i in range(grid.shape[0]):
-            b = berezin_of_symbol(c, float(mu), grid[i], spec)
+            b = berezin_of_symbol(c, float(mu), grid[i], spec, geometry=geometry)
             worst = max(worst, abs(b - complex(c_vals[i])))
         rows.append((float(mu), worst))
     label = symbol_to_text(c) if is_symbolic(c) else "callable"
@@ -459,13 +462,10 @@ class SpectrumSample:
         return tuple(r[2] for r in self.rows)
 
     def csv_lines(self) -> List[str]:
-        lines = ["rho_total,radius,re_det,im_det,abs_det"]
-        for rho_total, radius, v in self.rows:
-            lines.append(
-                f"{rho_total},{format_float(radius)},{format_float(v.real)},"
-                f"{format_float(v.imag)},{format_float(abs(v))}"
-            )
-        return lines
+        return csv_lines(
+            "rho_total,radius,re_det,im_det,abs_det",
+            ((rho, r, v.real, v.imag, abs(v)) for rho, r, v in self.rows),
+        )
 
 
 # sphere directions per radius, and the Fredholm threshold relative to
@@ -481,7 +481,7 @@ def essential_spectrum_sample(
     radii: Optional[Sequence[float]] = None,
     *,
     gamma: Optional[GammaSequence] = None,
-    seed: int = 20_260_813,
+    seed: int = QuadratureSpec.seed,
 ) -> SpectrumSample:
     """Sample det c near and on the boundary sphere (and over levels).
 
@@ -539,10 +539,7 @@ class MinSingularTable:
     verdict: str
 
     def csv_lines(self) -> List[str]:
-        lines = ["size,sigma_min"]
-        for k, s in self.rows:
-            lines.append(f"{k},{format_float(s)}")
-        return lines
+        return csv_lines("size,sigma_min", self.rows)
 
 
 def min_singular_probe(matrices: Sequence[OperatorMatrix]) -> MinSingularTable:

@@ -22,7 +22,14 @@ from .berezin import (
     fredholm_index_report,
     quantization_probe,
 )
-from .core import BallGeometry, WeightedSpace, count_basis, format_float, levels_up_to
+from .core import (
+    BallGeometry,
+    WeightedSpace,
+    count_basis,
+    csv_lines,
+    format_float,
+    levels_up_to,
+)
 from .errors import DomainError
 from .levels import full_route_matrix, verify_tensor_factorization
 from .quadrature import GAUSS_JACOBI, MONTE_CARLO, QuadratureSpec
@@ -30,8 +37,7 @@ from .suites import (
     ExperimentConfig,
     _as_int_list,
     _radial_grid,
-    default_config,
-    load_config,
+    parse_config_text,
     run_all,
     summary_lines,
     write_outputs,
@@ -79,8 +85,8 @@ def _spec_from(args: argparse.Namespace) -> QuadratureSpec:
         scheme=args.scheme,
         q=args.q,
         angular=args.angular,
-        n_samples=args.samples or 100_000,
-        seed=args.seed if args.seed is not None else 20_260_813,
+        n_samples=args.samples,
+        seed=args.seed if args.seed is not None else QuadratureSpec.seed,
     )
 
 
@@ -133,7 +139,7 @@ def _add_quad(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--q", type=int, default=0, help="radial rule order (0 = auto)")
     sub.add_argument("--angular", type=int, default=0, help="phase count (0 = auto)")
-    sub.add_argument("--samples", type=int, default=100_000)
+    sub.add_argument("--samples", type=int, default=QuadratureSpec.n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +217,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     if any(isinstance(v, complex) for v in seq.values.values()):
         raise DomainError("gamma prints one real column; the profile is complex-valued")
     _echo(plan)
-    lines = ["rho,gamma"]
-    for rho in seq.levels:
-        rho_txt = " ".join(str(v) for v in rho)
-        lines.append(f"{rho_txt},{format_float(seq(rho))}")
-    _write_or_print(lines, args.out)
+    _write_or_print(csv_lines("rho,gamma", seq.values.items()), args.out)
     return 0
 
 
@@ -261,7 +263,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     _echo(plan)
     space = WeightedSpace(geometry.n, args.lam, geometry=geometry)
     full, full_se = full_route_matrix(composite, space, args.D, spec)
-    lines = ["rho,mu,max_deviation,passed"]
+    rows = []
     worst = 0.0
     ok = True
     for rho in levels_up_to(args.R, geometry.m):
@@ -279,13 +281,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         )
         worst = max(worst, rep.max_deviation)
         ok = ok and rep.passed
-        rho_txt = " ".join(str(v) for v in rho)
-        lines.append(
-            f"{rho_txt},{format_float(rep.mu)},"
-            f"{format_float(rep.max_deviation)},{int(rep.passed)}"
-        )
+        rows.append((rho, rep.mu, rep.max_deviation, rep.passed))
         print(rep.summary())
-    _write_or_print(lines, args.out)
+    _write_or_print(csv_lines("rho,mu,max_deviation,passed", rows), args.out)
     if not ok:
         print(f"worst deviation {worst:.3e} exceeds tolerance {tol:.1e}")
         return 2
@@ -312,10 +310,10 @@ def cmd_berezin(args: argparse.Namespace) -> int:
     geometry = BallGeometry(args.d, args.d, (args.d,))
     expr = parse_symbol(args.symbol, geometry)
     z = _parse_point(args.z, args.d)
-    space = WeightedSpace(args.d, args.mu)
+    space = WeightedSpace(args.d, args.mu, geometry=geometry)
     mat = toeplitz_matrix(expr, space, args.D, spec)
     op_side = berezin_of_operator(mat, args.mu, z)
-    sym_side = berezin_of_symbol(expr, args.mu, z, spec)
+    sym_side = berezin_of_symbol(expr, args.mu, z, spec, geometry=geometry)
     _echo(plan)
     print(f"operator side = {format_float(op_side.real)} + {format_float(op_side.imag)}i")
     print(f"symbol side   = {format_float(sym_side.real)} + {format_float(sym_side.imag)}i")
@@ -339,7 +337,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     geometry = BallGeometry(args.d, args.d, (args.d,))
     expr = parse_symbol(args.symbol, geometry)
     grid = _radial_grid(args.d, args.tmax, args.grid_points)
-    table = quantization_probe(expr, args.mus, grid, spec)
+    table = quantization_probe(expr, args.mus, grid, spec, geometry=geometry)
     _echo(plan)
     _write_or_print(table.csv_lines(), args.out)
     return 0
@@ -355,7 +353,7 @@ def _inner_symbol(text: str):
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else 20_260_813
+    seed = args.seed if args.seed is not None else QuadratureSpec.seed
     plan = {"symbol": args.symbol, "d": args.d, "R": args.R, "seed": seed}
     if args.weight_profile:
         plan["weight_profile"] = args.weight_profile
@@ -384,7 +382,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_fredholm(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else 20_260_813
+    seed = args.seed if args.seed is not None else QuadratureSpec.seed
     plan = {"symbol": args.symbol, "d": args.d, "seed": seed}
     if args.dry_run:
         _echo(plan)
@@ -399,26 +397,14 @@ def cmd_fredholm(args: argparse.Namespace) -> int:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = default_config()
-    overrides = {}
+    raw = parse_config_text(Path(args.config).read_text()) if args.config else {}
     if args.seed is not None:
-        overrides["quad.seed"] = args.seed
+        raw["quad.seed"] = str(args.seed)
     if args.threads:
-        overrides["threads"] = args.threads
+        raw["threads"] = str(args.threads)
     if args.out:
-        overrides["out.dir"] = args.out
-    if overrides:
-        # rebuild through the validating constructor with flag overrides
-        raw = {}
-        for line in cfg.echo().splitlines():
-            key, value = line.split(" = ", 1)
-            raw[key] = value
-        for key, value in overrides.items():
-            raw[key] = str(value)
-        cfg = ExperimentConfig.from_mapping(raw)
+        raw["out.dir"] = args.out
+    cfg = ExperimentConfig.from_mapping(raw)
     if args.dry_run:
         print(cfg.echo())
         names = args.only.split(",") if args.only else ["all four suites"]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 from scipy import special as sp_special
@@ -46,6 +46,24 @@ def format_float(x: float) -> str:
     """Shortest text that reads back as the same float: the one number
     format of every table, CSV and report line."""
     return repr(float(x))
+
+
+def format_cell(v: object) -> str:
+    """Text of one table cell or config value: floats (numpy floats too)
+    by :func:`format_float`, bools as 0/1, tuples space-joined, anything
+    else by ``str``."""
+    if isinstance(v, (float, np.floating)):
+        return format_float(v)
+    if isinstance(v, (bool, np.bool_)):
+        return str(int(v))
+    if isinstance(v, tuple):
+        return " ".join(format_cell(x) for x in v)
+    return str(v)
+
+
+def csv_lines(header: str, rows: Iterable[Sequence[object]]) -> List[str]:
+    """The header plus one comma-joined line of cells per row."""
+    return [header] + [",".join(map(format_cell, row)) for row in rows]
 
 
 def _check_weight(lam: float) -> None:
@@ -156,7 +174,7 @@ class Level:
 def make_level(rho: Sequence[int], lam: float, ell: int) -> Level:
     rho_t = tuple(int(v) for v in rho)
     total = sum(rho_t)
-    return Level(rho=rho_t, total=total, mu=lam + total + ell)
+    return Level(rho=rho_t, total=total, mu=float(lam + total + ell))
 
 
 def dim_level(rho: Sequence[int], k: Sequence[int]) -> int:

@@ -31,6 +31,7 @@ from .core import (
     TruncatedBasis,
     WeightedSpace,
     count_basis,
+    csv_lines,
     dim_level,
     enumerate_basis,
     levels_up_to,
@@ -224,8 +225,6 @@ def level_block_direct(
     rho: Sequence[int],
     D_inner: int,
     spec: QuadratureSpec,
-    *,
-    use_fast_paths: bool = True,
 ) -> LevelBlock:
     """Build the level block of a pure inner-variable symbol directly.
 
@@ -242,9 +241,7 @@ def level_block_direct(
     level = make_level(rho_t, lam, geometry.ell)
     inner_space = WeightedSpace(geometry.d_inner, level.mu)
     c_inner = rebase_inner(c) if is_symbolic(c) else c
-    block = toeplitz_matrix(
-        c_inner, inner_space, D_inner, spec, use_fast_paths=use_fast_paths
-    )
+    block = toeplitz_matrix(c_inner, inner_space, D_inner, spec)
     inner_basis = block.basis
     return LevelBlock(
         level=level,
@@ -476,27 +473,17 @@ class RecoveryReport:
     extrapolated: bool
 
     def remainder_csv_lines(self) -> List[str]:
-        lines = ["rho,mu,hdim,remainder_norm"]
-        for rho, mu, hdim, nrm in self.by_level:
-            rho_txt = " ".join(str(v) for v in rho)
-            lines.append(f"{rho_txt},{repr(float(mu))},{hdim},{repr(float(nrm))}")
-        return lines
+        return csv_lines("rho,mu,hdim,remainder_norm", self.by_level)
 
     def grid_csv_lines(self) -> List[str]:
         d = self.grid.shape[1]
         header = ",".join(
             [f"re_z{i+1},im_z{i+1}" for i in range(d)] + ["re_c,im_c"]
         )
-        lines = [header]
-        for i in range(self.grid.shape[0]):
-            parts: List[str] = []
-            for ax in range(d):
-                parts.append(repr(float(self.grid[i, ax].real)))
-                parts.append(repr(float(self.grid[i, ax].imag)))
-            parts.append(repr(float(self.values[i].real)))
-            parts.append(repr(float(self.values[i].imag)))
-            lines.append(",".join(parts))
-        return lines
+        cols = np.column_stack([self.grid, self.values])
+        # re and im of each complex column side by side
+        rows = np.stack([cols.real, cols.imag], axis=-1).reshape(len(cols), -1)
+        return csv_lines(header, rows)
 
     def max_remainder(self) -> float:
         return max((row[3] for row in self.by_level), default=0.0)

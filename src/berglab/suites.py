@@ -31,7 +31,15 @@ from .berezin import (
     quantization_probe,
     radial_expansion_degree,
 )
-from .core import BallGeometry, WeightedSpace, count_basis, format_float, levels_up_to
+from .core import (
+    BallGeometry,
+    WeightedSpace,
+    count_basis,
+    csv_lines,
+    format_cell,
+    format_float,
+    levels_up_to,
+)
 from .errors import DomainError
 from .levels import (
     block_norms,
@@ -67,18 +75,6 @@ from .toeplitz import (
 # ---------------------------------------------------------------------------
 # Configuration
 
-# key -> (caster, default); casters run on the raw string value
-def _as_int(s: str) -> int:
-    return int(s, 10)
-
-
-def _as_float(s: str) -> float:
-    return float(s)
-
-
-def _as_str(s: str) -> str:
-    return s
-
 
 def _as_int_list(s: str) -> Tuple[int, ...]:
     parts = [p.strip() for p in s.replace(",", " ").split()]
@@ -87,39 +83,40 @@ def _as_int_list(s: str) -> Tuple[int, ...]:
     return tuple(int(p, 10) for p in parts)
 
 
-_KNOWN_KEYS: Dict[str, Tuple[Callable, object]] = {
-    "geometry.n": (_as_int, 2),
-    "geometry.ell": (_as_int, 1),
+# key -> (caster, default); casters run on the raw string value
+_KNOWN_KEYS: Dict[str, Tuple[Callable[[str], object], object]] = {
+    "geometry.n": (int, 2),
+    "geometry.ell": (int, 1),
     "geometry.k": (_as_int_list, (1,)),
-    "space.lambda": (_as_float, 0.0),
-    "truncation.D": (_as_int, 8),
-    "truncation.R": (_as_int, 6),
-    "truncation.D_eval": (_as_int, 1800),
-    "truncation.D_remainder": (_as_int, 60),
-    "symbol.a": (_as_str, "r1^2"),
-    "symbol.c": (_as_str, "1 - abs2(zc)"),
-    "symbol.f": (_as_str, "2 - abs2(zc)"),
-    "quad.scheme": (_as_str, GAUSS_JACOBI),
-    "quad.q": (_as_int, 0),
-    "quad.angular": (_as_int, 0),
-    "quad.samples": (_as_int, 100_000),
-    "quad.seed": (_as_int, 20_260_813),
+    "space.lambda": (float, 0.0),
+    "truncation.D": (int, 8),
+    "truncation.R": (int, 6),
+    "truncation.D_eval": (int, 1800),
+    "truncation.D_remainder": (int, 60),
+    "symbol.a": (str, "r1^2"),
+    "symbol.c": (str, "1 - abs2(zc)"),
+    "symbol.f": (str, "2 - abs2(zc)"),
+    "quad.scheme": (str, GAUSS_JACOBI),
+    "quad.q": (int, 0),
+    "quad.angular": (int, 0),
+    "quad.samples": (int, QuadratureSpec.n_samples),
+    "quad.seed": (int, QuadratureSpec.seed),
     "schedule.mu": (_as_int_list, (1, 2, 4, 8, 16, 32)),
     "schedule.eval_levels": (_as_int_list, (32, 48, 64, 96, 128)),
     "schedule.remainder_levels": (_as_int_list, (32, 48, 64)),
-    "schedule.radii": (_as_int, 6),
-    "grid.points": (_as_int, 25),
-    "grid.tmax": (_as_float, 0.9),
-    "tol.norm": (_as_float, 1e-10),
-    "tol.norm_quadrature": (_as_float, 1e-6),
-    "tol.factorization": (_as_float, 1e-5),
-    "tol.commutator": (_as_float, 1e-8),
-    "tol.offblock": (_as_float, 1e-8),
-    "tol.berezin": (_as_float, 1e-6),
-    "tol.remainder": (_as_float, 1e-6),
-    "tol.spectrum": (_as_float, 1e-6),
-    "out.dir": (_as_str, "runs/latest"),
-    "threads": (_as_int, 0),
+    "schedule.radii": (int, 6),
+    "grid.points": (int, 25),
+    "grid.tmax": (float, 0.9),
+    "tol.norm": (float, 1e-10),
+    "tol.norm_quadrature": (float, 1e-6),
+    "tol.factorization": (float, 1e-5),
+    "tol.commutator": (float, 1e-8),
+    "tol.offblock": (float, 1e-8),
+    "tol.berezin": (float, 1e-6),
+    "tol.remainder": (float, 1e-6),
+    "tol.spectrum": (float, 1e-6),
+    "out.dir": (str, "runs/latest"),
+    "threads": (int, 0),
 }
 
 # minutes-scale desk envelope; larger requests are refused, not attempted
@@ -155,8 +152,14 @@ def parse_config_text(text: str) -> Dict[str, str]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved, validated settings shared by all suites."""
+    """Resolved, validated settings shared by all suites.
 
+    ``settings`` holds the typed value of every config key as the run
+    uses it (``truncation.D_eval`` after it shrinks to the matrix
+    envelope); the other fields are the forms the suites read.
+    """
+
+    settings: Dict[str, object] = field(repr=False)
     geometry: BallGeometry
     lam: float
     D: int
@@ -165,7 +168,6 @@ class ExperimentConfig:
     D_remainder: int
     a_text: str
     c_text: str
-    f_text: str
     spec: QuadratureSpec
     mu_schedule: Tuple[int, ...]
     eval_levels: Tuple[int, ...]
@@ -175,7 +177,6 @@ class ExperimentConfig:
     grid_tmax: float
     tolerances: Dict[str, float]
     out_dir: str
-    threads: int
     a_expr: SymbolExpr = field(repr=False, default=None)
     c_expr: SymbolExpr = field(repr=False, default=None)
     f_expr: SymbolExpr = field(repr=False, default=None)
@@ -196,15 +197,13 @@ class ExperimentConfig:
                 values[key] = default
 
         geometry = BallGeometry(
-            int(values["geometry.n"]),
-            int(values["geometry.ell"]),
-            tuple(values["geometry.k"]),
+            values["geometry.n"], values["geometry.ell"], values["geometry.k"]
         )
-        lam = float(values["space.lambda"])
+        lam = values["space.lambda"]
         if not lam > -1.0:
             raise DomainError(f"space.lambda must exceed -1, got {lam}")
-        D = int(values["truncation.D"])
-        R = int(values["truncation.R"])
+        D = values["truncation.D"]
+        R = values["truncation.R"]
         if geometry.n > _MAX_N or geometry.ell > _MAX_ELL:
             raise DomainError(
                 f"geometry exceeds the desk envelope n <= {_MAX_N}, ell <= {_MAX_ELL}"
@@ -222,10 +221,14 @@ class ExperimentConfig:
                 f"basis of size {count_basis(geometry.n, D)} exceeds "
                 f"the {_MAX_MATRIX} envelope"
             )
+        if values["threads"] < 0:
+            raise DomainError(
+                f"threads must be nonnegative (0 = all cores), got {values['threads']}"
+            )
 
         # the boundary probe's last radius must stay within the budget of
         # the radial Berezin expansion
-        radii_count = int(values["schedule.radii"])
+        radii_count = values["schedule.radii"]
         if radii_count < 1:
             raise DomainError(f"schedule.radii must be at least 1, got {radii_count}")
         r_last = default_radius_schedule(radii_count, include_terminal=False)[-1]
@@ -238,8 +241,8 @@ class ExperimentConfig:
             ) from None
 
         # the quantization suite builds its grid only after other stages
-        grid_points = int(values["grid.points"])
-        grid_tmax = float(values["grid.tmax"])
+        grid_points = values["grid.points"]
+        grid_tmax = values["grid.tmax"]
         try:
             _radial_grid(geometry.d_inner, grid_tmax, grid_points)
         except DomainError as exc:
@@ -248,49 +251,48 @@ class ExperimentConfig:
             ) from None
 
         # inner evaluation cutoff shrinks until the matrix fits
-        d_eval = int(values["truncation.D_eval"])
+        d_eval = values["truncation.D_eval"]
         while d_eval > 1 and count_basis(geometry.d_inner, d_eval) > _MAX_MATRIX:
             d_eval -= 1
+        values["truncation.D_eval"] = d_eval
 
         spec = QuadratureSpec(
-            scheme=str(values["quad.scheme"]),
-            q=int(values["quad.q"]),
-            angular=int(values["quad.angular"]),
-            n_samples=int(values["quad.samples"]),
-            seed=int(values["quad.seed"]),
+            scheme=values["quad.scheme"],
+            q=values["quad.q"],
+            angular=values["quad.angular"],
+            n_samples=values["quad.samples"],
+            seed=values["quad.seed"],
         )
 
-        a_text = str(values["symbol.a"])
-        c_text = str(values["symbol.c"])
-        f_text = str(values["symbol.f"])
+        a_text = values["symbol.a"]
+        c_text = values["symbol.c"]
         composite = parse_symbol(f"prod(a = {a_text}, c = {c_text})", geometry)
-        f_wrap = parse_symbol(f"prod(a = 1, c = {f_text})", geometry)
+        f_wrap = parse_symbol(f"prod(a = 1, c = {values['symbol.f']})", geometry)
 
         tolerances = {
-            key.split(".", 1)[1]: float(values[key])
+            key.split(".", 1)[1]: values[key]
             for key in _KNOWN_KEYS
             if key.startswith("tol.")
         }
         return ExperimentConfig(
+            settings=values,
             geometry=geometry,
             lam=lam,
             D=D,
             R=R,
             D_eval=d_eval,
-            D_remainder=int(values["truncation.D_remainder"]),
+            D_remainder=values["truncation.D_remainder"],
             a_text=a_text,
             c_text=c_text,
-            f_text=f_text,
             spec=spec,
-            mu_schedule=tuple(values["schedule.mu"]),
-            eval_levels=tuple(values["schedule.eval_levels"]),
-            remainder_levels=tuple(values["schedule.remainder_levels"]),
+            mu_schedule=values["schedule.mu"],
+            eval_levels=values["schedule.eval_levels"],
+            remainder_levels=values["schedule.remainder_levels"],
             radii_count=radii_count,
             grid_points=grid_points,
             grid_tmax=grid_tmax,
             tolerances=tolerances,
-            out_dir=str(values["out.dir"]),
-            threads=int(values["threads"]),
+            out_dir=values["out.dir"],
             a_expr=composite.a,
             c_expr=composite.c,
             f_expr=f_wrap.c,
@@ -298,43 +300,12 @@ class ExperimentConfig:
 
     def echo(self) -> str:
         """The full effective configuration, one key per line."""
-        geo = self.geometry
-        pairs = {
-            "geometry.n": geo.n,
-            "geometry.ell": geo.ell,
-            "geometry.k": " ".join(str(v) for v in geo.k),
-            "space.lambda": format_float(self.lam),
-            "truncation.D": self.D,
-            "truncation.R": self.R,
-            "truncation.D_eval": self.D_eval,
-            "truncation.D_remainder": self.D_remainder,
-            "symbol.a": self.a_text,
-            "symbol.c": self.c_text,
-            "symbol.f": self.f_text,
-            "quad.scheme": self.spec.scheme,
-            "quad.q": self.spec.q,
-            "quad.angular": self.spec.angular,
-            "quad.samples": self.spec.n_samples,
-            "quad.seed": self.spec.seed,
-            "schedule.mu": " ".join(str(v) for v in self.mu_schedule),
-            "schedule.eval_levels": " ".join(str(v) for v in self.eval_levels),
-            "schedule.remainder_levels": " ".join(
-                str(v) for v in self.remainder_levels
-            ),
-            "schedule.radii": self.radii_count,
-            "grid.points": self.grid_points,
-            "grid.tmax": format_float(self.grid_tmax),
-            "out.dir": self.out_dir,
-            "threads": self.threads,
-        }
-        for name in sorted(self.tolerances):
-            pairs[f"tol.{name}"] = format_float(self.tolerances[name])
-        return "\n".join(f"{k} = {pairs[k]}" for k in sorted(pairs))
+        return "\n".join(
+            f"{key} = {format_cell(v)}" for key, v in sorted(self.settings.items())
+        )
 
     def worker_count(self) -> int:
-        if self.threads > 0:
-            return self.threads
-        return os.cpu_count() or 1
+        return self.settings["threads"] or os.cpu_count() or 1
 
 
 def load_config(path: Union[str, Path]) -> ExperimentConfig:
@@ -448,11 +419,9 @@ def run_norm_identity(cfg: ExperimentConfig) -> SuiteResult:
         f"block norms climb from {norms[0]:.6f} to {norms[-1]:.6f} toward {sup_c}",
     )
 
-    lines = ["k,mu,closed_form,sigma_diagonal,sigma_quadrature"]
-    for k_level, mu, closed, sd, sq in rows:
-        vals = ",".join(format_float(v) for v in (mu, closed, sd, sq))
-        lines.append(f"{k_level},{vals}")
-    res.tables["norm_identity.csv"] = lines
+    res.tables["norm_identity.csv"] = csv_lines(
+        "k,mu,closed_form,sigma_diagonal,sigma_quadrature", rows
+    )
     return res
 
 
@@ -502,7 +471,7 @@ def run_factorization_suite(cfg: ExperimentConfig) -> SuiteResult:
     with ThreadPoolExecutor(max_workers=cfg.worker_count()) as pool:
         outcomes = list(pool.map(one_pair, pairs))
 
-    lines = ["a,c,rho,mu,max_deviation,passed"]
+    table = []
     last_full = None
     for (a_text, c_text), (full, reports) in zip(pairs, outcomes):
         last_full = full
@@ -514,13 +483,10 @@ def run_factorization_suite(cfg: ExperimentConfig) -> SuiteResult:
         else:
             detail = f"worst dev {worst:.3e} (tol {tol['factorization']:.1e})"
         res.add(f"pair({a_text} | {c_text})", ok, detail)
-        for r in reports:
-            rho_txt = " ".join(str(v) for v in r.rho)
-            lines.append(
-                f"{a_text},{c_text},{rho_txt},{format_float(r.mu)},"
-                f"{format_float(r.max_deviation)},{int(r.passed)}"
-            )
-    res.tables["factorization.csv"] = lines
+        table += [
+            (a_text, c_text, r.rho, r.mu, r.max_deviation, r.passed) for r in reports
+        ]
+    res.tables["factorization.csv"] = csv_lines("a,c,rho,mu,max_deviation,passed", table)
 
     # the two one-sided operators must commute (their levels share bases)
     f_a = parse_symbol(f"prod(a = {cfg.a_text}, c = 1)", geo)
@@ -627,10 +593,9 @@ def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
     )
     res.tables["quantization_berezin.csv"] = decay.csv_lines()
 
-    lines = ["mu,semicommutator_norm"]
-    for mu, v in zip(mus, semi_norms):
-        lines.append(f"{mu},{format_float(v)}")
-    res.tables["quantization_semicommutator.csv"] = lines
+    res.tables["quantization_semicommutator.csv"] = csv_lines(
+        "mu,semicommutator_norm", zip(mus, semi_norms)
+    )
 
     # operator side vs symbol side of the Berezin transform; the cutoff
     # must swallow the kernel mass at the probe radii, so stay at t <= 1/2

@@ -40,8 +40,8 @@ from .core import (
     TruncatedBasis,
     WeightedSpace,
     count_basis,
+    csv_lines,
     enumerate_basis,
-    format_float,
     levels_up_to,
 )
 from .errors import DomainError
@@ -397,16 +397,6 @@ def _monomial_rows(
     return out
 
 
-def _vandermonde_block(
-    z: np.ndarray, basis: TruncatedBasis
-) -> np.ndarray:
-    """Normalized monomials evaluated on a slab of nodes, shape (N, K).
-
-    A transposed view of ``_monomial_rows``.
-    """
-    return _monomial_rows(z, basis).T
-
-
 # Working-set caps for one slab of the torus assembly and one chunk of the
 # node sums, in array elements: nodes on the slab's tori, and gathered
 # (beta, alpha) phase coefficients or monomial values.
@@ -455,15 +445,6 @@ def _node_sums(
     return acc, acc2
 
 
-def _assemble_from_nodes(
-    nodes: np.ndarray,
-    weights: np.ndarray,
-    fn: PointFunction,
-    basis: TruncatedBasis,
-) -> np.ndarray:
-    return _node_sums(nodes, weights, fn, basis)[0]
-
-
 def _assemble_on_torus(
     rule: BallRule, fn: PointFunction, basis: TruncatedBasis
 ) -> np.ndarray:
@@ -490,7 +471,7 @@ def _assemble_on_torus(
         n = z.shape[0]
         fv = evaluate_finite(fn, z.reshape(-1, d)).reshape(z.shape[:-1])
         coef = np.fft.fftn(fv, axes=tuple(range(1, d + 1))).reshape(n, n_torus)
-        r = _vandermonde_block(rule.radii[rows], basis)
+        r = _monomial_rows(rule.radii[rows], basis).T
         wr = r * rule.radial_weights[rows, None]
         # C order whatever the layout of r (a transposed view): einsum's
         # summation order follows the operand layout
@@ -629,7 +610,7 @@ def toeplitz_matrix(
     if path.kind == "monte_carlo":
         z, _ = monte_carlo_points(space.d, space.lam, spec.n_samples, spec.seed)
         weights = np.full(z.shape[0], 1.0 / z.shape[0])
-        entries = _assemble_from_nodes(z, weights, fn, basis)
+        entries = _node_sums(z, weights, fn, basis)[0]
     else:
         rule = ball_rule(space.d, space.lam, path.spec.q, path.spec.angular)
         entries = _assemble_on_torus(rule, fn, basis)
@@ -763,8 +744,6 @@ def semicommutator(
     space: WeightedSpace,
     D: int,
     spec: QuadratureSpec,
-    *,
-    use_fast_paths: bool = True,
 ) -> OperatorMatrix:
     """Matrix of T_{c1} T_{c2} - T_{c1 c2} on the truncation.
 
@@ -772,8 +751,8 @@ def semicommutator(
     terms supported above the cutoff; for diagonal (radial) factors the
     difference vanishes, the result is exact, and it is a diagonal form.
     """
-    t1 = toeplitz_matrix(c1, space, D, spec, use_fast_paths=use_fast_paths)
-    t2 = toeplitz_matrix(c2, space, D, spec, use_fast_paths=use_fast_paths)
+    t1 = toeplitz_matrix(c1, space, D, spec)
+    t2 = toeplitz_matrix(c2, space, D, spec)
     if is_symbolic(c1) and is_symbolic(c2) and not (
         isinstance(c1, ProductSymbol) or isinstance(c2, ProductSymbol)
     ):
@@ -785,7 +764,7 @@ def semicommutator(
         def product(z: np.ndarray) -> np.ndarray:
             return np.asarray(f1(z)) * np.asarray(f2(z))
 
-    t12 = toeplitz_matrix(product, space, D, spec, use_fast_paths=use_fast_paths)
+    t12 = toeplitz_matrix(product, space, D, spec)
     out = t1 @ t2 - t12
     label = f"semi({t1.label}, {t2.label})"
     if out.diag is not None:
@@ -810,13 +789,8 @@ def export_matrix_csv(
     The sidecar (same path with .meta.json appended) records the basis
     order and enough context to reproduce the matrix.
     """
-    k = M.size
-    lines = ["row_index,col_index,re,im"]
-    for i in range(k):
-        row = M.entries[i]
-        for j in range(k):
-            v = row[j]
-            lines.append(f"{i},{j},{format_float(v.real)},{format_float(v.imag)}")
+    cells = ((i, j, v.real, v.imag) for (i, j), v in np.ndenumerate(M.entries))
+    lines = csv_lines("row_index,col_index,re,im", cells)
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -362,3 +362,40 @@ def test_non_finite_berezin_point_is_exit_one(capsys):
     code, out, err = run(capsys, argv)
     assert code == 1
     assert err.startswith("error:") and "interior point" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["berezin", "--d", "2", "--mu", "1", "--z", "0.3,0.1"],
+        ["quantize", "--d", "2", "--mus", "1,2", "--grid-points", "3"],
+    ],
+    ids=["berezin", "quantize"],
+)
+def test_group_radius_spanning_the_ball_reads_as_abs2(capsys, argv):
+    # under the one-group geometry of these commands r1 is |z|
+    outs = []
+    for symbol in ("abs2(z)", "r1^2"):
+        code, out, err = run(capsys, argv + ["--symbol", symbol])
+        assert code == 0 and err == ""
+        outs.append([l for l in out.splitlines() if not l.startswith("# symbol = ")])
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_non_positive_sample_count_is_exit_one(capsys, samples):
+    argv = ["matrix", "--symbol", "re(z1)", "--d", "1", "--mu", "0", "--D", "2",
+            "--scheme", "monte_carlo", "--samples", samples]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
+def test_negative_thread_count_is_exit_one(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = -2\n")
+    for argv in (["suite", "--threads", "-3", "--dry-run"],
+                 ["suite", "--config", str(cfg), "--dry-run"]):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "threads" in err

@@ -18,7 +18,7 @@ from berglab import (
     enumerate_basis,
     levels_up_to,
 )
-from berglab.core import compositions, monomial_moment
+from berglab.core import compositions, csv_lines, format_cell, monomial_moment
 
 
 def test_geometry_accepts_valid_partitions():
@@ -91,6 +91,16 @@ def test_norm_constant_matches_gamma_formula():
             assert basis_norm_constant(a, d, lam) == pytest.approx(
                 1.0 / math.sqrt(expect), rel=1e-13
             )
+
+
+def test_format_cell_writes_each_type_one_way():
+    assert format_cell(True) == "1" and format_cell(np.bool_(False)) == "0"
+    assert format_cell(np.float64(0.1)) == "0.1" and format_cell(1e-05) == "1e-05"
+    assert format_cell(np.float32(0.5)) == "0.5" and format_cell(2.0) == "2.0"
+    assert format_cell(np.int64(7)) == "7"
+    assert format_cell((1, 0, np.int64(2))) == "1 0 2"
+    assert format_cell("1 - abs2(zc)") == "1 - abs2(zc)"
+    assert csv_lines("rho,mu,passed", [((0, 1), 3.0, True)]) == ["rho,mu,passed", "0 1,3.0,1"]
 
 
 def test_group_degrees_sum_each_group():

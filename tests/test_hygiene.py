@@ -170,3 +170,24 @@ def test_only_the_core_module_enumerates_compositions():
                 if name == "compositions":
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_core_module_writes_float_text():
+    """Every table cell and config value goes through ``core.format_cell``:
+    outside core.py no module calls ``repr(float(...))``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "repr"
+                and len(node.args) == 1
+                and isinstance(node.args[0], ast.Call)
+                and isinstance(node.args[0].func, ast.Name)
+                and node.args[0].func.id == "float"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

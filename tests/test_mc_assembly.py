@@ -111,7 +111,7 @@ def test_row_kernel_keeps_the_gathered_bits():
     basis = enumerate_basis(3, 4, 0.5)
     z = rng.normal(size=(257, 3)) + 1j * rng.normal(size=(257, 3))
     for nodes in (z, np.abs(z)):
-        got = toeplitz._vandermonde_block(nodes, basis)
+        got = toeplitz._monomial_rows(nodes, basis).T
         assert np.array_equal(got, _gathered_vandermonde(nodes, basis))
 
 

@@ -1,5 +1,7 @@
 """Experiment configuration, suite execution and output layout."""
 
+from pathlib import Path
+
 import pytest
 
 from berglab import (
@@ -77,11 +79,31 @@ def test_eval_cutoff_shrinks_to_matrix_budget():
     assert count_basis(cfg.geometry.d_inner, cfg.D_eval) <= 2000
 
 
-def test_echo_roundtrips_through_parser():
-    cfg = default_config()
+@pytest.mark.parametrize(
+    "overrides, shown",
+    [
+        ({}, "quad.seed = 20260813"),
+        # the inner 2-ball shrinks the evaluation cutoff to the matrix budget
+        ({"geometry.n": "3"}, "truncation.D_eval = 61"),
+        ({"geometry.n": "4", "geometry.ell": "2", "geometry.k": "1 1"}, "geometry.k = 1 1"),
+        ({"schedule.mu": "1,2, 3"}, "schedule.mu = 1 2 3"),
+        ({"grid.tmax": "0.5"}, "grid.tmax = 0.5"),
+    ],
+    ids=["default", "n3", "n4_ell2", "mu_list", "tmax"],
+)
+def test_echo_roundtrips_through_parser(overrides, shown):
+    cfg = default_config(overrides)
+    assert shown in cfg.echo().splitlines()
     raw = parse_config_text(cfg.echo())
     again = ExperimentConfig.from_mapping(raw)
     assert again.echo() == cfg.echo()
+
+
+def test_negative_thread_count_is_refused():
+    assert default_config({"threads": 2}).worker_count() == 2
+    for value in ("-1", "-2"):
+        with pytest.raises(DomainError, match="threads"):
+            ExperimentConfig.from_mapping({"threads": value})
 
 
 def test_default_config_overrides():
@@ -190,3 +212,35 @@ def test_berezin_probe_cutoff_fits_the_rule_budget():
     D = _probe_cutoff(probe, 2, spec)
     assert 4 < D < 60 and count_basis(2, D) <= 2000
     assert rule_nodes(D) <= _MAX_RULE_NODES < rule_nodes(D + 1)
+
+
+@pytest.fixture(scope="module")
+def default_csv_tables():
+    """Every CSV table of one run of all suites on the default config."""
+    results = run_all(default_config())
+    return {
+        name: lines
+        for r in results
+        for name, lines in r.tables.items()
+        if name.endswith(".csv")
+    }
+
+
+def test_every_csv_row_has_a_cell_per_column(default_csv_tables):
+    assert len(default_csv_tables) == 13
+    for name, lines in default_csv_tables.items():
+        assert len(lines) > 1, name
+        assert {len(line.split(",")) for line in lines} == {len(lines[0].split(","))}, name
+
+
+def test_every_csv_header_is_documented(default_csv_tables):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schemas = readme.split("## CSV schemas", 1)[1].split("\n## ", 1)[0]
+    for name, lines in default_csv_tables.items():
+        header = lines[0]
+        if name == "recovery_grid.csv":
+            # the default inner ball is the disk; README writes the
+            # coordinate columns of any dimension
+            assert header == "re_z1,im_z1,re_c,im_c"
+            header = "re_z1,im_z1,...,re_c,im_c"
+        assert f"`{header}`" in schemas, name
