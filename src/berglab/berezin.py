@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import special as sp_special
@@ -36,19 +36,19 @@ from .quadrature import (
     as_point_function,
 )
 from .symbols import (
-    ProductSymbol,
     SymbolExpr,
     eval_on_points,
     is_symbolic,
-    radial_profile,
     symbol_degree_hint,
     symbol_to_text,
 )
 from .toeplitz import (
+    DiagonalSource,
     GammaSequence,
     OperatorMatrix,
     _radial_order,
     _require_budget,
+    assembly_path,
     radial_toeplitz_diagonal,
     toeplitz_matrix,
 )
@@ -218,14 +218,16 @@ def radial_expansion_degree(d: int, nu: float, t: float) -> int:
 
 
 def _radial_berezin_value(
-    profile: Callable[[np.ndarray], np.ndarray], d: int, nu: float, t: float
+    source: DiagonalSource, d: int, nu: float, t: float
 ) -> complex:
     """Berezin transform of a radial symbol at a point with |z|^2 = t < 1.
 
-    Expands over the diagonal eigenvalue sequence with negative-binomial
-    kernel masses, cut where all but 1e-13 of the mass at t is carried.
+    Expands over the diagonal eigenvalue sequence of ``source`` (the
+    terms of a polynomial symbol, or a profile in t) with
+    negative-binomial kernel masses, cut where all but 1e-13 of the mass
+    at t is carried.
     """
-    lam = radial_toeplitz_diagonal(profile, d, nu, radial_expansion_degree(d, nu, t))
+    lam = radial_toeplitz_diagonal(source, d, nu, radial_expansion_degree(d, nu, t))
     return complex(radial_berezin_sum(lam, d + nu + 1.0, np.array([t]))[0])
 
 
@@ -243,8 +245,10 @@ def berezin_of_symbol(
     stays accurate arbitrarily close to the boundary.  Any other symbol
     gives <T_{g o phi_z} 1, 1>_mu, the degree-0 entry of the pullback's
     Toeplitz matrix, from the samples of a sampling spec or from a product
-    rule whose orders grow as z nears the sphere.  The geometry, when
-    given, declares the partition that group radii such as ``r1`` read.
+    rule whose orders grow as z nears the sphere.  ``assembly_path``
+    picks the route, so a polynomial radial symbol expands over its exact
+    diagonal.  The geometry, when given, declares the partition that group
+    radii such as ``r1`` read; one of another dimension than z is refused.
     """
     z_arr = np.asarray(z, dtype=complex).reshape(-1)
     d = z_arr.shape[0]
@@ -252,10 +256,9 @@ def berezin_of_symbol(
     if not t < 1.0:  # NaN coordinates fail this too
         raise DomainError("Berezin evaluation needs an interior point")
 
-    if is_symbolic(g) and not isinstance(g, ProductSymbol):
-        profile = radial_profile(g, geometry)
-        if profile is not None:
-            return _radial_berezin_value(profile, d, mu, t)
+    path = assembly_path(g, WeightedSpace(d, mu, geometry=geometry), 0, spec)
+    if path.kind == "radial":
+        return _radial_berezin_value(path.source, d, mu, t)
 
     fn = as_point_function(g, geometry)
 

@@ -111,7 +111,7 @@ _FLAGS = {
     "--config": dict(help="config file supplying defaults"),
     "--out": dict(help="output file or directory"),
     "--seed": dict(type=int, default=None, help="RNG seed"),
-    "--threads": dict(type=int, default=0, help="worker pool size (0 = cores)"),
+    "--threads": dict(type=int, default=None, help="worker pool size (0 = cores)"),
     "--tol": dict(type=float, default=None, help="tolerance override"),
 }
 
@@ -400,7 +400,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
     raw = parse_config_text(Path(args.config).read_text()) if args.config else {}
     if args.seed is not None:
         raw["quad.seed"] = str(args.seed)
-    if args.threads:
+    if args.threads is not None:
         raw["threads"] = str(args.threads)
     if args.out:
         raw["out.dir"] = args.out

@@ -316,9 +316,8 @@ def _factor_on_level(
     ``primes`` holds the level's z'-exponents in pair order."""
     hdim = len(primes)
     if is_symbolic(a):
-        profile = quasi_radial_profile(a, geometry.m)
-        if profile is not None:
-            g = gamma_quasi_radial(profile, geometry.k, lam, rho)
+        if quasi_radial_profile(a, geometry.m) is not None:
+            g = gamma_quasi_radial(a, geometry.k, lam, rho)
             return g * np.eye(hdim, dtype=complex)
         if geometry.ell >= 2:
             geo_a = BallGeometry(geometry.ell, geometry.ell, geometry.k)

@@ -17,9 +17,13 @@ are taken in chunks of at most _SLAB_ENTRIES monomial values, built into
 buffers reused from chunk to chunk; the second moment behind the
 standard errors takes |e|^2 as re^2 + im^2.  Symbols that only depend on
 group radii (or on |z|^2) skip quadrature over phases entirely and are
-assembled as exact diagonals, kept as their K values: an OperatorMatrix
-has a dense form and a diagonal form, and the diagonal one builds its
-K x K entries only when a caller asks for them.  Arrays past
+assembled as diagonals, kept as their K values: an OperatorMatrix has a
+dense form and a diagonal form, and the diagonal one builds its K x K
+entries only when a caller asks for them.  A polynomial such symbol is
+exact: its terms c |z^p|^2 give each diagonal value as a sum of
+Pochhammer ratios, with no rule.  Other such symbols (rational, with
+roots, or profile callables) integrate their profile with one
+Gauss-Jacobi or simplex rule.  Arrays past
 _MAX_DENSE_ENTRIES are refused before they are allocated, and so are
 diagonal forms whose dense form would be.
 
@@ -37,6 +41,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (
+    BallGeometry,
     TruncatedBasis,
     WeightedSpace,
     count_basis,
@@ -60,9 +65,11 @@ from .quadrature import (
 )
 from .symbols import (
     BinOp,
+    PolynomialTerms,
     ProductSymbol,
     SymbolExpr,
     axis_winding,
+    expand_polynomial,
     group_winding,
     is_polynomial,
     is_symbolic,
@@ -220,24 +227,84 @@ def _normalized_moment(w: np.ndarray, vals: np.ndarray):
 # entries of the radial moment table built per pass (at least 8 rows)
 _MOMENT_ENTRIES = 1 << 16
 
+# What a diagonal is computed from: a symbol, a profile callable, or the
+# terms of a polynomial symbol as ``expand_polynomial`` gives them
+DiagonalSource = Union[SymbolExpr, Callable[[np.ndarray], np.ndarray], PolynomialTerms]
+
+
+def _level_diagonal(
+    terms: PolynomialTerms, k: Sequence[int], lam: float, levels
+) -> np.ndarray:
+    """Exact diagonal of a polynomial symbol, one value per level row.
+
+    Level rho stands for the multi-index with rho_j on the first axis of
+    group j (d = sum k axes); at such an alpha the entry is
+    sum_p c_(p,p) prod_i (alpha_i + 1)_{p_i} / (|alpha| + d + lam + 1)_{|p|},
+    the ratio m(alpha + p) / m(alpha) of monomial moments.  Each term is
+    one running product of |p| factors, each below 1, with no lgamma and
+    no exp; terms with p != q put nothing on the diagonal.  Real
+    coefficients give a real array.
+    """
+    k = tuple(k)
+    levels = np.asarray(levels, dtype=float).reshape(-1, len(k))
+    alphas = np.zeros((levels.shape[0], sum(k)))
+    alphas[:, np.cumsum((0,) + k[:-1])] = levels
+    diagonal = [(p, c) for (p, q), c in terms.items() if p == q]
+    real = all(c.imag == 0.0 for _, c in diagonal)
+    out = np.zeros(levels.shape[0], dtype=float if real else complex)
+    base = alphas.sum(axis=1) + (sum(k) + lam + 1.0)
+    for p, c in diagonal:
+        term = np.ones(levels.shape[0])
+        j = 0
+        for axis, power in enumerate(p):
+            for s in range(power):
+                term *= (alphas[:, axis] + (s + 1.0)) / (base + j)
+                j += 1
+        out += (c.real if real else c) * term
+    return out
+
+
+def _diagonal_source(
+    a: DiagonalSource,
+    judge: Callable[[SymbolExpr], Optional[Callable[[np.ndarray], np.ndarray]]],
+    what: str,
+    d: int,
+    geometry: Optional[BallGeometry] = None,
+) -> Tuple[Optional[PolynomialTerms], Optional[Callable[[np.ndarray], np.ndarray]]]:
+    """(terms, profile): the terms of a polynomial symbol that ``judge``
+    accepts, or else the profile for the rule route.  A symbol ``judge``
+    refuses is refused with a ``DomainError``."""
+    if isinstance(a, dict):
+        return a, None
+    profile = _as_profile(a, judge, what)
+    terms = expand_polynomial(a, d, geometry=geometry) if is_symbolic(a) else None
+    return terms, profile
+
 
 def radial_toeplitz_diagonal(
-    a: Union[SymbolExpr, Callable[[np.ndarray], np.ndarray]],
+    a: DiagonalSource,
     d: int,
     mu: float,
     D: int,
     q: Optional[int] = None,
 ) -> np.ndarray:
-    """All radial eigenvalues for degrees 0..D from one quadrature rule.
+    """All radial eigenvalues for degrees 0..D.
 
-    The per-degree monomial factor t^m is folded into the weights in log
+    A polynomial symbol (or its terms) takes the exact Pochhammer sum of
+    ``_level_diagonal`` at alpha = m e_1 and builds no rule.  A profile
+    callable or any other radial symbol takes one Gauss-Jacobi rule: the
+    per-degree monomial factor t^m is folded into the weights in log
     space, which stays finite for cutoffs in the thousands.  The (D + 1)
     x q table of those weights is built about _MOMENT_ENTRIES at a time,
     in blocks of a multiple of 8 degrees: BLAS matvec kernels reduce rows
     in groups of up to 8, so each degree is reduced as a single-threaded
     product over the whole table would reduce it.
     """
-    profile = _as_profile(a, radial_profile, "a radial profile in t = |z|^2")
+    terms, profile = _diagonal_source(
+        a, radial_profile, "a radial profile in t = |z|^2", d
+    )
+    if terms is not None:
+        return _level_diagonal(terms, (d,), mu, np.arange(D + 1))
     if q is None:
         q = _radial_order(D, _profile_degree(a))
     _require_budget((D + 1) * q, f"the radial moment table for degrees <= {D}")
@@ -258,7 +325,7 @@ def radial_toeplitz_diagonal(
 
 
 def gamma_quasi_radial(
-    a: Union[SymbolExpr, Callable[[np.ndarray], np.ndarray]],
+    a: DiagonalSource,
     k: Sequence[int],
     lam: float,
     rho: Sequence[int],
@@ -266,10 +333,12 @@ def gamma_quasi_radial(
 ) -> complex:
     """Diagonal value of a quasi-radial symbol on the level rho.
 
-    Normalized moment of the profile over the set of group radii against
-    (1 - |r|^2)^lam prod r_j^(2 rho_j + 2 k_j - 1) dr; the normalization is
-    the same quadrature sum with a == 1, so constants are exact.  A real
-    profile gives a float.
+    A polynomial symbol (or its terms) takes the exact Pochhammer sum of
+    ``_level_diagonal`` and builds no rule.  Otherwise it is the
+    normalized moment of the profile over the set of group radii against
+    (1 - |r|^2)^lam prod r_j^(2 rho_j + 2 k_j - 1) dr; the normalization
+    is the same quadrature sum with a == 1, so constants are exact.  A
+    real profile gives a float.
     """
     k = tuple(int(v) for v in k)
     rho = tuple(int(v) for v in rho)
@@ -277,9 +346,15 @@ def gamma_quasi_radial(
         raise DomainError("level and partition lengths differ")
     if any(v < 0 for v in rho):
         raise DomainError(f"level entries must be nonnegative, got {rho}")
-    profile = _as_profile(
-        a, lambda e: quasi_radial_profile(e, len(k)), "a profile in the group radii"
+    terms, profile = _diagonal_source(
+        a,
+        lambda e: quasi_radial_profile(e, len(k)),
+        "a profile in the group radii",
+        sum(k),
+        BallGeometry(sum(k), sum(k), k),
     )
+    if terms is not None:
+        return _level_diagonal(terms, k, lam, [rho]).item()
     if q is None:
         q = max(24, _profile_degree(a))
     powers = tuple(2 * r + 2 * kk - 1 for r, kk in zip(rho, k))
@@ -310,7 +385,7 @@ class GammaSequence:
 
 
 def gamma_sequence(
-    a: Union[SymbolExpr, Callable[[np.ndarray], np.ndarray]],
+    a: DiagonalSource,
     k: Sequence[int],
     lam: float,
     R: int,
@@ -470,7 +545,11 @@ def _assemble_on_torus(
         z = rule.torus_nodes(rows)
         n = z.shape[0]
         fv = evaluate_finite(fn, z.reshape(-1, d)).reshape(z.shape[:-1])
-        coef = np.fft.fftn(fv, axes=tuple(range(1, d + 1))).reshape(n, n_torus)
+        if k == 1:
+            # frequency 0 alone: the plain phase sum of the samples
+            coef = fv.reshape(n, n_torus).sum(axis=1, keepdims=True)
+        else:
+            coef = np.fft.fftn(fv, axes=tuple(range(1, d + 1))).reshape(n, n_torus)
         r = _monomial_rows(rule.radii[rows], basis).T
         wr = r * rule.radial_weights[rows, None]
         # C order whatever the layout of r (a transposed view): einsum's
@@ -507,11 +586,13 @@ def resolve_assembly_spec(
 class AssemblyPath:
     """The route ``toeplitz_matrix`` takes for one request, with its orders.
 
-    ``kind`` is "radial" (a diagonal of radial eigenvalues of ``profile``,
-    a function of |z|^2, from a Gauss-Jacobi rule of ``q`` nodes),
-    "quasi_radial" (a diagonal of the gamma sequence of ``profile``, a
-    function of the group radii, at simplex order ``q``), "torus" (the
-    product rule of ``spec``) or "monte_carlo" (the samples of ``spec``).
+    ``kind`` is "radial" (a diagonal of radial eigenvalues, one per
+    degree), "quasi_radial" (a diagonal of the gamma sequence, one value
+    per level), "torus" (the product rule of ``spec``) or "monte_carlo"
+    (the samples of ``spec``).  A diagonal of a polynomial symbol is
+    exact: it is read off the symbol's ``terms`` and builds no rule.  Any
+    other diagonal integrates ``profile`` (a function of |z|^2, or of the
+    group radii) with a Gauss-Jacobi or simplex rule of ``q`` nodes.
     ``spec`` is the resolved request whatever the path.
     """
 
@@ -521,6 +602,12 @@ class AssemblyPath:
     profile: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, repr=False
     )
+    terms: Optional[PolynomialTerms] = field(default=None, repr=False)
+
+    @property
+    def source(self) -> DiagonalSource:
+        """What a diagonal path computes from: the terms, else the profile."""
+        return self.terms if self.terms is not None else self.profile
 
     def record(self) -> dict:
         """The path and the orders it used, for run records."""
@@ -532,6 +619,8 @@ class AssemblyPath:
                 "n_samples": self.spec.n_samples,
                 "seed": self.spec.seed,
             }
+        if self.terms is not None:
+            return {"path": self.kind, "exact": True}
         return {"path": self.kind, "q": self.q}
 
 
@@ -557,12 +646,17 @@ def assembly_path(
         # the group radii of the geometry are moduli on this space's ball
         # only where its groups cover that ball
         covers = geometry is not None and sum(geometry.k) == space.d
-        profile = radial_profile(f, geometry if covers else None)
+        groups = geometry if covers else None
+        kind, q = "radial", _radial_order(D, hint)
+        profile = radial_profile(f, groups)
+        if profile is None and covers:
+            kind, q = "quasi_radial", max(24, hint)
+            profile = quasi_radial_profile(f, geometry.m)
         if profile is not None:
-            return AssemblyPath("radial", resolved, _radial_order(D, hint), profile)
-        profile = quasi_radial_profile(f, geometry.m) if covers else None
-        if profile is not None:
-            return AssemblyPath("quasi_radial", resolved, max(24, hint), profile)
+            terms = expand_polynomial(f, space.d, geometry=groups)
+            if terms is not None:
+                return AssemblyPath(kind, resolved, terms=terms)
+            return AssemblyPath(kind, resolved, q, profile)
     kind = "monte_carlo" if spec.scheme == MONTE_CARLO else "torus"
     return AssemblyPath(kind, resolved)
 
@@ -578,10 +672,12 @@ def toeplitz_matrix(
 ) -> OperatorMatrix:
     """Compression of the symbol's Toeplitz operator to degrees <= D.
 
-    Fast paths: radial symbols become exact diagonals of radial
-    eigenvalues, group-radius symbols become diagonals of the gamma
-    sequence, and for phase-homogeneous symbols the entries that the
-    rotation bookkeeping forces to vanish are set to exactly zero.
+    Fast paths: radial symbols become diagonals of radial eigenvalues,
+    group-radius symbols become diagonals of the gamma sequence, and for
+    phase-homogeneous symbols the entries that the rotation bookkeeping
+    forces to vanish are set to exactly zero.  The diagonal of a
+    polynomial symbol is exact, a Pochhammer sum over its terms; any
+    other diagonal comes from one Gauss-Jacobi or simplex rule.
     ``use_fast_paths=False`` forces plain quadrature for every entry,
     which is the honest reference the fast paths are tested against.
     ``assembly_path`` names the route taken.
@@ -594,14 +690,14 @@ def toeplitz_matrix(
 
     if path.kind == "radial":
         per_degree = radial_toeplitz_diagonal(
-            path.profile, space.d, space.lam, D, q=path.q
+            path.source, space.d, space.lam, D, q=path.q
         )
         return OperatorMatrix.diagonal(basis, per_degree[basis.degrees], label=label)
     if path.kind == "quasi_radial":
         k = geometry.k
         levels, of_row = np.unique(basis.group_degrees(k), axis=0, return_inverse=True)
         gammas = np.array(
-            [gamma_quasi_radial(path.profile, k, space.lam, rho, q=path.q) for rho in levels],
+            [gamma_quasi_radial(path.source, k, space.lam, rho, q=path.q) for rho in levels],
             dtype=complex,
         )
         return OperatorMatrix.diagonal(basis, gammas[of_row.reshape(-1)], label=label)

@@ -309,3 +309,12 @@ def test_radial_expansion_near_the_sphere_is_refused_before_allocating(t):
     # the default probe schedule stays well inside it
     r = default_radius_schedule(6, include_terminal=False)[-1]
     assert radial_expansion_degree(1, 2.0, r**2) < 2000
+
+
+def test_symbol_transform_refuses_a_geometry_of_another_dimension():
+    # the route is chosen on the weighted space of z, which carries the geometry
+    g = BallGeometry(3, 3, (3,))
+    for text in ("1 - abs2(z)", "re(z1)"):
+        with pytest.raises(DomainError, match="differs from the geometry"):
+            berezin_of_symbol(parse_symbol(text, g), 1.0, (0.3, 0.2), QuadratureSpec(),
+                              geometry=g)

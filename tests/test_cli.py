@@ -59,6 +59,18 @@ def test_parse_error_is_exit_one(capsys):
     assert err.startswith("error:")
 
 
+def test_thread_flag_zero_overrides_the_config(capsys, tmp_path):
+    # 0 (all cores) is a value to pass on, not a missing flag
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("threads = 2\n")
+    code, out, err = run(capsys, ["suite", "--config", str(cfg), "--dry-run"])
+    assert code == 0 and "threads = 2" in out.splitlines()
+    code, out, err = run(
+        capsys, ["suite", "--config", str(cfg), "--threads", "0", "--dry-run"]
+    )
+    assert code == 0 and "threads = 0" in out.splitlines()
+
+
 def test_bad_flag_is_exit_one(capsys):
     code, out, err = run(capsys, ["norm", "--symbol", "1", "--d", "1", "--mu", "0"])
     assert code == 1
@@ -260,6 +272,8 @@ def test_oversized_matrix_is_refused_before_allocating(capsys):
     [
         ("1/(2-abs2(z))", {"path": "radial", "q": 48}),
         ("z1*conj(z2) + 1", {"path": "torus", "q": 8, "angular": 11}),
+        # a polynomial diagonal is exact: no rule is built, so no order
+        ("2 - abs2(z)", {"path": "radial", "exact": True}),
     ],
 )
 def test_matrix_sidecar_records_the_assembly_path(capsys, tmp_path, text, record):

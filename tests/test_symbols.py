@@ -15,6 +15,7 @@ from berglab import (
     classify_symbol,
     eval_on_points,
     eval_symbol,
+    expand_polynomial,
     parse_symbol,
     rebase_inner,
     symbol_to_text,
@@ -361,3 +362,91 @@ def test_rebase_inner_keeps_values_on_the_inner_ball(text):
     rebased = rebase_inner(expr)
     assert symbol_to_text(rebased) == symbol_to_text(expr).replace("zc", "z")
     assert eval_on_points(rebased, _POINT)[0] == eval_on_points(expr, _POINT)[0]
+
+
+# ---------------------------------------------------------------------------
+# Polynomial expansion
+
+# zc under a product geometry, and group radii on a covering partition
+_POLY_GEOMETRIES = (_G, BallGeometry(3, 3, (2, 1)))
+_POLY_LEAVES = (
+    "1", "2.5", "i", "z1", "z2", "z3", "abs2(z)", "abs2(z1)", "re(z1)", "im(z2)",
+    "conj(z3)", "r1^2", "r1^4",
+)
+
+
+def _poly_combine(children):
+    a, b = children
+    return st.sampled_from(
+        [
+            f"({a} + {b})", f"({a} - {b})", f"({a} * {b})", f"(-({a}))", f"({a})^2",
+            f"({a})^3", f"conj({a})", f"re({a})", f"im({a})", f"abs2({a})",
+        ]
+    )
+
+
+@st.composite
+def _poly_text(draw, depth=3):
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(_POLY_LEAVES))
+    a = draw(_poly_text(depth=depth - 1))
+    b = draw(_poly_text(depth=depth - 1))
+    return draw(_poly_combine((a, b)))
+
+
+_COORD = st.floats(-0.4, 0.4, allow_nan=False)  # |z|^2 < 6 * 0.16
+
+
+def _sum_terms(terms, z):
+    """sum coef z^p conj(z)^q at the points z (N, d)."""
+    out = np.zeros(z.shape[0], dtype=complex)
+    for (p, q), c in terms.items():
+        out += c * np.prod(z ** np.array(p) * np.conj(z) ** np.array(q), axis=1)
+    return out
+
+
+@given(
+    _poly_text(),
+    st.sampled_from(_POLY_GEOMETRIES),
+    st.lists(st.tuples(*[_COORD] * 6), min_size=1, max_size=4),
+)
+@settings(max_examples=80, deadline=None)
+def test_expansion_matches_evaluation(text, geometry, coords):
+    # at random interior points the terms sum to the evaluated symbol
+    text = text.replace("z3", "zc1") if geometry.ell < geometry.n else text
+    expr = parse_symbol(text, geometry)
+    c = np.array(coords)
+    z = c[:, :3] + 1j * c[:, 3:]
+    terms = expand_polynomial(expr, geometry.n, geometry=geometry)
+    assert terms is not None
+    got = _sum_terms(terms, z)
+    want = eval_on_points(expr, z, geometry=geometry)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize(
+    "text", ["1/(2 - abs2(z))", "z1/2", "sqrt(abs2(z))", "r1", "r1^3", "1 - r1^2*r1"]
+)
+def test_expansion_is_none_off_the_polynomials(text):
+    g = BallGeometry(2, 2, (2,))
+    assert expand_polynomial(parse_symbol(text, g), 2, geometry=g) is None
+    product = parse_symbol("prod(a = 1, c = abs2(zc))", BallGeometry(2, 1, (1,)))
+    assert expand_polynomial(product, 2) is None
+
+
+def test_expansion_reads_group_radii_and_whole_tuples():
+    g = BallGeometry(3, 3, (2, 1))
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    assert expand_polynomial(parse_symbol("r1^2", g), 3, geometry=g) == {
+        (e1, e1): 1, (e2, e2): 1,
+    }
+    assert expand_polynomial(parse_symbol("abs2(z)", g), 3, geometry=g) == {
+        (e1, e1): 1, (e2, e2): 1, (e3, e3): 1,
+    }
+    # zc counts from the split point on a product geometry
+    split = BallGeometry(3, 2, (2,))
+    assert expand_polynomial(parse_symbol("abs2(zc)", split), 3, geometry=split) == {
+        (e3, e3): 1,
+    }
+    with pytest.raises(DomainError, match="partition"):
+        expand_polynomial(parse_symbol("r1^2", None), 3)

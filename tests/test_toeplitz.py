@@ -1,6 +1,7 @@
 """Matrix assembly against closed-form eigenvalues and exact identities."""
 
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from berglab import (
     WeightedSpace,
     assembly_path,
     berezin_of_operator,
+    berezin_of_symbol,
     export_matrix_csv,
     gamma_quasi_radial,
     gamma_sequence,
+    level_block_direct,
     operator_norm,
     parse_symbol,
     radial_toeplitz_diagonal,
@@ -23,9 +26,10 @@ from berglab import (
     toeplitz_matrix,
     toeplitz_matrix_with_stderr,
 )
-from berglab import toeplitz
+from berglab import quadrature, toeplitz
 from berglab.core import enumerate_basis
 from berglab.quadrature import MONTE_CARLO
+from berglab.symbols import radial_profile
 
 
 def test_identity_symbol_gives_exact_identity():
@@ -256,8 +260,13 @@ def test_assembly_path_names_the_route_and_its_orders():
     spec = QuadratureSpec()
     radial = assembly_path(parse_symbol("1/(2-abs2(z))", space.geometry), space, 4, spec)
     assert radial.record() == {"path": "radial", "q": 48}
-    quasi = assembly_path(parse_symbol("r1^2", space.geometry), space, 4, spec)
+    quasi = assembly_path(parse_symbol("1/(2-r1^2)", space.geometry), space, 4, spec)
     assert quasi.record() == {"path": "quasi_radial", "q": 24}
+    # polynomial diagonals are exact and build no rule, so they have no order
+    exact = assembly_path(parse_symbol("2 - abs2(z)", space.geometry), space, 4, spec)
+    assert exact.record() == {"path": "radial", "exact": True}
+    quasi = assembly_path(parse_symbol("r1^2", space.geometry), space, 4, spec)
+    assert quasi.record() == {"path": "quasi_radial", "exact": True}
     general = parse_symbol("z1*conj(z2) + 1", space.geometry)
     torus = assembly_path(general, space, 4, spec)
     assert torus.record() == {"path": "torus", "q": 8, "angular": 11}
@@ -412,3 +421,120 @@ def test_dense_consumers_accept_diagonal_forms(tmp_path):
     export_matrix_csv(_dense_copy(mat), str(p2), symbol_text="2 - abs2(z)")
     assert p1.read_bytes() == p2.read_bytes()
     assert len(p1.read_text().splitlines()) == 1 + mat.size**2
+
+
+# ---------------------------------------------------------------------------
+# Exact diagonals of polynomial symbols
+
+POLY_PROFILES = {  # radial symbol -> coefficients c_j of t^j, t = |z|^2
+    "1 - abs2(z)": (1, -1),
+    "2 - abs2(z)": (2, -1),
+    "0.3 - 0.7*abs2(z) + 0.9*abs2(z)^2": (0.3, -0.7, 0.9),
+    "abs2(z)^5": (0, 0, 0, 0, 0, 1),
+}
+
+
+def _rational_eigenvalue(coefs, d, mu, m):
+    """sum_j c_j (m + d)_j / (m + d + mu + 1)_j in rational arithmetic, and
+    the sum of the terms' moduli, the scale of the sum's roundoff."""
+    total, size, ratio = Fraction(0), Fraction(0), Fraction(1)
+    top, bottom = Fraction(m + d), Fraction(m + d + 1) + Fraction(mu)
+    for j, c in enumerate(coefs):
+        total += Fraction(c) * ratio
+        size += abs(Fraction(c)) * ratio
+        ratio *= (top + j) / (bottom + j)
+    return float(total), float(size)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("mu", [0.0, 0.5, 33.0, 129.0])
+def test_exact_radial_diagonal_matches_rational_arithmetic(d, mu):
+    ms = [0, 1, 2, 7, 60, 1800, 10_000]
+    for text, coefs in POLY_PROFILES.items():
+        got = radial_toeplitz_diagonal(parse_symbol(text, None), d, mu, 10_000)[ms]
+        want, size = np.array([_rational_eigenvalue(coefs, d, mu, m) for m in ms]).T
+        # a few ulp for each of the up to 2 * 5 factors of a running product
+        assert np.all(np.abs(got - want) <= 4e-15 * size), text
+
+
+@pytest.mark.parametrize(
+    "d, mu, D, tol",
+    [
+        (1, 33.0, 1800, 1e-13),
+        (2, 0.0, 1800, 1e-13),
+        (3, 129.0, 1800, 1e-13),
+        (1, 33.0, 10_000, 1e-12),
+    ],
+)
+def test_exact_radial_diagonal_matches_the_rule_route(d, mu, D, tol):
+    # the same profile passed as a plain callable takes the Gauss-Jacobi rule
+    for text in POLY_PROFILES:
+        f = parse_symbol(text, None)
+        exact = radial_toeplitz_diagonal(f, d, mu, D)
+        ruled = radial_toeplitz_diagonal(radial_profile(f), d, mu, D)
+        assert _rel_dev(exact, ruled) <= tol, text
+
+
+@pytest.mark.parametrize("d, mu", [(1, 0.0), (2, 0.5), (3, 33.0)])
+def test_abs2_radial_eigenvalue_is_the_closed_form(d, mu):
+    per_degree = radial_toeplitz_diagonal(parse_symbol("abs2(z)", None), d, mu, 40)
+    for m in range(41):
+        assert per_degree[m] == pytest.approx((m + d) / (m + d + mu + 1.0), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "geometry, D, text",
+    [
+        (BallGeometry(1, 1, (1,)), 6, "0.3 - 0.7*abs2(z) + 0.9*abs2(z)^2"),
+        (BallGeometry(2, 2, (2,)), 6, "(1+i)*(2 - r1^2)^2"),
+        (BallGeometry(3, 3, (3,)), 4, "1 - abs2(z) + abs2(z)^2"),
+        (BallGeometry(2, 2, (1, 1)), 6, "r1^2 - 2*r2^4 + i*r1^2*r2^2"),
+        (BallGeometry(3, 3, (2, 1)), 4, "2 - r1^2 + 3*r2^2*abs2(z)"),
+    ],
+)
+def test_exact_diagonals_match_the_torus_reference(geometry, D, text):
+    space = WeightedSpace(geometry.n, 0.5, geometry=geometry)
+    f = parse_symbol(text, geometry)
+    path = assembly_path(f, space, D, QuadratureSpec())
+    assert path.kind in ("radial", "quasi_radial") and path.terms is not None
+    exact = toeplitz_matrix(f, space, D, QuadratureSpec())
+    honest = toeplitz_matrix(f, space, D, QuadratureSpec(), use_fast_paths=False)
+    assert exact.diag is not None
+    assert np.max(np.abs(exact.entries - honest.entries)) <= 1e-12
+
+
+def test_polynomial_diagonals_build_no_rule(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quadrature rule was built")
+
+    for module in (toeplitz, quadrature):
+        monkeypatch.setattr(module, "gauss_jacobi_rule", refuse)
+        monkeypatch.setattr(module, "simplex_radial_rule", refuse)
+    spec = QuadratureSpec()
+    disk = BallGeometry(2, 2, (2,))
+    radial = toeplitz_matrix(
+        parse_symbol("2 - r1^2", disk), WeightedSpace(2, 1.0, geometry=disk), 8, spec
+    )
+    groups = BallGeometry(2, 2, (1, 1))
+    quasi = toeplitz_matrix(
+        parse_symbol("r1^2 - 2*r2^4", groups),
+        WeightedSpace(2, 0.5, geometry=groups), 8, spec,
+    )
+    assert radial.diag is not None and quasi.diag is not None
+    gamma_sequence(parse_symbol("1 - r1^2 + i*r2^2", groups), (1, 1), 0.5, 6)
+    split = BallGeometry(2, 1, (1,))
+    c = parse_symbol("prod(a = 1, c = 1 - abs2(zc))", split).c
+    block = level_block_direct(c, split, 0.0, (32,), 1800, spec)
+    assert block.block.diag is not None
+    semicommutator(parse_symbol("1 - abs2(z)", None), parse_symbol("abs2(z)^2", None),
+                   WeightedSpace(1, 33.0), 60, spec)
+    berezin_of_symbol(parse_symbol("1 - abs2(z)", None), 2.0, (0.9,), spec)
+    # the bitwise promises hold on the exact route
+    one = toeplitz_matrix(parse_symbol("1", None), WeightedSpace(3, 0.5), 6, spec)
+    assert np.all(one.diag == 1.0)
+    seq = gamma_sequence(parse_symbol("1", None), (1, 1), 0.5, 6)
+    assert all(seq(rho) == 1.0 and isinstance(seq(rho), float) for rho in seq.levels)
+    # the patch is live: a rational profile still takes a rule
+    with pytest.raises(AssertionError, match="rule was built"):
+        toeplitz_matrix(parse_symbol("1/(2 - abs2(z))", None), WeightedSpace(1, 0.0), 4,
+                        spec)

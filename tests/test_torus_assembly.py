@@ -251,3 +251,19 @@ def test_resolved_orders_add_the_margin_only_when_automatic():
     assert resolve_assembly_spec(rational, 2, 6, explicit) == explicit
     mc = QuadratureSpec(scheme="monte_carlo")
     assert resolve_assembly_spec(rational, 2, 6, mc) is mc
+
+
+@pytest.mark.parametrize(
+    "text", ["re(z1) + 2*abs2(z2)*conj(z1)", "1/(2 - abs2(z)) + z2^3*conj(z1)"]
+)
+def test_degree_zero_entry_is_the_fft_routes_frequency_zero(text):
+    # K = 1 takes the plain phase sum of each torus instead of an FFT
+    rule = ball_rule(2, 1.0, 12, 40)
+    basis = enumerate_basis(2, 0, 1.0)
+    fn = as_point_function(parse_symbol(text, None))
+    got = toeplitz._assemble_on_torus(rule, fn, basis)[0, 0]
+    z = rule.torus_nodes()
+    samples = fn(z.reshape(-1, 2)).reshape(z.shape[:-1])
+    frequency_zero = np.fft.fftn(samples, axes=(1, 2))[:, 0, 0]
+    want = np.sum(rule.radial_weights * basis.norms[0] ** 2 * frequency_zero)
+    assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
