@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import special as sp_special
@@ -43,13 +43,13 @@ from .symbols import (
     symbol_to_text,
 )
 from .toeplitz import (
-    DiagonalSource,
     GammaSequence,
     OperatorMatrix,
+    _exact_diagonal,
+    _radial_diagonal,
     _radial_order,
     _require_budget,
     assembly_path,
-    radial_toeplitz_diagonal,
     toeplitz_matrix,
 )
 
@@ -204,7 +204,7 @@ def radial_expansion_degree(d: int, nu: float, t: float) -> int:
         quant -= 1.0
     # counts past the budget are all refused alike; the clip keeps int() finite
     terms = int(min(quant + 16, 1e12))
-    # q: the order radial_toeplitz_diagonal takes for a profile callable
+    # q: the order of the rule the profile takes where no exact sum holds
     _require_budget(
         (terms + 1) * _radial_order(terms, 16),
         f"the radial Berezin expansion at |z|^2 = {t!r}",
@@ -218,16 +218,22 @@ def radial_expansion_degree(d: int, nu: float, t: float) -> int:
 
 
 def _radial_berezin_value(
-    source: DiagonalSource, d: int, nu: float, t: float
+    g: SymbolExpr,
+    profile: Callable[[np.ndarray], np.ndarray],
+    d: int,
+    nu: float,
+    t: float,
 ) -> complex:
     """Berezin transform of a radial symbol at a point with |z|^2 = t < 1.
 
-    Expands over the diagonal eigenvalue sequence of ``source`` (the
-    terms of a polynomial symbol, or a profile in t) with
+    Expands over the diagonal eigenvalue sequence of ``g`` (exact where a
+    polynomial's sums hold, else from a rule on its ``profile`` in t) with
     negative-binomial kernel masses, cut where all but 1e-13 of the mass
     at t is carried.
     """
-    lam = radial_toeplitz_diagonal(source, d, nu, radial_expansion_degree(d, nu, t))
+    N = radial_expansion_degree(d, nu, t)
+    exact = _exact_diagonal(g, (d,), nu, np.arange(N + 1))
+    lam = _radial_diagonal(profile, d, nu, N, _radial_order(N, 16), exact)
     return complex(radial_berezin_sum(lam, d + nu + 1.0, np.array([t]))[0])
 
 
@@ -258,7 +264,7 @@ def berezin_of_symbol(
 
     path = assembly_path(g, WeightedSpace(d, mu, geometry=geometry), 0, spec)
     if path.kind == "radial":
-        return _radial_berezin_value(path.source, d, mu, t)
+        return _radial_berezin_value(g, path.profile, d, mu, t)
 
     fn = as_point_function(g, geometry)
 

@@ -31,6 +31,7 @@ which reads the children of each node type from ``_CHILD_FIELDS``.
 
 from __future__ import annotations
 
+import math
 import re as _re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -974,23 +975,10 @@ def expand_polynomial(
     ``geometry`` and ``zc_offset``; an even power r<j>^(2k) of a group
     radius is the polynomial (sum over group j of |z_i|^2)^k.
     """
-    if zc_offset is None:
-        zc_offset = geometry.ell if geometry is not None else 0
-    terms = _expansion(expr, d, geometry, zc_offset)
-    return None if terms is None else dict(terms)
-
-
-# The fast paths expand the same few symbols for every weight and cutoff;
-# equal ASTs (positions aside) have equal terms.
-@lru_cache(maxsize=256)
-def _expansion(
-    expr: Union[SymbolExpr, ProductSymbol],
-    d: int,
-    geometry: Optional[BallGeometry],
-    zc_offset: int,
-) -> Optional[PolynomialTerms]:
     if not is_polynomial(expr):
         return None
+    if zc_offset is None:
+        zc_offset = geometry.ell if geometry is not None else 0
     zero = (0,) * d
 
     def unit(axis: int) -> Tuple[int, ...]:
@@ -1052,5 +1040,107 @@ def _expansion(
         if node.op == "*":
             return _poly_mul(lhs, rhs)
         return _poly_add(lhs, rhs, 1.0 if node.op == "+" else -1.0)
+
+    return _fold(expr, visit)
+
+
+# ---------------------------------------------------------------------------
+# Profile forms
+
+# A profile of degree n in the group radii as a form in (s_1, ..., s_m, u),
+# s_j = r_j^2 and u = 1 - |s|: (n, {exponents: coef}), every exponent
+# tuple of sum n.  Zero coefficients are dropped.
+ProfileForm = Tuple[int, Dict[Tuple[int, ...], complex]]
+
+# Largest form worth expanding, in terms times degree: its exact moment
+# takes one running product of n factors per term.  C(n + m, m) terms at
+# most, so one group allows n <= 63 and three groups n <= 11.
+_MAX_FORM_FACTORS = 1 << 12
+
+
+def _form_mul(a: ProfileForm, b: ProfileForm) -> ProfileForm:
+    out: Dict[Tuple[int, ...], complex] = {}
+    for p1, c1 in a[1].items():
+        for p2, c2 in b[1].items():
+            key = tuple(x + y for x, y in zip(p1, p2))
+            out[key] = out.get(key, 0j) + c1 * c2
+    return a[0] + b[0], {key: c for key, c in out.items() if c != 0}
+
+
+def _form_map(a: ProfileForm, fn: Callable[[complex], complex]) -> ProfileForm:
+    mapped = ((key, fn(c)) for key, c in a[1].items())
+    return a[0], {key: c for key, c in mapped if c != 0}
+
+
+# The fast paths read the same few symbols' forms for every weight and
+# cutoff; equal ASTs (positions aside) have equal forms, which callers
+# share and so must not modify.
+@lru_cache(maxsize=256)
+def profile_form(
+    expr: Union[SymbolExpr, ProductSymbol], m: int
+) -> Optional[ProfileForm]:
+    """A polynomial quasi-radial symbol as a form in (s, u).
+
+    Where ``quasi_radial_profile(expr, m)`` reads the symbol as a profile
+    in the group radii (abs2(z) being |s|, the sum of s_j = r_j^2) and
+    ``is_polynomial`` holds, the profile is a polynomial in s.  It comes
+    back homogeneous of its degree n in s_1..s_m and u = 1 - |s|: a sum
+    of two parts first lifts the lower one by factors |s| + u = 1, so
+    1 - abs2(z) is u, (1 - abs2(z))^k is u^k and 2 - abs2(z) is s + 2u,
+    with no cancelling coefficients.  None for any other symbol, and
+    for one whose C(n + m, m) n bound from the degree hint is over
+    _MAX_FORM_FACTORS, so the cost is known before anything is expanded.
+    """
+    if not is_polynomial(expr) or quasi_radial_profile(expr, m) is None:
+        return None
+    n = symbol_degree_hint(expr) // 2
+    if math.comb(n + m, m) * max(n, 1) > _MAX_FORM_FACTORS:
+        return None
+    units = [tuple(int(i == j) for i in range(m + 1)) for j in range(m + 1)]
+    lift: ProfileForm = (1, {e: 1 + 0j for e in units})  # |s| + u = 1
+
+    def lifted(a: ProfileForm, n: int) -> ProfileForm:
+        for _ in range(n - a[0]):
+            a = _form_mul(a, lift)
+        return a
+
+    def visit(node: SymbolExpr, children: list) -> Optional[ProfileForm]:
+        if isinstance(node, Const):
+            return _form_map((0, {(0,) * (m + 1): complex(node.value)}), complex)
+        if isinstance(node, Coord):
+            # the whole tuple z, which stands only under abs2: |s|
+            return 1, {e: 1 + 0j for e in units[:-1]}
+        if isinstance(node, GroupRadius):
+            return None  # polynomial only under an even power, read there
+        if isinstance(node, Neg):
+            return _form_map(children[0], lambda c: -c)
+        if isinstance(node, Func):
+            x = children[0]
+            if node.name == "abs2":
+                if _is_tuple(node.arg):
+                    return x
+                return _form_mul(x, _form_map(x, complex.conjugate))
+            # s and u are real: conj, re and im act on the coefficients
+            part = {
+                "conj": complex.conjugate,
+                "re": lambda c: complex(c.real),
+                "im": lambda c: complex(c.imag),
+            }[node.name]
+            return _form_map(x, part)
+        if isinstance(node, Power):
+            if isinstance(node.base, GroupRadius):
+                k = node.exponent // 2
+                return k, {tuple(k * v for v in units[node.base.group - 1]): 1 + 0j}
+            out: ProfileForm = (0, {(0,) * (m + 1): 1 + 0j})
+            for _ in range(node.exponent):
+                out = _form_mul(out, children[0])
+            return out
+        lhs, rhs = children
+        if node.op == "*":
+            return _form_mul(lhs, rhs)
+        n = max(lhs[0], rhs[0])
+        sign = 1.0 if node.op == "+" else -1.0
+        total = _poly_add(lifted(lhs, n)[1], lifted(rhs, n)[1], sign)
+        return n, {key: c for key, c in total.items() if c != 0}
 
     return _fold(expr, visit)

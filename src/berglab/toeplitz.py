@@ -20,12 +20,13 @@ group radii (or on |z|^2) skip quadrature over phases entirely and are
 assembled as diagonals, kept as their K values: an OperatorMatrix has a
 dense form and a diagonal form, and the diagonal one builds its K x K
 entries only when a caller asks for them.  A polynomial such symbol is
-exact: its terms c |z^p|^2 give each diagonal value as a sum of
-Pochhammer ratios, with no rule.  Other such symbols (rational, with
-roots, or profile callables) integrate their profile with one
-Gauss-Jacobi or simplex rule.  Arrays past
-_MAX_DENSE_ENTRIES are refused before they are allocated, and so are
-diagonal forms whose dense form would be.
+exact: written in s_j = r_j^2 and u = 1 - |s|, its terms c s^p u^l give
+each diagonal value as a sum of Pochhammer ratios, with no rule, unless
+that sum cancels at some level.  Other such symbols (rational, with
+roots, profile callables, too high a degree, or a cancelling sum)
+integrate their profile with one Gauss-Jacobi or simplex rule.  Arrays
+past _MAX_DENSE_ENTRIES are refused before they are allocated, and so
+are diagonal forms whose dense form would be.
 
 Truncation is compression: norms computed here are lower bounds that
 increase toward the operator norm as D grows.
@@ -41,7 +42,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (
-    BallGeometry,
     TruncatedBasis,
     WeightedSpace,
     count_basis,
@@ -65,14 +65,13 @@ from .quadrature import (
 )
 from .symbols import (
     BinOp,
-    PolynomialTerms,
     ProductSymbol,
     SymbolExpr,
     axis_winding,
-    expand_polynomial,
     group_winding,
     is_polynomial,
     is_symbolic,
+    profile_form,
     quasi_radial_profile,
     radial_profile,
     symbol_degree_hint,
@@ -227,62 +226,59 @@ def _normalized_moment(w: np.ndarray, vals: np.ndarray):
 # entries of the radial moment table built per pass (at least 8 rows)
 _MOMENT_ENTRIES = 1 << 16
 
-# What a diagonal is computed from: a symbol, a profile callable, or the
-# terms of a polynomial symbol as ``expand_polynomial`` gives them
-DiagonalSource = Union[SymbolExpr, Callable[[np.ndarray], np.ndarray], PolynomialTerms]
+# A level where the terms of a polynomial diagonal cancel, their moduli
+# summing to more than this factor of the value, takes the rule route
+# instead: the running products round each term to a few ulp, so the sum
+# is trusted to about 1e3 (n + 2) ulp of the value, near the rule route's
+# own roundoff.
+_CANCELLATION = 1e3
 
 
-def _level_diagonal(
-    terms: PolynomialTerms, k: Sequence[int], lam: float, levels
-) -> np.ndarray:
-    """Exact diagonal of a polynomial symbol, one value per level row.
+def _exact_diagonal(
+    a: Union[SymbolExpr, Callable[[np.ndarray], np.ndarray]],
+    k: Sequence[int],
+    lam: float,
+    levels,
+) -> Optional[np.ndarray]:
+    """Exact diagonal values of a polynomial symbol, one per level row.
 
-    Level rho stands for the multi-index with rho_j on the first axis of
-    group j (d = sum k axes); at such an alpha the entry is
-    sum_p c_(p,p) prod_i (alpha_i + 1)_{p_i} / (|alpha| + d + lam + 1)_{|p|},
-    the ratio m(alpha + p) / m(alpha) of monomial moments.  Each term is
-    one running product of |p| factors, each below 1, with no lgamma and
-    no exp; terms with p != q put nothing on the diagonal.  Real
-    coefficients give a real array.
+    The symbol's ``profile_form`` in s_j = r_j^2 and u = 1 - |s| (one
+    group, s = |z|^2, on the radial path) has on level rho the Dirichlet
+    moments
+        E[s^p u^l] = prod_j (rho_j + k_j)_{p_j} (lam + 1)_l / (|rho| + d + lam + 1)_n
+    with d = sum k and n = |p| + l, the weight the quasi-radial picture
+    gives level rho (on the radial path, (m + d)_j / (m + d + mu + 1)_j for
+    s^j at degree m).  Each is one running product of n factors, each
+    below 1, with no lgamma and no exp.  None where the symbol has no
+    form; NaN at the levels where the sum cancels by more than
+    _CANCELLATION, which the rule route fills.  Real coefficients give a
+    real array.
     """
+    form = profile_form(a, len(k)) if is_symbolic(a) else None
+    if form is None:
+        return None
     k = tuple(k)
     levels = np.asarray(levels, dtype=float).reshape(-1, len(k))
-    alphas = np.zeros((levels.shape[0], sum(k)))
-    alphas[:, np.cumsum((0,) + k[:-1])] = levels
-    diagonal = [(p, c) for (p, q), c in terms.items() if p == q]
-    real = all(c.imag == 0.0 for _, c in diagonal)
+    real = all(c.imag == 0.0 for c in form[1].values())
     out = np.zeros(levels.shape[0], dtype=float if real else complex)
-    base = alphas.sum(axis=1) + (sum(k) + lam + 1.0)
-    for p, c in diagonal:
+    size = np.zeros(levels.shape[0])
+    base = levels.sum(axis=1) + (sum(k) + lam + 1.0)
+    tops = [levels[:, j] + k[j] for j in range(len(k))] + [lam + 1.0]
+    for exps, c in form[1].items():
         term = np.ones(levels.shape[0])
-        j = 0
-        for axis, power in enumerate(p):
+        i = 0
+        for top, power in zip(tops, exps):
             for s in range(power):
-                term *= (alphas[:, axis] + (s + 1.0)) / (base + j)
-                j += 1
+                term *= (top + s) / (base + i)
+                i += 1
         out += (c.real if real else c) * term
+        size += abs(c) * term
+    out[size > _CANCELLATION * np.abs(out)] = np.nan
     return out
 
 
-def _diagonal_source(
-    a: DiagonalSource,
-    judge: Callable[[SymbolExpr], Optional[Callable[[np.ndarray], np.ndarray]]],
-    what: str,
-    d: int,
-    geometry: Optional[BallGeometry] = None,
-) -> Tuple[Optional[PolynomialTerms], Optional[Callable[[np.ndarray], np.ndarray]]]:
-    """(terms, profile): the terms of a polynomial symbol that ``judge``
-    accepts, or else the profile for the rule route.  A symbol ``judge``
-    refuses is refused with a ``DomainError``."""
-    if isinstance(a, dict):
-        return a, None
-    profile = _as_profile(a, judge, what)
-    terms = expand_polynomial(a, d, geometry=geometry) if is_symbolic(a) else None
-    return terms, profile
-
-
 def radial_toeplitz_diagonal(
-    a: DiagonalSource,
+    a: Union[SymbolExpr, Callable[[np.ndarray], np.ndarray]],
     d: int,
     mu: float,
     D: int,
@@ -290,24 +286,41 @@ def radial_toeplitz_diagonal(
 ) -> np.ndarray:
     """All radial eigenvalues for degrees 0..D.
 
-    A polynomial symbol (or its terms) takes the exact Pochhammer sum of
-    ``_level_diagonal`` at alpha = m e_1 and builds no rule.  A profile
-    callable or any other radial symbol takes one Gauss-Jacobi rule: the
-    per-degree monomial factor t^m is folded into the weights in log
-    space, which stays finite for cutoffs in the thousands.  The (D + 1)
-    x q table of those weights is built about _MOMENT_ENTRIES at a time,
-    in blocks of a multiple of 8 degrees: BLAS matvec kernels reduce rows
-    in groups of up to 8, so each degree is reduced as a single-threaded
-    product over the whole table would reduce it.
+    A polynomial symbol takes the exact sums of ``_exact_diagonal`` and
+    builds no rule, unless a sum cancels.  A profile callable, any other
+    radial symbol and the degrees where a sum cancels take one
+    Gauss-Jacobi rule of ``q`` nodes, as ``_radial_diagonal`` sets out.
     """
-    terms, profile = _diagonal_source(
-        a, radial_profile, "a radial profile in t = |z|^2", d
-    )
-    if terms is not None:
-        return _level_diagonal(terms, (d,), mu, np.arange(D + 1))
+    profile = _as_profile(a, radial_profile, "a radial profile in t = |z|^2")
     if q is None:
         q = _radial_order(D, _profile_degree(a))
-    _require_budget((D + 1) * q, f"the radial moment table for degrees <= {D}")
+    exact = _exact_diagonal(a, (d,), mu, np.arange(D + 1))
+    return _radial_diagonal(profile, d, mu, D, q, exact)
+
+
+def _radial_diagonal(
+    profile: Callable[[np.ndarray], np.ndarray],
+    d: int,
+    mu: float,
+    D: int,
+    q: int,
+    exact: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Radial eigenvalues for degrees 0..D: ``exact`` where it has a value
+    (not NaN), and elsewhere, or everywhere when it is None, the moments
+    of ``profile`` under one Gauss-Jacobi rule of q nodes.
+
+    The per-degree monomial factor t^m is folded into the rule's weights
+    in log space, which stays finite for cutoffs in the thousands.  The
+    (degrees x q) table of those weights is built about _MOMENT_ENTRIES
+    at a time, in blocks of a multiple of 8 degrees: BLAS matvec kernels
+    reduce rows in groups of up to 8, so each degree is reduced as a
+    single-threaded product over the whole table would reduce it.
+    """
+    degrees = np.arange(D + 1) if exact is None else np.flatnonzero(np.isnan(exact))
+    if degrees.size == 0:
+        return exact
+    _require_budget(degrees.size * q, f"the radial moment table for degrees <= {D}")
     t, w = gauss_jacobi_rule(q, float(mu), float(d - 1))
     if np.any(w <= 0.0):
         raise DomainError("quadrature produced nonpositive weights")
@@ -316,16 +329,21 @@ def radial_toeplitz_diagonal(
     vals = profile(t)
     rows = max(8, _MOMENT_ENTRIES // q // 8 * 8)
     parts = []
-    for start in range(0, D + 1, rows):
-        ms = np.arange(start, min(start + rows, D + 1), dtype=float)
+    for start in range(0, degrees.size, rows):
+        ms = degrees[start : start + rows].astype(float)
         log_a = log_w[None, :] + ms[:, None] * log_t[None, :]
         log_a -= np.max(log_a, axis=1, keepdims=True)
         parts.append(_normalized_moment(np.exp(log_a, out=log_a), vals))
-    return np.concatenate(parts)
+    ruled = np.concatenate(parts)
+    if exact is None:
+        return ruled
+    out = exact.astype(np.result_type(exact, ruled))
+    out[degrees] = ruled
+    return out
 
 
 def gamma_quasi_radial(
-    a: DiagonalSource,
+    a: Union[SymbolExpr, Callable[[np.ndarray], np.ndarray]],
     k: Sequence[int],
     lam: float,
     rho: Sequence[int],
@@ -333,8 +351,8 @@ def gamma_quasi_radial(
 ) -> complex:
     """Diagonal value of a quasi-radial symbol on the level rho.
 
-    A polynomial symbol (or its terms) takes the exact Pochhammer sum of
-    ``_level_diagonal`` and builds no rule.  Otherwise it is the
+    A polynomial symbol takes the exact sum of ``_exact_diagonal`` and
+    builds no rule, unless that sum cancels.  Otherwise it is the
     normalized moment of the profile over the set of group radii against
     (1 - |r|^2)^lam prod r_j^(2 rho_j + 2 k_j - 1) dr; the normalization
     is the same quadrature sum with a == 1, so constants are exact.  A
@@ -346,15 +364,12 @@ def gamma_quasi_radial(
         raise DomainError("level and partition lengths differ")
     if any(v < 0 for v in rho):
         raise DomainError(f"level entries must be nonnegative, got {rho}")
-    terms, profile = _diagonal_source(
-        a,
-        lambda e: quasi_radial_profile(e, len(k)),
-        "a profile in the group radii",
-        sum(k),
-        BallGeometry(sum(k), sum(k), k),
+    profile = _as_profile(
+        a, lambda e: quasi_radial_profile(e, len(k)), "a profile in the group radii"
     )
-    if terms is not None:
-        return _level_diagonal(terms, k, lam, [rho]).item()
+    exact = _exact_diagonal(a, k, lam, [rho])
+    if exact is not None and not np.isnan(exact[0]):
+        return exact.item()
     if q is None:
         q = max(24, _profile_degree(a))
     powers = tuple(2 * r + 2 * kk - 1 for r, kk in zip(rho, k))
@@ -385,7 +400,7 @@ class GammaSequence:
 
 
 def gamma_sequence(
-    a: DiagonalSource,
+    a: Union[SymbolExpr, Callable[[np.ndarray], np.ndarray]],
     k: Sequence[int],
     lam: float,
     R: int,
@@ -394,9 +409,13 @@ def gamma_sequence(
 ) -> GammaSequence:
     """Tabulate gamma over all levels with |rho| <= R."""
     k = tuple(int(v) for v in k)
+    levels = levels_up_to(R, len(k))
+    exact = _exact_diagonal(a, k, lam, levels)
+    if exact is None:
+        exact = np.full(len(levels), np.nan)
     values = {
-        rho: gamma_quasi_radial(a, k, lam, rho, q=q)
-        for rho in levels_up_to(R, len(k))
+        rho: gamma_quasi_radial(a, k, lam, rho, q=q) if np.isnan(v) else v
+        for rho, v in zip(levels, exact.tolist())
     }
     if not label and is_symbolic(a):
         label = symbol_to_text(a)
@@ -589,11 +608,13 @@ class AssemblyPath:
     ``kind`` is "radial" (a diagonal of radial eigenvalues, one per
     degree), "quasi_radial" (a diagonal of the gamma sequence, one value
     per level), "torus" (the product rule of ``spec``) or "monte_carlo"
-    (the samples of ``spec``).  A diagonal of a polynomial symbol is
-    exact: it is read off the symbol's ``terms`` and builds no rule.  Any
-    other diagonal integrates ``profile`` (a function of |z|^2, or of the
-    group radii) with a Gauss-Jacobi or simplex rule of ``q`` nodes.
-    ``spec`` is the resolved request whatever the path.
+    (the samples of ``spec``).  A diagonal integrates ``profile`` (a
+    function of |z|^2, or of the group radii) with a Gauss-Jacobi or
+    simplex rule of ``q`` nodes, except where the symbol is a polynomial:
+    then ``exact`` holds its exact values on the levels |rho| <= D in
+    lexicographic order (the degrees 0..D on the radial path), NaN where
+    a sum cancels and the rule takes over, and where none does no rule
+    is built.  ``spec`` is the resolved request whatever the path.
     """
 
     kind: str
@@ -602,12 +623,7 @@ class AssemblyPath:
     profile: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, repr=False
     )
-    terms: Optional[PolynomialTerms] = field(default=None, repr=False)
-
-    @property
-    def source(self) -> DiagonalSource:
-        """What a diagonal path computes from: the terms, else the profile."""
-        return self.terms if self.terms is not None else self.profile
+    exact: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def record(self) -> dict:
         """The path and the orders it used, for run records."""
@@ -619,7 +635,7 @@ class AssemblyPath:
                 "n_samples": self.spec.n_samples,
                 "seed": self.spec.seed,
             }
-        if self.terms is not None:
+        if self.exact is not None and not np.isnan(self.exact).any():
             return {"path": self.kind, "exact": True}
         return {"path": self.kind, "q": self.q}
 
@@ -635,7 +651,9 @@ def assembly_path(
     """The route and orders ``toeplitz_matrix`` uses for this request.
 
     Refuses, with a ``DomainError``, a basis whose dense matrix would
-    exceed the desk budget, before anything of that size is built.
+    exceed the desk budget, before anything of that size is built.  A
+    polynomial diagonal symbol is summed here, since whether its exact
+    sum holds decides the route.
     """
     k = count_basis(space.d, D)
     _require_budget(k * k, f"a {k} x {k} matrix")
@@ -653,10 +671,10 @@ def assembly_path(
             kind, q = "quasi_radial", max(24, hint)
             profile = quasi_radial_profile(f, geometry.m)
         if profile is not None:
-            terms = expand_polynomial(f, space.d, geometry=groups)
-            if terms is not None:
-                return AssemblyPath(kind, resolved, terms=terms)
-            return AssemblyPath(kind, resolved, q, profile)
+            parts = geometry.k if kind == "quasi_radial" else (space.d,)
+            levels = sorted(levels_up_to(D, len(parts)))
+            exact = _exact_diagonal(f, parts, space.lam, levels)
+            return AssemblyPath(kind, resolved, q, profile, exact)
     kind = "monte_carlo" if spec.scheme == MONTE_CARLO else "torus"
     return AssemblyPath(kind, resolved)
 
@@ -676,8 +694,9 @@ def toeplitz_matrix(
     group-radius symbols become diagonals of the gamma sequence, and for
     phase-homogeneous symbols the entries that the rotation bookkeeping
     forces to vanish are set to exactly zero.  The diagonal of a
-    polynomial symbol is exact, a Pochhammer sum over its terms; any
-    other diagonal comes from one Gauss-Jacobi or simplex rule.
+    polynomial symbol is exact, a sum of Pochhammer ratios over its
+    terms, where that sum does not cancel; any other diagonal comes from
+    one Gauss-Jacobi or simplex rule.
     ``use_fast_paths=False`` forces plain quadrature for every entry,
     which is the honest reference the fast paths are tested against.
     ``assembly_path`` names the route taken.
@@ -689,17 +708,19 @@ def toeplitz_matrix(
         label = symbol_to_text(f) if is_symbolic(f) else "callable"
 
     if path.kind == "radial":
-        per_degree = radial_toeplitz_diagonal(
-            path.source, space.d, space.lam, D, q=path.q
+        per_degree = _radial_diagonal(
+            path.profile, space.d, space.lam, D, path.q, path.exact
         )
         return OperatorMatrix.diagonal(basis, per_degree[basis.degrees], label=label)
     if path.kind == "quasi_radial":
         k = geometry.k
         levels, of_row = np.unique(basis.group_degrees(k), axis=0, return_inverse=True)
-        gammas = np.array(
-            [gamma_quasi_radial(path.source, k, space.lam, rho, q=path.q) for rho in levels],
-            dtype=complex,
-        )
+        gammas = np.full(len(levels), np.nan, dtype=complex)
+        if path.exact is not None:
+            gammas[:] = path.exact
+        for i in np.flatnonzero(np.isnan(gammas)):
+            rho = levels[i]
+            gammas[i] = gamma_quasi_radial(path.profile, k, space.lam, rho, q=path.q)
         return OperatorMatrix.diagonal(basis, gammas[of_row.reshape(-1)], label=label)
 
     fn = as_point_function(f, geometry)

@@ -20,7 +20,9 @@ from berglab import (
     rebase_inner,
     symbol_to_text,
 )
-from berglab.symbols import axis_winding, group_winding, symbol_degree_hint
+from berglab.symbols import (
+    axis_winding, eval_profile, group_winding, profile_form, symbol_degree_hint,
+)
 
 ROUNDTRIP_CORPUS = [
     "1",
@@ -450,3 +452,81 @@ def test_expansion_reads_group_radii_and_whole_tuples():
     }
     with pytest.raises(DomainError, match="partition"):
         expand_polynomial(parse_symbol("r1^2", None), 3)
+
+
+# ---------------------------------------------------------------------------
+# Profile forms
+
+_FORM_LEAVES = ("1", "2.5", "i", "abs2(z)", "r1^2", "r2^4", "0.5*r2^2")
+
+
+@st.composite
+def _form_text(draw, depth=3):
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(_FORM_LEAVES))
+    a = draw(_form_text(depth=depth - 1))
+    b = draw(_form_text(depth=depth - 1))
+    return draw(
+        st.sampled_from(
+            [
+                f"({a} + {b})", f"({a} - {b})", f"({a} * {b})", f"(-({a}))",
+                f"({a})^2", f"conj({a})", f"re({a})", f"im({a})", f"abs2({a})",
+            ]
+        )
+    )
+
+
+def _sum_form(form, s):
+    """sum coef s^p u^l at the points s (N, m), u = 1 - |s|."""
+    n, terms = form
+    su = np.column_stack([s, 1.0 - s.sum(axis=1)])
+    out = np.zeros(s.shape[0], dtype=complex)
+    for exps, c in terms.items():
+        assert sum(exps) == n
+        out += c * np.prod(su ** np.array(exps), axis=1)
+    return out
+
+
+@given(
+    _form_text(),
+    st.lists(
+        st.tuples(st.floats(0.0, 0.49), st.floats(0.0, 0.49)), min_size=1, max_size=4
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_profile_form_matches_the_profile(text, points):
+    # a homogeneous form in (s, u) with the profile's values on the simplex
+    expr = parse_symbol(text, BallGeometry(3, 3, (2, 1)))
+    s = np.array(points)
+    form = profile_form(expr, 2)
+    assert form is not None
+    want = eval_profile(expr, np.sqrt(s))
+    got = _sum_form(form, s)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def test_profile_form_lifts_sums_so_vanishing_powers_stay_one_term():
+    def form(text, m=1):
+        return profile_form(parse_symbol(text, BallGeometry(2, 2, (1, 1))), m)
+
+    assert form("1") == (0, {(0, 0): 1})
+    assert form("0") == (0, {})
+    assert form("abs2(z)") == form("r1^2") == (1, {(1, 0): 1})
+    assert form("1 - abs2(z)") == (1, {(0, 1): 1})
+    assert form("(1 - abs2(z))^60") == (60, {(0, 60): 1})
+    assert form("2 - abs2(z)") == (1, {(1, 0): 1, (0, 1): 2})
+    assert form("1 - r1^2 - r2^2", 2) == (1, {(0, 0, 1): 1})
+    assert form("r2^4 - r1^2", 2) == (2, {(0, 2, 0): 1, (2, 0, 0): -1, (1, 1, 0): -1,
+                                         (1, 0, 1): -1})
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1/(2 - abs2(z))", "sqrt(abs2(z))", "r1", "r1^3", "z1", "abs2(z1)", "abs2(zc)",
+     "(1 - abs2(z))^100"],
+)
+def test_profile_form_is_none_off_the_small_quasi_radial_polynomials(text):
+    # division, roots, odd radii, single coordinates, and a degree whose
+    # C(n + m, m) n bound is over the budget (here 101 * 100)
+    g = BallGeometry(2, 1, (1,))
+    assert profile_form(parse_symbol(text, g), 1) is None

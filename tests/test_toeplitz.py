@@ -1,6 +1,8 @@
 """Matrix assembly against closed-form eigenvalues and exact identities."""
 
+import math
 import pathlib
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +31,7 @@ from berglab import (
 from berglab import quadrature, toeplitz
 from berglab.core import enumerate_basis
 from berglab.quadrature import MONTE_CARLO
-from berglab.symbols import radial_profile
+from berglab.symbols import profile_form, quasi_radial_profile, radial_profile
 
 
 def test_identity_symbol_gives_exact_identity():
@@ -432,29 +434,37 @@ POLY_PROFILES = {  # radial symbol -> coefficients c_j of t^j, t = |z|^2
     "0.3 - 0.7*abs2(z) + 0.9*abs2(z)^2": (0.3, -0.7, 0.9),
     "abs2(z)^5": (0, 0, 0, 0, 0, 1),
 }
+# powers vanishing at the sphere, whose coefficients in t alternate and
+# cancel: against them the rule route's own roundoff reaches 3e-12 of the
+# largest value at D = 1800, so they are pinned against rational
+# arithmetic only
+VANISHING_PROFILES = {
+    "(1 - abs2(z))^5": tuple((-1) ** j * math.comb(5, j) for j in range(6)),
+    "(1 - abs2(z))^60": tuple((-1) ** j * math.comb(60, j) for j in range(61)),
+}
 
 
 def _rational_eigenvalue(coefs, d, mu, m):
-    """sum_j c_j (m + d)_j / (m + d + mu + 1)_j in rational arithmetic, and
-    the sum of the terms' moduli, the scale of the sum's roundoff."""
-    total, size, ratio = Fraction(0), Fraction(0), Fraction(1)
+    """sum_j c_j (m + d)_j / (m + d + mu + 1)_j in rational arithmetic."""
+    total, ratio = Fraction(0), Fraction(1)
     top, bottom = Fraction(m + d), Fraction(m + d + 1) + Fraction(mu)
     for j, c in enumerate(coefs):
         total += Fraction(c) * ratio
-        size += abs(Fraction(c)) * ratio
         ratio *= (top + j) / (bottom + j)
-    return float(total), float(size)
+    return float(total)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("mu", [0.0, 0.5, 33.0, 129.0])
 def test_exact_radial_diagonal_matches_rational_arithmetic(d, mu):
+    # relative to each value itself, also where (1 - t)^60 is 1e-150
     ms = [0, 1, 2, 7, 60, 1800, 10_000]
-    for text, coefs in POLY_PROFILES.items():
+    for text, coefs in {**POLY_PROFILES, **VANISHING_PROFILES}.items():
         got = radial_toeplitz_diagonal(parse_symbol(text, None), d, mu, 10_000)[ms]
-        want, size = np.array([_rational_eigenvalue(coefs, d, mu, m) for m in ms]).T
-        # a few ulp for each of the up to 2 * 5 factors of a running product
-        assert np.all(np.abs(got - want) <= 4e-15 * size), text
+        want = np.array([_rational_eigenvalue(coefs, d, mu, m) for m in ms])
+        # a few ulp for each factor of a running product
+        tol = 4 * np.finfo(float).eps * len(coefs)
+        assert np.all(np.abs(got - want) <= tol * np.abs(want)), text
 
 
 @pytest.mark.parametrize(
@@ -496,7 +506,7 @@ def test_exact_diagonals_match_the_torus_reference(geometry, D, text):
     space = WeightedSpace(geometry.n, 0.5, geometry=geometry)
     f = parse_symbol(text, geometry)
     path = assembly_path(f, space, D, QuadratureSpec())
-    assert path.kind in ("radial", "quasi_radial") and path.terms is not None
+    assert path.kind in ("radial", "quasi_radial") and path.exact is not None
     exact = toeplitz_matrix(f, space, D, QuadratureSpec())
     honest = toeplitz_matrix(f, space, D, QuadratureSpec(), use_fast_paths=False)
     assert exact.diag is not None
@@ -538,3 +548,58 @@ def test_polynomial_diagonals_build_no_rule(monkeypatch):
     with pytest.raises(AssertionError, match="rule was built"):
         toeplitz_matrix(parse_symbol("1/(2 - abs2(z))", None), WeightedSpace(1, 0.0), 4,
                         spec)
+
+
+def test_a_cancelling_exact_sum_takes_the_rule_at_those_levels():
+    # abs2(z) - 1/2 averages to exactly 0 at degree 0 of the unweighted disc
+    f = parse_symbol("abs2(z) - 0.5", None)
+    space = WeightedSpace(1, 0.0)
+    path = assembly_path(f, space, 40, QuadratureSpec())
+    assert np.isnan(path.exact[0]) and not np.isnan(path.exact[1:]).any()
+    # a rule is built, so the record names its order
+    assert path.record() == {"path": "radial", "q": 48}
+    got = radial_toeplitz_diagonal(f, 1, 0.0, 40)
+    assert abs(got[0]) <= 1e-16  # the rule's roundoff about the true 0
+    m = np.arange(1, 41)
+    assert np.allclose(got[1:], m / (2.0 * (m + 2)), rtol=1e-15, atol=0.0)
+    assert np.array_equal(toeplitz_matrix(f, space, 40, QuadratureSpec()).diag, got)
+
+    # r1^2 - r2^2 averages to 0 on the levels with rho_1 = rho_2
+    groups = BallGeometry(2, 2, (1, 1))
+    g = parse_symbol("r1^2 - r2^2", groups)
+    seq = gamma_sequence(g, (1, 1), 0.5, 6)
+    profile = quasi_radial_profile(g, 2)
+    for rho in seq.levels:
+        if rho[0] == rho[1]:
+            assert seq(rho) == gamma_quasi_radial(profile, (1, 1), 0.5, rho)
+        else:
+            exact = (rho[0] - rho[1]) / (sum(rho) + 3.5)
+            assert seq(rho) == pytest.approx(exact, rel=1e-15)
+    space = WeightedSpace(2, 0.5, geometry=groups)
+    assert assembly_path(g, space, 6, QuadratureSpec()).record() == {
+        "path": "quasi_radial", "q": 24,
+    }
+    mat = toeplitz_matrix(g, space, 6, QuadratureSpec())
+    basis = enumerate_basis(2, 6, 0.5)
+    assert np.array_equal(mat.diag, [seq(tuple(a)) for a in basis.indices])
+
+
+def test_high_powers_take_the_rule_before_anything_is_expanded():
+    # (1 - abs2(z))^100 is bounded by C(101, 1) * 100 factors, over the budget
+    f = parse_symbol("(1 - abs2(z))^100", None)
+    assert profile_form(f, 1) is None
+    space, spec = WeightedSpace(4, 0.0), QuadratureSpec()
+    start = time.perf_counter()
+    path = assembly_path(f, space, 4, spec)
+    mat = toeplitz_matrix(f, space, 4, spec)
+    assert time.perf_counter() - start < 5.0
+    assert path.record() == {"path": "radial", "q": 106}
+    assert np.all(mat.diag > 0.0)
+    # (1 - abs2(z))^60 is the one term u^60, exact on the 4-ball too
+    g = parse_symbol("(1 - abs2(z))^60", None)
+    exact = assembly_path(g, space, 4, spec)
+    assert exact.record() == {"path": "radial", "exact": True}
+    coefs = VANISHING_PROFILES["(1 - abs2(z))^60"]
+    got = radial_toeplitz_diagonal(g, 4, 0.0, 4)
+    want = np.array([_rational_eigenvalue(coefs, 4, 0.0, m) for m in range(5)])
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
