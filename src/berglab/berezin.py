@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import special as sp_special
 
 from .core import BallGeometry, WeightedSpace, csv_lines, format_float
 from .errors import DomainError
@@ -111,6 +111,51 @@ def kernel_coefficients(
     return math.pow(1.0 - t, 0.5 * s_exp) * basis_norms * mono
 
 
+@lru_cache(maxsize=32)
+def _log_binomial_table(s_exp: float, length: int) -> np.ndarray:
+    """log C(s + m - 1, m) for m < length, the t-independent part of the
+    kernel masses, read-only.
+
+    The running sum of the log-ratios log((s + j - 1)/j) = log1p((s - 1)/j)
+    of the recurrence m_j / m_(j-1) = t (s + j - 1)/j.  The rounding error
+    of each step (an exact TwoSum) is summed alongside, so the table keeps
+    the accuracy of its terms, a few ulp of each, at any length; a prefix
+    does not depend on the length.
+    """
+    terms = np.log1p((s_exp - 1.0) / np.arange(1.0, length))
+    sums = np.cumsum(terms)
+    prev = np.concatenate(([0.0], sums[:-1]))
+    virt = sums - prev
+    err = (prev - (sums - virt)) + (terms - virt)
+    out = np.concatenate(([0.0], sums + np.cumsum(err)))
+    out.setflags(write=False)
+    return out
+
+
+# longest log-binomial table kept for reuse (512 KB)
+_SHARED_TABLE = 1 << 16
+
+
+def _log_binomials(s_exp: float, n_terms: int) -> np.ndarray:
+    """The first n_terms entries of a table shared up to _SHARED_TABLE
+    entries, its length a power of two: the same weight meets many
+    cutoffs and points."""
+    length = max(1024, 1 << (n_terms - 1).bit_length())
+    build = _log_binomial_table
+    if length > _SHARED_TABLE:
+        build = build.__wrapped__
+    return build(float(s_exp), length)[:n_terms]
+
+
+def _masses(
+    log_binomials: np.ndarray, s_exp: float, t: float, start: int = 0
+) -> np.ndarray:
+    """The kernel masses at 0 < t < 1 of the degrees from ``start`` on,
+    from their log-binomial table (entry 0 at degree ``start``)."""
+    ms = np.arange(start, start + log_binomials.shape[0], dtype=float)
+    return np.exp(log_binomials + (ms * math.log(t) + s_exp * math.log1p(-t)))
+
+
 def kernel_masses(s_exp: float, n_terms: int, t: float) -> np.ndarray:
     """Degree-m masses of the normalized kernel at radius^2 t > 0, m < n_terms.
 
@@ -118,15 +163,31 @@ def kernel_masses(s_exp: float, n_terms: int, t: float) -> np.ndarray:
     t^m (1 - t)^s with s = d + mu + 1, a negative-binomial law in m; the
     binomial is taken in log space so degrees in the thousands stay finite.
     """
-    ms = np.arange(n_terms, dtype=float)
-    log_p = (
-        sp_special.gammaln(s_exp + ms)
-        - sp_special.gammaln(ms + 1.0)
-        - sp_special.gammaln(s_exp)
-        + ms * math.log(t)
-        + s_exp * math.log1p(-t)
+    return _masses(_log_binomials(s_exp, n_terms), s_exp, t)
+
+
+def _log_mass(s_exp: float, t: float, n: int) -> float:
+    """log of the kernel mass of degree n from log-gamma: rough by the
+    size of the logs, and plenty for choosing how many masses to sum."""
+    return (
+        math.lgamma(s_exp + n) - math.lgamma(n + 1.0) - math.lgamma(s_exp)
+        + n * math.log(t) + s_exp * math.log1p(-t)
     )
-    return np.exp(log_p)
+
+
+def _far_end(s_exp: float, t: float, start: int, log_floor: float) -> int:
+    """A degree n >= start past which the kernel masses at t sum below
+    exp(log_floor), by doubling.
+
+    Past the mode the ratios r_k = m_k / m_(k-1) fall toward t, so the
+    masses beyond n sum to at most m_n r / (1 - r), r = r_(n+1).
+    """
+    n = max(start, 1)
+    while True:
+        r = t * max(1.0, (s_exp + n) / (n + 1.0))
+        if r < 1.0 and _log_mass(s_exp, t, n) + math.log(r / (1.0 - r)) <= log_floor:
+            return n
+        n *= 2
 
 
 def berezin_of_operator(M: OperatorMatrix, mu: float, z: Sequence[complex]) -> complex:
@@ -153,13 +214,34 @@ def berezin_of_operator(M: OperatorMatrix, mu: float, z: Sequence[complex]) -> c
 _TAIL_TOL = 1e-13
 
 
+def _kernel_tail(s_exp: float, D: int, t: float) -> float:
+    if math.isnan(t):
+        return math.nan
+    if t <= 0.0 or t >= 1.0:
+        # all the mass sits at degree 0 at the centre, none finite on the sphere
+        return float(t >= 1.0)
+    if D + 1.0 <= s_exp * t / (1.0 - t):
+        # below the mean degree the tail is most of the mass: 1 - the head
+        return 1.0 - float(np.sum(kernel_masses(s_exp, D + 1, t)))
+    # 2^-64 of the first mass past D bounds what the far end leaves out
+    far = _far_end(s_exp, t, D + 1, _log_mass(s_exp, t, D + 1) - 44.5)
+    masses = _masses(_log_binomials(s_exp, far + 1)[D + 1 :], s_exp, t, D + 1)
+    return float(np.cumsum(masses[::-1])[-1])
+
+
 def kernel_tail(s_exp: float, D: int, t) -> np.ndarray:
     """Kernel mass beyond degree D at radius^2 t, elementwise in t.
 
-    The closed form of the negative-binomial tail of ``kernel_masses``:
-    P(m > D) = I_t(D + 1, s), the regularized incomplete beta function.
+    P(m > D) of the negative-binomial law of ``kernel_masses``: past the
+    mean degree the sum of the masses beyond D, from the far end where
+    they fall below 2^-64 of the first; below it, one minus the masses up
+    to D.
     """
-    return sp_special.betainc(D + 1.0, s_exp, t)
+    t_arr = np.asarray(t, dtype=float)
+    out = np.empty(t_arr.shape)
+    for i, ti in np.ndenumerate(t_arr):
+        out[i] = _kernel_tail(s_exp, D, ti)
+    return out[()]
 
 
 def radial_berezin_sum(
@@ -175,11 +257,12 @@ def radial_berezin_sum(
     lam = np.asarray(eigenvalues)
     t_points = np.asarray(t_points, dtype=float)
     out = np.empty(t_points.shape, dtype=np.result_type(lam, float))
+    log_binomials = _log_binomials(s_exp, lam.shape[0])
     for i, t in np.ndenumerate(t_points):
         if t == 0.0:
             out[i] = lam[0]
         else:
-            out[i] = np.dot(kernel_masses(s_exp, lam.shape[0], t), lam)
+            out[i] = np.dot(_masses(log_binomials, s_exp, t), lam)
     return out
 
 
@@ -196,24 +279,25 @@ def radial_expansion_degree(d: int, nu: float, t: float) -> int:
     if t == 0.0:
         return 1
     s_exp = d + nu + 1.0
-    # nbdtrik inverts the negative-binomial CDF over real degrees, one CDF
-    # step (betainc) settles the integer
-    q, p = 1.0 - _TAIL_TOL, 1.0 - t
-    quant = float(np.ceil(sp_special.nbdtrik(q, s_exp, p)))
-    if quant > 0.0 and sp_special.betainc(s_exp, quant, p) >= q:
-        quant -= 1.0
-    # counts past the budget are all refused alike; the clip keeps int() finite
-    terms = int(min(quant + 16, 1e12))
-    # q: the order of the rule the profile takes where no exact sum holds
-    _require_budget(
-        (terms + 1) * _radial_order(terms, 16),
-        f"the radial Berezin expansion at |z|^2 = {t!r}",
-        "take a point farther from the sphere",
-    )
-    if kernel_tail(s_exp, terms, t) > 1e3 * _TAIL_TOL:
-        raise DomainError(
-            "kernel expansion truncated too early for the requested point"
+
+    def require(terms: int) -> None:
+        # q: the order of the rule the profile takes where no exact sum holds
+        _require_budget(
+            (terms + 1) * _radial_order(terms, 16),
+            f"the radial Berezin expansion at |z|^2 = {t!r}",
+            "take a point farther from the sphere",
         )
+
+    # the cutoff lies past the mean degree s t / (1 - t): a mean past the
+    # budget is refused before any mass is summed (the clip keeps int() finite)
+    mean = int(min(s_exp * t / (1.0 - t), 1e12))
+    require(mean + 16)
+    far = _far_end(s_exp, t, mean + 1, math.log(_TAIL_TOL) - 44.5)
+    masses = _masses(_log_binomials(s_exp, far + 1)[mean:], s_exp, t, mean)
+    # entry k: the mass past degree mean + k, summed from the far end
+    tails = np.concatenate((np.cumsum(masses[:0:-1])[::-1], [0.0]))
+    terms = mean + int(np.argmax(tails <= _TAIL_TOL)) + 16
+    require(terms)
     return terms
 
 
@@ -226,14 +310,15 @@ def _radial_berezin_value(
 ) -> complex:
     """Berezin transform of a radial symbol at a point with |z|^2 = t < 1.
 
-    Expands over the diagonal eigenvalue sequence of ``g`` (exact where a
-    polynomial's sums hold, else from a rule on its ``profile`` in t) with
+    Expands over the diagonal eigenvalue sequence of ``g`` (exact for a
+    polynomial, else from a rule on its ``profile`` in t) with
     negative-binomial kernel masses, cut where all but 1e-13 of the mass
     at t is carried.
     """
     N = radial_expansion_degree(d, nu, t)
-    exact = _exact_diagonal(g, (d,), nu, np.arange(N + 1))
-    lam = _radial_diagonal(profile, d, nu, N, _radial_order(N, 16), exact)
+    lam = _exact_diagonal(g, (d,), nu, np.arange(N + 1))
+    if lam is None:
+        lam = _radial_diagonal(profile, d, nu, N, _radial_order(N, 16))
     return complex(radial_berezin_sum(lam, d + nu + 1.0, np.array([t]))[0])
 
 

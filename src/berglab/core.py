@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
-from scipy import special as sp_special
 
 from .errors import DomainError
 
@@ -32,14 +32,31 @@ def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
     if x <= 0.0:
         raise DomainError(f"log_gamma requires a positive argument, got {x}")
-    return float(sp_special.gammaln(x))
+    return math.lgamma(x)
+
+
+# integer arguments up to this take the product form of beta_fn
+_BETA_PRODUCT_MAX = 1024
 
 
 def beta_fn(x: float, y: float) -> float:
-    """Euler Beta function B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y), x, y > 0."""
+    """Euler Beta function B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y), x, y > 0.
+
+    With an integer argument n the running product
+    B(z, n) = (1/z) prod_(k<n) k/(z + k) keeps a few ulp per factor,
+    where the log-gamma difference loses the size of the logs.
+    """
     if x <= 0.0 or y <= 0.0:
         raise DomainError(f"beta_fn requires positive arguments, got ({x}, {y})")
-    return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
+    ints = [v for v in (x, y) if float(v).is_integer() and v <= _BETA_PRODUCT_MAX]
+    if not ints:
+        return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
+    n = int(min(ints))
+    z = x + y - n
+    out = 1.0 / z
+    for k in range(1, n):
+        out *= k / (z + k)
+    return out
 
 
 def format_float(x: float) -> str:
@@ -270,6 +287,9 @@ class TruncatedBasis:
         return out
 
 
+# Assembly asks for the same few bases again and again; callers share one
+# object per (d, D, lam) and its arrays are read-only.
+@lru_cache(maxsize=32, typed=True)
 def enumerate_basis(d: int, D: int, lam: float) -> TruncatedBasis:
     """Build the truncated basis on the d-ball at weight lam, cutoff D."""
     if d < 1:
@@ -283,6 +303,8 @@ def enumerate_basis(d: int, D: int, lam: float) -> TruncatedBasis:
     indices_t = tuple(indices)
     norms = np.array([basis_norm_constant(a, d, lam) for a in indices_t])
     degrees = np.array([sum(a) for a in indices_t], dtype=np.int64)
+    norms.setflags(write=False)
+    degrees.setflags(write=False)
     position = {a: i for i, a in enumerate(indices_t)}
     assert len(indices_t) == math.comb(D + d, d)
     return TruncatedBasis(

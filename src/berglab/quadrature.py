@@ -25,12 +25,8 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
-# roots_jacobi imports scipy.linalg on its first call; importing it here
-# pays that once with the package instead of inside the first rule build
-import scipy.linalg  # noqa: F401
-from scipy import special as sp_special
 
-from .core import BallGeometry, WeightedSpace
+from .core import BallGeometry, WeightedSpace, beta_fn
 from .errors import DomainError
 from .symbols import ProductSymbol, SymbolExpr, eval_on_points, is_symbolic
 
@@ -70,23 +66,144 @@ class QuadratureSpec:
         return replace(self, q=q, angular=angular)
 
 
+def _jacobi_matrix(q: int, a: float, b: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The orthonormal Jacobi matrix of (1-t)^a t^b on (0, 1): its
+    diagonal, and its off-diagonal, where ``off[k]`` couples p_k and
+    p_(k+1) (q values; the last one is the coefficient of p_q)."""
+    k = np.arange(q, dtype=float)
+    n = 2.0 * k + a + b
+    diag = np.empty(q)
+    diag[0] = 0.5 + (b - a) / (2.0 * (a + b + 2.0))
+    diag[1:] = 0.5 + (b * b - a * a) / (2.0 * n[1:] * (n[1:] + 2.0))
+    k, n = k + 1.0, n + 2.0
+    beta = k * (k + a) * (k + b) * (k + a + b) / (n * n * (n + 1.0) * (n - 1.0))
+    # k = 1 with the factor 1 + a + b cancelled, which may vanish
+    beta[0] = (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+    return diag, np.sqrt(beta)
+
+
+# past 2^256 a recurrence value and its companions are scaled down by it,
+# checked every 8 steps: 8 steps grow a value by far less than 2^256
+_RESCALE_BITS = 256
+_RESCALE = 2.0**_RESCALE_BITS
+
+
+def _recurrence(
+    x: np.ndarray, diag: np.ndarray, off: np.ndarray, derivative: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three-term recurrence p_0 = 1, ..., p_q at every node x at once.
+
+    Returns the Newton step p_q / p_q', the Christoffel sum of p_k^2 over
+    k < q, and how often each node was scaled down by _RESCALE (the sum
+    then stands for its value times _RESCALE^(-2 times that)).  Without
+    ``derivative`` the step takes p_q' from the Christoffel-Darboux
+    identity sum_(k<q) p_k^2 = off[q-1] p_q' p_(q-1), which holds at the
+    zeros: a polish for nodes already accurate to roundoff.
+    """
+    q = diag.shape[0]
+    p0, p1 = np.zeros_like(x), np.ones_like(x)
+    d0, d1 = np.zeros_like(x), np.zeros_like(x)
+    total, scaled = np.ones_like(x), np.zeros(x.shape, dtype=int)
+    for k in range(q):
+        c = x - diag[k]
+        prev = off[k - 1] if k else 0.0
+        p0, p1 = p1, (c * p1 - prev * p0) / off[k]
+        if derivative:
+            d0, d1 = d1, (c * d1 + p0 - prev * d0) / off[k]
+        if k < q - 1:
+            total += p1 * p1
+        if k % 8 == 7:
+            big = np.abs(p1) > _RESCALE
+            if big.any():
+                for arr in (p0, p1, d0, d1):
+                    arr[big] /= _RESCALE
+                total[big] /= _RESCALE * _RESCALE
+                scaled[big] += 1
+    if derivative:
+        return p1 / d1, total, scaled
+    return off[q - 1] * p1 * p0 / total, total, scaled
+
+
+def _sturm_count(x: np.ndarray, diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
+    """Number of Jacobi-matrix eigenvalues below each x: the negative
+    pivots of the LDL^T factorization of J - x (a zero pivot turns the
+    next one into -inf, which counts as one, as it should)."""
+    pivot = diag[0] - x
+    count = (pivot < 0.0).astype(np.int64)
+    with np.errstate(divide="ignore"):
+        for k in range(1, diag.shape[0]):
+            pivot = (diag[k] - x) - off2[k - 1] / pivot
+            count += pivot < 0.0
+    return count
+
+
+def _bisected_nodes(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Every node to a small fraction of its spacing, by Sturm counts.
+
+    Counts on 4q points uniform in arccos(2t - 1), where the nodes are
+    roughly uniform, bracket node i by the count changing from i to
+    i + 1; all brackets are then bisected together until each holds one
+    node and has been halved four times.
+    """
+    q = diag.shape[0]
+    off2 = off[: q - 1] ** 2
+    grid = 0.5 - 0.5 * np.cos(np.linspace(0.0, math.pi, 4 * q + 1))
+    counts = _sturm_count(grid, diag, off2)
+    counts[0], counts[-1] = 0, q
+    i = np.arange(q)
+    upper = np.searchsorted(counts, i, side="right")
+    lo, hi = grid[upper - 1], grid[upper]
+    c_lo, c_hi = counts[upper - 1], counts[upper]
+    halvings = 0
+    while halvings < 4 or np.any((c_lo != i) | (c_hi != i + 1)):
+        mid = 0.5 * (lo + hi)
+        c_mid = _sturm_count(mid, diag, off2)
+        below = c_mid <= i
+        lo, c_lo = np.where(below, mid, lo), np.where(below, c_mid, c_lo)
+        hi, c_hi = np.where(below, hi, mid), np.where(below, c_hi, c_mid)
+        halvings += 1
+    return 0.5 * (lo + hi)
+
+
+# Largest rule whose nodes come from a dense eigensolver (a q x q array);
+# larger rules bisect Sturm counts and iterate Newton on the recurrence.
+_DENSE_RULE_MAX = 256
+
+
 @lru_cache(maxsize=256)
 def gauss_jacobi_rule(q: int, a_exp: float, b_exp: float) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on (0,1) absorbing the weight (1-t)^a t^b.
 
     sum w_i g(t_i) equals the integral of (1-t)^a t^b g(t) over (0,1)
-    exactly for polynomials g of degree <= 2q - 1.
+    exactly for polynomials g of degree <= 2q - 1.  Golub-Welsch: the
+    nodes are the eigenvalues of the Jacobi matrix, polished by one
+    Newton step on the three-term recurrence, and the weights are the
+    Christoffel numbers mu_0 / sum_(k<q) p_k(t)^2 (p_0 = 1, mu_0 the
+    total mass B(b + 1, a + 1)), summed in the same pass.
     """
     if q < 1:
         raise DomainError(f"rule order must be positive, got {q}")
     if a_exp <= -1.0 or b_exp <= -1.0:
         raise DomainError("Jacobi exponents must exceed -1")
-    x, w = sp_special.roots_jacobi(q, a_exp, b_exp)
-    t = 0.5 * (x + 1.0)
-    w01 = w * math.exp(-(a_exp + b_exp + 1.0) * math.log(2.0))
+    diag, off = _jacobi_matrix(q, float(a_exp), float(b_exp))
+    if q <= _DENSE_RULE_MAX:
+        jac = np.zeros((q, q))
+        jac.flat[:: q + 1] = diag
+        jac.flat[q :: q + 1] = off[: q - 1]  # the lower triangle eigvalsh reads
+        t = np.linalg.eigvalsh(jac)
+    else:
+        t = _bisected_nodes(diag, off)
+        for _ in range(8):  # quadratic from a few percent of the spacing
+            step = _recurrence(t, diag, off, derivative=True)[0]
+            t = t - step
+            if np.max(np.abs(step)) <= 1e-15:
+                break
+    step, total, scaled = _recurrence(t, diag, off, derivative=False)
+    t = t - step
+    w = np.ldexp(beta_fn(b_exp + 1.0, a_exp + 1.0) / total, -2 * _RESCALE_BITS * scaled)
     t.setflags(write=False)
-    w01.setflags(write=False)
-    return t, w01
+    w.setflags(write=False)
+    return t, w
 
 
 @dataclass(frozen=True)

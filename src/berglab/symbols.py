@@ -906,6 +906,8 @@ def _degree_visit(node: SymbolExpr, children: list) -> Tuple[int, bool]:
     return max(dl, dr), poly
 
 
+# asked again for the same symbol by every route decision, like profile_form
+@lru_cache(maxsize=256)
 def _degree(expr: Union[SymbolExpr, ProductSymbol]) -> Tuple[int, bool]:
     """Degree hint in (z, conj z), and whether evaluation is polynomial
     in (z, conj z) jointly."""

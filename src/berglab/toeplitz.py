@@ -21,12 +21,13 @@ assembled as diagonals, kept as their K values: an OperatorMatrix has a
 dense form and a diagonal form, and the diagonal one builds its K x K
 entries only when a caller asks for them.  A polynomial such symbol is
 exact: written in s_j = r_j^2 and u = 1 - |s|, its terms c s^p u^l give
-each diagonal value as a sum of Pochhammer ratios, with no rule, unless
-that sum cancels at some level.  Other such symbols (rational, with
-roots, profile callables, too high a degree, or a cancelling sum)
-integrate their profile with one Gauss-Jacobi or simplex rule.  Arrays
-past _MAX_DENSE_ENTRIES are refused before they are allocated, and so
-are diagonal forms whose dense form would be.
+each diagonal value as a sum of Pochhammer ratios, with no rule; a level
+where that float sum cancels is summed again in exact rational
+arithmetic.  Other such symbols (rational, with roots, profile
+callables, or too high a degree) integrate their profile with one
+Gauss-Jacobi or simplex rule.  Arrays past _MAX_DENSE_ENTRIES are
+refused before they are allocated, and so are diagonal forms whose dense
+form would be.
 
 Truncation is compression: norms computed here are lower bounds that
 increase toward the operator norm as D grows.
@@ -37,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -227,11 +229,23 @@ def _normalized_moment(w: np.ndarray, vals: np.ndarray):
 _MOMENT_ENTRIES = 1 << 16
 
 # A level where the terms of a polynomial diagonal cancel, their moduli
-# summing to more than this factor of the value, takes the rule route
-# instead: the running products round each term to a few ulp, so the sum
-# is trusted to about 1e3 (n + 2) ulp of the value, near the rule route's
-# own roundoff.
+# summing to more than this factor of the value, is summed again in exact
+# rational arithmetic: the running products round each term to a few ulp,
+# so the float sum is trusted to about 1e3 (n + 2) ulp of the value.
 _CANCELLATION = 1e3
+
+
+def _form_moments(form, tops, base, one):
+    """(c, E[s^p u^l]) for each term c s^p u^l of a profile form: the
+    running product of its n factors (top + i) / (base + j), in the
+    arithmetic of ``one`` (float arrays over levels, or a Fraction)."""
+    for exps, c in form[1].items():
+        term, i = one, 0
+        for top, power in zip(tops, exps):
+            for s in range(power):
+                term = term * ((top + s) / (base + i))
+                i += 1
+        yield c, term
 
 
 def _exact_diagonal(
@@ -249,10 +263,11 @@ def _exact_diagonal(
     with d = sum k and n = |p| + l, the weight the quasi-radial picture
     gives level rho (on the radial path, (m + d)_j / (m + d + mu + 1)_j for
     s^j at degree m).  Each is one running product of n factors, each
-    below 1, with no lgamma and no exp.  None where the symbol has no
-    form; NaN at the levels where the sum cancels by more than
-    _CANCELLATION, which the rule route fills.  Real coefficients give a
-    real array.
+    below 1, with no lgamma and no exp.  The levels where the sum
+    cancels by more than _CANCELLATION are summed again in exact rational
+    arithmetic and rounded once: the coefficients, lam and the level are
+    exact binary fractions, so that rounding is correct.  None where the
+    symbol has no form.  Real coefficients give a real array.
     """
     form = profile_form(a, len(k)) if is_symbolic(a) else None
     if form is None:
@@ -264,16 +279,18 @@ def _exact_diagonal(
     size = np.zeros(levels.shape[0])
     base = levels.sum(axis=1) + (sum(k) + lam + 1.0)
     tops = [levels[:, j] + k[j] for j in range(len(k))] + [lam + 1.0]
-    for exps, c in form[1].items():
-        term = np.ones(levels.shape[0])
-        i = 0
-        for top, power in zip(tops, exps):
-            for s in range(power):
-                term *= (top + s) / (base + i)
-                i += 1
+    for c, term in _form_moments(form, tops, base, np.ones(levels.shape[0])):
         out += (c.real if real else c) * term
         size += abs(c) * term
-    out[size > _CANCELLATION * np.abs(out)] = np.nan
+    lam_q = Fraction(lam)
+    for i in np.flatnonzero(size > _CANCELLATION * np.abs(out)):
+        rho = [int(r) for r in levels[i]]
+        tops_q = [Fraction(r + kj) for r, kj in zip(rho, k)] + [lam_q + 1]
+        re = im = Fraction(0)
+        for c, term in _form_moments(form, tops_q, sum(rho) + sum(k) + lam_q + 1, 1):
+            re += Fraction(c.real) * term
+            im += Fraction(c.imag) * term
+        out[i] = float(re) if real else complex(float(re), float(im))
     return out
 
 
@@ -287,15 +304,16 @@ def radial_toeplitz_diagonal(
     """All radial eigenvalues for degrees 0..D.
 
     A polynomial symbol takes the exact sums of ``_exact_diagonal`` and
-    builds no rule, unless a sum cancels.  A profile callable, any other
-    radial symbol and the degrees where a sum cancels take one
-    Gauss-Jacobi rule of ``q`` nodes, as ``_radial_diagonal`` sets out.
+    builds no rule.  A profile callable and any other radial symbol take
+    one Gauss-Jacobi rule of ``q`` nodes, as ``_radial_diagonal`` sets out.
     """
     profile = _as_profile(a, radial_profile, "a radial profile in t = |z|^2")
+    exact = _exact_diagonal(a, (d,), mu, np.arange(D + 1))
+    if exact is not None:
+        return exact
     if q is None:
         q = _radial_order(D, _profile_degree(a))
-    exact = _exact_diagonal(a, (d,), mu, np.arange(D + 1))
-    return _radial_diagonal(profile, d, mu, D, q, exact)
+    return _radial_diagonal(profile, d, mu, D, q)
 
 
 def _radial_diagonal(
@@ -304,11 +322,9 @@ def _radial_diagonal(
     mu: float,
     D: int,
     q: int,
-    exact: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Radial eigenvalues for degrees 0..D: ``exact`` where it has a value
-    (not NaN), and elsewhere, or everywhere when it is None, the moments
-    of ``profile`` under one Gauss-Jacobi rule of q nodes.
+    """Radial eigenvalues for degrees 0..D: the moments of ``profile``
+    under one Gauss-Jacobi rule of q nodes.
 
     The per-degree monomial factor t^m is folded into the rule's weights
     in log space, which stays finite for cutoffs in the thousands.  The
@@ -317,10 +333,7 @@ def _radial_diagonal(
     reduce rows in groups of up to 8, so each degree is reduced as a
     single-threaded product over the whole table would reduce it.
     """
-    degrees = np.arange(D + 1) if exact is None else np.flatnonzero(np.isnan(exact))
-    if degrees.size == 0:
-        return exact
-    _require_budget(degrees.size * q, f"the radial moment table for degrees <= {D}")
+    _require_budget((D + 1) * q, f"the radial moment table for degrees <= {D}")
     t, w = gauss_jacobi_rule(q, float(mu), float(d - 1))
     if np.any(w <= 0.0):
         raise DomainError("quadrature produced nonpositive weights")
@@ -329,17 +342,12 @@ def _radial_diagonal(
     vals = profile(t)
     rows = max(8, _MOMENT_ENTRIES // q // 8 * 8)
     parts = []
-    for start in range(0, degrees.size, rows):
-        ms = degrees[start : start + rows].astype(float)
+    for start in range(0, D + 1, rows):
+        ms = np.arange(start, min(start + rows, D + 1), dtype=float)
         log_a = log_w[None, :] + ms[:, None] * log_t[None, :]
         log_a -= np.max(log_a, axis=1, keepdims=True)
         parts.append(_normalized_moment(np.exp(log_a, out=log_a), vals))
-    ruled = np.concatenate(parts)
-    if exact is None:
-        return ruled
-    out = exact.astype(np.result_type(exact, ruled))
-    out[degrees] = ruled
-    return out
+    return np.concatenate(parts)
 
 
 def gamma_quasi_radial(
@@ -352,8 +360,8 @@ def gamma_quasi_radial(
     """Diagonal value of a quasi-radial symbol on the level rho.
 
     A polynomial symbol takes the exact sum of ``_exact_diagonal`` and
-    builds no rule, unless that sum cancels.  Otherwise it is the
-    normalized moment of the profile over the set of group radii against
+    builds no rule.  Otherwise it is the normalized moment of the profile
+    over the set of group radii against
     (1 - |r|^2)^lam prod r_j^(2 rho_j + 2 k_j - 1) dr; the normalization
     is the same quadrature sum with a == 1, so constants are exact.  A
     real profile gives a float.
@@ -368,7 +376,7 @@ def gamma_quasi_radial(
         a, lambda e: quasi_radial_profile(e, len(k)), "a profile in the group radii"
     )
     exact = _exact_diagonal(a, k, lam, [rho])
-    if exact is not None and not np.isnan(exact[0]):
+    if exact is not None:
         return exact.item()
     if q is None:
         q = max(24, _profile_degree(a))
@@ -412,11 +420,9 @@ def gamma_sequence(
     levels = levels_up_to(R, len(k))
     exact = _exact_diagonal(a, k, lam, levels)
     if exact is None:
-        exact = np.full(len(levels), np.nan)
-    values = {
-        rho: gamma_quasi_radial(a, k, lam, rho, q=q) if np.isnan(v) else v
-        for rho, v in zip(levels, exact.tolist())
-    }
+        values = {rho: gamma_quasi_radial(a, k, lam, rho, q=q) for rho in levels}
+    else:
+        values = dict(zip(levels, exact.tolist()))
     if not label and is_symbolic(a):
         label = symbol_to_text(a)
     return GammaSequence(k=k, lam=lam, R=R, values=values, label=label)
@@ -612,9 +618,8 @@ class AssemblyPath:
     function of |z|^2, or of the group radii) with a Gauss-Jacobi or
     simplex rule of ``q`` nodes, except where the symbol is a polynomial:
     then ``exact`` holds its exact values on the levels |rho| <= D in
-    lexicographic order (the degrees 0..D on the radial path), NaN where
-    a sum cancels and the rule takes over, and where none does no rule
-    is built.  ``spec`` is the resolved request whatever the path.
+    lexicographic order (the degrees 0..D on the radial path), and no
+    rule is built.  ``spec`` is the resolved request whatever the path.
     """
 
     kind: str
@@ -635,7 +640,7 @@ class AssemblyPath:
                 "n_samples": self.spec.n_samples,
                 "seed": self.spec.seed,
             }
-        if self.exact is not None and not np.isnan(self.exact).any():
+        if self.exact is not None:
             return {"path": self.kind, "exact": True}
         return {"path": self.kind, "q": self.q}
 
@@ -652,8 +657,8 @@ def assembly_path(
 
     Refuses, with a ``DomainError``, a basis whose dense matrix would
     exceed the desk budget, before anything of that size is built.  A
-    polynomial diagonal symbol is summed here, since whether its exact
-    sum holds decides the route.
+    polynomial diagonal symbol is summed here, and its values travel with
+    the path.
     """
     k = count_basis(space.d, D)
     _require_budget(k * k, f"a {k} x {k} matrix")
@@ -695,8 +700,7 @@ def toeplitz_matrix(
     phase-homogeneous symbols the entries that the rotation bookkeeping
     forces to vanish are set to exactly zero.  The diagonal of a
     polynomial symbol is exact, a sum of Pochhammer ratios over its
-    terms, where that sum does not cancel; any other diagonal comes from
-    one Gauss-Jacobi or simplex rule.
+    terms; any other diagonal comes from one Gauss-Jacobi or simplex rule.
     ``use_fast_paths=False`` forces plain quadrature for every entry,
     which is the honest reference the fast paths are tested against.
     ``assembly_path`` names the route taken.
@@ -708,19 +712,19 @@ def toeplitz_matrix(
         label = symbol_to_text(f) if is_symbolic(f) else "callable"
 
     if path.kind == "radial":
-        per_degree = _radial_diagonal(
-            path.profile, space.d, space.lam, D, path.q, path.exact
-        )
+        per_degree = path.exact
+        if per_degree is None:
+            per_degree = _radial_diagonal(path.profile, space.d, space.lam, D, path.q)
         return OperatorMatrix.diagonal(basis, per_degree[basis.degrees], label=label)
     if path.kind == "quasi_radial":
         k = geometry.k
         levels, of_row = np.unique(basis.group_degrees(k), axis=0, return_inverse=True)
-        gammas = np.full(len(levels), np.nan, dtype=complex)
-        if path.exact is not None:
-            gammas[:] = path.exact
-        for i in np.flatnonzero(np.isnan(gammas)):
-            rho = levels[i]
-            gammas[i] = gamma_quasi_radial(path.profile, k, space.lam, rho, q=path.q)
+        gammas = path.exact
+        if gammas is None:
+            gammas = np.array([
+                gamma_quasi_radial(path.profile, k, space.lam, rho, q=path.q)
+                for rho in levels
+            ])
         return OperatorMatrix.diagonal(basis, gammas[of_row.reshape(-1)], label=label)
 
     fn = as_point_function(f, geometry)

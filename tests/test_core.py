@@ -70,6 +70,16 @@ def test_enumerate_basis_roundtrip():
     assert len(seen) == basis.count
 
 
+def test_enumerate_basis_is_shared_and_read_only():
+    basis = enumerate_basis(2, 5, 0.5)
+    assert enumerate_basis(2, 5, 0.5) is basis
+    # an int weight is its own basis, so records keep the type they were given
+    assert enumerate_basis(2, 5, 0) is not enumerate_basis(2, 5, 0.0)
+    for arr in (basis.norms, basis.degrees):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 2
+
+
 def test_enumerate_basis_degree_sorted():
     basis = enumerate_basis(3, 4, 0.0)
     degs = [sum(a) for a in basis.indices]

@@ -68,17 +68,17 @@ def test_public_names_resolve():
 
 
 def test_package_import_stays_light():
-    # scipy.stats costs most of a second to import; scipy.linalg is loaded
-    # up front so the first quadrature rule does not pay for it
+    # the runtime needs numpy and the standard library only: importing
+    # scipy.special alone costs about 0.45 s and 30 MB
     code = (
         "import sys; import berglab; "
-        "print('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.strip() == "[]"
 
 
 def test_only_the_symbol_module_inspects_node_types():

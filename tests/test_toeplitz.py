@@ -1,5 +1,6 @@
 """Matrix assembly against closed-form eigenvalues and exact identities."""
 
+import json
 import math
 import pathlib
 import time
@@ -29,9 +30,10 @@ from berglab import (
     toeplitz_matrix_with_stderr,
 )
 from berglab import quadrature, toeplitz
+from berglab.cli import main
 from berglab.core import enumerate_basis
 from berglab.quadrature import MONTE_CARLO
-from berglab.symbols import profile_form, quasi_radial_profile, radial_profile
+from berglab.symbols import expand_polynomial, profile_form, radial_profile
 
 
 def test_identity_symbol_gives_exact_identity():
@@ -550,38 +552,76 @@ def test_polynomial_diagonals_build_no_rule(monkeypatch):
                         spec)
 
 
-def test_a_cancelling_exact_sum_takes_the_rule_at_those_levels():
+def _rational_moment_sum(terms, alpha, lam):
+    """sum_p c_(p,p) prod_i (alpha_i + 1)_(p_i) / (|alpha| + d + lam + 1)_|p|
+    over ``expand_polynomial``'s diagonal terms, in rational arithmetic."""
+    d = len(alpha)
+    total = Fraction(0)
+    for (p, q), c in terms.items():
+        if p != q:
+            continue
+        term, i = Fraction(c.real), 0
+        base = sum(alpha) + d + 1 + Fraction(lam)
+        for a, power in zip(alpha, p):
+            for s in range(power):
+                term *= Fraction(a + 1 + s) / (base + i)
+                i += 1
+        total += term
+    return total
+
+
+# 0.5 - 2^-30 in decimal: the level-0 value is 2^-30, cancelled 5e8-fold
+NEAR_HALF = "0.499999999068677425384521484375"
+
+
+def test_a_cancelling_exact_sum_is_summed_in_rational_arithmetic(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quadrature rule was built")
+
+    for module in (toeplitz, quadrature):
+        monkeypatch.setattr(module, "gauss_jacobi_rule", refuse)
+        monkeypatch.setattr(module, "simplex_radial_rule", refuse)
+    spec = QuadratureSpec()
     # abs2(z) - 1/2 averages to exactly 0 at degree 0 of the unweighted disc
-    f = parse_symbol("abs2(z) - 0.5", None)
-    space = WeightedSpace(1, 0.0)
-    path = assembly_path(f, space, 40, QuadratureSpec())
-    assert np.isnan(path.exact[0]) and not np.isnan(path.exact[1:]).any()
-    # a rule is built, so the record names its order
-    assert path.record() == {"path": "radial", "q": 48}
-    got = radial_toeplitz_diagonal(f, 1, 0.0, 40)
-    assert abs(got[0]) <= 1e-16  # the rule's roundoff about the true 0
-    m = np.arange(1, 41)
-    assert np.allclose(got[1:], m / (2.0 * (m + 2)), rtol=1e-15, atol=0.0)
-    assert np.array_equal(toeplitz_matrix(f, space, 40, QuadratureSpec()).diag, got)
+    for text, level0 in (("abs2(z) - 0.5", 0.0), (f"abs2(z) - {NEAR_HALF}", 2.0**-30)):
+        f = parse_symbol(text, None)
+        terms = expand_polynomial(f, 1)
+        space = WeightedSpace(1, 0.0)
+        path = assembly_path(f, space, 40, spec)
+        assert path.record() == {"path": "radial", "exact": True}
+        got = radial_toeplitz_diagonal(f, 1, 0.0, 40)
+        assert got[0] == level0 == float(_rational_moment_sum(terms, (0,), 0.0))
+        want = [float(_rational_moment_sum(terms, (m,), 0.0)) for m in range(41)]
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+        assert np.array_equal(toeplitz_matrix(f, space, 40, spec).diag, got)
 
     # r1^2 - r2^2 averages to 0 on the levels with rho_1 = rho_2
     groups = BallGeometry(2, 2, (1, 1))
     g = parse_symbol("r1^2 - r2^2", groups)
+    terms = expand_polynomial(g, 2, geometry=groups)
     seq = gamma_sequence(g, (1, 1), 0.5, 6)
-    profile = quasi_radial_profile(g, 2)
     for rho in seq.levels:
+        want = _rational_moment_sum(terms, rho, 0.5)
         if rho[0] == rho[1]:
-            assert seq(rho) == gamma_quasi_radial(profile, (1, 1), 0.5, rho)
+            assert seq(rho) == float(want) == 0.0
         else:
-            exact = (rho[0] - rho[1]) / (sum(rho) + 3.5)
-            assert seq(rho) == pytest.approx(exact, rel=1e-15)
+            assert abs(seq(rho) - float(want)) <= 4 * np.spacing(abs(float(want)))
+        assert seq(rho) == gamma_quasi_radial(g, (1, 1), 0.5, rho)
     space = WeightedSpace(2, 0.5, geometry=groups)
-    assert assembly_path(g, space, 6, QuadratureSpec()).record() == {
-        "path": "quasi_radial", "q": 24,
+    assert assembly_path(g, space, 6, spec).record() == {
+        "path": "quasi_radial", "exact": True,
     }
-    mat = toeplitz_matrix(g, space, 6, QuadratureSpec())
+    mat = toeplitz_matrix(g, space, 6, spec)
     basis = enumerate_basis(2, 6, 0.5)
     assert np.array_equal(mat.diag, [seq(tuple(a)) for a in basis.indices])
+
+    # the matrix command's sidecar says so
+    out = tmp_path / "m.csv"
+    argv = ["matrix", "--symbol", "abs2(z) - 0.5", "--d", "1", "--mu", "0", "--D", "8",
+            "--out", str(out)]
+    assert main(argv) == 0
+    meta = json.loads((tmp_path / "m.csv.meta.json").read_text())
+    assert meta["assembly"] == {"path": "radial", "exact": True}
 
 
 def test_high_powers_take_the_rule_before_anything_is_expanded():
