@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -301,6 +301,35 @@ def radial_expansion_degree(d: int, nu: float, t: float) -> int:
     return terms
 
 
+# exact radial eigenvalue sequences kept for reuse, by (symbol, d, nu)
+_EXACT_SEQUENCES: Dict[Tuple[SymbolExpr, int, float], np.ndarray] = {}
+_MAX_SEQUENCES = 64
+
+
+def _exact_sequence(g: SymbolExpr, d: int, nu: float, N: int) -> Optional[np.ndarray]:
+    """The exact radial eigenvalues of degrees 0..N of a polynomial symbol,
+    None for any other.
+
+    One sequence is kept per (symbol, d, nu) and extended only when a
+    point needs a longer one, to at least twice its length, so points
+    taken in order of growing |z| extend it a few times, not once each.
+    Each degree's value is summed on its own, so an extended sequence has
+    the bits of one summed whole.
+    """
+    key = (g, d, float(nu))
+    have = _EXACT_SEQUENCES.get(key)
+    start = 0 if have is None else have.shape[0]
+    if start <= N:
+        more = _exact_diagonal(g, (d,), nu, np.arange(start, max(N + 1, 2 * start)))
+        if more is None:
+            return None
+        have = more if have is None else np.concatenate((have, more))
+        if key not in _EXACT_SEQUENCES and len(_EXACT_SEQUENCES) >= _MAX_SEQUENCES:
+            del _EXACT_SEQUENCES[next(iter(_EXACT_SEQUENCES))]
+        _EXACT_SEQUENCES[key] = have
+    return have[: N + 1]
+
+
 def _radial_berezin_value(
     g: SymbolExpr,
     profile: Callable[[np.ndarray], np.ndarray],
@@ -311,12 +340,12 @@ def _radial_berezin_value(
     """Berezin transform of a radial symbol at a point with |z|^2 = t < 1.
 
     Expands over the diagonal eigenvalue sequence of ``g`` (exact for a
-    polynomial, else from a rule on its ``profile`` in t) with
-    negative-binomial kernel masses, cut where all but 1e-13 of the mass
-    at t is carried.
+    polynomial, and shared across points; else from a rule of N-dependent
+    order on its ``profile`` in t) with negative-binomial kernel masses,
+    cut where all but 1e-13 of the mass at t is carried.
     """
     N = radial_expansion_degree(d, nu, t)
-    lam = _exact_diagonal(g, (d,), nu, np.arange(N + 1))
+    lam = _exact_sequence(g, d, nu, N)
     if lam is None:
         lam = _radial_diagonal(profile, d, nu, N, _radial_order(N, 16))
     return complex(radial_berezin_sum(lam, d + nu + 1.0, np.array([t]))[0])

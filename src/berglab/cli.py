@@ -38,6 +38,7 @@ from .suites import (
     _as_int_list,
     _radial_grid,
     parse_config_text,
+    plan_suites,
     run_all,
     summary_lines,
     write_outputs,
@@ -405,12 +406,13 @@ def cmd_suite(args: argparse.Namespace) -> int:
     if args.out:
         raw["out.dir"] = args.out
     cfg = ExperimentConfig.from_mapping(raw)
+    only = args.only.split(",") if args.only else None
+    plan_suites(cfg, only)
     if args.dry_run:
         print(cfg.echo())
-        names = args.only.split(",") if args.only else ["all four suites"]
+        names = only or ["all four suites"]
         print(f"plan: run {', '.join(names)}, write tables to {cfg.out_dir}")
         return 0
-    only = args.only.split(",") if args.only else None
     results = run_all(cfg, only=only)
     ok = write_outputs(results, cfg.out_dir, cfg)
     for line in summary_lines(results):

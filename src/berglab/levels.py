@@ -48,6 +48,7 @@ from .symbols import (
 )
 from .toeplitz import (
     OperatorMatrix,
+    _diagonal_norm,
     gamma_quasi_radial,
     operator_norm,
     radial_toeplitz_diagonal,
@@ -163,8 +164,14 @@ class LevelBlock:
 
 
 def off_block_mass(M: OperatorMatrix, geometry: BallGeometry) -> Tuple[float, float]:
-    """Frobenius mass outside the level-diagonal blocks, and the total."""
+    """Frobenius mass outside the level-diagonal blocks, and the total.
+
+    A diagonal form has none outside them, and its total is the norm of
+    its values.
+    """
     _check_split(M.basis, geometry)
+    if M.diag is not None:
+        return 0.0, float(np.linalg.norm(M.diag))
     lv = M.basis.group_degrees(geometry.k)
     same = np.all(lv[:, None, :] == lv[None, :, :], axis=-1)
     total = float(np.linalg.norm(M.entries))
@@ -254,11 +261,15 @@ def level_block_direct(
 def block_norms(
     M: OperatorMatrix, geometry: BallGeometry
 ) -> Dict[Tuple[int, ...], float]:
-    """sigma_max of each level compression of a full-ball matrix."""
+    """sigma_max of each level compression of a full-ball matrix; a
+    diagonal form's is the largest modulus of its values on the level."""
     out: Dict[Tuple[int, ...], float] = {}
     for rho in levels_up_to(M.basis.D, geometry.m):
         pos = level_positions(M.basis, geometry, rho)
-        out[rho] = operator_norm(M.entries[np.ix_(pos, pos)])
+        if M.diag is not None:
+            out[rho] = _diagonal_norm(M.diag[pos])
+        else:
+            out[rho] = operator_norm(M.entries[np.ix_(pos, pos)])
     return out
 
 
@@ -266,8 +277,15 @@ def reassemble_from_levels(M: OperatorMatrix, geometry: BallGeometry) -> np.ndar
     """Scatter the level compressions back into a full-size matrix.
 
     With exact level masks this reproduces the matrix; without them it
-    equals the level-diagonal part.
+    equals the level-diagonal part.  A diagonal form lies within its
+    levels, so its values go straight onto the diagonal.
     """
+    _check_split(M.basis, geometry)
+    k = M.basis.count
+    if M.diag is not None:
+        out = np.zeros((k, k), dtype=complex)
+        out[np.arange(k), np.arange(k)] = M.diag
+        return out
     out = np.zeros_like(M.entries)
     for rho in levels_up_to(M.basis.D, geometry.m):
         pos = level_positions(M.basis, geometry, rho)

@@ -755,19 +755,42 @@ _ALL_SUITES: Tuple[Tuple[str, Callable[[ExperimentConfig], SuiteResult]], ...] =
 )
 
 
-def run_all(cfg: ExperimentConfig, only: Optional[Sequence[str]] = None) -> List[SuiteResult]:
-    """Run the suites sequentially (each may parallelize internally)."""
-    wanted = set(only) if only else None
-    results = []
-    for name, fn in _ALL_SUITES:
-        if wanted is not None and name not in wanted:
-            continue
-        results.append(fn(cfg))
-    if wanted:
-        missing = wanted - {r.name for r in results}
+def plan_suites(
+    cfg: ExperimentConfig, only: Optional[Sequence[str]] = None
+) -> List[str]:
+    """The suites a run of this selection makes, refused before any runs.
+
+    Unknown names are refused, and so is a factorization suite whose
+    honest full route needs a product rule over the node budget for one
+    of its pairs: it could only stop halfway.
+    """
+    names = [name for name, _ in _ALL_SUITES]
+    if only:
+        missing = set(only) - set(names)
         if missing:
             raise DomainError(f"unknown suite names: {', '.join(sorted(missing))}")
-    return results
+        names = [name for name in names if name in only]
+    if "factorization" in names and cfg.spec.scheme == GAUSS_JACOBI:
+        geo = cfg.geometry
+        space = WeightedSpace(geo.n, cfg.lam, geometry=geo)
+        for a_text, c_text in _canned_pairs(cfg):
+            composite = parse_symbol(f"prod(a = {a_text}, c = {c_text})", geo)
+            path = assembly_path(composite, space, cfg.D, cfg.spec, use_fast_paths=False)
+            nodes = ball_rule_size(geo.n, path.spec.q, path.spec.angular)
+            if nodes > _MAX_RULE_NODES:
+                raise DomainError(
+                    f"suite factorization: the full route of pair ({a_text} | "
+                    f"{c_text}) needs a product rule of {nodes} nodes (over the "
+                    f"{_MAX_RULE_NODES} desk budget); lower truncation.D or "
+                    "geometry.n, or leave the suite out with --only"
+                )
+    return names
+
+
+def run_all(cfg: ExperimentConfig, only: Optional[Sequence[str]] = None) -> List[SuiteResult]:
+    """Run the suites sequentially (each may parallelize internally)."""
+    suites = dict(_ALL_SUITES)
+    return [suites[name](cfg) for name in plan_suites(cfg, only)]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,15 @@ Gauss-Jacobi or simplex rule.  Arrays past _MAX_DENSE_ENTRIES are
 refused before they are allocated, and so are diagonal forms whose dense
 form would be.
 
+A product symbol f = a(z' / sqrt(1 - |z''|^2)) c(z'') whose a-factor is
+quasi-radial is assembled level by level, by the paper's decomposition
+A^2_lam = (+)_rho H_rho (x) A^2_{mu_rho} of the ball with mu_rho = lam +
+|rho| + ell: on level rho it acts as gamma_a(rho) I (x) T_c at weight
+mu_rho, so each level takes gamma (exact for a polynomial a) times one
+inner-ball matrix of c, assembled by the inner ball's own paths, and no
+full-ball rule is built.  Within one z'-exponent the basis order is the
+inner basis order, so each inner matrix lands on those rows as it is.
+
 Truncation is compression: norms computed here are lower bounds that
 increase toward the operator norm as D grows.
 """
@@ -50,6 +59,7 @@ from .core import (
     csv_lines,
     enumerate_basis,
     levels_up_to,
+    make_level,
 )
 from .errors import DomainError
 from .quadrature import (
@@ -76,6 +86,7 @@ from .symbols import (
     profile_form,
     quasi_radial_profile,
     radial_profile,
+    rebase_inner,
     symbol_degree_hint,
     symbol_to_text,
 )
@@ -613,13 +624,18 @@ class AssemblyPath:
 
     ``kind`` is "radial" (a diagonal of radial eigenvalues, one per
     degree), "quasi_radial" (a diagonal of the gamma sequence, one value
-    per level), "torus" (the product rule of ``spec``) or "monte_carlo"
-    (the samples of ``spec``).  A diagonal integrates ``profile`` (a
-    function of |z|^2, or of the group radii) with a Gauss-Jacobi or
-    simplex rule of ``q`` nodes, except where the symbol is a polynomial:
-    then ``exact`` holds its exact values on the levels |rho| <= D in
-    lexicographic order (the degrees 0..D on the radial path), and no
-    rule is built.  ``spec`` is the resolved request whatever the path.
+    per level), "levels" (a product symbol with a quasi-radial a-factor,
+    gamma times an inner-ball matrix of c on each level), "torus" (the
+    product rule of ``spec``) or "monte_carlo" (the samples of ``spec``).
+    A diagonal integrates ``profile`` (a function of |z|^2, or of the
+    group radii) with a Gauss-Jacobi or simplex rule of ``q`` nodes,
+    except where the symbol is a polynomial: then ``exact`` holds its
+    exact values on the levels |rho| <= D in lexicographic order (the
+    degrees 0..D on the radial path), and no rule is built.  On the
+    "levels" path ``profile``, ``q`` and ``exact`` are those of gamma, on
+    the levels |rho| <= D in graded order, and ``inner`` holds each
+    level's inner-ball path in the same order.  ``spec`` is the resolved
+    request whatever the path.
     """
 
     kind: str
@@ -629,9 +645,14 @@ class AssemblyPath:
         default=None, repr=False
     )
     exact: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    inner: Tuple["AssemblyPath", ...] = field(default=(), repr=False)
 
     def record(self) -> dict:
-        """The path and the orders it used, for run records."""
+        """The path and the orders it used, for run records.
+
+        A "levels" path with no rule anywhere is exact; otherwise it lists
+        the order of the gamma rule, if any, and each level's inner record.
+        """
         if self.kind == "torus":
             return {"path": self.kind, "q": self.spec.q, "angular": self.spec.angular}
         if self.kind == "monte_carlo":
@@ -640,9 +661,49 @@ class AssemblyPath:
                 "n_samples": self.spec.n_samples,
                 "seed": self.spec.seed,
             }
+        if self.kind == "levels":
+            blocks = [p.record() for p in self.inner]
+            if self.exact is not None and all(b.get("exact") for b in blocks):
+                return {"path": self.kind, "exact": True}
+            out = {"path": self.kind, "blocks": blocks}
+            if self.exact is None:
+                out["q"] = self.q
+            return out
         if self.exact is not None:
             return {"path": self.kind, "exact": True}
         return {"path": self.kind, "q": self.q}
+
+
+def _level_space(lam: float, rho: Sequence[int], geometry) -> WeightedSpace:
+    """The inner ball of level rho at its weight mu_rho = lam + |rho| + ell."""
+    return WeightedSpace(geometry.d_inner, make_level(rho, lam, geometry.ell).mu)
+
+
+def _levels_path(
+    f: ProductSymbol,
+    space: WeightedSpace,
+    D: int,
+    spec: QuadratureSpec,
+    resolved: QuadratureSpec,
+) -> Optional[AssemblyPath]:
+    """The level-by-level route of a product symbol, or None where the
+    a-factor is not quasi-radial, the spec samples, or the symbol's
+    geometry does not split this space's ball."""
+    geo = f.geometry
+    if spec.scheme == MONTE_CARLO or geo is None or geo.n != space.d:
+        return None
+    profile = quasi_radial_profile(f.a, geo.m)
+    if profile is None or geo.d_inner < 1:
+        return None
+    levels = levels_up_to(D, geo.m)
+    c_inner = rebase_inner(f.c)
+    inner = tuple(
+        assembly_path(c_inner, _level_space(space.lam, rho, geo), D - sum(rho), spec)
+        for rho in levels
+    )
+    exact = _exact_diagonal(f.a, geo.k, space.lam, levels)
+    q = max(24, symbol_degree_hint(f.a))
+    return AssemblyPath("levels", resolved, q, profile, exact, inner)
 
 
 def assembly_path(
@@ -658,13 +719,17 @@ def assembly_path(
     Refuses, with a ``DomainError``, a basis whose dense matrix would
     exceed the desk budget, before anything of that size is built.  A
     polynomial diagonal symbol is summed here, and its values travel with
-    the path.
+    the path; so do the exact gammas of a product symbol's levels.
     """
     k = count_basis(space.d, D)
     _require_budget(k * k, f"a {k} x {k} matrix")
     resolved = resolve_assembly_spec(f, space.d, D, spec)
     geometry = space.geometry
-    if use_fast_paths and is_symbolic(f) and not isinstance(f, ProductSymbol):
+    if use_fast_paths and isinstance(f, ProductSymbol):
+        path = _levels_path(f, space, D, spec, resolved)
+        if path is not None:
+            return path
+    elif use_fast_paths and is_symbolic(f):
         hint = symbol_degree_hint(f)
         # the group radii of the geometry are moduli on this space's ball
         # only where its groups cover that ball
@@ -696,7 +761,9 @@ def toeplitz_matrix(
     """Compression of the symbol's Toeplitz operator to degrees <= D.
 
     Fast paths: radial symbols become diagonals of radial eigenvalues,
-    group-radius symbols become diagonals of the gamma sequence, and for
+    group-radius symbols become diagonals of the gamma sequence, product
+    symbols with a quasi-radial a-factor are assembled level by level
+    (a diagonal form when every inner matrix is one), and for
     phase-homogeneous symbols the entries that the rotation bookkeeping
     forces to vanish are set to exactly zero.  The diagonal of a
     polynomial symbol is exact, a sum of Pochhammer ratios over its
@@ -706,11 +773,22 @@ def toeplitz_matrix(
     ``assembly_path`` names the route taken.
     """
     path = assembly_path(f, space, D, spec, use_fast_paths=use_fast_paths)
-    basis = enumerate_basis(space.d, D, space.lam)
-    geometry = space.geometry
     if label is None:
         label = symbol_to_text(f) if is_symbolic(f) else "callable"
+    return _assemble(path, f, space, D, label, use_fast_paths)
 
+
+def _assemble(
+    path: AssemblyPath,
+    f: SymbolLike,
+    space: WeightedSpace,
+    D: int,
+    label: str,
+    use_fast_paths: bool = True,
+) -> OperatorMatrix:
+    """The matrix of ``f`` along a path ``assembly_path`` chose for it."""
+    basis = enumerate_basis(space.d, D, space.lam)
+    geometry = space.geometry
     if path.kind == "radial":
         per_degree = path.exact
         if per_degree is None:
@@ -726,10 +804,12 @@ def toeplitz_matrix(
                 for rho in levels
             ])
         return OperatorMatrix.diagonal(basis, gammas[of_row.reshape(-1)], label=label)
+    if path.kind == "levels":
+        return _assemble_by_levels(path, f, basis, label)
 
     fn = as_point_function(f, geometry)
     if path.kind == "monte_carlo":
-        z, _ = monte_carlo_points(space.d, space.lam, spec.n_samples, spec.seed)
+        z, _ = monte_carlo_points(space.d, space.lam, path.spec.n_samples, path.spec.seed)
         weights = np.full(z.shape[0], 1.0 / z.shape[0])
         entries = _node_sums(z, weights, fn, basis)[0]
     else:
@@ -738,6 +818,54 @@ def toeplitz_matrix(
 
     if use_fast_paths and is_symbolic(f):
         entries = _apply_vanishing_masks(entries, f, basis, geometry, space.d)
+    return OperatorMatrix(basis, entries, label=label)
+
+
+def _assemble_by_levels(
+    path: AssemblyPath, f: ProductSymbol, basis: TruncatedBasis, label: str
+) -> OperatorMatrix:
+    """gamma(rho) I (x) T_c at weight mu_rho on every level of the basis.
+
+    The rows are grouped by their z'-exponent; within a group they keep
+    basis order, which is the order of the inner basis at cutoff D - |rho|,
+    so the level's inner matrix, times gamma, lands on the group's rows
+    and columns as it is.  Entries between two groups are zero.  Diagonal
+    inner matrices give a diagonal form, any dense one a dense matrix.
+    """
+    geo = f.geometry
+    levels = levels_up_to(basis.D, geo.m)
+    gammas = path.exact
+    if gammas is None:
+        gammas = [
+            gamma_quasi_radial(path.profile, geo.k, basis.lam, rho, q=path.q)
+            for rho in levels
+        ]
+    c_inner = rebase_inner(f.c)
+    by_level = {
+        rho: (gamma, _assemble(
+            inner, c_inner, _level_space(basis.lam, rho, geo), basis.D - sum(rho), ""
+        ))
+        for rho, gamma, inner in zip(levels, gammas, path.inner)
+    }
+    primes = basis.exponent_array()[:, : geo.ell]
+    rho_of = basis.group_degrees(geo.k)
+    # lexsort is stable: rows of one z'-exponent stay in basis order
+    order = np.lexsort(primes.T)
+    cuts = np.flatnonzero(np.any(np.diff(primes[order], axis=0) != 0, axis=1)) + 1
+    groups = np.split(order, cuts)
+    if all(blk.diag is not None for _, blk in by_level.values()):
+        diag = np.empty(basis.count, dtype=complex)
+        for rows in groups:
+            gamma, blk = by_level[tuple(rho_of[rows[0]])]
+            diag[rows] = gamma * blk.diag
+        return OperatorMatrix.diagonal(basis, diag, label=label)
+    entries = np.zeros((basis.count, basis.count), dtype=complex)
+    for rows in groups:
+        gamma, blk = by_level[tuple(rho_of[rows[0]])]
+        if blk.diag is not None:
+            entries[rows, rows] = gamma * blk.diag
+        else:
+            entries[np.ix_(rows, rows)] = gamma * blk.entries
     return OperatorMatrix(basis, entries, label=label)
 
 
@@ -799,6 +927,14 @@ def toeplitz_matrix_with_stderr(
 _POWER_ITERATIONS = 20_000
 
 
+def _diagonal_norm(values: np.ndarray) -> float:
+    """Largest singular value of the diagonal matrix of ``values``: the
+    largest modulus, with no dense matrix."""
+    if not np.all(np.isfinite(values)):
+        raise DomainError("matrix has non-finite entries")
+    return float(np.max(np.abs(values)))
+
+
 def operator_norm(
     M: Union[OperatorMatrix, np.ndarray],
     *,
@@ -818,10 +954,7 @@ def operator_norm(
     if method not in ("auto", "svd", "power"):
         raise DomainError(f"unknown method {method!r}")
     if isinstance(M, OperatorMatrix) and M.diag is not None:
-        # the singular values of a diagonal are the moduli of its entries
-        if not np.all(np.isfinite(M.diag)):
-            raise DomainError("matrix has non-finite entries")
-        return float(np.max(np.abs(M.diag)))
+        return _diagonal_norm(M.diag)
     a = M.entries if isinstance(M, OperatorMatrix) else np.asarray(M, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("operator norm needs a square matrix")

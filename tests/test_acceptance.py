@@ -153,8 +153,9 @@ def test_criterion_4_block_structure():
     space = WeightedSpace(g.n, 0.0, geometry=g)
     f_a = parse_symbol("prod(a = r1^2, c = 1)", g)
     f_c = parse_symbol("prod(a = 1, c = 1 - abs2(zc))", g)
-    M_a = toeplitz_matrix(f_a, space, D, spec)
-    M_c = toeplitz_matrix(f_c, space, D, spec)
+    # the full-ball rule: the level route would build the blocks it checks
+    M_a = toeplitz_matrix(f_a, space, D, spec, use_fast_paths=False)
+    M_c = toeplitz_matrix(f_c, space, D, spec, use_fast_paths=False)
     worst_off = 0.0
     for M in (M_a, M_c):
         off, total = off_block_mass(M, g)

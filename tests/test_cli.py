@@ -14,6 +14,7 @@ from berglab import (
     parse_symbol,
     toeplitz_matrix,
 )
+from berglab import suites
 from berglab.cli import main
 
 
@@ -413,3 +414,28 @@ def test_negative_thread_count_is_exit_one(capsys, tmp_path):
         code, out, err = run(capsys, argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "threads" in err
+
+
+def test_suite_refuses_a_factorization_over_the_rule_budget(capsys, tmp_path, monkeypatch):
+    # on the 3-ball the honest full route of r1^2 | 1 needs 320 M nodes
+    cfg = tmp_path / "n3.cfg"
+    cfg.write_text("geometry.n = 3\n")
+    out_dir = tmp_path / "runs"
+
+    def refuse(cfg):
+        raise AssertionError("a suite ran before the selection was checked")
+
+    monkeypatch.setattr(suites, "_ALL_SUITES", tuple((n, refuse) for n, _ in suites._ALL_SUITES))
+    for extra in ([], ["--only", "factorization"], ["--dry-run"]):
+        code, out, err = run(
+            capsys, ["suite", "--config", str(cfg), "--out", str(out_dir)] + extra
+        )
+        assert code == 1 and out == ""
+        assert "suite factorization" in err and "(r1^2 | 1)" in err
+        assert "320013504 nodes" in err
+    assert not out_dir.exists()
+    code, out, err = run(
+        capsys,
+        ["suite", "--config", str(cfg), "--only", "norm_identity,quantization", "--dry-run"],
+    )
+    assert code == 0 and "plan: run norm_identity, quantization" in out

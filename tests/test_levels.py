@@ -131,7 +131,8 @@ def test_extract_block_identity_tensor(split31):
     spec = QuadratureSpec()
     space = WeightedSpace(3, 0.0, geometry=split31)
     f = parse_symbol("prod(a = 1, c = 1 - abs2(zc))", split31)
-    M = toeplitz_matrix(f, space, 4, full_spec)
+    # the full-ball rule, not the level route this test compares against
+    M = toeplitz_matrix(f, space, 4, full_spec, use_fast_paths=False)
     for rho in [(0, 0), (1, 0), (1, 1)]:
         blk = extract_level_block(M, rho, split31)
         direct = level_block_direct(
@@ -167,7 +168,7 @@ def test_block_norm_sup_equals_full_norm():
     spec = QuadratureSpec()
     space = WeightedSpace(2, 0.0, geometry=g)
     f = parse_symbol("prod(a = r1^2, c = 1)", g)
-    M = toeplitz_matrix(f, space, 5, spec)
+    M = toeplitz_matrix(f, space, 5, spec, use_fast_paths=False)
     norms = block_norms(M, g)
     assert max(norms.values()) == pytest.approx(operator_norm(M), abs=1e-10)
 
@@ -176,7 +177,7 @@ def test_reassemble_recovers_matrix(split31):
     spec = QuadratureSpec(q=16, angular=9)
     space = WeightedSpace(3, 0.0, geometry=split31)
     f = parse_symbol("prod(a = 1, c = 2 - abs2(zc))", split31)
-    M = toeplitz_matrix(f, space, 4, spec)
+    M = toeplitz_matrix(f, space, 4, spec, use_fast_paths=False)
     back = reassemble_from_levels(M, split31)
     assert np.max(np.abs(back - M.entries)) < 1e-12
 
