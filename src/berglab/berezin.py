@@ -39,6 +39,7 @@ from .symbols import (
     SymbolExpr,
     eval_on_points,
     is_symbolic,
+    radial_profile,
     symbol_degree_hint,
     symbol_to_text,
 )
@@ -49,7 +50,6 @@ from .toeplitz import (
     _radial_diagonal,
     _radial_order,
     _require_budget,
-    assembly_path,
     toeplitz_matrix,
 )
 
@@ -365,10 +365,10 @@ def berezin_of_symbol(
     stays accurate arbitrarily close to the boundary.  Any other symbol
     gives <T_{g o phi_z} 1, 1>_mu, the degree-0 entry of the pullback's
     Toeplitz matrix, from the samples of a sampling spec or from a product
-    rule whose orders grow as z nears the sphere.  ``assembly_path``
-    picks the route, so a polynomial radial symbol expands over its exact
-    diagonal.  The geometry, when given, declares the partition that group
-    radii such as ``r1`` read; one of another dimension than z is refused.
+    rule whose orders grow as z nears the sphere.  ``radial_profile``
+    picks the route, so a polynomial radial symbol expands over its
+    exact diagonal.  The geometry, when given, declares the partition that
+    group radii such as ``r1`` read; one of another dimension is refused.
     """
     z_arr = np.asarray(z, dtype=complex).reshape(-1)
     d = z_arr.shape[0]
@@ -376,9 +376,10 @@ def berezin_of_symbol(
     if not t < 1.0:  # NaN coordinates fail this too
         raise DomainError("Berezin evaluation needs an interior point")
 
-    path = assembly_path(g, WeightedSpace(d, mu, geometry=geometry), 0, spec)
-    if path.kind == "radial":
-        return _radial_berezin_value(g, path.profile, d, mu, t)
+    WeightedSpace(d, mu, geometry=geometry)  # refuses a geometry of another n
+    profile = radial_profile(g, geometry) if is_symbolic(g) else None
+    if profile is not None:
+        return _radial_berezin_value(g, profile, d, mu, t)
 
     fn = as_point_function(g, geometry)
 

@@ -184,6 +184,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     }
     if spec.scheme == GAUSS_JACOBI:
         plan.update(q=spec.q, angular=spec.angular)
+    if path.kind == "torus":
+        plan["band"] = path.record()["band"]
     if args.dry_run:
         _echo(plan)
         print("plan: assemble the truncated matrix" + (" and write CSV" if args.out else ""))

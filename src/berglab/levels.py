@@ -332,28 +332,18 @@ def _factor_on_level(
 ) -> np.ndarray:
     """The z'-slot factor of T_a restricted to one level, hdim x hdim;
     ``primes`` holds the level's z'-exponents in pair order."""
-    hdim = len(primes)
-    if is_symbolic(a):
-        if quasi_radial_profile(a, geometry.m) is not None:
-            g = gamma_quasi_radial(a, geometry.k, lam, rho)
-            return g * np.eye(hdim, dtype=complex)
-        if geometry.ell >= 2:
-            geo_a = BallGeometry(geometry.ell, geometry.ell, geometry.k)
-            if group_winding(a, geo_a) != (0,) * geometry.m:
-                raise DomainError(
-                    "the z'-factor must be invariant under the group torus action"
-                )
-            space_a = WeightedSpace(geometry.ell, lam, geometry=geo_a)
-            t_a = toeplitz_matrix(a, space_a, sum(rho), spec)
-            out = np.empty((hdim, hdim), dtype=complex)
-            for p, bp in enumerate(primes):
-                for q, aq in enumerate(primes):
-                    out[p, q] = t_a.entry(bp, aq)
-            return out
-        raise DomainError(
-            "the z'-factor must be invariant under the group torus action"
-        )
-    raise DomainError("the z'-factor must be a symbol, not a raw callable")
+    if not is_symbolic(a):
+        raise DomainError("the z'-factor must be a symbol, not a raw callable")
+    if quasi_radial_profile(a, geometry.m) is not None:
+        g = gamma_quasi_radial(a, geometry.k, lam, rho)
+        return g * np.eye(len(primes), dtype=complex)
+    geo_a = BallGeometry(geometry.ell, geometry.ell, geometry.k)
+    if geometry.ell < 2 or group_winding(a, geo_a) != (0,) * geometry.m:
+        raise DomainError("the z'-factor must be invariant under the group torus action")
+    space_a = WeightedSpace(geometry.ell, lam, geometry=geo_a)
+    t_a = toeplitz_matrix(a, space_a, sum(rho), spec)
+    rows = [t_a.basis.index_of(p) for p in primes]
+    return t_a.entries[np.ix_(rows, rows)]
 
 
 def full_route_matrix(

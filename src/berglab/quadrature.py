@@ -60,7 +60,8 @@ class QuadratureSpec:
             raise DomainError("quadrature orders must be nonnegative and N >= 1")
 
     def resolved(self, d: int, max_degree: int, sym_degree: int = 0) -> "QuadratureSpec":
-        """Fill in automatic orders for a basis cutoff and symbol degree."""
+        """Fill in automatic orders for a basis cutoff and symbol degree: 2D +
+        deg + 1 phases, the fallback for a symbol with no phase band."""
         q = self.q if self.q > 0 else max_degree + (sym_degree + 1) // 2 + 3
         angular = self.angular if self.angular > 0 else 2 * max_degree + sym_degree + 1
         return replace(self, q=q, angular=angular)

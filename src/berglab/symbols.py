@@ -24,7 +24,7 @@ only when one group spans the whole ball.
 
 ASTs are immutable; evaluation is vectorized over arrays of points.
 This is the one module that inspects node types.  Every analysis
-(printing, evaluation, validation, winding, degree, renaming, polynomial
+(printing, evaluation, validation, phase band, degree, renaming, polynomial
 expansion) is a visitor handed to the one bottom-up traversal ``_fold``,
 which reads the children of each node type from ``_CHILD_FIELDS``.
 """
@@ -682,21 +682,38 @@ def is_symbolic(f: object) -> bool:
     return isinstance(f, _AST_TYPES)
 
 
-def _winding(
-    expr: SymbolExpr, slots: Sequence[Optional[int]], m: int, zc_offset: int
-) -> Optional[Tuple[int, ...]]:
-    """Phase degree of the symbol under an m-dimensional torus action.
+# A phase band: per torus slot, the (lo, hi) of the frequencies it turns
+Band = Tuple[Tuple[int, int], ...]
 
-    ``slots[axis]`` is the torus coordinate rotating that axis, or None
-    where the torus does not act; zc-coordinates sit ``zc_offset`` axes
-    in.  Returns the winding vector of a phase-homogeneous expression and
-    None when homogeneity cannot be established (an axis past the slots
-    counts as unknown); None means the symbol is treated as
-    non-invariant (sound, not complete).
+
+def _negated(b: Band) -> Band:
+    return tuple((-hi, -lo) for lo, hi in b)
+
+
+def _added(a: Band, b: Band) -> Band:
+    return tuple((l1 + l2, h1 + h2) for (l1, h1), (l2, h2) in zip(a, b))
+
+
+def _hull(a: Band, b: Band) -> Band:
+    return tuple((min(l1, l2), max(h1, h2)) for (l1, h1), (l2, h2) in zip(a, b))
+
+
+# asked again for the same symbol by every torus assembly, like _degree
+@lru_cache(maxsize=256)
+def _band(
+    expr: SymbolExpr, slots: Tuple[Optional[int], ...], m: int, zc_offset: int
+) -> Optional[Band]:
+    """Phase band of the symbol under an m-dimensional torus action: on
+    every orbit it is a trigonometric polynomial with frequencies in the
+    band.  ``slots[axis]`` is the torus coordinate rotating that axis, or
+    None; zc-coordinates sit ``zc_offset`` axes in.  abs2(x) = x conj(x)
+    has band(x) - band(x); a denominator needs a point band and sqrt the
+    zero one (powers are nonnegative in the grammar).  None where no band
+    is established, an axis past the slots included: sound, not complete.
     """
-    zero = (0,) * m
+    zero = ((0, 0),) * m
 
-    def visit(node: SymbolExpr, children: list) -> Optional[Tuple[int, ...]]:
+    def visit(node: SymbolExpr, children: list) -> Optional[Band]:
         if isinstance(node, (Const, GroupRadius)) or _is_tuple(node):
             # a whole tuple stands only under abs2, which is invariant
             return zero
@@ -704,74 +721,77 @@ def _winding(
             axis = node.index - 1 + (zc_offset if node.part == "zc" else 0)
             if axis >= len(slots):
                 return None
-            out = [0] * m
-            if slots[axis] is not None:
-                out[slots[axis]] = 1
-            return tuple(out)
-        if any(w is None for w in children):
+            return tuple((int(j == slots[axis]),) * 2 for j in range(m))
+        if any(b is None for b in children):
             return None
+        b = children[0]
         if isinstance(node, Neg):
-            return children[0]
+            return b
         if isinstance(node, Func):
-            w = children[0]
             if node.name == "abs2":
-                return zero
+                return _added(b, _negated(b))
             if node.name == "conj":
-                return tuple(-v for v in w)
-            # re, im and sqrt preserve invariance only for invariant arguments.
-            return zero if w == zero else None
+                return _negated(b)
+            if node.name in ("re", "im"):
+                return _hull(b, _negated(b))
+            return b if b == zero else None  # sqrt
         if isinstance(node, Power):
-            return tuple(node.exponent * v for v in children[0])
-        wl, wr = children
+            return tuple((node.exponent * lo, node.exponent * hi) for lo, hi in b)
+        rhs = children[1]
         if node.op == "*":
-            return tuple(a + b for a, b in zip(wl, wr))
+            return _added(b, rhs)
         if node.op == "/":
-            return tuple(a - b for a, b in zip(wl, wr))
-        return wl if wl == wr else None
+            return None if _point(rhs) is None else _added(b, _negated(rhs))
+        return _hull(b, rhs)
 
     return _fold(expr, visit)
 
 
-def axis_winding(
-    expr: Union[SymbolExpr, ProductSymbol],
-    d: int,
-    zc_offset: int = 0,
-) -> Optional[Tuple[int, ...]]:
-    """Per-axis phase degree of the symbol on the d-ball, or None.
-
-    When defined, the pairing of f z^alpha against z^beta vanishes exactly
-    unless beta = alpha + winding, so those matrix entries can be set to
-    zero without integrating.  ``zc_offset`` places zc-coordinates on the
-    full-ball axes (the split point for full-ball evaluation, 0 on the
-    inner ball itself).
-    """
+def axis_band(
+    expr: Union[SymbolExpr, ProductSymbol], d: int, zc_offset: int = 0
+) -> Optional[Band]:
+    """Per-axis phase band of the symbol on the d-ball, or None: the
+    pairing of f z^alpha with z^beta vanishes unless beta - alpha lies in
+    it.  zc-coordinates start ``zc_offset`` axes in.  A product symbol's
+    band on its n-ball is those of a and c in turn (the stretch is real)."""
     if isinstance(expr, ProductSymbol):
         geo = expr.geometry
-        if geo is None:
+        if geo is None or geo.n != d:
             return None
-        wa = axis_winding(expr.a, geo.ell)
-        wc = axis_winding(expr.c, geo.d_inner)
-        if wa is None or wc is None:
-            return None
-        return wa + wc
-    return _winding(expr, range(d), d, zc_offset)
+        ba, bc = axis_band(expr.a, geo.ell), axis_band(expr.c, geo.d_inner)
+        return None if ba is None or bc is None else ba + bc
+    return _band(expr, tuple(range(d)), d, zc_offset)
+
+
+def group_band(
+    expr: Union[SymbolExpr, ProductSymbol], geometry: BallGeometry
+) -> Optional[Band]:
+    """Phase band under the per-group torus action on z', or None.  Not
+    the per-axis band summed within groups: re(z1 conj(z2)) with z1, z2
+    in one group has group band {0}.  A product symbol's is its a's."""
+    if isinstance(expr, ProductSymbol):
+        expr = expr.a
+    slots = tuple(geometry.group_of(axis) for axis in range(geometry.ell))
+    return _band(expr, slots + (None,) * geometry.d_inner, geometry.m, geometry.ell)
+
+
+def _point(b: Optional[Band]) -> Optional[Tuple[int, ...]]:
+    """The one frequency of a point band (its winding), else None."""
+    return None if b is None or any(lo != hi for lo, hi in b) else tuple(lo for lo, _ in b)
+
+
+def axis_winding(
+    expr: Union[SymbolExpr, ProductSymbol], d: int, zc_offset: int = 0
+) -> Optional[Tuple[int, ...]]:
+    """Per-axis phase degree: the ``axis_band`` where it is a point."""
+    return _point(axis_band(expr, d, zc_offset))
 
 
 def group_winding(
     expr: Union[SymbolExpr, ProductSymbol], geometry: BallGeometry
 ) -> Optional[Tuple[int, ...]]:
-    """Phase degree under the per-group torus action on z', or None.
-
-    This is not the per-axis winding summed within groups: re(z1 conj(z2))
-    with z1, z2 in one group has group winding 0 but no per-axis winding.
-    The stretch in a product symbol only touches moduli, so the group
-    winding of the a-factor is the group winding of the whole.
-    """
-    if isinstance(expr, ProductSymbol):
-        expr = expr.a
-    slots = [geometry.group_of(axis) for axis in range(geometry.ell)]
-    slots += [None] * geometry.d_inner
-    return _winding(expr, slots, geometry.m, geometry.ell)
+    """Group phase degree: the ``group_band`` where it is a point."""
+    return _point(group_band(expr, geometry))
 
 
 # the whole tuple z, which stands only under abs2, as _leaves names it
@@ -826,7 +846,7 @@ def classify_symbol(
 
 
 def radial_profile(
-    expr: SymbolExpr, geometry: Optional[BallGeometry] = None
+    expr: Union[SymbolExpr, ProductSymbol], geometry: Optional[BallGeometry] = None
 ) -> Optional[Callable[[np.ndarray], np.ndarray]]:
     """Interpret the symbol as a function a(t) of t = |z|^2 on its ball.
 
@@ -834,11 +854,11 @@ def radial_profile(
     abs2(z) of the whole tuple and constants; a group radius counts as
     |z| only when the geometry has one group spanning the whole ball, so
     r1 qualifies under k = (n,) and nowhere else.  Returns a vectorized
-    profile, or None.
+    profile, or None (always for a product symbol).
     """
     spans = geometry is not None and geometry.k == (geometry.n,)
     allowed = {_WHOLE_Z, ("r", 1)} if spans else {_WHOLE_Z}
-    if not _leaves(expr) <= allowed:
+    if isinstance(expr, ProductSymbol) or not _leaves(expr) <= allowed:
         return None
 
     def profile(t: np.ndarray) -> np.ndarray:

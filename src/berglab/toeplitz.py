@@ -7,8 +7,9 @@ product rule (radial x simplex x equispaced phases^d) one slab of radial
 nodes at a time: on each torus of phases the phase sum of f z^alpha
 conj(z)^beta is one DFT coefficient of the symbol samples, at
 beta - alpha, so an FFT over the phase axes plus real radial powers give
-every entry.  With ``angular = 2D + deg + 1`` phases no frequency an
-entry needs aliases onto another, so polynomial symbols stay exact.
+every entry.  With D + b + 1 phases for a symbol of phase band reach b
+(``symbols.axis_band``), else 2D + deg + 1, nothing an entry needs
+aliases, and the fast paths contract only the pairs in the band.
 Monte Carlo samples have no torus structure and contract the monomial
 values with themselves instead.  The monomials are built row by row in a
 (K, n) layout: each axis gets a table of powers of the samples, and row
@@ -77,10 +78,11 @@ from .quadrature import (
 )
 from .symbols import (
     BinOp,
+    Band,
     ProductSymbol,
     SymbolExpr,
-    axis_winding,
-    group_winding,
+    axis_band,
+    group_band,
     is_polynomial,
     is_symbolic,
     profile_form,
@@ -557,25 +559,30 @@ def _node_sums(
 
 
 def _assemble_on_torus(
-    rule: BallRule, fn: PointFunction, basis: TruncatedBasis
+    rule: BallRule, fn: PointFunction, basis: TruncatedBasis,
+    keep: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Entries from the factored product rule, streamed by radial slab.
 
     On the torus of radial node i the phase sum of f z^alpha conj(z)^beta
     is the DFT coefficient F_i[beta - alpha (mod P)] of the symbol samples,
     so entry (beta, alpha) is sum_i w_i R[i, beta] R[i, alpha] F_i[beta -
-    alpha] with R the real normalized radial powers.  Each slab holds at
-    most _SLAB_NODES torus nodes and _SLAB_ENTRIES gathered coefficients
-    (never fewer than one torus), whatever the rule size or K.
+    alpha] with R the real normalized radial powers; a mask ``keep``
+    restricts the pairs, the rest are exact zeros.  A slab holds at most
+    _SLAB_NODES torus nodes and _SLAB_ENTRIES coefficients, or one torus.
     """
     d, p = basis.d, rule.n_phase
     k = basis.count
     n_torus = p**d
     exps = basis.exponent_array()
-    diff = np.mod(exps[:, None, :] - exps[None, :, :], p)  # beta - alpha
-    shift = np.ravel_multi_index(tuple(np.moveaxis(diff, -1, 0)), (p,) * d).ravel()
-    slab = max(1, min(_SLAB_NODES // n_torus, _SLAB_ENTRIES // (k * k)))
-    acc = np.zeros(k * k, dtype=complex)
+    if keep is None:
+        diff = exps[:, None, :] - exps[None, :, :]  # beta - alpha
+    else:
+        b_idx, a_idx = np.nonzero(keep)
+        diff = exps[b_idx] - exps[a_idx]
+    shift = np.ravel_multi_index(tuple(np.mod(diff, p).reshape(-1, d).T), (p,) * d)
+    slab = max(1, min(_SLAB_NODES // n_torus, _SLAB_ENTRIES // max(1, shift.size)))
+    acc = np.zeros(shift.size, dtype=complex)
     for start in range(0, rule.n_radial, slab):
         rows = slice(start, min(start + slab, rule.n_radial))
         z = rule.torus_nodes(rows)
@@ -588,31 +595,48 @@ def _assemble_on_torus(
             coef = np.fft.fftn(fv, axes=tuple(range(1, d + 1))).reshape(n, n_torus)
         r = _monomial_rows(rule.radii[rows], basis).T
         wr = r * rule.radial_weights[rows, None]
-        # C order whatever the layout of r (a transposed view): einsum's
-        # summation order follows the operand layout
-        pair = np.multiply(wr[:, :, None], r[:, None, :], order="C")
-        pair = pair.reshape(n, k * k)
+        if keep is None:
+            # C order whatever the layout of r (a transposed view): einsum's
+            # summation order follows the operand layout
+            pair = np.multiply(wr[:, :, None], r[:, None, :], order="C")
+            pair = pair.reshape(n, k * k)
+        else:
+            pair = wr[:, b_idx]
+            pair *= r[:, a_idx]
         # real and imaginary parts apart: no complex copy of ``pair``
         acc.real += np.einsum("ip,ip->p", coef.real[:, shift], pair)
         acc.imag += np.einsum("ip,ip->p", coef.imag[:, shift], pair)
-    return acc.reshape(k, k)
+    if keep is None:
+        return acc.reshape(k, k)
+    out = np.zeros((k, k), dtype=complex)
+    out[b_idx, a_idx] = acc
+    return out
+
+
+def _axis_band(f: SymbolLike, d: int, geometry) -> Optional[Band]:
+    """``axis_band`` with zc at the geometry's split point; None for callables."""
+    return axis_band(f, d, geometry.ell if geometry else 0) if is_symbolic(f) else None
 
 
 def resolve_assembly_spec(
-    f: SymbolLike, d: int, D: int, spec: QuadratureSpec
+    f: SymbolLike, d: int, D: int, spec: QuadratureSpec, geometry=None
 ) -> QuadratureSpec:
     """The quadrature orders the general assembly uses for this request.
 
     Explicit orders pass through.  Automatic ones follow the cutoff and
-    the symbol's degree hint; rational or root-bearing symbols get 24
-    extra radial nodes, because their integrands converge geometrically
-    in the radial order instead of terminating.  Sampling specs have no
-    orders and are returned as they are.
+    the degree hint, but ``angular`` is D + b + 1 where the symbol has a
+    phase band (``axis_band``, zc placed by ``geometry``), b the largest
+    max(hi, -lo).  Rational or root-bearing symbols get 24 extra radial
+    nodes, because their integrands converge geometrically in the radial
+    order instead of terminating.  Sampling specs are returned as they are.
     """
     if spec.scheme == MONTE_CARLO:
         return spec
     deg_hint = symbol_degree_hint(f) if is_symbolic(f) else 8
     resolved = spec.resolved(d, D, deg_hint)
+    band = _axis_band(f, d, geometry)
+    if spec.angular == 0 and band is not None:
+        resolved = replace(resolved, angular=D + 1 + max(max(hi, -lo) for lo, hi in band))
     if spec.q == 0 and is_symbolic(f) and not is_polynomial(f):
         resolved = replace(resolved, q=resolved.q + 24)
     return resolved
@@ -635,7 +659,7 @@ class AssemblyPath:
     "levels" path ``profile``, ``q`` and ``exact`` are those of gamma, on
     the levels |rho| <= D in graded order, and ``inner`` holds each
     level's inner-ball path in the same order.  ``spec`` is the resolved
-    request whatever the path.
+    request whatever the path; ``band`` is the torus or Monte Carlo one's.
     """
 
     kind: str
@@ -646,15 +670,19 @@ class AssemblyPath:
     )
     exact: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     inner: Tuple["AssemblyPath", ...] = field(default=(), repr=False)
+    band: Optional[Band] = None
 
     def record(self) -> dict:
         """The path and the orders it used, for run records.
 
-        A "levels" path with no rule anywhere is exact; otherwise it lists
+        A torus path adds its phase band, [lo, hi] per axis, or None.  A
+        "levels" path with no rule anywhere is exact; otherwise it lists
         the order of the gamma rule, if any, and each level's inner record.
         """
         if self.kind == "torus":
-            return {"path": self.kind, "q": self.spec.q, "angular": self.spec.angular}
+            band = None if self.band is None else [list(b) for b in self.band]
+            return {"path": self.kind, "q": self.spec.q, "angular": self.spec.angular,
+                    "band": band}
         if self.kind == "monte_carlo":
             return {
                 "path": self.kind,
@@ -723,20 +751,19 @@ def assembly_path(
     """
     k = count_basis(space.d, D)
     _require_budget(k * k, f"a {k} x {k} matrix")
-    resolved = resolve_assembly_spec(f, space.d, D, spec)
     geometry = space.geometry
+    resolved = resolve_assembly_spec(f, space.d, D, spec, geometry)
     if use_fast_paths and isinstance(f, ProductSymbol):
         path = _levels_path(f, space, D, spec, resolved)
         if path is not None:
             return path
     elif use_fast_paths and is_symbolic(f):
         hint = symbol_degree_hint(f)
+        kind, q = "radial", _radial_order(D, hint)
+        profile = radial_profile(f, geometry)
         # the group radii of the geometry are moduli on this space's ball
         # only where its groups cover that ball
         covers = geometry is not None and sum(geometry.k) == space.d
-        groups = geometry if covers else None
-        kind, q = "radial", _radial_order(D, hint)
-        profile = radial_profile(f, groups)
         if profile is None and covers:
             kind, q = "quasi_radial", max(24, hint)
             profile = quasi_radial_profile(f, geometry.m)
@@ -746,7 +773,7 @@ def assembly_path(
             exact = _exact_diagonal(f, parts, space.lam, levels)
             return AssemblyPath(kind, resolved, q, profile, exact)
     kind = "monte_carlo" if spec.scheme == MONTE_CARLO else "torus"
-    return AssemblyPath(kind, resolved)
+    return AssemblyPath(kind, resolved, band=_axis_band(f, space.d, geometry))
 
 
 def toeplitz_matrix(
@@ -763,9 +790,9 @@ def toeplitz_matrix(
     Fast paths: radial symbols become diagonals of radial eigenvalues,
     group-radius symbols become diagonals of the gamma sequence, product
     symbols with a quasi-radial a-factor are assembled level by level
-    (a diagonal form when every inner matrix is one), and for
-    phase-homogeneous symbols the entries that the rotation bookkeeping
-    forces to vanish are set to exactly zero.  The diagonal of a
+    (a diagonal form when every inner matrix is one), and on the torus
+    and Monte Carlo paths only the entries inside the symbol's phase
+    bands are computed, every other one an exact zero.  The diagonal of a
     polynomial symbol is exact, a sum of Pochhammer ratios over its
     terms; any other diagonal comes from one Gauss-Jacobi or simplex rule.
     ``use_fast_paths=False`` forces plain quadrature for every entry,
@@ -808,17 +835,33 @@ def _assemble(
         return _assemble_by_levels(path, f, basis, label)
 
     fn = as_point_function(f, geometry)
+    keep = _band_pairs(path.band, f, basis, geometry) if use_fast_paths else None
     if path.kind == "monte_carlo":
         z, _ = monte_carlo_points(space.d, space.lam, path.spec.n_samples, path.spec.seed)
         weights = np.full(z.shape[0], 1.0 / z.shape[0])
         entries = _node_sums(z, weights, fn, basis)[0]
+        entries = entries if keep is None else np.where(keep, entries, 0.0)
     else:
         rule = ball_rule(space.d, space.lam, path.spec.q, path.spec.angular)
-        entries = _assemble_on_torus(rule, fn, basis)
-
-    if use_fast_paths and is_symbolic(f):
-        entries = _apply_vanishing_masks(entries, f, basis, geometry, space.d)
+        entries = _assemble_on_torus(rule, fn, basis, keep)
     return OperatorMatrix(basis, entries, label=label)
+
+
+def _band_pairs(
+    band: Optional[Band], f: SymbolLike, basis: TruncatedBasis, geometry
+) -> Optional[np.ndarray]:
+    """The (beta, alpha) pairs whose beta - alpha lies in the axis
+    ``band`` and whose group degrees differ by the symbol's group band,
+    as a (K, K) mask; every other entry vanishes.  None for all pairs."""
+    boxes = [(band, basis.exponent_array())]
+    if geometry is not None and is_symbolic(f):
+        boxes.append((group_band(f, geometry), basis.group_degrees(geometry.k)))
+    keep = np.ones((basis.count, basis.count), dtype=bool)
+    for box, deg in boxes:
+        for j, (lo, hi) in enumerate(box or ()):
+            diff = np.subtract.outer(deg[:, j], deg[:, j])  # beta - alpha
+            keep &= (lo <= diff) & (diff <= hi)
+    return None if keep.all() else keep
 
 
 def _assemble_by_levels(
@@ -867,33 +910,6 @@ def _assemble_by_levels(
         else:
             entries[np.ix_(rows, rows)] = gamma * blk.entries
     return OperatorMatrix(basis, entries, label=label)
-
-
-def _apply_vanishing_masks(
-    entries: np.ndarray,
-    f: SymbolLike,
-    basis: TruncatedBasis,
-    geometry,
-    d: int,
-) -> np.ndarray:
-    """Zero the entries that rotation invariance kills exactly.
-
-    Quadrature already sends them below the phase-rule roundoff; the mask
-    removes that noise so structural claims hold exactly.
-    """
-    offset = geometry.ell if geometry is not None else 0
-    w_axis = axis_winding(f, d, zc_offset=offset)
-    if w_axis is not None:
-        exps = basis.exponent_array()
-        diff = exps[:, None, :] - exps[None, :, :]  # beta - alpha
-        keep = np.all(diff == np.asarray(w_axis)[None, None, :], axis=-1)
-        return np.where(keep, entries, 0.0)
-    if geometry is not None:
-        if group_winding(f, geometry) == (0,) * geometry.m:
-            lv = basis.group_degrees(geometry.k)
-            keep = np.all(lv[:, None, :] == lv[None, :, :], axis=-1)
-            return np.where(keep, entries, 0.0)
-    return entries
 
 
 def toeplitz_matrix_with_stderr(

@@ -272,7 +272,9 @@ def test_oversized_matrix_is_refused_before_allocating(capsys):
     "text, record",
     [
         ("1/(2-abs2(z))", {"path": "radial", "q": 48}),
-        ("z1*conj(z2) + 1", {"path": "torus", "q": 8, "angular": 11}),
+        # the phase band [0, 1] x [-1, 0] sets angular = D + 1 + 1
+        ("z1*conj(z2) + 1",
+         {"path": "torus", "q": 8, "angular": 6, "band": [[0, 1], [-1, 0]]}),
         # a polynomial diagonal is exact: no rule is built, so no order
         ("2 - abs2(z)", {"path": "radial", "exact": True}),
     ],
@@ -417,7 +419,8 @@ def test_negative_thread_count_is_exit_one(capsys, tmp_path):
 
 
 def test_suite_refuses_a_factorization_over_the_rule_budget(capsys, tmp_path, monkeypatch):
-    # on the 3-ball the honest full route of r1^2 | 1 needs 320 M nodes
+    # on the 3-ball the honest full route of r1^2 | 1 needs 34 M nodes, at
+    # the phase count D + 1 of its invariant band
     cfg = tmp_path / "n3.cfg"
     cfg.write_text("geometry.n = 3\n")
     out_dir = tmp_path / "runs"
@@ -432,7 +435,7 @@ def test_suite_refuses_a_factorization_over_the_rule_budget(capsys, tmp_path, mo
         )
         assert code == 1 and out == ""
         assert "suite factorization" in err and "(r1^2 | 1)" in err
-        assert "320013504 nodes" in err
+        assert "34012224 nodes" in err
     assert not out_dir.exists()
     code, out, err = run(
         capsys,

@@ -8,9 +8,11 @@ from berglab import (
     BallGeometry,
     DomainError,
     QuadratureSpec,
+    WeightedSpace,
     count_basis,
     default_config,
     load_config,
+    off_block_mass,
     parse_config_text,
     parse_symbol,
     resolve_assembly_spec,
@@ -18,8 +20,9 @@ from berglab import (
     summary_lines,
     write_outputs,
 )
+from berglab.levels import full_route_matrix
 from berglab.quadrature import _MAX_RULE_NODES, ball_rule_size
-from berglab.suites import ExperimentConfig, _probe_cutoff
+from berglab.suites import ExperimentConfig, _canned_pairs, _probe_cutoff
 
 
 def test_parse_config_text_basics():
@@ -199,19 +202,38 @@ def test_berezin_probe_cutoff_fits_the_rule_budget():
     # the 1-ball keeps the full cutoff
     disk = BallGeometry(1, 1, (1,))
     assert _probe_cutoff([parse_symbol("re(z1)", disk)], 1, spec) == 60
-    # geometry.n = 3 leaves an inner 2-ball, where D = 60 would ask for a
-    # 60,964,864-node rule; the cutoff shrinks until the rule fits
+    # geometry.n = 3 leaves an inner 2-ball; re(z1) has the phase band
+    # [-1, 1] x {0}, so D = 60 (K = 1891) takes 62 phases per axis and a
+    # 15,745,024-node rule, under the budget
     inner = BallGeometry(2, 2, (2,))
     probe = [parse_symbol("1 - abs2(z)", inner), parse_symbol("re(z1)", inner)]
 
-    def rule_nodes(D):
-        resolved = resolve_assembly_spec(probe[1], 2, D, spec)
+    def rule_nodes(sym, D):
+        resolved = resolve_assembly_spec(sym, 2, D, spec)
         return ball_rule_size(2, resolved.q, resolved.angular)
 
-    assert rule_nodes(60) == 60_964_864
+    assert rule_nodes(probe[1], 60) == 15_745_024
+    assert _probe_cutoff(probe, 2, spec) == 60 and count_basis(2, 60) == 1891
+    # a symbol with no band keeps 2D + deg + 1 phases: at D = 60 its rule
+    # would have 110,817,729 nodes, so the cutoff shrinks until it fits
+    probe[1] = parse_symbol("1/(2 - z1)", inner)
+    assert rule_nodes(probe[1], 60) == 110_817_729
     D = _probe_cutoff(probe, 2, spec)
     assert 4 < D < 60 and count_basis(2, D) <= 2000
-    assert rule_nodes(D) <= _MAX_RULE_NODES < rule_nodes(D + 1)
+    assert rule_nodes(probe[1], D) <= _MAX_RULE_NODES < rule_nodes(probe[1], D + 1)
+
+
+def test_honest_off_block_mass_is_roundoff_not_zero_by_construction():
+    # the honest route integrates every pair, so the suite's off_block_mass
+    # check still measures quadrature roundoff on the default config
+    cfg = default_config()
+    geo = cfg.geometry
+    a_text, c_text = _canned_pairs(cfg)[-1]
+    composite = parse_symbol(f"prod(a = {a_text}, c = {c_text})", geo)
+    space = WeightedSpace(geo.n, cfg.lam, geometry=geo)
+    full, _ = full_route_matrix(composite, space, cfg.D, cfg.spec)
+    off, total = off_block_mass(full, geo)
+    assert 0.0 < off / total < 1e-15
 
 
 @pytest.fixture(scope="module")

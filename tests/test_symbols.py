@@ -21,7 +21,8 @@ from berglab import (
     symbol_to_text,
 )
 from berglab.symbols import (
-    axis_winding, eval_profile, group_winding, profile_form, symbol_degree_hint,
+    axis_band, axis_winding, eval_profile, group_band, group_winding, profile_form,
+    symbol_degree_hint,
 )
 
 ROUNDTRIP_CORPUS = [
@@ -298,13 +299,23 @@ def _combine(children):
     )
 
 
+def _band_combine(children):
+    # abs2, re and roots of arbitrary arguments, and denominators that are
+    # phase-homogeneous or not, none of them vanishing
+    a, b = children
+    return st.sampled_from([
+        f"abs2({a})", f"re({a})", f"sqrt(1 + abs2({a}))", f"({a}) / (4 + abs2({b}))",
+        f"({a} + {b})", f"({a} - {b})", f"({a} * {b})", f"conj({a})", f"({a})^2",
+    ])
+
+
 @st.composite
-def _expr_text(draw, depth=3, radius=True):
+def _expr_text(draw, depth=3, radius=True, combine=_combine):
     if depth == 0 or draw(st.booleans()):
         return draw(st.sampled_from(_LEAVES + (("r1",) if radius else ())))
-    a = draw(_expr_text(depth=depth - 1, radius=radius))
-    b = draw(_expr_text(depth=depth - 1, radius=radius))
-    return draw(_combine((a, b)))
+    a = draw(_expr_text(depth=depth - 1, radius=radius, combine=combine))
+    b = draw(_expr_text(depth=depth - 1, radius=radius, combine=combine))
+    return draw(combine((a, b)))
 
 
 @given(_expr_text())
@@ -344,6 +355,46 @@ def test_axis_winding_is_sound(text, theta):
     winding = axis_winding(expr, _G.n, zc_offset=_G.ell)
     if winding is not None:
         assert _rotation_gap(expr, np.array(theta), winding, theta) <= 1e-12
+
+
+_PHASES = 64
+
+
+@given(_expr_text(combine=_band_combine), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_axis_band_is_sound(text, rotation):
+    # an independent route: the DFT of the values over _PHASES turns of one
+    # axis (rotation 0..2), or of the group torus (rotation 3), has nothing
+    # outside the band but roundoff
+    expr = parse_symbol(text, _G)
+    if rotation < 3:
+        band = axis_band(expr, _G.n, zc_offset=_G.ell)
+        turns = np.eye(3)[rotation]
+        slot = rotation
+    else:
+        band, turns, slot = group_band(expr, _G), np.array([1.0, 1.0, 0.0]), 0
+    if band is None:
+        return
+    theta = 2 * np.pi * np.arange(_PHASES) / _PHASES
+    values = eval_on_points(expr, _POINT * np.exp(1j * np.outer(theta, turns)), geometry=_G)
+    coef = np.fft.fft(values) / _PHASES  # coef[m]: the frequency m (mod _PHASES)
+    freq = np.fft.fftfreq(_PHASES, 1.0 / _PHASES)
+    lo, hi = band[slot]
+    assert -_PHASES // 2 < lo <= hi < _PHASES // 2
+    outside = (freq < lo) | (freq > hi)
+    assert np.max(np.abs(coef[outside])) <= 1e-13 * max(1.0, np.max(np.abs(values)))
+
+
+def test_abs2_of_a_sum_carries_the_difference_band():
+    # |z1 + z2|^2 = |z1|^2 + |z2|^2 + 2 re(z1 conj(z2)): frequencies -1..1
+    geo = BallGeometry(2, 2, (2,))
+    f = parse_symbol("abs2(z1 + z2)", geo)
+    assert axis_band(f, 2) == ((-1, 1), (-1, 1))
+    assert axis_winding(f, 2) is None
+    # z1 and z2 turn together under the group torus, which leaves it fixed
+    assert group_band(f, geo) == ((0, 0),) and group_winding(f, geo) == (0,)
+    assert axis_band(parse_symbol("1/(2 - z1)", None), 2) is None
+    assert axis_band(parse_symbol("conj(z2)/(3 - z1*conj(z1))", None), 2) == ((0, 0), (-1, -1))
 
 
 @given(_expr_text(), _ANGLE)

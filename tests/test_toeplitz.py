@@ -273,7 +273,9 @@ def test_assembly_path_names_the_route_and_its_orders():
     assert quasi.record() == {"path": "quasi_radial", "exact": True}
     general = parse_symbol("z1*conj(z2) + 1", space.geometry)
     torus = assembly_path(general, space, 4, spec)
-    assert torus.record() == {"path": "torus", "q": 8, "angular": 11}
+    assert torus.record() == {
+        "path": "torus", "q": 8, "angular": 6, "band": [[0, 1], [-1, 0]],
+    }
     assert assembly_path(parse_symbol("r1^2", space.geometry), space, 4, spec,
                          use_fast_paths=False).kind == "torus"
     mc = QuadratureSpec(scheme=MONTE_CARLO, n_samples=1000, seed=3)

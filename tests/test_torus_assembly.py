@@ -6,6 +6,7 @@ Vandermonde matrix, which is what Monte Carlo assembly still does.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from berglab import (
     DomainError,
     QuadratureSpec,
     WeightedSpace,
+    assembly_path,
     ball_rule,
     berezin_of_symbol,
     parse_symbol,
@@ -27,6 +29,7 @@ from berglab import (
 from berglab import quadrature, toeplitz
 from berglab.core import enumerate_basis, monomial_moment
 from berglab.quadrature import as_point_function
+from berglab.symbols import axis_band, symbol_degree_hint
 
 
 def _sign(x):
@@ -163,10 +166,11 @@ def test_gauss_jacobi_assembly_builds_no_flat_arrays(monkeypatch, run):
 
 
 def _assembly_at_d24():
-    # d = 2, D = 24: 2.0M nodes, so the flat node array alone is 65 MB and
-    # the dense route's Vandermonde would be 10.6 GB
+    # d = 2, D = 24 at the band-blind orders 2D + deg + 1: 2.0M nodes, so
+    # the flat node array alone is 65 MB and the dense route's Vandermonde
+    # would be 10.6 GB
     f = parse_symbol("z1*conj(z2) + 1", None)
-    spec = resolve_assembly_spec(f, 2, 24, QuadratureSpec())
+    spec = QuadratureSpec().resolved(2, 24, 2)
     toeplitz_matrix(f, WeightedSpace(2, 0.0), 24, spec, use_fast_paths=False)
 
 
@@ -243,10 +247,15 @@ def test_resolved_orders_add_the_margin_only_when_automatic():
     geo = BallGeometry(2, 2, (2,))
     poly = parse_symbol("z1*conj(z2)", geo)
     rational = parse_symbol("1/(2 - abs2(z))", geo)
+    # a phase band [lo, hi] per axis sets angular = D + max(hi, -lo) + 1
     base = QuadratureSpec().resolved(2, 6, 2)
-    assert resolve_assembly_spec(poly, 2, 6, QuadratureSpec()) == base
+    assert resolve_assembly_spec(poly, 2, 6, QuadratureSpec()) == replace(base, angular=8)
     bumped = resolve_assembly_spec(rational, 2, 6, QuadratureSpec())
     assert bumped.q == QuadratureSpec().resolved(2, 6, 0).q + 24
+    assert bumped.angular == 7
+    # no band: the 2D + deg + 1 fallback
+    unbanded = resolve_assembly_spec(parse_symbol("1/(2 - z1)", geo), 2, 6, QuadratureSpec())
+    assert unbanded.angular == QuadratureSpec().resolved(2, 6, 0).angular == 13
     explicit = QuadratureSpec(q=11, angular=13)
     assert resolve_assembly_spec(rational, 2, 6, explicit) == explicit
     mc = QuadratureSpec(scheme="monte_carlo")
@@ -267,3 +276,80 @@ def test_degree_zero_entry_is_the_fft_routes_frequency_zero(text):
     frequency_zero = np.fft.fftn(samples, axes=(1, 2))[:, 0, 0]
     want = np.sum(rule.radial_weights * basis.norms[0] ** 2 * frequency_zero)
     assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+
+
+def _band_blind_spec(f, d, D):
+    """The automatic orders with 2D + deg + 1 phases, as if f had no band."""
+    resolved = resolve_assembly_spec(f, d, D, QuadratureSpec())
+    blind = QuadratureSpec().resolved(d, D, symbol_degree_hint(f))
+    return replace(resolved, angular=blind.angular)
+
+
+@pytest.mark.parametrize(
+    "text, geo, D",
+    [
+        ("conj(z2)/(3 - z1*conj(z1))", BallGeometry(2, 2, (2,)), 4),
+        ("sqrt(1 + abs2(z1))*z2", BallGeometry(2, 2, (2,)), 4),
+        ("z1/(2 - abs2(z))", BallGeometry(3, 3, (3,)), 2),
+        ("prod(a = 1 - r1^2, c = re(zc1))", BallGeometry(2, 1, (1,)), 6),
+        # band [-1, 1]^2: a zero band would drop entries up to 0.31 here
+        ("abs2(z1 + z2)", BallGeometry(2, 2, (2,)), 3),
+    ],
+)
+def test_band_phase_count_matches_the_band_blind_torus(text, geo, D):
+    # the band sets fewer phases, with nothing aliased: the same entries
+    # to roundoff, on the honest route and on the fast torus
+    f = parse_symbol(text, geo)
+    space = WeightedSpace(geo.n, 0.5, geometry=geo)
+    blind = _band_blind_spec(f, geo.n, D)
+    honest = assembly_path(f, space, D, QuadratureSpec(), use_fast_paths=False)
+    assert honest.spec.angular < blind.angular
+    ref = toeplitz_matrix(f, space, D, blind, use_fast_paths=False).entries
+    scale = np.max(np.abs(ref))
+    got = toeplitz_matrix(f, space, D, QuadratureSpec(), use_fast_paths=False).entries
+    assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+    if assembly_path(f, space, D, QuadratureSpec()).kind == "torus":
+        fast = toeplitz_matrix(f, space, D, QuadratureSpec()).entries
+        assert np.max(np.abs(fast - ref)) <= 1e-13 * scale
+
+
+def test_a_symbol_without_band_keeps_the_band_blind_torus_bitwise():
+    f = parse_symbol("1/(2 - z1)", None)
+    space = WeightedSpace(2, 0.0)
+    path = assembly_path(f, space, 4, QuadratureSpec())
+    assert path.record()["band"] is None
+    assert path.spec == replace(QuadratureSpec().resolved(2, 4, 0), q=7 + 24)
+    rule = ball_rule(2, 0.0, path.spec.q, path.spec.angular)
+    every_pair = toeplitz._assemble_on_torus(rule, as_point_function(f), enumerate_basis(2, 4, 0.0))
+    assert np.array_equal(toeplitz_matrix(f, space, 4, QuadratureSpec()).entries, every_pair)
+
+
+@pytest.mark.parametrize(
+    "spec", [QuadratureSpec(), QuadratureSpec(scheme="monte_carlo", n_samples=4000, seed=5)]
+)
+def test_fast_paths_compute_only_the_pairs_in_the_band(spec):
+    # band [-1, 1] x {-1}: the only new zeros are the entries off the band
+    f = parse_symbol("re(z1)*conj(z2)", None)
+    space = WeightedSpace(2, 1.0)
+    fast = toeplitz_matrix(f, space, 5, spec).entries
+    honest = toeplitz_matrix(f, space, 5, spec, use_fast_paths=False).entries
+    exps = enumerate_basis(2, 5, 1.0).exponent_array()
+    diff = exps[:, None, :] - exps[None, :, :]  # beta - alpha
+    in_band = (np.abs(diff[..., 0]) <= 1) & (diff[..., 1] == -1)
+    assert np.all(fast[~in_band] == 0.0)
+    if spec.scheme == "monte_carlo":
+        # the same samples: the kept entries are the honest ones, bit for bit
+        assert np.array_equal(fast[in_band], honest[in_band])
+    else:
+        assert np.max(np.abs(honest[~in_band])) <= 1e-15
+        assert np.max(np.abs(fast - honest)) <= 1e-15
+
+
+def test_a_product_symbol_has_its_band_only_on_its_own_ball():
+    g = BallGeometry(3, 1, (1,))
+    f = parse_symbol("prod(a = re(z1), c = zc1)", g)
+    assert axis_band(f, 3) == ((-1, 1), (1, 1), (0, 0))
+    assert axis_band(f, 2) is None
+    # so a ball of another dimension is refused by the evaluation, as before
+    with pytest.raises(DomainError, match="dimension 3"):
+        toeplitz_matrix(f, WeightedSpace(2, 0.0), 2, QuadratureSpec())
