@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,18 +38,17 @@ from .quadrature import (
 from .symbols import (
     SymbolExpr,
     eval_on_points,
+    is_radial,
     is_symbolic,
-    radial_profile,
+    quasi_radial_profile,
     symbol_degree_hint,
     symbol_to_text,
 )
 from .toeplitz import (
-    GammaSequence,
     OperatorMatrix,
-    _exact_diagonal,
-    _radial_diagonal,
-    _radial_order,
     _require_budget,
+    _diagonal_order,
+    diagonal_values,
     toeplitz_matrix,
 )
 
@@ -281,9 +280,9 @@ def radial_expansion_degree(d: int, nu: float, t: float) -> int:
     s_exp = d + nu + 1.0
 
     def require(terms: int) -> None:
-        # q: the order of the rule the profile takes where no exact sum holds
+        # the rule the profile callable takes where no exact sum holds
         _require_budget(
-            (terms + 1) * _radial_order(terms, 16),
+            (terms + 1) * _diagonal_order(None, 1, terms),
             f"the radial Berezin expansion at |z|^2 = {t!r}",
             "take a point farther from the sphere",
         )
@@ -316,13 +315,13 @@ def _exact_sequence(g: SymbolExpr, d: int, nu: float, N: int) -> Optional[np.nda
     Each degree's value is summed on its own, so an extended sequence has
     the bits of one summed whole.
     """
+    if _diagonal_order(g, 1, N) is not None:
+        return None
     key = (g, d, float(nu))
     have = _EXACT_SEQUENCES.get(key)
     start = 0 if have is None else have.shape[0]
     if start <= N:
-        more = _exact_diagonal(g, (d,), nu, np.arange(start, max(N + 1, 2 * start)))
-        if more is None:
-            return None
+        more = diagonal_values(g, (d,), nu, np.arange(start, max(N + 1, 2 * start)))
         have = more if have is None else np.concatenate((have, more))
         if key not in _EXACT_SEQUENCES and len(_EXACT_SEQUENCES) >= _MAX_SEQUENCES:
             del _EXACT_SEQUENCES[next(iter(_EXACT_SEQUENCES))]
@@ -330,24 +329,19 @@ def _exact_sequence(g: SymbolExpr, d: int, nu: float, N: int) -> Optional[np.nda
     return have[: N + 1]
 
 
-def _radial_berezin_value(
-    g: SymbolExpr,
-    profile: Callable[[np.ndarray], np.ndarray],
-    d: int,
-    nu: float,
-    t: float,
-) -> complex:
+def _radial_berezin_value(g: SymbolExpr, d: int, nu: float, t: float) -> complex:
     """Berezin transform of a radial symbol at a point with |z|^2 = t < 1.
 
     Expands over the diagonal eigenvalue sequence of ``g`` (exact for a
-    polynomial, and shared across points; else from a rule of N-dependent
-    order on its ``profile`` in t) with negative-binomial kernel masses,
-    cut where all but 1e-13 of the mass at t is carried.
+    polynomial, and shared across points; else from the rule its profile
+    callable takes, of an order set by the cutoff alone) with
+    negative-binomial kernel masses, cut where all but 1e-13 of the mass
+    at t is carried.
     """
     N = radial_expansion_degree(d, nu, t)
     lam = _exact_sequence(g, d, nu, N)
     if lam is None:
-        lam = _radial_diagonal(profile, d, nu, N, _radial_order(N, 16))
+        lam = diagonal_values(quasi_radial_profile(g, 1), (d,), nu, np.arange(N + 1))
     return complex(radial_berezin_sum(lam, d + nu + 1.0, np.array([t]))[0])
 
 
@@ -365,7 +359,7 @@ def berezin_of_symbol(
     stays accurate arbitrarily close to the boundary.  Any other symbol
     gives <T_{g o phi_z} 1, 1>_mu, the degree-0 entry of the pullback's
     Toeplitz matrix, from the samples of a sampling spec or from a product
-    rule whose orders grow as z nears the sphere.  ``radial_profile``
+    rule whose orders grow as z nears the sphere.  ``is_radial``
     picks the route, so a polynomial radial symbol expands over its
     exact diagonal.  The geometry, when given, declares the partition that
     group radii such as ``r1`` read; one of another dimension is refused.
@@ -377,9 +371,8 @@ def berezin_of_symbol(
         raise DomainError("Berezin evaluation needs an interior point")
 
     WeightedSpace(d, mu, geometry=geometry)  # refuses a geometry of another n
-    profile = radial_profile(g, geometry) if is_symbolic(g) else None
-    if profile is not None:
-        return _radial_berezin_value(g, profile, d, mu, t)
+    if is_symbolic(g) and is_radial(g, geometry):
+        return _radial_berezin_value(g, d, mu, t)
 
     fn = as_point_function(g, geometry)
 
@@ -601,18 +594,17 @@ _FREDHOLM_THRESHOLD_REL = 1e-6
 def essential_spectrum_sample(
     c: Union[MatrixSymbol, MatrixEntry],
     d_inner: int,
-    R: int = 0,
     radii: Optional[Sequence[float]] = None,
     *,
-    gamma: Optional[GammaSequence] = None,
+    gamma: Optional[Dict[Tuple[int, ...], complex]] = None,
     seed: int = QuadratureSpec.seed,
 ) -> SpectrumSample:
     """Sample det c near and on the boundary sphere (and over levels).
 
     Fredholmness of the operator family is judged by whether |det c| stays
     above _FREDHOLM_THRESHOLD_REL times its largest sampled value; with a
-    gamma sequence the sampled quantity is det(gamma(rho) c) over levels
-    |rho| <= R as well.
+    gamma sequence (``gamma_sequence``) the sampled quantity is
+    det(gamma(rho) c) over its levels rho as well.
     """
     if not isinstance(c, MatrixSymbol):
         c = MatrixSymbol.scalar(c)
@@ -626,9 +618,7 @@ def essential_spectrum_sample(
 
     level_scales: List[Tuple[int, float]] = [(-1, 1.0)]
     if gamma is not None:
-        level_scales = [
-            (sum(rho), gamma(rho) ** c.p) for rho in gamma.levels
-        ]
+        level_scales = [(sum(rho), g ** c.p) for rho, g in gamma.items()]
 
     for r in radii:
         if not 0.0 <= r <= 1.0:

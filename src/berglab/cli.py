@@ -217,10 +217,10 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     geometry = BallGeometry(sum(k), sum(k), k)
     profile = parse_symbol(args.profile, geometry)
     seq = gamma_sequence(profile, k, args.lam, args.rmax)
-    if any(isinstance(v, complex) for v in seq.values.values()):
+    if any(isinstance(v, complex) for v in seq.values()):
         raise DomainError("gamma prints one real column; the profile is complex-valued")
     _echo(plan)
-    _write_or_print(csv_lines("rho,gamma", seq.values.items()), args.out)
+    _write_or_print(csv_lines("rho,gamma", seq.items()), args.out)
     return 0
 
 
@@ -371,9 +371,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         geo = BallGeometry(sum(k), sum(k), k)
         profile = parse_symbol(args.weight_profile, geo)
         gamma = gamma_sequence(profile, k, args.lam, args.R)
-    sample = essential_spectrum_sample(
-        expr, args.d, R=args.R, seed=seed, gamma=gamma
-    )
+    sample = essential_spectrum_sample(expr, args.d, seed=seed, gamma=gamma)
     _echo(plan)
     print(
         "verdict: "

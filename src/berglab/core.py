@@ -234,7 +234,10 @@ def monomial_moment(alpha: Sequence[int], d: int, lam: float) -> float:
 
 def compositions(total: int, parts: int) -> Iterator[MultiIndex]:
     """All multi-indices of the given total degree, lexicographically
-    descending, e.g. (2,0), (1,1), (0,2)."""
+    descending, e.g. (2,0), (1,1), (0,2); with no parts, only () of degree 0."""
+    if parts < 1:
+        yield from [()] if parts == 0 and total == 0 else []
+        return
     if parts == 1:
         yield (total,)
         return

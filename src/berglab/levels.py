@@ -49,7 +49,7 @@ from .symbols import (
 from .toeplitz import (
     OperatorMatrix,
     _diagonal_norm,
-    gamma_quasi_radial,
+    diagonal_values,
     operator_norm,
     radial_toeplitz_diagonal,
     toeplitz_matrix,
@@ -335,7 +335,7 @@ def _factor_on_level(
     if not is_symbolic(a):
         raise DomainError("the z'-factor must be a symbol, not a raw callable")
     if quasi_radial_profile(a, geometry.m) is not None:
-        g = gamma_quasi_radial(a, geometry.k, lam, rho)
+        g = diagonal_values(a, geometry.k, lam, [rho]).item()
         return g * np.eye(len(primes), dtype=complex)
     geo_a = BallGeometry(geometry.ell, geometry.ell, geometry.k)
     if geometry.ell < 2 or group_winding(a, geo_a) != (0,) * geometry.m:
@@ -584,19 +584,18 @@ def recover_symbol_and_remainder(
         grid = grid[:, None]
     estimator = RecoveredSymbol(list(blocks))
     values = estimator(grid)
-    # radial blocks make the estimate radial, with the profile below
+    # radial blocks make the estimate radial: its profile in |z| is its
+    # value along the first axis
     radial = all(b.radial_eigenvalues is not None for b in estimator.blocks)
     axis = np.eye(1, estimator.d)
-
-    def profile(t: np.ndarray) -> np.ndarray:
-        return estimator(np.sqrt(t)[:, None] * axis)
-
     targets = list(remainder_blocks) if remainder_blocks is not None else list(blocks)
     by_level: List[Tuple[Tuple[int, ...], float, int, float]] = []
     for blk in targets:
         basis = blk.inner_basis
         if radial and blk.radial_eigenvalues is not None:
-            per_degree = radial_toeplitz_diagonal(profile, basis.d, blk.mu, basis.D)
+            per_degree = radial_toeplitz_diagonal(
+                lambda r: estimator(r * axis), basis.d, blk.mu, basis.D
+            )
             t_est = OperatorMatrix.diagonal(basis, per_degree[basis.degrees])
         else:
             t_est = toeplitz_matrix(

@@ -207,6 +207,21 @@ def gauss_jacobi_rule(q: int, a_exp: float, b_exp: float) -> Tuple[np.ndarray, n
     return t, w
 
 
+def gauss_jacobi_log_rule(q: int, a_exp: float, b_exp: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and natural-log weights of ``gauss_jacobi_rule``, finite where
+    a weight underflows: below the normal range the log is taken from the
+    node's rescaled Christoffel sum, which never leaves it."""
+    t, w = gauss_jacobi_rule(q, a_exp, b_exp)
+    low = w < np.finfo(float).tiny
+    log_w = np.log(np.where(low, 1.0, w))
+    if low.any():
+        diag, off = _jacobi_matrix(q, float(a_exp), float(b_exp))
+        _, total, scaled = _recurrence(t[low], diag, off, derivative=False)
+        ratio = beta_fn(b_exp + 1.0, a_exp + 1.0) / total  # as the rule's own
+        log_w[low] = np.log(ratio) - (2 * _RESCALE_BITS * math.log(2.0)) * scaled
+    return t, log_w
+
+
 @dataclass(frozen=True)
 class BallRule:
     """Product rule for a weighted ball volume, kept in factored form.

@@ -714,9 +714,7 @@ def run_spectrum_suite(cfg: ExperimentConfig) -> SuiteResult:
     res.tables["spectrum_matrix.csv"] = sample_m.csv_lines()
 
     gam = gamma_sequence(cfg.a_expr, cfg.geometry.k, cfg.lam, cfg.R)
-    sample_w = essential_spectrum_sample(
-        f_expr, d_spec, R=cfg.R, gamma=gam, seed=seed
-    )
+    sample_w = essential_spectrum_sample(f_expr, d_spec, gamma=gam, seed=seed)
     res.add(
         "weighted_variant",
         sample_w.fredholm,

@@ -821,14 +821,14 @@ def classify_symbol(
     The verdict is sound but not complete: every QuasiRadial or
     TorusInvariant answer implies true invariance under the group torus
     action, while a disguised invariant expression may come back General.
-    Radial is the verdict of ``radial_profile``.
+    Radial is the verdict of ``is_radial``.
     """
     if isinstance(expr, ProductSymbol):
         geo = expr.geometry if expr.geometry is not None else geometry
         return SymbolClass("Product", k=geo.k if geo is not None else None)
 
     k = geometry.k if geometry is not None else None
-    if radial_profile(expr, geometry) is not None:
+    if is_radial(expr, geometry):
         return SymbolClass("Radial", k=k)
     leaves = _leaves(expr)
     if all(part == "r" for part, _ in leaves - {_WHOLE_Z}):
@@ -845,33 +845,29 @@ def classify_symbol(
     return SymbolClass("General", k=k)
 
 
-def radial_profile(
+def is_radial(
     expr: Union[SymbolExpr, ProductSymbol], geometry: Optional[BallGeometry] = None
-) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-    """Interpret the symbol as a function a(t) of t = |z|^2 on its ball.
+) -> bool:
+    """Whether the symbol is a function of |z|^2 on its ball.
 
     This is the one judgement of radiality.  The expression may use
     abs2(z) of the whole tuple and constants; a group radius counts as
     |z| only when the geometry has one group spanning the whole ball, so
-    r1 qualifies under k = (n,) and nowhere else.  Returns a vectorized
-    profile, or None (always for a product symbol).
+    r1 qualifies under k = (n,) and nowhere else.  A product symbol is
+    never radial.
     """
     spans = geometry is not None and geometry.k == (geometry.n,)
     allowed = {_WHOLE_Z, ("r", 1)} if spans else {_WHOLE_Z}
-    if isinstance(expr, ProductSymbol) or not _leaves(expr) <= allowed:
-        return None
-
-    def profile(t: np.ndarray) -> np.ndarray:
-        t_arr = np.asarray(t, dtype=float)
-        return eval_profile(expr, np.sqrt(np.clip(t_arr, 0.0, None))[..., None])
-
-    return profile
+    return not isinstance(expr, ProductSymbol) and _leaves(expr) <= allowed
 
 
 def quasi_radial_profile(
-    expr: SymbolExpr, m: int
+    expr: Union[SymbolExpr, ProductSymbol], m: int
 ) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-    """Interpret the symbol as a profile a(r_1, ..., r_m), or None."""
+    """Interpret the symbol as a profile a(r_1, ..., r_m) of the group
+    radii, shape (N, m), or None (always for a product symbol)."""
+    if isinstance(expr, ProductSymbol):
+        return None
     leaves = _leaves(expr) - {_WHOLE_Z}
     if any(part != "r" or index > m for part, index in leaves):
         return None

@@ -20,15 +20,17 @@ standard errors takes |e|^2 as re^2 + im^2.  Symbols that only depend on
 group radii (or on |z|^2) skip quadrature over phases entirely and are
 assembled as diagonals, kept as their K values: an OperatorMatrix has a
 dense form and a diagonal form, and the diagonal one builds its K x K
-entries only when a caller asks for them.  A polynomial such symbol is
-exact: written in s_j = r_j^2 and u = 1 - |s|, its terms c s^p u^l give
-each diagonal value as a sum of Pochhammer ratios, with no rule; a level
-where that float sum cancels is summed again in exact rational
-arithmetic.  Other such symbols (rational, with roots, profile
-callables, or too high a degree) integrate their profile with one
-Gauss-Jacobi or simplex rule.  Arrays past _MAX_DENSE_ENTRIES are
-refused before they are allocated, and so are diagonal forms whose dense
-form would be.
+entries only when a caller asks for them.  Every diagonal value (radial
+eigenvalues, the gamma of a level, the Berezin expansion's sequence)
+comes from ``diagonal_values``, whose profiles take the group radii.  A
+polynomial profile is exact: written in s_j = r_j^2 and u = 1 - |s|, its
+terms c s^p u^l give each value as a sum of Pochhammer ratios, with no
+rule; a level where that float sum cancels is summed again in exact
+rational arithmetic.  Other profiles (rational, with roots, callables,
+or too high a degree) take one rule: a Gauss-Jacobi table over the
+degrees for one group, a simplex rule per level for several.  Arrays
+past _MAX_DENSE_ENTRIES are refused before they are allocated, and so
+are diagonal forms whose dense form would be.
 
 A product symbol f = a(z' / sqrt(1 - |z''|^2)) c(z'') whose a-factor is
 quasi-radial is assembled level by level, by the paper's decomposition
@@ -72,7 +74,7 @@ from .quadrature import (
     as_point_function,
     ball_rule,
     evaluate_finite,
-    gauss_jacobi_rule,
+    gauss_jacobi_log_rule,
     monte_carlo_points,
     simplex_radial_rule,
 )
@@ -84,10 +86,10 @@ from .symbols import (
     axis_band,
     group_band,
     is_polynomial,
+    is_radial,
     is_symbolic,
     profile_form,
     quasi_radial_profile,
-    radial_profile,
     rebase_inner,
     symbol_degree_hint,
     symbol_to_text,
@@ -262,11 +264,8 @@ def _form_moments(form, tops, base, one):
 
 
 def _exact_diagonal(
-    a: Union[SymbolExpr, Callable[[np.ndarray], np.ndarray]],
-    k: Sequence[int],
-    lam: float,
-    levels,
-) -> Optional[np.ndarray]:
+    a: SymbolExpr, k: Sequence[int], lam: float, levels: np.ndarray
+) -> np.ndarray:
     """Exact diagonal values of a polynomial symbol, one per level row.
 
     The symbol's ``profile_form`` in s_j = r_j^2 and u = 1 - |s| (one
@@ -279,14 +278,11 @@ def _exact_diagonal(
     below 1, with no lgamma and no exp.  The levels where the sum
     cancels by more than _CANCELLATION are summed again in exact rational
     arithmetic and rounded once: the coefficients, lam and the level are
-    exact binary fractions, so that rounding is correct.  None where the
-    symbol has no form.  Real coefficients give a real array.
+    exact binary fractions, so that rounding is correct.  Real
+    coefficients give a real array.
     """
-    form = profile_form(a, len(k)) if is_symbolic(a) else None
-    if form is None:
-        return None
-    k = tuple(k)
-    levels = np.asarray(levels, dtype=float).reshape(-1, len(k))
+    form = profile_form(a, len(k))
+    levels = levels.astype(float)
     real = all(c.imag == 0.0 for c in form[1].values())
     out = np.zeros(levels.shape[0], dtype=float if real else complex)
     size = np.zeros(levels.shape[0])
@@ -307,6 +303,85 @@ def _exact_diagonal(
     return out
 
 
+# degree hint of a profile callable, whose degree is unknown
+_CALLABLE_DEGREE = 16
+
+
+def _diagonal_order(a: SymbolLike, m: int, top: int) -> Optional[int]:
+    """Nodes of the rule the diagonal of ``a``, a profile in m group radii,
+    takes on the levels up to |rho| = top; None where exact sums take it
+    (a polynomial symbol).  The Gauss-Jacobi table of one group follows
+    the top degree, the simplex rule of each of several levels the
+    profile alone.  A callable, or None, stands for a profile of unknown
+    degree."""
+    if is_symbolic(a) and profile_form(a, m) is not None:
+        return None
+    degree = symbol_degree_hint(a) if is_symbolic(a) else _CALLABLE_DEGREE
+    return max(48, (top + degree) // 2 + 4) if m == 1 else max(24, degree)
+
+
+def _require_partition(k: Sequence[int], lam: float) -> Tuple[int, ...]:
+    """The partition k as a tuple; refused if it has no group or an empty
+    one, or if the weight lam is not a finite number above -1."""
+    k = tuple(int(v) for v in k)
+    if not k or min(k) < 1:
+        raise DomainError(f"partition parts must be positive integers, got {k}")
+    if not -1.0 < lam < math.inf:
+        raise DomainError(f"weight lambda must be finite and exceed -1, got {lam!r}")
+    return k
+
+
+def diagonal_values(
+    a: Union[SymbolExpr, Callable[[np.ndarray], np.ndarray]],
+    k: Sequence[int],
+    lam: float,
+    levels,
+    q: Optional[int] = None,
+) -> np.ndarray:
+    """Diagonal values of a torus-invariant symbol, one per level row.
+
+    ``a`` is a symbol that is a profile in the group radii of the
+    partition k, or a callable taking the group radii as an (N, len(k))
+    array.  Row rho of ``levels`` (shape (N, len(k)), or the degrees for
+    one group) gets the normalized moment of the profile against
+    (1 - |r|^2)^lam prod r_j^(2 rho_j + 2 k_j - 1) dr: gamma(rho), and for
+    one group of size d the radial eigenvalue of degree rho on the d-ball
+    at weight lam.  A polynomial symbol takes the exact sums of
+    ``_exact_diagonal`` and builds no rule.  Any other profile takes one
+    rule of ``q`` nodes (``_diagonal_order`` by default): one Gauss-Jacobi
+    table over the degrees for one group (``_radial_diagonal``), one
+    simplex rule per level for several.  The normalization is the same
+    rule with a == 1, so constants are exact.  Real profiles give a real
+    array.  A weight lam <= -1, a partition with an empty group or none,
+    and levels that are negative or do not match k are refused before
+    either route runs.
+    """
+    k = _require_partition(k, lam)
+    rows = np.asarray(levels, dtype=np.int64)
+    if rows.ndim == 1 and len(k) == 1:
+        rows = rows[:, None]
+    if rows.ndim != 2 or rows.shape[1] != len(k) or rows.size == 0:
+        raise DomainError(f"levels must be a nonempty (N, {len(k)}) array")
+    if rows.min() < 0:
+        raise DomainError("level entries must be nonnegative")
+    auto = _diagonal_order(a, len(k), int(rows.sum(axis=1).max()))
+    if auto is None:
+        return _exact_diagonal(a, k, lam, rows)
+    profile = quasi_radial_profile(a, len(k)) if is_symbolic(a) else a
+    if not callable(profile):
+        what = symbol_to_text(a) if is_symbolic(a) else repr(a)
+        raise DomainError(f"not a profile in {len(k)} group radii: {what}")
+    q = auto if q is None else q
+    if len(k) == 1:
+        return _radial_diagonal(profile, k[0], lam, rows[:, 0], q)
+    values = []
+    for rho in rows:
+        rule = simplex_radial_rule(lam, 2 * rho + 2 * np.array(k) - 1, q)
+        vals = evaluate_finite(profile, rule.radii)
+        values.append(_normalized_moment(rule.weights, vals))
+    return np.array(values)
+
+
 def radial_toeplitz_diagonal(
     a: Union[SymbolExpr, Callable[[np.ndarray], np.ndarray]],
     d: int,
@@ -314,110 +389,46 @@ def radial_toeplitz_diagonal(
     D: int,
     q: Optional[int] = None,
 ) -> np.ndarray:
-    """All radial eigenvalues for degrees 0..D.
-
-    A polynomial symbol takes the exact sums of ``_exact_diagonal`` and
-    builds no rule.  A profile callable and any other radial symbol take
-    one Gauss-Jacobi rule of ``q`` nodes, as ``_radial_diagonal`` sets out.
-    """
-    profile = _as_profile(a, radial_profile, "a radial profile in t = |z|^2")
-    exact = _exact_diagonal(a, (d,), mu, np.arange(D + 1))
-    if exact is not None:
-        return exact
-    if q is None:
-        q = _radial_order(D, _profile_degree(a))
-    return _radial_diagonal(profile, d, mu, D, q)
+    """All radial eigenvalues for degrees 0..D: the ``diagonal_values`` of
+    one group of size d.  A profile callable takes |z| as an (N, 1) array."""
+    if D < 0:
+        raise DomainError(f"cutoff D must be nonnegative, got {D}")
+    return diagonal_values(a, (d,), mu, np.arange(D + 1), q)
 
 
 def _radial_diagonal(
     profile: Callable[[np.ndarray], np.ndarray],
     d: int,
     mu: float,
-    D: int,
+    degrees: np.ndarray,
     q: int,
 ) -> np.ndarray:
-    """Radial eigenvalues for degrees 0..D: the moments of ``profile``
-    under one Gauss-Jacobi rule of q nodes.
+    """Radial eigenvalues of the given degrees: the moments of ``profile``
+    (a function of |z|, shape (N, 1)) under one Gauss-Jacobi rule of q
+    nodes.
 
     The per-degree monomial factor t^m is folded into the rule's weights
-    in log space, which stays finite for cutoffs in the thousands.  The
-    (degrees x q) table of those weights is built about _MOMENT_ENTRIES
-    at a time, in blocks of a multiple of 8 degrees: BLAS matvec kernels
-    reduce rows in groups of up to 8, so each degree is reduced as a
-    single-threaded product over the whole table would reduce it.
+    in log space, with log weights that stay finite where the weights
+    underflow, so cutoffs in the thousands keep all their mass.  The
+    (degrees x q) table of those weights is built about _MOMENT_ENTRIES at a time, in
+    blocks of a multiple of 8 degrees: BLAS matvec kernels reduce rows in
+    groups of up to 8, so each degree is reduced as a single-threaded
+    product over the whole table would reduce it.
     """
-    _require_budget((D + 1) * q, f"the radial moment table for degrees <= {D}")
-    t, w = gauss_jacobi_rule(q, float(mu), float(d - 1))
-    if np.any(w <= 0.0):
-        raise DomainError("quadrature produced nonpositive weights")
-    log_w = np.log(w)
+    _require_budget(
+        len(degrees) * q, f"the radial moment table for degrees <= {degrees.max()}"
+    )
+    t, log_w = gauss_jacobi_log_rule(q, float(mu), float(d - 1))
     log_t = np.log(t)
-    vals = profile(t)
+    vals = evaluate_finite(profile, np.sqrt(t)[:, None])
     rows = max(8, _MOMENT_ENTRIES // q // 8 * 8)
     parts = []
-    for start in range(0, D + 1, rows):
-        ms = np.arange(start, min(start + rows, D + 1), dtype=float)
+    for start in range(0, len(degrees), rows):
+        ms = degrees[start : start + rows].astype(float)
         log_a = log_w[None, :] + ms[:, None] * log_t[None, :]
         log_a -= np.max(log_a, axis=1, keepdims=True)
         parts.append(_normalized_moment(np.exp(log_a, out=log_a), vals))
     return np.concatenate(parts)
-
-
-def gamma_quasi_radial(
-    a: Union[SymbolExpr, Callable[[np.ndarray], np.ndarray]],
-    k: Sequence[int],
-    lam: float,
-    rho: Sequence[int],
-    q: Optional[int] = None,
-) -> complex:
-    """Diagonal value of a quasi-radial symbol on the level rho.
-
-    A polynomial symbol takes the exact sum of ``_exact_diagonal`` and
-    builds no rule.  Otherwise it is the normalized moment of the profile
-    over the set of group radii against
-    (1 - |r|^2)^lam prod r_j^(2 rho_j + 2 k_j - 1) dr; the normalization
-    is the same quadrature sum with a == 1, so constants are exact.  A
-    real profile gives a float.
-    """
-    k = tuple(int(v) for v in k)
-    rho = tuple(int(v) for v in rho)
-    if len(rho) != len(k):
-        raise DomainError("level and partition lengths differ")
-    if any(v < 0 for v in rho):
-        raise DomainError(f"level entries must be nonnegative, got {rho}")
-    profile = _as_profile(
-        a, lambda e: quasi_radial_profile(e, len(k)), "a profile in the group radii"
-    )
-    exact = _exact_diagonal(a, k, lam, [rho])
-    if exact is not None:
-        return exact.item()
-    if q is None:
-        q = max(24, _profile_degree(a))
-    powers = tuple(2 * r + 2 * kk - 1 for r, kk in zip(rho, k))
-    rule = simplex_radial_rule(lam, powers, q)
-    return _normalized_moment(rule.weights, profile(rule.radii)).item()
-
-
-@dataclass(frozen=True)
-class GammaSequence:
-    """The map rho -> gamma(rho) for one profile, partition and weight."""
-
-    k: Tuple[int, ...]
-    lam: float
-    R: int
-    values: Dict[Tuple[int, ...], complex] = field(repr=False)
-    label: str = ""
-
-    def __call__(self, rho: Sequence[int]) -> complex:
-        key = tuple(int(v) for v in rho)
-        try:
-            return self.values[key]
-        except KeyError:
-            raise DomainError(f"level {key} exceeds the computed range") from None
-
-    @property
-    def levels(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(self.values.keys())
 
 
 def gamma_sequence(
@@ -425,47 +436,13 @@ def gamma_sequence(
     k: Sequence[int],
     lam: float,
     R: int,
-    q: Optional[int] = None,
-    label: str = "",
-) -> GammaSequence:
-    """Tabulate gamma over all levels with |rho| <= R."""
-    k = tuple(int(v) for v in k)
+) -> Dict[Tuple[int, ...], complex]:
+    """gamma(rho) on every level |rho| <= R, in graded order: the
+    ``diagonal_values`` of the profile ``a`` on those levels."""
+    if R < 0:
+        raise DomainError(f"level range R must be nonnegative, got {R}")
     levels = levels_up_to(R, len(k))
-    exact = _exact_diagonal(a, k, lam, levels)
-    if exact is None:
-        values = {rho: gamma_quasi_radial(a, k, lam, rho, q=q) for rho in levels}
-    else:
-        values = dict(zip(levels, exact.tolist()))
-    if not label and is_symbolic(a):
-        label = symbol_to_text(a)
-    return GammaSequence(k=k, lam=lam, R=R, values=values, label=label)
-
-
-def _as_profile(
-    a: Union[SymbolExpr, Callable[[np.ndarray], np.ndarray]],
-    judge: Callable[[SymbolExpr], Optional[Callable[[np.ndarray], np.ndarray]]],
-    what: str,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """A callable profile as it is, or a symbol's profile as ``judge`` reads it."""
-    if is_symbolic(a):
-        profile = judge(a)
-        if profile is None:
-            raise DomainError(f"symbol is not {what}")
-        return profile
-    if callable(a):
-        return a
-    raise DomainError(f"cannot interpret {a!r} as {what}")
-
-
-def _profile_degree(a: object) -> int:
-    if is_symbolic(a):
-        return symbol_degree_hint(a)
-    return 16
-
-
-def _radial_order(D: int, degree: int) -> int:
-    """Gauss-Jacobi nodes of the radial diagonal for degrees <= D."""
-    return max(48, (D + degree) // 2 + 4)
+    return dict(zip(levels, diagonal_values(a, k, lam, levels).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -644,31 +621,26 @@ def resolve_assembly_spec(
 
 @dataclass(frozen=True)
 class AssemblyPath:
-    """The route ``toeplitz_matrix`` takes for one request, with its orders.
+    """The plan ``toeplitz_matrix`` follows for one request: its route and
+    the orders of that route.
 
     ``kind`` is "radial" (a diagonal of radial eigenvalues, one per
     degree), "quasi_radial" (a diagonal of the gamma sequence, one value
     per level), "levels" (a product symbol with a quasi-radial a-factor,
     gamma times an inner-ball matrix of c on each level), "torus" (the
     product rule of ``spec``) or "monte_carlo" (the samples of ``spec``).
-    A diagonal integrates ``profile`` (a function of |z|^2, or of the
-    group radii) with a Gauss-Jacobi or simplex rule of ``q`` nodes,
-    except where the symbol is a polynomial: then ``exact`` holds its
-    exact values on the levels |rho| <= D in lexicographic order (the
-    degrees 0..D on the radial path), and no rule is built.  On the
-    "levels" path ``profile``, ``q`` and ``exact`` are those of gamma, on
-    the levels |rho| <= D in graded order, and ``inner`` holds each
-    level's inner-ball path in the same order.  ``spec`` is the resolved
-    request whatever the path; ``band`` is the torus or Monte Carlo one's.
+    The first three take ``diagonal_values`` over the partition ``parts``
+    ((d,) on the radial path, the geometry's k otherwise), with the rule
+    order ``q``, or exact sums where ``q`` is None.  On the "levels" path
+    ``inner`` holds the inner-ball plan of each level |rho| <= D, in
+    graded order.  ``spec`` is the resolved request whatever the path;
+    ``band`` is the torus or Monte Carlo one's.
     """
 
     kind: str
     spec: QuadratureSpec
+    parts: Tuple[int, ...] = ()
     q: Optional[int] = None
-    profile: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, repr=False
-    )
-    exact: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     inner: Tuple["AssemblyPath", ...] = field(default=(), repr=False)
     band: Optional[Band] = None
 
@@ -691,13 +663,13 @@ class AssemblyPath:
             }
         if self.kind == "levels":
             blocks = [p.record() for p in self.inner]
-            if self.exact is not None and all(b.get("exact") for b in blocks):
+            if self.q is None and all(b.get("exact") for b in blocks):
                 return {"path": self.kind, "exact": True}
             out = {"path": self.kind, "blocks": blocks}
-            if self.exact is None:
+            if self.q is not None:
                 out["q"] = self.q
             return out
-        if self.exact is not None:
+        if self.q is None:
             return {"path": self.kind, "exact": True}
         return {"path": self.kind, "q": self.q}
 
@@ -705,33 +677,6 @@ class AssemblyPath:
 def _level_space(lam: float, rho: Sequence[int], geometry) -> WeightedSpace:
     """The inner ball of level rho at its weight mu_rho = lam + |rho| + ell."""
     return WeightedSpace(geometry.d_inner, make_level(rho, lam, geometry.ell).mu)
-
-
-def _levels_path(
-    f: ProductSymbol,
-    space: WeightedSpace,
-    D: int,
-    spec: QuadratureSpec,
-    resolved: QuadratureSpec,
-) -> Optional[AssemblyPath]:
-    """The level-by-level route of a product symbol, or None where the
-    a-factor is not quasi-radial, the spec samples, or the symbol's
-    geometry does not split this space's ball."""
-    geo = f.geometry
-    if spec.scheme == MONTE_CARLO or geo is None or geo.n != space.d:
-        return None
-    profile = quasi_radial_profile(f.a, geo.m)
-    if profile is None or geo.d_inner < 1:
-        return None
-    levels = levels_up_to(D, geo.m)
-    c_inner = rebase_inner(f.c)
-    inner = tuple(
-        assembly_path(c_inner, _level_space(space.lam, rho, geo), D - sum(rho), spec)
-        for rho in levels
-    )
-    exact = _exact_diagonal(f.a, geo.k, space.lam, levels)
-    q = max(24, symbol_degree_hint(f.a))
-    return AssemblyPath("levels", resolved, q, profile, exact, inner)
 
 
 def assembly_path(
@@ -745,35 +690,42 @@ def assembly_path(
     """The route and orders ``toeplitz_matrix`` uses for this request.
 
     Refuses, with a ``DomainError``, a basis whose dense matrix would
-    exceed the desk budget, before anything of that size is built.  A
-    polynomial diagonal symbol is summed here, and its values travel with
-    the path; so do the exact gammas of a product symbol's levels.
+    exceed the desk budget, before anything of that size is built.  The
+    plan sums and assembles nothing.  A product symbol takes the levels
+    where its a-factor is quasi-radial, the spec is a rule and its
+    geometry splits this space's ball; the group radii of a symbol's
+    geometry are moduli on this space's ball only where its groups cover
+    that ball.
     """
     k = count_basis(space.d, D)
     _require_budget(k * k, f"a {k} x {k} matrix")
     geometry = space.geometry
     resolved = resolve_assembly_spec(f, space.d, D, spec, geometry)
+    kind = None
     if use_fast_paths and isinstance(f, ProductSymbol):
-        path = _levels_path(f, space, D, spec, resolved)
-        if path is not None:
-            return path
+        geo, a = f.geometry, f.a
+        if (spec.scheme != MONTE_CARLO and geo is not None and geo.n == space.d
+                and geo.d_inner >= 1 and quasi_radial_profile(a, geo.m) is not None):
+            kind, parts = "levels", geo.k
     elif use_fast_paths and is_symbolic(f):
-        hint = symbol_degree_hint(f)
-        kind, q = "radial", _radial_order(D, hint)
-        profile = radial_profile(f, geometry)
-        # the group radii of the geometry are moduli on this space's ball
-        # only where its groups cover that ball
-        covers = geometry is not None and sum(geometry.k) == space.d
-        if profile is None and covers:
-            kind, q = "quasi_radial", max(24, hint)
-            profile = quasi_radial_profile(f, geometry.m)
-        if profile is not None:
-            parts = geometry.k if kind == "quasi_radial" else (space.d,)
-            levels = sorted(levels_up_to(D, len(parts)))
-            exact = _exact_diagonal(f, parts, space.lam, levels)
-            return AssemblyPath(kind, resolved, q, profile, exact)
-    kind = "monte_carlo" if spec.scheme == MONTE_CARLO else "torus"
-    return AssemblyPath(kind, resolved, band=_axis_band(f, space.d, geometry))
+        a = f
+        if is_radial(f, geometry):
+            kind, parts = "radial", (space.d,)
+        elif (geometry is not None and sum(geometry.k) == space.d
+                and quasi_radial_profile(f, geometry.m) is not None):
+            kind, parts = "quasi_radial", geometry.k
+    if kind is None:
+        kind = "monte_carlo" if spec.scheme == MONTE_CARLO else "torus"
+        return AssemblyPath(kind, resolved, band=_axis_band(f, space.d, geometry))
+    q = _diagonal_order(a, len(parts), D)
+    inner = ()
+    if kind == "levels":
+        c_inner = rebase_inner(f.c)
+        inner = tuple(
+            assembly_path(c_inner, _level_space(space.lam, rho, geo), D - sum(rho), spec)
+            for rho in levels_up_to(D, geo.m)
+        )
+    return AssemblyPath(kind, resolved, parts, q, inner)
 
 
 def toeplitz_matrix(
@@ -816,21 +768,13 @@ def _assemble(
     """The matrix of ``f`` along a path ``assembly_path`` chose for it."""
     basis = enumerate_basis(space.d, D, space.lam)
     geometry = space.geometry
-    if path.kind == "radial":
-        per_degree = path.exact
-        if per_degree is None:
-            per_degree = _radial_diagonal(path.profile, space.d, space.lam, D, path.q)
-        return OperatorMatrix.diagonal(basis, per_degree[basis.degrees], label=label)
-    if path.kind == "quasi_radial":
-        k = geometry.k
-        levels, of_row = np.unique(basis.group_degrees(k), axis=0, return_inverse=True)
-        gammas = path.exact
-        if gammas is None:
-            gammas = np.array([
-                gamma_quasi_radial(path.profile, k, space.lam, rho, q=path.q)
-                for rho in levels
-            ])
-        return OperatorMatrix.diagonal(basis, gammas[of_row.reshape(-1)], label=label)
+    if path.kind in ("radial", "quasi_radial"):
+        degrees = basis.group_degrees(path.parts)
+        # the distinct rows, in lexicographic order, through one integer key each
+        key = np.ravel_multi_index(degrees.T, degrees.max(axis=0) + 1)
+        _, first, of_row = np.unique(key, return_index=True, return_inverse=True)
+        values = diagonal_values(f, path.parts, space.lam, degrees[first], path.q)
+        return OperatorMatrix.diagonal(basis, values[of_row], label=label)
     if path.kind == "levels":
         return _assemble_by_levels(path, f, basis, label)
 
@@ -877,12 +821,7 @@ def _assemble_by_levels(
     """
     geo = f.geometry
     levels = levels_up_to(basis.D, geo.m)
-    gammas = path.exact
-    if gammas is None:
-        gammas = [
-            gamma_quasi_radial(path.profile, geo.k, basis.lam, rho, q=path.q)
-            for rho in levels
-        ]
+    gammas = diagonal_values(f.a, path.parts, basis.lam, levels, path.q)
     c_inner = rebase_inner(f.c)
     by_level = {
         rho: (gamma, _assemble(

@@ -78,7 +78,7 @@ def test_criterion_2_gamma_closed_forms():
     t0 = time.perf_counter()
     one = parse_symbol("1", None)
     exact_one = all(
-        gamma_sequence(one, k, lam, 6)(rho) == 1.0
+        gamma_sequence(one, k, lam, 6)[rho] == 1.0
         for k in [(1,), (2,), (1, 1)]
         for lam in [0.0, 0.5]
         for rho in levels_up_to(6, len(k))
@@ -91,7 +91,7 @@ def test_criterion_2_gamma_closed_forms():
             seq = gamma_sequence(profile, (ell,), lam, 10)
             for rho in range(11):
                 expect = (rho + ell) / (rho + ell + lam + 1.0)
-                worst = max(worst, abs(seq((rho,)) - expect))
+                worst = max(worst, abs(seq[(rho,)] - expect))
     elapsed = time.perf_counter() - t0
     ok = exact_one and worst < 1e-10 and elapsed < 5.0
     _report(

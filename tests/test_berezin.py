@@ -237,7 +237,7 @@ def test_spectrum_weighted_variant():
     g = BallGeometry(1, 1, (1,))
     gamma = gamma_sequence(parse_symbol("r1^2", g), (1,), 0.0, 4)
     c = parse_symbol("2 - abs2(z)", None)
-    sample = essential_spectrum_sample(c, 2, R=4, gamma=gamma)
+    sample = essential_spectrum_sample(c, 2, gamma=gamma)
     totals = {rho for rho, _, _ in sample.rows}
     assert totals == {0, 1, 2, 3, 4}
     assert sample.fredholm

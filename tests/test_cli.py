@@ -95,6 +95,25 @@ def test_gamma_refuses_complex_profile(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("profile", ["r1^2", "1/(2-r1^2)"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--k", "1", "--lambda", "-2", "--rmax", "3"],
+        ["gamma", "--k", "1", "--lambda", "-1", "--rmax", "3"],
+        ["gamma", "--k", "1", "--lambda", "0", "--rmax", "-2"],
+        ["spectrum", "--symbol", "2 - abs2(zc)", "--d", "2", "--lambda", "-3"],
+    ],
+)
+def test_gamma_outside_the_weight_and_level_envelope_is_exit_one(capsys, profile, argv):
+    # the exact route (a polynomial profile) is refused as the rule route is
+    flag = "--profile" if argv[0] == "gamma" else "--weight-profile"
+    code, out, err = run(capsys, argv + [flag, profile])
+    assert code == 1
+    assert err.startswith("error:")
+    assert "verdict" not in out and "rho" not in out
+
+
 def test_unknown_command_is_exit_one(capsys):
     code, out, err = run(capsys, ["frobnicate"])
     assert code == 1

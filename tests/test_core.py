@@ -144,6 +144,13 @@ def test_levels_up_to_counts():
         assert sum(rho) <= 3
 
 
+def test_no_parts_hold_only_degree_zero():
+    # the empty multi-index; a part count below 0 has no compositions
+    assert list(compositions(0, 0)) == [()]
+    assert list(compositions(2, 0)) == list(compositions(2, -1)) == []
+    assert levels_up_to(3, 0) == ((),)
+
+
 @given(st.integers(1, 4), st.integers(0, 8))
 @settings(max_examples=40, deadline=None)
 def test_count_matches_enumeration(d, D):

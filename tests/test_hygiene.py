@@ -107,8 +107,8 @@ def test_only_the_symbol_module_inspects_node_types():
     assert found == []
 
 
-def _np_diag_calls(tree):
-    """(qualified scope, line) of every ``np.diag(...)`` call in a module."""
+def _scoped_calls(tree, is_target):
+    """(qualified scope, line) of every call whose callee ``is_target`` accepts."""
     found = []
 
     def walk(node, scope):
@@ -116,18 +116,23 @@ def _np_diag_calls(tree):
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = scope + (child.name,)
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "diag"
-                and isinstance(child.func.value, ast.Name)
-                and child.func.value.id == "np"
-            ):
+            if isinstance(child, ast.Call) and is_target(child.func):
                 found.append((".".join(scope), child.lineno))
             walk(child, inner)
 
     walk(tree, ())
     return found
+
+
+def _np_diag_calls(tree):
+    """(qualified scope, line) of every ``np.diag(...)`` call in a module."""
+    return _scoped_calls(
+        tree,
+        lambda func: isinstance(func, ast.Attribute)
+        and func.attr == "diag"
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "np",
+    )
 
 
 def test_only_operator_matrix_materializes_a_diagonal():
@@ -141,6 +146,25 @@ def test_only_operator_matrix_materializes_a_diagonal():
     assert found[0].startswith("toeplitz.py:") and found[0].endswith(
         ": OperatorMatrix.entries"
     )
+
+
+def test_only_diagonal_values_sums_a_diagonal():
+    """One route for every diagonal value: the exact sums, the radial
+    moment table and the simplex rule are called only from
+    ``toeplitz.diagonal_values``."""
+    found = set()
+    for name in ("_exact_diagonal", "_radial_diagonal", "simplex_radial_rule"):
+        for path in sorted(SRC.glob("*.py")):
+            calls = _scoped_calls(
+                ast.parse(path.read_text()),
+                lambda func: name in (getattr(func, "id", None), getattr(func, "attr", None)),
+            )
+            found |= {f"{path.name}: {scope or '<module>'} calls {name}" for scope, _ in calls}
+    assert sorted(found) == [
+        "toeplitz.py: diagonal_values calls _exact_diagonal",
+        "toeplitz.py: diagonal_values calls _radial_diagonal",
+        "toeplitz.py: diagonal_values calls simplex_radial_rule",
+    ]
 
 
 def test_only_the_quadrature_module_reads_flat_rule_views():

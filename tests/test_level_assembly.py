@@ -95,7 +95,7 @@ def test_a_non_polynomial_gamma_records_its_rule():
     f = parse_symbol("prod(a = 1/(2 - r1^2), c = 1 - abs2(zc))", geo)
     record = assembly_path(f, space, 3, QuadratureSpec()).record()
     exact_block = {"path": "radial", "exact": True}
-    assert record == {"path": "levels", "q": 24, "blocks": [exact_block] * 4}
+    assert record == {"path": "levels", "q": 48, "blocks": [exact_block] * 4}
     m = toeplitz_matrix(f, space, 3, QuadratureSpec())
     honest = toeplitz_matrix(f, space, 3, QuadratureSpec(q=80), use_fast_paths=False)
     assert m.diag is not None
@@ -139,8 +139,8 @@ def test_oversized_products_are_refused_before_anything_is_built(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the size check")
 
-    for name in ("_exact_diagonal", "enumerate_basis", "gamma_quasi_radial",
-                 "rebase_inner", "quasi_radial_profile"):
+    for name in ("diagonal_values", "enumerate_basis", "rebase_inner",
+                 "quasi_radial_profile"):
         monkeypatch.setattr(toeplitz, name, refuse)
     geo = BallGeometry(2, 1, (1,))
     f = parse_symbol("prod(a = r1^2, c = 1 - abs2(zc))", geo)
@@ -176,14 +176,14 @@ def test_norm_identity_on_the_3_ball_builds_no_full_ball_rule(monkeypatch):
 
 def test_extended_berezin_sequences_keep_their_bits(monkeypatch):
     summed = []
-    exact = berezin._exact_diagonal
+    exact = berezin.diagonal_values
 
     def count(g, k, nu, levels):
         summed.append(len(levels))
         return exact(g, k, nu, levels)
 
     monkeypatch.setattr(berezin, "_EXACT_SEQUENCES", {})
-    monkeypatch.setattr(berezin, "_exact_diagonal", count)
+    monkeypatch.setattr(berezin, "diagonal_values", count)
     g = parse_symbol("0.3 - 0.7*abs2(z) + 0.9*abs2(z)^2", None)
     spec = QuadratureSpec()
     lengths = []

@@ -16,7 +16,7 @@ from berglab.berezin import (
     radial_expansion_degree,
 )
 from berglab.core import beta_fn
-from berglab.toeplitz import _MAX_DENSE_ENTRIES, _radial_order
+from berglab.toeplitz import _MAX_DENSE_ENTRIES, _diagonal_order
 
 special = pytest.importorskip("scipy.special")
 mpmath = pytest.importorskip("mpmath")
@@ -145,7 +145,7 @@ def test_expansion_degree_matches_the_scipy_quantile():
                     except DomainError:
                         # refused alike: the SciPy cutoff is past the budget
                         terms = theirs + 16
-                        assert (terms + 1) * _radial_order(terms, 16) > _MAX_DENSE_ENTRIES
+                        assert (terms + 1) * _diagonal_order(None, 1, terms) > _MAX_DENSE_ENTRIES
                         continue
                     if ours != theirs:
                         off.add((d, nu, t))

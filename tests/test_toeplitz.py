@@ -19,7 +19,7 @@ from berglab import (
     berezin_of_operator,
     berezin_of_symbol,
     export_matrix_csv,
-    gamma_quasi_radial,
+    diagonal_values,
     gamma_sequence,
     level_block_direct,
     operator_norm,
@@ -33,12 +33,12 @@ from berglab import quadrature, toeplitz
 from berglab.cli import main
 from berglab.core import enumerate_basis
 from berglab.quadrature import MONTE_CARLO
-from berglab.symbols import expand_polynomial, profile_form, radial_profile
+from berglab.symbols import expand_polynomial, profile_form, quasi_radial_profile
 
 
 def test_identity_symbol_gives_exact_identity():
     """T_1 must be the identity bitwise, not merely to roundoff."""
-    diag = radial_toeplitz_diagonal(lambda t: np.ones_like(t), 1, 0.0, 200)
+    diag = radial_toeplitz_diagonal(lambda r: np.ones(len(r)), 1, 0.0, 200)
     assert np.all(diag == 1.0)
     space = WeightedSpace(2, 0.5)
     mat = toeplitz_matrix(parse_symbol("1", None), space, 6, QuadratureSpec())
@@ -48,19 +48,19 @@ def test_identity_symbol_gives_exact_identity():
 def test_radial_eigenvalue_closed_form():
     # a(t) = t acting on degree-m monomials of the d-ball, weight mu
     for d, mu, m in [(1, 0.0, 0), (1, 2.0, 5), (2, 0.5, 3), (3, 1.0, 0)]:
-        got = radial_toeplitz_diagonal(lambda t: t, d, mu, m)[m]
+        got = radial_toeplitz_diagonal(lambda r: r[:, 0] ** 2, d, mu, m)[m]
         assert got == pytest.approx((m + d) / (m + d + mu + 1.0), abs=1e-13)
 
 
 def test_radial_diagonal_matches_eigenvalues():
-    diag = radial_toeplitz_diagonal(lambda t: 1.0 - t, 1, 0.0, 6)
+    diag = radial_toeplitz_diagonal(lambda r: 1.0 - r[:, 0] ** 2, 1, 0.0, 6)
     expect = [1.0 - (m + 1.0) / (m + 2.0) for m in range(7)]
     assert np.allclose(diag, expect, atol=1e-13)
 
 
 def test_gamma_of_one_is_exactly_one():
     seq = gamma_sequence(parse_symbol("1", None), (1, 1), 0.5, 6)
-    assert all(seq(rho) == 1.0 for rho in seq.levels)
+    assert all(v == 1.0 for v in seq.values())
 
 
 @pytest.mark.parametrize("ell", [1, 2])
@@ -72,18 +72,63 @@ def test_gamma_closed_form_single_group(ell, lam):
     seq = gamma_sequence(profile, (ell,), lam, 10)
     for rho in range(11):
         expect = (rho + ell) / (rho + ell + lam + 1.0)
-        assert seq((rho,)) == pytest.approx(expect, abs=1e-10)
+        assert seq[(rho,)] == pytest.approx(expect, abs=1e-10)
 
 
 def test_gamma_quasi_radial_two_groups():
     # product profile r1^2 * r2^2 factorizes through the groups
     k = (1, 1)
     profile = parse_symbol("r1^2 * r2^2", BallGeometry(2, 2, k))
-    got = gamma_quasi_radial(profile, k, 0.0, (1, 2))
+    (got,) = diagonal_values(profile, k, 0.0, [(1, 2)])
     lam_eff = 0.0
     # evaluate each factor against the same 2-group simplex measure
-    g1 = gamma_quasi_radial(parse_symbol("r1^2", BallGeometry(2, 2, k)), k, lam_eff, (1, 2))
+    (g1,) = diagonal_values(parse_symbol("r1^2", BallGeometry(2, 2, k)), k, lam_eff,
+                            [(1, 2)])
     assert 0.0 < got < g1  # the extra factor shrinks the mean
+
+
+@pytest.mark.parametrize("text", ["r1^2", "1/(2 - r1^2)"])
+def test_diagonal_requests_outside_the_envelope_are_refused(text):
+    # the exact route (a polynomial profile) checks what the rule route does
+    disk = BallGeometry(1, 1, (1,))
+    f = parse_symbol(text, disk)
+    radial = parse_symbol(text.replace("r1^2", "abs2(z)"), None)
+    for lam in (-1.0, -1.5, -2.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="exceed -1"):
+            gamma_sequence(f, (1,), lam, 3)
+        with pytest.raises(DomainError, match="exceed -1"):
+            radial_toeplitz_diagonal(radial, 1, lam, 3)
+    for k in [(), (0,), (1, 0)]:
+        with pytest.raises(DomainError, match="partition"):
+            gamma_sequence(f, k, 0.0, 3)
+    with pytest.raises(DomainError, match="partition"):
+        radial_toeplitz_diagonal(radial, 0, 0.0, 3)
+    with pytest.raises(DomainError, match="nonnegative"):
+        diagonal_values(f, (1,), 0.0, [0, 1, -1])
+    with pytest.raises(DomainError, match="nonnegative"):
+        diagonal_values(f, (1, 1), 0.0, [(0, 1), (2, -1)])
+    with pytest.raises(DomainError, match=r"\(N, 2\)"):
+        diagonal_values(f, (1, 1), 0.0, [0, 1])
+    with pytest.raises(DomainError, match="nonnegative"):
+        radial_toeplitz_diagonal(radial, 1, 0.0, -1)
+    with pytest.raises(DomainError, match="nonnegative"):
+        gamma_sequence(f, (1,), 0.0, -2)
+    for other in ("abs2(z1)", "prod(a = r1^2, c = 1 - abs2(zc))"):
+        with pytest.raises(DomainError, match="not a profile"):
+            gamma_sequence(parse_symbol(other, None), (1,), 0.0, 3)
+    # the envelope's edges stay open
+    assert gamma_sequence(f, (1,), -0.5, 0)[(0,)] > 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("text", ["1/(2 - r1^2)", "sqrt(1 + r1^2)"])
+def test_one_group_gamma_is_the_radial_diagonal_bitwise(d, text):
+    # one group spanning the ball: gamma and the radial eigenvalues are one route
+    g = BallGeometry(d, d, (d,))
+    seq = gamma_sequence(parse_symbol(text, g), (d,), 0.5, 12)
+    radial = parse_symbol(text.replace("r1^2", "abs2(z)"), None)
+    want = radial_toeplitz_diagonal(radial, d, 0.5, 12)
+    assert np.array_equal(list(seq.values()), want)
 
 
 def test_norm_identity_diagonal_and_quadrature():
@@ -127,8 +172,8 @@ def test_complex_quasi_radial_fast_path_matches_quadrature():
     assert np.max(np.abs(fast.entries - honest.entries)) <= 1e-10
     seq = gamma_sequence(f, (1, 1), 0.0, 2)
     real = gamma_sequence(parse_symbol("r1^2", g), (1, 1), 0.0, 2)
-    for rho in seq.levels:
-        assert seq(rho) == pytest.approx(1j * real(rho), abs=1e-15)
+    for rho in seq:
+        assert seq[rho] == pytest.approx(1j * real[rho], abs=1e-15)
 
 
 def test_real_symbol_gives_hermitian_matrix():
@@ -221,7 +266,7 @@ def test_rational_symbol_assembles_accurately():
     f = parse_symbol("1 / (2 - abs2(z))", None)
     mat = toeplitz_matrix(f, space, 6, QuadratureSpec(), use_fast_paths=False)
     # diagonal oracle via the radial route at high order
-    diag = radial_toeplitz_diagonal(lambda t: 1.0 / (2.0 - t), 1, 0.0, 6, q=80)
+    diag = radial_toeplitz_diagonal(lambda r: 1.0 / (2.0 - r[:, 0] ** 2), 1, 0.0, 6, q=80)
     assert np.max(np.abs(np.diag(mat.entries).real - diag)) < 1e-9
 
 
@@ -256,7 +301,7 @@ def test_oversized_dense_matrices_are_refused():
         f = parse_symbol("abs2(z)", None)
         toeplitz_matrix(f, WeightedSpace(4, 0.0), 40, QuadratureSpec())
     with pytest.raises(DomainError, match="desk budget"):
-        radial_toeplitz_diagonal(lambda t: t, 1, 0.0, 20_000)
+        radial_toeplitz_diagonal(lambda r: r[:, 0] ** 2, 1, 0.0, 20_000)
 
 
 def test_assembly_path_names_the_route_and_its_orders():
@@ -338,8 +383,7 @@ def _quasi_radial_case(k, text, lam=0.5, D=5):
     g = BallGeometry(sum(k), sum(k), k)
     f = parse_symbol(text, g)
     mat = toeplitz_matrix(f, WeightedSpace(g.n, lam, geometry=g), D, QuadratureSpec())
-    gammas = [gamma_quasi_radial(f, k, lam, rho) for rho in mat.basis.group_degrees(k)]
-    return mat, np.array(gammas, dtype=complex)
+    return mat, diagonal_values(f, k, lam, mat.basis.group_degrees(k)).astype(complex)
 
 
 def _diagonal_cases():
@@ -478,6 +522,8 @@ def test_exact_radial_diagonal_matches_rational_arithmetic(d, mu):
         (2, 0.0, 1800, 1e-13),
         (3, 129.0, 1800, 1e-13),
         (1, 33.0, 10_000, 1e-12),
+        (1, 129.0, 10_000, 1e-12),
+        (1, 1000.0, 2000, 1e-12),
     ],
 )
 def test_exact_radial_diagonal_matches_the_rule_route(d, mu, D, tol):
@@ -485,8 +531,23 @@ def test_exact_radial_diagonal_matches_the_rule_route(d, mu, D, tol):
     for text in POLY_PROFILES:
         f = parse_symbol(text, None)
         exact = radial_toeplitz_diagonal(f, d, mu, D)
-        ruled = radial_toeplitz_diagonal(radial_profile(f), d, mu, D)
+        ruled = radial_toeplitz_diagonal(quasi_radial_profile(f, 1), d, mu, D)
         assert _rel_dev(exact, ruled) <= tol, text
+
+
+def test_rule_weights_below_the_normal_range_keep_their_mass():
+    # at mu = 1000 the table's weights past t ~ 0.52 underflow, while the
+    # mass of degree 2000 peaks near t = 2/3
+    mu, m = 1000.0, np.arange(2001.0)
+    f = parse_symbol("1/(2 - abs2(z))")
+    assert quadrature.gauss_jacobi_rule(toeplitz._diagonal_order(f, 1, 2000), mu, 0.0)[1].min() == 0
+    # 1/(2 - t) = sum_j t^j / 2^(j+1), with E[t^j] = (m + 1)_j / (m + mu + 2)_j
+    series, moment = np.zeros_like(m), np.ones_like(m)
+    for j in range(80):
+        series += moment / 2.0 ** (j + 1)
+        moment *= (m + 1 + j) / (m + mu + 2 + j)
+    got = radial_toeplitz_diagonal(f, 1, mu, 2000)
+    assert np.all(np.abs(got - series) <= 1e-13 * series)
 
 
 @pytest.mark.parametrize("d, mu", [(1, 0.0), (2, 0.5), (3, 33.0)])
@@ -510,7 +571,7 @@ def test_exact_diagonals_match_the_torus_reference(geometry, D, text):
     space = WeightedSpace(geometry.n, 0.5, geometry=geometry)
     f = parse_symbol(text, geometry)
     path = assembly_path(f, space, D, QuadratureSpec())
-    assert path.kind in ("radial", "quasi_radial") and path.exact is not None
+    assert path.kind in ("radial", "quasi_radial") and path.q is None
     exact = toeplitz_matrix(f, space, D, QuadratureSpec())
     honest = toeplitz_matrix(f, space, D, QuadratureSpec(), use_fast_paths=False)
     assert exact.diag is not None
@@ -522,8 +583,9 @@ def test_polynomial_diagonals_build_no_rule(monkeypatch):
         raise AssertionError("a quadrature rule was built")
 
     for module in (toeplitz, quadrature):
-        monkeypatch.setattr(module, "gauss_jacobi_rule", refuse)
+        monkeypatch.setattr(module, "gauss_jacobi_log_rule", refuse)
         monkeypatch.setattr(module, "simplex_radial_rule", refuse)
+    monkeypatch.setattr(quadrature, "gauss_jacobi_rule", refuse)
     spec = QuadratureSpec()
     disk = BallGeometry(2, 2, (2,))
     radial = toeplitz_matrix(
@@ -547,7 +609,7 @@ def test_polynomial_diagonals_build_no_rule(monkeypatch):
     one = toeplitz_matrix(parse_symbol("1", None), WeightedSpace(3, 0.5), 6, spec)
     assert np.all(one.diag == 1.0)
     seq = gamma_sequence(parse_symbol("1", None), (1, 1), 0.5, 6)
-    assert all(seq(rho) == 1.0 and isinstance(seq(rho), float) for rho in seq.levels)
+    assert all(v == 1.0 and isinstance(v, float) for v in seq.values())
     # the patch is live: a rational profile still takes a rule
     with pytest.raises(AssertionError, match="rule was built"):
         toeplitz_matrix(parse_symbol("1/(2 - abs2(z))", None), WeightedSpace(1, 0.0), 4,
@@ -581,8 +643,9 @@ def test_a_cancelling_exact_sum_is_summed_in_rational_arithmetic(monkeypatch, tm
         raise AssertionError("a quadrature rule was built")
 
     for module in (toeplitz, quadrature):
-        monkeypatch.setattr(module, "gauss_jacobi_rule", refuse)
+        monkeypatch.setattr(module, "gauss_jacobi_log_rule", refuse)
         monkeypatch.setattr(module, "simplex_radial_rule", refuse)
+    monkeypatch.setattr(quadrature, "gauss_jacobi_rule", refuse)
     spec = QuadratureSpec()
     # abs2(z) - 1/2 averages to exactly 0 at degree 0 of the unweighted disc
     for text, level0 in (("abs2(z) - 0.5", 0.0), (f"abs2(z) - {NEAR_HALF}", 2.0**-30)):
@@ -602,20 +665,20 @@ def test_a_cancelling_exact_sum_is_summed_in_rational_arithmetic(monkeypatch, tm
     g = parse_symbol("r1^2 - r2^2", groups)
     terms = expand_polynomial(g, 2, geometry=groups)
     seq = gamma_sequence(g, (1, 1), 0.5, 6)
-    for rho in seq.levels:
+    for rho in seq:
         want = _rational_moment_sum(terms, rho, 0.5)
         if rho[0] == rho[1]:
-            assert seq(rho) == float(want) == 0.0
+            assert seq[rho] == float(want) == 0.0
         else:
-            assert abs(seq(rho) - float(want)) <= 4 * np.spacing(abs(float(want)))
-        assert seq(rho) == gamma_quasi_radial(g, (1, 1), 0.5, rho)
+            assert abs(seq[rho] - float(want)) <= 4 * np.spacing(abs(float(want)))
+        assert seq[rho] == diagonal_values(g, (1, 1), 0.5, [rho]).item()
     space = WeightedSpace(2, 0.5, geometry=groups)
     assert assembly_path(g, space, 6, spec).record() == {
         "path": "quasi_radial", "exact": True,
     }
     mat = toeplitz_matrix(g, space, 6, spec)
     basis = enumerate_basis(2, 6, 0.5)
-    assert np.array_equal(mat.diag, [seq(tuple(a)) for a in basis.indices])
+    assert np.array_equal(mat.diag, [seq[tuple(a)] for a in basis.indices])
 
     # the matrix command's sidecar says so
     out = tmp_path / "m.csv"
