@@ -212,14 +212,21 @@ def basis_norm_constant(alpha: Sequence[int], d: int, lam: float) -> float:
     """Normalization making z^alpha a unit vector at weight lam.
 
     sqrt(Gamma(d + |alpha| + lam + 1) / (alpha! Gamma(d + lam + 1))),
-    evaluated via log-gamma differences.
+    evaluated via log-gamma differences.  A norm past the float range is
+    refused with a ``DomainError``.
     """
     _check_weight(lam)
     total = int(sum(alpha))
     log_val = log_gamma(d + total + lam + 1.0) - log_gamma(d + lam + 1.0)
     for a in alpha:
         log_val -= log_gamma(float(a) + 1.0)
-    return math.exp(0.5 * log_val)
+    try:
+        return math.exp(0.5 * log_val)
+    except OverflowError:
+        raise DomainError(
+            f"the basis norm of z^{tuple(alpha)} (degree {total}) at weight "
+            f"{lam} overflows a float; lower the cutoff or the weight"
+        ) from None
 
 
 def monomial_moment(alpha: Sequence[int], d: int, lam: float) -> float:

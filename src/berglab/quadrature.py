@@ -210,15 +210,27 @@ def gauss_jacobi_rule(q: int, a_exp: float, b_exp: float) -> Tuple[np.ndarray, n
 def gauss_jacobi_log_rule(q: int, a_exp: float, b_exp: float) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes and natural-log weights of ``gauss_jacobi_rule``, finite where
     a weight underflows: below the normal range the log is taken from the
-    node's rescaled Christoffel sum, which never leaves it."""
+    node's rescaled Christoffel sum, which never leaves it, and the total
+    mass, whose log comes from log-gamma where the mass itself leaves it."""
     t, w = gauss_jacobi_rule(q, a_exp, b_exp)
-    low = w < np.finfo(float).tiny
+    tiny = np.finfo(float).tiny
+    low = w < tiny
     log_w = np.log(np.where(low, 1.0, w))
     if low.any():
         diag, off = _jacobi_matrix(q, float(a_exp), float(b_exp))
         _, total, scaled = _recurrence(t[low], diag, off, derivative=False)
-        ratio = beta_fn(b_exp + 1.0, a_exp + 1.0) / total  # as the rule's own
-        log_w[low] = np.log(ratio) - (2 * _RESCALE_BITS * math.log(2.0)) * scaled
+        mass = beta_fn(b_exp + 1.0, a_exp + 1.0)
+        ratio = mass / total  # as the rule's own
+        if mass >= tiny:
+            log_mass = math.log(mass)
+        else:
+            a1, b1 = a_exp + 1.0, b_exp + 1.0
+            log_mass = math.lgamma(a1) + math.lgamma(b1) - math.lgamma(a1 + b1)
+        # where the ratio leaves the normal range, its log in two parts
+        log_ratio = np.where(
+            ratio >= tiny, np.log(np.maximum(ratio, tiny)), log_mass - np.log(total)
+        )
+        log_w[low] = log_ratio - (2 * _RESCALE_BITS * math.log(2.0)) * scaled
     return t, log_w
 
 
@@ -277,20 +289,22 @@ class BallRule:
 
 
 def _stick_breaking(
-    rules: Sequence[Tuple[np.ndarray, np.ndarray]],
+    rules: Sequence[Tuple[np.ndarray, np.ndarray]], combine=np.prod
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tensor product of 1-D rules on (0, 1), broken into simplex pieces.
 
     Piece j takes the fraction v_j of what pieces 0..j-1 left over.
-    Returns (pieces (N, len(rules)), remainder (N,), weights (N,)); with
-    no rules, one node of weight 1 with the whole stick left over.
+    Returns (pieces (N, len(rules)), remainder (N,), weights (N,)), each
+    node's weight the ``combine`` of its per-rule weights (``np.sum`` for
+    log weights); with no rules, one node of weight 1 with the whole
+    stick left over.
     """
     if not rules:
         return np.empty((1, 0)), np.ones(1), np.ones(1)
     grids = np.meshgrid(*[v for v, _ in rules], indexing="ij")
     wgrids = np.meshgrid(*[w for _, w in rules], indexing="ij")
     vv = np.stack([g.ravel() for g in grids], axis=-1)
-    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
+    weights = combine(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
     pieces = np.empty_like(vv)
     remaining = np.ones(vv.shape[0])
     for j in range(len(rules)):
@@ -399,8 +413,10 @@ class SimplexRule:
     """Rule for profile moments over the set of group radii.
 
     Integrates a(r_1, ..., r_m) against (1 - |r|^2)^lam prod r_j^(p_j) dr
-    over the positive orthant piece of the unit ball, via t_j = r_j^2.
-    ``radii`` holds the r-nodes, shape (N, m).
+    over the positive orthant piece of the unit ball, via t_j = r_j^2,
+    up to one constant factor: the largest weight is 1, so the rule
+    gives normalized moments, w @ a / w @ 1.  ``radii`` holds the
+    r-nodes, shape (N, m).
     """
 
     m: int
@@ -417,22 +433,26 @@ def simplex_radial_rule(
 
     Each p_j must be odd so that t_j = r_j^2 turns the measure into the
     Dirichlet-type weight prod t^((p_j - 1)/2) (1 - sum t)^lam, which the
-    per-axis Jacobi rules absorb exactly.
+    per-axis Jacobi rules absorb exactly.  The per-axis weights are taken
+    as logs (``gauss_jacobi_log_rule``), summed per node and shifted by
+    their largest, so large weights and levels, whose Jacobi weights
+    underflow, keep their mass.
     """
     powers = tuple(int(p) for p in powers)
     if any(p < 1 or p % 2 == 0 for p in powers):
         raise DomainError(f"radial exponents must be odd and positive, got {powers}")
     m = len(powers)
     c = [(p - 1) // 2 for p in powers]
-    t, _, ww = _stick_breaking(
+    t, _, log_w = _stick_breaking(
         [
-            gauss_jacobi_rule(q, float(lam + (m - 1 - j) + sum(c[j + 1 :])), float(c[j]))
+            gauss_jacobi_log_rule(
+                q, float(lam + (m - 1 - j) + sum(c[j + 1 :])), float(c[j])
+            )
             for j in range(m)
-        ]
+        ],
+        combine=np.sum,
     )
-    # The substitution contributes 2^-m; fold it into the weights so the
-    # rule integrates directly against the r-measure.
-    ww = ww * math.exp(-m * math.log(2.0))
+    log_w -= np.max(log_w)
     return SimplexRule(
-        m=m, lam=lam, powers=powers, radii=np.sqrt(t), weights=ww
+        m=m, lam=lam, powers=powers, radii=np.sqrt(t), weights=np.exp(log_w)
     )

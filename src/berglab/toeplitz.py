@@ -13,10 +13,13 @@ aliases, and the fast paths contract only the pairs in the band.
 Monte Carlo samples have no torus structure and contract the monomial
 values with themselves instead.  The monomials are built row by row in a
 (K, n) layout: each axis gets a table of powers of the samples, and row
-alpha is the product of one table row per axis times its norm.  Samples
-are taken in chunks of at most _SLAB_ENTRIES monomial values, built into
-buffers reused from chunk to chunk; the second moment behind the
-standard errors takes |e|^2 as re^2 + im^2.  Symbols that only depend on
+alpha is its prefix row (alpha less its last nonzero exponent) times one
+table row, then its norm.  One draw of samples per spec is kept and
+shared; the symbol is evaluated on it once, and the samples are taken
+in cache-sized chunks of at most _CHUNK_ENTRIES monomial values, built
+into buffers reused from chunk to chunk.  The second moment behind the
+standard errors is one S S^T product, S = |e|^2 sqrt(w) |f| with |e|^2
+taken as re^2 + im^2.  Symbols that only depend on
 group radii (or on |z|^2) skip quadrature over phases entirely and are
 assembled as diagonals, kept as their K values: an OperatorMatrix has a
 dense form and a diagonal form, and the diagonal one builds its K x K
@@ -51,6 +54,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -449,49 +453,69 @@ def gamma_sequence(
 # Assembly
 
 
+@lru_cache(maxsize=32)
+def _row_plan(d: int, D: int) -> Tuple[Tuple[int, int, int], ...]:
+    """(prefix row, axis, power) of each basis row after the first.
+
+    The prefix of alpha is alpha with its last nonzero exponent, a_j on
+    axis j, set to 0: a lower degree, so graded order lists it first.
+    Row alpha is its prefix row times power a_j of axis j, which keeps
+    the product ((P0[a0] * P1[a1]) * ...) in axis order, factors of 1
+    aside.
+    """
+    indices = levels_up_to(D, d)
+    position = {alpha: i for i, alpha in enumerate(indices)}
+    plan = []
+    for alpha in indices[1:]:
+        j = max(ax for ax, a in enumerate(alpha) if a)
+        plan.append((position[alpha[:j] + (0,) * (d - j)], j, alpha[j]))
+    return tuple(plan)
+
+
 def _monomial_rows(
-    z: np.ndarray,
-    basis: TruncatedBasis,
-    out: Optional[np.ndarray] = None,
-    tmp: Optional[np.ndarray] = None,
+    z: np.ndarray, basis: TruncatedBasis, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Normalized monomials on a slab of nodes, one row per basis index.
 
-    Each axis gets a power table of shape (max_deg + 1, N) by repeated
-    multiplication; row alpha is then ((P0[a0] * P1[a1]) * ...) * norm,
-    built from contiguous row gathers.  ``out`` and ``tmp`` are optional
-    (K, N) buffers of z's dtype.  Real input (the moduli |z_j|) gives the
+    A (d, D + 1, N) table holds the powers of every axis, built by
+    repeated multiplication; each row is then its prefix row times one
+    table row (``_row_plan``), and last the norm.  ``out`` is an optional
+    (K, N) buffer of z's dtype.  Real input (the moduli |z_j|) gives the
     real radial powers.
     """
     n_pts = z.shape[0]
-    exps = basis.exponent_array()
     if out is None:
         out = np.empty((basis.count, n_pts), dtype=z.dtype)
-    if tmp is None and basis.d > 1:
-        tmp = np.empty_like(out)
-    for ax in range(basis.d):
-        degs = exps[:, ax]
-        max_deg = int(degs.max()) if degs.size else 0
-        powers = np.empty((max_deg + 1, n_pts), dtype=z.dtype)
-        powers[0] = 1.0
-        col = z[:, ax]
-        for p in range(1, max_deg + 1):
-            np.multiply(powers[p - 1], col, out=powers[p])
-        # mode="clip" writes straight into the buffer ("raise" buffers)
-        if ax == 0:
-            np.take(powers, degs, axis=0, out=out, mode="clip")
-        else:
-            np.take(powers, degs, axis=0, out=tmp, mode="clip")
-            out *= tmp
+    powers = np.empty((basis.d, basis.D + 1, n_pts), dtype=z.dtype)
+    powers[:, 0] = 1.0
+    for p in range(1, basis.D + 1):
+        np.multiply(powers[:, p - 1], z.T, out=powers[:, p])
+    out[0] = 1.0
+    for row, (prefix, ax, p) in enumerate(_row_plan(basis.d, basis.D), 1):
+        np.multiply(out[prefix], powers[ax, p], out=out[row])
     out *= basis.norms[:, None]
     return out
 
 
-# Working-set caps for one slab of the torus assembly and one chunk of the
-# node sums, in array elements: nodes on the slab's tori, and gathered
-# (beta, alpha) phase coefficients or monomial values.
+# Working-set caps for one slab of the torus assembly, in array elements:
+# nodes on the slab's tori and gathered (beta, alpha) phase coefficients
 _SLAB_NODES = 1 << 18
 _SLAB_ENTRIES = 1 << 20
+# monomial values in one chunk of the node sums: about 1 MB, cache-sized
+_CHUNK_ENTRIES = 1 << 16
+
+
+@lru_cache(maxsize=1)
+def _sample_points(d: int, lam: float, n: int, seed: int) -> np.ndarray:
+    """The points of ``monte_carlo_points(d, lam, n, seed)``, read-only.
+
+    The last draw is kept, so the Monte Carlo assemblies of one spec on
+    one space (a matrix and its standard errors, several symbols) share
+    it.
+    """
+    z, _ = monte_carlo_points(d, lam, n, seed)
+    z.setflags(write=False)
+    return z
 
 
 def _node_sums(
@@ -504,33 +528,37 @@ def _node_sums(
     """sum_i w_i f(z_i) conj(e_beta(z_i)) e_alpha(z_i) over a flat node set.
 
     With ``second_moment`` the sum of w_i |f(z_i)|^2 |e_beta(z_i)|^2
-    |e_alpha(z_i)|^2 comes along, the |e|^2 taken as re^2 + im^2.  Nodes
-    are taken in chunks of at most _SLAB_ENTRIES monomial values (never
-    fewer than one node), each built into the same preallocated buffers.
+    |e_alpha(z_i)|^2 comes along, as S S^T with S = |e|^2 sqrt(w) |f|
+    and |e|^2 taken as re^2 + im^2.  The symbol, w f and sqrt(w) |f| are
+    evaluated once on the whole node set.  Nodes are taken in chunks of
+    at most _CHUNK_ENTRIES monomial values (never fewer than one node),
+    each built into the same preallocated buffers.
     """
     k = basis.count
     total = nodes.shape[0]
-    chunk = max(1, min(total, _SLAB_ENTRIES // k))
+    chunk = max(1, min(total, _CHUNK_ENTRIES // k))
+    fv = evaluate_finite(fn, nodes)
+    wf = weights * fv
     acc = np.zeros((k, k), dtype=complex)
-    acc2 = np.zeros((k, k)) if second_moment else None
     # flat buffers, so the shorter last chunk still gets contiguous rows
     bufs = [np.empty(k * chunk, dtype=complex) for _ in range(2)]
+    acc2 = None
     if second_moment:
+        sf = np.sqrt(weights) * np.abs(fv)
+        acc2 = np.zeros((k, k))
         bufs += [np.empty(k * chunk) for _ in range(2)]
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
-        z = nodes[start:stop]
-        fv = evaluate_finite(fn, z)
-        w = weights[start:stop]
         v, work, *sq = (b[: k * (stop - start)].reshape(k, -1) for b in bufs)
-        _monomial_rows(z, basis, v, work)
+        _monomial_rows(nodes[start:stop], basis, v)
         if second_moment:
-            np.multiply(v.real, v.real, out=sq[0])
-            np.multiply(v.imag, v.imag, out=sq[1])
-            sq[0] += sq[1]
-            np.multiply(sq[0], w * np.abs(fv) ** 2, out=sq[1])
-            acc2 += sq[0] @ sq[1].T
-        np.multiply(v, w * fv, out=work)
+            s, im2 = sq
+            np.multiply(v.real, v.real, out=s)
+            np.multiply(v.imag, v.imag, out=im2)
+            s += im2
+            s *= sf[start:stop]
+            acc2 += s @ s.T  # one symmetric rank-k update (syrk)
+        np.multiply(v, wf[start:stop], out=work)
         acc += np.conjugate(v, out=v) @ work.T
     return acc, acc2
 
@@ -781,7 +809,7 @@ def _assemble(
     fn = as_point_function(f, geometry)
     keep = _band_pairs(path.band, f, basis, geometry) if use_fast_paths else None
     if path.kind == "monte_carlo":
-        z, _ = monte_carlo_points(space.d, space.lam, path.spec.n_samples, path.spec.seed)
+        z = _sample_points(space.d, space.lam, path.spec.n_samples, path.spec.seed)
         weights = np.full(z.shape[0], 1.0 / z.shape[0])
         entries = _node_sums(z, weights, fn, basis)[0]
         entries = entries if keep is None else np.where(keep, entries, 0.0)
@@ -870,7 +898,7 @@ def toeplitz_matrix_with_stderr(
     basis = enumerate_basis(space.d, D, space.lam)
     geometry = space.geometry
     fn = as_point_function(f, geometry)
-    z, _ = monte_carlo_points(space.d, space.lam, spec.n_samples, spec.seed)
+    z = _sample_points(space.d, space.lam, spec.n_samples, spec.seed)
     n = z.shape[0]
     acc, acc2 = _node_sums(z, np.full(n, 1.0 / n), fn, basis, second_moment=True)
     var = np.maximum(acc2 - np.abs(acc) ** 2, 0.0) / max(n - 1, 1)

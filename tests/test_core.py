@@ -177,3 +177,9 @@ def test_counting_identity_exhaustive():
                     assert level_count_identity(n, ell, k, D), (n, ell, k, D)
                     cases += 1
     assert cases == 63
+
+
+def test_a_basis_norm_past_the_float_range_is_refused():
+    assert math.isfinite(basis_norm_constant((1000,), 1, 1000.0))
+    with pytest.raises(DomainError, match=r"degree 2000\) at weight 1000\.0"):
+        basis_norm_constant((2000,), 1, 1000.0)

@@ -215,3 +215,17 @@ def test_only_the_core_module_writes_float_text():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_kept_draw_calls_the_sampler():
+    """One draw path for Monte Carlo assembly: within the package only
+    ``toeplitz._sample_points`` calls ``monte_carlo_points``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        calls = _scoped_calls(
+            ast.parse(path.read_text()),
+            lambda func: "monte_carlo_points"
+            in (getattr(func, "id", None), getattr(func, "attr", None)),
+        )
+        found += [f"{path.name}: {scope or '<module>'}" for scope, _ in calls]
+    assert found == ["toeplitz.py: _sample_points"]

@@ -1,9 +1,10 @@
-"""Monte Carlo assembly: rows built by degree tables, in bounded chunks.
+"""Monte Carlo assembly: prefix-row monomials, in cache-sized chunks.
 
 The reference below is the earlier kernel: one (n, K) Vandermonde matrix
 per chunk, gathered column-wise from per-axis power tables, contracted
 with itself, and |v|^2 for the second moment.  The row kernel must give
-the same entries and standard errors on the same samples.
+the same entries and standard errors on the same samples, and one spec
+draws its samples once.
 """
 
 import tracemalloc
@@ -108,22 +109,103 @@ def test_matrix_and_stderr_share_one_node_sum():
 
 def test_row_kernel_keeps_the_gathered_bits():
     rng = np.random.default_rng(3)
-    basis = enumerate_basis(3, 4, 0.5)
-    z = rng.normal(size=(257, 3)) + 1j * rng.normal(size=(257, 3))
-    for nodes in (z, np.abs(z)):
-        got = toeplitz._monomial_rows(nodes, basis).T
-        assert np.array_equal(got, _gathered_vandermonde(nodes, basis))
+    for d in range(1, 5):
+        z = rng.normal(size=(257, d)) + 1j * rng.normal(size=(257, d))
+        for D in range(9):
+            basis = enumerate_basis(d, D, 0.5)
+            for nodes in (z, np.abs(z)):
+                got = toeplitz._monomial_rows(nodes, basis).T
+                assert np.array_equal(got, _gathered_vandermonde(nodes, basis)), (d, D)
+
+
+def _one_node_chunks_keep_the_entries(monkeypatch, d, text):
+    f = parse_symbol(text, None)
+    space = WeightedSpace(d, 0.0)
+    spec = _mc(4000)
+    whole, whole_se = toeplitz_matrix_with_stderr(f, space, 4, spec)
+    monkeypatch.setattr(toeplitz, "_CHUNK_ENTRIES", 7)  # one node per chunk
+    rows = toeplitz._monomial_rows
+    chunk_sizes = set()
+
+    def recorded(z, basis, *bufs):
+        chunk_sizes.add(z.shape[0])
+        return rows(z, basis, *bufs)
+
+    monkeypatch.setattr(toeplitz, "_monomial_rows", recorded)
+    chunked, chunked_se = toeplitz_matrix_with_stderr(f, space, 4, spec)
+    assert chunk_sizes == {1}
+    assert _rel_dev(chunked.entries, whole.entries) <= 1e-14
+    assert _rel_dev(chunked_se, whole_se) <= 1e-14
 
 
 def test_chunk_size_does_not_change_entries(monkeypatch):
-    f = parse_symbol("z1^2*conj(z2) + 1/(2 - abs2(z))", None)
+    _one_node_chunks_keep_the_entries(monkeypatch, 2, "z1^2*conj(z2) + 1/(2 - abs2(z))")
+
+
+def test_chunk_size_does_not_change_entries_on_the_3_ball(monkeypatch):
+    _one_node_chunks_keep_the_entries(monkeypatch, 3, "z1^2*conj(z3) + 1/(2 - abs2(z))")
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The (d, lam, n, seed) of every fresh Monte Carlo draw, from an
+    empty draw cache."""
+    seen = []
+
+    def counted(d, lam, n, seed):
+        seen.append((d, lam, n, seed))
+        return monte_carlo_points(d, lam, n, seed)
+
+    toeplitz._sample_points.cache_clear()
+    monkeypatch.setattr(toeplitz, "monte_carlo_points", counted)
+    yield seen
+    toeplitz._sample_points.cache_clear()
+
+
+def test_assemblies_of_one_spec_draw_once(draws):
+    f = parse_symbol("z1*conj(z2) + 0.5", None)
+    space = WeightedSpace(2, 0.5)
+    m = toeplitz_matrix(f, space, 3, _mc(2000), use_fast_paths=False)
+    m_se, _ = toeplitz_matrix_with_stderr(f, space, 3, _mc(2000))
+    toeplitz_matrix_with_stderr(parse_symbol("conj(z1)^3", None), space, 2, _mc(2000))
+    assert draws == [(2, 0.5, 2000, 5)]
+    assert np.array_equal(m.entries, m_se.entries)
+
+
+def test_the_kept_draw_is_read_only_and_fresh_bitwise(draws):
+    z = toeplitz._sample_points(3, 0.5, 1000, 11)
+    fresh, _ = monte_carlo_points(3, 0.5, 1000, 11)
+    assert not z.flags.writeable
+    with pytest.raises(ValueError):
+        z[0, 0] = 0.0
+    assert z.dtype == fresh.dtype and z.shape == fresh.shape
+    assert z.tobytes() == fresh.tobytes()
+
+
+def test_a_changed_draw_key_draws_anew(draws):
+    keys = [(2, 0.5, 1500, 5), (2, 0.5, 1500, 6), (2, 0.5, 1600, 6),
+            (2, 2.0, 1600, 6), (3, 2.0, 1600, 6)]
+    f = parse_symbol("re(z1) + 1", None)
+    for d, lam, n, seed in keys:
+        toeplitz_matrix_with_stderr(f, WeightedSpace(d, lam), 2, _mc(n, seed))
+    assert draws == keys
+
+
+@pytest.mark.parametrize("with_stderr", [False, True])
+def test_a_callable_symbol_is_called_once_per_assembly(with_stderr):
+    calls = []
+
+    def f(z):
+        calls.append(z.shape)
+        return z[:, 0] * np.conj(z[:, 1]) + 1.0
+
     space = WeightedSpace(2, 0.0)
-    spec = _mc(4000)
-    whole, whole_se = toeplitz_matrix_with_stderr(f, space, 4, spec)
-    monkeypatch.setattr(toeplitz, "_SLAB_ENTRIES", 7)  # one node per chunk
-    chunked, chunked_se = toeplitz_matrix_with_stderr(f, space, 4, spec)
-    assert _rel_dev(chunked.entries, whole.entries) <= 1e-14
-    assert _rel_dev(chunked_se, whole_se) <= 1e-14
+    spec = _mc(50_000)
+    if with_stderr:
+        toeplitz_matrix_with_stderr(f, space, 4, spec)
+    else:
+        toeplitz_matrix(f, space, 4, spec)
+    assert calls == [(50_000, 2)]
 
 
 def test_memory_stays_below_one_chunk_of_the_gathered_kernel():

@@ -18,13 +18,24 @@ from berglab import (
     toeplitz_matrix_with_stderr,
 )
 from berglab.core import beta_fn, monomial_moment
-from berglab.quadrature import GAUSS_JACOBI, MONTE_CARLO
+from berglab.quadrature import GAUSS_JACOBI, MONTE_CARLO, gauss_jacobi_log_rule
 
 
 def test_gauss_jacobi_nodes_inside_unit_interval():
     u, w = gauss_jacobi_rule(16, 0.5, 2.0)
     assert np.all((u > 0) & (u < 1))
     assert np.all(w > 0)
+
+
+@pytest.mark.parametrize("a, b", [(3001.0, 3000.0), (1001.0, 2000.0), (0.5, 2.0)])
+def test_gauss_jacobi_log_weights_sum_to_the_log_mass(a, b):
+    # B(3001, 3002) is about 1e-1808: the mass and every weight underflow
+    _, log_w = gauss_jacobi_log_rule(24, a, b)
+    top = np.max(log_w)
+    log_total = top + math.log(np.sum(np.exp(log_w - top)))
+    log_mass = math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
+    assert np.all(np.isfinite(log_w))
+    assert log_total == pytest.approx(log_mass, rel=1e-12, abs=1e-12)
 
 
 def test_gauss_jacobi_total_mass_is_beta():

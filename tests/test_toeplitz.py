@@ -87,6 +87,26 @@ def test_gamma_quasi_radial_two_groups():
     assert 0.0 < got < g1  # the extra factor shrinks the mean
 
 
+@pytest.mark.parametrize(
+    "lam, rho, expect",
+    [(500.0, (300, 300), 0.8187), (1000.0, (2000, 10), 0.6714), (0.0, (3000, 3000), 1.4998)],
+)
+def test_several_group_rule_keeps_its_mass_at_large_weights_and_levels(lam, rho, expect):
+    # the per-axis Gauss-Jacobi weights of these levels underflow to 0
+    k = (1, 1)
+    f = parse_symbol("r1^2 + 2*r2^2", BallGeometry(2, 2, k))
+    (ruled,) = diagonal_values(quasi_radial_profile(f, 2), k, lam, [rho])
+    (exact,) = diagonal_values(f, k, lam, [rho])
+    assert exact == pytest.approx(expect, abs=5e-5)
+    assert abs(ruled - exact) <= 1e-12 * abs(exact)
+
+
+def test_basis_norms_past_the_float_range_are_refused():
+    f = parse_symbol("1/(2 - abs2(z))", None)
+    with pytest.raises(DomainError, match=r"degree \d+\) at weight 1000\.0 overflows"):
+        toeplitz_matrix(f, WeightedSpace(1, 1000.0), 2000, QuadratureSpec())
+
+
 @pytest.mark.parametrize("text", ["r1^2", "1/(2 - r1^2)"])
 def test_diagonal_requests_outside_the_envelope_are_refused(text):
     # the exact route (a polynomial profile) checks what the rule route does
