@@ -31,7 +31,7 @@ from .core import (
     levels_up_to,
 )
 from .errors import DomainError
-from .levels import full_route_matrix, verify_tensor_factorization
+from .levels import FACTORIZATION_TOL, verify_tensor_factorization
 from .quadrature import GAUSS_JACOBI, MONTE_CARLO, QuadratureSpec
 from .suites import (
     ExperimentConfig,
@@ -245,7 +245,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if geometry is None:
         raise DomainError("decompose needs --n (and usually --ell/--k)")
     spec = _spec_from(args)
-    tol = args.tol if args.tol is not None else 1e-5
+    tol = args.tol if args.tol is not None else FACTORIZATION_TOL
+    if args.R > args.D:
+        raise DomainError(f"every level needs D >= |rho|; got R={args.R} > D={args.D}")
     plan = {
         "a": args.a,
         "c": args.c,
@@ -264,30 +266,16 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         return 0
     composite = parse_symbol(f"prod(a = {args.a}, c = {args.c})", geometry)
     _echo(plan)
-    space = WeightedSpace(geometry.n, args.lam, geometry=geometry)
-    full, full_se = full_route_matrix(composite, space, args.D, spec)
-    rows = []
-    worst = 0.0
-    ok = True
-    for rho in levels_up_to(args.R, geometry.m):
-        rep = verify_tensor_factorization(
-            composite.a,
-            composite.c,
-            geometry,
-            args.lam,
-            rho,
-            args.D,
-            spec,
-            tol=tol,
-            full_matrix=full,
-            full_se=full_se,
-        )
-        worst = max(worst, rep.max_deviation)
-        ok = ok and rep.passed
-        rows.append((rho, rep.mu, rep.max_deviation, rep.passed))
+    levels = levels_up_to(args.R, geometry.m)
+    _, reports = verify_tensor_factorization(
+        composite.a, composite.c, geometry, args.lam, levels, args.D, spec, tol=tol
+    )
+    for rep in reports:
         print(rep.summary())
+    rows = [(rep.rho, rep.mu, rep.max_deviation, rep.passed) for rep in reports]
     _write_or_print(csv_lines("rho,mu,max_deviation,passed", rows), args.out)
-    if not ok:
+    if not all(rep.passed for rep in reports):
+        worst = max(rep.max_deviation for rep in reports)
         print(f"worst deviation {worst:.3e} exceeds tolerance {tol:.1e}")
         return 2
     return 0

@@ -128,6 +128,10 @@ class BallGeometry:
         """Complex dimension of the z'' ball."""
         return self.n - self.ell
 
+    def level_space(self, lam: float, rho: Sequence[int]) -> "WeightedSpace":
+        """The inner ball of level rho at its weight mu_rho = lam + |rho| + ell."""
+        return WeightedSpace(self.d_inner, make_level(rho, lam, self.ell).mu)
+
     def group_of(self, axis: int) -> int:
         """Group index (0-based) of a z' axis (0-based)."""
         if not 0 <= axis < self.ell:
@@ -176,22 +180,18 @@ class Level:
     """Group-degree tuple rho with its derived weight mu = lam + |rho| + ell."""
 
     rho: Tuple[int, ...]
-    total: int
     mu: float
 
     def __post_init__(self) -> None:
         if any(v < 0 for v in self.rho):
             raise DomainError(f"level entries must be nonnegative, got {self.rho}")
-        if self.total != sum(self.rho):
-            raise DomainError("level total does not match the entries")
         if not self.mu > -1.0:
             raise DomainError(f"derived weight must exceed -1, got {self.mu}")
 
 
 def make_level(rho: Sequence[int], lam: float, ell: int) -> Level:
     rho_t = tuple(int(v) for v in rho)
-    total = sum(rho_t)
-    return Level(rho=rho_t, total=total, mu=float(lam + total + ell))
+    return Level(rho=rho_t, mu=float(lam + sum(rho_t) + ell))
 
 
 def dim_level(rho: Sequence[int], k: Sequence[int]) -> int:
@@ -326,6 +326,32 @@ def enumerate_basis(d: int, D: int, lam: float) -> TruncatedBasis:
 def count_basis(d: int, D: int) -> int:
     """Size of the degree-<=D basis in d variables: C(D + d, d)."""
     return math.comb(D + d, d)
+
+
+def level_layout(
+    basis: TruncatedBasis, geometry: BallGeometry
+) -> Dict[MultiIndex, np.ndarray]:
+    """Basis positions of every level rho, in graded order, each as an
+    (hdim, K_inner) array: one z'-exponent per row, descending (z'_1
+    first), and along a row the order of the inner basis at cutoff
+    D - |rho|.  Flattened, the inner index varies fastest, so a level
+    block of a factorizable operator is literally a Kronecker product."""
+    if geometry.n != basis.d:
+        raise DomainError(
+            f"geometry dimension {geometry.n} does not match the basis "
+            f"dimension {basis.d}"
+        )
+    primes = basis.exponent_array()[:, : geometry.ell]
+    degrees = basis.group_degrees(geometry.k)
+    # lexsort is stable and takes its last key as the primary one: the
+    # level total, then the level and the z'-exponent, both descending
+    order = np.lexsort([*-primes[:, ::-1].T, *-degrees[:, ::-1].T, degrees.sum(axis=1)])
+    cuts = np.flatnonzero(np.any(np.diff(degrees[order], axis=0) != 0, axis=1)) + 1
+    out: Dict[MultiIndex, np.ndarray] = {}
+    for rows in np.split(order, cuts):
+        rho = tuple(int(v) for v in degrees[rows[0]])
+        out[rho] = rows.reshape(-1, count_basis(geometry.d_inner, basis.D - sum(rho)))
+    return out
 
 
 def levels_up_to(R: int, m: int) -> Tuple[Tuple[int, ...], ...]:

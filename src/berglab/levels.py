@@ -1,9 +1,9 @@
 """Level decomposition: invariant subspaces, blocks, and symbol recovery.
 
 A torus-invariant symbol leaves each subspace spanned by the monomials of
-a fixed group degree rho invariant.  A level is read off the basis' group
-degrees (``TruncatedBasis.group_degrees``), never enumerated again, and
-its positions are sorted into (z'-index, z''-index) pairs; within one
+a fixed group degree rho invariant.  A level's positions come from the
+one layout ``core.level_layout``, an (hdim, K_inner) array of
+(z'-index, z''-index) pairs read off the basis; within one
 level the matrix is a Kronecker product of a small factor on the z'-slot
 and a Toeplitz matrix on the inner ball at the shifted weight
 mu = lam + |rho| + ell.  The inner index varies fastest, matching the
@@ -34,6 +34,7 @@ from .core import (
     csv_lines,
     dim_level,
     enumerate_basis,
+    level_layout,
     levels_up_to,
     make_level,
 )
@@ -61,39 +62,28 @@ from .toeplitz import (
 # Index bookkeeping
 
 
-def _check_split(basis: TruncatedBasis, geometry: BallGeometry) -> None:
-    if geometry.n != basis.d:
-        raise DomainError(
-            f"geometry dimension {geometry.n} does not match the basis "
-            f"dimension {basis.d}"
-        )
-
-
 def level_positions(
     basis: TruncatedBasis, geometry: BallGeometry, rho: Sequence[int]
 ) -> np.ndarray:
-    """Basis positions of the level rho in Kronecker pair order.
+    """Basis positions of the level rho in Kronecker pair order: its
+    ``level_layout`` rows one after another, the inner index fastest."""
+    rho_t = _check_level(rho, geometry, basis.D)
+    return level_layout(basis, geometry)[rho_t].ravel()
 
-    The level is the rows whose group degrees equal rho.  They are sorted
-    by z'-exponents descending (z'_1 first) and, within one z', kept in
-    basis order, so the inner index varies fastest and a level block of a
-    factorizable operator is literally a Kronecker product in this order.
-    """
-    _check_split(basis, geometry)
+
+def _check_level(
+    rho: Sequence[int], geometry: BallGeometry, D: float = math.inf
+) -> Tuple[int, ...]:
+    """rho as a tuple, refused unless a level of the partition with total <= D."""
     rho_t = tuple(int(v) for v in rho)
-    if len(rho_t) != geometry.m:
-        raise DomainError(
-            f"level length {len(rho_t)} does not match the partition {geometry.k}"
-        )
-    total = sum(rho_t)
-    if total > basis.D:
-        raise DomainError(f"level total {total} exceeds the cutoff {basis.D}")
+    if len(rho_t) != geometry.m or min(rho_t) < 0:
+        raise DomainError(f"{rho_t} is not a level of the partition {geometry.k}")
     if geometry.d_inner < 1:
         raise DomainError("level maps need a nonempty second coordinate block")
-    rows = np.flatnonzero(np.all(basis.group_degrees(geometry.k) == rho_t, axis=1))
-    primes = basis.exponent_array()[rows, : geometry.ell]
-    # lexsort is stable and takes its last key as the primary one
-    return rows[np.lexsort(-primes[:, ::-1].T)]
+    total = sum(rho_t)
+    if total > D:
+        raise DomainError(f"level total {total} exceeds the cutoff {D}")
+    return rho_t
 
 
 def level_count_identity(n: int, ell: int, k: Sequence[int], D: int) -> bool:
@@ -169,11 +159,12 @@ def off_block_mass(M: OperatorMatrix, geometry: BallGeometry) -> Tuple[float, fl
     A diagonal form has none outside them, and its total is the norm of
     its values.
     """
-    _check_split(M.basis, geometry)
+    layout = level_layout(M.basis, geometry)
     if M.diag is not None:
         return 0.0, float(np.linalg.norm(M.diag))
-    lv = M.basis.group_degrees(geometry.k)
-    same = np.all(lv[:, None, :] == lv[None, :, :], axis=-1)
+    same = np.zeros(M.entries.shape, dtype=bool)
+    for rows in layout.values():
+        same[np.ix_(rows.ravel(), rows.ravel())] = True
     total = float(np.linalg.norm(M.entries))
     off = float(np.linalg.norm(np.where(same, 0.0, M.entries)))
     return off, total
@@ -240,20 +231,13 @@ def level_block_direct(
     materializing the full-ball matrix; this is how levels beyond any
     practical full-ball cutoff are produced.
     """
-    rho_t = tuple(int(v) for v in rho)
-    if len(rho_t) != geometry.m:
-        raise DomainError(
-            f"level length {len(rho_t)} does not match the partition {geometry.k}"
-        )
-    level = make_level(rho_t, lam, geometry.ell)
-    inner_space = WeightedSpace(geometry.d_inner, level.mu)
+    rho_t = _check_level(rho, geometry)
     c_inner = rebase_inner(c) if is_symbolic(c) else c
-    block = toeplitz_matrix(c_inner, inner_space, D_inner, spec)
-    inner_basis = block.basis
+    block = toeplitz_matrix(c_inner, geometry.level_space(lam, rho_t), D_inner, spec)
     return LevelBlock(
-        level=level,
+        level=make_level(rho_t, lam, geometry.ell),
         hdim=dim_level(rho_t, geometry.k),
-        inner_basis=inner_basis,
+        inner_basis=block.basis,
         block=block,
     )
 
@@ -264,8 +248,8 @@ def block_norms(
     """sigma_max of each level compression of a full-ball matrix; a
     diagonal form's is the largest modulus of its values on the level."""
     out: Dict[Tuple[int, ...], float] = {}
-    for rho in levels_up_to(M.basis.D, geometry.m):
-        pos = level_positions(M.basis, geometry, rho)
+    for rho, rows in level_layout(M.basis, geometry).items():
+        pos = rows.ravel()
         if M.diag is not None:
             out[rho] = _diagonal_norm(M.diag[pos])
         else:
@@ -280,15 +264,15 @@ def reassemble_from_levels(M: OperatorMatrix, geometry: BallGeometry) -> np.ndar
     equals the level-diagonal part.  A diagonal form lies within its
     levels, so its values go straight onto the diagonal.
     """
-    _check_split(M.basis, geometry)
+    layout = level_layout(M.basis, geometry)
     k = M.basis.count
     if M.diag is not None:
         out = np.zeros((k, k), dtype=complex)
         out[np.arange(k), np.arange(k)] = M.diag
         return out
     out = np.zeros_like(M.entries)
-    for rho in levels_up_to(M.basis.D, geometry.m):
-        pos = level_positions(M.basis, geometry, rho)
+    for rows in layout.values():
+        pos = rows.ravel()
         out[np.ix_(pos, pos)] = M.entries[np.ix_(pos, pos)]
     return out
 
@@ -328,21 +312,21 @@ def _factor_on_level(
     lam: float,
     rho: Tuple[int, ...],
     spec: QuadratureSpec,
-    primes: np.ndarray,
 ) -> np.ndarray:
-    """The z'-slot factor of T_a restricted to one level, hdim x hdim;
-    ``primes`` holds the level's z'-exponents in pair order."""
+    """The z'-slot factor of T_a restricted to one level, hdim x hdim, its
+    z'-exponents in ``level_layout`` order."""
     if not is_symbolic(a):
         raise DomainError("the z'-factor must be a symbol, not a raw callable")
     if quasi_radial_profile(a, geometry.m) is not None:
         g = diagonal_values(a, geometry.k, lam, [rho]).item()
-        return g * np.eye(len(primes), dtype=complex)
+        return g * np.eye(dim_level(rho, geometry.k), dtype=complex)
     geo_a = BallGeometry(geometry.ell, geometry.ell, geometry.k)
     if geometry.ell < 2 or group_winding(a, geo_a) != (0,) * geometry.m:
         raise DomainError("the z'-factor must be invariant under the group torus action")
     space_a = WeightedSpace(geometry.ell, lam, geometry=geo_a)
     t_a = toeplitz_matrix(a, space_a, sum(rho), spec)
-    rows = [t_a.basis.index_of(p) for p in primes]
+    # on the z'-ball alone each level row is one position
+    rows = level_layout(t_a.basis, geo_a)[rho][:, 0]
     return t_a.entries[np.ix_(rows, rows)]
 
 
@@ -360,92 +344,65 @@ def full_route_matrix(
     return toeplitz_matrix(f, space, D, spec, use_fast_paths=False), None
 
 
+# the default deviation bound of the rule route's factorization check
+FACTORIZATION_TOL = 1e-5
+
+
 def verify_tensor_factorization(
     a: SymbolLike,
     c: SymbolLike,
     geometry: BallGeometry,
     lam: float,
-    rho: Sequence[int],
+    levels: Sequence[Sequence[int]],
     D: int,
     spec: QuadratureSpec,
-    tol: float = 1e-5,
-    *,
-    full_matrix: Optional[OperatorMatrix] = None,
-    full_se: Optional[np.ndarray] = None,
-) -> FactorizationReport:
+    tol: float = FACTORIZATION_TOL,
+) -> Tuple[OperatorMatrix, List[FactorizationReport]]:
     """Compare full-ball quadrature of the product symbol with the
-    Kronecker product of the two lower-dimensional matrices on one level.
+    Kronecker product of the two lower-dimensional matrices on each level.
 
-    The full route integrates over all 2n real dimensions with no use of
-    the factorization; the factorized route multiplies the z'-slot factor
-    by the inner Toeplitz matrix at the shifted weight.  Agreement is the
-    numerical content of the level decomposition.
-
-    ``full_matrix`` (with ``full_se`` for the sampling scheme) lets a
-    caller checking many levels of one symbol reuse a single assembly; it
-    must come from the same symbol, weight, cutoff and scheme.  A matrix
-    on another dimension, cutoff or weight, or standard errors of another
-    shape, are refused.
+    The full route (``full_route_matrix``) integrates over all 2n real
+    dimensions with no use of the factorization and is assembled once for
+    all the levels; the factorized route multiplies the z'-slot factor by
+    the inner Toeplitz matrix at the shifted weight (``level_block_direct``).
+    Agreement is the numerical content of the level decomposition.  A
+    level that is not one of the partition, or whose total exceeds D, is
+    refused before anything is assembled.  Returns the full-route matrix
+    and one report per level, in the order given.
     """
-    rho_t = tuple(int(v) for v in rho)
-    total = sum(rho_t)
-    if total > D:
-        raise DomainError(f"level total {total} exceeds the cutoff {D}")
+    levels_t = [_check_level(rho, geometry, D) for rho in levels]
+    f_ac = ProductSymbol(a=a, c=c, geometry=geometry)
+    space = WeightedSpace(geometry.n, lam, geometry=geometry)
+    full, se = full_route_matrix(f_ac, space, D, spec)
+    layout = level_layout(full.basis, geometry)
     mc = spec.scheme == MONTE_CARLO
-    se_sub = None
-    if full_matrix is None:
-        f_ac = ProductSymbol(a=a, c=c, geometry=geometry)
-        space = WeightedSpace(geometry.n, lam, geometry=geometry)
-        full, se = full_route_matrix(f_ac, space, D, spec)
-    elif mc and full_se is None:
-        raise DomainError("the sampling scheme needs full_se alongside full_matrix")
-    else:
-        full, se = full_matrix, full_se
-        fb = full.basis
-        if (fb.d, fb.D) != (geometry.n, D) or abs(fb.lam - lam) > 1e-12:
-            raise DomainError(
-                f"full_matrix lives on (d, D, lam) = ({fb.d}, {fb.D}, {fb.lam}), "
-                f"the check asks for ({geometry.n}, {D}, {lam})"
-            )
-        if se is not None and np.shape(se) != full.entries.shape:
-            raise DomainError(
-                f"full_se has shape {np.shape(se)}, the matrix {full.entries.shape}"
-            )
-    pos = level_positions(full.basis, geometry, rho_t)
-    sub = full.entries[np.ix_(pos, pos)]
-    if mc:
-        se_sub = se[np.ix_(pos, pos)]
-
-    level = make_level(rho_t, lam, geometry.ell)
-    inner_space = WeightedSpace(geometry.d_inner, level.mu)
-    c_inner = rebase_inner(c) if is_symbolic(c) else c
     # the Kronecker route is the reference: under sampling it takes the
     # rule, so its own noise stays out of the 5 SE gate
     kron_spec = QuadratureSpec(q=spec.q, angular=spec.angular) if mc else spec
-    b_mat = toeplitz_matrix(c_inner, inner_space, D - total, kron_spec)
-    primes = full.basis.exponent_array()[pos[:: b_mat.basis.count], : geometry.ell]
-    a_mat = _factor_on_level(a, geometry, lam, rho_t, kron_spec, primes)
-    kron = np.kron(a_mat, b_mat.entries)
-
-    dev = np.abs(sub - kron)
-    worst_flat = int(np.argmax(dev))
-    wb, wa = np.unravel_index(worst_flat, dev.shape)
-    max_dev = float(dev[wb, wa])
-    passed, max_ratio = max_dev < tol, 0.0
-    if mc:
-        max_ratio = float(np.max(dev / (5.0 * se_sub + 1e-12)))
-        passed = max_ratio <= 1.0
-    return FactorizationReport(
-        rho=rho_t,
-        mu=level.mu,
-        max_deviation=max_dev,
-        worst_beta=full.basis.indices[pos[wb]],
-        worst_alpha=full.basis.indices[pos[wa]],
-        tol=tol,
-        passed=passed,
-        monte_carlo=mc,
-        max_se_ratio=max_ratio,
-    )
+    reports = []
+    for rho in levels_t:
+        pos = layout[rho].ravel()
+        blk = level_block_direct(c, geometry, lam, rho, D - sum(rho), kron_spec)
+        a_mat = _factor_on_level(a, geometry, lam, rho, kron_spec)
+        dev = np.abs(full.entries[np.ix_(pos, pos)] - np.kron(a_mat, blk.block.entries))
+        wb, wa = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        max_dev = float(dev[wb, wa])
+        passed, max_ratio = max_dev < tol, 0.0
+        if mc:
+            max_ratio = float(np.max(dev / (5.0 * se[np.ix_(pos, pos)] + 1e-12)))
+            passed = max_ratio <= 1.0
+        reports.append(FactorizationReport(
+            rho=rho,
+            mu=blk.mu,
+            max_deviation=max_dev,
+            worst_beta=full.basis.indices[pos[wb]],
+            worst_alpha=full.basis.indices[pos[wa]],
+            tol=tol,
+            passed=passed,
+            monte_carlo=mc,
+            max_se_ratio=max_ratio,
+        ))
+    return full, reports
 
 
 # ---------------------------------------------------------------------------

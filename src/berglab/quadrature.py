@@ -318,6 +318,18 @@ def ball_rule_size(d: int, q_radial: int, n_phase: int) -> int:
     return q_radial**d * n_phase**d
 
 
+def require_rule_size(d: int, q_radial: int, n_phase: int) -> int:
+    """``ball_rule_size``, refused with a ``DomainError`` over the node budget."""
+    total = ball_rule_size(d, q_radial, n_phase)
+    if total > _MAX_RULE_NODES:
+        raise DomainError(
+            f"the product rule needs {total} nodes (over the "
+            f"{_MAX_RULE_NODES} desk budget); lower the cutoff, the "
+            "dimension or the requested orders, or switch to sampling"
+        )
+    return total
+
+
 def ball_rule(d: int, lam: float, q_radial: int, n_phase: int) -> BallRule:
     """Deterministic product rule for the normalized weight on the d-ball.
 
@@ -326,13 +338,7 @@ def ball_rule(d: int, lam: float, q_radial: int, n_phase: int) -> BallRule:
     fraction takes q_radial nodes too.  Rules over the node budget are
     refused before anything of their size is built.
     """
-    total = ball_rule_size(d, q_radial, n_phase)
-    if total > _MAX_RULE_NODES:
-        raise DomainError(
-            f"the product rule needs {total} nodes (over the "
-            f"{_MAX_RULE_NODES} desk budget); lower the cutoff, the "
-            "dimension or the requested orders, or switch to sampling"
-        )
+    require_rule_size(d, q_radial, n_phase)
     u, wu = gauss_jacobi_rule(q_radial, lam, float(d - 1))
     # Simplex fractions of t = |z|^2 across the d axes.
     pieces, rest, ws = _stick_breaking(

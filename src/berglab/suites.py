@@ -42,20 +42,18 @@ from .core import (
 )
 from .errors import DomainError
 from .levels import (
+    FACTORIZATION_TOL,
     block_norms,
-    full_route_matrix,
     level_block_direct,
     off_block_mass,
     recover_symbol_and_remainder,
     verify_tensor_factorization,
 )
 from .quadrature import (
-    _MAX_RULE_NODES,
     GAUSS_JACOBI,
     MONTE_CARLO,
     QuadratureSpec,
     as_point_function,
-    ball_rule_size,
 )
 from .symbols import (
     Const,
@@ -109,7 +107,7 @@ _KNOWN_KEYS: Dict[str, Tuple[Callable[[str], object], object]] = {
     "grid.tmax": (float, 0.9),
     "tol.norm": (float, 1e-10),
     "tol.norm_quadrature": (float, 1e-6),
-    "tol.factorization": (float, 1e-5),
+    "tol.factorization": (float, FACTORIZATION_TOL),
     "tol.commutator": (float, 1e-8),
     "tol.offblock": (float, 1e-8),
     "tol.berezin": (float, 1e-6),
@@ -443,30 +441,16 @@ def run_factorization_suite(cfg: ExperimentConfig) -> SuiteResult:
     geo = cfg.geometry
     tol = cfg.tolerances
     space = WeightedSpace(geo.n, cfg.lam, geometry=geo)
-    levels = [rho for rho in levels_up_to(cfg.R, geo.m)]
+    levels = levels_up_to(cfg.R, geo.m)
     pairs = _canned_pairs(cfg)
 
     def one_pair(texts: Tuple[str, str]):
         a_text, c_text = texts
         composite = parse_symbol(f"prod(a = {a_text}, c = {c_text})", geo)
-        full, se = full_route_matrix(composite, space, cfg.D, cfg.spec)
-        reports = []
-        for rho in levels:
-            reports.append(
-                verify_tensor_factorization(
-                    composite.a,
-                    composite.c,
-                    geo,
-                    cfg.lam,
-                    rho,
-                    cfg.D,
-                    cfg.spec,
-                    tol=tol["factorization"],
-                    full_matrix=full,
-                    full_se=se,
-                )
-            )
-        return full, reports
+        return verify_tensor_factorization(
+            composite.a, composite.c, geo, cfg.lam, levels, cfg.D, cfg.spec,
+            tol=tol["factorization"],
+        )
 
     with ThreadPoolExecutor(max_workers=cfg.worker_count()) as pool:
         outcomes = list(pool.map(one_pair, pairs))
@@ -513,17 +497,16 @@ def run_factorization_suite(cfg: ExperimentConfig) -> SuiteResult:
 
 def _probe_cutoff(symbols: Sequence[SymbolExpr], d: int, spec: QuadratureSpec) -> int:
     """Largest cutoff <= 60 whose matrices of these symbols on the d-ball
-    fit the matrix envelope and whose product rules fit the node budget."""
+    fit the matrix envelope and whose plans ``assembly_path`` accepts."""
 
     def fits(D: int) -> bool:
         if count_basis(d, D) > _MAX_MATRIX:
             return False
-        for sym in symbols:
-            path = assembly_path(sym, WeightedSpace(d, 0.0), D, spec)
-            if path.kind == "torus" and ball_rule_size(
-                d, path.spec.q, path.spec.angular
-            ) > _MAX_RULE_NODES:
-                return False
+        try:
+            for sym in symbols:
+                assembly_path(sym, WeightedSpace(d, 0.0), D, spec)
+        except DomainError:
+            return False
         return True
 
     probe_D = 60
@@ -759,8 +742,8 @@ def plan_suites(
     """The suites a run of this selection makes, refused before any runs.
 
     Unknown names are refused, and so is a factorization suite whose
-    honest full route needs a product rule over the node budget for one
-    of its pairs: it could only stop halfway.
+    honest full route ``assembly_path`` refuses for one of its pairs (a
+    product rule over the node budget): it could only stop halfway.
     """
     names = [name for name, _ in _ALL_SUITES]
     if only:
@@ -768,20 +751,18 @@ def plan_suites(
         if missing:
             raise DomainError(f"unknown suite names: {', '.join(sorted(missing))}")
         names = [name for name in names if name in only]
-    if "factorization" in names and cfg.spec.scheme == GAUSS_JACOBI:
+    if "factorization" in names:
         geo = cfg.geometry
         space = WeightedSpace(geo.n, cfg.lam, geometry=geo)
         for a_text, c_text in _canned_pairs(cfg):
             composite = parse_symbol(f"prod(a = {a_text}, c = {c_text})", geo)
-            path = assembly_path(composite, space, cfg.D, cfg.spec, use_fast_paths=False)
-            nodes = ball_rule_size(geo.n, path.spec.q, path.spec.angular)
-            if nodes > _MAX_RULE_NODES:
+            try:
+                assembly_path(composite, space, cfg.D, cfg.spec, use_fast_paths=False)
+            except DomainError as exc:
                 raise DomainError(
                     f"suite factorization: the full route of pair ({a_text} | "
-                    f"{c_text}) needs a product rule of {nodes} nodes (over the "
-                    f"{_MAX_RULE_NODES} desk budget); lower truncation.D or "
-                    "geometry.n, or leave the suite out with --only"
-                )
+                    f"{c_text}): {exc}; or leave the suite out with --only"
+                ) from None
     return names
 
 

@@ -65,8 +65,8 @@ from .core import (
     count_basis,
     csv_lines,
     enumerate_basis,
+    level_layout,
     levels_up_to,
-    make_level,
 )
 from .errors import DomainError
 from .quadrature import (
@@ -80,6 +80,7 @@ from .quadrature import (
     evaluate_finite,
     gauss_jacobi_log_rule,
     monte_carlo_points,
+    require_rule_size,
     simplex_radial_rule,
 )
 from .symbols import (
@@ -702,11 +703,6 @@ class AssemblyPath:
         return {"path": self.kind, "q": self.q}
 
 
-def _level_space(lam: float, rho: Sequence[int], geometry) -> WeightedSpace:
-    """The inner ball of level rho at its weight mu_rho = lam + |rho| + ell."""
-    return WeightedSpace(geometry.d_inner, make_level(rho, lam, geometry.ell).mu)
-
-
 def assembly_path(
     f: SymbolLike,
     space: WeightedSpace,
@@ -718,12 +714,13 @@ def assembly_path(
     """The route and orders ``toeplitz_matrix`` uses for this request.
 
     Refuses, with a ``DomainError``, a basis whose dense matrix would
-    exceed the desk budget, before anything of that size is built.  The
-    plan sums and assembles nothing.  A product symbol takes the levels
-    where its a-factor is quasi-radial, the spec is a rule and its
-    geometry splits this space's ball; the group radii of a symbol's
-    geometry are moduli on this space's ball only where its groups cover
-    that ball.
+    exceed the desk budget and a torus plan (an inner one too) whose
+    product rule would exceed the node budget, before anything of that
+    size is built.  The plan sums and assembles nothing.  A product
+    symbol takes the levels where its a-factor is quasi-radial, the spec
+    is a rule and its geometry splits this space's ball; the group radii
+    of a symbol's geometry are moduli on this space's ball only where its
+    groups cover that ball.
     """
     k = count_basis(space.d, D)
     _require_budget(k * k, f"a {k} x {k} matrix")
@@ -744,13 +741,15 @@ def assembly_path(
             kind, parts = "quasi_radial", geometry.k
     if kind is None:
         kind = "monte_carlo" if spec.scheme == MONTE_CARLO else "torus"
+        if kind == "torus":
+            require_rule_size(space.d, resolved.q, resolved.angular)
         return AssemblyPath(kind, resolved, band=_axis_band(f, space.d, geometry))
     q = _diagonal_order(a, len(parts), D)
     inner = ()
     if kind == "levels":
         c_inner = rebase_inner(f.c)
         inner = tuple(
-            assembly_path(c_inner, _level_space(space.lam, rho, geo), D - sum(rho), spec)
+            assembly_path(c_inner, geo.level_space(space.lam, rho), D - sum(rho), spec)
             for rho in levels_up_to(D, geo.m)
         )
     return AssemblyPath(kind, resolved, parts, q, inner)
@@ -841,41 +840,32 @@ def _assemble_by_levels(
 ) -> OperatorMatrix:
     """gamma(rho) I (x) T_c at weight mu_rho on every level of the basis.
 
-    The rows are grouped by their z'-exponent; within a group they keep
-    basis order, which is the order of the inner basis at cutoff D - |rho|,
-    so the level's inner matrix, times gamma, lands on the group's rows
-    and columns as it is.  Entries between two groups are zero.  Diagonal
-    inner matrices give a diagonal form, any dense one a dense matrix.
+    Each row of a level's ``level_layout`` array is in inner-basis order,
+    so the level's inner matrix, times gamma, lands on it as it is;
+    entries between two rows are zero.  Diagonal inner matrices give a
+    diagonal form, any dense one a dense matrix.
     """
     geo = f.geometry
-    levels = levels_up_to(basis.D, geo.m)
-    gammas = diagonal_values(f.a, path.parts, basis.lam, levels, path.q)
+    layout = level_layout(basis, geo)
+    gammas = diagonal_values(f.a, path.parts, basis.lam, list(layout), path.q)
     c_inner = rebase_inner(f.c)
-    by_level = {
-        rho: (gamma, _assemble(
-            inner, c_inner, _level_space(basis.lam, rho, geo), basis.D - sum(rho), ""
-        ))
-        for rho, gamma, inner in zip(levels, gammas, path.inner)
-    }
-    primes = basis.exponent_array()[:, : geo.ell]
-    rho_of = basis.group_degrees(geo.k)
-    # lexsort is stable: rows of one z'-exponent stay in basis order
-    order = np.lexsort(primes.T)
-    cuts = np.flatnonzero(np.any(np.diff(primes[order], axis=0) != 0, axis=1)) + 1
-    groups = np.split(order, cuts)
-    if all(blk.diag is not None for _, blk in by_level.values()):
+    blocks = [
+        _assemble(inner, c_inner, geo.level_space(basis.lam, rho), basis.D - sum(rho), "")
+        for rho, inner in zip(layout, path.inner)
+    ]
+    if all(blk.diag is not None for blk in blocks):
         diag = np.empty(basis.count, dtype=complex)
-        for rows in groups:
-            gamma, blk = by_level[tuple(rho_of[rows[0]])]
+        for rows, gamma, blk in zip(layout.values(), gammas, blocks):
             diag[rows] = gamma * blk.diag
         return OperatorMatrix.diagonal(basis, diag, label=label)
     entries = np.zeros((basis.count, basis.count), dtype=complex)
-    for rows in groups:
-        gamma, blk = by_level[tuple(rho_of[rows[0]])]
+    for rows, gamma, blk in zip(layout.values(), gammas, blocks):
         if blk.diag is not None:
             entries[rows, rows] = gamma * blk.diag
-        else:
-            entries[np.ix_(rows, rows)] = gamma * blk.entries
+            continue
+        scaled = gamma * blk.entries
+        for row in rows:
+            entries[np.ix_(row, row)] = scaled
     return OperatorMatrix(basis, entries, label=label)
 
 

@@ -34,7 +34,6 @@ from berglab import (
     recover_symbol_and_remainder,
     semicommutator,
     toeplitz_matrix,
-    toeplitz_matrix_with_stderr,
     verify_tensor_factorization,
 )
 from berglab.quadrature import MONTE_CARLO
@@ -112,26 +111,20 @@ def test_criterion_3_tensor_factorization():
     worst = 0.0
     for a_text, c_text in pairs:
         composite = parse_symbol(f"prod(a = {a_text}, c = {c_text})", g)
-        space = WeightedSpace(g.n, 0.0, geometry=g)
-        full = toeplitz_matrix(composite, space, D, spec, use_fast_paths=False)
-        for rho in levels_up_to(D, g.m):
-            rep = verify_tensor_factorization(
-                composite.a, composite.c, g, 0.0, rho, D, spec,
-                tol=1e-5, full_matrix=full,
-            )
+        _, reports = verify_tensor_factorization(
+            composite.a, composite.c, g, 0.0, levels_up_to(D, g.m), D, spec, tol=1e-5
+        )
+        for rep in reports:
             worst = max(worst, rep.max_deviation)
     # sampling route for one pair: deviations inside five standard errors
     mc_spec = QuadratureSpec(scheme=MONTE_CARLO, n_samples=100_000, seed=20_260_813)
     composite = parse_symbol("prod(a = r1^2, c = 1 - abs2(zc))", g)
-    space = WeightedSpace(g.n, 0.0, geometry=g)
-    full_mc, se = toeplitz_matrix_with_stderr(composite, space, D, mc_spec)
+    _, reports = verify_tensor_factorization(
+        composite.a, composite.c, g, 0.0, levels_up_to(D, g.m), D, mc_spec, tol=1e-5
+    )
     mc_ok = True
     mc_ratio = 0.0
-    for rho in levels_up_to(D, g.m):
-        rep = verify_tensor_factorization(
-            composite.a, composite.c, g, 0.0, rho, D, mc_spec,
-            tol=1e-5, full_matrix=full_mc, full_se=se,
-        )
+    for rep in reports:
         mc_ok = mc_ok and rep.passed
         mc_ratio = max(mc_ratio, rep.max_se_ratio)
     elapsed = time.perf_counter() - t0

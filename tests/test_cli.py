@@ -14,7 +14,7 @@ from berglab import (
     parse_symbol,
     toeplitz_matrix,
 )
-from berglab import suites
+from berglab import suites, toeplitz
 from berglab.cli import main
 
 
@@ -461,3 +461,42 @@ def test_suite_refuses_a_factorization_over_the_rule_budget(capsys, tmp_path, mo
         ["suite", "--config", str(cfg), "--only", "norm_identity,quantization", "--dry-run"],
     )
     assert code == 0 and "plan: run norm_identity, quantization" in out
+
+
+@pytest.mark.parametrize("extra", [[], ["--dry-run"]], ids=["run", "dry_run"])
+def test_decompose_refuses_levels_past_the_cutoff(capsys, extra):
+    code, out, err = run(
+        capsys,
+        [
+            "decompose",
+            "--a", "r1^2", "--c", "re(zc1)",
+            "--n", "2", "--ell", "1", "--k", "1",
+            "--D", "4", "--R", "6",
+        ] + extra,
+    )
+    assert code == 1
+    assert err.startswith("error:") and "R=6 > D=4" in err
+    assert "rho=" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, nodes",
+    [
+        (["--symbol", "re(z1)", "--d", "4"], "16796160000 nodes"),
+        # a product's inner plan on the 3-ball at level (0,)
+        (["--symbol", "prod(a = r1^2, c = re(zc1))", "--n", "4", "--ell", "1",
+          "--k", "1"], "46656000 nodes"),
+    ],
+    ids=["torus", "inner_torus"],
+)
+@pytest.mark.parametrize("extra", [[], ["--dry-run"]], ids=["run", "dry_run"])
+def test_matrix_refuses_a_product_rule_over_the_budget_in_its_plan(
+    capsys, monkeypatch, argv, nodes, extra
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rule was built")
+
+    monkeypatch.setattr(toeplitz, "ball_rule", refuse)
+    code, out, err = run(capsys, ["matrix"] + argv + ["--mu", "0", "--D", "16"] + extra)
+    assert code == 1 and out == ""
+    assert err.startswith("error: the product rule needs") and nodes in err

@@ -229,3 +229,19 @@ def test_only_the_kept_draw_calls_the_sampler():
         )
         found += [f"{path.name}: {scope or '<module>'}" for scope, _ in calls]
     assert found == ["toeplitz.py: _sample_points"]
+
+
+def test_one_function_sorts_the_levels():
+    """One level layout: within the package ``np.lexsort`` is called in
+    exactly one function, ``core.level_layout``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        calls = _scoped_calls(
+            ast.parse(path.read_text()),
+            lambda func: isinstance(func, ast.Attribute)
+            and func.attr == "lexsort"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "np",
+        )
+        found += [f"{path.name}: {scope or '<module>'}" for scope, _ in calls]
+    assert found == ["core.py: level_layout"]

@@ -23,6 +23,7 @@ from berglab import (
     enumerate_basis,
     extract_level_block,
     level_block_direct,
+    level_layout,
     level_positions,
     levels_up_to,
     off_block_mass,
@@ -31,9 +32,9 @@ from berglab import (
     reassemble_from_levels,
     recover_symbol_and_remainder,
     toeplitz_matrix,
-    toeplitz_matrix_with_stderr,
     verify_tensor_factorization,
 )
+from berglab import levels as levels_module
 from berglab.core import compositions
 from berglab.levels import _neville_to_zero
 from berglab.quadrature import MONTE_CARLO
@@ -73,6 +74,28 @@ def test_level_positions_match_the_pair_construction(geometry):
         assert len(pos) == dim_level(rho, geometry.k) * inner_count
         covered.extend(pos.tolist())
     assert sorted(covered) == list(range(basis.count))
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [BallGeometry(2, 1, (1,)), BallGeometry(3, 2, (1, 1)), BallGeometry(4, 3, (2, 1))],
+    ids=["n2_k1", "n3_k11", "n4_k21"],
+)
+def test_level_layout_has_one_row_per_z_prime_exponent(geometry):
+    D = 5
+    basis = enumerate_basis(geometry.n, D, 0.0)
+    layout = level_layout(basis, geometry)
+    assert list(layout) == list(levels_up_to(D, geometry.m))
+    exps = basis.exponent_array()
+    for rho, rows in layout.items():
+        inner_count = count_basis(geometry.d_inner, D - sum(rho))
+        assert rows.shape == (dim_level(rho, geometry.k), inner_count)
+        assert rows.ravel().tolist() == _pair_positions(basis, geometry, rho)
+        # one z'-exponent per row, and the inner basis order along it
+        primes = exps[rows, : geometry.ell]
+        assert np.all(primes == primes[:, :1])
+        inner = enumerate_basis(geometry.d_inner, D - sum(rho), 0.0).exponent_array()
+        assert np.all(exps[rows, geometry.ell :] == inner)
 
 
 def test_index_map_partitions_basis(split31):
@@ -190,30 +213,6 @@ def test_level_checks_refuse_a_geometry_of_another_dimension(split31, check):
         check(M, split31)
 
 
-def test_factorization_refuses_a_mismatched_full_matrix():
-    g = BallGeometry(2, 1, (1,))
-    spec = QuadratureSpec()
-    f = parse_symbol("prod(a = r1^2, c = 1 - abs2(zc))", g)
-
-    def full(lam, D):
-        return toeplitz_matrix(f, WeightedSpace(2, lam, geometry=g), D, spec)
-
-    ok = full(0.0, 3)
-    other_ball = toeplitz_matrix(parse_symbol("1", None), WeightedSpace(3, 0.0), 3, spec)
-    for M, se in [
-        (full(1.0, 3), None),  # another weight
-        (full(0.0, 4), None),  # another cutoff
-        (other_ball, None),  # another dimension
-        (ok, np.zeros((4, 4))),  # standard errors of another shape
-    ]:
-        with pytest.raises(DomainError):
-            verify_tensor_factorization(
-                f.a, f.c, g, 0.0, (1,), 3, spec, full_matrix=M, full_se=se
-            )
-    rep = verify_tensor_factorization(f.a, f.c, g, 0.0, (1,), 3, spec, full_matrix=ok)
-    assert rep.passed, rep.summary()
-
-
 @pytest.mark.parametrize(
     "a_text,c_text",
     [("r1^2", "1"), ("r1^2", "1 - abs2(zc)"), ("1 - r1^2", "re(zc1)")],
@@ -223,16 +222,37 @@ def test_factorization_small(a_text, c_text):
     spec = QuadratureSpec()
     a = parse_symbol(a_text, g)
     c = parse_symbol(c_text, None)
-    for rho in [(0,), (2,)]:
-        rep = verify_tensor_factorization(a, c, g, 0.0, rho, 4, spec)
+    _, reports = verify_tensor_factorization(a, c, g, 0.0, [(0,), (2,)], 4, spec)
+    assert [rep.rho for rep in reports] == [(0,), (2,)]
+    for rep in reports:
         assert rep.passed, rep.summary()
         assert rep.max_deviation < 1e-5
 
 
+def test_factorization_refuses_a_level_over_the_cutoff_before_assembling(monkeypatch):
+    g = BallGeometry(2, 1, (1,))
+    a, c = parse_symbol("r1^2", g), parse_symbol("re(zc1)", None)
+
+    class Assembled(Exception):
+        pass
+
+    def sentinel(*args, **kwargs):
+        raise Assembled
+
+    monkeypatch.setattr(levels_module, "full_route_matrix", sentinel)
+    for bad in ([(0,), (5,)], [(1, 0)], [(-1,)]):
+        with pytest.raises(DomainError):
+            verify_tensor_factorization(a, c, g, 0.0, bad, 4, QuadratureSpec())
+    with pytest.raises(DomainError, match="level total 5 exceeds the cutoff 4"):
+        verify_tensor_factorization(a, c, g, 0.0, levels_up_to(6, 1), 4, QuadratureSpec())
+    with pytest.raises(Assembled):
+        verify_tensor_factorization(a, c, g, 0.0, levels_up_to(4, 1), 4, QuadratureSpec())
+
+
 def test_factorization_report_fields():
     g = BallGeometry(2, 1, (1,))
-    rep = verify_tensor_factorization(
-        parse_symbol("r1^2", g), parse_symbol("1", None), g, 0.5, (1,), 3, QuadratureSpec()
+    _, (rep,) = verify_tensor_factorization(
+        parse_symbol("r1^2", g), parse_symbol("1", None), g, 0.5, [(1,)], 3, QuadratureSpec()
     )
     assert rep.rho == (1,)
     assert rep.mu == 0.5 + 1 + 1
@@ -309,12 +329,11 @@ def test_monte_carlo_factorization_gate():
     g = BallGeometry(2, 1, (1,))
     spec = QuadratureSpec(scheme=MONTE_CARLO, n_samples=400_000, seed=7)
     f = parse_symbol("prod(a = 1 - r1^2, c = re(zc1))", g)
-    space = WeightedSpace(2, 0.0, geometry=g)
-    full, se = toeplitz_matrix_with_stderr(f, space, 8, spec)
-    for rho in levels_up_to(6, g.m):
-        rep = verify_tensor_factorization(
-            f.a, f.c, g, 0.0, rho, 8, spec, full_matrix=full, full_se=se
-        )
+    levels = levels_up_to(6, g.m)
+    _, reports = verify_tensor_factorization(f.a, f.c, g, 0.0, levels, 8, spec)
+    assert [rep.rho for rep in reports] == list(levels)
+    for rep in reports:
+        assert rep.monte_carlo
         assert rep.passed, rep.summary()
 
 
@@ -363,7 +382,7 @@ def test_group_invariance_without_axis_winding():
     spec = QuadratureSpec(q=16, angular=12)
     f = parse_symbol("prod(a = re(z1*conj(z2)), c = 1 - abs2(zc))", g)
     assert off_block_mass(toeplitz_matrix(f, space, 2, spec), g)[0] == 0.0
-    report = verify_tensor_factorization(f.a, f.c, g, 0.0, (1,), 2, spec)
+    _, (report,) = verify_tensor_factorization(f.a, f.c, g, 0.0, [(1,)], 2, spec)
     assert report.passed and report.max_deviation < 1e-12
 
 

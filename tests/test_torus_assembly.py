@@ -191,7 +191,8 @@ def test_streamed_memory_stays_below_the_flat_node_array(monkeypatch, run):
         sizes.append(size_of(*args))
         return sizes[-1]
 
-    # every product rule is sized by this before it is built
+    # every product rule is sized by this before it is built, and a torus
+    # plan sizes the rule it plans as well
     monkeypatch.setattr(quadrature, "ball_rule_size", recording_size)
     tracemalloc.start()
     try:
@@ -199,7 +200,8 @@ def test_streamed_memory_stays_below_the_flat_node_array(monkeypatch, run):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    (n_nodes,) = sizes
+    n_nodes = sizes[0]
+    assert sizes == [n_nodes] * len(sizes)
     assert n_nodes > 10**6
     assert peak < n_nodes * 2 * 16
 
