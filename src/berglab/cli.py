@@ -170,8 +170,10 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         raise DomainError("matrix needs --d or a geometry via --n/--ell/--k")
     expr = parse_symbol(args.symbol, geometry)
     space = WeightedSpace(d, args.mu, geometry=geometry)
-    # record the orders the assembly uses, not the 0 = auto request
-    path = assembly_path(expr, space, args.D, _spec_from(args))
+    request = _spec_from(args)
+    # record the orders the assembly uses, not the 0 = auto request;
+    # assembling the request itself keeps every inner plan the recorded one
+    path = assembly_path(expr, space, args.D, request)
     spec = path.spec
     plan = {
         "symbol": args.symbol,
@@ -190,7 +192,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         _echo(plan)
         print("plan: assemble the truncated matrix" + (" and write CSV" if args.out else ""))
         return 0
-    mat = toeplitz_matrix(expr, space, args.D, spec)
+    mat = toeplitz_matrix(expr, space, args.D, request)
     _echo(plan)
     print(f"size = {mat.size}, norm = {format_float(operator_norm(mat))}")
     if args.out:

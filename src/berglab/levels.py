@@ -43,6 +43,7 @@ from .quadrature import MONTE_CARLO, QuadratureSpec, SymbolLike
 from .symbols import (
     ProductSymbol,
     group_winding,
+    is_radial,
     is_symbolic,
     quasi_radial_profile,
     rebase_inner,
@@ -105,20 +106,23 @@ def level_count_identity(n: int, ell: int, k: Sequence[int], D: int) -> bool:
 class LevelBlock:
     """One invariant level of a torus-invariant operator.
 
-    ``block`` is the factor acting on the inner space: for a pure
-    inner-variable symbol the level is I (x) block, and for a product
-    symbol it is (factor on the z'-slot) (x) block up to the z'-factor's
-    scalar part.  A radial or quasi-radial symbol's block from
-    ``level_block_direct`` is a diagonal form of K values, which the
-    radial check, the Berezin sums and the remainders read without
-    building the K x K matrix.  ``pair_entries``, when present, is the
-    full compression of the source matrix to the level in flat pair order.
+    The factor acting on the inner d-ball at cutoff D is held in one of
+    two forms: a radial block from ``level_block_direct`` as its D + 1
+    per-degree ``eigenvalues`` (complex), any other as its ``matrix``.
+    For a pure inner-variable symbol the level is I (x) block, and for a
+    product symbol it is (factor on the z'-slot) (x) block up to the
+    z'-factor's scalar part.  ``block`` and ``inner_basis`` are built
+    only when read, so a radial block of any cutoff stays D + 1 values.
+    ``pair_entries``, when present, is the full compression of the source
+    matrix to the level in flat pair order.
     """
 
     level: Level
     hdim: int
-    inner_basis: TruncatedBasis
-    block: OperatorMatrix
+    d: int
+    D: int
+    eigenvalues: Optional[np.ndarray] = field(repr=False, default=None)
+    matrix: Optional[OperatorMatrix] = field(repr=False, default=None)
     pair_entries: Optional[np.ndarray] = field(repr=False, default=None)
 
     @property
@@ -129,28 +133,18 @@ class LevelBlock:
     def mu(self) -> float:
         return self.level.mu
 
-    @functools.cached_property
-    def radial_eigenvalues(self) -> Optional[np.ndarray]:
-        """Per-degree eigenvalues of a radial block, else None.
+    @property
+    def inner_basis(self) -> TruncatedBasis:
+        return self.block.basis
 
-        A block is radial when it is diagonal and constant on each degree,
-        both to 1e-12 of its largest entry (at least 1).  A diagonal form
-        skips the off-diagonal scan; a dense block's largest entry is on
-        the diagonal whenever that scan passes.  Checked once.
-        """
-        block = self.block
-        diag = block.diag if block.diag is not None else np.diagonal(block.entries)
-        scale = max(1.0, float(np.max(np.abs(diag))))
-        if block.diag is None:
-            mags = np.abs(block.entries)
-            np.fill_diagonal(mags, 0.0)
-            if np.max(mags) > 1e-12 * scale:
-                return None
-        degrees = self.inner_basis.degrees
-        eigenvalues = diag[np.searchsorted(degrees, np.arange(self.inner_basis.D + 1))]
-        if np.max(np.abs(diag - eigenvalues[degrees])) > 1e-12 * scale:
-            return None
-        return eigenvalues
+    @functools.cached_property
+    def block(self) -> OperatorMatrix:
+        """The inner matrix; a radial block's is the diagonal form of its
+        eigenvalues, one per basis row."""
+        if self.matrix is not None:
+            return self.matrix
+        basis = enumerate_basis(self.d, self.D, self.mu)
+        return OperatorMatrix.diagonal(basis, self.eigenvalues[basis.degrees])
 
 
 def off_block_mass(M: OperatorMatrix, geometry: BallGeometry) -> Tuple[float, float]:
@@ -207,13 +201,8 @@ def extract_level_block(
     block = OperatorMatrix(
         inner_basis, sub[:ic, :ic].copy(), label=f"{M.label}|rho={rho_t}"
     )
-    return LevelBlock(
-        level=level,
-        hdim=len(pos) // ic,
-        inner_basis=inner_basis,
-        block=block,
-        pair_entries=sub,
-    )
+    return LevelBlock(level, len(pos) // ic, inner_basis.d, inner_basis.D,
+                      matrix=block, pair_entries=sub)
 
 
 def level_block_direct(
@@ -229,17 +218,24 @@ def level_block_direct(
     For such symbols the level acts as identity (x) T_c at the shifted
     weight, so the block can be assembled on the inner ball without ever
     materializing the full-ball matrix; this is how levels beyond any
-    practical full-ball cutoff are produced.
+    practical full-ball cutoff are produced.  A radial c (``is_radial``,
+    the judgement ``assembly_path`` makes) gives its D_inner + 1
+    per-degree ``diagonal_values`` and builds no basis; any other c
+    assembles its inner matrix.
     """
     rho_t = _check_level(rho, geometry)
     c_inner = rebase_inner(c) if is_symbolic(c) else c
-    block = toeplitz_matrix(c_inner, geometry.level_space(lam, rho_t), D_inner, spec)
-    return LevelBlock(
-        level=make_level(rho_t, lam, geometry.ell),
-        hdim=dim_level(rho_t, geometry.k),
-        inner_basis=block.basis,
-        block=block,
-    )
+    space = geometry.level_space(lam, rho_t)
+    level = make_level(rho_t, lam, geometry.ell)
+    hdim = dim_level(rho_t, geometry.k)
+    if is_symbolic(c_inner) and is_radial(c_inner):
+        # complex, as a diagonal form holds them: the Berezin sums then
+        # take the complex dot kernel whatever the profile's type
+        values = radial_toeplitz_diagonal(c_inner, space.d, space.lam, D_inner)
+        return LevelBlock(level, hdim, space.d, D_inner,
+                          eigenvalues=values.astype(complex))
+    matrix = toeplitz_matrix(c_inner, space, D_inner, spec)
+    return LevelBlock(level, hdim, space.d, D_inner, matrix=matrix)
 
 
 def block_norms(
@@ -463,13 +459,13 @@ _MAX_NODES = 6
 class RecoveredSymbol:
     """Callable estimate of the inner symbol from a family of blocks.
 
-    Each block's Berezin transform is its kernel-mass sum at |z|^2 when the
-    block is radial, its dense quadratic form otherwise.  At each point the
-    blocks whose truncation still resolves the kernel are kept; with two or
-    more of them the values extrapolate through u = 1/(d + mu + 1) to u = 0,
-    otherwise the largest reliable weight wins.  Falls back to the largest
-    weight outright when nothing is reliable (far outside the trusted
-    radius).
+    Each block's Berezin transform is its kernel-mass sum at |z|^2 over
+    its per-degree eigenvalues when the block is radial, its quadratic
+    form otherwise.  At each point the blocks whose truncation still
+    resolves the kernel are kept; with two or more of them the values
+    extrapolate through u = 1/(d + mu + 1) to u = 0, otherwise the largest
+    reliable weight wins.  Falls back to the largest weight outright when
+    nothing is reliable (far outside the trusted radius).
     """
 
     def __init__(self, blocks: Sequence[LevelBlock]):
@@ -479,10 +475,10 @@ class RecoveredSymbol:
         for blk in blocks:
             mu = float(blk.mu)
             cur = by_mu.get(mu)
-            if cur is None or blk.inner_basis.D > cur.inner_basis.D:
+            if cur is None or blk.D > cur.D:
                 by_mu[mu] = blk
         self.blocks = [by_mu[mu] for mu in sorted(by_mu, reverse=True)]
-        self.d = self.blocks[0].inner_basis.d
+        self.d = self.blocks[0].d
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -492,24 +488,21 @@ class RecoveredSymbol:
         if single:
             z = z[None, :]
         t = np.sum(np.abs(z) ** 2, axis=1)
-        s_exps = np.array([b.inner_basis.d + b.mu + 1.0 for b in self.blocks])
+        s_exps = np.array([b.d + b.mu + 1.0 for b in self.blocks])
         # usable[i, j]: block j enters the value at point i
-        tails = [
-            kernel_tail(s, b.inner_basis.D, t) for s, b in zip(s_exps, self.blocks)
-        ]
+        tails = [kernel_tail(s, b.D, t) for s, b in zip(s_exps, self.blocks)]
         usable = np.array(tails).T <= _TAIL_CAP
         usable &= np.cumsum(usable, axis=1) <= _MAX_NODES
         usable[~usable.any(axis=1), 0] = True
         table = np.zeros(usable.shape, dtype=complex)
         for j, blk in enumerate(self.blocks):
             rows = np.flatnonzero(usable[:, j])
-            eigenvalues = blk.radial_eigenvalues
-            if eigenvalues is None:
+            if blk.eigenvalues is None:
                 table[rows, j] = [
                     berezin_of_operator(blk.block, blk.mu, z[i]) for i in rows
                 ]
             else:
-                table[rows, j] = radial_berezin_sum(eigenvalues, s_exps[j], t[rows])
+                table[rows, j] = radial_berezin_sum(blk.eigenvalues, s_exps[j], t[rows])
         out = np.empty(z.shape[0], dtype=complex)
         for i in range(z.shape[0]):
             cols = np.flatnonzero(usable[i])
@@ -531,9 +524,11 @@ def recover_symbol_and_remainder(
 
     The symbol estimate feeds on the supplied blocks (the larger the
     weights and cutoffs, the better); each remainder is the block minus
-    the Toeplitz matrix of the estimate at the block's own weight.  By
-    default remainders are computed for the same blocks used in the
-    estimate; pass ``remainder_blocks`` to separate the two roles.
+    the Toeplitz matrix of the estimate at the block's own weight.  A
+    radial block against an estimate from radial blocks alone takes the
+    largest gap between its eigenvalues and the estimate's, degree by
+    degree.  By default remainders are computed for the same blocks used
+    in the estimate; pass ``remainder_blocks`` to separate the two roles.
     """
     spec = spec or QuadratureSpec()
     grid = np.asarray(grid, dtype=complex)
@@ -543,25 +538,20 @@ def recover_symbol_and_remainder(
     values = estimator(grid)
     # radial blocks make the estimate radial: its profile in |z| is its
     # value along the first axis
-    radial = all(b.radial_eigenvalues is not None for b in estimator.blocks)
+    radial = all(b.eigenvalues is not None for b in estimator.blocks)
     axis = np.eye(1, estimator.d)
     targets = list(remainder_blocks) if remainder_blocks is not None else list(blocks)
     by_level: List[Tuple[Tuple[int, ...], float, int, float]] = []
     for blk in targets:
-        basis = blk.inner_basis
-        if radial and blk.radial_eigenvalues is not None:
+        if radial and blk.eigenvalues is not None:
             per_degree = radial_toeplitz_diagonal(
-                lambda r: estimator(r * axis), basis.d, blk.mu, basis.D
+                lambda r: estimator(r * axis), blk.d, blk.mu, blk.D
             )
-            t_est = OperatorMatrix.diagonal(basis, per_degree[basis.degrees])
+            norm = _diagonal_norm(blk.eigenvalues - per_degree)
         else:
-            t_est = toeplitz_matrix(
-                estimator, WeightedSpace(basis.d, blk.mu), basis.D, spec
-            )
-        n_mat = blk.block - t_est
-        by_level.append(
-            (blk.rho, float(blk.mu), blk.hdim, operator_norm(n_mat))
-        )
+            t_est = toeplitz_matrix(estimator, WeightedSpace(blk.d, blk.mu), blk.D, spec)
+            norm = operator_norm(blk.block - t_est)
+        by_level.append((blk.rho, float(blk.mu), blk.hdim, norm))
     mus = tuple(float(b.mu) for b in estimator.blocks)
     return RecoveryReport(
         grid=grid,

@@ -59,6 +59,7 @@ from .symbols import (
     Const,
     ProductSymbol,
     SymbolExpr,
+    is_radial,
     parse_symbol,
     rebase_inner,
 )
@@ -152,9 +153,9 @@ def parse_config_text(text: str) -> Dict[str, str]:
 class ExperimentConfig:
     """Resolved, validated settings shared by all suites.
 
-    ``settings`` holds the typed value of every config key as the run
-    uses it (``truncation.D_eval`` after it shrinks to the matrix
-    envelope); the other fields are the forms the suites read.
+    ``settings`` holds the typed value of every config key as requested
+    (``from_mapping`` rewrites none); the other fields are the forms the
+    suites read.
     """
 
     settings: Dict[str, object] = field(repr=False)
@@ -214,11 +215,6 @@ class ExperimentConfig:
             raise DomainError(f"every level needs D >= |rho|; got R={R} > D={D}")
         if geometry.d_inner < 1:
             raise DomainError("suites need a nonempty z'' block")
-        if count_basis(geometry.n, D) > _MAX_MATRIX:
-            raise DomainError(
-                f"basis of size {count_basis(geometry.n, D)} exceeds "
-                f"the {_MAX_MATRIX} envelope"
-            )
         if values["threads"] < 0:
             raise DomainError(
                 f"threads must be nonnegative (0 = all cores), got {values['threads']}"
@@ -248,12 +244,6 @@ class ExperimentConfig:
                 f"grid.points = {grid_points}, grid.tmax = {grid_tmax!r}: {exc}"
             ) from None
 
-        # inner evaluation cutoff shrinks until the matrix fits
-        d_eval = values["truncation.D_eval"]
-        while d_eval > 1 and count_basis(geometry.d_inner, d_eval) > _MAX_MATRIX:
-            d_eval -= 1
-        values["truncation.D_eval"] = d_eval
-
         spec = QuadratureSpec(
             scheme=values["quad.scheme"],
             q=values["quad.q"],
@@ -278,7 +268,7 @@ class ExperimentConfig:
             lam=lam,
             D=D,
             R=R,
-            D_eval=d_eval,
+            D_eval=values["truncation.D_eval"],
             D_remainder=values["truncation.D_remainder"],
             a_text=a_text,
             c_text=c_text,
@@ -741,9 +731,12 @@ def plan_suites(
 ) -> List[str]:
     """The suites a run of this selection makes, refused before any runs.
 
-    Unknown names are refused, and so is a factorization suite whose
-    honest full route ``assembly_path`` refuses for one of its pairs (a
-    product rule over the node budget): it could only stop halfway.
+    Unknown names are refused, and so is a suite that could only stop
+    halfway: a factorization suite whose honest full route
+    ``assembly_path`` refuses for one of its pairs (a product rule over
+    the node budget), or a quantization suite with a non-radial c whose
+    recovery blocks it refuses (a matrix over the desk budget).  A radial
+    c's blocks are their per-degree eigenvalues, built at any cutoff.
     """
     names = [name for name, _ in _ALL_SUITES]
     if only:
@@ -763,6 +756,22 @@ def plan_suites(
                     f"suite factorization: the full route of pair ({a_text} | "
                     f"{c_text}): {exc}; or leave the suite out with --only"
                 ) from None
+    c_in = rebase_inner(cfg.c_expr)
+    if "quantization" in names and not is_radial(c_in):
+        geo = cfg.geometry
+        pad = (0,) * (geo.m - 1)
+        for key, levels in (("truncation.D_eval", cfg.eval_levels),
+                            ("truncation.D_remainder", cfg.remainder_levels)):
+            for tot in levels:
+                try:
+                    assembly_path(c_in, geo.level_space(cfg.lam, (tot,) + pad),
+                                  cfg.settings[key], cfg.spec)
+                except DomainError as exc:
+                    raise DomainError(
+                        f"suite quantization: the recovery block of level {tot} at "
+                        f"{key} = {cfg.settings[key]}: {exc}; or leave the suite "
+                        "out with --only"
+                    ) from None
     return names
 
 

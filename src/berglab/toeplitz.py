@@ -896,8 +896,9 @@ def toeplitz_matrix_with_stderr(
     return OperatorMatrix(basis, acc, label=label), np.sqrt(var)
 
 
-# iteration cap of the power method in operator_norm
+# iteration cap and relative tolerance of the power method in operator_norm
 _POWER_ITERATIONS = 20_000
+_POWER_TOL = 1e-12
 
 
 def _diagonal_norm(values: np.ndarray) -> float:
@@ -908,12 +909,7 @@ def _diagonal_norm(values: np.ndarray) -> float:
     return float(np.max(np.abs(values)))
 
 
-def operator_norm(
-    M: Union[OperatorMatrix, np.ndarray],
-    *,
-    method: str = "auto",
-    tol: float = 1e-12,
-) -> float:
+def operator_norm(M: Union[OperatorMatrix, np.ndarray]) -> float:
     """Largest singular value.
 
     A diagonal form gives the largest modulus of its values, without a
@@ -924,8 +920,6 @@ def operator_norm(
     iteration that does not converge within its iteration cap raises a
     ``DomainError``.
     """
-    if method not in ("auto", "svd", "power"):
-        raise DomainError(f"unknown method {method!r}")
     if isinstance(M, OperatorMatrix) and M.diag is not None:
         return _diagonal_norm(M.diag)
     a = M.entries if isinstance(M, OperatorMatrix) else np.asarray(M, dtype=complex)
@@ -936,9 +930,9 @@ def operator_norm(
     k = a.shape[0]
     if k == 0:
         return 0.0
-    if method == "svd" or (method == "auto" and k <= 1024):
+    if k <= 1024:
         return float(np.linalg.svd(a, compute_uv=False)[0])
-    if method == "auto" and np.array_equal(a, a.conj().T):
+    if np.array_equal(a, a.conj().T):
         return float(np.max(np.abs(np.linalg.eigvalsh(a))))
 
     def run(x: np.ndarray) -> float:
@@ -952,11 +946,11 @@ def operator_norm(
                 return 0.0
             x = x_next / nrm
             sigma_new = math.sqrt(nrm)
-            if abs(sigma_new - sigma) <= tol * max(1.0, sigma_new):
+            if abs(sigma_new - sigma) <= _POWER_TOL * max(1.0, sigma_new):
                 return sigma_new
             sigma = sigma_new
         raise DomainError(
-            f"power iteration did not converge to relative tolerance {tol:g} "
+            f"power iteration did not converge to relative tolerance {_POWER_TOL:g} "
             f"in {_POWER_ITERATIONS} iterations (last estimate {sigma!r})"
         )
 

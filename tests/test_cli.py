@@ -11,6 +11,9 @@ from berglab import (
     BallGeometry,
     QuadratureSpec,
     WeightedSpace,
+    diagonal_values,
+    enumerate_basis,
+    level_layout,
     parse_symbol,
     toeplitz_matrix,
 )
@@ -309,6 +312,51 @@ def test_matrix_sidecar_records_the_assembly_path(capsys, tmp_path, text, record
     assert meta["assembly"] == record
 
 
+def _read_matrix_csv(path):
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    k = int(rows[:, 0].max()) + 1
+    out = np.zeros((k, k), dtype=complex)
+    out[rows[:, 0].astype(int), rows[:, 1].astype(int)] = rows[:, 2] + 1j * rows[:, 3]
+    return out
+
+
+def test_matrix_sidecar_block_orders_reproduce_each_level(capsys, tmp_path):
+    """Each level's record names the orders its written block was built
+    with: gamma(rho) times the inner matrix at those orders, bitwise."""
+    p = tmp_path / "m.csv"
+    code, out, err = run(
+        capsys,
+        ["matrix", "--symbol", "prod(a = 1 - r1^2, c = re(zc1))", "--n", "2", "--ell", "1",
+         "--k", "1", "--mu", "0", "--D", "6", "--out", str(p)],
+    )
+    assert code == 0
+    record = json.loads((tmp_path / "m.csv.meta.json").read_text())["assembly"]
+    written = _read_matrix_csv(p)
+    geo = BallGeometry(2, 1, (1,))
+    layout = level_layout(enumerate_basis(2, 6, 0.0), geo)
+    assert record["path"] == "levels" and len(record["blocks"]) == len(layout)
+    gammas = diagonal_values(parse_symbol("1 - r1^2", geo), (1,), 0.0, list(layout))
+    c = parse_symbol("re(z1)", None)
+    for (rho, rows), gamma, block in zip(layout.items(), gammas, record["blocks"]):
+        assert block["path"] == "torus"
+        inner = toeplitz_matrix(c, geo.level_space(0.0, rho), 6 - sum(rho),
+                                QuadratureSpec(q=block["q"], angular=block["angular"]))
+        (row,) = rows
+        assert np.array_equal(written[np.ix_(row, row)], gamma * inner.entries), rho
+
+
+def test_matrix_run_assembles_the_plan_its_dry_run_accepted(capsys, tmp_path):
+    """The run assembles the request its dry run planned, so it meets no
+    inner rule the plan did not check (the resolved full-ball orders,
+    passed on to every level, would need 21,952,000 nodes here)."""
+    argv = ["matrix", "--symbol", "prod(a = r1^2, c = re(zc1))", "--n", "4", "--ell", "1",
+            "--k", "1", "--mu", "0", "--D", "6", "--out", str(tmp_path / "m.csv")]
+    for extra in (["--dry-run"], []):
+        code, out, err = run(capsys, argv + extra)
+        assert code == 0 and err == ""
+    assert (tmp_path / "m.csv").exists()
+
+
 def test_group_radius_on_part_of_the_ball_takes_the_torus_path(capsys, tmp_path):
     p = tmp_path / "m.csv"
     geometry = ["--n", "2", "--ell", "1"]
@@ -461,6 +509,36 @@ def test_suite_refuses_a_factorization_over_the_rule_budget(capsys, tmp_path, mo
         ["suite", "--config", str(cfg), "--only", "norm_identity,quantization", "--dry-run"],
     )
     assert code == 0 and "plan: run norm_identity, quantization" in out
+
+
+def test_suite_refuses_a_non_radial_recovery_block_over_the_budget(
+    capsys, tmp_path, monkeypatch
+):
+    # on the inner 2-ball a dense recovery block at D_eval = 1800 has
+    # 1,622,701 rows; a radial c's blocks are their 1801 eigenvalues
+    cfg = tmp_path / "n3.cfg"
+    cfg.write_text("geometry.n = 3\nsymbol.c = 1 - abs2(zc) + re(zc1)\n")
+    out_dir = tmp_path / "runs"
+
+    def refuse(cfg):
+        raise AssertionError("a suite ran before the selection was checked")
+
+    monkeypatch.setattr(suites, "_ALL_SUITES", tuple((n, refuse) for n, _ in suites._ALL_SUITES))
+    for extra in ([], ["--dry-run"]):
+        code, out, err = run(
+            capsys,
+            ["suite", "--config", str(cfg), "--only", "norm_identity,quantization",
+             "--out", str(out_dir)] + extra,
+        )
+        assert code == 1 and out == ""
+        assert "suite quantization" in err and "truncation.D_eval = 1800" in err
+        assert "1622701 x 1622701 matrix" in err
+    assert not out_dir.exists()
+    cfg.write_text("geometry.n = 3\n")
+    code, out, err = run(
+        capsys, ["suite", "--config", str(cfg), "--only", "quantization", "--dry-run"]
+    )
+    assert code == 0 and "truncation.D_eval = 1800" in out.splitlines()
 
 
 @pytest.mark.parametrize("extra", [[], ["--dry-run"]], ids=["run", "dry_run"])

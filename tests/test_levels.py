@@ -35,6 +35,7 @@ from berglab import (
     verify_tensor_factorization,
 )
 from berglab import levels as levels_module
+from berglab import toeplitz as toeplitz_module
 from berglab.core import compositions
 from berglab.levels import _neville_to_zero
 from berglab.quadrature import MONTE_CARLO
@@ -314,7 +315,7 @@ def test_recovery_of_a_non_radial_symbol():
     spec = QuadratureSpec()
     c = parse_symbol("re(z1) + 1 - abs2(z)", None)
     blocks = [level_block_direct(c, g, 0.0, (r,), 40, spec) for r in (16, 24, 32)]
-    assert all(b.radial_eigenvalues is None for b in blocks)
+    assert all(b.eigenvalues is None for b in blocks)
     rem = [level_block_direct(c, g, 0.0, (16,), 8, spec)]
     grid = np.array([[0.0], [0.3], [0.2 + 0.3j]])
     report = recover_symbol_and_remainder(blocks, grid, spec, remainder_blocks=rem)
@@ -387,40 +388,36 @@ def test_group_invariance_without_axis_winding():
 
 
 def _dense_block(blk):
-    dense = OperatorMatrix(blk.inner_basis, np.diag(blk.block.diag), blk.block.label)
-    return dataclasses.replace(blk, block=dense)
+    """The same block held as a dense matrix: it takes the quadratic form."""
+    dense = OperatorMatrix(blk.inner_basis, blk.block.entries)
+    return dataclasses.replace(blk, eigenvalues=None, matrix=dense)
 
 
 def test_diagonal_blocks_give_the_dense_blocks_recovery():
-    """Radial eigenvalues, values and remainders of diagonal blocks agree
-    with the same blocks stored dense."""
-    g = BallGeometry(3, 1, (1,))
+    """A radial block's stored eigenvalues are the diagonal of its Toeplitz
+    matrix, degree by degree, and their kernel-mass sums give the values
+    the same block gives through the dense quadratic form, on the disk
+    and on the 2-ball."""
     spec = QuadratureSpec()
     c = parse_symbol("(1+i)*(1 - abs2(zc)) + 0.5*abs2(zc)^2", None)
-    blocks = [level_block_direct(c, g, 0.0, (r,), 24, spec) for r in (16, 12, 8)]
-    dense = [_dense_block(b) for b in blocks]
-    assert all(b.block.diag is not None for b in blocks)
-    assert all(b.block.diag is None for b in dense)
-    for blk, ref in zip(blocks, dense):
-        assert np.array_equal(blk.radial_eigenvalues, ref.radial_eigenvalues)
-    grid = np.array([[0.0, 0.0], [0.3, 0.0], [0.2 + 0.1j, -0.3j]])
-    got = recover_symbol_and_remainder(blocks, grid, spec)
-    ref = recover_symbol_and_remainder(dense, grid, spec)
-    assert np.array_equal(got.values, ref.values)
-    for (_, _, _, n1), (_, _, _, n2) in zip(got.by_level, ref.by_level):
-        assert abs(n1 - n2) <= 1e-15 * n2
-    assert all(b.block._dense is None for b in blocks)  # never materialized
-
-
-def test_radial_eigenvalues_refuse_non_radial_diagonals():
-    g = BallGeometry(3, 1, (1,))
-    blk = level_block_direct(parse_symbol("1 - abs2(zc)", None), g, 0.0, (4,), 3,
-                             QuadratureSpec())
-    values = blk.block.diag.copy()
-    values[2] += 1e-9  # (0, 1) drifts off the degree-1 eigenvalue of (1, 0)
-    skewed = OperatorMatrix.diagonal(blk.inner_basis, values)
-    assert dataclasses.replace(blk, block=skewed).radial_eigenvalues is None
-    assert blk.radial_eigenvalues is not None
+    c_inner = parse_symbol("(1+i)*(1 - abs2(z)) + 0.5*abs2(z)^2", None)
+    for n, D in itertools.product((2, 3), (24, 60)):
+        g = BallGeometry(n, 1, (1,))
+        grid = np.zeros((4, n - 1), dtype=complex)
+        grid[:, 0] = [0.0, 0.3, 0.2 + 0.1j, 0.4j]
+        if n == 3:
+            grid[2:, 1] = [-0.3j, 0.2]
+        for r in (16, 12, 8):
+            blk = level_block_direct(c, g, 0.0, (r,), D, spec)
+            assert blk.eigenvalues.dtype == complex and blk.eigenvalues.shape == (D + 1,)
+            assert blk.matrix is None and "block" not in vars(blk)
+            t_c = toeplitz_matrix(c_inner, g.level_space(0.0, (r,)), D, spec)
+            assert np.array_equal(blk.block.diag, t_c.diag)
+            dense = _dense_block(blk)
+            assert dense.block.diag is None
+            got = RecoveredSymbol([blk])(grid)
+            ref = RecoveredSymbol([dense])(grid)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (n, D, r)
 
 
 def test_deep_radial_recovery_never_builds_a_dense_block():
@@ -433,12 +430,46 @@ def test_deep_radial_recovery_never_builds_a_dense_block():
     tracemalloc.start()
     try:
         blk = level_block_direct(c, g, 0.0, (32,), 1800, spec)
-        assert blk.radial_eigenvalues is not None
+        assert blk.eigenvalues is not None
         report = recover_symbol_and_remainder([blk], grid, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert "block" not in vars(blk)
     assert blk.inner_basis.count == k
     assert peak < k * k * 16 / 10
-    assert blk.block._dense is None
     assert len(report.by_level) == 1 and np.isfinite(report.max_remainder())
+
+
+def test_deep_recovery_on_an_inner_two_ball_builds_no_basis(monkeypatch):
+    """Radial blocks on the inner 2-ball at D_inner = 1800, where a basis
+    has 1,622,701 rows, are their 1801 eigenvalues: recovery runs with no
+    basis built and recovers c to within 2 / mu_max."""
+
+    def refuse(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(levels_module, "enumerate_basis", refuse)
+    monkeypatch.setattr(toeplitz_module, "enumerate_basis", refuse)
+    g = BallGeometry(3, 1, (1,))
+    spec = QuadratureSpec()
+    c = parse_symbol("2 - abs2(zc)", None)
+    ts = np.linspace(0.0, 0.81, 10)
+    grid = np.zeros((len(ts), 2), dtype=complex)
+    grid[:, 0] = np.sqrt(ts)
+    tracemalloc.start()
+    try:
+        blocks = [level_block_direct(c, g, 0.0, (r,), 1800, spec)
+                  for r in (32, 48, 64, 96, 128)]
+        rem = [level_block_direct(c, g, 0.0, (r,), 60, spec) for r in (32, 48, 64)]
+        report = recover_symbol_and_remainder(blocks, grid, spec, remainder_blocks=rem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = count_basis(2, 1800)
+    assert rows == 1_622_701
+    # the basis norms alone would take 8 bytes a row
+    assert peak < rows * 8 / 10
+    mu_max = max(b.mu for b in blocks)
+    assert np.max(np.abs(report.values - (2.0 - ts))) <= 2.0 / mu_max
+    assert report.max_remainder() <= 1e-6

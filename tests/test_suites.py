@@ -22,7 +22,7 @@ from berglab import (
 )
 from berglab.levels import full_route_matrix
 from berglab.quadrature import _MAX_RULE_NODES, ball_rule_size
-from berglab.suites import ExperimentConfig, _canned_pairs, _probe_cutoff
+from berglab.suites import _KNOWN_KEYS, ExperimentConfig, _canned_pairs, _probe_cutoff
 
 
 def test_parse_config_text_basics():
@@ -72,22 +72,12 @@ def test_symbols_validated_at_config_time():
         ExperimentConfig.from_mapping({"symbol.c": "1 +"})
 
 
-def test_eval_cutoff_shrinks_to_matrix_budget():
-    cfg = ExperimentConfig.from_mapping(
-        {"geometry.n": "3", "geometry.ell": "1", "geometry.k": "1", "truncation.D_eval": "1800"}
-    )
-    # inner dimension 2: the basis count at the configured cutoff must fit
-    from berglab import count_basis
-
-    assert count_basis(cfg.geometry.d_inner, cfg.D_eval) <= 2000
-
-
 @pytest.mark.parametrize(
     "overrides, shown",
     [
         ({}, "quad.seed = 20260813"),
-        # the inner 2-ball shrinks the evaluation cutoff to the matrix budget
-        ({"geometry.n": "3"}, "truncation.D_eval = 61"),
+        # radial recovery blocks are per-degree values at any cutoff
+        ({"geometry.n": "3"}, "truncation.D_eval = 1800"),
         ({"geometry.n": "4", "geometry.ell": "2", "geometry.k": "1 1"}, "geometry.k = 1 1"),
         ({"schedule.mu": "1,2, 3"}, "schedule.mu = 1 2 3"),
         ({"grid.tmax": "0.5"}, "grid.tmax = 0.5"),
@@ -100,6 +90,57 @@ def test_echo_roundtrips_through_parser(overrides, shown):
     raw = parse_config_text(cfg.echo())
     again = ExperimentConfig.from_mapping(raw)
     assert again.echo() == cfg.echo()
+
+
+# a valid request, other than the default, for every config key, on an
+# inner 2-ball, where the evaluation cutoff's basis has 2,883,601 rows
+_EVERY_KEY = {
+    "geometry.n": "4",
+    "geometry.ell": "2",
+    "geometry.k": "1 1",
+    "space.lambda": "0.5",
+    "truncation.D": "7",
+    "truncation.R": "5",
+    "truncation.D_eval": "2400",
+    "truncation.D_remainder": "50",
+    "symbol.a": "1 - r1^2",
+    "symbol.c": "2 - abs2(zc)",
+    "symbol.f": "3 - abs2(zc)",
+    "quad.scheme": "monte_carlo",
+    "quad.q": "12",
+    "quad.angular": "10",
+    "quad.samples": "5000",
+    "quad.seed": "3",
+    "schedule.mu": "2 4",
+    "schedule.eval_levels": "40 80",
+    "schedule.remainder_levels": "40",
+    "schedule.radii": "5",
+    "grid.points": "9",
+    "grid.tmax": "0.5",
+    "tol.norm": "2e-10",
+    "tol.norm_quadrature": "2e-06",
+    "tol.factorization": "2e-05",
+    "tol.commutator": "2e-08",
+    "tol.offblock": "2e-08",
+    "tol.berezin": "2e-06",
+    "tol.remainder": "2e-06",
+    "tol.spectrum": "2e-06",
+    "out.dir": "runs/elsewhere",
+    "threads": "1",
+}
+
+
+def test_every_config_key_echoes_the_value_requested():
+    """``from_mapping`` rewrites no setting: every key reads back, typed
+    and in the echo, as the value requested."""
+    assert set(_EVERY_KEY) == set(_KNOWN_KEYS)
+    requested = {key: cast(_EVERY_KEY[key]) for key, (cast, _) in _KNOWN_KEYS.items()}
+    assert all(requested[key] != default for key, (_, default) in _KNOWN_KEYS.items())
+    cfg = ExperimentConfig.from_mapping(dict(_EVERY_KEY))
+    assert cfg.settings == requested
+    assert cfg.D_eval == 2400
+    echoed = parse_config_text(cfg.echo())
+    assert {key: cast(echoed[key]) for key, (cast, _) in _KNOWN_KEYS.items()} == requested
 
 
 def test_negative_thread_count_is_refused():

@@ -62,7 +62,13 @@ def polynomial_symbols(draw):
 
 
 def _oracle(terms, basis):
-    """Entry (beta, alpha) = sum c [alpha+p = beta+q] moment(alpha+p) n_alpha n_beta."""
+    """Entry (beta, alpha) = sum c [alpha+p = beta+q] moment(alpha+p) n_alpha n_beta.
+
+    An independent reference only for non-cancelling inputs: summed term
+    by term in floating point, the monomial terms of a symbol such as
+    ``(1 - abs2(z))^8`` cancel and the sum loses its relative accuracy,
+    so this oracle cannot judge such a symbol's entries.
+    """
     out = np.zeros((basis.count, basis.count), dtype=complex)
     for c, p, q in terms:
         for j, alpha in enumerate(basis.indices):
