@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -146,32 +146,75 @@ def _log_binomials(s_exp: float, n_terms: int) -> np.ndarray:
     return build(float(s_exp), length)[:n_terms]
 
 
-def _masses(
-    log_binomials: np.ndarray, s_exp: float, t: float, start: int = 0
-) -> np.ndarray:
-    """The kernel masses at 0 < t < 1 of the degrees from ``start`` on,
-    from their log-binomial table (entry 0 at degree ``start``)."""
-    ms = np.arange(start, start + log_binomials.shape[0], dtype=float)
-    return np.exp(log_binomials + (ms * math.log(t) + s_exp * math.log1p(-t)))
+# e^x rounds to 0.0 below about -745.13: a log-mass under this bound is
+# an exact zero without its exp
+_LOG_UNDERFLOW = -745.5
+
+# entries of one block of mass rows (128 KB)
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _mass_rows(
+    s_exp: float, t_points: Sequence[float], start: int, stop: int
+) -> Iterator[np.ndarray]:
+    """The kernel masses of the degrees start..stop-1 at each radius^2 in
+    ``t_points``, one row per point, in blocks of at most _BLOCK_ENTRIES
+    entries (one row at least).
+
+    The log-mass is log C(s + m - 1, m) + (m log t + s log1p(-t)), from
+    the shared log-binomial table; only its entries at or above
+    _LOG_UNDERFLOW are exponentiated, the others are the exact zeros their
+    exp gives.  It is concave in m, so a row with both ends live is live
+    throughout and any other has its live entries in one run (a dead entry
+    exponentiated inside it is 0.0 all the same).  At t = 0 the mass sits
+    at degree 0, and NaN gives NaN rows.  A t below 0 or at or past 1 is
+    refused before any table is built.
+    """
+    ts = np.asarray(t_points, dtype=float).reshape(-1).tolist()
+    for t in ts:
+        if t < 0.0 or t >= 1.0:
+            raise DomainError(f"kernel masses need 0 <= |z|^2 < 1, got {t!r}")
+    log_binomials = _log_binomials(s_exp, stop)[start:]
+    ms = np.arange(start, stop, dtype=float)
+    step = max(1, _BLOCK_ENTRIES // max(1, ms.shape[0]))
+    for lo in range(0, len(ts), step):
+        block = ts[lo : lo + step]
+        rows = np.zeros((len(block), ms.shape[0]))
+        for i, t in enumerate(block):
+            row = rows[i]
+            if t == 0.0:
+                row[:1] = float(start == 0)
+                continue
+            arg = log_binomials + (ms * math.log(t) + s_exp * math.log1p(-t))
+            first, end = 0, arg.shape[0]
+            if not (end and min(arg[0], arg[-1]) >= _LOG_UNDERFLOW):
+                # an end is dead: the run from the first live entry to the last
+                live = np.flatnonzero(~(arg < _LOG_UNDERFLOW))  # NaN is live
+                first, end = (live[0], live[-1] + 1) if live.shape[0] else (0, 0)
+            np.exp(arg[first:end], out=row[first:end])
+        yield rows
 
 
 def kernel_masses(s_exp: float, n_terms: int, t: float) -> np.ndarray:
-    """Degree-m masses of the normalized kernel at radius^2 t > 0, m < n_terms.
+    """Degree-m masses of the normalized kernel at radius^2 0 <= t < 1,
+    m < n_terms.
 
     The squared kernel coefficients of degree m sum to C(s + m - 1, m)
     t^m (1 - t)^s with s = d + mu + 1, a negative-binomial law in m; the
     binomial is taken in log space so degrees in the thousands stay finite.
     """
-    return _masses(_log_binomials(s_exp, n_terms), s_exp, t)
+    return next(_mass_rows(s_exp, [t], 0, n_terms))[0]
+
+
+def _log_choose(s_exp: float, n: float) -> float:
+    """log C(s + n - 1, n) from log-gamma: rough by the size of the logs."""
+    return math.lgamma(s_exp + n) - math.lgamma(n + 1.0) - math.lgamma(s_exp)
 
 
 def _log_mass(s_exp: float, t: float, n: int) -> float:
-    """log of the kernel mass of degree n from log-gamma: rough by the
-    size of the logs, and plenty for choosing how many masses to sum."""
-    return (
-        math.lgamma(s_exp + n) - math.lgamma(n + 1.0) - math.lgamma(s_exp)
-        + n * math.log(t) + s_exp * math.log1p(-t)
-    )
+    """log of the kernel mass of degree n from log-gamma, plenty for
+    choosing how many masses to sum."""
+    return _log_choose(s_exp, n) + n * math.log(t) + s_exp * math.log1p(-t)
 
 
 def _far_end(s_exp: float, t: float, start: int, log_floor: float) -> int:
@@ -214,17 +257,13 @@ _TAIL_TOL = 1e-13
 
 
 def _kernel_tail(s_exp: float, D: int, t: float) -> float:
-    if math.isnan(t):
-        return math.nan
-    if t <= 0.0 or t >= 1.0:
-        # all the mass sits at degree 0 at the centre, none finite on the sphere
-        return float(t >= 1.0)
+    """``kernel_tail`` at one point 0 < t < 1."""
     if D + 1.0 <= s_exp * t / (1.0 - t):
         # below the mean degree the tail is most of the mass: 1 - the head
         return 1.0 - float(np.sum(kernel_masses(s_exp, D + 1, t)))
     # 2^-64 of the first mass past D bounds what the far end leaves out
     far = _far_end(s_exp, t, D + 1, _log_mass(s_exp, t, D + 1) - 44.5)
-    masses = _masses(_log_binomials(s_exp, far + 1)[D + 1 :], s_exp, t, D + 1)
+    masses = next(_mass_rows(s_exp, [t], D + 1, far + 1))[0]
     return float(np.cumsum(masses[::-1])[-1])
 
 
@@ -234,12 +273,27 @@ def kernel_tail(s_exp: float, D: int, t) -> np.ndarray:
     P(m > D) of the negative-binomial law of ``kernel_masses``: past the
     mean degree the sum of the masses beyond D, from the far end where
     they fall below 2^-64 of the first; below it, one minus the masses up
-    to D.
+    to D.  Past the mean the masses fall, so where the first one, at
+    D + 1, is below the underflow bound (by a margin of 1 for the
+    roughness of its log-gamma logarithm) the tail is exactly 0.0, found
+    for all points at once.  It is 0 at t <= 0, 1 on or past the sphere
+    and NaN at NaN.
     """
     t_arr = np.asarray(t, dtype=float)
-    out = np.empty(t_arr.shape)
-    for i, ti in np.ndenumerate(t_arr):
-        out[i] = _kernel_tail(s_exp, D, ti)
+    out = np.where(t_arr >= 1.0, 1.0, 0.0)
+    out[np.isnan(t_arr)] = np.nan
+    inside = (t_arr > 0.0) & (t_arr < 1.0)
+    ts = t_arr[inside]
+    past = D + 1.0 > s_exp * ts / (1.0 - ts)
+    dead = np.zeros(ts.shape, dtype=bool)
+    if np.any(past):
+        n = D + 1.0
+        first = _log_choose(s_exp, n) + n * np.log(ts[past]) + s_exp * np.log1p(-ts[past])
+        dead[past] = first < _LOG_UNDERFLOW - 1.0
+    tails = np.zeros(ts.shape)
+    for i in np.flatnonzero(~dead):
+        tails[i] = _kernel_tail(s_exp, D, float(ts[i]))
+    out[inside] = tails
     return out[()]
 
 
@@ -252,17 +306,19 @@ def radial_berezin_sum(
     its transform is sum_m masses_m(t) eigenvalues[m] with the kernel
     masses at s = d + mu + 1, in every dimension d.  Degrees past the
     sequence are dropped; the values are complex when the eigenvalues are.
+    The mass rows come in blocks of points, and each row is summed on its
+    own, over every degree.
     """
     lam = np.asarray(eigenvalues)
     t_points = np.asarray(t_points, dtype=float)
-    out = np.empty(t_points.shape, dtype=np.result_type(lam, float))
-    log_binomials = _log_binomials(s_exp, lam.shape[0])
-    for i, t in np.ndenumerate(t_points):
-        if t == 0.0:
-            out[i] = lam[0]
-        else:
-            out[i] = np.dot(_masses(log_binomials, s_exp, t), lam)
-    return out
+    flat = t_points.reshape(-1)
+    out = np.empty(flat.shape, dtype=np.result_type(lam, float))
+    i = 0
+    for rows in _mass_rows(s_exp, flat, 0, lam.shape[0]):
+        for row in rows:
+            out[i] = lam[0] if flat[i] == 0.0 else np.dot(row, lam)
+            i += 1
+    return out.reshape(t_points.shape)
 
 
 def radial_expansion_degree(d: int, nu: float, t: float) -> int:
@@ -292,7 +348,7 @@ def radial_expansion_degree(d: int, nu: float, t: float) -> int:
     mean = int(min(s_exp * t / (1.0 - t), 1e12))
     require(mean + 16)
     far = _far_end(s_exp, t, mean + 1, math.log(_TAIL_TOL) - 44.5)
-    masses = _masses(_log_binomials(s_exp, far + 1)[mean:], s_exp, t, mean)
+    masses = next(_mass_rows(s_exp, [t], mean, far + 1))[0]
     # entry k: the mass past degree mean + k, summed from the far end
     tails = np.concatenate((np.cumsum(masses[:0:-1])[::-1], [0.0]))
     terms = mean + int(np.argmax(tails <= _TAIL_TOL)) + 16
@@ -345,6 +401,30 @@ def _radial_berezin_value(g: SymbolExpr, d: int, nu: float, t: float) -> complex
     return complex(radial_berezin_sum(lam, d + nu + 1.0, np.array([t]))[0])
 
 
+def pullback_spec(
+    g: SymbolLike, d: int, t: float, spec: QuadratureSpec
+) -> QuadratureSpec:
+    """The orders of the rule ``berezin_of_symbol`` integrates the Mobius
+    pullback of a non-radial g with, at a point of the d-ball with
+    |z|^2 = t.
+
+    The pullback has a near-pole at distance ~ (1 - |z|) outside the
+    closed ball, so the orders rise as the point approaches the boundary,
+    up to 128 radial nodes and 128 phases per axis (4096 on the disk).
+    A sampling spec is returned as it is.  ``assembly_path`` of a callable
+    at cutoff 0 and this spec is the plan the transform follows.
+    """
+    if spec.scheme == MONTE_CARLO:
+        return spec
+    deg = symbol_degree_hint(g) if is_symbolic(g) else 8
+    resolved = spec.resolved(d, 8, deg)
+    closeness = max(1.0 - math.sqrt(t), 1e-3)
+    q_eff = max(resolved.q, min(128, int(14.0 / math.sqrt(closeness)) + 8))
+    ang_cap = 4096 if d == 1 else 128
+    ang_eff = max(resolved.angular, min(ang_cap, int(30.0 / closeness) + 8))
+    return replace(spec, q=q_eff, angular=ang_eff)
+
+
 def berezin_of_symbol(
     g: SymbolLike,
     mu: float,
@@ -359,10 +439,11 @@ def berezin_of_symbol(
     stays accurate arbitrarily close to the boundary.  Any other symbol
     gives <T_{g o phi_z} 1, 1>_mu, the degree-0 entry of the pullback's
     Toeplitz matrix, from the samples of a sampling spec or from a product
-    rule whose orders grow as z nears the sphere.  ``is_radial``
-    picks the route, so a polynomial radial symbol expands over its
-    exact diagonal.  The geometry, when given, declares the partition that
-    group radii such as ``r1`` read; one of another dimension is refused.
+    rule whose orders grow as z nears the sphere (``pullback_spec``).
+    ``is_radial`` picks the route, so a polynomial radial symbol expands
+    over its exact diagonal.  The geometry, when given, declares the
+    partition that group radii such as ``r1`` read; one of another
+    dimension is refused.
     """
     z_arr = np.asarray(z, dtype=complex).reshape(-1)
     d = z_arr.shape[0]
@@ -385,16 +466,7 @@ def berezin_of_symbol(
             x = np.where(over[..., None], x * (1.0 - 1e-13), x)
         return np.asarray(fn(x))
 
-    if spec.scheme != MONTE_CARLO:
-        deg = symbol_degree_hint(g) if is_symbolic(g) else 8
-        resolved = spec.resolved(d, 8, deg)
-        # The pullback has a near-pole at distance ~ (1 - |z|) outside the
-        # closed ball; raise the orders as the point approaches the boundary.
-        closeness = max(1.0 - math.sqrt(t), 1e-3)
-        q_eff = max(resolved.q, min(128, int(14.0 / math.sqrt(closeness)) + 8))
-        ang_cap = 4096 if d == 1 else 128
-        ang_eff = max(resolved.angular, min(ang_cap, int(30.0 / closeness) + 8))
-        spec = replace(spec, q=q_eff, angular=ang_eff)
+    spec = pullback_spec(g, d, t, spec)
     return complex(toeplitz_matrix(pulled, WeightedSpace(d, mu), 0, spec).entries[0, 0])
 
 

@@ -28,6 +28,7 @@ from .berezin import (
     essential_spectrum_sample,
     fredholm_index_report,
     min_singular_probe,
+    pullback_spec,
     quantization_probe,
     radial_expansion_degree,
 )
@@ -62,6 +63,7 @@ from .symbols import (
     is_radial,
     parse_symbol,
     rebase_inner,
+    symbol_to_text,
 )
 from .toeplitz import (
     assembly_path,
@@ -505,6 +507,18 @@ def _probe_cutoff(symbols: Sequence[SymbolExpr], d: int, spec: QuadratureSpec) -
     return probe_D
 
 
+def _consistency_probe(cfg: ExperimentConfig) -> Tuple[List[SymbolExpr], np.ndarray]:
+    """The symbols and points of the Berezin-consistency probe: c and
+    re(z1) on the inner ball, at a few grid points with |z|^2 <= 1/2,
+    where the probe cutoff swallows the kernel mass."""
+    d_in = cfg.geometry.d_inner
+    inner_geo = BallGeometry(d_in, d_in, (d_in,))
+    symbols = [rebase_inner(cfg.c_expr), parse_symbol("re(z1)", inner_geo)]
+    grid = _radial_grid(d_in, cfg.grid_tmax, cfg.grid_points)
+    keep = np.sum(np.abs(grid) ** 2, axis=1) <= 0.5
+    return symbols, grid[keep][:: max(1, int(np.count_nonzero(keep)) // 4 or 1)]
+
+
 def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
     """Semicommutator decay, Berezin error decay, boundary table, recovery."""
     res = SuiteResult("quantization")
@@ -570,15 +584,11 @@ def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
         "mu,semicommutator_norm", zip(mus, semi_norms)
     )
 
-    # operator side vs symbol side of the Berezin transform; the cutoff
-    # must swallow the kernel mass at the probe radii, so stay at t <= 1/2
+    # operator side vs symbol side of the Berezin transform
     worst_consistency = 0.0
     probe_mus = sorted(set(mus))[:2] if len(mus) >= 2 else mus
-    inner_geo = BallGeometry(d_in, d_in, (d_in,))
-    probe_symbols = [c_in, parse_symbol("re(z1)", inner_geo)]
+    probe_symbols, probe_pts = _consistency_probe(cfg)
     probe_D = _probe_cutoff(probe_symbols, d_in, cfg.spec)
-    keep = np.sum(np.abs(grid) ** 2, axis=1) <= 0.5
-    probe_pts = grid[keep][:: max(1, int(np.count_nonzero(keep)) // 4 or 1)]
     for mu in probe_mus:
         for sym in probe_symbols:
             t_sym = toeplitz_matrix(sym, WeightedSpace(d_in, float(mu)), probe_D, cfg.spec)
@@ -735,8 +745,11 @@ def plan_suites(
     halfway: a factorization suite whose honest full route
     ``assembly_path`` refuses for one of its pairs (a product rule over
     the node budget), or a quantization suite with a non-radial c whose
-    recovery blocks it refuses (a matrix over the desk budget).  A radial
-    c's blocks are their per-degree eigenvalues, built at any cutoff.
+    recovery blocks it refuses (a matrix over the desk budget), or whose
+    Berezin-consistency probe it refuses for a non-radial symbol (the rule
+    of its Mobius pullback, ``pullback_spec``, over the node budget).  A
+    radial c's blocks are their per-degree eigenvalues, built at any
+    cutoff.
     """
     names = [name for name, _ in _ALL_SUITES]
     if only:
@@ -771,6 +784,22 @@ def plan_suites(
                         f"suite quantization: the recovery block of level {tot} at "
                         f"{key} = {cfg.settings[key]}: {exc}; or leave the suite "
                         "out with --only"
+                    ) from None
+    if "quantization" in names:
+        symbols, points = _consistency_probe(cfg)
+        d_in = cfg.geometry.d_inner
+        for sym in symbols:
+            if is_radial(sym):
+                continue
+            for t in np.sum(np.abs(points) ** 2, axis=1).tolist():
+                try:
+                    assembly_path(as_point_function(sym), WeightedSpace(d_in, 0.0), 0,
+                                  pullback_spec(sym, d_in, t, cfg.spec))
+                except DomainError as exc:
+                    raise DomainError(
+                        f"suite quantization: the Berezin-consistency probe of "
+                        f"{symbol_to_text(sym)} at |z|^2 = {t!r}: {exc}; or leave "
+                        "the suite out with --only"
                     ) from None
     return names
 

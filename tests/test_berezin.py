@@ -24,13 +24,16 @@ from berglab import (
     quantization_probe,
     toeplitz_matrix,
 )
+from berglab import berezin
 from berglab.berezin import (
     kernel_coefficients,
     kernel_masses,
     kernel_tail,
+    pullback_spec,
     radial_expansion_degree,
 )
 from berglab.core import enumerate_basis
+from berglab.toeplitz import assembly_path
 from berglab.quadrature import MONTE_CARLO, as_point_function, ball_rule, monte_carlo_points
 
 
@@ -318,3 +321,35 @@ def test_symbol_transform_refuses_a_geometry_of_another_dimension():
         with pytest.raises(DomainError, match="differs from the geometry"):
             berezin_of_symbol(parse_symbol(text, g), 1.0, (0.3, 0.2), QuadratureSpec(),
                               geometry=g)
+
+
+def test_symbol_transform_integrates_with_the_pullback_orders(monkeypatch):
+    seen = []
+    real = berezin.toeplitz_matrix
+
+    def spy(f, space, D, spec, **kwargs):
+        seen.append(spec)
+        return real(f, space, D, spec, **kwargs)
+
+    monkeypatch.setattr(berezin, "toeplitz_matrix", spy)
+    g = parse_symbol("re(z1)", None)
+    spec = QuadratureSpec()
+    for r in (0.0, 0.3, 0.6):
+        z = np.array([r, 0.0], dtype=complex)
+        berezin_of_symbol(g, 1.0, z, spec)
+        assert seen[-1] == pullback_spec(g, 2, float(np.sum(np.abs(z) ** 2)), spec)
+    # the orders rise toward the sphere; a sampling spec passes through
+    assert seen[0].q < seen[-1].q and seen[0].angular < seen[-1].angular
+    mc = QuadratureSpec(scheme=MONTE_CARLO, n_samples=1000)
+    assert pullback_spec(g, 2, 0.81, mc) == mc
+
+
+def test_the_pullback_plan_refuses_what_the_transform_would():
+    # on the 3-ball the pullback of re(z1) needs 584,277,056 nodes at the centre
+    g = parse_symbol("re(z1)", None)
+    spec = QuadratureSpec()
+    with pytest.raises(DomainError, match="584277056 nodes"):
+        assembly_path(as_point_function(g), WeightedSpace(3, 0.0), 0,
+                      pullback_spec(g, 3, 0.0, spec))
+    with pytest.raises(DomainError, match="584277056 nodes"):
+        berezin_of_symbol(g, 0.0, [0.0, 0.0, 0.0], spec)

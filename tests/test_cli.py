@@ -541,6 +541,33 @@ def test_suite_refuses_a_non_radial_recovery_block_over_the_budget(
     assert code == 0 and "truncation.D_eval = 1800" in out.splitlines()
 
 
+def test_suite_refuses_a_berezin_probe_over_the_rule_budget(capsys, tmp_path, monkeypatch):
+    # at geometry.n = 4 the Berezin-consistency probe integrates the Mobius
+    # pullback of re(z1) on the inner 3-ball with a 584,277,056-node rule
+    cfg = tmp_path / "n4.cfg"
+    cfg.write_text("geometry.n = 4\n")
+    out_dir = tmp_path / "runs"
+
+    def refuse(cfg):
+        raise AssertionError("a suite ran before the selection was checked")
+
+    monkeypatch.setattr(suites, "_ALL_SUITES", tuple((n, refuse) for n, _ in suites._ALL_SUITES))
+    for extra in ([], ["--dry-run"]):
+        code, out, err = run(
+            capsys,
+            ["suite", "--config", str(cfg), "--only", "quantization", "--out", str(out_dir)]
+            + extra,
+        )
+        assert code == 1 and out == ""
+        assert "suite quantization: the Berezin-consistency probe of re(z1)" in err
+        assert "584277056 nodes" in err and err.rstrip().endswith("--only")
+    assert not out_dir.exists()
+    code, out, err = run(
+        capsys, ["suite", "--config", str(cfg), "--only", "norm_identity", "--dry-run"]
+    )
+    assert code == 0 and "plan: run norm_identity" in out
+
+
 @pytest.mark.parametrize("extra", [[], ["--dry-run"]], ids=["run", "dry_run"])
 def test_decompose_refuses_levels_past_the_cutoff(capsys, extra):
     code, out, err = run(

@@ -245,3 +245,16 @@ def test_one_function_sorts_the_levels():
         )
         found += [f"{path.name}: {scope or '<module>'}" for scope, _ in calls]
     assert found == ["core.py: level_layout"]
+
+
+def test_only_the_mass_helper_exponentiates_in_the_berezin_module():
+    """One route for every kernel mass: in berezin.py ``np.exp`` is called
+    only by ``_mass_rows``, which skips the masses that underflow."""
+    calls = _scoped_calls(
+        ast.parse((SRC / "berezin.py").read_text()),
+        lambda func: isinstance(func, ast.Attribute)
+        and func.attr == "exp"
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "np",
+    )
+    assert [scope for scope, _ in calls] == ["_mass_rows"]
