@@ -8,14 +8,3 @@ class DomainError(ValueError):
     over bare ValueError for anything a user can trigger from outside.
     """
 
-
-class InvarianceError(DomainError):
-    """Raised when a matrix fails the block-invariance check.
-
-    Carries the measured off-block mass so callers can report how badly
-    the hypothesis was violated instead of silently projecting.
-    """
-
-    def __init__(self, message: str, off_block_mass: float = float("nan")):
-        super().__init__(message)
-        self.off_block_mass = off_block_mass

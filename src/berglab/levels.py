@@ -28,17 +28,14 @@ from .core import (
     BallGeometry,
     Level,
     MultiIndex,
-    TruncatedBasis,
     WeightedSpace,
-    count_basis,
     csv_lines,
     dim_level,
     enumerate_basis,
     level_layout,
-    levels_up_to,
     make_level,
 )
-from .errors import DomainError, InvarianceError
+from .errors import DomainError
 from .quadrature import MONTE_CARLO, QuadratureSpec, SymbolLike
 from .symbols import (
     ProductSymbol,
@@ -63,15 +60,6 @@ from .toeplitz import (
 # Index bookkeeping
 
 
-def level_positions(
-    basis: TruncatedBasis, geometry: BallGeometry, rho: Sequence[int]
-) -> np.ndarray:
-    """Basis positions of the level rho in Kronecker pair order: its
-    ``level_layout`` rows one after another, the inner index fastest."""
-    rho_t = _check_level(rho, geometry, basis.D)
-    return level_layout(basis, geometry)[rho_t].ravel()
-
-
 def _check_level(
     rho: Sequence[int], geometry: BallGeometry, D: float = math.inf
 ) -> Tuple[int, ...]:
@@ -87,17 +75,6 @@ def _check_level(
     return rho_t
 
 
-def level_count_identity(n: int, ell: int, k: Sequence[int], D: int) -> bool:
-    """Levels' dimensions times inner counts must tile the whole basis."""
-    geometry = BallGeometry(n, ell, tuple(k))
-    total = 0
-    for rho in levels_up_to(D, geometry.m):
-        total += dim_level(rho, geometry.k) * count_basis(
-            geometry.d_inner, D - sum(rho)
-        )
-    return total == count_basis(n, D)
-
-
 # ---------------------------------------------------------------------------
 # Blocks
 
@@ -111,10 +88,11 @@ class LevelBlock:
     per-degree ``eigenvalues`` (complex), any other as its ``matrix``.
     For a pure inner-variable symbol the level is I (x) block, and for a
     product symbol it is (factor on the z'-slot) (x) block up to the
-    z'-factor's scalar part.  ``block`` and ``inner_basis`` are built
-    only when read, so a radial block of any cutoff stays D + 1 values.
-    ``pair_entries``, when present, is the full compression of the source
-    matrix to the level in flat pair order.
+    z'-factor's scalar part.  ``block`` is built only when read, so a
+    radial block of any cutoff stays D + 1 values.  ``pair_entries`` is
+    always None: blocks are built on the inner ball, never compressed
+    from a full-ball matrix, but the benchmark tracer
+    (``perfbench/tracer.py``) reads the field on every block it counts.
     """
 
     level: Level
@@ -132,10 +110,6 @@ class LevelBlock:
     @property
     def mu(self) -> float:
         return self.level.mu
-
-    @property
-    def inner_basis(self) -> TruncatedBasis:
-        return self.block.basis
 
     @functools.cached_property
     def block(self) -> OperatorMatrix:
@@ -162,47 +136,6 @@ def off_block_mass(M: OperatorMatrix, geometry: BallGeometry) -> Tuple[float, fl
     total = float(np.linalg.norm(M.entries))
     off = float(np.linalg.norm(np.where(same, 0.0, M.entries)))
     return off, total
-
-
-def extract_level_block(
-    M: OperatorMatrix,
-    rho: Sequence[int],
-    geometry: BallGeometry,
-    *,
-    tol: float = 1e-8,
-) -> LevelBlock:
-    """Compress a full-ball matrix to one level, checking invariance.
-
-    The off-block rows and columns attached to the level must be
-    negligible relative to the whole matrix; a violation means the symbol
-    does not actually commute with the group torus action and the
-    decomposition does not apply.
-    """
-    basis = M.basis
-    rho_t = tuple(int(v) for v in rho)
-    pos = level_positions(basis, geometry, rho_t)
-    comp = np.setdiff1d(np.arange(basis.count), pos)
-    frob = float(np.linalg.norm(M.entries))
-    off2 = float(np.linalg.norm(M.entries[np.ix_(pos, comp)])) ** 2
-    off2 += float(np.linalg.norm(M.entries[np.ix_(comp, pos)])) ** 2
-    off = math.sqrt(off2)
-    if frob > 0.0 and off > tol * frob:
-        raise InvarianceError(
-            f"level {rho_t} couples to its complement: off-block mass "
-            f"{off:.3e} vs total {frob:.3e}",
-            off_block_mass=off,
-        )
-    sub = M.entries[np.ix_(pos, pos)]
-    level = make_level(rho_t, basis.lam, geometry.ell)
-    inner_basis = enumerate_basis(
-        geometry.d_inner, basis.D - sum(rho_t), level.mu
-    )
-    ic = inner_basis.count
-    block = OperatorMatrix(
-        inner_basis, sub[:ic, :ic].copy(), label=f"{M.label}|rho={rho_t}"
-    )
-    return LevelBlock(level, len(pos) // ic, inner_basis.d, inner_basis.D,
-                      matrix=block, pair_entries=sub)
 
 
 def level_block_direct(
@@ -250,26 +183,6 @@ def block_norms(
             out[rho] = _diagonal_norm(M.diag[pos])
         else:
             out[rho] = operator_norm(M.entries[np.ix_(pos, pos)])
-    return out
-
-
-def reassemble_from_levels(M: OperatorMatrix, geometry: BallGeometry) -> np.ndarray:
-    """Scatter the level compressions back into a full-size matrix.
-
-    With exact level masks this reproduces the matrix; without them it
-    equals the level-diagonal part.  A diagonal form lies within its
-    levels, so its values go straight onto the diagonal.
-    """
-    layout = level_layout(M.basis, geometry)
-    k = M.basis.count
-    if M.diag is not None:
-        out = np.zeros((k, k), dtype=complex)
-        out[np.arange(k), np.arange(k)] = M.diag
-        return out
-    out = np.zeros_like(M.entries)
-    for rows in layout.values():
-        pos = rows.ravel()
-        out[np.ix_(pos, pos)] = M.entries[np.ix_(pos, pos)]
     return out
 
 
@@ -326,20 +239,6 @@ def _factor_on_level(
     return t_a.entries[np.ix_(rows, rows)]
 
 
-def full_route_matrix(
-    f: SymbolLike, space: WeightedSpace, D: int, spec: QuadratureSpec
-) -> Tuple[OperatorMatrix, Optional[np.ndarray]]:
-    """The full route of the factorization check, with its standard errors.
-
-    Sampling specs give the Monte Carlo matrix and its per-entry standard
-    errors; rules give plain quadrature with the fast paths off and no
-    errors.  Neither uses the factorization it is compared against.
-    """
-    if spec.scheme == MONTE_CARLO:
-        return toeplitz_matrix_with_stderr(f, space, D, spec)
-    return toeplitz_matrix(f, space, D, spec, use_fast_paths=False), None
-
-
 # the default deviation bound of the rule route's factorization check
 FACTORIZATION_TOL = 1e-5
 
@@ -357,10 +256,12 @@ def verify_tensor_factorization(
     """Compare full-ball quadrature of the product symbol with the
     Kronecker product of the two lower-dimensional matrices on each level.
 
-    The full route (``full_route_matrix``) integrates over all 2n real
-    dimensions with no use of the factorization and is assembled once for
-    all the levels; the factorized route multiplies the z'-slot factor by
-    the inner Toeplitz matrix at the shifted weight (``level_block_direct``).
+    The full route integrates over all 2n real dimensions with no use of
+    the factorization and is assembled once for all the levels: a sampling
+    spec gives the Monte Carlo matrix and its per-entry standard errors, a
+    rule gives plain quadrature with the fast paths off.  The factorized
+    route multiplies the z'-slot factor by the inner Toeplitz matrix at
+    the shifted weight (``level_block_direct``).
     Agreement is the numerical content of the level decomposition.  A
     level that is not one of the partition, or whose total exceeds D, is
     refused before anything is assembled.  Returns the full-route matrix
@@ -369,9 +270,12 @@ def verify_tensor_factorization(
     levels_t = [_check_level(rho, geometry, D) for rho in levels]
     f_ac = ProductSymbol(a=a, c=c, geometry=geometry)
     space = WeightedSpace(geometry.n, lam, geometry=geometry)
-    full, se = full_route_matrix(f_ac, space, D, spec)
-    layout = level_layout(full.basis, geometry)
     mc = spec.scheme == MONTE_CARLO
+    if mc:
+        full, se = toeplitz_matrix_with_stderr(f_ac, space, D, spec)
+    else:
+        full = toeplitz_matrix(f_ac, space, D, spec, use_fast_paths=False)
+    layout = level_layout(full.basis, geometry)
     # the Kronecker route is the reference: under sampling it takes the
     # rule, so its own noise stays out of the 5 SE gate
     kron_spec = QuadratureSpec(q=spec.q, angular=spec.angular) if mc else spec

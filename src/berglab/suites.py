@@ -201,8 +201,8 @@ class ExperimentConfig:
             values["geometry.n"], values["geometry.ell"], values["geometry.k"]
         )
         lam = values["space.lambda"]
-        if not lam > -1.0:
-            raise DomainError(f"space.lambda must exceed -1, got {lam}")
+        if not (math.isfinite(lam) and lam > -1.0):
+            raise DomainError(f"space.lambda must be finite and exceed -1, got {lam}")
         D = values["truncation.D"]
         R = values["truncation.R"]
         if geometry.n > _MAX_N or geometry.ell > _MAX_ELL:
@@ -220,6 +220,15 @@ class ExperimentConfig:
         if values["threads"] < 0:
             raise DomainError(
                 f"threads must be nonnegative (0 = all cores), got {values['threads']}"
+            )
+        # refused here, not halfway through the quantization suite
+        for key in ("truncation.D_eval", "truncation.D_remainder",
+                    "schedule.eval_levels", "schedule.remainder_levels"):
+            if np.min(values[key]) < 0:
+                raise DomainError(f"{key} must be nonnegative, got {format_cell(values[key])}")
+        if np.min(values["schedule.mu"]) <= -1:
+            raise DomainError(
+                f"schedule.mu weights must exceed -1, got {format_cell(values['schedule.mu'])}"
             )
 
         # the boundary probe's last radius must stay within the budget of
@@ -736,6 +745,17 @@ _ALL_SUITES: Tuple[Tuple[str, Callable[[ExperimentConfig], SuiteResult]], ...] =
 )
 
 
+def _plan_or_refuse(what: str, plan: Callable[[], object]) -> None:
+    """Make one plan a suite will need (an ``assembly_path`` call); its
+    refusal names the suite and what needed the plan (``what``)."""
+    try:
+        plan()
+    except DomainError as exc:
+        raise DomainError(
+            f"suite {what}: {exc}; or leave the suite out with --only"
+        ) from None
+
+
 def plan_suites(
     cfg: ExperimentConfig, only: Optional[Sequence[str]] = None
 ) -> List[str]:
@@ -762,13 +782,11 @@ def plan_suites(
         space = WeightedSpace(geo.n, cfg.lam, geometry=geo)
         for a_text, c_text in _canned_pairs(cfg):
             composite = parse_symbol(f"prod(a = {a_text}, c = {c_text})", geo)
-            try:
-                assembly_path(composite, space, cfg.D, cfg.spec, use_fast_paths=False)
-            except DomainError as exc:
-                raise DomainError(
-                    f"suite factorization: the full route of pair ({a_text} | "
-                    f"{c_text}): {exc}; or leave the suite out with --only"
-                ) from None
+            _plan_or_refuse(
+                f"factorization: the full route of pair ({a_text} | {c_text})",
+                lambda: assembly_path(composite, space, cfg.D, cfg.spec,
+                                      use_fast_paths=False),
+            )
     c_in = rebase_inner(cfg.c_expr)
     if "quantization" in names and not is_radial(c_in):
         geo = cfg.geometry
@@ -776,15 +794,12 @@ def plan_suites(
         for key, levels in (("truncation.D_eval", cfg.eval_levels),
                             ("truncation.D_remainder", cfg.remainder_levels)):
             for tot in levels:
-                try:
-                    assembly_path(c_in, geo.level_space(cfg.lam, (tot,) + pad),
-                                  cfg.settings[key], cfg.spec)
-                except DomainError as exc:
-                    raise DomainError(
-                        f"suite quantization: the recovery block of level {tot} at "
-                        f"{key} = {cfg.settings[key]}: {exc}; or leave the suite "
-                        "out with --only"
-                    ) from None
+                _plan_or_refuse(
+                    f"quantization: the recovery block of level {tot} at "
+                    f"{key} = {cfg.settings[key]}",
+                    lambda: assembly_path(c_in, geo.level_space(cfg.lam, (tot,) + pad),
+                                          cfg.settings[key], cfg.spec),
+                )
     if "quantization" in names:
         symbols, points = _consistency_probe(cfg)
         d_in = cfg.geometry.d_inner
@@ -792,15 +807,12 @@ def plan_suites(
             if is_radial(sym):
                 continue
             for t in np.sum(np.abs(points) ** 2, axis=1).tolist():
-                try:
-                    assembly_path(as_point_function(sym), WeightedSpace(d_in, 0.0), 0,
-                                  pullback_spec(sym, d_in, t, cfg.spec))
-                except DomainError as exc:
-                    raise DomainError(
-                        f"suite quantization: the Berezin-consistency probe of "
-                        f"{symbol_to_text(sym)} at |z|^2 = {t!r}: {exc}; or leave "
-                        "the suite out with --only"
-                    ) from None
+                _plan_or_refuse(
+                    f"quantization: the Berezin-consistency probe of "
+                    f"{symbol_to_text(sym)} at |z|^2 = {t!r}",
+                    lambda: assembly_path(as_point_function(sym), WeightedSpace(d_in, 0.0),
+                                          0, pullback_spec(sym, d_in, t, cfg.spec)),
+                )
     return names
 
 

@@ -36,7 +36,7 @@ import re as _re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import (
-    Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, TypeVar, Union,
+    Callable, Dict, FrozenSet, List, Optional, Tuple, TypeVar, Union,
 )
 
 import numpy as np
@@ -644,21 +644,6 @@ def eval_on_points(
     )
     out = ctx.evaluate(expr)
     return np.broadcast_to(np.asarray(out), z.shape[:-1]).copy()
-
-
-def eval_symbol(
-    expr: Union[SymbolExpr, ProductSymbol],
-    point: Sequence[complex],
-    *,
-    geometry: Optional[BallGeometry] = None,
-    allow_boundary: bool = False,
-) -> complex:
-    """Evaluate at a single point of the open ball (closed if allowed)."""
-    z = np.asarray(tuple(point), dtype=complex)
-    values = eval_on_points(
-        expr, z[None, :], geometry=geometry, allow_boundary=allow_boundary
-    )
-    return complex(values[0])
 
 
 def eval_profile(expr: SymbolExpr, radii: np.ndarray) -> np.ndarray:

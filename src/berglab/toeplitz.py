@@ -987,10 +987,8 @@ def semicommutator(
 
     t12 = toeplitz_matrix(product, space, D, spec)
     out = t1 @ t2 - t12
-    label = f"semi({t1.label}, {t2.label})"
-    if out.diag is not None:
-        return OperatorMatrix.diagonal(t1.basis, out.diag, label=label)
-    return OperatorMatrix(t1.basis, out.entries, label=label)
+    out.label = f"semi({t1.label}, {t2.label})"
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,15 @@ from berglab import (
     berezin_of_symbol,
     block_norms,
     boundary_vanishing_probe,
+    count_basis,
     default_radius_schedule,
+    dim_level,
+    enumerate_basis,
     essential_spectrum_sample,
     fredholm_index_report,
     gamma_sequence,
     level_block_direct,
-    level_count_identity,
+    level_layout,
     levels_up_to,
     min_singular_probe,
     off_block_mass,
@@ -326,7 +329,14 @@ def test_criterion_9_counting_identity():
         for ell in range(1, min(2, n - 1) + 1):
             for k in ([(1,)] if ell == 1 else [(2,), (1, 1)]):
                 for D in range(0, 9):
-                    ok = ok and level_count_identity(n, ell, k, D)
+                    geometry = BallGeometry(n, ell, k)
+                    layout = level_layout(enumerate_basis(n, D, 0.0), geometry)
+                    ok = ok and list(layout) == list(levels_up_to(D, geometry.m))
+                    ok = ok and all(
+                        rows.shape == (dim_level(rho, k), count_basis(n - ell, D - sum(rho)))
+                        for rho, rows in layout.items()
+                    )
+                    ok = ok and sum(rows.size for rows in layout.values()) == count_basis(n, D)
                     checked += 1
     elapsed = time.perf_counter() - t0
     _report(

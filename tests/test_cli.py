@@ -485,6 +485,30 @@ def test_negative_thread_count_is_exit_one(capsys, tmp_path):
         assert err.startswith("error:") and "threads" in err
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("truncation.D_eval = -1", "truncation.D_eval"),
+        ("truncation.D_remainder = -1", "truncation.D_remainder"),
+        ("schedule.eval_levels = 32 -2", "schedule.eval_levels"),
+        ("schedule.remainder_levels = -2 32", "schedule.remainder_levels"),
+        ("schedule.mu = 1 -1", "schedule.mu"),
+        ("space.lambda = inf", "space.lambda"),
+    ],
+    ids=["D_eval", "D_remainder", "eval_levels", "remainder_levels", "mu", "lambda"],
+)
+def test_suite_refuses_at_config_time_what_a_suite_would_stop_on(
+    capsys, tmp_path, line, key
+):
+    # each of these once passed the dry run and stopped the quantization
+    # suite halfway
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, ["suite", "--config", str(cfg), "--dry-run"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and key in err
+
+
 def test_suite_refuses_a_factorization_over_the_rule_budget(capsys, tmp_path, monkeypatch):
     # on the 3-ball the honest full route of r1^2 | 1 needs 34 M nodes, at
     # the phase count D + 1 of its invariant band

@@ -16,6 +16,7 @@ from berglab import (
     count_basis,
     dim_level,
     enumerate_basis,
+    level_layout,
     levels_up_to,
 )
 from berglab.core import compositions, csv_lines, format_cell, monomial_moment
@@ -165,16 +166,23 @@ def test_dim_level_counts_compositions(total, parts):
 
 
 def test_counting_identity_exhaustive():
-    """Level dimensions tile the truncated basis, every desk-size case."""
-    from berglab import level_count_identity
-
+    """Level dimensions tile the truncated basis, every desk-size case:
+    the level layout has one (dim_level, inner count) array per level up
+    to D, and their sizes add up to the basis count."""
     cases = 0
     for n in range(2, 5):
         for ell in range(1, min(2, n - 1) + 1):
             parts = [(ell,)] if ell == 1 else [(2,), (1, 1)]
             for k in parts:
                 for D in range(0, 9):
-                    assert level_count_identity(n, ell, k, D), (n, ell, k, D)
+                    geometry = BallGeometry(n, ell, k)
+                    layout = level_layout(enumerate_basis(n, D, 0.0), geometry)
+                    assert list(layout) == list(levels_up_to(D, geometry.m))
+                    for rho, rows in layout.items():
+                        inner = count_basis(n - ell, D - sum(rho))
+                        assert rows.shape == (dim_level(rho, k), inner), (n, ell, k, D)
+                    total = sum(rows.size for rows in layout.values())
+                    assert total == count_basis(n, D), (n, ell, k, D)
                     cases += 1
     assert cases == 63
 

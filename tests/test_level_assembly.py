@@ -17,11 +17,11 @@ from berglab import (
     parse_symbol,
     run_all,
     toeplitz_matrix,
+    verify_tensor_factorization,
 )
 from berglab import berezin, toeplitz
 from berglab.berezin import radial_berezin_sum, radial_expansion_degree
 from berglab.cli import main
-from berglab.levels import full_route_matrix
 
 # explicit orders keep the 3-ball reference rule within the node budget;
 # they integrate these polynomial integrands exactly
@@ -114,8 +114,8 @@ def test_the_honest_routes_stay_on_the_full_ball_rule(monkeypatch):
     geo = BallGeometry(2, 1, (1,))
     space = WeightedSpace(2, 0.0, geometry=geo)
     f = parse_symbol("prod(a = r1^2, c = 1 - abs2(zc))", geo)
-    full, se = full_route_matrix(f, space, 4, QuadratureSpec())
-    assert built == [2] and se is None and full.diag is None
+    full, _ = verify_tensor_factorization(f.a, f.c, geo, 0.0, [], 4, QuadratureSpec())
+    assert built == [2] and full.diag is None
     honest = assembly_path(f, space, 4, QuadratureSpec(), use_fast_paths=False)
     assert honest.kind == "torus"
     mc = QuadratureSpec(scheme="monte_carlo", n_samples=1000, seed=1)

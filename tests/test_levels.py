@@ -10,7 +10,6 @@ import pytest
 from berglab import (
     BallGeometry,
     DomainError,
-    InvarianceError,
     OperatorMatrix,
     QuadratureSpec,
     RecoveredSymbol,
@@ -21,15 +20,12 @@ from berglab import (
     count_basis,
     dim_level,
     enumerate_basis,
-    extract_level_block,
     level_block_direct,
     level_layout,
-    level_positions,
     levels_up_to,
     off_block_mass,
     operator_norm,
     parse_symbol,
-    reassemble_from_levels,
     recover_symbol_and_remainder,
     toeplitz_matrix,
     verify_tensor_factorization,
@@ -61,32 +57,21 @@ def _pair_positions(basis, geometry, rho):
 
 @pytest.mark.parametrize(
     "geometry",
-    [BallGeometry(3, 2, (1, 1)), BallGeometry(4, 3, (2, 1)), BallGeometry(3, 1, (1,))],
-    ids=["n3_k11", "n4_k21", "n3_k1"],
-)
-def test_level_positions_match_the_pair_construction(geometry):
-    D = 5
-    basis = enumerate_basis(geometry.n, D, 0.0)
-    covered = []
-    for rho in levels_up_to(D, geometry.m):
-        pos = level_positions(basis, geometry, rho)
-        assert pos.tolist() == _pair_positions(basis, geometry, rho)
-        inner_count = count_basis(geometry.d_inner, D - sum(rho))
-        assert len(pos) == dim_level(rho, geometry.k) * inner_count
-        covered.extend(pos.tolist())
-    assert sorted(covered) == list(range(basis.count))
-
-
-@pytest.mark.parametrize(
-    "geometry",
-    [BallGeometry(2, 1, (1,)), BallGeometry(3, 2, (1, 1)), BallGeometry(4, 3, (2, 1))],
-    ids=["n2_k1", "n3_k11", "n4_k21"],
+    [
+        BallGeometry(2, 1, (1,)),
+        BallGeometry(3, 2, (1, 1)),
+        BallGeometry(4, 3, (2, 1)),
+        BallGeometry(3, 1, (1,)),
+    ],
+    ids=["n2_k1", "n3_k11", "n4_k21", "n3_k1"],
 )
 def test_level_layout_has_one_row_per_z_prime_exponent(geometry):
     D = 5
     basis = enumerate_basis(geometry.n, D, 0.0)
     layout = level_layout(basis, geometry)
     assert list(layout) == list(levels_up_to(D, geometry.m))
+    covered = np.concatenate([rows.ravel() for rows in layout.values()])
+    assert sorted(covered.tolist()) == list(range(basis.count))
     exps = basis.exponent_array()
     for rho, rows in layout.items():
         inner_count = count_basis(geometry.d_inner, D - sum(rho))
@@ -103,8 +88,8 @@ def test_index_map_partitions_basis(split31):
     D = 5
     basis = enumerate_basis(split31.n, D, 0.0)
     covered = set()
-    for rho in levels_up_to(D, split31.m):
-        pos = level_positions(basis, split31, rho)
+    for rho, rows in level_layout(basis, split31).items():
+        pos = rows.ravel()
         inner_count = count_basis(split31.d_inner, D - sum(rho))
         assert len(pos) == dim_level(rho, split31.k) * inner_count
         for p in pos.tolist():
@@ -117,7 +102,7 @@ def test_index_map_orders_inner_fastest(split31):
     D = 4
     for geometry, rho in [(split31, (1, 0)), (BallGeometry(4, 3, (2, 1)), (2, 1))]:
         basis = enumerate_basis(geometry.n, D, 0.0)
-        pos = level_positions(basis, geometry, rho)
+        pos = level_layout(basis, geometry)[rho].ravel()
         inner_count = count_basis(geometry.d_inner, D - sum(rho))
         hdim = dim_level(rho, geometry.k)
         d_prime = geometry.n - geometry.d_inner
@@ -136,47 +121,42 @@ def test_index_map_orders_inner_fastest(split31):
 
 
 def test_level_positions_refuse_a_foreign_level(split31):
-    basis = enumerate_basis(3, 4, 0.0)
+    c = parse_symbol("1 - abs2(zc)", None)
+    with pytest.raises(DomainError):  # another dimension
+        level_layout(enumerate_basis(3, 4, 0.0), BallGeometry(4, 2, (1, 1)))
     for geometry, rho in [
-        (BallGeometry(4, 2, (1, 1)), (1, 0)),  # another dimension
         (split31, (1,)),  # another partition length
-        (split31, (3, 2)),  # total over the cutoff
+        (split31, (-1, 0)),  # a negative group degree
         (BallGeometry(3, 3, (2, 1)), (1, 0)),  # no inner block
     ]:
         with pytest.raises(DomainError):
-            level_positions(basis, geometry, rho)
+            level_block_direct(c, geometry, 0.0, rho, 4, QuadratureSpec())
+    a = parse_symbol("1", split31)
+    with pytest.raises(DomainError, match="level total 5 exceeds the cutoff 4"):
+        verify_tensor_factorization(a, c, split31, 0.0, [(3, 2)], 4, QuadratureSpec())
 
 
-def test_extract_block_identity_tensor(split31):
-    # f depends only on the inner coordinate: each block is T_c itself.
-    # a == 1 keeps the integrand polynomial, so explicit modest orders
-    # are exact and the 3-dim product rule stays within the node budget.
-    full_spec = QuadratureSpec(q=16, angular=9)
-    spec = QuadratureSpec()
-    space = WeightedSpace(3, 0.0, geometry=split31)
-    f = parse_symbol("prod(a = 1, c = 1 - abs2(zc))", split31)
-    # the full-ball rule, not the level route this test compares against
-    M = toeplitz_matrix(f, space, 4, full_spec, use_fast_paths=False)
-    for rho in [(0, 0), (1, 0), (1, 1)]:
-        blk = extract_level_block(M, rho, split31)
-        direct = level_block_direct(
-            parse_symbol("1 - abs2(zc)", None),
-            split31,
-            0.0,
-            rho,
-            4 - sum(rho),
-            spec,
-        )
-        assert blk.mu == direct.mu == 0.0 + sum(rho) + split31.ell
-        assert np.max(np.abs(blk.block.entries - direct.block.entries)) < 1e-10
+def test_factorization_identity_tensor(split31):
+    # f depends only on the inner coordinate: each level of the full-ball
+    # rule is I (x) T_c.  a == 1 keeps the integrand polynomial, so explicit
+    # modest orders are exact and the 3-dim product rule stays within the
+    # node budget.
+    spec = QuadratureSpec(q=16, angular=9)
+    a, c = parse_symbol("1", split31), parse_symbol("1 - abs2(zc)", None)
+    levels = [(0, 0), (1, 0), (1, 1)]
+    _, reports = verify_tensor_factorization(a, c, split31, 0.0, levels, 4, spec, tol=1e-10)
+    assert [rep.rho for rep in reports] == levels
+    for rep in reports:
+        assert rep.mu == 0.0 + sum(rep.rho) + split31.ell
+        assert rep.passed and rep.max_deviation < 1e-10, rep.summary()
 
 
-def test_extract_block_rejects_non_invariant(split31):
+def test_off_block_mass_of_a_non_invariant_symbol(split31):
     spec = QuadratureSpec()
     space = WeightedSpace(3, 0.0, geometry=split31)
     M = toeplitz_matrix(parse_symbol("re(z1)", split31), space, 3, spec)
-    with pytest.raises(InvarianceError):
-        extract_level_block(M, (0, 0), split31)
+    off, total = off_block_mass(M, split31)
+    assert off > 1e-8 * total > 0.0
 
 
 def test_off_block_mass_zero_for_invariant(split31):
@@ -202,11 +182,12 @@ def test_reassemble_recovers_matrix(split31):
     space = WeightedSpace(3, 0.0, geometry=split31)
     f = parse_symbol("prod(a = 1, c = 2 - abs2(zc))", split31)
     M = toeplitz_matrix(f, space, 4, spec, use_fast_paths=False)
-    back = reassemble_from_levels(M, split31)
-    assert np.max(np.abs(back - M.entries)) < 1e-12
+    # the level blocks scattered back are M: nothing lies outside them
+    off, _ = off_block_mass(M, split31)
+    assert off < 1e-12
 
 
-@pytest.mark.parametrize("check", [off_block_mass, block_norms, reassemble_from_levels])
+@pytest.mark.parametrize("check", [off_block_mass, block_norms])
 def test_level_checks_refuse_a_geometry_of_another_dimension(split31, check):
     space = WeightedSpace(2, 0.0)
     M = toeplitz_matrix(parse_symbol("1 - abs2(z)", None), space, 3, QuadratureSpec())
@@ -240,14 +221,17 @@ def test_factorization_refuses_a_level_over_the_cutoff_before_assembling(monkeyp
     def sentinel(*args, **kwargs):
         raise Assembled
 
-    monkeypatch.setattr(levels_module, "full_route_matrix", sentinel)
-    for bad in ([(0,), (5,)], [(1, 0)], [(-1,)]):
-        with pytest.raises(DomainError):
-            verify_tensor_factorization(a, c, g, 0.0, bad, 4, QuadratureSpec())
-    with pytest.raises(DomainError, match="level total 5 exceeds the cutoff 4"):
-        verify_tensor_factorization(a, c, g, 0.0, levels_up_to(6, 1), 4, QuadratureSpec())
-    with pytest.raises(Assembled):
-        verify_tensor_factorization(a, c, g, 0.0, levels_up_to(4, 1), 4, QuadratureSpec())
+    monkeypatch.setattr(levels_module, "toeplitz_matrix", sentinel)
+    monkeypatch.setattr(levels_module, "toeplitz_matrix_with_stderr", sentinel)
+    mc = QuadratureSpec(scheme=MONTE_CARLO, n_samples=1000, seed=1)
+    for spec in (QuadratureSpec(), mc):
+        for bad in ([(0,), (5,)], [(1, 0)], [(-1,)]):
+            with pytest.raises(DomainError):
+                verify_tensor_factorization(a, c, g, 0.0, bad, 4, spec)
+        with pytest.raises(DomainError, match="level total 5 exceeds the cutoff 4"):
+            verify_tensor_factorization(a, c, g, 0.0, levels_up_to(6, 1), 4, spec)
+        with pytest.raises(Assembled):
+            verify_tensor_factorization(a, c, g, 0.0, levels_up_to(4, 1), 4, spec)
 
 
 def test_factorization_report_fields():
@@ -389,7 +373,7 @@ def test_group_invariance_without_axis_winding():
 
 def _dense_block(blk):
     """The same block held as a dense matrix: it takes the quadratic form."""
-    dense = OperatorMatrix(blk.inner_basis, blk.block.entries)
+    dense = OperatorMatrix(blk.block.basis, blk.block.entries)
     return dataclasses.replace(blk, eigenvalues=None, matrix=dense)
 
 
@@ -436,7 +420,7 @@ def test_deep_radial_recovery_never_builds_a_dense_block():
     finally:
         tracemalloc.stop()
     assert "block" not in vars(blk)
-    assert blk.inner_basis.count == k
+    assert blk.block.basis.count == k
     assert peak < k * k * 16 / 10
     assert len(report.by_level) == 1 and np.isfinite(report.max_remainder())
 

@@ -8,7 +8,6 @@ from berglab import (
     BallGeometry,
     DomainError,
     QuadratureSpec,
-    WeightedSpace,
     count_basis,
     default_config,
     load_config,
@@ -18,9 +17,9 @@ from berglab import (
     resolve_assembly_spec,
     run_all,
     summary_lines,
+    verify_tensor_factorization,
     write_outputs,
 )
-from berglab.levels import full_route_matrix
 from berglab.quadrature import _MAX_RULE_NODES, ball_rule_size
 from berglab.suites import _KNOWN_KEYS, ExperimentConfig, _canned_pairs, _probe_cutoff
 
@@ -271,8 +270,9 @@ def test_honest_off_block_mass_is_roundoff_not_zero_by_construction():
     geo = cfg.geometry
     a_text, c_text = _canned_pairs(cfg)[-1]
     composite = parse_symbol(f"prod(a = {a_text}, c = {c_text})", geo)
-    space = WeightedSpace(geo.n, cfg.lam, geometry=geo)
-    full, _ = full_route_matrix(composite, space, cfg.D, cfg.spec)
+    full, _ = verify_tensor_factorization(
+        composite.a, composite.c, geo, cfg.lam, [], cfg.D, cfg.spec
+    )
     off, total = off_block_mass(full, geo)
     assert 0.0 < off / total < 1e-15
 

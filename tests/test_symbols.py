@@ -14,7 +14,6 @@ from berglab import (
     SymbolSyntaxError,
     classify_symbol,
     eval_on_points,
-    eval_symbol,
     expand_polynomial,
     parse_symbol,
     rebase_inner,
@@ -120,8 +119,9 @@ EVAL_CASES = [
 
 @pytest.mark.parametrize("text,point,expected", EVAL_CASES)
 def test_eval_matches_plain_arithmetic(text, point, expected):
-    got = eval_symbol(parse_symbol(text, None), point)
-    assert got == pytest.approx(expected, abs=1e-14)
+    got = eval_on_points(parse_symbol(text, None), np.array([point]))
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(expected, abs=1e-14)
 
 
 def test_eval_on_points_shapes():
@@ -135,11 +135,11 @@ def test_eval_on_points_shapes():
 def test_eval_rejects_outside_ball():
     expr = parse_symbol("z1", None)
     with pytest.raises(DomainError):
-        eval_symbol(expr, [1.2])
+        eval_on_points(expr, np.array([[1.2]]))
     # boundary needs the explicit flag
     with pytest.raises(DomainError):
-        eval_symbol(expr, [1.0])
-    assert eval_symbol(expr, [1.0], allow_boundary=True) == 1.0
+        eval_on_points(expr, np.array([[1.0]]))
+    assert eval_on_points(expr, np.array([[1.0]]), allow_boundary=True)[0] == 1.0
 
 
 def test_group_radius_requires_partition_context():
@@ -258,8 +258,8 @@ def test_product_symbol_evaluates_with_geometry():
     t_in = abs(z2) ** 2
     stretched = abs(z1) ** 2 / (1 - t_in)
     expected = (1 - stretched) * (2 - t_in)
-    got = eval_symbol(expr, [z1, z2])
-    assert got == pytest.approx(expected, abs=1e-14)
+    got = eval_on_points(expr, np.array([[z1, z2]]))
+    assert got[0] == pytest.approx(expected, abs=1e-14)
 
 
 def test_rebase_inner_renames_zc():
