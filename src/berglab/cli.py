@@ -31,7 +31,7 @@ from .core import (
     levels_up_to,
 )
 from .errors import DomainError
-from .levels import FACTORIZATION_TOL, verify_tensor_factorization
+from .levels import FACTORIZATION_TOL, _level_route, verify_tensor_factorization
 from .quadrature import GAUSS_JACOBI, MONTE_CARLO, QuadratureSpec
 from .suites import (
     ExperimentConfig,
@@ -248,6 +248,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         raise DomainError("decompose needs --n (and usually --ell/--k)")
     spec = _spec_from(args)
     tol = args.tol if args.tol is not None else FACTORIZATION_TOL
+    if args.R < 0:
+        raise DomainError(f"the level range must be nonnegative; got R={args.R}")
     if args.R > args.D:
         raise DomainError(f"every level needs D >= |rho|; got R={args.R} > D={args.D}")
     plan = {
@@ -262,11 +264,15 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "tol": tol,
         "scheme": spec.scheme,
     }
+    composite = parse_symbol(f"prod(a = {args.a}, c = {args.c})", geometry)
+    # plan both routes, so the dry run refuses what the check would
+    space = WeightedSpace(geometry.n, args.lam, geometry=geometry)
+    assembly_path(composite, space, args.D, spec, use_fast_paths=False)
+    _level_route(composite, space, args.D, spec)
     if args.dry_run:
         _echo(plan)
         print("plan: two-route factorization check on every level |rho| <= R")
         return 0
-    composite = parse_symbol(f"prod(a = {args.a}, c = {args.c})", geometry)
     _echo(plan)
     levels = levels_up_to(args.R, geometry.m)
     _, reports = verify_tensor_factorization(

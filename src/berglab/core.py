@@ -132,6 +132,10 @@ class BallGeometry:
         """The inner ball of level rho at its weight mu_rho = lam + |rho| + ell."""
         return WeightedSpace(self.d_inner, make_level(rho, lam, self.ell).mu)
 
+    def prime_space(self, lam: float) -> "WeightedSpace":
+        """The z'-ball at weight lam, split by this partition alone."""
+        return WeightedSpace(self.ell, lam, geometry=BallGeometry(self.ell, self.ell, self.k))
+
     def group_of(self, axis: int) -> int:
         """Group index (0-based) of a z' axis (0-based)."""
         if not 0 <= axis < self.ell:
@@ -324,7 +328,10 @@ def enumerate_basis(d: int, D: int, lam: float) -> TruncatedBasis:
 
 
 def count_basis(d: int, D: int) -> int:
-    """Size of the degree-<=D basis in d variables: C(D + d, d)."""
+    """Size of the degree-<=D basis in d variables: C(D + d, d).  A
+    negative cutoff is refused."""
+    if D < 0:
+        raise DomainError(f"degree cutoff must be nonnegative, got {D}")
     return math.comb(D + d, d)
 
 

@@ -3,11 +3,11 @@
 A torus-invariant symbol leaves each subspace spanned by the monomials of
 a fixed group degree rho invariant.  A level's positions come from the
 one layout ``core.level_layout``, an (hdim, K_inner) array of
-(z'-index, z''-index) pairs read off the basis; within one
-level the matrix is a Kronecker product of a small factor on the z'-slot
-and a Toeplitz matrix on the inner ball at the shifted weight
-mu = lam + |rho| + ell.  The inner index varies fastest, matching the
-numpy Kronecker convention.
+(z'-index, z''-index) pairs read off the basis, the inner index fastest.
+On a level, a product symbol's matrix is a small factor on the z'-slot
+(x) a Toeplitz matrix on the inner ball at weight mu = lam + |rho| + ell:
+the "levels" path of ``toeplitz_matrix`` builds it so, and the
+factorization check compares it with full-ball quadrature.
 
 Recovery runs the Berezin transform over the available levels and, when
 several shifted weights are present, extrapolates the values to the
@@ -37,18 +37,11 @@ from .core import (
 )
 from .errors import DomainError
 from .quadrature import MONTE_CARLO, QuadratureSpec, SymbolLike
-from .symbols import (
-    ProductSymbol,
-    group_winding,
-    is_radial,
-    is_symbolic,
-    quasi_radial_profile,
-    rebase_inner,
-)
+from .symbols import ProductSymbol, is_radial, is_symbolic, rebase_inner
 from .toeplitz import (
     OperatorMatrix,
     _diagonal_norm,
-    diagonal_values,
+    assembly_path,
     operator_norm,
     radial_toeplitz_diagonal,
     toeplitz_matrix,
@@ -86,9 +79,8 @@ class LevelBlock:
     The factor acting on the inner d-ball at cutoff D is held in one of
     two forms: a radial block from ``level_block_direct`` as its D + 1
     per-degree ``eigenvalues`` (complex), any other as its ``matrix``.
-    For a pure inner-variable symbol the level is I (x) block, and for a
-    product symbol it is (factor on the z'-slot) (x) block up to the
-    z'-factor's scalar part.  ``block`` is built only when read, so a
+    For a pure inner-variable symbol the level is I (x) block.
+    ``block`` is built only when read, so a
     radial block of any cutoff stays D + 1 values.  ``pair_entries`` is
     always None: blocks are built on the inner ball, never compressed
     from a full-ball matrix, but the benchmark tracer
@@ -215,32 +207,21 @@ class FactorizationReport:
         )
 
 
-def _factor_on_level(
-    a: SymbolLike,
-    geometry: BallGeometry,
-    lam: float,
-    rho: Tuple[int, ...],
-    spec: QuadratureSpec,
-) -> np.ndarray:
-    """The z'-slot factor of T_a restricted to one level, hdim x hdim, its
-    z'-exponents in ``level_layout`` order."""
-    if not is_symbolic(a):
-        raise DomainError("the z'-factor must be a symbol, not a raw callable")
-    if quasi_radial_profile(a, geometry.m) is not None:
-        g = diagonal_values(a, geometry.k, lam, [rho]).item()
-        return g * np.eye(dim_level(rho, geometry.k), dtype=complex)
-    geo_a = BallGeometry(geometry.ell, geometry.ell, geometry.k)
-    if geometry.ell < 2 or group_winding(a, geo_a) != (0,) * geometry.m:
-        raise DomainError("the z'-factor must be invariant under the group torus action")
-    space_a = WeightedSpace(geometry.ell, lam, geometry=geo_a)
-    t_a = toeplitz_matrix(a, space_a, sum(rho), spec)
-    # on the z'-ball alone each level row is one position
-    rows = level_layout(t_a.basis, geo_a)[rho][:, 0]
-    return t_a.entries[np.ix_(rows, rows)]
-
-
 # the default deviation bound of the rule route's factorization check
 FACTORIZATION_TOL = 1e-5
+
+
+def _level_route(
+    f_ac: ProductSymbol, space: WeightedSpace, D: int, spec: QuadratureSpec
+) -> QuadratureSpec:
+    """The spec of the check's level route, refused off the "levels" path.
+    Under sampling it is the rule of the same orders: the reference's own
+    noise stays out of the 5 SE gate."""
+    if spec.scheme == MONTE_CARLO:
+        spec = QuadratureSpec(q=spec.q, angular=spec.angular)
+    if assembly_path(f_ac, space, D, spec).kind != "levels":
+        raise DomainError("the z'-factor must be invariant under the group torus action")
+    return spec
 
 
 def verify_tensor_factorization(
@@ -253,54 +234,46 @@ def verify_tensor_factorization(
     spec: QuadratureSpec,
     tol: float = FACTORIZATION_TOL,
 ) -> Tuple[OperatorMatrix, List[FactorizationReport]]:
-    """Compare full-ball quadrature of the product symbol with the
-    Kronecker product of the two lower-dimensional matrices on each level.
+    """Compare full-ball quadrature of the product symbol with its level
+    route on each level.
 
     The full route integrates over all 2n real dimensions with no use of
     the factorization and is assembled once for all the levels: a sampling
     spec gives the Monte Carlo matrix and its per-entry standard errors, a
     rule gives plain quadrature with the fast paths off.  The factorized
-    route multiplies the z'-slot factor by the inner Toeplitz matrix at
-    the shifted weight (``level_block_direct``).
-    Agreement is the numerical content of the level decomposition.  A
-    level that is not one of the partition, or whose total exceeds D, is
-    refused before anything is assembled.  Returns the full-route matrix
-    and one report per level, in the order given.
+    route is the symbol's matrix on the "levels" path of
+    ``toeplitz_matrix``.  Agreement is the numerical content of the level
+    decomposition.  A level that is not one of the partition, or whose
+    total exceeds D, and an a-factor that path does not take are refused
+    before anything is assembled.  Returns the full-route matrix and one
+    report per level, in the order given.
     """
     levels_t = [_check_level(rho, geometry, D) for rho in levels]
     f_ac = ProductSymbol(a=a, c=c, geometry=geometry)
     space = WeightedSpace(geometry.n, lam, geometry=geometry)
     mc = spec.scheme == MONTE_CARLO
+    level_spec = _level_route(f_ac, space, D, spec)
     if mc:
         full, se = toeplitz_matrix_with_stderr(f_ac, space, D, spec)
     else:
         full = toeplitz_matrix(f_ac, space, D, spec, use_fast_paths=False)
+    factored = toeplitz_matrix(f_ac, space, D, level_spec)
     layout = level_layout(full.basis, geometry)
-    # the Kronecker route is the reference: under sampling it takes the
-    # rule, so its own noise stays out of the 5 SE gate
-    kron_spec = QuadratureSpec(q=spec.q, angular=spec.angular) if mc else spec
     reports = []
     for rho in levels_t:
-        pos = layout[rho].ravel()
-        blk = level_block_direct(c, geometry, lam, rho, D - sum(rho), kron_spec)
-        a_mat = _factor_on_level(a, geometry, lam, rho, kron_spec)
-        dev = np.abs(full.entries[np.ix_(pos, pos)] - np.kron(a_mat, blk.block.entries))
+        rows = layout[rho].ravel()
+        pos = np.ix_(rows, rows)
+        dev = np.abs(full.entries[pos] - factored.entries[pos])
         wb, wa = np.unravel_index(int(np.argmax(dev)), dev.shape)
         max_dev = float(dev[wb, wa])
         passed, max_ratio = max_dev < tol, 0.0
         if mc:
-            max_ratio = float(np.max(dev / (5.0 * se[np.ix_(pos, pos)] + 1e-12)))
+            max_ratio = float(np.max(dev / (5.0 * se[pos] + 1e-12)))
             passed = max_ratio <= 1.0
         reports.append(FactorizationReport(
-            rho=rho,
-            mu=blk.mu,
-            max_deviation=max_dev,
-            worst_beta=full.basis.indices[pos[wb]],
-            worst_alpha=full.basis.indices[pos[wa]],
-            tol=tol,
-            passed=passed,
-            monte_carlo=mc,
-            max_se_ratio=max_ratio,
+            rho=rho, mu=make_level(rho, lam, geometry.ell).mu, max_deviation=max_dev,
+            worst_beta=full.basis.indices[rows[wb]], worst_alpha=full.basis.indices[rows[wa]],
+            tol=tol, passed=passed, monte_carlo=mc, max_se_ratio=max_ratio,
         ))
     return full, reports
 

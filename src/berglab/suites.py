@@ -44,6 +44,7 @@ from .core import (
 from .errors import DomainError
 from .levels import (
     FACTORIZATION_TOL,
+    _level_route,
     block_norms,
     level_block_direct,
     off_block_mass,
@@ -221,9 +222,10 @@ class ExperimentConfig:
             raise DomainError(
                 f"threads must be nonnegative (0 = all cores), got {values['threads']}"
             )
-        # refused here, not halfway through the quantization suite
-        for key in ("truncation.D_eval", "truncation.D_remainder",
-                    "schedule.eval_levels", "schedule.remainder_levels"):
+        # refused here, not halfway through a suite
+        for key in ("truncation.D", "truncation.R", "truncation.D_eval",
+                    "truncation.D_remainder", "schedule.eval_levels",
+                    "schedule.remainder_levels"):
             if np.min(values[key]) < 0:
                 raise DomainError(f"{key} must be nonnegative, got {format_cell(values[key])}")
         if np.min(values["schedule.mu"]) <= -1:
@@ -762,14 +764,15 @@ def plan_suites(
     """The suites a run of this selection makes, refused before any runs.
 
     Unknown names are refused, and so is a suite that could only stop
-    halfway: a factorization suite whose honest full route
-    ``assembly_path`` refuses for one of its pairs (a product rule over
-    the node budget), or a quantization suite with a non-radial c whose
-    recovery blocks it refuses (a matrix over the desk budget), or whose
-    Berezin-consistency probe it refuses for a non-radial symbol (the rule
-    of its Mobius pullback, ``pullback_spec``, over the node budget).  A
-    radial c's blocks are their per-degree eigenvalues, built at any
-    cutoff.
+    halfway: a factorization suite whose full route ``assembly_path``
+    refuses for one of its pairs (a product rule over the node budget),
+    or whose level route it refuses or does not take the "levels" path
+    for (an a-factor that turns under the group torus), or a quantization
+    suite with a non-radial c whose recovery blocks it refuses (a matrix
+    over the desk budget), or whose Berezin-consistency probe it refuses
+    for a non-radial symbol (the rule of its Mobius pullback,
+    ``pullback_spec``, over the node budget).  A radial c's blocks are
+    their per-degree eigenvalues, built at any cutoff.
     """
     names = [name for name, _ in _ALL_SUITES]
     if only:
@@ -786,6 +789,10 @@ def plan_suites(
                 f"factorization: the full route of pair ({a_text} | {c_text})",
                 lambda: assembly_path(composite, space, cfg.D, cfg.spec,
                                       use_fast_paths=False),
+            )
+            _plan_or_refuse(
+                f"factorization: the level route of pair ({a_text} | {c_text})",
+                lambda: _level_route(composite, space, cfg.D, cfg.spec),
             )
     c_in = rebase_inner(cfg.c_expr)
     if "quantization" in names and not is_radial(c_in):

@@ -36,13 +36,13 @@ past _MAX_DENSE_ENTRIES are refused before they are allocated, and so
 are diagonal forms whose dense form would be.
 
 A product symbol f = a(z' / sqrt(1 - |z''|^2)) c(z'') whose a-factor is
-quasi-radial is assembled level by level, by the paper's decomposition
-A^2_lam = (+)_rho H_rho (x) A^2_{mu_rho} of the ball with mu_rho = lam +
-|rho| + ell: on level rho it acts as gamma_a(rho) I (x) T_c at weight
-mu_rho, so each level takes gamma (exact for a polynomial a) times one
-inner-ball matrix of c, assembled by the inner ball's own paths, and no
-full-ball rule is built.  Within one z'-exponent the basis order is the
-inner basis order, so each inner matrix lands on those rows as it is.
+invariant under the group torus is assembled level by level, by the
+paper's decomposition A^2_lam = (+)_rho H_rho (x) A^2_{mu_rho} with
+mu_rho = lam + |rho| + ell: level rho is (a's factor on H_rho) (x) T_c
+at weight mu_rho, the factor gamma_a(rho) I for a quasi-radial a (exact
+for a polynomial one), else the level's rows of one T_a on the z'-ball.
+T_c takes the inner ball's own paths, and no full-ball rule is built;
+within one z'-exponent the basis order is the inner basis order.
 
 Truncation is compression: norms computed here are lower bounds that
 increase toward the operator norm as D grows.
@@ -90,6 +90,7 @@ from .symbols import (
     SymbolExpr,
     axis_band,
     group_band,
+    group_winding,
     is_polynomial,
     is_radial,
     is_symbolic,
@@ -655,15 +656,16 @@ class AssemblyPath:
 
     ``kind`` is "radial" (a diagonal of radial eigenvalues, one per
     degree), "quasi_radial" (a diagonal of the gamma sequence, one value
-    per level), "levels" (a product symbol with a quasi-radial a-factor,
-    gamma times an inner-ball matrix of c on each level), "torus" (the
-    product rule of ``spec``) or "monte_carlo" (the samples of ``spec``).
-    The first three take ``diagonal_values`` over the partition ``parts``
-    ((d,) on the radial path, the geometry's k otherwise), with the rule
-    order ``q``, or exact sums where ``q`` is None.  On the "levels" path
-    ``inner`` holds the inner-ball plan of each level |rho| <= D, in
-    graded order.  ``spec`` is the resolved request whatever the path;
-    ``band`` is the torus or Monte Carlo one's.
+    per level), "levels" (a product symbol, a's factor times an
+    inner-ball matrix of c on each level), "torus" (the product rule of
+    ``spec``) or "monte_carlo" (the samples of ``spec``).  The first two,
+    and "levels" with a quasi-radial a, take ``diagonal_values`` over the
+    partition ``parts`` ((d,) on the radial path, the geometry's k
+    otherwise), with the rule order ``q``, or exact sums where ``q`` is
+    None; any other a has ``factor``, the plan of T_a on the z'-ball.  On
+    the "levels" path ``inner`` holds the inner-ball plan of each level
+    |rho| <= D, in graded order.  ``spec`` is the resolved request
+    whatever the path; ``band`` is the torus or Monte Carlo one's.
     """
 
     kind: str
@@ -672,13 +674,14 @@ class AssemblyPath:
     q: Optional[int] = None
     inner: Tuple["AssemblyPath", ...] = field(default=(), repr=False)
     band: Optional[Band] = None
+    factor: Optional["AssemblyPath"] = None
 
     def record(self) -> dict:
         """The path and the orders it used, for run records.
 
         A torus path adds its phase band, [lo, hi] per axis, or None.  A
         "levels" path with no rule anywhere is exact; otherwise it lists
-        the order of the gamma rule, if any, and each level's inner record.
+        the gamma rule's order or the factor's record, and each level's.
         """
         if self.kind == "torus":
             band = None if self.band is None else [list(b) for b in self.band]
@@ -692,12 +695,11 @@ class AssemblyPath:
             }
         if self.kind == "levels":
             blocks = [p.record() for p in self.inner]
-            if self.q is None and all(b.get("exact") for b in blocks):
+            if self.q is None and self.factor is None and all(b.get("exact") for b in blocks):
                 return {"path": self.kind, "exact": True}
-            out = {"path": self.kind, "blocks": blocks}
-            if self.q is not None:
-                out["q"] = self.q
-            return out
+            out = {"path": self.kind, "blocks": blocks, "q": self.q,
+                   "factor": self.factor and self.factor.record()}
+            return {key: v for key, v in out.items() if v is not None}
         if self.q is None:
             return {"path": self.kind, "exact": True}
         return {"path": self.kind, "q": self.q}
@@ -716,22 +718,26 @@ def assembly_path(
     Refuses, with a ``DomainError``, a basis whose dense matrix would
     exceed the desk budget and a torus plan (an inner one too) whose
     product rule would exceed the node budget, before anything of that
-    size is built.  The plan sums and assembles nothing.  A product
-    symbol takes the levels where its a-factor is quasi-radial, the spec
-    is a rule and its geometry splits this space's ball; the group radii
-    of a symbol's geometry are moduli on this space's ball only where its
-    groups cover that ball.
+    size is built, and a negative cutoff.  The plan sums and assembles
+    nothing.  A product symbol takes the levels where the spec is a rule,
+    its geometry splits this space's ball and its a-factor is quasi-radial
+    or of group winding zero on the z'-ball: the one judgement of the
+    level route.  The group radii of a symbol's geometry are moduli on
+    this space's ball only where its groups cover that ball.
     """
     k = count_basis(space.d, D)
     _require_budget(k * k, f"a {k} x {k} matrix")
     geometry = space.geometry
     resolved = resolve_assembly_spec(f, space.d, D, spec, geometry)
-    kind = None
+    kind = factor = None
     if use_fast_paths and isinstance(f, ProductSymbol):
         geo, a = f.geometry, f.a
-        if (spec.scheme != MONTE_CARLO and geo is not None and geo.n == space.d
-                and geo.d_inner >= 1 and quasi_radial_profile(a, geo.m) is not None):
-            kind, parts = "levels", geo.k
+        if spec.scheme != MONTE_CARLO and geo and geo.n == space.d and geo.d_inner >= 1:
+            quasi = quasi_radial_profile(a, geo.m) is not None
+            prime = geo.prime_space(space.lam)
+            if quasi or group_winding(a, prime.geometry) == (0,) * geo.m:
+                kind, parts = "levels", geo.k
+                factor = None if quasi else assembly_path(a, prime, D, spec)
     elif use_fast_paths and is_symbolic(f):
         a = f
         if is_radial(f, geometry):
@@ -744,7 +750,7 @@ def assembly_path(
         if kind == "torus":
             require_rule_size(space.d, resolved.q, resolved.angular)
         return AssemblyPath(kind, resolved, band=_axis_band(f, space.d, geometry))
-    q = _diagonal_order(a, len(parts), D)
+    q = None if factor else _diagonal_order(a, len(parts), D)
     inner = ()
     if kind == "levels":
         c_inner = rebase_inner(f.c)
@@ -752,7 +758,7 @@ def assembly_path(
             assembly_path(c_inner, geo.level_space(space.lam, rho), D - sum(rho), spec)
             for rho in levels_up_to(D, geo.m)
         )
-    return AssemblyPath(kind, resolved, parts, q, inner)
+    return AssemblyPath(kind, resolved, parts, q, inner, factor=factor)
 
 
 def toeplitz_matrix(
@@ -838,34 +844,45 @@ def _band_pairs(
 def _assemble_by_levels(
     path: AssemblyPath, f: ProductSymbol, basis: TruncatedBasis, label: str
 ) -> OperatorMatrix:
-    """gamma(rho) I (x) T_c at weight mu_rho on every level of the basis.
+    """(factor of a) (x) T_c at weight mu_rho on every level of the basis.
 
-    Each row of a level's ``level_layout`` array is in inner-basis order,
-    so the level's inner matrix, times gamma, lands on it as it is;
-    entries between two rows are zero.  Diagonal inner matrices give a
-    diagonal form, any dense one a dense matrix.
+    A level's factor is gamma(rho) I for a quasi-radial a, else its rows
+    of T_a on the z'-ball.  Its ``level_layout`` rows are in inner-basis
+    order, so the inner matrix times a factor entry lands on a pair of
+    rows as it is; pairs with no entry stay exact +0.0, never 0 times the
+    inner matrix.  Diagonal inner matrices under gamma I give a diagonal
+    form, anything else a dense matrix.
     """
     geo = f.geometry
     layout = level_layout(basis, geo)
-    gammas = diagonal_values(f.a, path.parts, basis.lam, list(layout), path.q)
     c_inner = rebase_inner(f.c)
     blocks = [
         _assemble(inner, c_inner, geo.level_space(basis.lam, rho), basis.D - sum(rho), "")
         for rho, inner in zip(layout, path.inner)
     ]
-    if all(blk.diag is not None for blk in blocks):
-        diag = np.empty(basis.count, dtype=complex)
-        for rows, gamma, blk in zip(layout.values(), gammas, blocks):
-            diag[rows] = gamma * blk.diag
-        return OperatorMatrix.diagonal(basis, diag, label=label)
+    if path.factor is None:
+        gammas = diagonal_values(f.a, path.parts, basis.lam, list(layout), path.q)
+        if all(blk.diag is not None for blk in blocks):
+            diag = np.empty(basis.count, dtype=complex)
+            for rows, gamma, blk in zip(layout.values(), gammas, blocks):
+                diag[rows] = gamma * blk.diag
+            return OperatorMatrix.diagonal(basis, diag, label=label)
+        factors = [{(p, p): g for p in range(len(rows))}
+                   for rows, g in zip(layout.values(), gammas)]
+    else:
+        prime = geo.prime_space(basis.lam)
+        t_a = _assemble(path.factor, f.a, prime, basis.D, "")
+        # the same levels in the same order; on the z'-ball each row is one position
+        pos = [rows[:, 0] for rows in level_layout(t_a.basis, prime.geometry).values()]
+        factors = [{pr: v for pr, v in np.ndenumerate(t_a.entries[np.ix_(i, i)]) if v}
+                   for i in pos]
     entries = np.zeros((basis.count, basis.count), dtype=complex)
-    for rows, gamma, blk in zip(layout.values(), gammas, blocks):
-        if blk.diag is not None:
-            entries[rows, rows] = gamma * blk.diag
-            continue
-        scaled = gamma * blk.entries
-        for row in rows:
-            entries[np.ix_(row, row)] = scaled
+    for rows, factor, blk in zip(layout.values(), factors, blocks):
+        for (p, r), value in factor.items():
+            if blk.diag is not None:
+                entries[rows[p], rows[r]] = value * blk.diag
+            else:
+                entries[np.ix_(rows[p], rows[r])] = value * blk.entries
     return OperatorMatrix(basis, entries, label=label)
 
 

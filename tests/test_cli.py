@@ -159,6 +159,64 @@ def test_decompose_passes_at_documented_tolerance(capsys):
     assert "[ok]" in out
 
 
+def test_decompose_takes_a_torus_invariant_a_factor(capsys):
+    # abs2(z1) is invariant under the torus of its one-axis group but not
+    # quasi-radial: its level factor is T_a on the z'-disk
+    code, out, err = run(
+        capsys,
+        [
+            "decompose",
+            "--a", "abs2(z1)", "--c", "1 - abs2(zc)",
+            "--n", "2", "--D", "4", "--R", "2",
+        ],
+    )
+    assert code == 0 and err == ""
+    reports = [line for line in out.splitlines() if line.startswith("rho=")]
+    assert len(reports) == 3 and all(line.endswith("[ok]") for line in reports)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--a", "re(z1)", "--n", "3", "--ell", "2", "--k", "2", "--D", "4", "--R", "2"],
+         "invariant under the group torus action"),
+        # the honest full route of r1^2 | 1 on the 3-ball
+        (["--a", "r1^2", "--n", "3", "--D", "8", "--R", "2"], "34012224 nodes"),
+    ],
+    ids=["turning_a", "full_route_budget"],
+)
+@pytest.mark.parametrize("extra", [[], ["--dry-run"]], ids=["run", "dry_run"])
+def test_decompose_plans_both_routes_before_its_echo(capsys, monkeypatch, argv, message, extra):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rule was built")
+
+    monkeypatch.setattr(toeplitz, "ball_rule", refuse)
+    code, out, err = run(capsys, ["decompose", "--c", "1"] + argv + extra)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--dry-run"]], ids=["run", "dry_run"])
+def test_decompose_refuses_a_negative_level_range(capsys, extra):
+    # no level has a negative total: a check of none would pass vacuously
+    code, out, err = run(
+        capsys,
+        ["decompose", "--a", "r1^2", "--c", "re(zc1)", "--n", "2", "--D", "4",
+         "--R", "-1"] + extra,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "R=-1" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--dry-run"]], ids=["run", "dry_run"])
+def test_matrix_refuses_a_negative_cutoff(capsys, extra):
+    code, out, err = run(
+        capsys, ["matrix", "--symbol", "z1", "--d", "1", "--mu", "0", "--D", "-2"] + extra
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "cutoff must be nonnegative, got -2" in err
+
+
 def test_dry_run_prints_plan_without_computing(capsys, tmp_path):
     out_file = tmp_path / "m.csv"
     code, out, err = run(
@@ -494,8 +552,9 @@ def test_negative_thread_count_is_exit_one(capsys, tmp_path):
         ("schedule.remainder_levels = -2 32", "schedule.remainder_levels"),
         ("schedule.mu = 1 -1", "schedule.mu"),
         ("space.lambda = inf", "space.lambda"),
+        ("truncation.R = -1", "truncation.R"),
     ],
-    ids=["D_eval", "D_remainder", "eval_levels", "remainder_levels", "mu", "lambda"],
+    ids=["D_eval", "D_remainder", "eval_levels", "remainder_levels", "mu", "lambda", "R"],
 )
 def test_suite_refuses_at_config_time_what_a_suite_would_stop_on(
     capsys, tmp_path, line, key
@@ -533,6 +592,29 @@ def test_suite_refuses_a_factorization_over_the_rule_budget(capsys, tmp_path, mo
         ["suite", "--config", str(cfg), "--only", "norm_identity,quantization", "--dry-run"],
     )
     assert code == 0 and "plan: run norm_identity, quantization" in out
+
+
+def test_suite_refuses_a_factorization_the_level_route_does_not_take(
+    capsys, tmp_path, monkeypatch
+):
+    # re(z1) turns under the group torus: the check would refuse it only
+    # after the suites before it had run
+    cfg = tmp_path / "turning.cfg"
+    cfg.write_text("symbol.a = re(z1)\n")
+
+    def refuse(cfg):
+        raise AssertionError("a suite ran before the selection was checked")
+
+    monkeypatch.setattr(suites, "_ALL_SUITES", tuple((n, refuse) for n, _ in suites._ALL_SUITES))
+    out_dir = tmp_path / "runs"
+    for extra in ([], ["--dry-run"]):
+        code, out, err = run(
+            capsys, ["suite", "--config", str(cfg), "--out", str(out_dir)] + extra
+        )
+        assert code == 1 and out == ""
+        assert "suite factorization: the level route of pair (re(z1) | 1 - abs2(zc))" in err
+        assert "invariant under the group torus action" in err
+    assert not out_dir.exists()
 
 
 def test_suite_refuses_a_non_radial_recovery_block_over_the_budget(
@@ -615,8 +697,11 @@ def test_decompose_refuses_levels_past_the_cutoff(capsys, extra):
         # a product's inner plan on the 3-ball at level (0,)
         (["--symbol", "prod(a = r1^2, c = re(zc1))", "--n", "4", "--ell", "1",
           "--k", "1"], "46656000 nodes"),
+        # a torus-invariant a's plan of T_a on the z'-ball, the 3-ball
+        (["--symbol", "prod(a = re(z1*conj(z2)), c = 1 - abs2(zc))", "--n", "4",
+          "--ell", "3", "--k", "3"], "46656000 nodes"),
     ],
-    ids=["torus", "inner_torus"],
+    ids=["torus", "inner_torus", "factor_torus"],
 )
 @pytest.mark.parametrize("extra", [[], ["--dry-run"]], ids=["run", "dry_run"])
 def test_matrix_refuses_a_product_rule_over_the_budget_in_its_plan(

@@ -70,7 +70,6 @@ def test_public_names_resolve():
 # public names that neither the package nor the benchmark uses, each
 # kept for its reason
 _KEPT_PUBLIC = {
-    "expand_polynomial": "the rational reference the tests use",
     "load_config": "the config-file entry point",
 }
 
@@ -285,3 +284,15 @@ def test_only_the_mass_helper_exponentiates_in_the_berezin_module():
         and func.value.id == "np",
     )
     assert [scope for scope, _ in calls] == ["_mass_rows"]
+
+
+def test_only_the_assembly_builds_a_level_factor():
+    """One level route: the levels module neither judges an a-factor nor
+    builds one (no ``np.kron``, ``diagonal_values``, ``group_winding`` or
+    ``quasi_radial_profile`` call); ``toeplitz`` does both."""
+    names = {"kron", "diagonal_values", "group_winding", "quasi_radial_profile"}
+    calls = _scoped_calls(
+        ast.parse((SRC / "levels.py").read_text()),
+        lambda func: (getattr(func, "id", None) or getattr(func, "attr", None)) in names,
+    )
+    assert calls == []

@@ -41,6 +41,12 @@ POLYNOMIAL_PRODUCTS = [
      "prod(a = 3 - r1^2, c = (1 - abs2(zc))*(re(zc1) + 2))"),
     (BallGeometry(3, 1, (1,)), 0.0, 4, SMALL,
      "prod(a = r1^2, c = (1 - abs2(zc))*(zc1*conj(zc2) + abs2(zc)))"),
+    # a-factors invariant under the group torus but not quasi-radial: each
+    # level's factor is its rows of T_a on the z'-ball
+    (BallGeometry(3, 2, (2,)), 0.0, 4, SMALL,
+     "prod(a = re(z1*conj(z2)), c = 1 - abs2(zc))"),
+    (BallGeometry(2, 1, (1,)), 0.0, 6, QuadratureSpec(),
+     "prod(a = abs2(z1), c = 1 - abs2(zc))"),
 ]
 
 
@@ -122,17 +128,34 @@ def test_the_honest_routes_stay_on_the_full_ball_rule(monkeypatch):
     assert assembly_path(f, space, 4, mc).kind == "monte_carlo"
 
 
-def test_torus_invariant_a_factor_keeps_the_masked_rule():
+def test_torus_invariant_a_factor_takes_the_level_route():
     # re(z1*conj(z2)) is invariant under the one group's torus but not
-    # quasi-radial: no gamma exists, so the full-ball rule and its mask stay
+    # quasi-radial: no gamma exists, so each level's factor is the level's
+    # rows of T_a on the z'-ball, one plan the record names
     geo = BallGeometry(3, 2, (2,))
     space = WeightedSpace(3, 0.0, geometry=geo)
     f = parse_symbol("prod(a = re(z1*conj(z2)), c = 1 - abs2(zc))", geo)
     spec = QuadratureSpec(q=8, angular=11)
-    assert assembly_path(f, space, 3, spec).kind == "torus"
+    record = assembly_path(f, space, 3, spec).record()
+    assert record["path"] == "levels" and "q" not in record
+    assert record["factor"] == {"path": "torus", "q": 8, "angular": 11,
+                                "band": [[-1, 1], [-1, 1]]}
     m = toeplitz_matrix(f, space, 3, spec)
+    honest = toeplitz_matrix(f, space, 3, spec, use_fast_paths=False)
+    assert np.max(np.abs(m.entries - honest.entries)) <= 1e-13
     off, total = off_block_mass(m, geo)
     assert off == 0.0 and total > 0.0
+
+
+def test_distinct_rows_of_a_gamma_level_hold_positive_zeros():
+    # gamma I leaves the pairs of distinct rows alone: 0 times a negative
+    # inner entry would be -0.0, which an exported CSV prints as such
+    geo = BallGeometry(3, 2, (2,))
+    f = parse_symbol("prod(a = r1^2, c = -re(zc1))", geo)
+    m = toeplitz_matrix(f, WeightedSpace(3, 0.0, geometry=geo), 3, QuadratureSpec())
+    zeros = np.concatenate([m.entries.real[m.entries.real == 0.0],
+                            m.entries.imag[m.entries.imag == 0.0]])
+    assert zeros.size and not np.any(np.signbit(zeros))
 
 
 def test_oversized_products_are_refused_before_anything_is_built(monkeypatch):

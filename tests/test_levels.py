@@ -245,6 +245,27 @@ def test_factorization_refuses_a_level_over_the_cutoff_before_assembling(monkeyp
             verify_tensor_factorization(a, c, g, 0.0, levels_up_to(4, 1), 4, spec)
 
 
+def test_factorization_refuses_a_non_invariant_a_before_assembling(monkeypatch):
+    # re(z1) turns under the group torus: the levels path does not take it,
+    # and the check says so before either route is assembled
+    g = BallGeometry(3, 2, (2,))
+    a, c = parse_symbol("re(z1)", g), parse_symbol("1 - abs2(zc)", None)
+
+    class Assembled(Exception):
+        pass
+
+    def sentinel(*args, **kwargs):
+        raise Assembled
+
+    monkeypatch.setattr(levels_module, "toeplitz_matrix", sentinel)
+    monkeypatch.setattr(levels_module, "toeplitz_matrix_with_stderr", sentinel)
+    monkeypatch.setattr(toeplitz_module, "ball_rule", sentinel)
+    mc = QuadratureSpec(scheme=MONTE_CARLO, n_samples=1000, seed=1)
+    for spec in (QuadratureSpec(), mc):
+        with pytest.raises(DomainError, match="invariant under the group torus action"):
+            verify_tensor_factorization(a, c, g, 0.0, [(0,), (1,)], 2, spec)
+
+
 def test_factorization_report_fields():
     g = BallGeometry(2, 1, (1,))
     _, (rep,) = verify_tensor_factorization(

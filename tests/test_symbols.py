@@ -14,7 +14,6 @@ from berglab import (
     SymbolSyntaxError,
     classify_symbol,
     eval_on_points,
-    expand_polynomial,
     parse_symbol,
     rebase_inner,
     symbol_to_text,
@@ -23,6 +22,7 @@ from berglab.symbols import (
     axis_band, axis_winding, eval_profile, group_band, group_winding, profile_form,
     symbol_degree_hint,
 )
+from polynomial_reference import expand_polynomial
 
 ROUNDTRIP_CORPUS = [
     "1",

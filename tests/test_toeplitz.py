@@ -33,7 +33,8 @@ from berglab import quadrature, toeplitz
 from berglab.cli import main
 from berglab.core import enumerate_basis
 from berglab.quadrature import MONTE_CARLO
-from berglab.symbols import expand_polynomial, profile_form, quasi_radial_profile
+from berglab.symbols import profile_form, quasi_radial_profile
+from polynomial_reference import expand_polynomial
 
 
 def test_identity_symbol_gives_exact_identity():
@@ -321,6 +322,14 @@ def test_oversized_dense_matrices_are_refused():
         toeplitz_matrix(f, WeightedSpace(4, 0.0), 40, QuadratureSpec())
     with pytest.raises(DomainError, match="desk budget"):
         radial_toeplitz_diagonal(lambda r: r[:, 0] ** 2, 1, 0.0, 20_000)
+
+
+def test_a_negative_cutoff_is_refused_before_any_plan():
+    f = parse_symbol("z1", None)
+    for D in (-1, -3):
+        for call in (assembly_path, toeplitz_matrix):
+            with pytest.raises(DomainError, match=f"cutoff must be nonnegative, got {D}"):
+                call(f, WeightedSpace(2, 0.0), D, QuadratureSpec())
 
 
 def test_assembly_path_names_the_route_and_its_orders():
