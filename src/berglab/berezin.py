@@ -48,6 +48,7 @@ from .toeplitz import (
     OperatorMatrix,
     _require_budget,
     _diagonal_order,
+    _singular_values,
     diagonal_values,
     toeplitz_matrix,
 )
@@ -733,14 +734,14 @@ def min_singular_probe(matrices: Sequence[OperatorMatrix]) -> MinSingularTable:
 
     A sequence collapsing toward 0 is evidence against invertibility
     modulo compacts; a flat positive floor corroborates a Fredholm verdict.
+    A matrix that is not 2-D or has a non-finite entry is refused.
     """
     if not matrices:
         raise DomainError("need at least one matrix")
     rows = []
     for m in matrices:
         a = m.entries if isinstance(m, OperatorMatrix) else np.asarray(m)
-        s = np.linalg.svd(a, compute_uv=False)
-        rows.append((a.shape[0], float(s[-1])))
+        rows.append((a.shape[0], float(_singular_values(a)[-1])))
     first, last = rows[0][1], rows[-1][1]
     verdict = "decaying" if last <= 0.6 * first else "flat"
     return MinSingularTable(rows=tuple(rows), verdict=verdict)

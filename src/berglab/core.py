@@ -84,8 +84,8 @@ def csv_lines(header: str, rows: Iterable[Sequence[object]]) -> List[str]:
 
 
 def _check_weight(lam: float) -> None:
-    if not lam > -1.0:
-        raise DomainError(f"weight must exceed -1, got {lam}")
+    if not -1.0 < lam < math.inf:
+        raise DomainError(f"weight must be finite and exceed -1, got {lam}")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .core import (
 )
 from .errors import DomainError
 from .quadrature import MONTE_CARLO, QuadratureSpec, SymbolLike
-from .symbols import ProductSymbol, is_radial, is_symbolic, rebase_inner
+from .symbols import ProductSymbol, SymbolExpr, is_radial, is_symbolic, rebase_inner
 from .toeplitz import (
     OperatorMatrix,
     _diagonal_norm,
@@ -202,7 +202,7 @@ class FactorizationReport:
             f" (max dev / SE = {self.max_se_ratio:.2f})" if self.monte_carlo else ""
         )
         return (
-            f"rho={self.rho}: max |full - kron| = {self.max_deviation:.3e} "
+            f"rho={self.rho}: max |full - levels| = {self.max_deviation:.3e} "
             f"at ({self.worst_beta}, {self.worst_alpha}) [{status}]{extra}"
         )
 
@@ -225,8 +225,8 @@ def _level_route(
 
 
 def verify_tensor_factorization(
-    a: SymbolLike,
-    c: SymbolLike,
+    a: SymbolExpr,
+    c: SymbolExpr,
     geometry: BallGeometry,
     lam: float,
     levels: Sequence[Sequence[int]],
@@ -244,10 +244,16 @@ def verify_tensor_factorization(
     route is the symbol's matrix on the "levels" path of
     ``toeplitz_matrix``.  Agreement is the numerical content of the level
     decomposition.  A level that is not one of the partition, or whose
-    total exceeds D, and an a-factor that path does not take are refused
-    before anything is assembled.  Returns the full-route matrix and one
-    report per level, in the order given.
+    total exceeds D, a factor that is not a parsed symbol, and an a-factor
+    that path does not take are refused before anything is planned or
+    assembled.  Returns the full-route matrix and one report per level, in
+    the order given.
     """
+    for name, factor in (("a", a), ("c", c)):
+        if not is_symbolic(factor):
+            raise DomainError(
+                f"the {name}-factor must be a parsed symbol, got a {type(factor).__name__}"
+            )
     levels_t = [_check_level(rho, geometry, D) for rho in levels]
     f_ac = ProductSymbol(a=a, c=c, geometry=geometry)
     space = WeightedSpace(geometry.n, lam, geometry=geometry)

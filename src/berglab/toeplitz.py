@@ -51,7 +51,6 @@ increase toward the operator norm as D grows.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -62,6 +61,7 @@ import numpy as np
 from .core import (
     TruncatedBasis,
     WeightedSpace,
+    _check_weight,
     count_basis,
     csv_lines,
     enumerate_basis,
@@ -332,8 +332,7 @@ def _require_partition(k: Sequence[int], lam: float) -> Tuple[int, ...]:
     k = tuple(int(v) for v in k)
     if not k or min(k) < 1:
         raise DomainError(f"partition parts must be positive integers, got {k}")
-    if not -1.0 < lam < math.inf:
-        raise DomainError(f"weight lambda must be finite and exceed -1, got {lam!r}")
+    _check_weight(lam)
     return k
 
 
@@ -913,11 +912,6 @@ def toeplitz_matrix_with_stderr(
     return OperatorMatrix(basis, acc, label=label), np.sqrt(var)
 
 
-# iteration cap and relative tolerance of the power method in operator_norm
-_POWER_ITERATIONS = 20_000
-_POWER_TOL = 1e-12
-
-
 def _diagonal_norm(values: np.ndarray) -> float:
     """Largest singular value of the diagonal matrix of ``values``: the
     largest modulus, with no dense matrix."""
@@ -926,54 +920,36 @@ def _diagonal_norm(values: np.ndarray) -> float:
     return float(np.max(np.abs(values)))
 
 
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values of a dense 2-D array, largest first; a non-finite
+    array, or one the solver does not converge on, is refused."""
+    if a.ndim != 2:
+        raise DomainError(f"singular values need a 2-D matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("matrix has non-finite entries")
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"singular value decomposition failed: {exc}") from None
+
+
 def operator_norm(M: Union[OperatorMatrix, np.ndarray]) -> float:
     """Largest singular value.
 
     A diagonal form gives the largest modulus of its values, without a
-    dense matrix.  Small dense matrices go through the dense solver.  Large ones take the
-    Hermitian eigensolver when the matrix equals its adjoint exactly, and
-    otherwise power iteration on A*A with two fixed starting vectors
-    (all-ones and alternating signs) so runs are deterministic.  Power
-    iteration that does not converge within its iteration cap raises a
-    ``DomainError``.
+    dense matrix.  Every dense matrix, at any size, gives the top value of
+    ``np.linalg.svd`` through ``_singular_values``, the route
+    ``min_singular_probe`` reads too; a non-finite matrix, or one the
+    decomposition does not converge on, raises a ``DomainError``.
     """
     if isinstance(M, OperatorMatrix) and M.diag is not None:
         return _diagonal_norm(M.diag)
     a = M.entries if isinstance(M, OperatorMatrix) else np.asarray(M, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("operator norm needs a square matrix")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("matrix has non-finite entries")
-    k = a.shape[0]
-    if k == 0:
+    if a.shape[0] == 0:
         return 0.0
-    if k <= 1024:
-        return float(np.linalg.svd(a, compute_uv=False)[0])
-    if np.array_equal(a, a.conj().T):
-        return float(np.max(np.abs(np.linalg.eigvalsh(a))))
-
-    def run(x: np.ndarray) -> float:
-        x = x / np.linalg.norm(x)
-        sigma = 0.0
-        for _ in range(_POWER_ITERATIONS):
-            y = a @ x
-            x_next = a.conj().T @ y
-            nrm = np.linalg.norm(x_next)
-            if nrm == 0.0:
-                return 0.0
-            x = x_next / nrm
-            sigma_new = math.sqrt(nrm)
-            if abs(sigma_new - sigma) <= _POWER_TOL * max(1.0, sigma_new):
-                return sigma_new
-            sigma = sigma_new
-        raise DomainError(
-            f"power iteration did not converge to relative tolerance {_POWER_TOL:g} "
-            f"in {_POWER_ITERATIONS} iterations (last estimate {sigma!r})"
-        )
-
-    start1 = np.ones(k, dtype=complex)
-    start2 = np.array([(-1.0) ** i for i in range(k)], dtype=complex)
-    return max(run(start1), run(start2))
+    return float(_singular_values(a)[0])
 
 
 def semicommutator(

@@ -286,6 +286,16 @@ def test_min_singular_probe_verdicts():
         min_singular_probe([])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_min_singular_probe_refuses_a_non_finite_matrix(bad):
+    a = np.eye(4, dtype=complex)
+    a[1, 2] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        min_singular_probe([np.eye(3), a])
+    with pytest.raises(DomainError, match="2-D"):
+        min_singular_probe([np.ones(3)])
+
+
 def test_kernel_tail_is_the_mass_beyond_the_cutoff():
     for s_exp, D, t in [(2.0, 10, 0.3), (12.0, 40, 0.5), (4.5, 200, 0.9)]:
         mass = float(kernel_masses(s_exp, D + 1, t).sum())

@@ -131,6 +131,15 @@ def test_domain_error_is_exit_one(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("mu", ["inf", "nan"])
+def test_a_non_finite_weight_is_exit_one(capsys, mu):
+    code, out, err = run(
+        capsys, ["norm", "--symbol", "re(z1)", "--d", "1", "--mu", mu, "--D", "2"]
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_failing_tolerance_is_exit_two(capsys):
     code, out, err = run(
         capsys,
@@ -157,6 +166,7 @@ def test_decompose_passes_at_documented_tolerance(capsys):
     )
     assert code == 0
     assert "[ok]" in out
+    assert "max |full - levels|" in out
 
 
 def test_decompose_takes_a_torus_invariant_a_factor(capsys):

@@ -45,6 +45,9 @@ def test_weighted_space_validates_weight():
     WeightedSpace(2, -0.5)
     with pytest.raises(DomainError):
         WeightedSpace(2, -1.0)
+    for lam in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite and exceed -1"):
+            WeightedSpace(1, lam)
     with pytest.raises(DomainError):
         WeightedSpace(0, 0.0)
 

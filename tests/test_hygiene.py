@@ -296,3 +296,22 @@ def test_only_the_assembly_builds_a_level_factor():
         lambda func: (getattr(func, "id", None) or getattr(func, "attr", None)) in names,
     )
     assert calls == []
+
+
+def test_one_function_takes_singular_values():
+    """One singular-value route: within the package ``np.linalg.svd`` is
+    called only by ``toeplitz._singular_values``, and ``eigvalsh`` only
+    by the quadrature module's Gauss-Jacobi rule."""
+
+    def linalg_calls(attr):
+        found = []
+        for path in sorted(SRC.glob("*.py")):
+            calls = _scoped_calls(
+                ast.parse(path.read_text()),
+                lambda func: isinstance(func, ast.Attribute) and func.attr == attr,
+            )
+            found += [f"{path.name}: {scope or '<module>'}" for scope, _ in calls]
+        return found
+
+    assert linalg_calls("svd") == ["toeplitz.py: _singular_values"]
+    assert all(entry.startswith("quadrature.py:") for entry in linalg_calls("eigvalsh"))

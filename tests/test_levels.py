@@ -266,6 +266,21 @@ def test_factorization_refuses_a_non_invariant_a_before_assembling(monkeypatch):
             verify_tensor_factorization(a, c, g, 0.0, [(0,), (1,)], 2, spec)
 
 
+def test_factorization_refuses_a_callable_factor_before_any_plan(monkeypatch):
+    g = BallGeometry(2, 1, (1,))
+    one = parse_symbol("1", None)
+
+    def sentinel(*args, **kwargs):
+        raise AssertionError("planned or assembled")
+
+    for name in ("assembly_path", "toeplitz_matrix", "toeplitz_matrix_with_stderr"):
+        monkeypatch.setattr(levels_module, name, sentinel)
+    fn = lambda z: np.ones(len(z))  # noqa: E731
+    for which, (a, c) in (("a", (fn, one)), ("c", (one, fn))):
+        with pytest.raises(DomainError, match=f"the {which}-factor must be a parsed symbol"):
+            verify_tensor_factorization(a, c, g, 0.0, [(0,)], 2, QuadratureSpec())
+
+
 def test_factorization_report_fields():
     g = BallGeometry(2, 1, (1,))
     _, (rep,) = verify_tensor_factorization(

@@ -290,26 +290,39 @@ def test_rational_symbol_assembles_accurately():
     assert np.max(np.abs(np.diag(mat.entries).real - diag)) < 1e-9
 
 
-def test_power_iteration_reports_non_convergence(monkeypatch):
-    # k > 1024 and not Hermitian takes power iteration, whose estimate
-    # here moves by ~(0.5/1)^2 per step: 3 steps cannot meet the tolerance
+def test_large_non_hermitian_norm_is_exact():
+    # 1100 rows, not Hermitian: the norm of a diagonal is its largest modulus
     vals = np.linspace(0.1, 0.5, 1100)
     vals[-1] = 1.0
     a = np.diag(1j * vals)
-    monkeypatch.setattr(toeplitz, "_POWER_ITERATIONS", 3)
-    with pytest.raises(DomainError, match="3 iterations"):
-        operator_norm(a)
-    monkeypatch.undo()
-    assert operator_norm(a) == pytest.approx(1.0, rel=1e-9)
+    assert operator_norm(a) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_large_hermitian_norm_takes_the_eigensolver(monkeypatch):
+def test_large_hermitian_norm_matches_the_svd():
     rng = np.random.default_rng(2)
     b = rng.normal(size=(1100, 1100)) + 1j * rng.normal(size=(1100, 1100))
     a = b + b.conj().T
     expect = float(np.linalg.svd(a, compute_uv=False)[0])
-    monkeypatch.setattr(toeplitz, "_POWER_ITERATIONS", 0)  # power iteration would raise
     assert operator_norm(a) == pytest.approx(expect, rel=1e-12)
+
+
+def test_lab_norm_over_1024_rows_is_the_top_singular_value():
+    # re(z1) on the 2-ball at D = 44 (K = 1035), which assembly roundoff
+    # leaves not exactly Hermitian: the norm is the top singular value
+    m = toeplitz_matrix(parse_symbol("re(z1)", None), WeightedSpace(2, 0.0), 44,
+                        QuadratureSpec())
+    assert m.size == 1035
+    expect = float(np.linalg.svd(m.entries, compute_uv=False)[0])
+    assert abs(operator_norm(m) - expect) <= 1e-14 * expect
+
+
+def test_a_decomposition_that_fails_is_a_domain_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(DomainError, match="SVD did not converge"):
+        operator_norm(np.eye(3))
 
 
 def test_oversized_dense_matrices_are_refused():
