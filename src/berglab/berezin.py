@@ -42,7 +42,6 @@ from .symbols import (
     is_symbolic,
     quasi_radial_profile,
     symbol_degree_hint,
-    symbol_to_text,
 )
 from .toeplitz import (
     OperatorMatrix,
@@ -480,7 +479,6 @@ class DecayTable:
     """Rows of (parameter, sup error) with the grid that produced them."""
 
     rows: Tuple[Tuple[float, float], ...]
-    label: str = ""
 
     def csv_lines(self, header: str = "mu,sup_error") -> List[str]:
         return csv_lines(header, self.rows)
@@ -514,8 +512,7 @@ def quantization_probe(
             b = berezin_of_symbol(c, float(mu), grid[i], spec, geometry=geometry)
             worst = max(worst, abs(b - complex(c_vals[i])))
         rows.append((float(mu), worst))
-    label = symbol_to_text(c) if is_symbolic(c) else "callable"
-    return DecayTable(rows=tuple(rows), label=label)
+    return DecayTable(rows=tuple(rows))
 
 
 # the probe's ray: e_1 of the disk
@@ -539,8 +536,7 @@ def boundary_vanishing_probe(
         fv = complex(np.asarray(f_fn(z[None, :]))[0])
         bv = berezin_of_symbol(f, mu, z, spec)
         rows.append((float(r), abs(fv - bv)))
-    label = symbol_to_text(f) if is_symbolic(f) else "callable"
-    return DecayTable(rows=tuple(rows), label=label)
+    return DecayTable(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +576,7 @@ class MatrixSymbol:
             )
         return MatrixSymbol(entries=tuple(rows))
 
-    def eval_on_points(
-        self, z: np.ndarray, *, allow_boundary: bool = False
-    ) -> np.ndarray:
+    def eval_on_points(self, z: np.ndarray) -> np.ndarray:
         """Values of shape (N, p, p)."""
         z = np.asarray(z, dtype=complex)
         if z.ndim == 1:
@@ -592,17 +586,13 @@ class MatrixSymbol:
         for i, row in enumerate(self.entries):
             for j, entry in enumerate(row):
                 if is_symbolic(entry):
-                    out[:, i, j] = eval_on_points(
-                        entry, z, allow_boundary=allow_boundary, check_ball=False
-                    )
+                    out[:, i, j] = eval_on_points(entry, z, check_ball=False)
                 else:
                     out[:, i, j] = np.asarray(entry(z))
         return out
 
-    def det_on_points(
-        self, z: np.ndarray, *, allow_boundary: bool = False
-    ) -> np.ndarray:
-        vals = self.eval_on_points(z, allow_boundary=allow_boundary)
+    def det_on_points(self, z: np.ndarray) -> np.ndarray:
+        vals = self.eval_on_points(z)
         if self.p == 1:
             return vals[:, 0, 0]
         return np.linalg.det(vals)
@@ -643,13 +633,9 @@ class SpectrumSample:
 
     rows: Tuple[Tuple[int, float, complex], ...]
     min_abs_det: float
-    max_abs_det: float
     threshold: float
     fredholm: bool
     argmin_point: Tuple[int, Tuple[complex, ...]] = field(repr=False, default=(-1, ()))
-
-    def values(self) -> Tuple[complex, ...]:
-        return tuple(r[2] for r in self.rows)
 
     def csv_lines(self) -> List[str]:
         return csv_lines(
@@ -667,12 +653,12 @@ _FREDHOLM_THRESHOLD_REL = 1e-6
 def essential_spectrum_sample(
     c: Union[MatrixSymbol, MatrixEntry],
     d_inner: int,
-    radii: Optional[Sequence[float]] = None,
     *,
     gamma: Optional[Dict[Tuple[int, ...], complex]] = None,
     seed: int = QuadratureSpec.seed,
 ) -> SpectrumSample:
-    """Sample det c near and on the boundary sphere (and over levels).
+    """Sample det c on the spheres of ``default_radius_schedule``, the
+    boundary sphere last (and over levels).
 
     Fredholmness of the operator family is judged by whether |det c| stays
     above _FREDHOLM_THRESHOLD_REL times its largest sampled value; with a
@@ -681,8 +667,6 @@ def essential_spectrum_sample(
     """
     if not isinstance(c, MatrixSymbol):
         c = MatrixSymbol.scalar(c)
-    if radii is None:
-        radii = default_radius_schedule()
     dirs = _sphere_directions(d_inner, _SPECTRUM_DIRECTIONS, seed)
     rows: List[Tuple[int, float, complex]] = []
     min_abs = math.inf
@@ -693,11 +677,9 @@ def essential_spectrum_sample(
     if gamma is not None:
         level_scales = [(sum(rho), g ** c.p) for rho, g in gamma.items()]
 
-    for r in radii:
-        if not 0.0 <= r <= 1.0:
-            raise DomainError(f"schedule radius must lie in [0, 1], got {r}")
+    for r in default_radius_schedule():
         pts = r * dirs
-        dets = c.det_on_points(pts, allow_boundary=True)
+        dets = c.det_on_points(pts)
         for rho_total, scale in level_scales:
             for i in range(pts.shape[0]):
                 v = complex(scale * dets[i])
@@ -711,7 +693,6 @@ def essential_spectrum_sample(
     return SpectrumSample(
         rows=tuple(rows),
         min_abs_det=float(min_abs),
-        max_abs_det=float(max_abs),
         threshold=float(threshold),
         fredholm=bool(min_abs > threshold),
         argmin_point=argmin,
@@ -734,14 +715,18 @@ def min_singular_probe(matrices: Sequence[OperatorMatrix]) -> MinSingularTable:
 
     A sequence collapsing toward 0 is evidence against invertibility
     modulo compacts; a flat positive floor corroborates a Fredholm verdict.
-    A matrix that is not 2-D or has a non-finite entry is refused.
+    A matrix that is not 2-D, has no singular values (no rows or no
+    columns) or has a non-finite entry is refused.
     """
     if not matrices:
         raise DomainError("need at least one matrix")
     rows = []
     for m in matrices:
         a = m.entries if isinstance(m, OperatorMatrix) else np.asarray(m)
-        rows.append((a.shape[0], float(_singular_values(a)[-1])))
+        sv = _singular_values(a)
+        if sv.size == 0:
+            raise DomainError(f"a {a.shape[0]} x {a.shape[1]} matrix has no singular values")
+        rows.append((a.shape[0], float(sv[-1])))
     first, last = rows[0][1], rows[-1][1]
     verdict = "decaying" if last <= 0.6 * first else "flat"
     return MinSingularTable(rows=tuple(rows), verdict=verdict)

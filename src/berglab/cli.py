@@ -152,11 +152,11 @@ def cmd_parse(args: argparse.Namespace) -> int:
     plan = {"symbol": args.symbol}
     if geometry is not None:
         plan.update({"n": geometry.n, "ell": geometry.ell, "k": geometry.k})
+    expr = parse_symbol(args.symbol, geometry)
     if args.dry_run:
         _echo(plan)
         print("plan: parse and classify the symbol")
         return 0
-    expr = parse_symbol(args.symbol, geometry)
     _echo(plan)
     print(symbol_to_text(expr))
     print(f"class: {classify_symbol(expr, geometry)}")
@@ -212,12 +212,12 @@ def cmd_gamma(args: argparse.Namespace) -> int:
         "lambda": args.lam,
         "rmax": args.rmax,
     }
+    geometry = BallGeometry(sum(k), sum(k), k)
+    profile = parse_symbol(args.profile, geometry)
     if args.dry_run:
         _echo(plan)
         print("plan: tabulate gamma over all levels |rho| <= rmax")
         return 0
-    geometry = BallGeometry(sum(k), sum(k), k)
-    profile = parse_symbol(args.profile, geometry)
     seq = gamma_sequence(profile, k, args.lam, args.rmax)
     if any(isinstance(v, complex) for v in seq.values()):
         raise DomainError("gamma prints one real column; the profile is complex-valued")
@@ -229,13 +229,14 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 def cmd_norm(args: argparse.Namespace) -> int:
     spec = _spec_from(args)
     plan = {"symbol": args.symbol, "d": args.d, "mu": args.mu, "D": args.D}
+    geometry = BallGeometry(args.d, args.d, (args.d,))
+    expr = parse_symbol(args.symbol, geometry)
+    space = WeightedSpace(args.d, args.mu, geometry=geometry)
+    assembly_path(expr, space, args.D, spec)
     if args.dry_run:
         _echo(plan)
         print("plan: sigma_max of the truncated matrix")
         return 0
-    geometry = BallGeometry(args.d, args.d, (args.d,))
-    expr = parse_symbol(args.symbol, geometry)
-    space = WeightedSpace(args.d, args.mu, geometry=geometry)
     value = operator_norm(toeplitz_matrix(expr, space, args.D, spec))
     _echo(plan)
     print(format_float(value))
@@ -302,14 +303,15 @@ def _parse_point(text: str, d: int) -> np.ndarray:
 def cmd_berezin(args: argparse.Namespace) -> int:
     spec = _spec_from(args)
     plan = {"symbol": args.symbol, "d": args.d, "mu": args.mu, "D": args.D, "z": args.z}
-    if args.dry_run:
-        _echo(plan)
-        print("plan: operator-side and symbol-side transforms at z")
-        return 0
     geometry = BallGeometry(args.d, args.d, (args.d,))
     expr = parse_symbol(args.symbol, geometry)
     z = _parse_point(args.z, args.d)
     space = WeightedSpace(args.d, args.mu, geometry=geometry)
+    assembly_path(expr, space, args.D, spec)
+    if args.dry_run:
+        _echo(plan)
+        print("plan: operator-side and symbol-side transforms at z")
+        return 0
     mat = toeplitz_matrix(expr, space, args.D, spec)
     op_side = berezin_of_operator(mat, args.mu, z)
     sym_side = berezin_of_symbol(expr, args.mu, z, spec, geometry=geometry)
@@ -329,13 +331,13 @@ def cmd_quantize(args: argparse.Namespace) -> int:
         "grid_points": args.grid_points,
         "tmax": args.tmax,
     }
+    geometry = BallGeometry(args.d, args.d, (args.d,))
+    expr = parse_symbol(args.symbol, geometry)
+    grid = _radial_grid(args.d, args.tmax, args.grid_points)
     if args.dry_run:
         _echo(plan)
         print("plan: sup-grid Berezin error for each weight")
         return 0
-    geometry = BallGeometry(args.d, args.d, (args.d,))
-    expr = parse_symbol(args.symbol, geometry)
-    grid = _radial_grid(args.d, args.tmax, args.grid_points)
     table = quantization_probe(expr, args.mus, grid, spec, geometry=geometry)
     _echo(plan)
     _write_or_print(table.csv_lines(), args.out)
@@ -356,16 +358,17 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     plan = {"symbol": args.symbol, "d": args.d, "R": args.R, "seed": seed}
     if args.weight_profile:
         plan["weight_profile"] = args.weight_profile
+    expr = _inner_symbol(args.symbol)
+    k = args.weight_k or (1,)
+    profile = None
+    if args.weight_profile:
+        profile = parse_symbol(args.weight_profile, BallGeometry(sum(k), sum(k), k))
     if args.dry_run:
         _echo(plan)
         print("plan: sample det c near and on the boundary sphere")
         return 0
-    expr = _inner_symbol(args.symbol)
     gamma = None
-    if args.weight_profile:
-        k = args.weight_k or (1,)
-        geo = BallGeometry(sum(k), sum(k), k)
-        profile = parse_symbol(args.weight_profile, geo)
+    if profile is not None:
         gamma = gamma_sequence(profile, k, args.lam, args.R)
     sample = essential_spectrum_sample(expr, args.d, seed=seed, gamma=gamma)
     _echo(plan)
@@ -381,11 +384,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_fredholm(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else QuadratureSpec.seed
     plan = {"symbol": args.symbol, "d": args.d, "seed": seed}
+    expr = _inner_symbol(args.symbol)
     if args.dry_run:
         _echo(plan)
         print("plan: essential spectrum sample, then the index report")
         return 0
-    expr = _inner_symbol(args.symbol)
     sample = essential_spectrum_sample(expr, args.d, seed=seed)
     report = fredholm_index_report(expr, sample)
     _echo(plan)

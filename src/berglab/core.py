@@ -129,8 +129,13 @@ class BallGeometry:
         return self.n - self.ell
 
     def level_space(self, lam: float, rho: Sequence[int]) -> "WeightedSpace":
-        """The inner ball of level rho at its weight mu_rho = lam + |rho| + ell."""
-        return WeightedSpace(self.d_inner, make_level(rho, lam, self.ell).mu)
+        """The inner ball of level rho at its weight mu_rho = lam + |rho| + ell,
+        the one place that weight is computed.  A negative level entry is
+        refused."""
+        rho_t = tuple(int(v) for v in rho)
+        if any(v < 0 for v in rho_t):
+            raise DomainError(f"level entries must be nonnegative, got {rho_t}")
+        return WeightedSpace(self.d_inner, float(lam + sum(rho_t) + self.ell))
 
     def prime_space(self, lam: float) -> "WeightedSpace":
         """The z'-ball at weight lam, split by this partition alone."""
@@ -177,25 +182,6 @@ class WeightedSpace:
             - self.d * math.log(math.pi)
             - log_gamma(self.lam + 1.0)
         )
-
-
-@dataclass(frozen=True)
-class Level:
-    """Group-degree tuple rho with its derived weight mu = lam + |rho| + ell."""
-
-    rho: Tuple[int, ...]
-    mu: float
-
-    def __post_init__(self) -> None:
-        if any(v < 0 for v in self.rho):
-            raise DomainError(f"level entries must be nonnegative, got {self.rho}")
-        if not self.mu > -1.0:
-            raise DomainError(f"derived weight must exceed -1, got {self.mu}")
-
-
-def make_level(rho: Sequence[int], lam: float, ell: int) -> Level:
-    rho_t = tuple(int(v) for v in rho)
-    return Level(rho=rho_t, mu=float(lam + sum(rho_t) + ell))
 
 
 def dim_level(rho: Sequence[int], k: Sequence[int]) -> int:

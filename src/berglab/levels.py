@@ -26,14 +26,12 @@ import numpy as np
 from .berezin import berezin_of_operator, kernel_tail, radial_berezin_sum
 from .core import (
     BallGeometry,
-    Level,
     MultiIndex,
     WeightedSpace,
     csv_lines,
     dim_level,
     enumerate_basis,
     level_layout,
-    make_level,
 )
 from .errors import DomainError
 from .quadrature import MONTE_CARLO, QuadratureSpec, SymbolLike
@@ -74,7 +72,8 @@ def _check_level(
 
 @dataclass(frozen=True)
 class LevelBlock:
-    """One invariant level of a torus-invariant operator.
+    """One invariant level rho of a torus-invariant operator, on the inner
+    ball at the level's weight ``mu`` (``BallGeometry.level_space``).
 
     The factor acting on the inner d-ball at cutoff D is held in one of
     two forms: a radial block from ``level_block_direct`` as its D + 1
@@ -87,21 +86,14 @@ class LevelBlock:
     (``perfbench/tracer.py``) reads the field on every block it counts.
     """
 
-    level: Level
+    rho: Tuple[int, ...]
+    mu: float
     hdim: int
     d: int
     D: int
     eigenvalues: Optional[np.ndarray] = field(repr=False, default=None)
     matrix: Optional[OperatorMatrix] = field(repr=False, default=None)
     pair_entries: Optional[np.ndarray] = field(repr=False, default=None)
-
-    @property
-    def rho(self) -> Tuple[int, ...]:
-        return self.level.rho
-
-    @property
-    def mu(self) -> float:
-        return self.level.mu
 
     @functools.cached_property
     def block(self) -> OperatorMatrix:
@@ -151,16 +143,15 @@ def level_block_direct(
     rho_t = _check_level(rho, geometry)
     c_inner = rebase_inner(c) if is_symbolic(c) else c
     space = geometry.level_space(lam, rho_t)
-    level = make_level(rho_t, lam, geometry.ell)
     hdim = dim_level(rho_t, geometry.k)
     if is_symbolic(c_inner) and is_radial(c_inner):
         # complex, as a diagonal form holds them: the Berezin sums then
         # take the complex dot kernel whatever the profile's type
         values = radial_toeplitz_diagonal(c_inner, space.d, space.lam, D_inner)
-        return LevelBlock(level, hdim, space.d, D_inner,
+        return LevelBlock(rho_t, space.lam, hdim, space.d, D_inner,
                           eigenvalues=values.astype(complex))
     matrix = toeplitz_matrix(c_inner, space, D_inner, spec)
-    return LevelBlock(level, hdim, space.d, D_inner, matrix=matrix)
+    return LevelBlock(rho_t, space.lam, hdim, space.d, D_inner, matrix=matrix)
 
 
 def block_norms(
@@ -277,7 +268,7 @@ def verify_tensor_factorization(
             max_ratio = float(np.max(dev / (5.0 * se[pos] + 1e-12)))
             passed = max_ratio <= 1.0
         reports.append(FactorizationReport(
-            rho=rho, mu=make_level(rho, lam, geometry.ell).mu, max_deviation=max_dev,
+            rho=rho, mu=geometry.level_space(lam, rho).lam, max_deviation=max_dev,
             worst_beta=full.basis.indices[rows[wb]], worst_alpha=full.basis.indices[rows[wa]],
             tol=tol, passed=passed, monte_carlo=mc, max_se_ratio=max_ratio,
         ))
@@ -312,8 +303,6 @@ class RecoveryReport:
     grid: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     by_level: Tuple[Tuple[Tuple[int, ...], float, int, float], ...]
-    eval_mus: Tuple[float, ...]
-    extrapolated: bool
 
     def remainder_csv_lines(self) -> List[str]:
         return csv_lines("rho,mu,hdim,remainder_norm", self.by_level)
@@ -435,11 +424,4 @@ def recover_symbol_and_remainder(
             t_est = toeplitz_matrix(estimator, WeightedSpace(blk.d, blk.mu), blk.D, spec)
             norm = operator_norm(blk.block - t_est)
         by_level.append((blk.rho, float(blk.mu), blk.hdim, norm))
-    mus = tuple(float(b.mu) for b in estimator.blocks)
-    return RecoveryReport(
-        grid=grid,
-        values=np.asarray(values),
-        by_level=tuple(by_level),
-        eval_mus=mus,
-        extrapolated=len(mus) >= 2,
-    )
+    return RecoveryReport(grid=grid, values=np.asarray(values), by_level=tuple(by_level))

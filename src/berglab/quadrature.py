@@ -248,7 +248,6 @@ class BallRule:
     """
 
     d: int
-    lam: float
     radii: np.ndarray  # (N_rs, d) real moduli |z_j|
     radial_weights: np.ndarray  # (N_rs,) weight of each node on that torus
     n_phase: int
@@ -354,7 +353,6 @@ def ball_rule(d: int, lam: float, q_radial: int, n_phase: int) -> BallRule:
     w_full = scale * wu.reshape(q_radial, 1) * ws.reshape(1, n_frac)
     return BallRule(
         d=d,
-        lam=lam,
         radii=radii.reshape(-1, d),
         radial_weights=w_full.ravel(),
         n_phase=n_phase,
@@ -385,18 +383,14 @@ SymbolLike = Union[SymbolExpr, ProductSymbol, PointFunction]
 
 
 def as_point_function(
-    f: SymbolLike,
-    geometry: Optional[BallGeometry] = None,
-    allow_boundary: bool = False,
+    f: SymbolLike, geometry: Optional[BallGeometry] = None
 ) -> PointFunction:
     """Wrap a symbol (or pass through a callable) as z-array -> values."""
     if callable(f) and not is_symbolic(f):
         return f
 
     def fn(z: np.ndarray) -> np.ndarray:
-        return eval_on_points(
-            f, z, geometry=geometry, allow_boundary=allow_boundary, check_ball=False
-        )
+        return eval_on_points(f, z, geometry=geometry, check_ball=False)
 
     return fn
 
@@ -414,35 +408,23 @@ def evaluate_finite(fn: PointFunction, nodes: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class SimplexRule:
-    """Rule for profile moments over the set of group radii.
+def simplex_radial_rule(
+    lam: float, powers: Sequence[int], q: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Rule for profile moments over the set of group radii: (radii,
+    weights), the r-nodes of shape (N, m) and their weights.
 
     Integrates a(r_1, ..., r_m) against (1 - |r|^2)^lam prod r_j^(p_j) dr
     over the positive orthant piece of the unit ball, via t_j = r_j^2,
     up to one constant factor: the largest weight is 1, so the rule
-    gives normalized moments, w @ a / w @ 1.  ``radii`` holds the
-    r-nodes, shape (N, m).
-    """
+    gives normalized moments, w @ a / w @ 1.
 
-    m: int
-    lam: float
-    powers: Tuple[int, ...]
-    radii: np.ndarray
-    weights: np.ndarray
-
-
-def simplex_radial_rule(
-    lam: float, powers: Sequence[int], q: int
-) -> SimplexRule:
-    """Build the rule; powers are the odd exponents p_j on each r_j.
-
-    Each p_j must be odd so that t_j = r_j^2 turns the measure into the
-    Dirichlet-type weight prod t^((p_j - 1)/2) (1 - sum t)^lam, which the
-    per-axis Jacobi rules absorb exactly.  The per-axis weights are taken
-    as logs (``gauss_jacobi_log_rule``), summed per node and shifted by
-    their largest, so large weights and levels, whose Jacobi weights
-    underflow, keep their mass.
+    The powers p_j on each r_j must be odd, so that t_j = r_j^2 turns the
+    measure into the Dirichlet-type weight prod t^((p_j - 1)/2)
+    (1 - sum t)^lam, which the per-axis Jacobi rules absorb exactly.  The
+    per-axis weights are taken as logs (``gauss_jacobi_log_rule``), summed
+    per node and shifted by their largest, so large weights and levels,
+    whose Jacobi weights underflow, keep their mass.
     """
     powers = tuple(int(p) for p in powers)
     if any(p < 1 or p % 2 == 0 for p in powers):
@@ -459,6 +441,4 @@ def simplex_radial_rule(
         combine=np.sum,
     )
     log_w -= np.max(log_w)
-    return SimplexRule(
-        m=m, lam=lam, powers=powers, radii=np.sqrt(t), weights=np.exp(log_w)
-    )
+    return np.sqrt(t), np.exp(log_w)

@@ -23,7 +23,6 @@ from .berezin import (
     MatrixSymbol,
     berezin_of_operator,
     berezin_of_symbol,
-    boundary_vanishing_probe,
     default_radius_schedule,
     essential_spectrum_sample,
     fredholm_index_report,
@@ -530,6 +529,15 @@ def _consistency_probe(cfg: ExperimentConfig) -> Tuple[List[SymbolExpr], np.ndar
     return symbols, grid[keep][:: max(1, int(np.count_nonzero(keep)) // 4 or 1)]
 
 
+def _boundary_points(cfg: ExperimentConfig) -> Tuple[Tuple[float, ...], np.ndarray]:
+    """The radii of the quantization suite's boundary table and its points
+    r e_1 on the inner ball, shape (len(radii), d_inner)."""
+    radii = default_radius_schedule(cfg.radii_count, include_terminal=False)
+    points = np.zeros((len(radii), cfg.geometry.d_inner), dtype=complex)
+    points[:, 0] = radii
+    return radii, points
+
+
 def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
     """Semicommutator decay, Berezin error decay, boundary table, recovery."""
     res = SuiteResult("quantization")
@@ -613,15 +621,18 @@ def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
         f"max |operator - symbol| = {worst_consistency:.3e}",
     )
 
-    radii = default_radius_schedule(cfg.radii_count, include_terminal=False)
-    boundary = boundary_vanishing_probe(c_in, _BOUNDARY_MU, radii, spec=cfg.spec)
-    b_errs = [row[1] for row in boundary.rows]
+    # |c - B_mu[c]| at r e_1 of the inner ball, one probe point per radius
+    radii, b_points = _boundary_points(cfg)
+    b_errs = [
+        quantization_probe(c_in, [_BOUNDARY_MU], b_points[i : i + 1], cfg.spec).rows[0][1]
+        for i in range(len(radii))
+    ]
     res.add(
         "boundary_vanishing",
         all(b < a for a, b in zip(b_errs, b_errs[1:])) and b_errs[-1] < 0.05,
         f"errors fall to {b_errs[-1]:.3e} at r = {radii[-1]}",
     )
-    res.tables["boundary_decay.csv"] = boundary.csv_lines("radius,error")
+    res.tables["boundary_decay.csv"] = csv_lines("radius,error", zip(radii, b_errs))
 
     pad = (0,) * (geo.m - 1)
     eval_blocks = [
@@ -769,10 +780,12 @@ def plan_suites(
     or whose level route it refuses or does not take the "levels" path
     for (an a-factor that turns under the group torus), or a quantization
     suite with a non-radial c whose recovery blocks it refuses (a matrix
-    over the desk budget), or whose Berezin-consistency probe it refuses
-    for a non-radial symbol (the rule of its Mobius pullback,
-    ``pullback_spec``, over the node budget).  A radial c's blocks are
-    their per-degree eigenvalues, built at any cutoff.
+    over the desk budget), or one of whose Berezin points it refuses for a
+    non-radial symbol (the rule of its Mobius pullback, ``pullback_spec``,
+    over the node budget): c on the error grid and on the boundary
+    table's radii, and each symbol of the Berezin-consistency probe at
+    its points.  A radial symbol takes no rule there, and a radial c's
+    blocks are their per-degree eigenvalues, built at any cutoff.
     """
     names = [name for name, _ in _ALL_SUITES]
     if only:
@@ -808,15 +821,18 @@ def plan_suites(
                                           cfg.settings[key], cfg.spec),
                 )
     if "quantization" in names:
-        symbols, points = _consistency_probe(cfg)
         d_in = cfg.geometry.d_inner
-        for sym in symbols:
+        symbols, points = _consistency_probe(cfg)
+        probes = [("Berezin error probe", c_in,
+                   _radial_grid(d_in, cfg.grid_tmax, cfg.grid_points))]
+        probes += [("Berezin-consistency probe", sym, points) for sym in symbols]
+        probes.append(("boundary probe", c_in, _boundary_points(cfg)[1]))
+        for what, sym, pts in probes:
             if is_radial(sym):
                 continue
-            for t in np.sum(np.abs(points) ** 2, axis=1).tolist():
+            for t in np.sum(np.abs(pts) ** 2, axis=1).tolist():
                 _plan_or_refuse(
-                    f"quantization: the Berezin-consistency probe of "
-                    f"{symbol_to_text(sym)} at |z|^2 = {t!r}",
+                    f"quantization: the {what} of {symbol_to_text(sym)} at |z|^2 = {t!r}",
                     lambda: assembly_path(as_point_function(sym), WeightedSpace(d_in, 0.0),
                                           0, pullback_spec(sym, d_in, t, cfg.spec)),
                 )

@@ -44,8 +44,6 @@ import numpy as np
 from .core import BallGeometry
 from .errors import DomainError
 
-_BOUNDARY_SLACK = 1e-12
-
 
 class SymbolSyntaxError(DomainError):
     """Parse failure with a 1-based source position."""
@@ -595,29 +593,22 @@ def eval_on_points(
     z: np.ndarray,
     *,
     geometry: Optional[BallGeometry] = None,
-    zc_offset: Optional[int] = None,
     check_ball: bool = True,
-    allow_boundary: bool = False,
 ) -> np.ndarray:
     """Evaluate on an array of ball points of shape (..., d).
 
-    ``zc_offset`` controls where zc-coordinates start; by default it is the
-    geometry's split point (full-ball evaluation) or 0 without a geometry
-    (evaluation directly on the z''-ball).
+    zc-coordinates start at the geometry's split point (full-ball
+    evaluation), or at 0 without a geometry (evaluation directly on the
+    z''-ball).  ``check_ball`` refuses a point outside the open unit ball.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim == 1:
         z = z[None, :]
     if check_ball:
-        t = np.sum(np.abs(z) ** 2, axis=-1)
-        bad = t > 1.0 + _BOUNDARY_SLACK if allow_boundary else t >= 1.0
+        bad = np.sum(np.abs(z) ** 2, axis=-1) >= 1.0
         if np.any(bad):
             idx = tuple(np.argwhere(bad)[0])
-            raise DomainError(
-                f"point {z[idx]} lies outside the closed unit ball"
-                if allow_boundary
-                else f"point {z[idx]} lies outside the open unit ball"
-            )
+            raise DomainError(f"point {z[idx]} lies outside the open unit ball")
     if isinstance(expr, ProductSymbol):
         geo = expr.geometry
         if geo is None:
@@ -637,11 +628,8 @@ def eval_on_points(
         a_ctx = _EvalContext(z=z_out, r=None, zc_offset=0, k=geo.k)
         c_ctx = _EvalContext(z=z_in, r=None, zc_offset=0, k=None)
         return np.asarray(a_ctx.evaluate(expr.a) * c_ctx.evaluate(expr.c))
-    if zc_offset is None:
-        zc_offset = geometry.ell if geometry is not None else 0
-    ctx = _EvalContext(
-        z=z, r=None, zc_offset=zc_offset, k=geometry.k if geometry else None
-    )
+    ctx = _EvalContext(z=z, r=None, zc_offset=geometry.ell if geometry else 0,
+                       k=geometry.k if geometry else None)
     out = ctx.evaluate(expr)
     return np.broadcast_to(np.asarray(out), z.shape[:-1]).copy()
 
@@ -763,13 +751,6 @@ def group_band(
 def _point(b: Optional[Band]) -> Optional[Tuple[int, ...]]:
     """The one frequency of a point band (its winding), else None."""
     return None if b is None or any(lo != hi for lo, hi in b) else tuple(lo for lo, _ in b)
-
-
-def axis_winding(
-    expr: Union[SymbolExpr, ProductSymbol], d: int, zc_offset: int = 0
-) -> Optional[Tuple[int, ...]]:
-    """Per-axis phase degree: the ``axis_band`` where it is a point."""
-    return _point(axis_band(expr, d, zc_offset))
 
 
 def group_winding(

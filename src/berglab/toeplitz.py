@@ -131,11 +131,9 @@ class OperatorMatrix:
     products, sums and scalings of diagonal forms read ``diag`` instead.
     """
 
-    __slots__ = ("basis", "label", "diag", "_dense")
+    __slots__ = ("basis", "diag", "_dense")
 
-    def __init__(
-        self, basis: TruncatedBasis, entries: np.ndarray, label: str = ""
-    ) -> None:
+    def __init__(self, basis: TruncatedBasis, entries: np.ndarray) -> None:
         arr = np.asarray(entries, dtype=complex)
         k = basis.count
         if arr.shape != (k, k):
@@ -143,14 +141,11 @@ class OperatorMatrix:
                 f"matrix shape {arr.shape} does not match the basis size {k}"
             )
         self.basis = basis
-        self.label = label
         self.diag: Optional[np.ndarray] = None
         self._dense: Optional[np.ndarray] = arr
 
     @classmethod
-    def diagonal(
-        cls, basis: TruncatedBasis, values: Sequence[complex], label: str = ""
-    ) -> "OperatorMatrix":
+    def diagonal(cls, basis: TruncatedBasis, values: Sequence[complex]) -> "OperatorMatrix":
         """The diagonal matrix of ``values``, kept as the K values.
 
         Refused, like a dense matrix, when its dense form would pass the
@@ -162,14 +157,9 @@ class OperatorMatrix:
         _require_budget(basis.count**2, f"a {basis.count} x {basis.count} matrix")
         out = cls.__new__(cls)
         out.basis = basis
-        out.label = label
         out.diag = vals
         out._dense = None
         return out
-
-    @staticmethod
-    def identity(basis: TruncatedBasis) -> "OperatorMatrix":
-        return OperatorMatrix.diagonal(basis, np.ones(basis.count), label="1")
 
     @property
     def entries(self) -> np.ndarray:
@@ -192,38 +182,32 @@ class OperatorMatrix:
         if (b1.d, b1.D, b1.lam) != (b2.d, b2.D, b2.lam) or b1.indices != b2.indices:
             raise DomainError("operator matrices live on different bases")
 
-    def _combine(self, other: "OperatorMatrix", diag_op, dense_op, label: str):
+    def _combine(self, other: "OperatorMatrix", diag_op, dense_op):
         """diag_op of two diagonal forms stays diagonal; else dense_op."""
         self._require_same_basis(other)
         if self.diag is not None and other.diag is not None:
-            return OperatorMatrix.diagonal(
-                self.basis, diag_op(self.diag, other.diag), label
-            )
-        return OperatorMatrix(self.basis, dense_op(self.entries, other.entries), label)
+            return OperatorMatrix.diagonal(self.basis, diag_op(self.diag, other.diag))
+        return OperatorMatrix(self.basis, dense_op(self.entries, other.entries))
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._combine(
-            other, np.multiply, np.matmul, f"({self.label})({other.label})"
-        )
+        return self._combine(other, np.multiply, np.matmul)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._combine(other, np.add, np.add, f"{self.label} + {other.label}")
+        return self._combine(other, np.add, np.add)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._combine(
-            other, np.subtract, np.subtract, f"{self.label} - {other.label}"
-        )
+        return self._combine(other, np.subtract, np.subtract)
 
     def __mul__(self, scalar: complex) -> "OperatorMatrix":
         if self.diag is not None:
-            return OperatorMatrix.diagonal(self.basis, self.diag * scalar, self.label)
-        return OperatorMatrix(self.basis, self.entries * scalar, label=self.label)
+            return OperatorMatrix.diagonal(self.basis, self.diag * scalar)
+        return OperatorMatrix(self.basis, self.entries * scalar)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
         form = "diagonal" if self.diag is not None else "dense"
-        return f"OperatorMatrix({form}, K={self.size}, label={self.label!r})"
+        return f"OperatorMatrix({form}, K={self.size})"
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +365,8 @@ def diagonal_values(
         return _radial_diagonal(profile, k[0], lam, rows[:, 0], q)
     values = []
     for rho in rows:
-        rule = simplex_radial_rule(lam, 2 * rho + 2 * np.array(k) - 1, q)
-        vals = evaluate_finite(profile, rule.radii)
-        values.append(_normalized_moment(rule.weights, vals))
+        radii, weights = simplex_radial_rule(lam, 2 * rho + 2 * np.array(k) - 1, q)
+        values.append(_normalized_moment(weights, evaluate_finite(profile, radii)))
     return np.array(values)
 
 
@@ -392,13 +375,12 @@ def radial_toeplitz_diagonal(
     d: int,
     mu: float,
     D: int,
-    q: Optional[int] = None,
 ) -> np.ndarray:
     """All radial eigenvalues for degrees 0..D: the ``diagonal_values`` of
     one group of size d.  A profile callable takes |z| as an (N, 1) array."""
     if D < 0:
         raise DomainError(f"cutoff D must be nonnegative, got {D}")
-    return diagonal_values(a, (d,), mu, np.arange(D + 1), q)
+    return diagonal_values(a, (d,), mu, np.arange(D + 1))
 
 
 def _radial_diagonal(
@@ -767,7 +749,6 @@ def toeplitz_matrix(
     spec: QuadratureSpec,
     *,
     use_fast_paths: bool = True,
-    label: Optional[str] = None,
 ) -> OperatorMatrix:
     """Compression of the symbol's Toeplitz operator to degrees <= D.
 
@@ -784,9 +765,7 @@ def toeplitz_matrix(
     ``assembly_path`` names the route taken.
     """
     path = assembly_path(f, space, D, spec, use_fast_paths=use_fast_paths)
-    if label is None:
-        label = symbol_to_text(f) if is_symbolic(f) else "callable"
-    return _assemble(path, f, space, D, label, use_fast_paths)
+    return _assemble(path, f, space, D, use_fast_paths)
 
 
 def _assemble(
@@ -794,7 +773,6 @@ def _assemble(
     f: SymbolLike,
     space: WeightedSpace,
     D: int,
-    label: str,
     use_fast_paths: bool = True,
 ) -> OperatorMatrix:
     """The matrix of ``f`` along a path ``assembly_path`` chose for it."""
@@ -806,9 +784,9 @@ def _assemble(
         key = np.ravel_multi_index(degrees.T, degrees.max(axis=0) + 1)
         _, first, of_row = np.unique(key, return_index=True, return_inverse=True)
         values = diagonal_values(f, path.parts, space.lam, degrees[first], path.q)
-        return OperatorMatrix.diagonal(basis, values[of_row], label=label)
+        return OperatorMatrix.diagonal(basis, values[of_row])
     if path.kind == "levels":
-        return _assemble_by_levels(path, f, basis, label)
+        return _assemble_by_levels(path, f, basis)
 
     fn = as_point_function(f, geometry)
     keep = _band_pairs(path.band, f, basis, geometry) if use_fast_paths else None
@@ -820,7 +798,7 @@ def _assemble(
     else:
         rule = ball_rule(space.d, space.lam, path.spec.q, path.spec.angular)
         entries = _assemble_on_torus(rule, fn, basis, keep)
-    return OperatorMatrix(basis, entries, label=label)
+    return OperatorMatrix(basis, entries)
 
 
 def _band_pairs(
@@ -841,7 +819,7 @@ def _band_pairs(
 
 
 def _assemble_by_levels(
-    path: AssemblyPath, f: ProductSymbol, basis: TruncatedBasis, label: str
+    path: AssemblyPath, f: ProductSymbol, basis: TruncatedBasis
 ) -> OperatorMatrix:
     """(factor of a) (x) T_c at weight mu_rho on every level of the basis.
 
@@ -856,7 +834,7 @@ def _assemble_by_levels(
     layout = level_layout(basis, geo)
     c_inner = rebase_inner(f.c)
     blocks = [
-        _assemble(inner, c_inner, geo.level_space(basis.lam, rho), basis.D - sum(rho), "")
+        _assemble(inner, c_inner, geo.level_space(basis.lam, rho), basis.D - sum(rho))
         for rho, inner in zip(layout, path.inner)
     ]
     if path.factor is None:
@@ -865,12 +843,12 @@ def _assemble_by_levels(
             diag = np.empty(basis.count, dtype=complex)
             for rows, gamma, blk in zip(layout.values(), gammas, blocks):
                 diag[rows] = gamma * blk.diag
-            return OperatorMatrix.diagonal(basis, diag, label=label)
+            return OperatorMatrix.diagonal(basis, diag)
         factors = [{(p, p): g for p in range(len(rows))}
                    for rows, g in zip(layout.values(), gammas)]
     else:
         prime = geo.prime_space(basis.lam)
-        t_a = _assemble(path.factor, f.a, prime, basis.D, "")
+        t_a = _assemble(path.factor, f.a, prime, basis.D)
         # the same levels in the same order; on the z'-ball each row is one position
         pos = [rows[:, 0] for rows in level_layout(t_a.basis, prime.geometry).values()]
         factors = [{pr: v for pr, v in np.ndenumerate(t_a.entries[np.ix_(i, i)]) if v}
@@ -882,7 +860,7 @@ def _assemble_by_levels(
                 entries[rows[p], rows[r]] = value * blk.diag
             else:
                 entries[np.ix_(rows[p], rows[r])] = value * blk.entries
-    return OperatorMatrix(basis, entries, label=label)
+    return OperatorMatrix(basis, entries)
 
 
 def toeplitz_matrix_with_stderr(
@@ -908,8 +886,7 @@ def toeplitz_matrix_with_stderr(
     n = z.shape[0]
     acc, acc2 = _node_sums(z, np.full(n, 1.0 / n), fn, basis, second_moment=True)
     var = np.maximum(acc2 - np.abs(acc) ** 2, 0.0) / max(n - 1, 1)
-    label = symbol_to_text(f) if is_symbolic(f) else "callable"
-    return OperatorMatrix(basis, acc, label=label), np.sqrt(var)
+    return OperatorMatrix(basis, acc), np.sqrt(var)
 
 
 def _diagonal_norm(values: np.ndarray) -> float:
@@ -979,9 +956,7 @@ def semicommutator(
             return np.asarray(f1(z)) * np.asarray(f2(z))
 
     t12 = toeplitz_matrix(product, space, D, spec)
-    out = t1 @ t2 - t12
-    out.label = f"semi({t1.label}, {t2.label})"
-    return out
+    return t1 @ t2 - t12
 
 
 # ---------------------------------------------------------------------------
@@ -992,7 +967,7 @@ def export_matrix_csv(
     M: OperatorMatrix,
     path: str,
     *,
-    symbol_text: str = "",
+    symbol_text: str,
     spec: Optional[QuadratureSpec] = None,
     extra: Optional[dict] = None,
 ) -> None:
@@ -1011,7 +986,7 @@ def export_matrix_csv(
         "D": M.basis.D,
         "lam": M.basis.lam,
         "d": M.basis.d,
-        "symbol": symbol_text or M.label,
+        "symbol": symbol_text,
         "quadrature": None
         if spec is None
         else {

@@ -296,6 +296,11 @@ def test_min_singular_probe_refuses_a_non_finite_matrix(bad):
         min_singular_probe([np.ones(3)])
 
 
+def test_min_singular_probe_refuses_a_matrix_with_no_singular_values():
+    with pytest.raises(DomainError, match="0 x 0 matrix has no singular values"):
+        min_singular_probe([np.zeros((0, 0))])
+
+
 def test_kernel_tail_is_the_mass_beyond_the_cutoff():
     for s_exp, D, t in [(2.0, 10, 0.3), (12.0, 40, 0.5), (4.5, 200, 0.9)]:
         mass = float(kernel_masses(s_exp, D + 1, t).sum())

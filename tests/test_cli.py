@@ -724,3 +724,34 @@ def test_matrix_refuses_a_product_rule_over_the_budget_in_its_plan(
     code, out, err = run(capsys, ["matrix"] + argv + ["--mu", "0", "--D", "16"] + extra)
     assert code == 1 and out == ""
     assert err.startswith("error: the product rule needs") and nodes in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "--symbol", "((("],
+        ["gamma", "--k", "1", "--profile", "((("],
+        ["norm", "--symbol", "(((", "--d", "1", "--mu", "0", "--D", "4"],
+        ["berezin", "--symbol", "(((", "--d", "1", "--mu", "0", "--z", "0.1"],
+        ["quantize", "--symbol", "(((", "--d", "1"],
+        ["spectrum", "--symbol", "(((", "--d", "2"],
+        ["fredholm", "--symbol", "(((", "--d", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("extra", [[], ["--dry-run"]], ids=["run", "dry_run"])
+def test_dry_run_refuses_a_symbol_the_run_refuses(capsys, argv, extra):
+    code, out, err = run(capsys, argv + extra)
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 1, column 4:")
+
+
+@pytest.mark.parametrize("extra", [[], ["--dry-run"]], ids=["run", "dry_run"])
+def test_norm_refuses_a_matrix_over_the_budget_in_its_plan(capsys, extra):
+    code, out, err = run(
+        capsys,
+        ["norm", "--symbol", "re(z1)", "--d", "4", "--mu", "0", "--D", "40"] + extra,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "135751 x 135751 matrix" in err
+

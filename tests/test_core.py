@@ -30,6 +30,14 @@ def test_geometry_accepts_valid_partitions():
     assert g2.d_inner == 2
 
 
+def test_level_space_weight_and_refusal():
+    g = BallGeometry(4, 2, (1, 1))
+    space = g.level_space(0.5, (2, 1))
+    assert (space.d, space.lam) == (2, 0.5 + 3 + 2)
+    with pytest.raises(DomainError, match="level entries must be nonnegative"):
+        BallGeometry(2, 1, (1,)).level_space(0.0, (-1,))
+
+
 def test_geometry_rejects_bad_input():
     with pytest.raises(DomainError):
         BallGeometry(0, 0, ())

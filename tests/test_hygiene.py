@@ -67,30 +67,145 @@ def test_public_names_resolve():
     assert len(set(berglab.__all__)) == len(berglab.__all__)
 
 
-# public names that neither the package nor the benchmark uses, each
-# kept for its reason
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _package_paths():
+    """The package modules other than ``__init__.py``, whose re-exports are
+    no use."""
+    return [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+
+
+def _production_paths():
+    """The package modules and the benchmark."""
+    return _package_paths() + sorted(PERFBENCH.glob("*.py"))
+
+
+def _referenced(tree):
+    """Names a tree reads: loaded names, attribute names and identifiers in
+    string annotations."""
+    names = set(_annotation_strings(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _production_uses():
+    """Names production code reads, where a module-level function or class
+    reading its own name inside its definition does not count."""
+    used = set()
+    for path in _production_paths():
+        for stmt in ast.parse(path.read_text()).body:
+            refs = _referenced(stmt)
+            if isinstance(stmt, _DEFINITIONS):
+                refs.discard(stmt.name)
+            used |= refs
+    return used
+
+
+# names that neither the package nor the benchmark uses, each kept for its
+# reason
 _KEPT_PUBLIC = {
     "load_config": "the config-file entry point",
 }
 
 
 def test_every_public_name_has_a_use_outside_the_tests():
-    """Each name of ``berglab.__all__`` is read by a package module other
-    than ``__init__.py`` or by the benchmark, or is a kept reference: no
-    export lives for the tests alone."""
-    paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
-    paths += (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")
-    used = set()
-    for path in paths:
+    """Each name of ``berglab.__all__``, and each module-level function and
+    class of the package, is read by package code outside its own
+    definition (``__init__.py``'s re-exports do not count) or by the
+    benchmark, or is a kept reference: nothing lives for the tests alone."""
+    names = set(berglab.__all__)
+    for path in _package_paths():
+        names |= {s.name for s in ast.parse(path.read_text()).body if isinstance(s, _DEFINITIONS)}
+    unused = names - _production_uses()
+    assert sorted(unused - set(_KEPT_PUBLIC)) == []
+    # the kept list names only names that still lack a use
+    assert sorted(set(_KEPT_PUBLIC) - unused) == []
+
+
+# parameters with a default that no production call sets, each kept for its
+# reason, as "callee(parameter)"
+_KEPT_DEFAULTS = {
+    "default_config(overrides)": "how the tests build a config with a few keys set",
+}
+
+
+def _defaulted_parameters(tree):
+    """(callee name, positional index or None, parameter name) of every
+    parameter with a default.  A method's callee name is its own, an
+    ``__init__``'s its class's; self and cls take no position."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callee = owner if child.name == "__init__" else child.name
+                decorators = {getattr(d, "id", None) for d in child.decorator_list}
+                positional = child.args.posonlyargs + child.args.args
+                if owner is not None and "staticmethod" not in decorators:
+                    positional = positional[1:]
+                first = len(positional) - len(child.args.defaults)
+                out.extend(
+                    (callee, i, arg.arg) for i, arg in enumerate(positional) if i >= first
+                )
+                out.extend(
+                    (callee, None, arg.arg)
+                    for arg, default in zip(child.args.kwonlyargs, child.args.kw_defaults)
+                    if default is not None
+                )
+                visit(child, None)
+            else:
+                visit(child, owner)
+
+    visit(tree, None)
+    return out
+
+
+def _production_calls():
+    """callee name -> [(positional count, keyword names, takes *args or
+    **kwargs)] over every call in production code."""
+    calls = {}
+    for path in _production_paths():
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    public = set(berglab.__all__)
-    assert sorted(public - used - set(_KEPT_PUBLIC)) == []
-    # the kept list names only public names that still lack a use
-    assert sorted(set(_KEPT_PUBLIC) - (public - used)) == []
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            starred |= any(k.arg is None for k in node.keywords)
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, starred)
+            )
+    return calls
+
+
+def test_every_default_is_set_by_a_production_call():
+    """Each parameter with a default in the package is set by some call in
+    the package or the benchmark, by keyword or by position past the
+    required ones; a call with *args or **kwargs sets every parameter.
+    Calls are matched by callee name.  An option only the tests set is
+    dead weight on every caller."""
+    calls = _production_calls()
+    unset = set()
+    for path in _package_paths():
+        for callee, index, param in _defaulted_parameters(ast.parse(path.read_text())):
+            if not any(
+                starred or param in keywords or (index is not None and count > index)
+                for count, keywords, starred in calls.get(callee, ())
+            ):
+                unset.add(f"{callee}({param})")
+    assert sorted(unset - set(_KEPT_DEFAULTS)) == []
+    # the kept list names only parameters that are still unset
+    assert sorted(set(_KEPT_DEFAULTS) - unset) == []
 
 
 def test_package_import_stays_light():

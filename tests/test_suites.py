@@ -21,7 +21,13 @@ from berglab import (
     write_outputs,
 )
 from berglab.quadrature import _MAX_RULE_NODES, ball_rule_size
-from berglab.suites import _KNOWN_KEYS, ExperimentConfig, _canned_pairs, _probe_cutoff
+from berglab.suites import (
+    _KNOWN_KEYS,
+    ExperimentConfig,
+    _canned_pairs,
+    _probe_cutoff,
+    plan_suites,
+)
 
 
 def test_parse_config_text_basics():
@@ -235,6 +241,34 @@ def test_radial_grid_is_validated_at_config_time():
                        ("grid.tmax", "1"), ("grid.tmax", "-0.1"), ("grid.tmax", "nan")):
         with pytest.raises(DomainError, match=key):
             ExperimentConfig.from_mapping({key: value})
+
+
+_N3_NON_RADIAL = {
+    "geometry.n": 3,
+    "symbol.c": "re(zc2)",
+    "truncation.D_eval": 12,
+    "truncation.D_remainder": 8,
+    "truncation.D": 4,
+    "truncation.R": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "extra, probe",
+    [({}, "Berezin error probe"), ({"grid.tmax": 0.5, "grid.points": 5}, "boundary probe")],
+    ids=["grid", "boundary"],
+)
+def test_plan_refuses_every_berezin_point_of_a_non_radial_c(extra, probe):
+    # on the inner 2-ball the Mobius pullback of re(z2) at |z|^2 = 0.5625
+    # needs a 21,233,664-node rule: the error grid reaches it at
+    # grid.tmax = 0.9, the boundary table's second radius r = 3/4 always
+    cfg = default_config({**_N3_NON_RADIAL, **extra})
+    with pytest.raises(DomainError) as info:
+        plan_suites(cfg, ["quantization"])
+    message = str(info.value)
+    assert f"suite quantization: the {probe} of re(z2) at |z|^2 = 0.5625" in message
+    assert "21233664 nodes" in message
+    assert plan_suites(cfg, ["norm_identity"]) == ["norm_identity"]
 
 
 def test_berezin_probe_cutoff_fits_the_rule_budget():

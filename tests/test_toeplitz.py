@@ -286,7 +286,7 @@ def test_rational_symbol_assembles_accurately():
     f = parse_symbol("1 / (2 - abs2(z))", None)
     mat = toeplitz_matrix(f, space, 6, QuadratureSpec(), use_fast_paths=False)
     # diagonal oracle via the radial route at high order
-    diag = radial_toeplitz_diagonal(lambda r: 1.0 / (2.0 - r[:, 0] ** 2), 1, 0.0, 6, q=80)
+    diag = diagonal_values(lambda r: 1.0 / (2.0 - r[:, 0] ** 2), (1,), 0.0, np.arange(7), q=80)
     assert np.max(np.abs(np.diag(mat.entries).real - diag)) < 1e-9
 
 
@@ -436,7 +436,7 @@ def _diagonal_cases():
 
 
 def _dense_copy(mat):
-    return OperatorMatrix(mat.basis, mat.entries.copy(), label=mat.label)
+    return OperatorMatrix(mat.basis, mat.entries.copy())
 
 
 def _rel_dev(a, b):
@@ -479,8 +479,9 @@ def test_diagonal_algebra_stays_diagonal():
     ]:
         assert out.diag is not None
         assert _rel_dev(out.entries, ref) <= 1e-15
-    assert OperatorMatrix.identity(a.basis).diag is not None
-    assert np.array_equal(OperatorMatrix.identity(a.basis).entries, np.eye(a.size))
+    identity = OperatorMatrix.diagonal(a.basis, np.ones(a.size))
+    assert identity.diag is not None
+    assert np.array_equal(identity.entries, np.eye(a.size))
 
 
 def test_semicommutator_of_diagonals_is_diagonal():
