@@ -30,6 +30,7 @@ from .core import BallGeometry, WeightedSpace, csv_lines, format_float
 from .errors import DomainError
 from .quadrature import (
     MONTE_CARLO,
+    _BLOCK_VALUES,
     PointFunction,
     QuadratureSpec,
     SymbolLike,
@@ -150,16 +151,14 @@ def _log_binomials(s_exp: float, n_terms: int) -> np.ndarray:
 # an exact zero without its exp
 _LOG_UNDERFLOW = -745.5
 
-# entries of one block of mass rows (128 KB)
-_BLOCK_ENTRIES = 1 << 14
-
 
 def _mass_rows(
     s_exp: float, t_points: Sequence[float], start: int, stop: int
 ) -> Iterator[np.ndarray]:
     """The kernel masses of the degrees start..stop-1 at each radius^2 in
-    ``t_points``, one row per point, in blocks of at most _BLOCK_ENTRIES
-    entries (one row at least).
+    ``t_points``, one row per point, in blocks of at most _BLOCK_VALUES
+    entries (one row at least).  Each row is computed on its own, so the
+    block size moves no bit.
 
     The log-mass is log C(s + m - 1, m) + (m log t + s log1p(-t)), from
     the shared log-binomial table; only its entries at or above
@@ -176,7 +175,7 @@ def _mass_rows(
             raise DomainError(f"kernel masses need 0 <= |z|^2 < 1, got {t!r}")
     log_binomials = _log_binomials(s_exp, stop)[start:]
     ms = np.arange(start, stop, dtype=float)
-    step = max(1, _BLOCK_ENTRIES // max(1, ms.shape[0]))
+    step = max(1, _BLOCK_VALUES // max(1, ms.shape[0]))
     for lo in range(0, len(ts), step):
         block = ts[lo : lo + step]
         rows = np.zeros((len(block), ms.shape[0]))

@@ -32,7 +32,7 @@ from .core import (
 )
 from .errors import DomainError
 from .levels import FACTORIZATION_TOL, _level_route, verify_tensor_factorization
-from .quadrature import GAUSS_JACOBI, MONTE_CARLO, QuadratureSpec
+from .quadrature import GAUSS_JACOBI, MONTE_CARLO, QuadratureSpec, require_sample_count
 from .suites import (
     ExperimentConfig,
     _as_int_list,
@@ -82,6 +82,7 @@ def _geometry_from(args: argparse.Namespace) -> Optional[BallGeometry]:
 
 
 def _spec_from(args: argparse.Namespace) -> QuadratureSpec:
+    require_sample_count(args.samples, "--samples")
     return QuadratureSpec(
         scheme=args.scheme,
         q=args.q,

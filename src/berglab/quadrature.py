@@ -34,8 +34,14 @@ GAUSS_JACOBI = "gauss_jacobi"
 MONTE_CARLO = "monte_carlo"
 
 # product-rule cap: 20 M symbol evaluations per assembly are past desk scale
-# (the flat views, built only for tests and the tracer, would be ~3 GiB at d=4)
+# (the flat views, built only for tests and the tracer, would be ~3 GiB at d=4);
+# a Monte Carlo draw is held to it too
 _MAX_RULE_NODES = 20_000_000
+
+# values in one streamed block (about 0.5 MB of doubles, cache-sized): the
+# nodes of a torus slab, a tile of its gathered phase coefficients, a chunk
+# of Monte Carlo monomial values, a block of radial moments or kernel masses
+_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -58,6 +64,7 @@ class QuadratureSpec:
             raise DomainError(f"unknown quadrature scheme {self.scheme!r}")
         if self.q < 0 or self.angular < 0 or self.n_samples < 1:
             raise DomainError("quadrature orders must be nonnegative and N >= 1")
+        require_sample_count(self.n_samples)
 
     def resolved(self, d: int, max_degree: int, sym_degree: int = 0) -> "QuadratureSpec":
         """Fill in automatic orders for a basis cutoff and symbol degree: 2D +
@@ -329,6 +336,16 @@ def require_rule_size(d: int, q_radial: int, n_phase: int) -> int:
     return total
 
 
+def require_sample_count(n: int, key: str = "n_samples") -> None:
+    """Refuse, with a ``DomainError`` that names ``key``, a Monte Carlo
+    sample count n over the node budget, before any draw."""
+    if n > _MAX_RULE_NODES:
+        raise DomainError(
+            f"{key} = {n} is over the {_MAX_RULE_NODES}-node desk budget; "
+            "lower the sample count"
+        )
+
+
 def ball_rule(d: int, lam: float, q_radial: int, n_phase: int) -> BallRule:
     """Deterministic product rule for the normalized weight on the d-ball.
 
@@ -365,16 +382,26 @@ def monte_carlo_points(
     """Seeded samples from the normalized weight; returns (points, t).
 
     Radius: t = |z|^2 follows Beta(d, lam + 1).  Directions: simplex
-    fractions are Dirichlet(1, ..., 1), phases are uniform.
+    fractions are Dirichlet(1, ..., 1), phases are uniform.  The point is
+    sqrt(t s) exp(i theta), built with no temporary of the points' size:
+    the fractions s are scaled by t and square-rooted in place, exp(i
+    theta) is taken inside the output array, which the moduli then
+    multiply in place.  Each step rounds as the plain formula does, so
+    the points are its bits.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     t = rng.beta(d, lam + 1.0, size=n)
     if d == 1:
-        s = np.ones((n, 1))
+        moduli = np.sqrt(t)[:, None]
     else:
-        s = rng.dirichlet(np.ones(d), size=n)
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=(n, d))
-    z = np.sqrt(t[:, None] * s) * np.exp(1j * theta)
+        moduli = rng.dirichlet(np.ones(d), size=n)
+        moduli *= t[:, None]
+        np.sqrt(moduli, out=moduli)
+    z = np.empty((n, d), dtype=complex)
+    z.real = 0.0
+    z.imag = rng.uniform(0.0, 2.0 * math.pi, size=(n, d))
+    np.exp(z, out=z)
+    z *= moduli
     return z, t
 
 

@@ -55,6 +55,7 @@ from .quadrature import (
     MONTE_CARLO,
     QuadratureSpec,
     as_point_function,
+    require_sample_count,
 )
 from .symbols import (
     Const,
@@ -256,6 +257,7 @@ class ExperimentConfig:
                 f"grid.points = {grid_points}, grid.tmax = {grid_tmax!r}: {exc}"
             ) from None
 
+        require_sample_count(values["quad.samples"], "quad.samples")
         spec = QuadratureSpec(
             scheme=values["quad.scheme"],
             q=values["quad.q"],

@@ -2,25 +2,30 @@
 
 A symbol f on the d-ball at weight lam is compressed to the span of the
 normalized monomials of degree <= D.  Entry (beta, alpha) of the matrix
-is <f e_alpha, e_beta>.  The general Gauss-Jacobi path streams the
-product rule (radial x simplex x equispaced phases^d) one slab of radial
-nodes at a time: on each torus of phases the phase sum of f z^alpha
-conj(z)^beta is one DFT coefficient of the symbol samples, at
-beta - alpha, so an FFT over the phase axes plus real radial powers give
-every entry.  With D + b + 1 phases for a symbol of phase band reach b
-(``symbols.axis_band``), else 2D + deg + 1, nothing an entry needs
-aliases, and the fast paths contract only the pairs in the band.
+is <f e_alpha, e_beta>.  Every streamed block holds at most
+``quadrature._BLOCK_VALUES`` values, one cache-sized budget.  The
+general Gauss-Jacobi path streams the product rule (radial x simplex x
+equispaced phases^d) one slab of radial nodes at a time, at most that
+many torus nodes (or one torus): on each torus of phases the phase sum
+of f z^alpha conj(z)^beta is one DFT coefficient of the symbol samples,
+at beta - alpha, so an FFT over the phase axes plus real radial powers
+give every entry.  A slab builds its samples, FFT and radial monomial
+rows once, and its contraction runs over tiles of (beta, alpha) pairs
+of at most that many gathered coefficients.  With D + b + 1 phases for
+a symbol of phase band reach b (``symbols.axis_band``), else 2D + deg +
+1, nothing an entry needs aliases, and the fast paths contract only the
+pairs in the band.
 Monte Carlo samples have no torus structure and contract the monomial
 values with themselves instead.  The monomials are built row by row in a
 (K, n) layout: each axis gets a table of powers of the samples, and row
 alpha is its prefix row (alpha less its last nonzero exponent) times one
 table row, then its norm.  One draw of samples per spec is kept and
-shared; the symbol is evaluated on it once, and the samples are taken
-in cache-sized chunks of at most _CHUNK_ENTRIES monomial values, built
-into buffers reused from chunk to chunk.  The second moment behind the
-standard errors is one S S^T product, S = |e|^2 sqrt(w) |f| with |e|^2
-taken as re^2 + im^2.  Symbols that only depend on
-group radii (or on |z|^2) skip quadrature over phases entirely and are
+shared; the symbol is evaluated on it once, every sample weighs 1/n,
+and the samples are taken in chunks of at most _BLOCK_VALUES monomial
+values, built into buffers reused from chunk to chunk.  The second
+moment behind the standard errors is one S S^T product, S = |e|^2
+sqrt(w) |f| with |e|^2 taken as re^2 + im^2.  Symbols that only depend
+on group radii (or on |z|^2) skip quadrature over phases entirely and are
 assembled as diagonals, kept as their K values: an OperatorMatrix has a
 dense form and a diagonal form, and the diagonal one builds its K x K
 entries only when a caller asks for them.  Every diagonal value (radial
@@ -71,6 +76,7 @@ from .core import (
 from .errors import DomainError
 from .quadrature import (
     MONTE_CARLO,
+    _BLOCK_VALUES,
     BallRule,
     PointFunction,
     QuadratureSpec,
@@ -229,9 +235,6 @@ def _normalized_moment(w: np.ndarray, vals: np.ndarray):
         out = out + 1j * (np.dot(w, np.ascontiguousarray(vals.imag)) / den)
     return out
 
-
-# entries of the radial moment table built per pass (at least 8 rows)
-_MOMENT_ENTRIES = 1 << 16
 
 # A level where the terms of a polynomial diagonal cancel, their moduli
 # summing to more than this factor of the value, is summed again in exact
@@ -397,10 +400,10 @@ def _radial_diagonal(
     The per-degree monomial factor t^m is folded into the rule's weights
     in log space, with log weights that stay finite where the weights
     underflow, so cutoffs in the thousands keep all their mass.  The
-    (degrees x q) table of those weights is built about _MOMENT_ENTRIES at a time, in
-    blocks of a multiple of 8 degrees: BLAS matvec kernels reduce rows in
-    groups of up to 8, so each degree is reduced as a single-threaded
-    product over the whole table would reduce it.
+    (degrees x q) table of those weights is built about _BLOCK_VALUES at a
+    time, in blocks of a multiple of 8 degrees: BLAS matvec kernels reduce
+    rows in groups of up to 8, so each degree is reduced as a
+    single-threaded product over the whole table would reduce it.
     """
     _require_budget(
         len(degrees) * q, f"the radial moment table for degrees <= {degrees.max()}"
@@ -408,7 +411,7 @@ def _radial_diagonal(
     t, log_w = gauss_jacobi_log_rule(q, float(mu), float(d - 1))
     log_t = np.log(t)
     vals = evaluate_finite(profile, np.sqrt(t)[:, None])
-    rows = max(8, _MOMENT_ENTRIES // q // 8 * 8)
+    rows = max(8, _BLOCK_VALUES // q // 8 * 8)
     parts = []
     for start in range(0, len(degrees), rows):
         ms = degrees[start : start + rows].astype(float)
@@ -480,13 +483,6 @@ def _monomial_rows(
     return out
 
 
-# Working-set caps for one slab of the torus assembly, in array elements:
-# nodes on the slab's tori and gathered (beta, alpha) phase coefficients
-_SLAB_NODES = 1 << 18
-_SLAB_ENTRIES = 1 << 20
-# monomial values in one chunk of the node sums: about 1 MB, cache-sized
-_CHUNK_ENTRIES = 1 << 16
-
 
 @lru_cache(maxsize=1)
 def _sample_points(d: int, lam: float, n: int, seed: int) -> np.ndarray:
@@ -503,23 +499,24 @@ def _sample_points(d: int, lam: float, n: int, seed: int) -> np.ndarray:
 
 def _node_sums(
     nodes: np.ndarray,
-    weights: np.ndarray,
+    weights: Union[float, np.ndarray],
     fn: PointFunction,
     basis: TruncatedBasis,
     second_moment: bool = False,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """sum_i w_i f(z_i) conj(e_beta(z_i)) e_alpha(z_i) over a flat node set.
 
-    With ``second_moment`` the sum of w_i |f(z_i)|^2 |e_beta(z_i)|^2
-    |e_alpha(z_i)|^2 comes along, as S S^T with S = |e|^2 sqrt(w) |f|
-    and |e|^2 taken as re^2 + im^2.  The symbol, w f and sqrt(w) |f| are
-    evaluated once on the whole node set.  Nodes are taken in chunks of
-    at most _CHUNK_ENTRIES monomial values (never fewer than one node),
-    each built into the same preallocated buffers.
+    ``weights`` is one weight per node, or one for all (the 1/n of a
+    sample mean).  With ``second_moment`` the sum of w_i |f(z_i)|^2
+    |e_beta(z_i)|^2 |e_alpha(z_i)|^2 comes along, as S S^T with S = |e|^2
+    sqrt(w) |f| and |e|^2 taken as re^2 + im^2.  The symbol, w f and
+    sqrt(w) |f| are evaluated once on the whole node set.  Nodes are
+    taken in chunks of at most _BLOCK_VALUES monomial values (never fewer
+    than one node), each built into the same preallocated buffers.
     """
     k = basis.count
     total = nodes.shape[0]
-    chunk = max(1, min(total, _CHUNK_ENTRIES // k))
+    chunk = max(1, min(total, _BLOCK_VALUES // k))
     fv = evaluate_finite(fn, nodes)
     wf = weights * fv
     acc = np.zeros((k, k), dtype=complex)
@@ -557,19 +554,19 @@ def _assemble_on_torus(
     so entry (beta, alpha) is sum_i w_i R[i, beta] R[i, alpha] F_i[beta -
     alpha] with R the real normalized radial powers; a mask ``keep``
     restricts the pairs, the rest are exact zeros.  A slab holds at most
-    _SLAB_NODES torus nodes and _SLAB_ENTRIES coefficients, or one torus.
+    _BLOCK_VALUES torus nodes and radial monomial values, or one torus,
+    and builds its symbol samples, FFT and monomial rows once.  Its
+    contraction runs over tiles of pairs, each gathering at most
+    _BLOCK_VALUES coefficients (one pair at least).
     """
     d, p = basis.d, rule.n_phase
     k = basis.count
     n_torus = p**d
     exps = basis.exponent_array()
-    if keep is None:
-        diff = exps[:, None, :] - exps[None, :, :]  # beta - alpha
-    else:
-        b_idx, a_idx = np.nonzero(keep)
-        diff = exps[b_idx] - exps[a_idx]
-    shift = np.ravel_multi_index(tuple(np.mod(diff, p).reshape(-1, d).T), (p,) * d)
-    slab = max(1, min(_SLAB_NODES // n_torus, _SLAB_ENTRIES // max(1, shift.size)))
+    b_idx, a_idx = np.nonzero(np.ones((k, k), dtype=bool) if keep is None else keep)
+    diff = exps[b_idx] - exps[a_idx]  # beta - alpha
+    shift = np.ravel_multi_index(tuple(np.mod(diff, p).T), (p,) * d)
+    slab = max(1, _BLOCK_VALUES // max(n_torus, k))
     acc = np.zeros(shift.size, dtype=complex)
     for start in range(0, rule.n_radial, slab):
         rows = slice(start, min(start + slab, rule.n_radial))
@@ -581,21 +578,20 @@ def _assemble_on_torus(
             coef = fv.reshape(n, n_torus).sum(axis=1, keepdims=True)
         else:
             coef = np.fft.fftn(fv, axes=tuple(range(1, d + 1))).reshape(n, n_torus)
+        del z, fv  # not needed past the FFT: freed before the contraction
         r = _monomial_rows(rule.radii[rows], basis).T
         wr = r * rule.radial_weights[rows, None]
-        if keep is None:
-            # C order whatever the layout of r (a transposed view): einsum's
-            # summation order follows the operand layout
-            pair = np.multiply(wr[:, :, None], r[:, None, :], order="C")
-            pair = pair.reshape(n, k * k)
-        else:
-            pair = wr[:, b_idx]
-            pair *= r[:, a_idx]
-        # real and imaginary parts apart: no complex copy of ``pair``
-        acc.real += np.einsum("ip,ip->p", coef.real[:, shift], pair)
-        acc.imag += np.einsum("ip,ip->p", coef.imag[:, shift], pair)
-    if keep is None:
-        return acc.reshape(k, k)
+        tile = max(1, _BLOCK_VALUES // n)
+        for lo in range(0, shift.size, tile):
+            pairs = slice(lo, lo + tile)
+            # gathered, so C order whatever the layout of r (a transposed
+            # view): einsum's summation order follows the operand layout
+            pair = wr[:, b_idx[pairs]]
+            pair *= r[:, a_idx[pairs]]
+            sh = shift[pairs]
+            # real and imaginary parts apart: no complex copy of ``pair``
+            acc.real[pairs] += np.einsum("ip,ip->p", coef.real[:, sh], pair)
+            acc.imag[pairs] += np.einsum("ip,ip->p", coef.imag[:, sh], pair)
     out = np.zeros((k, k), dtype=complex)
     out[b_idx, a_idx] = acc
     return out
@@ -792,8 +788,7 @@ def _assemble(
     keep = _band_pairs(path.band, f, basis, geometry) if use_fast_paths else None
     if path.kind == "monte_carlo":
         z = _sample_points(space.d, space.lam, path.spec.n_samples, path.spec.seed)
-        weights = np.full(z.shape[0], 1.0 / z.shape[0])
-        entries = _node_sums(z, weights, fn, basis)[0]
+        entries = _node_sums(z, 1.0 / z.shape[0], fn, basis)[0]
         entries = entries if keep is None else np.where(keep, entries, 0.0)
     else:
         rule = ball_rule(space.d, space.lam, path.spec.q, path.spec.angular)
@@ -884,7 +879,7 @@ def toeplitz_matrix_with_stderr(
     fn = as_point_function(f, geometry)
     z = _sample_points(space.d, space.lam, spec.n_samples, spec.seed)
     n = z.shape[0]
-    acc, acc2 = _node_sums(z, np.full(n, 1.0 / n), fn, basis, second_moment=True)
+    acc, acc2 = _node_sums(z, 1.0 / n, fn, basis, second_moment=True)
     var = np.maximum(acc2 - np.abs(acc) ** 2, 0.0) / max(n - 1, 1)
     return OperatorMatrix(basis, acc), np.sqrt(var)
 

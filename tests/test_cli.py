@@ -17,7 +17,7 @@ from berglab import (
     parse_symbol,
     toeplitz_matrix,
 )
-from berglab import suites, toeplitz
+from berglab import quadrature, suites, toeplitz
 from berglab.cli import main
 
 
@@ -541,6 +541,26 @@ def test_non_positive_sample_count_is_exit_one(capsys, samples):
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     assert err.startswith("error:")
+
+
+def test_an_oversized_sample_count_is_exit_one_before_any_draw(
+    capsys, monkeypatch, tmp_path
+):
+    # a billion samples would be a 16 GB draw on the disk: refused by name
+    def refuse(*args):
+        raise AssertionError("samples drawn")
+
+    monkeypatch.setattr(quadrature, "monte_carlo_points", refuse)
+    monkeypatch.setattr(toeplitz, "monte_carlo_points", refuse)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("quad.scheme = monte_carlo\nquad.samples = 1000000000\n")
+    matrix = ["matrix", "--symbol", "re(z1)", "--d", "1", "--mu", "0", "--D", "2",
+              "--scheme", "monte_carlo", "--samples", "1000000000"]
+    for argv, key in ((matrix, "--samples"),
+                      (["suite", "--config", str(cfg), "--dry-run"], "quad.samples")):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and key in err and "20000000" in err
 
 
 def test_negative_thread_count_is_exit_one(capsys, tmp_path):

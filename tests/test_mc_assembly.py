@@ -123,7 +123,7 @@ def _one_node_chunks_keep_the_entries(monkeypatch, d, text):
     space = WeightedSpace(d, 0.0)
     spec = _mc(4000)
     whole, whole_se = toeplitz_matrix_with_stderr(f, space, 4, spec)
-    monkeypatch.setattr(toeplitz, "_CHUNK_ENTRIES", 7)  # one node per chunk
+    monkeypatch.setattr(toeplitz, "_BLOCK_VALUES", 7)  # one node per chunk
     rows = toeplitz._monomial_rows
     chunk_sizes = set()
 
@@ -220,6 +220,37 @@ def test_memory_stays_below_one_chunk_of_the_gathered_kernel():
     finally:
         tracemalloc.stop()
     assert peak < n * k * 16
+
+
+def _reference_points(d, lam, n, seed):
+    """The draw as one formula over full-size temporaries."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    t = rng.beta(d, lam + 1.0, size=n)
+    s = np.ones((n, 1)) if d == 1 else rng.dirichlet(np.ones(d), size=n)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=(n, d))
+    return np.sqrt(t[:, None] * s) * np.exp(1j * theta), t
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+def test_the_in_place_draw_keeps_the_formula_bits(d, lam):
+    for seed in (0, 7, 20_260_813):
+        z, t = monte_carlo_points(d, lam, 3000, seed)
+        ref_z, ref_t = _reference_points(d, lam, 3000, seed)
+        assert z.dtype == ref_z.dtype and z.shape == ref_z.shape
+        assert z.tobytes() == ref_z.tobytes() and t.tobytes() == ref_t.tobytes()
+
+
+def test_the_draw_holds_no_temporary_of_the_points_size():
+    # the formula's temporaries peak at 70 MB for these 22 MB of points
+    # and radii
+    tracemalloc.start()
+    try:
+        z, t = monte_carlo_points(3, 0.0, 400_000, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (z.nbytes + t.nbytes)
 
 
 @pytest.mark.parametrize("with_stderr", [False, True])

@@ -20,6 +20,7 @@ from berglab import (
     verify_tensor_factorization,
     write_outputs,
 )
+from berglab import quadrature, toeplitz
 from berglab.quadrature import _MAX_RULE_NODES, ball_rule_size
 from berglab.suites import (
     _KNOWN_KEYS,
@@ -153,6 +154,20 @@ def test_negative_thread_count_is_refused():
     for value in ("-1", "-2"):
         with pytest.raises(DomainError, match="threads"):
             ExperimentConfig.from_mapping({"threads": value})
+
+
+def test_an_oversized_sample_count_is_refused_before_any_draw(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("samples drawn")
+
+    monkeypatch.setattr(quadrature, "monte_carlo_points", refuse)
+    monkeypatch.setattr(toeplitz, "monte_carlo_points", refuse)
+    for value in (_MAX_RULE_NODES + 1, 10**9):
+        raw = {"quad.scheme": "monte_carlo", "quad.samples": str(value)}
+        with pytest.raises(DomainError, match="quad.samples"):
+            ExperimentConfig.from_mapping(raw)
+        with pytest.raises(DomainError, match="n_samples"):
+            QuadratureSpec(scheme="monte_carlo", n_samples=value)
 
 
 def test_default_config_overrides():

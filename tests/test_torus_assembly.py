@@ -132,9 +132,51 @@ def test_slab_size_does_not_change_entries(monkeypatch):
     f = parse_symbol("z1*conj(z2)^2 + 1/(3 - abs2(z))", geo)
     space = WeightedSpace(2, 0.5, geometry=geo)
     whole = toeplitz_matrix(f, space, 5, QuadratureSpec(), use_fast_paths=False)
-    monkeypatch.setattr(toeplitz, "_SLAB_NODES", 1)  # one torus per slab
+    monkeypatch.setattr(toeplitz, "_BLOCK_VALUES", 1)  # one torus per slab
     streamed = toeplitz_matrix(f, space, 5, QuadratureSpec(), use_fast_paths=False)
     assert np.max(np.abs(whole.entries - streamed.entries)) <= 1e-14
+
+
+@pytest.mark.parametrize("use_fast_paths", [False, True], ids=["every_pair", "band"])
+def test_pair_tiles_split_a_slab_and_keep_the_entries(monkeypatch, use_fast_paths):
+    # K = 45 on B^2 at D = 8: K^2 = 2025 pairs against a budget of 2^8
+    # values, so a slab of two tori takes 16 tiles (two in the band)
+    budget, D, k = 2**8, 8, 45
+    geo = BallGeometry(2, 2, (2,))
+    f = parse_symbol("z1*conj(z2)^2 + 1/(3 - abs2(z))", geo)
+    space = WeightedSpace(2, 0.5, geometry=geo)
+    path = assembly_path(f, space, D, QuadratureSpec(), use_fast_paths=use_fast_paths)
+    n_radial, n_torus = path.spec.q**2, path.spec.angular**2
+    assert path.kind == "torus" and 2 * n_torus <= budget < k * k // 4
+
+    def run(values):
+        monkeypatch.setattr(toeplitz, "_BLOCK_VALUES", values)
+        spec = QuadratureSpec()
+        return toeplitz_matrix(f, space, D, spec, use_fast_paths=use_fast_paths)
+
+    # one slab and one tile: the untiled contraction
+    untiled = run(n_radial * k * k).entries
+    slabs, tiles = [], []
+    rows, einsum = toeplitz._monomial_rows, np.einsum
+
+    def slab_rows(z, basis, *bufs):
+        slabs.append(z.shape[0])
+        return rows(z, basis, *bufs)
+
+    def tile_sum(subscripts, coef, pair):
+        tiles.append(pair.shape)
+        return einsum(subscripts, coef, pair)
+
+    monkeypatch.setattr(toeplitz, "_monomial_rows", slab_rows)
+    monkeypatch.setattr(np, "einsum", tile_sum)
+    tiled = run(budget).entries
+    # the monomial rows once per slab of several tori, never once per torus
+    assert slabs[0] == budget // n_torus and sum(slabs) == n_radial
+    # more tiles (two einsums each, real and imaginary parts) than slabs,
+    # each gathering at most the budget's coefficients
+    assert len(tiles) // 2 > len(slabs)
+    assert max(n * w for n, w in tiles) <= budget
+    assert np.max(np.abs(tiled - untiled)) <= 1e-14 * np.max(np.abs(untiled))
 
 
 def _general_assembly_on_b3():
@@ -209,7 +251,27 @@ def test_streamed_memory_stays_below_the_flat_node_array(monkeypatch, run):
     n_nodes = sizes[0]
     assert sizes == [n_nodes] * len(sizes)
     assert n_nodes > 10**6
-    assert peak < n_nodes * 2 * 16
+    # a quarter of the flat complex node array
+    assert peak < n_nodes * 2 * 16 / 4
+
+
+def test_a_general_assembly_on_the_3_ball_holds_a_few_blocks():
+    # 1/(2.14 - abs2(z)) on B^3 at D = 2, fast paths off: 658,503 nodes,
+    # whose flat complex node array alone would be 31.6 MB
+    geo = BallGeometry(3, 3, (3,))
+    f = parse_symbol("1/(2.14 - abs2(z))", geo)
+    space = WeightedSpace(3, 0.0, geometry=geo)
+    spec = assembly_path(f, space, 2, QuadratureSpec(), use_fast_paths=False).spec
+    assert quadrature.ball_rule_size(3, spec.q, spec.angular) == 658_503
+    tracemalloc.start()
+    try:
+        toeplitz_matrix(f, space, 2, QuadratureSpec(), use_fast_paths=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a slab's nodes (d complex values each), its samples, their FFT and
+    # the symbol's temporaries: d + 8 blocks of complex values in all
+    assert peak < (3 + 8) * quadrature._BLOCK_VALUES * 16
 
 
 def test_non_finite_symbol_is_refused_on_the_streamed_path():
