@@ -62,7 +62,9 @@ def mobius(z: Sequence[complex], w: np.ndarray) -> np.ndarray:
     """The ball automorphism exchanging 0 and z, applied to points w.
 
     Accepts a single base point z and an array of points w with shape
-    (..., d); returns an array of the same shape.
+    (..., d); returns an array of the same shape and memory layout,
+    built one coordinate at a time, so axis-major points (a torus slab's)
+    give axis-major images with no full-size (..., d) temporary.
     """
     z_arr = np.asarray(z, dtype=complex).reshape(-1)
     w_arr = np.asarray(w, dtype=complex)
@@ -79,10 +81,13 @@ def mobius(z: Sequence[complex], w: np.ndarray) -> np.ndarray:
         out = -w_arr
         return out[0] if single else out
     wz = w_arr @ np.conj(z_arr)  # <w, z>
-    proj = (wz / t)[..., None] * z_arr  # P_z w
-    rest = w_arr - proj
+    scale = wz / t
+    den = 1.0 - wz
     s = math.sqrt(1.0 - t)
-    out = (z_arr - proj - s * rest) / (1.0 - wz)[..., None]
+    out = np.empty_like(w_arr)
+    for j in range(d):
+        proj = scale * z_arr[j]  # coordinate j of P_z w
+        out[..., j] = (z_arr[j] - proj - s * (w_arr[..., j] - proj)) / den
     return out[0] if single else out
 
 

@@ -268,18 +268,21 @@ class BallRule:
         return self.n_radial * self.n_phase**self.d
 
     def torus_nodes(self, rows: slice = slice(None)) -> np.ndarray:
-        """Nodes on the tori of radial nodes ``rows``, shape (n, P, ..., P, d)."""
+        """Nodes on the tori of radial nodes ``rows``, shape (n, P, ..., P, d).
+
+        Stored axis-major: the array is a view of a (d, n, P, ..., P)
+        block, so each coordinate is contiguous and a reshape to (N, d)
+        stays a view whose columns a symbol evaluation reads in order.
+        """
         d, p = self.d, self.n_phase
         radii = self.radii[rows]
         phase = np.exp(1j * (2.0 * math.pi * np.arange(p) / p))
-        out = np.empty((radii.shape[0],) + (p,) * d + (d,), dtype=complex)
+        out = np.empty((d, radii.shape[0]) + (p,) * d, dtype=complex)
         for axis in range(d):
-            ph_shape = [1] * (1 + d)
-            ph_shape[1 + axis] = p
-            out[..., axis] = radii[:, axis].reshape(-1, *([1] * d)) * phase.reshape(
-                ph_shape
-            )
-        return out
+            # the (n, P) values of this axis, spread over the other axes
+            block = out[axis].reshape(-1, p**axis, p, p ** (d - 1 - axis))
+            block[...] = np.multiply.outer(radii[:, axis], phase)[:, None, :, None]
+        return np.moveaxis(out, 0, -1)
 
     @cached_property
     def nodes(self) -> np.ndarray:  # (N, d) complex

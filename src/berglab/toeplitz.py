@@ -7,14 +7,17 @@ is <f e_alpha, e_beta>.  Every streamed block holds at most
 general Gauss-Jacobi path streams the product rule (radial x simplex x
 equispaced phases^d) one slab of radial nodes at a time, at most that
 many torus nodes (or one torus): on each torus of phases the phase sum
-of f z^alpha conj(z)^beta is one DFT coefficient of the symbol samples,
-at beta - alpha, so an FFT over the phase axes plus real radial powers
-give every entry.  A slab builds its samples, FFT and radial monomial
-rows once, and its contraction runs over tiles of (beta, alpha) pairs
-of at most that many gathered coefficients.  With D + b + 1 phases for
-a symbol of phase band reach b (``symbols.axis_band``), else 2D + deg +
-1, nothing an entry needs aliases, and the fast paths contract only the
-pairs in the band.
+of f z^alpha conj(z)^beta is one phase coefficient of the symbol
+samples, at beta - alpha (mod P), so those coefficients plus real radial
+powers give every entry.  Only the residues the pairs read are taken:
+one (P, F_j) phase matrix per axis over its F_j residues, applied axis by
+axis.  A slab builds its samples (from axis-major nodes), phase
+coefficients and radial monomial rows once, and its contraction runs
+over tiles of (beta, alpha) pairs of at most that many gathered
+coefficients.  With D + b + 1 phases for a symbol of phase band reach b
+(``symbols.axis_band``), else 2D + deg + 1, nothing an entry needs
+aliases, and the fast paths contract only the pairs in the band; a band
+that keeps no pair gives the zero matrix with no node built.
 Monte Carlo samples have no torus structure and contract the monomial
 values with themselves instead.  The monomials are built row by row in a
 (K, n) layout: each axis gets a table of powers of the samples, and row
@@ -509,26 +512,27 @@ def _node_sums(
     ``weights`` is one weight per node, or one for all (the 1/n of a
     sample mean).  With ``second_moment`` the sum of w_i |f(z_i)|^2
     |e_beta(z_i)|^2 |e_alpha(z_i)|^2 comes along, as S S^T with S = |e|^2
-    sqrt(w) |f| and |e|^2 taken as re^2 + im^2.  The symbol, w f and
-    sqrt(w) |f| are evaluated once on the whole node set.  Nodes are
-    taken in chunks of at most _BLOCK_VALUES monomial values (never fewer
-    than one node), each built into the same preallocated buffers.
+    sqrt(w) |f| and |e|^2 taken as re^2 + im^2.  The symbol is evaluated
+    once on the whole node set; w f and sqrt(w) |f| are taken chunk by
+    chunk from those values (elementwise, so the bits of a whole-set
+    product).  Nodes are taken in chunks of at most _BLOCK_VALUES
+    monomial values (never fewer than one node), each built into the same
+    preallocated buffers.
     """
     k = basis.count
     total = nodes.shape[0]
     chunk = max(1, min(total, _BLOCK_VALUES // k))
     fv = evaluate_finite(fn, nodes)
-    wf = weights * fv
     acc = np.zeros((k, k), dtype=complex)
     # flat buffers, so the shorter last chunk still gets contiguous rows
     bufs = [np.empty(k * chunk, dtype=complex) for _ in range(2)]
     acc2 = None
     if second_moment:
-        sf = np.sqrt(weights) * np.abs(fv)
         acc2 = np.zeros((k, k))
         bufs += [np.empty(k * chunk) for _ in range(2)]
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
+        w = weights[start:stop] if np.ndim(weights) else weights
         v, work, *sq = (b[: k * (stop - start)].reshape(k, -1) for b in bufs)
         _monomial_rows(nodes[start:stop], basis, v)
         if second_moment:
@@ -536,11 +540,30 @@ def _node_sums(
             np.multiply(v.real, v.real, out=s)
             np.multiply(v.imag, v.imag, out=im2)
             s += im2
-            s *= sf[start:stop]
+            s *= np.sqrt(w) * np.abs(fv[start:stop])
             acc2 += s @ s.T  # one symmetric rank-k update (syrk)
-        np.multiply(v, wf[start:stop], out=work)
+        np.multiply(v, w * fv[start:stop], out=work)
         acc += np.conjugate(v, out=v) @ work.T
     return acc, acc2
+
+
+def _phase_coefficients(coef: np.ndarray, phases: Sequence[np.ndarray]) -> np.ndarray:
+    """Samples (n, P, ..., P) times the (P, F_j) phase matrix of each
+    axis j: the coefficients, shape (n, F_1 * ... * F_d).  Each step takes
+    the last phase axis against its matrix and moves its residues to the
+    front, so after all d steps the axes are back in order.  A product
+    runs over blocks of rows of at most _BLOCK_VALUES multiply-adds (one
+    row at least): cache-sized, few calls however small P is, and small
+    enough that the BLAS runs each on one thread."""
+    n, p = coef.shape[:2]
+    for phase in phases[::-1]:
+        flat = coef.reshape(-1, p)
+        part = np.empty((flat.shape[0], phase.shape[1]), dtype=complex)
+        rows = max(1, _BLOCK_VALUES // phase.size)
+        for lo in range(0, flat.shape[0], rows):
+            np.matmul(flat[lo : lo + rows], phase, out=part[lo : lo + rows])
+        coef = np.moveaxis(part.reshape(n, -1, phase.shape[1]), -1, 1)
+    return coef.reshape(n, -1)
 
 
 def _assemble_on_torus(
@@ -550,35 +573,44 @@ def _assemble_on_torus(
     """Entries from the factored product rule, streamed by radial slab.
 
     On the torus of radial node i the phase sum of f z^alpha conj(z)^beta
-    is the DFT coefficient F_i[beta - alpha (mod P)] of the symbol samples,
-    so entry (beta, alpha) is sum_i w_i R[i, beta] R[i, alpha] F_i[beta -
+    is the coefficient F_i[beta - alpha (mod P)] of the symbol samples,
+    sum_k f(k) exp(-2 pi i k . (beta - alpha) / P) over the phases k, so
+    entry (beta, alpha) is sum_i w_i R[i, beta] R[i, alpha] F_i[beta -
     alpha] with R the real normalized radial powers; a mask ``keep``
-    restricts the pairs, the rest are exact zeros.  A slab holds at most
-    _BLOCK_VALUES torus nodes and radial monomial values, or one torus,
-    and builds its symbol samples, FFT and monomial rows once.  Its
-    contraction runs over tiles of pairs, each gathering at most
-    _BLOCK_VALUES coefficients (one pair at least).
+    restricts the pairs, the rest are exact zeros.  Only the residues
+    the pairs read are computed: axis j gets one (P, F_j) phase matrix
+    exp(-2 pi i ((k f) mod P) / P) over its F_j residues f, taken from the
+    exact integer residue, and the samples meet the matrices axis by axis
+    (``_phase_coefficients``).  A slab holds at most _BLOCK_VALUES torus
+    nodes and radial monomial values, or one torus, and builds its symbol
+    samples, phase coefficients and monomial rows once.  Its contraction runs over tiles of pairs, each gathering at
+    most _BLOCK_VALUES coefficients (one pair at least).
     """
     d, p = basis.d, rule.n_phase
     k = basis.count
-    n_torus = p**d
     exps = basis.exponent_array()
     b_idx, a_idx = np.nonzero(np.ones((k, k), dtype=bool) if keep is None else keep)
-    diff = exps[b_idx] - exps[a_idx]  # beta - alpha
-    shift = np.ravel_multi_index(tuple(np.mod(diff, p).T), (p,) * d)
-    slab = max(1, _BLOCK_VALUES // max(n_torus, k))
+    residues = np.mod(exps[b_idx] - exps[a_idx], p)  # beta - alpha (mod P)
+    # per axis, the residues some pair reads and each pair's place among them
+    freqs, places = zip(*(np.unique(r, return_inverse=True) for r in residues.T))
+    shift = np.ravel_multi_index(places, tuple(f.size for f in freqs))
+    # exp(-2 pi i m / P), root P - m the exact conjugate of root m and root
+    # P / 2 exactly -1, so a real symbol's coefficients at -f and f are
+    # exact conjugates
+    half = np.exp(-2j * np.pi * np.arange(p // 2 + 1) / p)
+    if p % 2 == 0:
+        half[-1] = -1.0
+    roots = np.concatenate([half, np.conj(half[1 : (p + 1) // 2][::-1])])
+    phases = [roots[np.multiply.outer(np.arange(p), f) % p] for f in freqs]
+    slab = max(1, _BLOCK_VALUES // max(p**d, k))
     acc = np.zeros(shift.size, dtype=complex)
     for start in range(0, rule.n_radial, slab):
         rows = slice(start, min(start + slab, rule.n_radial))
         z = rule.torus_nodes(rows)
         n = z.shape[0]
-        fv = evaluate_finite(fn, z.reshape(-1, d)).reshape(z.shape[:-1])
-        if k == 1:
-            # frequency 0 alone: the plain phase sum of the samples
-            coef = fv.reshape(n, n_torus).sum(axis=1, keepdims=True)
-        else:
-            coef = np.fft.fftn(fv, axes=tuple(range(1, d + 1))).reshape(n, n_torus)
-        del z, fv  # not needed past the FFT: freed before the contraction
+        coef = evaluate_finite(fn, z.reshape(-1, d)).reshape(z.shape[:-1])
+        del z  # not needed past the samples: freed before the phase stage
+        coef = _phase_coefficients(coef, phases)
         r = _monomial_rows(rule.radii[rows], basis).T
         wr = r * rule.radial_weights[rows, None]
         tile = max(1, _BLOCK_VALUES // n)
@@ -784,8 +816,11 @@ def _assemble(
     if path.kind == "levels":
         return _assemble_by_levels(path, f, basis)
 
-    fn = as_point_function(f, geometry)
     keep = _band_pairs(path.band, f, basis, geometry) if use_fast_paths else None
+    if keep is not None and not keep.any():
+        # the band keeps no pair: every entry is an exact zero, with no node
+        return OperatorMatrix(basis, np.zeros((basis.count, basis.count), dtype=complex))
+    fn = as_point_function(f, geometry)
     if path.kind == "monte_carlo":
         z = _sample_points(space.d, space.lam, path.spec.n_samples, path.spec.seed)
         entries = _node_sums(z, 1.0 / z.shape[0], fn, basis)[0]

@@ -81,6 +81,26 @@ def test_mobius_stays_in_ball():
     assert np.all(np.sum(np.abs(img) ** 2, axis=1) < 1.0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mobius_keeps_the_points_layout_and_the_formula_bits(d):
+    # axis-major points, as a torus slab stores them: each coordinate is
+    # one contiguous block, and so is each coordinate of the image
+    rng = np.random.default_rng(4)
+    z = rng.normal(size=d) * 0.3 + 1j * rng.normal(size=d) * 0.2
+    block = (rng.normal(size=(d, 40)) + 1j * rng.normal(size=(d, 40))) * 0.2
+    w = np.moveaxis(block, 0, -1)
+    img = mobius(z, w)
+    assert w.flags.f_contiguous
+    assert img.shape == w.shape and img.flags.f_contiguous
+    # P_z w and its complement on the whole (N, d) array at once
+    t = float(np.sum(np.abs(z) ** 2))
+    wz = w @ np.conj(z)
+    proj = (wz / t)[:, None] * z
+    want = (z - proj - np.sqrt(1.0 - t) * (w - proj)) / (1.0 - wz)[:, None]
+    assert np.array_equal(img, want)
+    assert np.array_equal(mobius(z, w[0]), want[0])
+
+
 def test_kernel_coefficients_match_binomial_series():
     # pairing the normalized kernel against the basis values at z gives
     # (1 - |z|^2)^(s/2) K(z, z) = (1 - |z|^2)^(-s/2)

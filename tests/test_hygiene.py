@@ -430,3 +430,19 @@ def test_one_function_takes_singular_values():
 
     assert linalg_calls("svd") == ["toeplitz.py: _singular_values"]
     assert all(entry.startswith("quadrature.py:") for entry in linalg_calls("eigvalsh"))
+
+
+def test_no_module_takes_an_fft():
+    """One phase stage: the torus assembly's per-axis phase matrices give
+    every phase coefficient an entry reads, and no module of the package
+    references ``np.fft`` (an attribute or an import of ``fft``)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "fft":
+                found.append(f"{path.name}:{node.lineno}: .fft")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                if any("fft" in name.split(".") for name in names):
+                    found.append(f"{path.name}:{node.lineno}: import")
+    assert found == []

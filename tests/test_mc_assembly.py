@@ -222,6 +222,32 @@ def test_memory_stays_below_one_chunk_of_the_gathered_kernel():
     assert peak < n * k * 16
 
 
+def test_the_stderr_sums_add_only_their_chunk_buffers_to_the_evaluation():
+    # on a kept 400,000-sample draw of the 3-ball, w f and sqrt(w) |f| taken
+    # over the whole draw added 9.6 MB (and a 3.2 MB |f|) to its 6.4 MB of
+    # symbol values; chunk by chunk they stay within the chunk buffers
+    n = 400_000
+    f = parse_symbol("conj(z1)", None)
+    space = WeightedSpace(3, 0.0)
+    try:
+        toeplitz_matrix_with_stderr(f, space, 4, _mc(n, 7))  # keeps the draw
+        z = toeplitz._sample_points(3, 0.0, n, 7)
+        fn = as_point_function(f)
+        tracemalloc.start()
+        try:
+            toeplitz.evaluate_finite(fn, z)
+            _, evaluation = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            toeplitz_matrix_with_stderr(f, space, 4, _mc(n, 7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    finally:
+        toeplitz._sample_points.cache_clear()
+    # two complex and two real chunk buffers of _BLOCK_VALUES values
+    assert peak <= evaluation + 4 * toeplitz._BLOCK_VALUES * 16
+
+
 def _reference_points(d, lam, n, seed):
     """The draw as one formula over full-size temporaries."""
     rng = np.random.Generator(np.random.PCG64(seed))

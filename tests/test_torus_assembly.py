@@ -1,8 +1,13 @@
-"""Streamed torus-FFT Gauss-Jacobi assembly against independent routes.
+"""Streamed torus Gauss-Jacobi assembly against independent routes.
 
-The exact oracle for polynomial symbols comes from closed-form monomial
-moments; the dense route sums the flat product rule through a weighted
-Vandermonde matrix, which is what Monte Carlo assembly still does.
+On each torus of phases an entry reads one phase coefficient of the
+symbol samples, computed by per-axis phase matrices over the residues the
+pairs read; the slab's nodes are stored axis-major.  The exact oracle for
+polynomial symbols comes from closed-form monomial moments; the dense
+route sums the flat product rule through a weighted Vandermonde matrix,
+which is what Monte Carlo assembly still does; the FFT route takes every
+coefficient of every torus by ``np.fft.fftn`` and gathers the ones the
+pairs read.
 """
 
 import tracemalloc
@@ -269,9 +274,10 @@ def test_a_general_assembly_on_the_3_ball_holds_a_few_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a slab's nodes (d complex values each), its samples, their FFT and
-    # the symbol's temporaries: d + 8 blocks of complex values in all
-    assert peak < (3 + 8) * quadrature._BLOCK_VALUES * 16
+    # a slab's nodes (d complex values each), its samples and the
+    # symbol's temporaries: d + 5 blocks of complex values in all (7.5
+    # blocks measured; the phase coefficients are a block at most)
+    assert peak < (3 + 5) * quadrature._BLOCK_VALUES * 16
 
 
 def test_non_finite_symbol_is_refused_on_the_streamed_path():
@@ -336,7 +342,8 @@ def test_resolved_orders_add_the_margin_only_when_automatic():
     "text", ["re(z1) + 2*abs2(z2)*conj(z1)", "1/(2 - abs2(z)) + z2^3*conj(z1)"]
 )
 def test_degree_zero_entry_is_the_fft_routes_frequency_zero(text):
-    # K = 1 takes the plain phase sum of each torus instead of an FFT
+    # K = 1 is no special case: it reads residue 0 alone, so each phase
+    # matrix is a column of ones, and must give the FFT's frequency 0
     rule = ball_rule(2, 1.0, 12, 40)
     basis = enumerate_basis(2, 0, 1.0)
     fn = as_point_function(parse_symbol(text, None))
@@ -346,6 +353,66 @@ def test_degree_zero_entry_is_the_fft_routes_frequency_zero(text):
     frequency_zero = np.fft.fftn(samples, axes=(1, 2))[:, 0, 0]
     want = np.sum(rule.radial_weights * basis.norms[0] ** 2 * frequency_zero)
     assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+
+
+def _fft_route(rule, fn, basis, keep):
+    """Every entry from one ``np.fft.fftn`` over all P^d phases of every
+    torus: sum_i w_i R[i, beta] R[i, alpha] F_i[beta - alpha (mod P)]."""
+    d, p = basis.d, rule.n_phase
+    z = rule.torus_nodes()
+    flat = z.reshape(-1, d)
+    samples = np.broadcast_to(fn(flat), flat.shape[:-1]).reshape(z.shape[:-1])
+    coef = np.fft.fftn(samples, axes=tuple(range(1, d + 1))).reshape(rule.n_radial, -1)
+    exps = basis.exponent_array()
+    residue = np.mod(exps[:, None, :] - exps[None, :, :], p)  # beta - alpha
+    shift = np.ravel_multi_index(tuple(np.moveaxis(residue, -1, 0)), (p,) * d)
+    r = toeplitz._monomial_rows(rule.radii, basis).T
+    out = np.einsum("ib,ia,iba->ba", r * rule.radial_weights[:, None], r, coef[:, shift])
+    return out if keep is None else np.where(keep, out, 0.0)
+
+
+@pytest.mark.parametrize("banded", [False, True], ids=["every_pair", "band"])
+@pytest.mark.parametrize(
+    "text, d, D, spec",
+    [
+        ("z1^2*conj(z1) + 1/(3 - abs2(z))", 1, 5, QuadratureSpec()),
+        ("z1^2*conj(z1) + 1/(3 - abs2(z))", 1, 0, QuadratureSpec()),
+        ("re(z1)*conj(z2) + 1/(2.5 - abs2(z))", 2, 4, QuadratureSpec()),
+        ("re(z1)*conj(z2) + 1/(2.5 - abs2(z))", 2, 0, QuadratureSpec()),
+        ("z1*conj(z3)^2 + abs2(z2)", 3, 2, QuadratureSpec()),
+        ("z1*conj(z3)^2 + abs2(z2)", 3, 0, QuadratureSpec()),
+        # P < 2D + 1: residues alias, so pairs of different beta - alpha
+        # share a coefficient
+        ("z1^2 + conj(z1)", 1, 6, QuadratureSpec(q=10, angular=4)),
+        ("z1^3*conj(z2) + 1/(2 - z1)", 2, 4, QuadratureSpec(q=8, angular=3)),
+        ("re(z1) + z2*conj(z3)", 3, 2, QuadratureSpec(q=6, angular=2)),
+    ],
+)
+def test_phase_stage_matches_the_fft_route(text, d, D, spec, banded):
+    f = parse_symbol(text, None)
+    resolved = resolve_assembly_spec(f, d, D, spec)
+    rule = ball_rule(d, 0.5, resolved.q, resolved.angular)
+    basis = enumerate_basis(d, D, 0.5)
+    keep = toeplitz._band_pairs(axis_band(f, d), f, basis, None) if banded else None
+    fn = as_point_function(f)
+    got = toeplitz._assemble_on_torus(rule, fn, basis, keep)
+    ref = _fft_route(rule, fn, basis, keep)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "spec", [QuadratureSpec(), QuadratureSpec(scheme="monte_carlo", n_samples=4000, seed=5)]
+)
+def test_a_band_that_keeps_no_pair_gives_zeros_without_evaluating(monkeypatch, spec):
+    # z1^5 on B^2 at D = 2: beta_1 - alpha_1 is at most 2, never 5
+    def refuse(*args, **kwargs):
+        raise AssertionError("nodes built or the symbol evaluated")
+
+    for name in ("evaluate_finite", "ball_rule", "_sample_points"):
+        monkeypatch.setattr(toeplitz, name, refuse)
+    m = toeplitz_matrix(parse_symbol("z1^5", None), WeightedSpace(2, 0.0), 2, spec)
+    assert m.diag is None and m.entries.shape == (6, 6)
+    assert np.array_equal(m.entries, np.zeros((6, 6), dtype=complex))
 
 
 def _band_blind_spec(f, d, D):
