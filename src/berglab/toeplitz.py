@@ -47,10 +47,10 @@ A product symbol f = a(z' / sqrt(1 - |z''|^2)) c(z'') whose a-factor is
 invariant under the group torus is assembled level by level, by the
 paper's decomposition A^2_lam = (+)_rho H_rho (x) A^2_{mu_rho} with
 mu_rho = lam + |rho| + ell: level rho is (a's factor on H_rho) (x) T_c
-at weight mu_rho, the factor gamma_a(rho) I for a quasi-radial a (exact
-for a polynomial one), else the level's rows of one T_a on the z'-ball.
-T_c takes the inner ball's own paths, and no full-ball rule is built;
-within one z'-exponent the basis order is the inner basis order.
+at weight mu_rho, the factor the level's rows of one T_a on the z'-ball.
+T_a and T_c take their balls' own paths (so a quasi-radial a gives
+gamma_a(rho) I), and no full-ball rule is built; within one z'-exponent
+the basis order is the inner basis order.
 
 Truncation is compression: norms computed here are lower bounds that
 increase toward the operator norm as D grows.
@@ -665,16 +665,16 @@ class AssemblyPath:
 
     ``kind`` is "radial" (a diagonal of radial eigenvalues, one per
     degree), "quasi_radial" (a diagonal of the gamma sequence, one value
-    per level), "levels" (a product symbol, a's factor times an
+    per level), "levels" (a product symbol, the rows of T_a times an
     inner-ball matrix of c on each level), "torus" (the product rule of
-    ``spec``) or "monte_carlo" (the samples of ``spec``).  The first two,
-    and "levels" with a quasi-radial a, take ``diagonal_values`` over the
-    partition ``parts`` ((d,) on the radial path, the geometry's k
-    otherwise), with the rule order ``q``, or exact sums where ``q`` is
-    None; any other a has ``factor``, the plan of T_a on the z'-ball.  On
-    the "levels" path ``inner`` holds the inner-ball plan of each level
-    |rho| <= D, in graded order.  ``spec`` is the resolved request
-    whatever the path; ``band`` is the torus or Monte Carlo one's.
+    ``spec``) or "monte_carlo" (the samples of ``spec``).  The first two
+    take ``diagonal_values`` over the partition ``parts`` ((d,) on the
+    radial path, the geometry's k otherwise), with the rule order ``q``,
+    or exact sums where ``q`` is None.  On the "levels" path ``factor``
+    is the plan of T_a on the z'-ball and ``inner`` the inner-ball plan
+    of each level |rho| <= D, in graded order.  ``spec`` is the
+    resolved request whatever the path; ``band`` is the torus or Monte
+    Carlo one's.
     """
 
     kind: str
@@ -689,8 +689,8 @@ class AssemblyPath:
         """The path and the orders it used, for run records.
 
         A torus path adds its phase band, [lo, hi] per axis, or None.  A
-        "levels" path with no rule anywhere is exact; otherwise it lists
-        the gamma rule's order or the factor's record, and each level's.
+        "levels" path is exact when its factor and every level are;
+        otherwise it lists the factor's record and each level's.
         """
         if self.kind == "torus":
             band = None if self.band is None else [list(b) for b in self.band]
@@ -703,12 +703,11 @@ class AssemblyPath:
                 "seed": self.spec.seed,
             }
         if self.kind == "levels":
+            factor = self.factor.record()
             blocks = [p.record() for p in self.inner]
-            if self.q is None and self.factor is None and all(b.get("exact") for b in blocks):
+            if factor.get("exact") and all(b.get("exact") for b in blocks):
                 return {"path": self.kind, "exact": True}
-            out = {"path": self.kind, "blocks": blocks, "q": self.q,
-                   "factor": self.factor and self.factor.record()}
-            return {key: v for key, v in out.items() if v is not None}
+            return {"path": self.kind, "factor": factor, "blocks": blocks}
         if self.q is None:
             return {"path": self.kind, "exact": True}
         return {"path": self.kind, "q": self.q}
@@ -729,45 +728,39 @@ def assembly_path(
     product rule would exceed the node budget, before anything of that
     size is built, and a negative cutoff.  The plan sums and assembles
     nothing.  A product symbol takes the levels where the spec is a rule,
-    its geometry splits this space's ball and its a-factor is quasi-radial
-    or of group winding zero on the z'-ball: the one judgement of the
-    level route.  The group radii of a symbol's geometry are moduli on
-    this space's ball only where its groups cover that ball.
+    its geometry splits this space's ball and its a-factor has group
+    winding zero on the z'-ball (a quasi-radial one does): the one
+    judgement of the level route.  Its factor is this function's plan of
+    a on the z'-ball.  The group radii of a symbol's geometry are moduli
+    on this space's ball only where its groups cover that ball.
     """
     k = count_basis(space.d, D)
     _require_budget(k * k, f"a {k} x {k} matrix")
     geometry = space.geometry
     resolved = resolve_assembly_spec(f, space.d, D, spec, geometry)
-    kind = factor = None
     if use_fast_paths and isinstance(f, ProductSymbol):
-        geo, a = f.geometry, f.a
+        geo = f.geometry
         if spec.scheme != MONTE_CARLO and geo and geo.n == space.d and geo.d_inner >= 1:
-            quasi = quasi_radial_profile(a, geo.m) is not None
             prime = geo.prime_space(space.lam)
-            if quasi or group_winding(a, prime.geometry) == (0,) * geo.m:
-                kind, parts = "levels", geo.k
-                factor = None if quasi else assembly_path(a, prime, D, spec)
+            if group_winding(f.a, prime.geometry) == (0,) * geo.m:
+                factor = assembly_path(f.a, prime, D, spec)
+                c_inner = rebase_inner(f.c)
+                inner = tuple(
+                    assembly_path(c_inner, geo.level_space(space.lam, rho), D - sum(rho), spec)
+                    for rho in levels_up_to(D, geo.m)
+                )
+                return AssemblyPath("levels", resolved, inner=inner, factor=factor)
     elif use_fast_paths and is_symbolic(f):
-        a = f
         if is_radial(f, geometry):
-            kind, parts = "radial", (space.d,)
-        elif (geometry is not None and sum(geometry.k) == space.d
+            return AssemblyPath("radial", resolved, (space.d,), _diagonal_order(f, 1, D))
+        if (geometry is not None and sum(geometry.k) == space.d
                 and quasi_radial_profile(f, geometry.m) is not None):
-            kind, parts = "quasi_radial", geometry.k
-    if kind is None:
-        kind = "monte_carlo" if spec.scheme == MONTE_CARLO else "torus"
-        if kind == "torus":
-            require_rule_size(space.d, resolved.q, resolved.angular)
-        return AssemblyPath(kind, resolved, band=_axis_band(f, space.d, geometry))
-    q = None if factor else _diagonal_order(a, len(parts), D)
-    inner = ()
-    if kind == "levels":
-        c_inner = rebase_inner(f.c)
-        inner = tuple(
-            assembly_path(c_inner, geo.level_space(space.lam, rho), D - sum(rho), spec)
-            for rho in levels_up_to(D, geo.m)
-        )
-    return AssemblyPath(kind, resolved, parts, q, inner, factor=factor)
+            q = _diagonal_order(f, geometry.m, D)
+            return AssemblyPath("quasi_radial", resolved, geometry.k, q)
+    kind = "monte_carlo" if spec.scheme == MONTE_CARLO else "torus"
+    if kind == "torus":
+        require_rule_size(space.d, resolved.q, resolved.angular)
+    return AssemblyPath(kind, resolved, band=_axis_band(f, space.d, geometry))
 
 
 def toeplitz_matrix(
@@ -782,10 +775,11 @@ def toeplitz_matrix(
 
     Fast paths: radial symbols become diagonals of radial eigenvalues,
     group-radius symbols become diagonals of the gamma sequence, product
-    symbols with a quasi-radial a-factor are assembled level by level
-    (a diagonal form when every inner matrix is one), and on the torus
-    and Monte Carlo paths only the entries inside the symbol's phase
-    bands are computed, every other one an exact zero.  The diagonal of a
+    symbols whose a-factor is invariant under the group torus are
+    assembled level by level (a diagonal form when T_a and every inner
+    matrix are one), and on the torus and Monte Carlo paths only the
+    entries inside the symbol's phase bands are computed, every other
+    one an exact zero.  The diagonal of a
     polynomial symbol is exact, a sum of Pochhammer ratios over its
     terms; any other diagonal comes from one Gauss-Jacobi or simplex rule.
     ``use_fast_paths=False`` forces plain quadrature for every entry,
@@ -851,13 +845,15 @@ def _band_pairs(
 def _assemble_by_levels(
     path: AssemblyPath, f: ProductSymbol, basis: TruncatedBasis
 ) -> OperatorMatrix:
-    """(factor of a) (x) T_c at weight mu_rho on every level of the basis.
+    """(rows of T_a on H_rho) (x) T_c at weight mu_rho on every level.
 
-    A level's factor is gamma(rho) I for a quasi-radial a, else its rows
-    of T_a on the z'-ball.  Its ``level_layout`` rows are in inner-basis
-    order, so the inner matrix times a factor entry lands on a pair of
-    rows as it is; pairs with no entry stay exact +0.0, never 0 times the
-    inner matrix.  Diagonal inner matrices under gamma I give a diagonal
+    T_a is assembled once on the z'-ball, along ``path.factor``; level
+    rho reads its rows at that ball's ``level_layout`` positions (a
+    quasi-radial a gives gamma(rho) I).  The full basis's ``level_layout``
+    rows are in inner-basis order, so the inner matrix times a factor
+    entry lands on a pair of rows as it is; zero factor entries are
+    skipped, so their pairs stay exact +0.0, never 0 times the inner
+    matrix.  A diagonal T_a with diagonal inner matrices gives a diagonal
     form, anything else a dense matrix.
     """
     geo = f.geometry
@@ -867,25 +863,20 @@ def _assemble_by_levels(
         _assemble(inner, c_inner, geo.level_space(basis.lam, rho), basis.D - sum(rho))
         for rho, inner in zip(layout, path.inner)
     ]
-    if path.factor is None:
-        gammas = diagonal_values(f.a, path.parts, basis.lam, list(layout), path.q)
-        if all(blk.diag is not None for blk in blocks):
-            diag = np.empty(basis.count, dtype=complex)
-            for rows, gamma, blk in zip(layout.values(), gammas, blocks):
-                diag[rows] = gamma * blk.diag
-            return OperatorMatrix.diagonal(basis, diag)
-        factors = [{(p, p): g for p in range(len(rows))}
-                   for rows, g in zip(layout.values(), gammas)]
-    else:
-        prime = geo.prime_space(basis.lam)
-        t_a = _assemble(path.factor, f.a, prime, basis.D)
-        # the same levels in the same order; on the z'-ball each row is one position
-        pos = [rows[:, 0] for rows in level_layout(t_a.basis, prime.geometry).values()]
-        factors = [{pr: v for pr, v in np.ndenumerate(t_a.entries[np.ix_(i, i)]) if v}
-                   for i in pos]
+    prime = geo.prime_space(basis.lam)
+    t_a = _assemble(path.factor, f.a, prime, basis.D)
+    # the same levels in the same order; on the z'-ball each row is one position
+    pos = [rows[:, 0] for rows in level_layout(t_a.basis, prime.geometry).values()]
+    if t_a.diag is not None and all(blk.diag is not None for blk in blocks):
+        diag = np.empty(basis.count, dtype=complex)
+        for rows, i, blk in zip(layout.values(), pos, blocks):
+            diag[rows] = t_a.diag[i, None] * blk.diag
+        return OperatorMatrix.diagonal(basis, diag)
     entries = np.zeros((basis.count, basis.count), dtype=complex)
-    for rows, factor, blk in zip(layout.values(), factors, blocks):
-        for (p, r), value in factor.items():
+    for rows, i, blk in zip(layout.values(), pos, blocks):
+        for (p, r), value in np.ndenumerate(t_a.entries[np.ix_(i, i)]):
+            if not value:
+                continue
             if blk.diag is not None:
                 entries[rows[p], rows[r]] = value * blk.diag
             else:
@@ -904,6 +895,9 @@ def toeplitz_matrix_with_stderr(
     The error matrix bounds the magnitude of the complex deviation of
     each sample-mean entry, from the sample second moments.  Only the
     sampling scheme supports this; a fixed rule has no comparable notion.
+    This is the honest route: every pair, no band mask, so the matrix
+    equals ``toeplitz_matrix(..., use_fast_paths=False)`` on the same
+    draw bitwise.
     """
     if spec.scheme != MONTE_CARLO:
         raise DomainError("standard errors are only defined for sampling schemes")

@@ -413,6 +413,19 @@ def test_only_the_assembly_builds_a_level_factor():
     assert calls == []
 
 
+def test_the_level_assembly_reads_one_factor():
+    """One level factor: ``toeplitz._assemble_by_levels`` reads each
+    level's rows of T_a and sums no gamma of its own (no
+    ``diagonal_values`` or ``quasi_radial_profile`` call)."""
+    names = {"diagonal_values", "quasi_radial_profile"}
+    calls = _scoped_calls(
+        ast.parse((SRC / "toeplitz.py").read_text()),
+        lambda func: (getattr(func, "id", None) or getattr(func, "attr", None)) in names,
+    )
+    assert [scope for scope, _ in calls if scope == "_assemble_by_levels"] == []
+    assert calls  # the names are still called elsewhere in the module
+
+
 def test_one_function_takes_singular_values():
     """One singular-value route: within the package ``np.linalg.svd`` is
     called only by ``toeplitz._singular_values``, and ``eigvalsh`` only

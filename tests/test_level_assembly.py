@@ -22,6 +22,7 @@ from berglab import (
 from berglab import berezin, toeplitz
 from berglab.berezin import radial_berezin_sum, radial_expansion_degree
 from berglab.cli import main
+from berglab.symbols import group_winding, quasi_radial_profile
 
 # explicit orders keep the 3-ball reference rule within the node budget;
 # they integrate these polynomial integrands exactly
@@ -101,11 +102,36 @@ def test_a_non_polynomial_gamma_records_its_rule():
     f = parse_symbol("prod(a = 1/(2 - r1^2), c = 1 - abs2(zc))", geo)
     record = assembly_path(f, space, 3, QuadratureSpec()).record()
     exact_block = {"path": "radial", "exact": True}
-    assert record == {"path": "levels", "q": 48, "blocks": [exact_block] * 4}
+    assert record == {"path": "levels", "factor": {"path": "radial", "q": 48},
+                      "blocks": [exact_block] * 4}
     m = toeplitz_matrix(f, space, 3, QuadratureSpec())
     honest = toeplitz_matrix(f, space, 3, QuadratureSpec(q=80), use_fast_paths=False)
     assert m.diag is not None
     assert np.max(np.abs(m.entries - honest.entries)) <= 1e-6
+
+
+QUASI_RADIAL_PROFILES = [
+    *((t, k) for t in ("r1^2", "1/(2 - r1^2)", "sqrt(2 - r1^2)")
+      for k in ((1,), (2,), (1, 1))),
+    ("r1^2*r2^2 + 2*r1^2", (1, 1)),
+    ("1/(3 - r1^2 - r2^2)", (1, 1)),
+]
+
+
+@pytest.mark.parametrize("text, k", [pytest.param(t, k, id=f"{t} k={k}")
+                                     for t, k in QUASI_RADIAL_PROFILES])
+def test_every_quasi_radial_profile_has_group_winding_zero(text, k):
+    # the level route asks only for winding zero: no quasi-radial a-factor
+    # leaves it, and on the z'-ball its T_a is the diagonal of gamma
+    ell = sum(k)
+    prime = BallGeometry(ell, ell, k)
+    a = parse_symbol(text, prime)
+    assert quasi_radial_profile(a, len(k)) is not None
+    assert group_winding(a, prime) == (0,) * len(k)
+    f = parse_symbol(f"prod(a = {text}, c = 1 - abs2(zc))", BallGeometry(ell + 1, ell, k))
+    path = assembly_path(f, WeightedSpace(ell + 1, 0.0, geometry=f.geometry), 3,
+                         QuadratureSpec())
+    assert path.kind == "levels" and path.factor.kind in ("radial", "quasi_radial")
 
 
 def test_the_honest_routes_stay_on_the_full_ball_rule(monkeypatch):

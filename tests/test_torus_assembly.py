@@ -137,8 +137,19 @@ def test_slab_size_does_not_change_entries(monkeypatch):
     f = parse_symbol("z1*conj(z2)^2 + 1/(3 - abs2(z))", geo)
     space = WeightedSpace(2, 0.5, geometry=geo)
     whole = toeplitz_matrix(f, space, 5, QuadratureSpec(), use_fast_paths=False)
-    monkeypatch.setattr(toeplitz, "_BLOCK_VALUES", 1)  # one torus per slab
+    # a budget of one torus: one torus per slab, while the phase blocks and
+    # pair tiles keep more than one row or pair each
+    path = assembly_path(f, space, 5, QuadratureSpec(), use_fast_paths=False)
+    monkeypatch.setattr(toeplitz, "_BLOCK_VALUES", path.spec.angular**2)
+    slabs, rows = [], toeplitz._monomial_rows
+
+    def slab_rows(z, basis, *bufs):
+        slabs.append(z.shape[0])
+        return rows(z, basis, *bufs)
+
+    monkeypatch.setattr(toeplitz, "_monomial_rows", slab_rows)
     streamed = toeplitz_matrix(f, space, 5, QuadratureSpec(), use_fast_paths=False)
+    assert set(slabs) == {1}
     assert np.max(np.abs(whole.entries - streamed.entries)) <= 1e-14
 
 
