@@ -38,7 +38,6 @@ from .quadrature import (
 )
 from .symbols import (
     SymbolExpr,
-    eval_on_points,
     is_radial,
     is_symbolic,
     quasi_radial_profile,
@@ -589,10 +588,7 @@ class MatrixSymbol:
         out = np.empty((n, self.p, self.p), dtype=complex)
         for i, row in enumerate(self.entries):
             for j, entry in enumerate(row):
-                if is_symbolic(entry):
-                    out[:, i, j] = eval_on_points(entry, z, check_ball=False)
-                else:
-                    out[:, i, j] = np.asarray(entry(z))
+                out[:, i, j] = as_point_function(entry)(z)
         return out
 
     def det_on_points(self, z: np.ndarray) -> np.ndarray:

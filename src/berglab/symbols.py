@@ -18,9 +18,11 @@ offset on the z''-ball itself) and is refused in the ``a`` factor of a
 product, which lives on z' alone.  Bare ``z`` and ``zc`` denote the whole
 tuple and stand only as the entire argument of ``abs2``; anywhere else
 they are a parse error.  ``r<j>`` is the modulus of the j-th coordinate
-group under a declared partition; it is also the natural variable for
-profiles living on the set of group radii.  It is a function of |z| alone
-only when one group spans the whole ball.
+group under a declared partition.  It is a function of |z| alone only
+when one group spans the whole ball.  A quasi-radial profile
+a(r_1, ..., r_m) is a symbol on the group-radius ball, the m-ball with
+partition (1, ..., 1), evaluated at the point (r_1, ..., r_m); points are
+the one evaluation domain.
 
 ASTs are immutable; evaluation is vectorized over arrays of points.
 This is the one module that inspects node types.  Every analysis
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 import re as _re
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import (
     Callable, Dict, FrozenSet, List, Optional, Tuple, TypeVar, Union,
 )
@@ -237,44 +239,41 @@ class _Parser:
             raise SymbolSyntaxError(f"expected {op!r}, found {found}", tok.line, tok.col)
         return self.next()
 
-    def parse_expr(self) -> SymbolExpr:
+    def accept_op(self, ops: str) -> Optional[_Token]:
+        """The next token, taken, when it is one of the operators ``ops``."""
         tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.next()
-            node: SymbolExpr = Neg(self.parse_term(), pos=(tok.line, tok.col))
-        else:
-            node = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.next()
-                rhs = self.parse_term()
-                node = BinOp(tok.text, node, rhs, pos=(tok.line, tok.col))
-            else:
-                return node
+        if tok.kind == "op" and tok.text in ops:
+            return self.next()
+        return None
+
+    def parse_operands(
+        self, node: SymbolExpr, ops: str, operand: Callable[[], SymbolExpr]
+    ) -> SymbolExpr:
+        """The one left-associative loop: ``node`` followed by operands
+        joined by the binary operators ``ops``."""
+        while (tok := self.accept_op(ops)) is not None:
+            node = BinOp(tok.text, node, operand(), pos=(tok.line, tok.col))
+        return node
+
+    def parse_expr(self) -> SymbolExpr:
+        tok = self.accept_op("-")
+        first = self.parse_term()
+        if tok is not None:
+            first = Neg(first, pos=(tok.line, tok.col))
+        return self.parse_operands(first, "+-", self.parse_term)
 
     def parse_term(self) -> SymbolExpr:
-        node = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "*/":
-                self.next()
-                rhs = self.parse_factor()
-                node = BinOp(tok.text, node, rhs, pos=(tok.line, tok.col))
-            else:
-                return node
+        return self.parse_operands(self.parse_factor(), "*/", self.parse_factor)
 
     def parse_factor(self) -> SymbolExpr:
         node = self.parse_atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.next()
-            exp_tok = self.peek()
+        tok = self.accept_op("^")
+        if tok is not None:
+            exp_tok = self.next()
             if exp_tok.kind != "num" or not exp_tok.text.isdigit():
                 raise SymbolSyntaxError(
                     "exponent must be a nonnegative integer", exp_tok.line, exp_tok.col
                 )
-            self.next()
             node = Power(node, int(exp_tok.text), pos=(tok.line, tok.col))
         return node
 
@@ -290,8 +289,7 @@ class _Parser:
             return Const(value, pos=(tok.line, tok.col))
         if tok.kind == "name":
             return self.parse_name()
-        if tok.kind == "op" and tok.text == "(":
-            self.next()
+        if self.accept_op("("):
             inner = self.parse_expr()
             self.expect_op(")")
             return inner
@@ -333,6 +331,24 @@ class _Parser:
             return GroupRadius(grp, pos=pos)
         raise SymbolSyntaxError(f"unknown identifier {name!r}", *pos)
 
+    def parse_keyword(self, key: str) -> SymbolExpr:
+        """``key = expr``, one argument of ``prod(...)``."""
+        tok = self.next()
+        if not (tok.kind == "name" and tok.text == key):
+            raise SymbolSyntaxError(f"expected '{key} ='", tok.line, tok.col)
+        self.expect_op("=")
+        return self.parse_expr()
+
+    def parse_product(self) -> Tuple[SymbolExpr, SymbolExpr]:
+        """``prod(a = expr, c = expr)``, its two factors."""
+        self.next()
+        self.expect_op("(")
+        a = self.parse_keyword("a")
+        self.expect_op(",")
+        c = self.parse_keyword("c")
+        self.expect_op(")")
+        return a, c
+
 
 def parse_symbol(
     text: str, geometry: Optional[BallGeometry] = None
@@ -343,44 +359,24 @@ def parse_symbol(
     against it (z against n, zc against n - ell, r against the partition).
     Group radii are refused in the c factor and zc in the a factor.
     """
-    tokens = _tokenize(text)
-    parser = _Parser(tokens)
+    parser = _Parser(_tokenize(text))
     first = parser.peek()
-    if first.kind == "name" and first.text == "prod":
-        if geometry is not None and geometry.d_inner < 1:
-            raise DomainError("a product symbol needs a nonempty second block")
-        parser.next()
-        parser.expect_op("(")
-        key = parser.next()
-        if not (key.kind == "name" and key.text == "a"):
-            raise SymbolSyntaxError("expected 'a ='", key.line, key.col)
-        parser.expect_op("=")
-        a = parser.parse_expr()
-        parser.expect_op(",")
-        key = parser.next()
-        if not (key.kind == "name" and key.text == "c"):
-            raise SymbolSyntaxError("expected 'c ='", key.line, key.col)
-        parser.expect_op("=")
-        c = parser.parse_expr()
-        parser.expect_op(")")
-        tail = parser.peek()
-        if tail.kind != "end":
-            raise SymbolSyntaxError(
-                f"unexpected trailing input {tail.text!r}", tail.line, tail.col
-            )
-        # a lives on z' alone, so zc there would silently alias a z coordinate
-        _validate(a, geometry.ell if geometry else None, geometry, allow_zc=False)
-        _validate(c, geometry.d_inner if geometry else None, None, allow_radius=False)
-        return ProductSymbol(a=a, c=c, geometry=geometry)
-    expr = parser.parse_expr()
+    product = first.kind == "name" and first.text == "prod"
+    if product and geometry is not None and geometry.d_inner < 1:
+        raise DomainError("a product symbol needs a nonempty second block")
+    parsed = parser.parse_product() if product else parser.parse_expr()
     tail = parser.peek()
     if tail.kind != "end":
-        raise SymbolSyntaxError(
-            f"unexpected trailing input {tail.text!r}", tail.line, tail.col
-        )
-    if geometry is not None:
-        _validate(expr, geometry.n, geometry)
-    return expr
+        raise SymbolSyntaxError(f"unexpected trailing input {tail.text!r}", tail.line, tail.col)
+    if not product:
+        if geometry is not None:
+            _validate(parsed, geometry.n, geometry)
+        return parsed
+    a, c = parsed
+    # a lives on z' alone, so zc there would silently alias a z coordinate
+    _validate(a, geometry.ell if geometry else None, geometry, allow_zc=False)
+    _validate(c, geometry.d_inner if geometry else None, None, allow_radius=False)
+    return ProductSymbol(a=a, c=c, geometry=geometry)
 
 
 def _validate(
@@ -488,17 +484,11 @@ def symbol_to_text(expr: Union[SymbolExpr, ProductSymbol]) -> str:
 
 @dataclass
 class _EvalContext:
-    z: Optional[np.ndarray]  # (..., d) complex, or None for pure profiles
-    r: Optional[np.ndarray]  # (..., m) real group radii, or None
+    z: np.ndarray  # (..., d) complex ball points
     zc_offset: int = 0
     k: Optional[Tuple[int, ...]] = None
 
     def coord(self, part: str, index: int, pos: Tuple[int, int]) -> np.ndarray:
-        if self.z is None:
-            raise DomainError(
-                f"line {pos[0]}, column {pos[1]}: coordinates are not available "
-                "on a radial-profile domain"
-            )
         offset = self.zc_offset if part == "zc" else 0
         axis = offset + index - 1
         if axis >= self.z.shape[-1]:
@@ -509,25 +499,11 @@ class _EvalContext:
         return self.z[..., axis]
 
     def tuple_abs2(self, part: str) -> np.ndarray:
-        if self.z is None:
-            if self.r is None:
-                raise DomainError("no point data to evaluate abs2 against")
-            return np.sum(self.r * self.r, axis=-1)
-        if part == "zc" and self.zc_offset > 0:
-            block = self.z[..., self.zc_offset :]
-        else:
-            block = self.z
+        block = self.z[..., self.zc_offset :] if part == "zc" else self.z
         return np.sum(np.abs(block) ** 2, axis=-1)
 
     def radius(self, group: int, pos: Tuple[int, int]) -> np.ndarray:
-        if self.r is not None:
-            if group > self.r.shape[-1]:
-                raise DomainError(
-                    f"line {pos[0]}, column {pos[1]}: group r{group} exceeds "
-                    f"the profile dimension {self.r.shape[-1]}"
-                )
-            return self.r[..., group - 1]
-        if self.z is None or self.k is None:
+        if self.k is None:
             raise DomainError(
                 f"line {pos[0]}, column {pos[1]}: r{group} needs a declared partition"
             )
@@ -599,7 +575,9 @@ def eval_on_points(
 
     zc-coordinates start at the geometry's split point (full-ball
     evaluation), or at 0 without a geometry (evaluation directly on the
-    z''-ball).  ``check_ball`` refuses a point outside the open unit ball.
+    z''-ball).  Points of another dimension than the geometry's (a
+    product symbol's own) are refused, and ``check_ball`` refuses a point
+    outside the open unit ball.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim == 1:
@@ -609,38 +587,27 @@ def eval_on_points(
         if np.any(bad):
             idx = tuple(np.argwhere(bad)[0])
             raise DomainError(f"point {z[idx]} lies outside the open unit ball")
+    geo = expr.geometry if isinstance(expr, ProductSymbol) else geometry
+    if geo is not None and z.shape[-1] != geo.n:
+        raise DomainError(f"the symbol needs points in dimension {geo.n}, got {z.shape[-1]}")
     if isinstance(expr, ProductSymbol):
-        geo = expr.geometry
         if geo is None:
             raise DomainError(
                 "this product symbol was parsed without a geometry; "
                 "reparse it with one to evaluate"
-            )
-        if z.shape[-1] != geo.n:
-            raise DomainError(
-                f"product symbol needs points in dimension {geo.n}, got {z.shape[-1]}"
             )
         z_in = z[..., geo.ell :]
         t_in = np.sum(np.abs(z_in) ** 2, axis=-1)
         stretch = np.sqrt(np.clip(1.0 - t_in, 0.0, None))
         with np.errstate(divide="ignore", invalid="ignore"):
             z_out = z[..., : geo.ell] / stretch[..., None]
-        a_ctx = _EvalContext(z=z_out, r=None, zc_offset=0, k=geo.k)
-        c_ctx = _EvalContext(z=z_in, r=None, zc_offset=0, k=None)
-        return np.asarray(a_ctx.evaluate(expr.a) * c_ctx.evaluate(expr.c))
-    ctx = _EvalContext(z=z, r=None, zc_offset=geometry.ell if geometry else 0,
-                       k=geometry.k if geometry else None)
-    out = ctx.evaluate(expr)
+        a_ctx = _EvalContext(z=z_out, zc_offset=0, k=geo.k)
+        c_ctx = _EvalContext(z=z_in, zc_offset=0, k=None)
+        out = a_ctx.evaluate(expr.a) * c_ctx.evaluate(expr.c)
+    else:
+        ctx = _EvalContext(z=z, zc_offset=geo.ell if geo else 0, k=geo.k if geo else None)
+        out = ctx.evaluate(expr)
     return np.broadcast_to(np.asarray(out), z.shape[:-1]).copy()
-
-
-def eval_profile(expr: SymbolExpr, radii: np.ndarray) -> np.ndarray:
-    """Evaluate a quasi-radial profile on group-radius tuples (..., m)."""
-    r = np.asarray(radii, dtype=float)
-    if r.ndim == 1:
-        r = r[:, None]
-    out = _EvalContext(z=None, r=r, zc_offset=0, k=None).evaluate(expr)
-    return np.broadcast_to(np.asarray(out), r.shape[:-1]).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -831,17 +798,19 @@ def quasi_radial_profile(
     expr: Union[SymbolExpr, ProductSymbol], m: int
 ) -> Optional[Callable[[np.ndarray], np.ndarray]]:
     """Interpret the symbol as a profile a(r_1, ..., r_m) of the group
-    radii, shape (N, m), or None (always for a product symbol)."""
+    radii, shape (N, m), or None (always for a product symbol).
+
+    A profile is a symbol on the group-radius ball: the m-ball with
+    partition (1, ..., 1), at the point (r_1, ..., r_m).  There group j's
+    radius is sqrt(|r_j|^2), which is r_j in binary64, and abs2(z) is the
+    sum of the r_j^2."""
     if isinstance(expr, ProductSymbol):
         return None
     leaves = _leaves(expr) - {_WHOLE_Z}
     if any(part != "r" or index > m for part, index in leaves):
         return None
-
-    def profile(radii: np.ndarray) -> np.ndarray:
-        return eval_profile(expr, radii)
-
-    return profile
+    return partial(eval_on_points, expr, geometry=BallGeometry(m, m, (1,) * m),
+                   check_ball=False)
 
 
 def rebase_inner(expr: SymbolExpr) -> SymbolExpr:

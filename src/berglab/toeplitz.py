@@ -897,18 +897,17 @@ def toeplitz_matrix_with_stderr(
     sampling scheme supports this; a fixed rule has no comparable notion.
     This is the honest route: every pair, no band mask, so the matrix
     equals ``toeplitz_matrix(..., use_fast_paths=False)`` on the same
-    draw bitwise.
+    draw bitwise, and it refuses what that route's ``assembly_path``
+    refuses.
     """
     if spec.scheme != MONTE_CARLO:
         raise DomainError("standard errors are only defined for sampling schemes")
-    k = count_basis(space.d, D)
-    _require_budget(k * k, f"a {k} x {k} matrix")
+    assembly_path(f, space, D, spec, use_fast_paths=False)
     basis = enumerate_basis(space.d, D, space.lam)
-    geometry = space.geometry
-    fn = as_point_function(f, geometry)
     z = _sample_points(space.d, space.lam, spec.n_samples, spec.seed)
     n = z.shape[0]
-    acc, acc2 = _node_sums(z, 1.0 / n, fn, basis, second_moment=True)
+    acc, acc2 = _node_sums(z, 1.0 / n, as_point_function(f, space.geometry), basis,
+                           second_moment=True)
     var = np.maximum(acc2 - np.abs(acc) ** 2, 0.0) / max(n - 1, 1)
     return OperatorMatrix(basis, acc), np.sqrt(var)
 

@@ -204,6 +204,16 @@ def test_quantization_probe_decay():
         quantization_probe(f, [1.0], np.zeros((0, 1)), spec)
 
 
+def test_quantization_probe_of_a_constant_product_symbol():
+    # a constant product has one value per grid point, as any symbol does
+    g = BallGeometry(2, 1, (1,))
+    f = parse_symbol("prod(a = 1, c = 2)", g)
+    grid = np.array([[0.1, 0.2j], [0.3, -0.1]])
+    table = quantization_probe(f, [1.0, 4.0], grid, QuadratureSpec(), geometry=g)
+    assert [mu for mu, _ in table.rows] == [1.0, 4.0]
+    assert all(err <= 1e-13 for _, err in table.rows)
+
+
 def test_boundary_probe_monotone_and_validated():
     spec = QuadratureSpec()
     f = parse_symbol("1 - abs2(z)", None)

@@ -426,6 +426,28 @@ def test_the_level_assembly_reads_one_factor():
     assert calls  # the names are still called elsewhere in the module
 
 
+def _name_calls(path, name):
+    """(qualified scope, line) of every call of the bare name ``name``."""
+    return _scoped_calls(ast.parse(path.read_text()),
+                         lambda func: getattr(func, "id", None) == name)
+
+
+def test_points_are_the_one_evaluation_domain():
+    """One evaluation domain: ``_EvalContext`` is constructed only inside
+    ``symbols.eval_on_points``, which a profile in the group radii goes
+    through too, as a symbol on the group-radius ball."""
+    found = [f"{path.name}: {scope}" for path in sorted(SRC.glob("*.py"))
+             for scope, _ in _name_calls(path, "_EvalContext")]
+    assert found and set(found) == {"symbols.py: eval_on_points"}
+
+
+def test_one_parser_loop_builds_binary_operators():
+    """One operand loop: the symbol module constructs ``BinOp`` at one
+    site, in ``_Parser``, for both ``+ -`` and ``* /``."""
+    calls = _name_calls(SRC / "symbols.py", "BinOp")
+    assert len(calls) == 1 and calls[0][0].startswith("_Parser."), calls
+
+
 def test_one_function_takes_singular_values():
     """One singular-value route: within the package ``np.linalg.svd`` is
     called only by ``toeplitz._singular_values``, and ``eigvalsh`` only

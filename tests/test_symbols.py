@@ -19,9 +19,10 @@ from berglab import (
     symbol_to_text,
 )
 from berglab.symbols import (
-    axis_band, eval_profile, group_band, group_winding, profile_form,
-    symbol_degree_hint,
+    _EvalContext, _fold, axis_band, group_band, group_winding, profile_form,
+    quasi_radial_profile, symbol_degree_hint,
 )
+from berglab.quadrature import gauss_jacobi_rule, simplex_radial_rule
 from polynomial_reference import expand_polynomial
 
 ROUNDTRIP_CORPUS = [
@@ -174,6 +175,29 @@ def test_syntax_errors_carry_position():
         parse_symbol("z1 @ z2", None)
 
 
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("prod(b = 1, c = 2)", "expected 'a ='", 1, 6),
+        ("prod(a = 1, 2)", "expected 'c ='", 1, 13),
+        ("prod(a = 1, a = 2)", "expected 'c ='", 1, 13),
+        ("prod(a = 1, c = 2) + 1", "unexpected trailing input '+'", 1, 20),
+        ("prod(a = z1,\n  c = zc1) z1", "unexpected trailing input 'z1'", 2, 12),
+        ("1 + z1 )", "unexpected trailing input ')'", 1, 8),
+        ("z1\n  * 2 2", "unexpected trailing input '2'", 2, 7),
+    ],
+)
+def test_product_keywords_and_trailing_input_are_refused_at_their_token(
+    text, message, line, col
+):
+    # one keyword reader for both factors, one trailing check for both forms
+    for geometry in (None, BallGeometry(2, 1, (1,))):
+        with pytest.raises(SymbolSyntaxError) as exc:
+            parse_symbol(text, geometry)
+        assert str(exc.value) == f"line {line}, column {col}: {message}"
+        assert (exc.value.line, exc.value.col) == (line, col)
+
+
 @pytest.mark.parametrize("geometry", [None, BallGeometry(2, 2, (2,))])
 @pytest.mark.parametrize(
     "text, col",
@@ -259,6 +283,26 @@ def test_product_symbol_evaluates_with_geometry():
     expected = (1 - stretched) * (2 - t_in)
     got = eval_on_points(expr, np.array([[z1, z2]]))
     assert got[0] == pytest.approx(expected, abs=1e-14)
+
+
+def test_a_constant_product_symbol_has_one_value_per_point():
+    g = BallGeometry(2, 1, (1,))
+    expr = parse_symbol("prod(a = 1, c = 2)", g)
+    z = np.array([[0.1, 0.2j], [0.3, -0.1], [0.0, 0.0]])
+    assert np.array_equal(eval_on_points(expr, z), np.full(3, 2 + 0j))
+    assert eval_on_points(expr, z[0]).shape == (1,)
+
+
+def test_points_of_another_dimension_are_refused():
+    # a group past the points' last axis would otherwise read as radius 0
+    g = BallGeometry(2, 2, (1, 1))
+    product = parse_symbol("prod(a = 1, c = zc1)", BallGeometry(2, 1, (1,)))
+    for expr in (parse_symbol("1 + r2^2", g), product):
+        with pytest.raises(DomainError, match="needs points in dimension 2, got 1"):
+            eval_on_points(expr, np.array([[0.3]]), geometry=g)
+    profile = quasi_radial_profile(parse_symbol("1 + r2^2", None), 2)
+    with pytest.raises(DomainError, match="dimension 2, got 3"):
+        profile(np.full((4, 3), 0.1))
 
 
 def test_rebase_inner_renames_zc():
@@ -528,6 +572,45 @@ def _form_text(draw, depth=3):
     )
 
 
+class _GroupRadiusReference(_EvalContext):
+    """Evaluation on group-radius tuples r, shape (N, m): r_j is read
+    directly and abs2(z) is the sum of r_j * r_j, every other node as on
+    ball points."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def radius(self, group, pos):
+        return self.r[..., group - 1]
+
+    def tuple_abs2(self, part):
+        return np.sum(self.r * self.r, axis=-1)
+
+
+@pytest.mark.parametrize(
+    "text, m",
+    [
+        ("1", 1), ("r1^2", 1), ("1/(2 - r1^2)", 1), ("sqrt(2 - r1^2)", 1),
+        ("(1 - abs2(z))^3", 1), ("sqrt(abs2(z))", 1), ("i*r1^3 - r1/(1 + r1)", 1),
+        ("2.5", 2), ("r1^2*r2^2 + 2*r1^2", 2), ("1/(3 - r1^2 - r2^2)", 2),
+        ("abs2(z) - r2", 2), ("conj(i*r1 + r2)^2", 2), ("abs2(r1 - i*r2)", 2),
+        ("re((r1 + i*r2)^3)/(2 - abs2(z))", 2), ("sqrt(r1*r2) + r1*r3", 3),
+    ],
+)
+def test_a_profile_is_its_symbol_on_the_group_radius_ball(text, m):
+    # group j's radius there is sqrt(|r_j|^2), which is r_j bitwise
+    expr = parse_symbol(text, None)
+    radii = [simplex_radial_rule(0.0, [2 * j + 1 for j in range(m)], 9)[0],
+             np.zeros((1, m)), np.eye(m)[:1] * 0.5]
+    if m == 1:
+        radii.append(np.sqrt(gauss_jacobi_rule(40, 0.0, 2.0)[0])[:, None])
+    r = np.concatenate(radii)
+    got = quasi_radial_profile(expr, m)(r)
+    want = np.broadcast_to(_fold(expr, _GroupRadiusReference(r).visit), r.shape[:-1])
+    assert got.dtype == complex and got.shape == r.shape[:-1]
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def _sum_form(form, s):
     """sum coef s^p u^l at the points s (N, m), u = 1 - |s|."""
     n, terms = form
@@ -552,7 +635,7 @@ def test_profile_form_matches_the_profile(text, points):
     s = np.array(points)
     form = profile_form(expr, 2)
     assert form is not None
-    want = eval_profile(expr, np.sqrt(s))
+    want = quasi_radial_profile(expr, 2)(np.sqrt(s))
     got = _sum_form(form, s)
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
