@@ -44,10 +44,12 @@ from .symbols import (
     symbol_degree_hint,
 )
 from .toeplitz import (
+    AssemblyPath,
     OperatorMatrix,
     _require_budget,
     _diagonal_order,
     _singular_values,
+    assembly_path,
     diagonal_values,
     toeplitz_matrix,
 )
@@ -94,6 +96,15 @@ def mobius(z: Sequence[complex], w: np.ndarray) -> np.ndarray:
 # Berezin transforms
 
 
+def _interior(z: Sequence[complex]) -> Tuple[np.ndarray, float]:
+    """z as a flat complex array and its |z|^2, refused off the open ball."""
+    z_arr = np.asarray(z, dtype=complex).reshape(-1)
+    t = float(np.sum(np.abs(z_arr) ** 2))
+    if not t < 1.0:  # NaN coordinates fail this too
+        raise DomainError("Berezin evaluation needs an interior point")
+    return z_arr, t
+
+
 def kernel_coefficients(
     basis_norms: np.ndarray,
     exponents: np.ndarray,
@@ -105,10 +116,7 @@ def kernel_coefficients(
     d = exponents.shape[1]
     if z_arr.shape[-1:] != (d,) or z_arr.size != d:
         raise DomainError(f"a point of shape {z_arr.shape} is not a point of the {d}-ball")
-    z_arr = z_arr.reshape(-1)
-    t = float(np.sum(np.abs(z_arr) ** 2))
-    if not t < 1.0:  # NaN coordinates fail this too
-        raise DomainError("Berezin evaluation needs an interior point")
+    z_arr, t = _interior(z_arr)
     mono = np.ones(exponents.shape[0], dtype=complex)
     for ax in range(exponents.shape[1]):
         mono *= np.conj(z_arr[ax]) ** exponents[:, ax]
@@ -324,13 +332,16 @@ def radial_berezin_sum(
     return out.reshape(t_points.shape)
 
 
+@lru_cache(maxsize=1024)
 def radial_expansion_degree(d: int, nu: float, t: float) -> int:
     """Cutoff degree of the radial Berezin expansion at |z|^2 = t < 1.
 
     The expansion carries all but 1e-13 of the kernel mass at t.  A point
     so close to the sphere that the eigenvalue table of the expansion
     (degrees x radial nodes) would pass the desk budget is refused with a
-    ``DomainError`` before anything is built.
+    ``DomainError`` before anything is built.  Degrees are kept for reuse:
+    a plan (``berezin_plan``) and the transforms that follow it ask for
+    the same points.
     """
     if not 0.0 <= t < 1.0:
         raise DomainError(f"radial expansion needs 0 <= |z|^2 < 1, got {t!r}")
@@ -388,44 +399,41 @@ def _exact_sequence(g: SymbolExpr, d: int, nu: float, N: int) -> Optional[np.nda
     return have[: N + 1]
 
 
-def _radial_berezin_value(g: SymbolExpr, d: int, nu: float, t: float) -> complex:
-    """Berezin transform of a radial symbol at a point with |z|^2 = t < 1.
+def berezin_plan(
+    g: SymbolLike,
+    mu: float,
+    z: Sequence[complex],
+    spec: QuadratureSpec,
+    *,
+    geometry: Optional[BallGeometry] = None,
+) -> Union[int, AssemblyPath]:
+    """The route ``berezin_of_symbol`` takes at z, refused where it would be.
 
-    Expands over the diagonal eigenvalue sequence of ``g`` (exact for a
-    polynomial, and shared across points; else from the rule its profile
-    callable takes, of an order set by the cutoff alone) with
-    negative-binomial kernel masses, cut where all but 1e-13 of the mass
-    at t is carried.
+    A radial symbol (``is_radial``) expands over its diagonal: the plan is
+    its ``radial_expansion_degree``, which refuses a point whose
+    eigenvalue table would pass the desk budget.  Any other symbol
+    integrates its Mobius pullback: the plan is the ``assembly_path`` of
+    the pullback at cutoff 0.  The pullback has a near-pole at distance
+    ~ (1 - |z|) outside the closed ball, so the rule's orders rise as z
+    approaches the boundary, up to 128 radial nodes and 128 phases per
+    axis (4096 on the disk); a sampling spec is taken as it is.  A point
+    off the open ball and a geometry of another dimension are refused.
+    Nothing is summed or assembled.
     """
-    N = radial_expansion_degree(d, nu, t)
-    lam = _exact_sequence(g, d, nu, N)
-    if lam is None:
-        lam = diagonal_values(quasi_radial_profile(g, 1), (d,), nu, np.arange(N + 1))
-    return complex(radial_berezin_sum(lam, d + nu + 1.0, np.array([t]))[0])
-
-
-def pullback_spec(
-    g: SymbolLike, d: int, t: float, spec: QuadratureSpec
-) -> QuadratureSpec:
-    """The orders of the rule ``berezin_of_symbol`` integrates the Mobius
-    pullback of a non-radial g with, at a point of the d-ball with
-    |z|^2 = t.
-
-    The pullback has a near-pole at distance ~ (1 - |z|) outside the
-    closed ball, so the orders rise as the point approaches the boundary,
-    up to 128 radial nodes and 128 phases per axis (4096 on the disk).
-    A sampling spec is returned as it is.  ``assembly_path`` of a callable
-    at cutoff 0 and this spec is the plan the transform follows.
-    """
-    if spec.scheme == MONTE_CARLO:
-        return spec
-    deg = symbol_degree_hint(g) if is_symbolic(g) else 8
-    resolved = spec.resolved(d, 8, deg)
-    closeness = max(1.0 - math.sqrt(t), 1e-3)
-    q_eff = max(resolved.q, min(128, int(14.0 / math.sqrt(closeness)) + 8))
-    ang_cap = 4096 if d == 1 else 128
-    ang_eff = max(resolved.angular, min(ang_cap, int(30.0 / closeness) + 8))
-    return replace(spec, q=q_eff, angular=ang_eff)
+    z_arr, t = _interior(z)
+    d = z_arr.shape[0]
+    space = WeightedSpace(d, mu, geometry=geometry)  # refuses a geometry of another n
+    if is_symbolic(g) and is_radial(g, geometry):
+        return radial_expansion_degree(d, mu, t)
+    if spec.scheme != MONTE_CARLO:
+        deg = symbol_degree_hint(g) if is_symbolic(g) else 8
+        resolved = spec.resolved(d, 8, deg)
+        closeness = max(1.0 - math.sqrt(t), 1e-3)
+        q_eff = max(resolved.q, min(128, int(14.0 / math.sqrt(closeness)) + 8))
+        ang_cap = 4096 if d == 1 else 128
+        ang_eff = max(resolved.angular, min(ang_cap, int(30.0 / closeness) + 8))
+        spec = replace(spec, q=q_eff, angular=ang_eff)
+    return assembly_path(as_point_function(g, geometry), space, 0, spec)
 
 
 def berezin_of_symbol(
@@ -436,27 +444,26 @@ def berezin_of_symbol(
     *,
     geometry: Optional[BallGeometry] = None,
 ) -> complex:
-    """Integral of g against the Mobius-pulled-back weight at z.
+    """Integral of g against the Mobius-pulled-back weight at z, along the
+    route ``berezin_plan`` gives.
 
-    Radial symbols take a diagonal expansion instead of quadrature, which
-    stays accurate arbitrarily close to the boundary.  Any other symbol
-    gives <T_{g o phi_z} 1, 1>_mu, the degree-0 entry of the pullback's
-    Toeplitz matrix, from the samples of a sampling spec or from a product
-    rule whose orders grow as z nears the sphere (``pullback_spec``).
-    ``is_radial`` picks the route, so a polynomial radial symbol expands
-    over its exact diagonal.  The geometry, when given, declares the
-    partition that group radii such as ``r1`` read; one of another
-    dimension is refused.
+    A radial symbol takes a diagonal expansion, which stays accurate
+    arbitrarily close to the boundary (a polynomial one over its exact
+    diagonal).  Any other gives <T_{g o phi_z} 1, 1>_mu, the degree-0
+    entry of the pullback's Toeplitz matrix.  The geometry, when given,
+    declares the partition that group radii such as ``r1`` read.
     """
-    z_arr = np.asarray(z, dtype=complex).reshape(-1)
+    plan = berezin_plan(g, mu, z, spec, geometry=geometry)
+    z_arr, t = _interior(z)
     d = z_arr.shape[0]
-    t = float(np.sum(np.abs(z_arr) ** 2))
-    if not t < 1.0:  # NaN coordinates fail this too
-        raise DomainError("Berezin evaluation needs an interior point")
-
-    WeightedSpace(d, mu, geometry=geometry)  # refuses a geometry of another n
-    if is_symbolic(g) and is_radial(g, geometry):
-        return _radial_berezin_value(g, d, mu, t)
+    if isinstance(plan, int):
+        # expand to the planned degree over the diagonal: exact for a
+        # polynomial, and shared across points; else from the rule its profile
+        # callable takes, of an order set by the degree alone
+        lam = _exact_sequence(g, d, mu, plan)
+        if lam is None:
+            lam = diagonal_values(quasi_radial_profile(g, 1), (d,), mu, np.arange(plan + 1))
+        return complex(radial_berezin_sum(lam, d + mu + 1.0, np.array([t]))[0])
 
     fn = as_point_function(g, geometry)
 
@@ -469,8 +476,7 @@ def berezin_of_symbol(
             x = np.where(over[..., None], x * (1.0 - 1e-13), x)
         return np.asarray(fn(x))
 
-    spec = pullback_spec(g, d, t, spec)
-    return complex(toeplitz_matrix(pulled, WeightedSpace(d, mu), 0, spec).entries[0, 0])
+    return complex(toeplitz_matrix(pulled, WeightedSpace(d, mu), 0, plan.spec).entries[0, 0])
 
 
 # ---------------------------------------------------------------------------

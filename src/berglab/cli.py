@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .berezin import (
     berezin_of_operator,
     berezin_of_symbol,
+    berezin_plan,
     essential_spectrum_sample,
     fredholm_index_report,
     quantization_probe,
@@ -97,16 +98,21 @@ def _echo(pairs: dict) -> None:
         print(f"# {key} = {pairs[key]}")
 
 
-def _write_or_print(lines: List[str], out: Optional[str]) -> None:
-    if out:
-        path = Path(out)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n")
-        print(f"wrote {path}")
-    else:
-        for line in lines:
-            print(line)
+def _output(lines: List[str], out: Optional[str]) -> List[str]:
+    """Write the lines to ``out`` and return the line that says so, or
+    return them for stdout."""
+    if not out:
+        return lines
+    path = Path(out)
+    if path.parent != Path(""):
+        path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
+    return [f"wrote {path}"]
+
+
+# what a plan step returns: the settings to echo, its plan line, and the
+# run, which gives the output lines and the exit code
+_Plan = Tuple[dict, str, Callable[[], Tuple[List[str], int]]]
 
 
 _FLAGS = {
@@ -145,26 +151,22 @@ def _add_quad(sub: argparse.ArgumentParser) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each but ``suite`` is a plan step.  It parses, validates and
+# plans every assembly its run makes, so a refusal comes before any output
+# and under --dry-run too; ``main`` echoes, stops there or runs.
 
 
-def cmd_parse(args: argparse.Namespace) -> int:
+def cmd_parse(args: argparse.Namespace) -> _Plan:
     geometry = _geometry_from(args)
-    plan = {"symbol": args.symbol}
+    echo = {"symbol": args.symbol}
     if geometry is not None:
-        plan.update({"n": geometry.n, "ell": geometry.ell, "k": geometry.k})
+        echo.update({"n": geometry.n, "ell": geometry.ell, "k": geometry.k})
     expr = parse_symbol(args.symbol, geometry)
-    if args.dry_run:
-        _echo(plan)
-        print("plan: parse and classify the symbol")
-        return 0
-    _echo(plan)
-    print(symbol_to_text(expr))
-    print(f"class: {classify_symbol(expr, geometry)}")
-    return 0
+    return echo, "plan: parse and classify the symbol", lambda: (
+        [symbol_to_text(expr), f"class: {classify_symbol(expr, geometry)}"], 0)
 
 
-def cmd_matrix(args: argparse.Namespace) -> int:
+def cmd_matrix(args: argparse.Namespace) -> _Plan:
     geometry = _geometry_from(args)
     d = args.d if args.d is not None else (geometry.n if geometry else None)
     if d is None:
@@ -176,75 +178,54 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     # assembling the request itself keeps every inner plan the recorded one
     path = assembly_path(expr, space, args.D, request)
     spec = path.spec
-    plan = {
-        "symbol": args.symbol,
-        "d": d,
-        "mu": args.mu,
-        "D": args.D,
-        "scheme": spec.scheme,
-        "seed": spec.seed,
-        "size": count_basis(d, args.D),
-    }
+    echo = {"symbol": args.symbol, "d": d, "mu": args.mu, "D": args.D,
+            "scheme": spec.scheme, "seed": spec.seed, "size": count_basis(d, args.D)}
     if spec.scheme == GAUSS_JACOBI:
-        plan.update(q=spec.q, angular=spec.angular)
+        echo.update(q=spec.q, angular=spec.angular)
     if path.kind == "torus":
-        plan["band"] = path.record()["band"]
-    if args.dry_run:
-        _echo(plan)
-        print("plan: assemble the truncated matrix" + (" and write CSV" if args.out else ""))
-        return 0
-    mat = toeplitz_matrix(expr, space, args.D, request)
-    _echo(plan)
-    print(f"size = {mat.size}, norm = {format_float(operator_norm(mat))}")
-    if args.out:
-        export_matrix_csv(
-            mat, args.out, symbol_text=args.symbol, spec=spec,
-            extra={"assembly": path.record()},
-        )
-        print(f"wrote {args.out}")
-    return 0
+        echo["band"] = path.record()["band"]
+
+    def run():
+        mat = toeplitz_matrix(expr, space, args.D, request)
+        lines = [f"size = {mat.size}, norm = {format_float(operator_norm(mat))}"]
+        if args.out:
+            export_matrix_csv(
+                mat, args.out, symbol_text=args.symbol, spec=spec,
+                extra={"assembly": path.record()},
+            )
+            lines.append(f"wrote {args.out}")
+        return lines, 0
+
+    return echo, "plan: assemble the truncated matrix" + (
+        " and write CSV" if args.out else ""), run
 
 
-def cmd_gamma(args: argparse.Namespace) -> int:
+def cmd_gamma(args: argparse.Namespace) -> _Plan:
     k = args.k
-    plan = {
-        "profile": args.profile,
-        "k": k,
-        "lambda": args.lam,
-        "rmax": args.rmax,
-    }
-    geometry = BallGeometry(sum(k), sum(k), k)
-    profile = parse_symbol(args.profile, geometry)
-    if args.dry_run:
-        _echo(plan)
-        print("plan: tabulate gamma over all levels |rho| <= rmax")
-        return 0
-    seq = gamma_sequence(profile, k, args.lam, args.rmax)
-    if any(isinstance(v, complex) for v in seq.values()):
-        raise DomainError("gamma prints one real column; the profile is complex-valued")
-    _echo(plan)
-    _write_or_print(csv_lines("rho,gamma", seq.items()), args.out)
-    return 0
+    echo = {"profile": args.profile, "k": k, "lambda": args.lam, "rmax": args.rmax}
+    profile = parse_symbol(args.profile, BallGeometry(sum(k), sum(k), k))
+
+    def run():
+        seq = gamma_sequence(profile, k, args.lam, args.rmax)
+        if any(isinstance(v, complex) for v in seq.values()):
+            raise DomainError("gamma prints one real column; the profile is complex-valued")
+        return _output(csv_lines("rho,gamma", seq.items()), args.out), 0
+
+    return echo, "plan: tabulate gamma over all levels |rho| <= rmax", run
 
 
-def cmd_norm(args: argparse.Namespace) -> int:
+def cmd_norm(args: argparse.Namespace) -> _Plan:
     spec = _spec_from(args)
-    plan = {"symbol": args.symbol, "d": args.d, "mu": args.mu, "D": args.D}
+    echo = {"symbol": args.symbol, "d": args.d, "mu": args.mu, "D": args.D}
     geometry = BallGeometry(args.d, args.d, (args.d,))
     expr = parse_symbol(args.symbol, geometry)
     space = WeightedSpace(args.d, args.mu, geometry=geometry)
     assembly_path(expr, space, args.D, spec)
-    if args.dry_run:
-        _echo(plan)
-        print("plan: sigma_max of the truncated matrix")
-        return 0
-    value = operator_norm(toeplitz_matrix(expr, space, args.D, spec))
-    _echo(plan)
-    print(format_float(value))
-    return 0
+    return echo, "plan: sigma_max of the truncated matrix", lambda: (
+        [format_float(operator_norm(toeplitz_matrix(expr, space, args.D, spec)))], 0)
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
+def cmd_decompose(args: argparse.Namespace) -> _Plan:
     geometry = _geometry_from(args)
     if geometry is None:
         raise DomainError("decompose needs --n (and usually --ell/--k)")
@@ -254,41 +235,28 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         raise DomainError(f"the level range must be nonnegative; got R={args.R}")
     if args.R > args.D:
         raise DomainError(f"every level needs D >= |rho|; got R={args.R} > D={args.D}")
-    plan = {
-        "a": args.a,
-        "c": args.c,
-        "n": geometry.n,
-        "ell": geometry.ell,
-        "k": geometry.k,
-        "lambda": args.lam,
-        "D": args.D,
-        "R": args.R,
-        "tol": tol,
-        "scheme": spec.scheme,
-    }
+    echo = {"a": args.a, "c": args.c, "n": geometry.n, "ell": geometry.ell, "k": geometry.k,
+            "lambda": args.lam, "D": args.D, "R": args.R, "tol": tol, "scheme": spec.scheme}
     composite = parse_symbol(f"prod(a = {args.a}, c = {args.c})", geometry)
     # plan both routes, so the dry run refuses what the check would
     space = WeightedSpace(geometry.n, args.lam, geometry=geometry)
     assembly_path(composite, space, args.D, spec, use_fast_paths=False)
     _level_route(composite, space, args.D, spec)
-    if args.dry_run:
-        _echo(plan)
-        print("plan: two-route factorization check on every level |rho| <= R")
-        return 0
-    _echo(plan)
-    levels = levels_up_to(args.R, geometry.m)
-    _, reports = verify_tensor_factorization(
-        composite.a, composite.c, geometry, args.lam, levels, args.D, spec, tol=tol
-    )
-    for rep in reports:
-        print(rep.summary())
-    rows = [(rep.rho, rep.mu, rep.max_deviation, rep.passed) for rep in reports]
-    _write_or_print(csv_lines("rho,mu,max_deviation,passed", rows), args.out)
-    if not all(rep.passed for rep in reports):
+
+    def run():
+        levels = levels_up_to(args.R, geometry.m)
+        _, reports = verify_tensor_factorization(
+            composite.a, composite.c, geometry, args.lam, levels, args.D, spec, tol=tol
+        )
+        rows = [(rep.rho, rep.mu, rep.max_deviation, rep.passed) for rep in reports]
+        lines = [rep.summary() for rep in reports]
+        lines += _output(csv_lines("rho,mu,max_deviation,passed", rows), args.out)
+        if all(rep.passed for rep in reports):
+            return lines, 0
         worst = max(rep.max_deviation for rep in reports)
-        print(f"worst deviation {worst:.3e} exceeds tolerance {tol:.1e}")
-        return 2
-    return 0
+        return lines + [f"worst deviation {worst:.3e} exceeds tolerance {tol:.1e}"], 2
+
+    return echo, "plan: two-route factorization check on every level |rho| <= R", run
 
 
 def _parse_point(text: str, d: int) -> np.ndarray:
@@ -301,100 +269,87 @@ def _parse_point(text: str, d: int) -> np.ndarray:
         raise DomainError(f"cannot parse point {text!r}") from None
 
 
-def cmd_berezin(args: argparse.Namespace) -> int:
+def cmd_berezin(args: argparse.Namespace) -> _Plan:
     spec = _spec_from(args)
-    plan = {"symbol": args.symbol, "d": args.d, "mu": args.mu, "D": args.D, "z": args.z}
+    echo = {"symbol": args.symbol, "d": args.d, "mu": args.mu, "D": args.D, "z": args.z}
     geometry = BallGeometry(args.d, args.d, (args.d,))
     expr = parse_symbol(args.symbol, geometry)
     z = _parse_point(args.z, args.d)
     space = WeightedSpace(args.d, args.mu, geometry=geometry)
     assembly_path(expr, space, args.D, spec)
-    if args.dry_run:
-        _echo(plan)
-        print("plan: operator-side and symbol-side transforms at z")
-        return 0
-    mat = toeplitz_matrix(expr, space, args.D, spec)
-    op_side = berezin_of_operator(mat, args.mu, z)
-    sym_side = berezin_of_symbol(expr, args.mu, z, spec, geometry=geometry)
-    _echo(plan)
-    print(f"operator side = {format_float(op_side.real)} + {format_float(op_side.imag)}i")
-    print(f"symbol side   = {format_float(sym_side.real)} + {format_float(sym_side.imag)}i")
-    print(f"difference    = {abs(op_side - sym_side):.3e}")
-    return 0
+    berezin_plan(expr, args.mu, z, spec, geometry=geometry)
+
+    def run():
+        mat = toeplitz_matrix(expr, space, args.D, spec)
+        op_side = berezin_of_operator(mat, args.mu, z)
+        sym_side = berezin_of_symbol(expr, args.mu, z, spec, geometry=geometry)
+        return [
+            f"operator side = {format_float(op_side.real)} + {format_float(op_side.imag)}i",
+            f"symbol side   = {format_float(sym_side.real)} + {format_float(sym_side.imag)}i",
+            f"difference    = {abs(op_side - sym_side):.3e}",
+        ], 0
+
+    return echo, "plan: operator-side and symbol-side transforms at z", run
 
 
-def cmd_quantize(args: argparse.Namespace) -> int:
+def cmd_quantize(args: argparse.Namespace) -> _Plan:
     spec = _spec_from(args)
-    plan = {
-        "symbol": args.symbol,
-        "d": args.d,
-        "mus": " ".join(str(v) for v in args.mus),
-        "grid_points": args.grid_points,
-        "tmax": args.tmax,
-    }
+    echo = {"symbol": args.symbol, "d": args.d, "mus": " ".join(str(v) for v in args.mus),
+            "grid_points": args.grid_points, "tmax": args.tmax}
     geometry = BallGeometry(args.d, args.d, (args.d,))
     expr = parse_symbol(args.symbol, geometry)
     grid = _radial_grid(args.d, args.tmax, args.grid_points)
-    if args.dry_run:
-        _echo(plan)
-        print("plan: sup-grid Berezin error for each weight")
-        return 0
-    table = quantization_probe(expr, args.mus, grid, spec, geometry=geometry)
-    _echo(plan)
-    _write_or_print(table.csv_lines(), args.out)
-    return 0
+    for mu in args.mus:
+        for z in grid:
+            berezin_plan(expr, float(mu), z, spec, geometry=geometry)
+
+    def run():
+        table = quantization_probe(expr, args.mus, grid, spec, geometry=geometry)
+        return _output(table.csv_lines(), args.out), 0
+
+    return echo, "plan: sup-grid Berezin error for each weight", run
 
 
 def _inner_symbol(text: str):
     expr = parse_symbol(text, None)
     if isinstance(expr, ProductSymbol):
-        raise DomainError(
-            "boundary sampling works on the inner factor; pass c directly"
-        )
+        raise DomainError("boundary sampling works on the inner factor; pass c directly")
     return rebase_inner(expr)
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
+def cmd_spectrum(args: argparse.Namespace) -> _Plan:
     seed = args.seed if args.seed is not None else QuadratureSpec.seed
-    plan = {"symbol": args.symbol, "d": args.d, "R": args.R, "seed": seed}
+    echo = {"symbol": args.symbol, "d": args.d, "R": args.R, "seed": seed}
     if args.weight_profile:
-        plan["weight_profile"] = args.weight_profile
+        echo["weight_profile"] = args.weight_profile
     expr = _inner_symbol(args.symbol)
     k = args.weight_k or (1,)
     profile = None
     if args.weight_profile:
         profile = parse_symbol(args.weight_profile, BallGeometry(sum(k), sum(k), k))
-    if args.dry_run:
-        _echo(plan)
-        print("plan: sample det c near and on the boundary sphere")
-        return 0
-    gamma = None
-    if profile is not None:
-        gamma = gamma_sequence(profile, k, args.lam, args.R)
-    sample = essential_spectrum_sample(expr, args.d, seed=seed, gamma=gamma)
-    _echo(plan)
-    print(
-        "verdict: "
-        + ("Fredholm" if sample.fredholm else "non-Fredholm")
-        + f" (min |det| = {format_float(sample.min_abs_det)})"
-    )
-    _write_or_print(sample.csv_lines(), args.out)
-    return 0
+
+    def run():
+        gamma = None
+        if profile is not None:
+            gamma = gamma_sequence(profile, k, args.lam, args.R)
+        sample = essential_spectrum_sample(expr, args.d, seed=seed, gamma=gamma)
+        verdict = "Fredholm" if sample.fredholm else "non-Fredholm"
+        lines = [f"verdict: {verdict} (min |det| = {format_float(sample.min_abs_det)})"]
+        return lines + _output(sample.csv_lines(), args.out), 0
+
+    return echo, "plan: sample det c near and on the boundary sphere", run
 
 
-def cmd_fredholm(args: argparse.Namespace) -> int:
+def cmd_fredholm(args: argparse.Namespace) -> _Plan:
     seed = args.seed if args.seed is not None else QuadratureSpec.seed
-    plan = {"symbol": args.symbol, "d": args.d, "seed": seed}
+    echo = {"symbol": args.symbol, "d": args.d, "seed": seed}
     expr = _inner_symbol(args.symbol)
-    if args.dry_run:
-        _echo(plan)
-        print("plan: essential spectrum sample, then the index report")
-        return 0
-    sample = essential_spectrum_sample(expr, args.d, seed=seed)
-    report = fredholm_index_report(expr, sample)
-    _echo(plan)
-    _write_or_print(report.text_lines(), args.out)
-    return 0
+
+    def run():
+        sample = essential_spectrum_sample(expr, args.d, seed=seed)
+        return _output(fredholm_index_report(expr, sample).text_lines(), args.out), 0
+
+    return echo, "plan: essential spectrum sample, then the index report", run
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
@@ -407,13 +362,13 @@ def cmd_suite(args: argparse.Namespace) -> int:
         raw["out.dir"] = args.out
     cfg = ExperimentConfig.from_mapping(raw)
     only = args.only.split(",") if args.only else None
-    plan_suites(cfg, only)
     if args.dry_run:
+        plan_suites(cfg, only)
         print(cfg.echo())
         names = only or ["all four suites"]
         print(f"plan: run {', '.join(names)}, write tables to {cfg.out_dir}")
         return 0
-    results = run_all(cfg, only=only)
+    results = run_all(cfg, only=only)  # plans every suite before the first runs
     ok = write_outputs(results, cfg.out_dir, cfg)
     for line in summary_lines(results):
         print(line)
@@ -517,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("suite", help="run the experiment suites")
     p.add_argument("--only", default=None, help="comma list of suite names")
     _add_common(p, "--config", "--out", "--seed", "--threads")
-    p.set_defaults(func=cmd_suite)
 
     return parser
 
@@ -531,7 +485,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # main() get the code back instead of the exception
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        if args.command == "suite":
+            return cmd_suite(args)
+        echo, plan, run = args.func(args)
+        lines, code = ([plan], 0) if args.dry_run else run()
+        _echo(echo)
+        for line in lines:
+            print(line)
+        return code
     except (DomainError, OSError) as exc:  # parse errors are DomainErrors too
         print(f"error: {exc}", file=sys.stderr)
         return 1

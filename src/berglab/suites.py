@@ -23,11 +23,11 @@ from .berezin import (
     MatrixSymbol,
     berezin_of_operator,
     berezin_of_symbol,
+    berezin_plan,
     default_radius_schedule,
     essential_spectrum_sample,
     fredholm_index_report,
     min_singular_probe,
-    pullback_spec,
     quantization_probe,
     radial_expansion_degree,
 )
@@ -519,16 +519,21 @@ def _probe_cutoff(symbols: Sequence[SymbolExpr], d: int, spec: QuadratureSpec) -
     return probe_D
 
 
-def _consistency_probe(cfg: ExperimentConfig) -> Tuple[List[SymbolExpr], np.ndarray]:
-    """The symbols and points of the Berezin-consistency probe: c and
-    re(z1) on the inner ball, at a few grid points with |z|^2 <= 1/2,
-    where the probe cutoff swallows the kernel mass."""
+def _consistency_probe(
+    cfg: ExperimentConfig,
+) -> Tuple[List[int], List[SymbolExpr], np.ndarray]:
+    """The weights, symbols and points of the Berezin-consistency probe:
+    the two smallest weights of the schedule, c and re(z1) on the inner
+    ball, at a few grid points with |z|^2 <= 1/2, where the probe cutoff
+    swallows the kernel mass."""
+    mus = list(cfg.mu_schedule)
     d_in = cfg.geometry.d_inner
     inner_geo = BallGeometry(d_in, d_in, (d_in,))
     symbols = [rebase_inner(cfg.c_expr), parse_symbol("re(z1)", inner_geo)]
     grid = _radial_grid(d_in, cfg.grid_tmax, cfg.grid_points)
     keep = np.sum(np.abs(grid) ** 2, axis=1) <= 0.5
-    return symbols, grid[keep][:: max(1, int(np.count_nonzero(keep)) // 4 or 1)]
+    points = grid[keep][:: max(1, int(np.count_nonzero(keep)) // 4 or 1)]
+    return sorted(set(mus))[:2] if len(mus) >= 2 else mus, symbols, points
 
 
 def _boundary_points(cfg: ExperimentConfig) -> Tuple[Tuple[float, ...], np.ndarray]:
@@ -607,8 +612,7 @@ def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
 
     # operator side vs symbol side of the Berezin transform
     worst_consistency = 0.0
-    probe_mus = sorted(set(mus))[:2] if len(mus) >= 2 else mus
-    probe_symbols, probe_pts = _consistency_probe(cfg)
+    probe_mus, probe_symbols, probe_pts = _consistency_probe(cfg)
     probe_D = _probe_cutoff(probe_symbols, d_in, cfg.spec)
     for mu in probe_mus:
         for sym in probe_symbols:
@@ -777,17 +781,19 @@ def plan_suites(
     """The suites a run of this selection makes, refused before any runs.
 
     Unknown names are refused, and so is a suite that could only stop
-    halfway: a factorization suite whose full route ``assembly_path``
-    refuses for one of its pairs (a product rule over the node budget),
-    or whose level route it refuses or does not take the "levels" path
-    for (an a-factor that turns under the group torus), or a quantization
-    suite with a non-radial c whose recovery blocks it refuses (a matrix
-    over the desk budget), or one of whose Berezin points it refuses for a
-    non-radial symbol (the rule of its Mobius pullback, ``pullback_spec``,
-    over the node budget): c on the error grid and on the boundary
-    table's radii, and each symbol of the Berezin-consistency probe at
-    its points.  A radial symbol takes no rule there, and a radial c's
-    blocks are their per-degree eigenvalues, built at any cutoff.
+    halfway.  A factorization suite is refused where ``assembly_path``
+    refuses the full route of one of its pairs (a product rule over the
+    node budget), or refuses or does not take the "levels" path for its
+    level route (an a-factor that turns under the group torus).  A
+    quantization suite is refused where ``berezin_plan`` refuses one of
+    its Berezin transforms: c at each weight of the schedule on the error
+    grid and at the boundary table's radii, and each symbol of the
+    Berezin-consistency probe at its weights and points.  With a
+    non-radial c it is refused as well where ``assembly_path`` refuses a
+    recovery block (a matrix over the desk budget), or the matrix of the
+    recovered estimate, a callable, at a remainder level (a product rule
+    over the node budget).  A radial c's blocks and remainders are
+    per-degree eigenvalues, with no matrix to plan.
     """
     names = [name for name, _ in _ALL_SUITES]
     if only:
@@ -795,8 +801,8 @@ def plan_suites(
         if missing:
             raise DomainError(f"unknown suite names: {', '.join(sorted(missing))}")
         names = [name for name in names if name in only]
+    geo = cfg.geometry
     if "factorization" in names:
-        geo = cfg.geometry
         space = WeightedSpace(geo.n, cfg.lam, geometry=geo)
         for a_text, c_text in _canned_pairs(cfg):
             composite = parse_symbol(f"prod(a = {a_text}, c = {c_text})", geo)
@@ -809,34 +815,37 @@ def plan_suites(
                 f"factorization: the level route of pair ({a_text} | {c_text})",
                 lambda: _level_route(composite, space, cfg.D, cfg.spec),
             )
+    if "quantization" not in names:
+        return names
     c_in = rebase_inner(cfg.c_expr)
-    if "quantization" in names and not is_radial(c_in):
-        geo = cfg.geometry
-        pad = (0,) * (geo.m - 1)
-        for key, levels in (("truncation.D_eval", cfg.eval_levels),
-                            ("truncation.D_remainder", cfg.remainder_levels)):
+    pad = (0,) * (geo.m - 1)
+    if not is_radial(c_in):
+        # each remainder subtracts the matrix of the recovered estimate, a
+        # callable: any callable of unknown degree has the plan of this one
+        plans = (("block", c_in, "truncation.D_eval", cfg.eval_levels),
+                 ("block", c_in, "truncation.D_remainder", cfg.remainder_levels),
+                 ("remainder", as_point_function(c_in), "truncation.D_remainder",
+                  cfg.remainder_levels))
+        for what, sym, key, levels in plans:
             for tot in levels:
                 _plan_or_refuse(
-                    f"quantization: the recovery block of level {tot} at "
+                    f"quantization: the recovery {what} of level {tot} at "
                     f"{key} = {cfg.settings[key]}",
-                    lambda: assembly_path(c_in, geo.level_space(cfg.lam, (tot,) + pad),
+                    lambda: assembly_path(sym, geo.level_space(cfg.lam, (tot,) + pad),
                                           cfg.settings[key], cfg.spec),
                 )
-    if "quantization" in names:
-        d_in = cfg.geometry.d_inner
-        symbols, points = _consistency_probe(cfg)
-        probes = [("Berezin error probe", c_in,
-                   _radial_grid(d_in, cfg.grid_tmax, cfg.grid_points))]
-        probes += [("Berezin-consistency probe", sym, points) for sym in symbols]
-        probes.append(("boundary probe", c_in, _boundary_points(cfg)[1]))
-        for what, sym, pts in probes:
-            if is_radial(sym):
-                continue
-            for t in np.sum(np.abs(pts) ** 2, axis=1).tolist():
+    grid = _radial_grid(geo.d_inner, cfg.grid_tmax, cfg.grid_points)
+    probe_mus, symbols, points = _consistency_probe(cfg)
+    probes = [("Berezin error probe", c_in, cfg.mu_schedule, grid)]
+    probes += [("Berezin-consistency probe", sym, probe_mus, points) for sym in symbols]
+    probes.append(("boundary probe", c_in, [_BOUNDARY_MU], _boundary_points(cfg)[1]))
+    for what, sym, mus, pts in probes:
+        what = f"quantization: the {what} of {symbol_to_text(sym)}"
+        for mu in mus:
+            for z in pts:
                 _plan_or_refuse(
-                    f"quantization: the {what} of {symbol_to_text(sym)} at |z|^2 = {t!r}",
-                    lambda: assembly_path(as_point_function(sym), WeightedSpace(d_in, 0.0),
-                                          0, pullback_spec(sym, d_in, t, cfg.spec)),
+                    f"{what} at |z|^2 = {float(np.sum(np.abs(z) ** 2))!r}, mu = {mu}",
+                    lambda: berezin_plan(sym, float(mu), z, cfg.spec),
                 )
     return names
 

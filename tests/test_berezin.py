@@ -24,16 +24,15 @@ from berglab import (
     quantization_probe,
     toeplitz_matrix,
 )
-from berglab import berezin
+from berglab import berezin, toeplitz
 from berglab.berezin import (
+    berezin_plan,
     kernel_coefficients,
     kernel_masses,
     kernel_tail,
-    pullback_spec,
     radial_expansion_degree,
 )
 from berglab.core import enumerate_basis
-from berglab.toeplitz import assembly_path
 from berglab.quadrature import MONTE_CARLO, as_point_function, ball_rule, monte_carlo_points
 
 
@@ -379,22 +378,49 @@ def test_symbol_transform_integrates_with_the_pullback_orders(monkeypatch):
     monkeypatch.setattr(berezin, "toeplitz_matrix", spy)
     g = parse_symbol("re(z1)", None)
     spec = QuadratureSpec()
-    for r in (0.0, 0.3, 0.6):
+    for r, orders in ((0.0, (22, 38)), (0.3, (24, 50)), (0.6, (30, 83))):
         z = np.array([r, 0.0], dtype=complex)
         berezin_of_symbol(g, 1.0, z, spec)
-        assert seen[-1] == pullback_spec(g, 2, float(np.sum(np.abs(z) ** 2)), spec)
+        plan = berezin_plan(g, 1.0, z, spec)
+        assert plan.kind == "torus" and seen[-1] == plan.spec
+        assert (plan.spec.q, plan.spec.angular) == orders
     # the orders rise toward the sphere; a sampling spec passes through
     assert seen[0].q < seen[-1].q and seen[0].angular < seen[-1].angular
     mc = QuadratureSpec(scheme=MONTE_CARLO, n_samples=1000)
-    assert pullback_spec(g, 2, 0.81, mc) == mc
+    assert berezin_plan(g, 1.0, [0.9, 0.0], mc).spec == mc
 
 
-def test_the_pullback_plan_refuses_what_the_transform_would():
+def test_the_pullback_plan_refuses_what_the_transform_would(monkeypatch):
     # on the 3-ball the pullback of re(z1) needs 584,277,056 nodes at the centre
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rule was built")
+
+    monkeypatch.setattr(toeplitz, "ball_rule", refuse)
     g = parse_symbol("re(z1)", None)
     spec = QuadratureSpec()
     with pytest.raises(DomainError, match="584277056 nodes"):
-        assembly_path(as_point_function(g), WeightedSpace(3, 0.0), 0,
-                      pullback_spec(g, 3, 0.0, spec))
+        berezin_plan(g, 0.0, [0.0, 0.0, 0.0], spec)
     with pytest.raises(DomainError, match="584277056 nodes"):
         berezin_of_symbol(g, 0.0, [0.0, 0.0, 0.0], spec)
+
+
+def test_the_radial_plan_is_the_expansion_degree_taken_once(monkeypatch):
+    """On the radial route the plan is ``radial_expansion_degree``, with
+    its refusal, and the transform computes that degree once per point."""
+    calls = []
+    real = berezin.radial_expansion_degree
+
+    def spy(d, nu, t):
+        calls.append((d, nu, t))
+        return real(d, nu, t)
+
+    monkeypatch.setattr(berezin, "radial_expansion_degree", spy)
+    f = parse_symbol("1/(2 - abs2(z))", None)
+    z = [0.5, 0.3j]
+    t = 0.5**2 + 0.3**2
+    assert berezin_plan(f, 4.0, z, QuadratureSpec()) == real(2, 4.0, t)
+    calls.clear()
+    berezin_of_symbol(f, 4.0, z, QuadratureSpec())
+    assert calls == [(2, 4.0, t)]
+    with pytest.raises(DomainError, match="radial Berezin expansion"):
+        berezin_plan(f, 16.0, [np.sqrt(0.995), 0.0], QuadratureSpec())

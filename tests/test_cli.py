@@ -775,3 +775,99 @@ def test_norm_refuses_a_matrix_over_the_budget_in_its_plan(capsys, extra):
     assert code == 1 and out == ""
     assert err.startswith("error:") and "135751 x 135751 matrix" in err
 
+
+
+# the README's example of each subcommand but ``suite``
+_README_EXAMPLES = [
+    ["gamma", "--k", "2", "--lambda", "0", "--profile", "r1^2", "--rmax", "5"],
+    ["norm", "--symbol", "1 - abs2(z)", "--d", "1", "--mu", "0", "--D", "8"],
+    ["parse", "--symbol", "prod(a=r1^2, c=1-abs2(zc))"],
+    ["matrix", "--symbol", "1 - abs2(z)", "--d", "1", "--mu", "0", "--D", "8", "--out", "m.csv"],
+    ["decompose", "--a", "r1^2", "--c", "1 - abs2(zc)", "--n", "2", "--ell", "1", "--D", "6"],
+    ["berezin", "--symbol", "1 - abs2(z)", "--d", "1", "--mu", "2", "--z", "0.4"],
+    ["quantize", "--symbol", "1 - abs2(z)", "--d", "1", "--mus", "1,2,4,8,16,32"],
+    ["spectrum", "--symbol", "2 - abs2(zc)", "--d", "2", "--R", "4"],
+    ["fredholm", "--symbol", "2 - abs2(zc)", "--d", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _README_EXAMPLES, ids=lambda argv: argv[0])
+def test_a_dry_run_prints_the_runs_echo_and_one_plan_line(capsys, tmp_path, monkeypatch, argv):
+    """One protocol for every subcommand but ``suite``: the run prints its
+    '#' echo first, then its output; the dry run prints the same echo and
+    one plan line, and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    code, dry, err = run(capsys, argv + ["--dry-run"])
+    assert code == 0 and err == ""
+    assert not (tmp_path / "m.csv").exists()
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    echo = [line for line in lines if line.startswith("# ")]
+    assert echo and lines[: len(echo)] == echo and len(lines) > len(echo)
+    *dry_echo, plan = dry.splitlines()
+    assert dry_echo == echo and plan.startswith("plan: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["berezin", "--symbol", "re(z1)", "--d", "3", "--mu", "0", "--D", "4", "--z", "0,0,0"],
+        ["quantize", "--symbol", "re(z1)", "--d", "3", "--mus", "1,2", "--grid-points", "2",
+         "--tmax", "0.1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("extra", [[], ["--dry-run"]], ids=["run", "dry_run"])
+def test_the_symbol_side_is_planned_before_any_output(capsys, monkeypatch, argv, extra):
+    # on the 3-ball the Mobius pullback of re(z1) needs 584,277,056 nodes
+    # at the centre; berezin once built its operator-side matrix first
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rule was built")
+
+    monkeypatch.setattr(toeplitz, "ball_rule", refuse)
+    code, out, err = run(capsys, argv + extra)
+    assert code == 1 and out == ""
+    assert err.startswith("error: the product rule needs 584277056 nodes")
+
+
+@pytest.mark.parametrize("extra", [[], ["--dry-run"]], ids=["run", "dry_run"])
+def test_suite_refuses_a_radial_berezin_point_over_the_budget(capsys, tmp_path, monkeypatch, extra):
+    # at |z|^2 = 0.995 and mu = 16 the radial expansion of the default c
+    # needs a 93,879,187-entry eigenvalue table; the run once stopped there,
+    # after norm_identity and factorization had run
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text("grid.tmax = 0.995\n")
+
+    def refuse(cfg):
+        raise AssertionError("a suite ran before the selection was checked")
+
+    monkeypatch.setattr(suites, "_ALL_SUITES", tuple((n, refuse) for n, _ in suites._ALL_SUITES))
+    out_dir = tmp_path / "runs"
+    code, out, err = run(capsys, ["suite", "--config", str(cfg), "--out", str(out_dir)] + extra)
+    assert code == 1 and out == ""
+    assert "suite quantization: the Berezin error probe of 1 - abs2(z)" in err
+    assert "mu = 16" in err and "93879187 entries" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--dry-run"]], ids=["run", "dry_run"])
+def test_suite_refuses_a_recovery_remainder_over_the_rule_budget(
+    capsys, tmp_path, monkeypatch, extra
+):
+    # each remainder block of re(zc1) plans at 15,745,024 nodes, but the
+    # remainder subtracts the matrix of the recovered estimate, a callable
+    # whose orders at D_remainder = 60 need 74,701,449
+    cfg = tmp_path / "n3.cfg"
+    cfg.write_text("geometry.n = 3\nsymbol.c = re(zc1)\ntruncation.D_eval = 40\n"
+                   "grid.tmax = 0.3\nschedule.radii = 1\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rule was built")
+
+    monkeypatch.setattr(toeplitz, "ball_rule", refuse)
+    code, out, err = run(capsys, ["suite", "--config", str(cfg), "--only", "quantization",
+                                  "--out", str(tmp_path / "runs")] + extra)
+    assert code == 1 and out == ""
+    assert "suite quantization: the recovery remainder of level 32" in err
+    assert "truncation.D_remainder = 60" in err and "74701449 nodes" in err

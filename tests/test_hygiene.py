@@ -248,8 +248,8 @@ def test_only_the_symbol_module_inspects_node_types():
     assert found == []
 
 
-def _scoped_calls(tree, is_target):
-    """(qualified scope, line) of every call whose callee ``is_target`` accepts."""
+def _scoped_nodes(tree, accepts):
+    """(qualified scope, line) of every node that ``accepts`` accepts."""
     found = []
 
     def walk(node, scope):
@@ -257,12 +257,17 @@ def _scoped_calls(tree, is_target):
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = scope + (child.name,)
-            if isinstance(child, ast.Call) and is_target(child.func):
+            if accepts(child):
                 found.append((".".join(scope), child.lineno))
             walk(child, inner)
 
     walk(tree, ())
     return found
+
+
+def _scoped_calls(tree, is_target):
+    """(qualified scope, line) of every call whose callee ``is_target`` accepts."""
+    return _scoped_nodes(tree, lambda node: isinstance(node, ast.Call) and is_target(node.func))
 
 
 def _np_diag_calls(tree):
@@ -481,3 +486,17 @@ def test_no_module_takes_an_fft():
                 if any("fft" in name.split(".") for name in names):
                     found.append(f"{path.name}:{node.lineno}: import")
     assert found == []
+
+
+def test_main_alone_echoes_and_reads_the_dry_run_flag():
+    """One plan step per subcommand: within the package ``_echo`` is
+    called only by ``cli.main``, and ``dry_run`` is read only there and in
+    ``cli.cmd_suite``, whose echo goes to the run directory."""
+    echoes, reads = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        echoes += [f"{path.name}: {scope}" for scope, _ in _name_calls(path, "_echo")]
+        reads |= {f"{path.name}: {scope}" for scope, _ in _scoped_nodes(
+            ast.parse(path.read_text()),
+            lambda node: isinstance(node, ast.Attribute) and node.attr == "dry_run")}
+    assert echoes == ["cli.py: main"]
+    assert sorted(reads) == ["cli.py: cmd_suite", "cli.py: main"]
