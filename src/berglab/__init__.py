@@ -5,6 +5,8 @@ spaces on the complex unit ball, decomposes them along quasi-homogeneous
 levels, and probes quantization and Fredholm behaviour numerically.
 """
 
+from types import ModuleType as _ModuleType
+
 from .berezin import (
     DecayTable,
     FredholmReport,
@@ -92,75 +94,6 @@ from .toeplitz import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssemblyPath",
-    "BallGeometry",
-    "BallRule",
-    "DecayTable",
-    "DomainError",
-    "ExperimentConfig",
-    "FactorizationReport",
-    "FredholmReport",
-    "GAUSS_JACOBI",
-    "LevelBlock",
-    "MONTE_CARLO",
-    "MatrixSymbol",
-    "MinSingularTable",
-    "OperatorMatrix",
-    "ProductSymbol",
-    "QuadratureSpec",
-    "RecoveredSymbol",
-    "RecoveryReport",
-    "SpectrumSample",
-    "SuiteResult",
-    "SymbolExpr",
-    "SymbolSyntaxError",
-    "TruncatedBasis",
-    "WeightedSpace",
-    "assembly_path",
-    "ball_rule",
-    "basis_norm_constant",
-    "berezin_of_operator",
-    "berezin_of_symbol",
-    "block_norms",
-    "boundary_vanishing_probe",
-    "classify_symbol",
-    "count_basis",
-    "default_config",
-    "default_radius_schedule",
-    "diagonal_values",
-    "enumerate_basis",
-    "essential_spectrum_sample",
-    "eval_on_points",
-    "export_matrix_csv",
-    "fredholm_index_report",
-    "gamma_sequence",
-    "gauss_jacobi_rule",
-    "kernel_coefficients",
-    "level_block_direct",
-    "level_layout",
-    "levels_up_to",
-    "load_config",
-    "dim_level",
-    "min_singular_probe",
-    "mobius",
-    "monomial_moment",
-    "monte_carlo_points",
-    "off_block_mass",
-    "operator_norm",
-    "parse_config_text",
-    "parse_symbol",
-    "quantization_probe",
-    "radial_toeplitz_diagonal",
-    "rebase_inner",
-    "recover_symbol_and_remainder",
-    "resolve_assembly_spec",
-    "run_all",
-    "semicommutator",
-    "summary_lines",
-    "symbol_to_text",
-    "toeplitz_matrix",
-    "toeplitz_matrix_with_stderr",
-    "verify_tensor_factorization",
-    "write_outputs",
-]
+# the public names are the names imported above, so each is listed once
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

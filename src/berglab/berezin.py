@@ -46,11 +46,11 @@ from .symbols import (
 from .toeplitz import (
     AssemblyPath,
     OperatorMatrix,
-    _require_budget,
     _diagonal_order,
     _singular_values,
     assembly_path,
     diagonal_values,
+    radial_table_order,
     toeplitz_matrix,
 )
 
@@ -350,12 +350,9 @@ def radial_expansion_degree(d: int, nu: float, t: float) -> int:
     s_exp = d + nu + 1.0
 
     def require(terms: int) -> None:
-        # the rule the profile callable takes where no exact sum holds
-        _require_budget(
-            (terms + 1) * _diagonal_order(None, 1, terms),
-            f"the radial Berezin expansion at |z|^2 = {t!r}",
-            "take a point farther from the sphere",
-        )
+        # the rule a profile callable takes, where no exact sum holds
+        radial_table_order(None, terms, f"the radial Berezin expansion at |z|^2 = {t!r}",
+                           "take a point farther from the sphere")
 
     # the cutoff lies past the mean degree s t / (1 - t): a mean past the
     # budget is refused before any mass is summed (the clip keeps int() finite)

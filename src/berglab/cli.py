@@ -52,6 +52,7 @@ from .symbols import (
     symbol_to_text,
 )
 from .toeplitz import (
+    _require_dense,
     assembly_path,
     export_matrix_csv,
     gamma_sequence,
@@ -178,6 +179,8 @@ def cmd_matrix(args: argparse.Namespace) -> _Plan:
     # assembling the request itself keeps every inner plan the recorded one
     path = assembly_path(expr, space, args.D, request)
     spec = path.spec
+    if args.out:  # the CSV lists every entry, a radial form's too
+        _require_dense(d, args.D)
     echo = {"symbol": args.symbol, "d": d, "mu": args.mu, "D": args.D,
             "scheme": spec.scheme, "seed": spec.seed, "size": count_basis(d, args.D)}
     if spec.scheme == GAUSS_JACOBI:
@@ -277,6 +280,7 @@ def cmd_berezin(args: argparse.Namespace) -> _Plan:
     z = _parse_point(args.z, args.d)
     space = WeightedSpace(args.d, args.mu, geometry=geometry)
     assembly_path(expr, space, args.D, spec)
+    _require_dense(args.d, args.D)  # the operator side reads the basis
     berezin_plan(expr, args.mu, z, spec, geometry=geometry)
 
     def run():

@@ -7,7 +7,10 @@ one layout ``core.level_layout``, an (hdim, K_inner) array of
 On a level, a product symbol's matrix is a small factor on the z'-slot
 (x) a Toeplitz matrix on the inner ball at weight mu = lam + |rho| + ell:
 the "levels" path of ``toeplitz_matrix`` builds it so, and the
-factorization check compares it with full-ball quadrature.
+factorization check compares it with full-ball quadrature.  A level
+block of a pure inner-variable symbol is that Toeplitz matrix alone, one
+``OperatorMatrix`` in whichever form its route gives: a radial c's is a
+radial form, its per-degree eigenvalues, at any cutoff.
 
 Recovery runs the Berezin transform over the available levels and, when
 several shifted weights are present, extrapolates the values to the
@@ -16,7 +19,6 @@ infinite-level limit through the node 1/(d + mu + 1) -> 0.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,12 +32,11 @@ from .core import (
     WeightedSpace,
     csv_lines,
     dim_level,
-    enumerate_basis,
     level_layout,
 )
 from .errors import DomainError
 from .quadrature import MONTE_CARLO, QuadratureSpec, SymbolLike
-from .symbols import ProductSymbol, SymbolExpr, is_radial, is_symbolic, rebase_inner
+from .symbols import ProductSymbol, SymbolExpr, is_symbolic, rebase_inner
 from .toeplitz import (
     OperatorMatrix,
     _diagonal_norm,
@@ -72,37 +73,33 @@ def _check_level(
 
 @dataclass(frozen=True)
 class LevelBlock:
-    """One invariant level rho of a torus-invariant operator, on the inner
-    ball at the level's weight ``mu`` (``BallGeometry.level_space``).
-
-    The factor acting on the inner d-ball at cutoff D is held in one of
-    two forms: a radial block from ``level_block_direct`` as its D + 1
-    per-degree ``eigenvalues`` (complex), any other as its ``matrix``.
-    For a pure inner-variable symbol the level is I (x) block.
-    ``block`` is built only when read, so a
-    radial block of any cutoff stays D + 1 values.  ``pair_entries`` is
-    always None: blocks are built on the inner ball, never compressed
-    from a full-ball matrix, but the benchmark tracer
-    (``perfbench/tracer.py``) reads the field on every block it counts.
+    """One invariant level rho of a torus-invariant operator: ``block``,
+    its factor on the inner ball at the level's weight ``mu``
+    (``BallGeometry.level_space``) and cutoff ``D``, whose ``mu``, ``d``
+    and ``D`` the block reads off it.  For a pure inner-variable symbol
+    the level is I (x) block.  A radial block is a radial form, its D + 1
+    per-degree values, at any cutoff.  ``pair_entries`` is always None:
+    blocks are built on the inner ball, never compressed from a full-ball
+    matrix, but the benchmark tracer (``perfbench/tracer.py``) reads the
+    field on every block it counts.
     """
 
     rho: Tuple[int, ...]
-    mu: float
     hdim: int
-    d: int
-    D: int
-    eigenvalues: Optional[np.ndarray] = field(repr=False, default=None)
-    matrix: Optional[OperatorMatrix] = field(repr=False, default=None)
+    block: OperatorMatrix = field(repr=False)
     pair_entries: Optional[np.ndarray] = field(repr=False, default=None)
 
-    @functools.cached_property
-    def block(self) -> OperatorMatrix:
-        """The inner matrix; a radial block's is the diagonal form of its
-        eigenvalues, one per basis row."""
-        if self.matrix is not None:
-            return self.matrix
-        basis = enumerate_basis(self.d, self.D, self.mu)
-        return OperatorMatrix.diagonal(basis, self.eigenvalues[basis.degrees])
+    @property
+    def mu(self) -> float:
+        return self.block.lam
+
+    @property
+    def d(self) -> int:
+        return self.block.d
+
+    @property
+    def D(self) -> int:
+        return self.block.D
 
 
 def off_block_mass(M: OperatorMatrix, geometry: BallGeometry) -> Tuple[float, float]:
@@ -133,25 +130,16 @@ def level_block_direct(
     """Build the level block of a pure inner-variable symbol directly.
 
     For such symbols the level acts as identity (x) T_c at the shifted
-    weight, so the block can be assembled on the inner ball without ever
-    materializing the full-ball matrix; this is how levels beyond any
-    practical full-ball cutoff are produced.  A radial c (``is_radial``,
-    the judgement ``assembly_path`` makes) gives its D_inner + 1
-    per-degree ``diagonal_values`` and builds no basis; any other c
-    assembles its inner matrix.
+    weight, so the block is ``toeplitz_matrix`` of c on the inner ball at
+    that weight, without ever materializing the full-ball matrix; this is
+    how levels beyond any practical full-ball cutoff are produced.  A
+    radial c gives a radial form of D_inner + 1 values and builds no
+    basis.
     """
     rho_t = _check_level(rho, geometry)
     c_inner = rebase_inner(c) if is_symbolic(c) else c
-    space = geometry.level_space(lam, rho_t)
-    hdim = dim_level(rho_t, geometry.k)
-    if is_symbolic(c_inner) and is_radial(c_inner):
-        # complex, as a diagonal form holds them: the Berezin sums then
-        # take the complex dot kernel whatever the profile's type
-        values = radial_toeplitz_diagonal(c_inner, space.d, space.lam, D_inner)
-        return LevelBlock(rho_t, space.lam, hdim, space.d, D_inner,
-                          eigenvalues=values.astype(complex))
-    matrix = toeplitz_matrix(c_inner, space, D_inner, spec)
-    return LevelBlock(rho_t, space.lam, hdim, space.d, D_inner, matrix=matrix)
+    block = toeplitz_matrix(c_inner, geometry.level_space(lam, rho_t), D_inner, spec)
+    return LevelBlock(rho_t, dim_level(rho_t, geometry.k), block)
 
 
 def block_norms(
@@ -332,7 +320,7 @@ class RecoveredSymbol:
     """Callable estimate of the inner symbol from a family of blocks.
 
     Each block's Berezin transform is its kernel-mass sum at |z|^2 over
-    its per-degree eigenvalues when the block is radial, its quadratic
+    its per-degree values when the block is a radial form, its quadratic
     form otherwise.  At each point the blocks whose truncation still
     resolves the kernel are kept; with two or more of them the values
     extrapolate through u = 1/(d + mu + 1) to u = 0, otherwise the largest
@@ -369,12 +357,12 @@ class RecoveredSymbol:
         table = np.zeros(usable.shape, dtype=complex)
         for j, blk in enumerate(self.blocks):
             rows = np.flatnonzero(usable[:, j])
-            if blk.eigenvalues is None:
+            if blk.block.per_degree is None:
                 table[rows, j] = [
                     berezin_of_operator(blk.block, blk.mu, z[i]) for i in rows
                 ]
             else:
-                table[rows, j] = radial_berezin_sum(blk.eigenvalues, s_exps[j], t[rows])
+                table[rows, j] = radial_berezin_sum(blk.block.per_degree, s_exps[j], t[rows])
         out = np.empty(z.shape[0], dtype=complex)
         for i in range(z.shape[0]):
             cols = np.flatnonzero(usable[i])
@@ -396,11 +384,12 @@ def recover_symbol_and_remainder(
 
     The symbol estimate feeds on the supplied blocks (the larger the
     weights and cutoffs, the better); each remainder is the block minus
-    the Toeplitz matrix of the estimate at the block's own weight.  A
-    radial block against an estimate from radial blocks alone takes the
-    largest gap between its eigenvalues and the estimate's, degree by
-    degree.  By default remainders are computed for the same blocks used
-    in the estimate; pass ``remainder_blocks`` to separate the two roles.
+    the Toeplitz matrix of the estimate at the block's own weight, and
+    its norm is ``operator_norm`` of the difference.  The estimate from
+    radial blocks alone is radial, and at a radial block it is held as a
+    radial form: the estimate's eigenvalues, degree by degree.  By default
+    remainders are computed for the same blocks used in the estimate;
+    pass ``remainder_blocks`` to separate the two roles.
     """
     spec = spec or QuadratureSpec()
     grid = np.asarray(grid, dtype=complex)
@@ -410,18 +399,18 @@ def recover_symbol_and_remainder(
     values = estimator(grid)
     # radial blocks make the estimate radial: its profile in |z| is its
     # value along the first axis
-    radial = all(b.eigenvalues is not None for b in estimator.blocks)
+    radial = all(b.block.per_degree is not None for b in estimator.blocks)
     axis = np.eye(1, estimator.d)
     targets = list(remainder_blocks) if remainder_blocks is not None else list(blocks)
     by_level: List[Tuple[Tuple[int, ...], float, int, float]] = []
     for blk in targets:
-        if radial and blk.eigenvalues is not None:
+        if radial and blk.block.per_degree is not None:
             per_degree = radial_toeplitz_diagonal(
                 lambda r: estimator(r * axis), blk.d, blk.mu, blk.D
             )
-            norm = _diagonal_norm(blk.eigenvalues - per_degree)
+            estimate = OperatorMatrix.radial(blk.d, blk.D, blk.mu, per_degree)
         else:
-            t_est = toeplitz_matrix(estimator, WeightedSpace(blk.d, blk.mu), blk.D, spec)
-            norm = operator_norm(blk.block - t_est)
+            estimate = toeplitz_matrix(estimator, WeightedSpace(blk.d, blk.mu), blk.D, spec)
+        norm = operator_norm(blk.block - estimate)
         by_level.append((blk.rho, float(blk.mu), blk.hdim, norm))
     return RecoveryReport(grid=grid, values=np.asarray(values), by_level=tuple(by_level))

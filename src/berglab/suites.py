@@ -61,7 +61,6 @@ from .symbols import (
     Const,
     ProductSymbol,
     SymbolExpr,
-    is_radial,
     parse_symbol,
     rebase_inner,
     symbol_to_text,
@@ -70,6 +69,7 @@ from .toeplitz import (
     assembly_path,
     gamma_sequence,
     operator_norm,
+    radial_table_order,
     semicommutator,
     toeplitz_matrix,
 )
@@ -764,11 +764,12 @@ _ALL_SUITES: Tuple[Tuple[str, Callable[[ExperimentConfig], SuiteResult]], ...] =
 )
 
 
-def _plan_or_refuse(what: str, plan: Callable[[], object]) -> None:
-    """Make one plan a suite will need (an ``assembly_path`` call); its
-    refusal names the suite and what needed the plan (``what``)."""
+def _plan_or_refuse(what: str, plan: Callable[[], object]) -> object:
+    """Make one plan a suite will need (an ``assembly_path`` call) and
+    return it; its refusal names the suite and what needed the plan
+    (``what``)."""
     try:
-        plan()
+        return plan()
     except DomainError as exc:
         raise DomainError(
             f"suite {what}: {exc}; or leave the suite out with --only"
@@ -788,12 +789,12 @@ def plan_suites(
     quantization suite is refused where ``berezin_plan`` refuses one of
     its Berezin transforms: c at each weight of the schedule on the error
     grid and at the boundary table's radii, and each symbol of the
-    Berezin-consistency probe at its weights and points.  With a
-    non-radial c it is refused as well where ``assembly_path`` refuses a
-    recovery block (a matrix over the desk budget), or the matrix of the
-    recovered estimate, a callable, at a remainder level (a product rule
-    over the node budget).  A radial c's blocks and remainders are
-    per-degree eigenvalues, with no matrix to plan.
+    Berezin-consistency probe at its weights and points.  It is refused
+    as well where ``assembly_path`` refuses a recovery block (a radial
+    moment table, or a matrix, over the desk budget), or where a
+    remainder level refuses the recovered estimate, a callable: on radial
+    blocks its moment table (``radial_table_order``), on any other its
+    matrix (a product rule over the node budget).
     """
     names = [name for name, _ in _ALL_SUITES]
     if only:
@@ -819,21 +820,25 @@ def plan_suites(
         return names
     c_in = rebase_inner(cfg.c_expr)
     pad = (0,) * (geo.m - 1)
-    if not is_radial(c_in):
-        # each remainder subtracts the matrix of the recovered estimate, a
-        # callable: any callable of unknown degree has the plan of this one
-        plans = (("block", c_in, "truncation.D_eval", cfg.eval_levels),
-                 ("block", c_in, "truncation.D_remainder", cfg.remainder_levels),
-                 ("remainder", as_point_function(c_in), "truncation.D_remainder",
-                  cfg.remainder_levels))
-        for what, sym, key, levels in plans:
-            for tot in levels:
-                _plan_or_refuse(
-                    f"quantization: the recovery {what} of level {tot} at "
-                    f"{key} = {cfg.settings[key]}",
-                    lambda: assembly_path(sym, geo.level_space(cfg.lam, (tot,) + pad),
-                                          cfg.settings[key], cfg.spec),
-                )
+    # each remainder subtracts the recovered estimate, a callable of unknown
+    # degree: on radial blocks its radial moment table, else its matrix
+    plans = (("block", c_in, "truncation.D_eval", cfg.eval_levels),
+             ("block", c_in, "truncation.D_remainder", cfg.remainder_levels),
+             ("remainder", as_point_function(c_in), "truncation.D_remainder",
+              cfg.remainder_levels))
+    kinds = set()
+    for what, sym, key, levels in plans:
+        D = cfg.settings[key]
+        for tot in levels:
+            space = geo.level_space(cfg.lam, (tot,) + pad)
+            plan = _plan_or_refuse(
+                f"quantization: the recovery {what} of level {tot} at {key} = {D}",
+                lambda: radial_table_order(sym, D, f"the radial moment table for degrees <= {D}")
+                if what == "remainder" and kinds == {"radial"}
+                else assembly_path(sym, space, D, cfg.spec),
+            )
+            if what == "block":
+                kinds.add(plan.kind)
     grid = _radial_grid(geo.d_inner, cfg.grid_tmax, cfg.grid_points)
     probe_mus, symbols, points = _consistency_probe(cfg)
     probes = [("Berezin error probe", c_in, cfg.mu_schedule, grid)]

@@ -29,9 +29,10 @@ values, built into buffers reused from chunk to chunk.  The second
 moment behind the standard errors is one S S^T product, S = |e|^2
 sqrt(w) |f| with |e|^2 taken as re^2 + im^2.  Symbols that only depend
 on group radii (or on |z|^2) skip quadrature over phases entirely and are
-assembled as diagonals, kept as their K values: an OperatorMatrix has a
-dense form and a diagonal form, and the diagonal one builds its K x K
-entries only when a caller asks for them.  Every diagonal value (radial
+assembled as diagonals: a radial symbol as its D + 1 per-degree values
+(an OperatorMatrix's radial form, which builds no basis), a group-radius
+one as its K values (its diagonal form); either builds its K x K entries
+only when a caller asks for them.  Every diagonal value (radial
 eigenvalues, the gamma of a level, the Berezin expansion's sequence)
 comes from ``diagonal_values``, whose profiles take the group radii.  A
 polynomial profile is exact: written in s_j = r_j^2 and u = 1 - |s|, its
@@ -40,8 +41,9 @@ rule; a level where that float sum cancels is summed again in exact
 rational arithmetic.  Other profiles (rational, with roots, callables,
 or too high a degree) take one rule: a Gauss-Jacobi table over the
 degrees for one group, a simplex rule per level for several.  Arrays
-past _MAX_DENSE_ENTRIES are refused before they are allocated, and so
-are diagonal forms whose dense form would be.
+past _MAX_DENSE_ENTRIES are refused before they are allocated: dense
+matrices, diagonal forms whose dense form would be, the basis of a
+radial form, and the one-group moment table (``radial_table_order``).
 
 A product symbol f = a(z' / sqrt(1 - |z''|^2)) c(z'') whose a-factor is
 invariant under the group torus is assembled level by level, by the
@@ -70,6 +72,7 @@ from .core import (
     TruncatedBasis,
     WeightedSpace,
     _check_weight,
+    basis_norm_constant,
     count_basis,
     csv_lines,
     enumerate_basis,
@@ -127,20 +130,31 @@ def _require_budget(
         )
 
 
+def _require_dense(d: int, D: int) -> None:
+    """Refuse the basis of the d-ball at cutoff D where its dense matrix
+    would pass the desk budget."""
+    k = count_basis(d, D)
+    _require_budget(k * k, f"a {k} x {k} matrix")
+
+
 class OperatorMatrix:
     """Compression of an operator to a truncated monomial basis.
 
     ``entries[i, j]`` is the coefficient of basis vector i in the image of
     basis vector j, i.e. row index = output (beta), column = input (alpha).
 
-    A matrix is stored dense, or, when built by ``diagonal``, as its K
-    diagonal values ``diag`` (None for a dense matrix).  A diagonal form
-    builds ``entries`` (``np.diag`` of the values) only on first access
-    and keeps it; the norm, the Berezin transform, the level checks and
-    products, sums and scalings of diagonal forms read ``diag`` instead.
+    A matrix is dense, diagonal (``diagonal``: its K values ``diag``, one
+    per row) or radial (``radial``: its D + 1 values ``per_degree``, one
+    per degree, None for the other forms).  A radial form holds d, D and
+    lam and builds its ``basis`` and ``diag`` (each row's degree's value)
+    only when read, under the desk budget; either diagonal form builds
+    ``entries`` (``np.diag`` of ``diag``) only on first access, and each
+    keeps what it built.  The norm, the Berezin transform, the level
+    checks and products, sums and scalings read the values instead, and
+    those of two radial forms stay radial.
     """
 
-    __slots__ = ("basis", "diag", "_dense")
+    __slots__ = ("d", "D", "lam", "per_degree", "_basis", "_diag", "_dense")
 
     def __init__(self, basis: TruncatedBasis, entries: np.ndarray) -> None:
         arr = np.asarray(entries, dtype=complex)
@@ -149,9 +163,12 @@ class OperatorMatrix:
             raise DomainError(
                 f"matrix shape {arr.shape} does not match the basis size {k}"
             )
-        self.basis = basis
-        self.diag: Optional[np.ndarray] = None
-        self._dense: Optional[np.ndarray] = arr
+        self._hold(basis.d, basis.D, basis.lam, basis=basis, dense=arr)
+
+    def _hold(self, d, D, lam, *, basis=None, diag=None, dense=None, per_degree=None):
+        self.d, self.D, self.lam, self.per_degree = d, D, lam, per_degree
+        self._basis, self._diag, self._dense = basis, diag, dense
+        return self
 
     @classmethod
     def diagonal(cls, basis: TruncatedBasis, values: Sequence[complex]) -> "OperatorMatrix":
@@ -163,12 +180,30 @@ class OperatorMatrix:
         vals = np.asarray(values, dtype=complex)
         if vals.shape != (basis.count,):
             raise DomainError("diagonal length does not match the basis")
-        _require_budget(basis.count**2, f"a {basis.count} x {basis.count} matrix")
-        out = cls.__new__(cls)
-        out.basis = basis
-        out.diag = vals
-        out._dense = None
-        return out
+        _require_dense(basis.d, basis.D)
+        return cls.__new__(cls)._hold(basis.d, basis.D, basis.lam, basis=basis, diag=vals)
+
+    @classmethod
+    def radial(cls, d: int, D: int, lam: float, values: Sequence[complex]) -> "OperatorMatrix":
+        """The radial operator acting on degree m as ``values[m]``, kept as
+        the D + 1 values, at any size."""
+        vals = np.asarray(values, dtype=complex)
+        if vals.shape != (D + 1,):
+            raise DomainError("radial values need one value per degree 0..D")
+        return cls.__new__(cls)._hold(d, D, lam, per_degree=vals)
+
+    @property
+    def basis(self) -> TruncatedBasis:
+        if self._basis is None:
+            _require_dense(self.d, self.D)
+            self._basis = enumerate_basis(self.d, self.D, self.lam)
+        return self._basis
+
+    @property
+    def diag(self) -> Optional[np.ndarray]:
+        if self._diag is None and self.per_degree is not None:
+            self._diag = self.per_degree[self.basis.degrees]
+        return self._diag
 
     @property
     def entries(self) -> np.ndarray:
@@ -178,7 +213,7 @@ class OperatorMatrix:
 
     @property
     def size(self) -> int:
-        return self.basis.count
+        return count_basis(self.d, self.D)
 
     def entry(self, beta: Sequence[int], alpha: Sequence[int]) -> complex:
         i, j = self.basis.index_of(beta), self.basis.index_of(alpha)
@@ -187,13 +222,16 @@ class OperatorMatrix:
         return complex(self.entries[i, j])
 
     def _require_same_basis(self, other: "OperatorMatrix") -> None:
-        b1, b2 = self.basis, other.basis
-        if (b1.d, b1.D, b1.lam) != (b2.d, b2.D, b2.lam) or b1.indices != b2.indices:
+        if (self.d, self.D, self.lam) != (other.d, other.D, other.lam):
             raise DomainError("operator matrices live on different bases")
 
     def _combine(self, other: "OperatorMatrix", diag_op, dense_op):
-        """diag_op of two diagonal forms stays diagonal; else dense_op."""
+        """diag_op of two radial forms stays radial, of two diagonal forms
+        diagonal; else dense_op."""
         self._require_same_basis(other)
+        if self.per_degree is not None and other.per_degree is not None:
+            values = diag_op(self.per_degree, other.per_degree)
+            return OperatorMatrix.radial(self.d, self.D, self.lam, values)
         if self.diag is not None and other.diag is not None:
             return OperatorMatrix.diagonal(self.basis, diag_op(self.diag, other.diag))
         return OperatorMatrix(self.basis, dense_op(self.entries, other.entries))
@@ -208,6 +246,8 @@ class OperatorMatrix:
         return self._combine(other, np.subtract, np.subtract)
 
     def __mul__(self, scalar: complex) -> "OperatorMatrix":
+        if self.per_degree is not None:
+            return OperatorMatrix.radial(self.d, self.D, self.lam, self.per_degree * scalar)
         if self.diag is not None:
             return OperatorMatrix.diagonal(self.basis, self.diag * scalar)
         return OperatorMatrix(self.basis, self.entries * scalar)
@@ -215,7 +255,8 @@ class OperatorMatrix:
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        form = "diagonal" if self.diag is not None else "dense"
+        form = ("radial" if self.per_degree is not None
+                else "diagonal" if self._diag is not None else "dense")
         return f"OperatorMatrix({form}, K={self.size})"
 
 
@@ -316,6 +357,18 @@ def _diagonal_order(a: SymbolLike, m: int, top: int) -> Optional[int]:
     return max(48, (top + degree) // 2 + 4) if m == 1 else max(24, degree)
 
 
+def radial_table_order(a: Optional[SymbolLike], top: int, what: str,
+                       advice: str = "lower the cutoff or the dimension",
+                       q: Optional[int] = None) -> Optional[int]:
+    """``q``, or ``_diagonal_order`` (None for exact sums), the rule order of
+    the one-group moment table of ``a`` over the degrees 0..top: the one
+    budget of radial eigenvalues, refusing as ``what`` a table of
+    (top + 1) x q entries (top + 1 for exact sums) past the desk budget."""
+    q = _diagonal_order(a, 1, top) if q is None else q
+    _require_budget((top + 1) * (q or 1), what, advice)
+    return q
+
+
 def _require_partition(k: Sequence[int], lam: float) -> Tuple[int, ...]:
     """The partition k as a tuple; refused if it has no group or an empty
     one, or if the weight lam is not a finite number above -1."""
@@ -408,9 +461,8 @@ def _radial_diagonal(
     rows in groups of up to 8, so each degree is reduced as a
     single-threaded product over the whole table would reduce it.
     """
-    _require_budget(
-        len(degrees) * q, f"the radial moment table for degrees <= {degrees.max()}"
-    )
+    top = int(degrees.max())
+    radial_table_order(profile, top, f"the radial moment table for degrees <= {top}", q=q)
     t, log_w = gauss_jacobi_log_rule(q, float(mu), float(d - 1))
     log_t = np.log(t)
     vals = evaluate_finite(profile, np.sqrt(t)[:, None])
@@ -663,7 +715,7 @@ class AssemblyPath:
     """The plan ``toeplitz_matrix`` follows for one request: its route and
     the orders of that route.
 
-    ``kind`` is "radial" (a diagonal of radial eigenvalues, one per
+    ``kind`` is "radial" (a radial form, its eigenvalues one per
     degree), "quasi_radial" (a diagonal of the gamma sequence, one value
     per level), "levels" (a product symbol, the rows of T_a times an
     inner-ball matrix of c on each level), "torus" (the product rule of
@@ -723,21 +775,31 @@ def assembly_path(
 ) -> AssemblyPath:
     """The route and orders ``toeplitz_matrix`` uses for this request.
 
-    Refuses, with a ``DomainError``, a basis whose dense matrix would
-    exceed the desk budget and a torus plan (an inner one too) whose
-    product rule would exceed the node budget, before anything of that
-    size is built, and a negative cutoff.  The plan sums and assembles
-    nothing.  A product symbol takes the levels where the spec is a rule,
-    its geometry splits this space's ball and its a-factor has group
-    winding zero on the z'-ball (a quasi-radial one does): the one
-    judgement of the level route.  Its factor is this function's plan of
-    a on the z'-ball.  The group radii of a symbol's geometry are moduli
-    on this space's ball only where its groups cover that ball.
+    Refuses, with a ``DomainError``, a negative cutoff and, before
+    anything of that size is built, a radial moment table past the desk
+    budget (``radial_table_order``), a basis whose dense matrix would
+    pass it (a radial form's only where read: its plan refuses a basis
+    norm past the float range instead, where the form fits the budget),
+    and a torus plan (an inner one too) whose product rule would exceed
+    the node budget.  The plan sums and assembles nothing.  A product symbol takes the levels where the
+    spec is a rule, its geometry splits this space's ball and its
+    a-factor has group winding zero on the z'-ball (a quasi-radial one
+    does): the one judgement of the level route.  Its factor is this
+    function's plan of a on the z'-ball.  The group radii of a symbol's
+    geometry are moduli on this space's ball only where its groups cover
+    that ball.
     """
     k = count_basis(space.d, D)
-    _require_budget(k * k, f"a {k} x {k} matrix")
     geometry = space.geometry
     resolved = resolve_assembly_spec(f, space.d, D, spec, geometry)
+    if (use_fast_paths and is_symbolic(f) and not isinstance(f, ProductSymbol)
+            and is_radial(f, geometry)):
+        q = radial_table_order(f, D, f"the radial moment table for degrees <= {D}")
+        if k * k <= _MAX_DENSE_ENTRIES:
+            even = [D // space.d + (j < D % space.d) for j in range(space.d)]
+            basis_norm_constant(even, space.d, space.lam)
+        return AssemblyPath("radial", resolved, (space.d,), q)
+    _require_dense(space.d, D)
     if use_fast_paths and isinstance(f, ProductSymbol):
         geo = f.geometry
         if spec.scheme != MONTE_CARLO and geo and geo.n == space.d and geo.d_inner >= 1:
@@ -750,13 +812,10 @@ def assembly_path(
                     for rho in levels_up_to(D, geo.m)
                 )
                 return AssemblyPath("levels", resolved, inner=inner, factor=factor)
-    elif use_fast_paths and is_symbolic(f):
-        if is_radial(f, geometry):
-            return AssemblyPath("radial", resolved, (space.d,), _diagonal_order(f, 1, D))
-        if (geometry is not None and sum(geometry.k) == space.d
-                and quasi_radial_profile(f, geometry.m) is not None):
-            q = _diagonal_order(f, geometry.m, D)
-            return AssemblyPath("quasi_radial", resolved, geometry.k, q)
+    elif (use_fast_paths and is_symbolic(f) and geometry is not None
+          and sum(geometry.k) == space.d and quasi_radial_profile(f, geometry.m) is not None):
+        q = _diagonal_order(f, geometry.m, D)
+        return AssemblyPath("quasi_radial", resolved, geometry.k, q)
     kind = "monte_carlo" if spec.scheme == MONTE_CARLO else "torus"
     if kind == "torus":
         require_rule_size(space.d, resolved.q, resolved.angular)
@@ -773,8 +832,8 @@ def toeplitz_matrix(
 ) -> OperatorMatrix:
     """Compression of the symbol's Toeplitz operator to degrees <= D.
 
-    Fast paths: radial symbols become diagonals of radial eigenvalues,
-    group-radius symbols become diagonals of the gamma sequence, product
+    Fast paths: radial symbols become radial forms, their D + 1
+    eigenvalues, group-radius symbols diagonals of the gamma sequence, product
     symbols whose a-factor is invariant under the group torus are
     assembled level by level (a diagonal form when T_a and every inner
     matrix are one), and on the torus and Monte Carlo paths only the
@@ -798,9 +857,12 @@ def _assemble(
     use_fast_paths: bool = True,
 ) -> OperatorMatrix:
     """The matrix of ``f`` along a path ``assembly_path`` chose for it."""
+    if path.kind == "radial":
+        values = diagonal_values(f, path.parts, space.lam, np.arange(D + 1), path.q)
+        return OperatorMatrix.radial(space.d, D, space.lam, values)
     basis = enumerate_basis(space.d, D, space.lam)
     geometry = space.geometry
-    if path.kind in ("radial", "quasi_radial"):
+    if path.kind == "quasi_radial":
         degrees = basis.group_degrees(path.parts)
         # the distinct rows, in lexicographic order, through one integer key each
         key = np.ravel_multi_index(degrees.T, degrees.max(axis=0) + 1)
@@ -936,12 +998,15 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
 def operator_norm(M: Union[OperatorMatrix, np.ndarray]) -> float:
     """Largest singular value.
 
-    A diagonal form gives the largest modulus of its values, without a
-    dense matrix.  Every dense matrix, at any size, gives the top value of
-    ``np.linalg.svd`` through ``_singular_values``, the route
-    ``min_singular_probe`` reads too; a non-finite matrix, or one the
-    decomposition does not converge on, raises a ``DomainError``.
+    A radial form gives the largest modulus of its D + 1 values, a
+    diagonal form of its K values, without a dense matrix.  Every dense
+    matrix, at any size, gives the top value of ``np.linalg.svd`` through
+    ``_singular_values``, the route ``min_singular_probe`` reads too; a
+    non-finite matrix, or one the decomposition does not converge on,
+    raises a ``DomainError``.
     """
+    if isinstance(M, OperatorMatrix) and M.per_degree is not None:
+        return _diagonal_norm(M.per_degree)
     if isinstance(M, OperatorMatrix) and M.diag is not None:
         return _diagonal_norm(M.diag)
     a = M.entries if isinstance(M, OperatorMatrix) else np.asarray(M, dtype=complex)
@@ -962,8 +1027,9 @@ def semicommutator(
     """Matrix of T_{c1} T_{c2} - T_{c1 c2} on the truncation.
 
     The product of compressions differs from the compressed product by
-    terms supported above the cutoff; for diagonal (radial) factors the
-    difference vanishes, the result is exact, and it is a diagonal form.
+    terms supported above the cutoff; for radial factors the difference
+    vanishes, the result is exact, and it is a radial form of D + 1
+    values at any cutoff.
     """
     t1 = toeplitz_matrix(c1, space, D, spec)
     t2 = toeplitz_matrix(c2, space, D, spec)

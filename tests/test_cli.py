@@ -14,10 +14,12 @@ from berglab import (
     diagonal_values,
     enumerate_basis,
     level_layout,
+    operator_norm,
     parse_symbol,
     toeplitz_matrix,
 )
 from berglab import quadrature, suites, toeplitz
+from berglab.core import format_float
 from berglab.cli import main
 
 
@@ -347,15 +349,29 @@ def test_matrix_sidecar_records_resolved_orders(capsys, tmp_path):
     assert np.array_equal(again.entries, written)
 
 
-def test_oversized_matrix_is_refused_before_allocating(capsys):
-    # d = 4, D = 40: K = 135,751, a 295 GB dense matrix on the radial path
-    start = time.perf_counter()
-    code, out, err = run(
-        capsys, ["matrix", "--symbol", "abs2(z)", "--d", "4", "--mu", "0", "--D", "40"]
-    )
-    assert time.perf_counter() - start < 1.0
-    assert code == 1
-    assert err.startswith("error:") and "desk budget" in err
+def test_oversized_matrix_is_refused_before_allocating(capsys, tmp_path):
+    # d = 4, D = 40: K = 135,751, a 295 GB dense matrix
+    argv = ["--d", "4", "--mu", "0", "--D", "40"]
+    out_csv = ["--out", str(tmp_path / "m.csv")]
+    berezin = ["berezin", "--symbol", "abs2(z)", "--z", "0,0,0,0"]
+    for cmd in (["matrix", "--symbol", "re(z1)"], ["matrix", "--symbol", "abs2(z)"] + out_csv,
+                ["matrix", "--symbol", "abs2(z)", "--dry-run"] + out_csv,
+                berezin, berezin + ["--dry-run"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, cmd + argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "desk budget" in err
+    assert not list(tmp_path.iterdir())
+    # a radial symbol answers from its 41 per-degree values
+    norm = format_float(operator_norm(toeplitz_matrix(
+        parse_symbol("abs2(z)", None), WeightedSpace(4, 0.0), 40, QuadratureSpec())))
+    for cmd in (["matrix", "--symbol", "abs2(z)"] + argv,
+                ["norm", "--symbol", "abs2(z)"] + argv):
+        code, out, err = run(capsys, cmd)
+        assert code == 0 and err == ""
+        last = out.splitlines()[-1]
+        assert last == (f"size = 135751, norm = {norm}" if cmd[0] == "matrix" else norm)
 
 
 @pytest.mark.parametrize(
@@ -675,6 +691,39 @@ def test_suite_refuses_a_non_radial_recovery_block_over_the_budget(
         capsys, ["suite", "--config", str(cfg), "--only", "quantization", "--dry-run"]
     )
     assert code == 0 and "truncation.D_eval = 1800" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "text, refusal",
+    [
+        # a rule-route c: each block's moment table at D_eval
+        ("symbol.c = 1/(2 - abs2(zc))\ntruncation.D_eval = 12000\n",
+         "the recovery block of level 32 at truncation.D_eval = 12000: the radial "
+         "moment table for degrees <= 12000 needs 72054004 entries"),
+        # the default c's exact blocks: the estimate's table at D_remainder
+        ("truncation.D_remainder = 12000\n",
+         "the recovery remainder of level 32 at truncation.D_remainder = 12000: the "
+         "radial moment table for degrees <= 12000 needs 72150012 entries"),
+    ],
+)
+def test_suite_refuses_a_radial_recovery_table_over_the_budget(
+    capsys, tmp_path, monkeypatch, text, refusal
+):
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(text)
+    out_dir = tmp_path / "runs"
+
+    def refuse(*args):
+        raise AssertionError("a radial moment table was summed before the plan refused it")
+
+    monkeypatch.setattr(toeplitz, "_radial_diagonal", refuse)
+    for extra in ([], ["--dry-run"]):
+        code, out, err = run(
+            capsys, ["suite", "--config", str(cfg), "--out", str(out_dir)] + extra
+        )
+        assert code == 1 and out == ""
+        assert f"suite quantization: {refusal} (over the" in err and "desk budget" in err
+    assert not out_dir.exists()
 
 
 def test_suite_refuses_a_berezin_probe_over_the_rule_budget(capsys, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -500,3 +501,26 @@ def test_main_alone_echoes_and_reads_the_dry_run_flag():
             lambda node: isinstance(node, ast.Attribute) and node.attr == "dry_run")}
     assert echoes == ["cli.py: main"]
     assert sorted(reads) == ["cli.py: cmd_suite", "cli.py: main"]
+
+
+def test_one_operator_type_holds_a_radial_operator():
+    """One representation of a radial operator, the radial form of
+    ``OperatorMatrix``: a ``LevelBlock`` holds its inner operator as one
+    field, ``level_block_direct`` is one ``toeplitz_matrix`` call and judges
+    no route (no ``is_radial`` or ``radial_toeplitz_diagonal`` call),
+    ``plan_suites`` takes the route of a recovery block from its plan (no
+    ``is_radial`` call), and outside toeplitz.py only the remainder of a
+    radial estimate calls ``radial_toeplitz_diagonal``."""
+    fields = {f.name for f in dataclasses.fields(berglab.LevelBlock)}
+    assert fields == {"rho", "hdim", "block", "pair_entries"}
+
+    def scopes(path, name):
+        return [scope for scope, _ in _name_calls(SRC / path, name)]
+
+    assert scopes("levels.py", "toeplitz_matrix").count("level_block_direct") == 1
+    for name in ("is_radial", "radial_toeplitz_diagonal"):
+        assert "level_block_direct" not in scopes("levels.py", name)
+    assert "plan_suites" not in scopes("suites.py", "is_radial")
+    found = [f"{path.name}: {scope}" for path in _package_paths() if path.name != "toeplitz.py"
+             for scope in scopes(path.name, "radial_toeplitz_diagonal")]
+    assert found == ["levels.py: recover_symbol_and_remainder"]

@@ -346,7 +346,7 @@ def test_recovery_of_a_non_radial_symbol():
     spec = QuadratureSpec()
     c = parse_symbol("re(z1) + 1 - abs2(z)", None)
     blocks = [level_block_direct(c, g, 0.0, (r,), 40, spec) for r in (16, 24, 32)]
-    assert all(b.eigenvalues is None for b in blocks)
+    assert all(b.block.per_degree is None and b.block.diag is None for b in blocks)
     rem = [level_block_direct(c, g, 0.0, (16,), 8, spec)]
     grid = np.array([[0.0], [0.3], [0.2 + 0.3j]])
     report = recover_symbol_and_remainder(blocks, grid, spec, remainder_blocks=rem)
@@ -420,15 +420,14 @@ def test_group_invariance_without_axis_winding():
 
 def _dense_block(blk):
     """The same block held as a dense matrix: it takes the quadratic form."""
-    dense = OperatorMatrix(blk.block.basis, blk.block.entries)
-    return dataclasses.replace(blk, eigenvalues=None, matrix=dense)
+    return dataclasses.replace(blk, block=OperatorMatrix(blk.block.basis, blk.block.entries))
 
 
 def test_diagonal_blocks_give_the_dense_blocks_recovery():
-    """A radial block's stored eigenvalues are the diagonal of its Toeplitz
-    matrix, degree by degree, and their kernel-mass sums give the values
-    the same block gives through the dense quadratic form, on the disk
-    and on the 2-ball."""
+    """A radial block is a radial form, its D + 1 eigenvalues, whose rows
+    are the diagonal of its Toeplitz matrix, and their kernel-mass sums
+    give the values the same block gives through the dense quadratic
+    form, on the disk and on the 2-ball."""
     spec = QuadratureSpec()
     c = parse_symbol("(1+i)*(1 - abs2(zc)) + 0.5*abs2(zc)^2", None)
     c_inner = parse_symbol("(1+i)*(1 - abs2(z)) + 0.5*abs2(z)^2", None)
@@ -440,9 +439,11 @@ def test_diagonal_blocks_give_the_dense_blocks_recovery():
             grid[2:, 1] = [-0.3j, 0.2]
         for r in (16, 12, 8):
             blk = level_block_direct(c, g, 0.0, (r,), D, spec)
-            assert blk.eigenvalues.dtype == complex and blk.eigenvalues.shape == (D + 1,)
-            assert blk.matrix is None and "block" not in vars(blk)
+            values = blk.block.per_degree
+            assert values.dtype == complex and values.shape == (D + 1,)
+            assert blk.block._basis is None and blk.block._diag is None
             t_c = toeplitz_matrix(c_inner, g.level_space(0.0, (r,)), D, spec)
+            assert np.array_equal(values, t_c.per_degree)
             assert np.array_equal(blk.block.diag, t_c.diag)
             dense = _dense_block(blk)
             assert dense.block.diag is None
@@ -461,12 +462,12 @@ def test_deep_radial_recovery_never_builds_a_dense_block():
     tracemalloc.start()
     try:
         blk = level_block_direct(c, g, 0.0, (32,), 1800, spec)
-        assert blk.eigenvalues is not None
+        assert blk.block.per_degree.shape == (1801,)
         report = recover_symbol_and_remainder([blk], grid, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "block" not in vars(blk)
+    assert blk.block._basis is None and blk.block._dense is None
     assert blk.block.basis.count == k
     assert peak < k * k * 16 / 10
     assert len(report.by_level) == 1 and np.isfinite(report.max_remainder())
@@ -480,7 +481,6 @@ def test_deep_recovery_on_an_inner_two_ball_builds_no_basis(monkeypatch):
     def refuse(*args):
         raise AssertionError("a basis was built")
 
-    monkeypatch.setattr(levels_module, "enumerate_basis", refuse)
     monkeypatch.setattr(toeplitz_module, "enumerate_basis", refuse)
     g = BallGeometry(3, 1, (1,))
     spec = QuadratureSpec()

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,10 +19,12 @@ from berglab import (
     assembly_path,
     berezin_of_operator,
     berezin_of_symbol,
+    block_norms,
     export_matrix_csv,
     diagonal_values,
     gamma_sequence,
     level_block_direct,
+    off_block_mass,
     operator_norm,
     parse_symbol,
     radial_toeplitz_diagonal,
@@ -31,9 +34,9 @@ from berglab import (
 )
 from berglab import quadrature, toeplitz
 from berglab.cli import main
-from berglab.core import enumerate_basis
+from berglab.core import count_basis, enumerate_basis
 from berglab.quadrature import MONTE_CARLO
-from berglab.symbols import profile_form, quasi_radial_profile
+from berglab.symbols import BinOp, profile_form, quasi_radial_profile
 from polynomial_reference import expand_polynomial
 
 
@@ -330,9 +333,19 @@ def test_oversized_dense_matrices_are_refused():
     basis = enumerate_basis(1, 8192, 0.0)
     with pytest.raises(DomainError, match="desk budget"):
         OperatorMatrix.diagonal(basis, np.ones(basis.count))
+    space = WeightedSpace(4, 0.0)  # K = 135,751 at D = 40
     with pytest.raises(DomainError, match="desk budget"):
-        f = parse_symbol("abs2(z)", None)
-        toeplitz_matrix(f, WeightedSpace(4, 0.0), 40, QuadratureSpec())
+        toeplitz_matrix(parse_symbol("re(z1)", None), space, 40, QuadratureSpec())
+    # a radial symbol answers from its D + 1 values; its dense views refuse
+    f = parse_symbol("abs2(z)", None)
+    m = toeplitz_matrix(f, space, 40, QuadratureSpec())
+    assert m.size == 135_751 and m.per_degree.shape == (41,)
+    values = radial_toeplitz_diagonal(f, 4, 0.0, 40)
+    assert operator_norm(m) == float(np.max(np.abs(values))) > 0.0
+    for read in (lambda: m.entries, lambda: m.basis, lambda: m.diag,
+                 lambda: berezin_of_operator(m, 0.0, np.zeros(4))):
+        with pytest.raises(DomainError, match="desk budget"):
+            read()
     with pytest.raises(DomainError, match="desk budget"):
         radial_toeplitz_diagonal(lambda r: r[:, 0] ** 2, 1, 0.0, 20_000)
 
@@ -750,3 +763,82 @@ def test_high_powers_take_the_rule_before_anything_is_expanded():
     got = radial_toeplitz_diagonal(g, 4, 0.0, 4)
     want = np.array([_rational_eigenvalue(coefs, 4, 0.0, m) for m in range(5)])
     assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+def _per_row_form(f, space, D):
+    """The diagonal form of f's radial values at each basis row's degree."""
+    basis = enumerate_basis(space.d, D, space.lam)
+    values = toeplitz_matrix(f, space, D, QuadratureSpec()).per_degree
+    return OperatorMatrix.diagonal(basis, values[basis.degrees])
+
+
+@pytest.mark.parametrize("d, D", [(1, 0), (1, 60), (2, 7), (2, 60)])
+def test_radial_form_gives_the_bits_of_the_per_row_diagonal(d, D):
+    """A radial form, its D + 1 values, and the diagonal form of those
+    values at each row's degree give the same bits through every reader:
+    rows, entries, norms, products, sums, scalings, the semicommutator,
+    the level checks and the Berezin transform.  The rows are also the
+    values ``diagonal_values`` gives every row on its own, exact (a complex
+    polynomial) and by rule."""
+    spec = QuadratureSpec()
+    space = WeightedSpace(d, 0.5)
+    geo = BallGeometry(d, 1, (1,))
+    texts = ("(1+i)*(1 - abs2(z)) + 0.5*abs2(z)^2", "1/(2 - abs2(z))")
+    f, g = (parse_symbol(t, None) for t in texts)
+    rf, rg = (toeplitz_matrix(s, space, D, spec) for s in (f, g))
+    pf, pg = (_per_row_form(s, space, D) for s in (f, g))
+    basis = pf.basis
+    for r, p, s in ((rf, pf, f), (rg, pg, g)):
+        assert r.per_degree.shape == (D + 1,) and p.per_degree is None
+        assert r.size == p.size == basis.count
+        rows = diagonal_values(s, (d,), space.lam, basis.degrees).astype(complex)
+        assert np.array_equal(r.diag, rows) and np.array_equal(r.diag, p.diag)
+        assert np.array_equal(r.entries, p.entries)
+        assert operator_norm(r) == operator_norm(p)
+        assert block_norms(r, geo) == block_norms(p, geo)
+        assert off_block_mass(r, geo) == off_block_mass(p, geo)
+        for z in (np.zeros(d), np.full(d, 0.3 + 0.2j), np.linspace(0.5, 0.1, d)):
+            assert berezin_of_operator(r, space.lam, z) == berezin_of_operator(p, space.lam, z)
+        last = basis.indices[-1]
+        for beta, alpha in ((basis.indices[0],) * 2, (last, last), (basis.indices[0], last)):
+            assert r.entry(beta, alpha) == p.entry(beta, alpha)
+    for r, p in ((rf @ rg, pf @ pg), (rf + rg, pf + pg), (rf - rg, pf - pg),
+                 (rf * 2.5j, pf * 2.5j), (0.5 * rg, 0.5 * pg)):
+        assert r.per_degree is not None and np.array_equal(r.diag, p.diag)
+    with pytest.raises(DomainError, match="different bases"):
+        rf + toeplitz_matrix(f, WeightedSpace(d, 1.5), D, spec)
+    semi = semicommutator(f, g, space, D, spec)
+    ref = pf @ pg - _per_row_form(BinOp("*", f, g), space, D)
+    assert semi.per_degree is not None and np.array_equal(semi.diag, ref.diag)
+    assert operator_norm(semi) == operator_norm(ref)
+
+
+def test_a_deep_radial_semicommutator_builds_no_basis(monkeypatch):
+    """On the 2-ball at D = 200 the dense form has K = 20,301 rows, past the
+    desk budget, but the semicommutator of 1 - abs2(z) with itself answers
+    from its 201 values; the exact route's values do not depend on the
+    range, so its degrees <= 60 are the D = 60 result bitwise."""
+
+    def refuse(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(toeplitz, "enumerate_basis", refuse)
+    c = parse_symbol("1 - abs2(z)", None)
+    space = WeightedSpace(2, 1.0)
+    tracemalloc.start()
+    try:
+        deep = semicommutator(c, c, space, 200, QuadratureSpec())
+        norm = operator_norm(deep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = count_basis(2, 200)
+    assert rows == 20_301
+    # one value per row would take 16 bytes a row
+    assert peak < rows * 16 / 4
+    assert deep.per_degree.shape == (201,) and deep.size == rows
+    shallow = semicommutator(c, c, space, 60, QuadratureSpec())
+    assert np.array_equal(deep.per_degree[:61], shallow.per_degree)
+    assert norm == float(np.max(np.abs(deep.per_degree))) > 0.0
+    with pytest.raises(DomainError, match="desk budget"):
+        deep.entries
