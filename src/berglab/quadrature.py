@@ -40,7 +40,12 @@ _MAX_RULE_NODES = 20_000_000
 
 # values in one streamed block (about 0.5 MB of doubles, cache-sized): the
 # nodes of a torus slab, a tile of its gathered phase coefficients, a chunk
-# of Monte Carlo monomial values, a block of radial moments or kernel masses
+# of Monte Carlo monomial values, a block of radial moments or kernel masses;
+# and the multiply-adds of one phase-stage product or one Monte Carlo node
+# block product.  OpenBLAS's zgemm runs a product of up to 2^16 multiply-adds
+# on one thread (OpenBLAS 0.3.31, 2 cores: 35 * 35 * 53 = 64,925 on one,
+# 35 * 35 * 54 = 66,150 on two), so products within the budget never wake a
+# second BLAS thread
 _BLOCK_VALUES = 1 << 16
 
 

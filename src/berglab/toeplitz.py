@@ -26,24 +26,29 @@ table row, then its norm.  One draw of samples per spec is kept and
 shared; the symbol is evaluated on it once, every sample weighs 1/n,
 and the samples are taken in chunks of at most _BLOCK_VALUES monomial
 values, built into buffers reused from chunk to chunk.  The second
-moment behind the standard errors is one S S^T product, S = |e|^2
-sqrt(w) |f| with |e|^2 taken as re^2 + im^2.  Symbols that only depend
-on group radii (or on |z|^2) skip quadrature over phases entirely and are
-assembled as diagonals: a radial symbol as its D + 1 per-degree values
-(an OperatorMatrix's radial form, which builds no basis), a group-radius
-one as its K values (its diagonal form); either builds its K x K entries
-only when a caller asks for them.  Every diagonal value (radial
-eigenvalues, the gamma of a level, the Berezin expansion's sequence)
-comes from ``diagonal_values``, whose profiles take the group radii.  A
-polynomial profile is exact: written in s_j = r_j^2 and u = 1 - |s|, its
-terms c s^p u^l give each value as a sum of Pochhammer ratios, with no
-rule; a level where that float sum cancels is summed again in exact
-rational arithmetic.  Other profiles (rational, with roots, callables,
-or too high a degree) take one rule: a Gauss-Jacobi table over the
-degrees for one group, a simplex rule per level for several.  Arrays
-past _MAX_DENSE_ENTRIES are refused before they are allocated: dense
-matrices, diagonal forms whose dense form would be, the basis of a
-radial form, and the one-group moment table (``radial_table_order``).
+moment behind the standard errors is the S S^T product, S = |e|^2
+sqrt(w) |f| with |e|^2 taken as re^2 + im^2.  While
+K^3 <= 2 _BLOCK_VALUES a chunk's two products are taken in node blocks
+of _BLOCK_VALUES // K^2 samples (one stacked product, then a sum over
+blocks), so none is more than _BLOCK_VALUES multiply-adds and OpenBLAS
+runs each on one thread; a larger K keeps one product a chunk.  Symbols
+that only depend on group radii (or on |z|^2) skip quadrature over
+phases entirely and are assembled as diagonals: a radial symbol as its
+D + 1 per-degree values (an OperatorMatrix's radial form, which builds
+no basis), a group-radius one as its K values (its diagonal form);
+either builds its K x K entries only when a caller asks for them.  Every
+diagonal value (radial eigenvalues, the gamma of a level, the Berezin
+expansion's sequence) comes from ``diagonal_values``, whose profiles
+take the group radii.  A polynomial profile is exact: written in
+s_j = r_j^2 and u = 1 - |s|, its terms c s^p u^l give each value as a
+sum of Pochhammer ratios, with no rule; a level where that float sum
+cancels is summed again in exact rational arithmetic.  Other profiles
+(rational, with roots, callables, or too high a degree) take one rule: a
+Gauss-Jacobi table over the degrees for one group, a simplex rule per
+level for several.  Arrays past _MAX_DENSE_ENTRIES are refused before
+they are allocated: dense matrices, diagonal forms whose dense form
+would be, the basis of a radial form, and the one-group moment table
+(``radial_table_order``).
 
 A product symbol f = a(z' / sqrt(1 - |z''|^2)) c(z'') whose a-factor is
 invariant under the group torus is assembled level by level, by the
@@ -552,6 +557,33 @@ def _sample_points(d: int, lam: float, n: int, seed: int) -> np.ndarray:
     return z
 
 
+def _add_node_products(acc: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """acc += a @ b.T, the (K, m) node values a and b contracted over nodes.
+
+    While a block is long enough to pay (K^3 <= 2 _BLOCK_VALUES, so a
+    block holds about K / 2 nodes or more) the nodes are taken in blocks
+    of nb = _BLOCK_VALUES // K^2: every full block in one stacked product,
+    a short last block in one more, and then the sum over blocks.  No
+    product is then more than _BLOCK_VALUES multiply-adds, the size past
+    which OpenBLAS wakes a second thread, and the stacked partial sums are
+    about K^3 values.  A larger K keeps one product of the whole chunk.
+    """
+    k, m = a.shape
+    nb = _BLOCK_VALUES // (k * k)
+    if k**3 > 2 * _BLOCK_VALUES or nb >= m:
+        acc += np.matmul(a, b.T)
+        return
+    full = m // nb * nb
+    # (blocks, K, nb) @ (blocks, nb, K): views of the chunk, no copy
+    blocks = np.matmul(
+        a[:, :full].reshape(k, -1, nb).transpose(1, 0, 2),
+        b[:, :full].reshape(k, -1, nb).transpose(1, 2, 0),
+    )
+    acc += blocks.sum(axis=0)
+    if full < m:
+        acc += np.matmul(a[:, full:], b[:, full:].T)
+
+
 def _node_sums(
     nodes: np.ndarray,
     weights: Union[float, np.ndarray],
@@ -569,7 +601,10 @@ def _node_sums(
     chunk from those values (elementwise, so the bits of a whole-set
     product).  Nodes are taken in chunks of at most _BLOCK_VALUES
     monomial values (never fewer than one node), each built into the same
-    preallocated buffers.
+    preallocated buffers.  Both moments of a chunk are contracted by
+    ``_add_node_products``: in node blocks of at most _BLOCK_VALUES
+    multiply-adds for K <= 50, so OpenBLAS stays on one thread, and as
+    one product for a larger K.
     """
     k = basis.count
     total = nodes.shape[0]
@@ -593,9 +628,9 @@ def _node_sums(
             np.multiply(v.imag, v.imag, out=im2)
             s += im2
             s *= np.sqrt(w) * np.abs(fv[start:stop])
-            acc2 += s @ s.T  # one symmetric rank-k update (syrk)
+            _add_node_products(acc2, s, s)  # symmetric: syrk per block
         np.multiply(v, w * fv[start:stop], out=work)
-        acc += np.conjugate(v, out=v) @ work.T
+        _add_node_products(acc, np.conjugate(v, out=v), work)
     return acc, acc2
 
 

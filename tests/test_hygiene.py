@@ -524,3 +524,21 @@ def test_one_operator_type_holds_a_radial_operator():
     found = [f"{path.name}: {scope}" for path in _package_paths() if path.name != "toeplitz.py"
              for scope in scopes(path.name, "radial_toeplitz_diagonal")]
     assert found == ["levels.py: recover_symbol_and_remainder"]
+
+
+def test_monte_carlo_node_sums_take_their_products_in_one_helper():
+    """Node-blocked Monte Carlo products: ``toeplitz._node_sums`` takes no
+    product itself (no ``@``, ``np.matmul`` or ``np.dot``) and hands both
+    moments of a chunk to ``_add_node_products``, which keeps each product
+    within _BLOCK_VALUES multiply-adds (see test_mc_assembly.py)."""
+    tree = ast.parse((SRC / "toeplitz.py").read_text())
+    products = _scoped_nodes(
+        tree,
+        lambda node: (isinstance(node, (ast.BinOp, ast.AugAssign))
+                      and isinstance(node.op, ast.MatMult))
+        or (isinstance(node, ast.Attribute) and node.attr in {"matmul", "dot"}),
+    )
+    assert "_node_sums" not in {scope for scope, _ in products}
+    assert "_add_node_products" in {scope for scope, _ in products}
+    helper = [scope for scope, _ in _name_calls(SRC / "toeplitz.py", "_add_node_products")]
+    assert helper == ["_node_sums", "_node_sums"]

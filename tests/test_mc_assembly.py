@@ -1,10 +1,14 @@
-"""Monte Carlo assembly: prefix-row monomials, in cache-sized chunks.
+"""Monte Carlo assembly: prefix-row monomials, in cache-sized chunks,
+contracted in node blocks.
 
 The reference below is the earlier kernel: one (n, K) Vandermonde matrix
 per chunk, gathered column-wise from per-axis power tables, contracted
 with itself, and |v|^2 for the second moment.  The row kernel must give
 the same entries and standard errors on the same samples, and one spec
-draws its samples once.
+draws its samples once.  A chunk's products are taken in node blocks of
+_BLOCK_VALUES // K^2 samples while K^3 <= 2 _BLOCK_VALUES (K = 35 and 45
+here), so no product passes _BLOCK_VALUES multiply-adds, and as one
+product past that cut (K = 84); both sides must match the reference.
 """
 
 import tracemalloc
@@ -118,10 +122,30 @@ def test_row_kernel_keeps_the_gathered_bits():
                 assert np.array_equal(got, _gathered_vandermonde(nodes, basis)), (d, D)
 
 
-def _one_node_chunks_keep_the_entries(monkeypatch, d, text):
+def _record_products(monkeypatch):
+    """The (a, b) shapes of every ``np.matmul`` call from now on."""
+    seen = []
+    matmul = np.matmul
+
+    def recorded(a, b, *args, **kwargs):
+        seen.append((a.shape, b.shape))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    return seen
+
+
+def _multiply_adds(a_shape, b_shape):
+    """Multiply-adds of one product of a stack: m * p * n."""
+    assert a_shape[-1] == b_shape[-2]
+    return a_shape[-2] * a_shape[-1] * b_shape[-1]
+
+
+def _one_node_chunks_keep_the_entries(monkeypatch, d, text, blocked_values):
     f = parse_symbol(text, None)
     space = WeightedSpace(d, 0.0)
     spec = _mc(4000)
+    k = enumerate_basis(d, 4, 0.0).count
     whole, whole_se = toeplitz_matrix_with_stderr(f, space, 4, spec)
     monkeypatch.setattr(toeplitz, "_BLOCK_VALUES", 7)  # one node per chunk
     rows = toeplitz._monomial_rows
@@ -137,13 +161,65 @@ def _one_node_chunks_keep_the_entries(monkeypatch, d, text):
     assert _rel_dev(chunked.entries, whole.entries) <= 1e-14
     assert _rel_dev(chunked_se, whole_se) <= 1e-14
 
+    # several node blocks to a chunk, the last one short
+    nb = blocked_values // (k * k)
+    chunk = blocked_values // k
+    assert k**3 <= 2 * blocked_values and chunk // nb >= 2 and chunk % nb
+    monkeypatch.setattr(toeplitz, "_BLOCK_VALUES", blocked_values)
+    products = _record_products(monkeypatch)
+    blocked, blocked_se = toeplitz_matrix_with_stderr(f, space, 4, spec)
+    stacks = [a for a, _ in products if len(a) == 3]
+    assert stacks[0] == (chunk // nb, k, nb) and all(a[2] == nb for a in stacks)
+    assert any(a == (k, chunk % nb) for a, _ in products)
+    assert max(_multiply_adds(a, b) for a, b in products) <= blocked_values
+    assert _rel_dev(blocked.entries, whole.entries) <= 1e-14
+    assert _rel_dev(blocked_se, whole_se) <= 1e-14
+
 
 def test_chunk_size_does_not_change_entries(monkeypatch):
-    _one_node_chunks_keep_the_entries(monkeypatch, 2, "z1^2*conj(z2) + 1/(2 - abs2(z))")
+    # K = 15: 8-node blocks, 133-node chunks
+    _one_node_chunks_keep_the_entries(
+        monkeypatch, 2, "z1^2*conj(z2) + 1/(2 - abs2(z))", 2000)
 
 
 def test_chunk_size_does_not_change_entries_on_the_3_ball(monkeypatch):
-    _one_node_chunks_keep_the_entries(monkeypatch, 3, "z1^2*conj(z3) + 1/(2 - abs2(z))")
+    # K = 35: 17-node blocks, 628-node chunks
+    _one_node_chunks_keep_the_entries(
+        monkeypatch, 3, "z1^2*conj(z3) + 1/(2 - abs2(z))", 22_000)
+
+
+@pytest.mark.parametrize("D, k, blocked", [(4, 35, True), (6, 84, False)])
+def test_both_sides_of_the_node_block_cut_match_the_reference(monkeypatch, D, k, blocked):
+    # 4,001 samples: a short last chunk, and at K = 35 a short last block
+    f = parse_symbol("(0.2 + 0.1*i)*z3^2*conj(z2) + conj(z1)^3 + 1/(2 - abs2(z))", None)
+    space = WeightedSpace(3, 0.5)
+    spec = _mc(4001, 7)
+    products = _record_products(monkeypatch)
+    m, se = toeplitz_matrix_with_stderr(f, space, D, spec)
+    ref, ref_se = _reference_with_stderr(f, space, D, spec)
+    assert m.size == k
+    chunk = toeplitz._BLOCK_VALUES // k
+    assert 4001 % chunk
+    if blocked:
+        nb = toeplitz._BLOCK_VALUES // (k * k)
+        assert (4001 % chunk) % nb
+        assert max(_multiply_adds(a, b) for a, b in products) <= toeplitz._BLOCK_VALUES
+    else:  # one product per moment and chunk
+        assert len(products) == 2 * -(-4001 // chunk)
+        assert {a[1] for a, _ in products} == {chunk, 4001 % chunk}
+    assert _rel_dev(m.entries, ref) <= 1e-13
+    assert _rel_dev(se, ref_se) <= 1e-13
+
+
+@pytest.mark.parametrize("d, D, k", [(3, 4, 35), (2, 8, 45)])
+def test_every_node_product_stays_within_the_block_budget(monkeypatch, d, D, k):
+    # K = 35 is the benchmark's Monte Carlo basis; K = 45 the full route of
+    # the default factorization check (n = 2, D = 8) under sampling
+    f = parse_symbol("z1*conj(z2) + 1/(2 - abs2(z))", None)
+    products = _record_products(monkeypatch)
+    m, _ = toeplitz_matrix_with_stderr(f, WeightedSpace(d, 0.0), D, _mc(20_000))
+    assert m.size == k and products
+    assert max(_multiply_adds(a, b) for a, b in products) <= toeplitz._BLOCK_VALUES
 
 
 @pytest.fixture
