@@ -120,7 +120,7 @@ _FLAGS = {
     "--config": dict(help="config file supplying defaults"),
     "--out": dict(help="output file or directory"),
     "--seed": dict(type=int, default=None, help="RNG seed"),
-    "--threads": dict(type=int, default=None, help="worker pool size (0 = cores)"),
+    "--threads": dict(type=int, default=None, help="factorization pair pool size (0 = cores)"),
     "--tol": dict(type=float, default=None, help="tolerance override"),
 }
 

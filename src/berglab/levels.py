@@ -173,12 +173,12 @@ class FactorizationReport:
     tol: float
     passed: bool
     monte_carlo: bool = False
-    max_se_ratio: float = 0.0
+    max_se_ratio: float = 0.0  # max dev / (5 SE): the sampling gate passes at <= 1
 
     def summary(self) -> str:
         status = "ok" if self.passed else "FAIL"
         extra = (
-            f" (max dev / SE = {self.max_se_ratio:.2f})" if self.monte_carlo else ""
+            f" (max dev/(5 SE) = {self.max_se_ratio:.2f})" if self.monte_carlo else ""
         )
         return (
             f"rho={self.rho}: max |full - levels| = {self.max_deviation:.3e} "

@@ -45,7 +45,9 @@ _MAX_RULE_NODES = 20_000_000
 # block product.  OpenBLAS's zgemm runs a product of up to 2^16 multiply-adds
 # on one thread (OpenBLAS 0.3.31, 2 cores: 35 * 35 * 53 = 64,925 on one,
 # 35 * 35 * 54 = 66,150 on two), so products within the budget never wake a
-# second BLAS thread
+# second BLAS thread.  Monte Carlo assembly puts the core that leaves idle
+# to work with one helper thread of its own, which contracts a chunk's node
+# blocks while the next chunk is built
 _BLOCK_VALUES = 1 << 16
 
 

@@ -467,7 +467,7 @@ def run_factorization_suite(cfg: ExperimentConfig) -> SuiteResult:
         ok = all(r.passed for r in reports)
         if cfg.spec.scheme == MONTE_CARLO:
             ratio = max(r.max_se_ratio for r in reports)
-            detail = f"worst dev {worst:.3e}, max dev/SE {ratio:.2f}"
+            detail = f"worst dev {worst:.3e}, max dev/(5 SE) {ratio:.2f}"
         else:
             detail = f"worst dev {worst:.3e} (tol {tol['factorization']:.1e})"
         res.add(f"pair({a_text} | {c_text})", ok, detail)

@@ -23,15 +23,20 @@ values with themselves instead.  The monomials are built row by row in a
 (K, n) layout: each axis gets a table of powers of the samples, and row
 alpha is its prefix row (alpha less its last nonzero exponent) times one
 table row, then its norm.  One draw of samples per spec is kept and
-shared; the symbol is evaluated on it once, every sample weighs 1/n,
-and the samples are taken in chunks of at most _BLOCK_VALUES monomial
-values, built into buffers reused from chunk to chunk.  The second
-moment behind the standard errors is the S S^T product, S = |e|^2
-sqrt(w) |f| with |e|^2 taken as re^2 + im^2.  While
-K^3 <= 2 _BLOCK_VALUES a chunk's two products are taken in node blocks
-of _BLOCK_VALUES // K^2 samples (one stacked product, then a sum over
-blocks), so none is more than _BLOCK_VALUES multiply-adds and OpenBLAS
-runs each on one thread; a larger K keeps one product a chunk.  Symbols
+shared (concurrent callers of one spec wait for one draw); the symbol
+is evaluated on it once, every sample weighs 1/n, and the samples are
+taken in chunks of at most _BLOCK_VALUES monomial values, built into
+buffers reused from chunk to chunk.  The second moment behind the
+standard errors is the S S^T product, S = |e|^2 sqrt(w) |f| with |e|^2
+taken as re^2 + im^2.  While K^3 <= 2 _BLOCK_VALUES a chunk's two
+products are taken in node blocks of _BLOCK_VALUES // K^2 samples (one
+stacked product, then a sum over blocks), so none is more than
+_BLOCK_VALUES multiply-adds and OpenBLAS runs each on one thread; there
+one helper thread per assembly contracts chunk i while chunk i + 1 is
+built into a second buffer set, and as the only thread that adds to the
+sums, in chunk order, it leaves them bitwise those of one thread.  A
+larger K keeps one product a chunk, run inline, which the BLAS threads
+itself.  Symbols
 that only depend on group radii (or on |z|^2) skip quadrature over
 phases entirely and are assembled as diagonals: a radial symbol as its
 D + 1 per-degree values (an OperatorMatrix's radial form, which builds
@@ -66,9 +71,11 @@ increase toward the operator norm as D grows.
 from __future__ import annotations
 
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -544,33 +551,59 @@ def _monomial_rows(
 
 
 
+def _single_flight(cached):
+    """``cached`` (an ``lru_cache``) behind one lock, so concurrent callers
+    of one key wait for one call instead of each making it."""
+    lock = threading.Lock()
+
+    @wraps(cached)
+    def call(*args):
+        with lock:
+            return cached(*args)
+
+    call.cache_clear = cached.cache_clear
+    return call
+
+
+@_single_flight
 @lru_cache(maxsize=1)
 def _sample_points(d: int, lam: float, n: int, seed: int) -> np.ndarray:
     """The points of ``monte_carlo_points(d, lam, n, seed)``, read-only.
 
     The last draw is kept, so the Monte Carlo assemblies of one spec on
-    one space (a matrix and its standard errors, several symbols) share
-    it.
+    one space (a matrix and its standard errors, several symbols, the
+    pairs of a suite's worker pool) share it; callers that ask for one
+    key at once wait for a single draw.
     """
     z, _ = monte_carlo_points(d, lam, n, seed)
     z.setflags(write=False)
     return z
 
 
-def _add_node_products(acc: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+def _node_blocks(k: int) -> int:
+    """Nodes per block of a Monte Carlo product, _BLOCK_VALUES // K^2,
+    while K^3 <= 2 _BLOCK_VALUES (a block holds about K / 2 nodes or
+    more); 0 past that cut, where a chunk is one product."""
+    return _BLOCK_VALUES // (k * k) if k**3 <= 2 * _BLOCK_VALUES else 0
+
+
+def _add_node_products(
+    acc: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray
+) -> None:
     """acc += a @ b.T, the (K, m) node values a and b contracted over nodes.
 
-    While a block is long enough to pay (K^3 <= 2 _BLOCK_VALUES, so a
-    block holds about K / 2 nodes or more) the nodes are taken in blocks
-    of nb = _BLOCK_VALUES // K^2: every full block in one stacked product,
-    a short last block in one more, and then the sum over blocks.  No
-    product is then more than _BLOCK_VALUES multiply-adds, the size past
-    which OpenBLAS wakes a second thread, and the stacked partial sums are
-    about K^3 values.  A larger K keeps one product of the whole chunk.
+    While ``_node_blocks`` gives a block size nb < m the nodes are taken
+    in blocks of nb: every full block in one stacked product, into
+    ``out``, the caller's (blocks, K, K) stack of acc's dtype with room
+    for m // nb blocks, a short last block in one more, and then the sum
+    over blocks.  No product is then more than _BLOCK_VALUES
+    multiply-adds, the size past which OpenBLAS wakes a second thread, and
+    the stacked partial sums are about K^3 values.  Otherwise the chunk is
+    one product.
     """
     k, m = a.shape
-    nb = _BLOCK_VALUES // (k * k)
-    if k**3 > 2 * _BLOCK_VALUES or nb >= m:
+    nb = _node_blocks(k)
+    if not nb or nb >= m:
         acc += np.matmul(a, b.T)
         return
     full = m // nb * nb
@@ -578,6 +611,7 @@ def _add_node_products(acc: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     blocks = np.matmul(
         a[:, :full].reshape(k, -1, nb).transpose(1, 0, 2),
         b[:, :full].reshape(k, -1, nb).transpose(1, 2, 0),
+        out=out[: full // nb],
     )
     acc += blocks.sum(axis=0)
     if full < m:
@@ -600,37 +634,75 @@ def _node_sums(
     once on the whole node set; w f and sqrt(w) |f| are taken chunk by
     chunk from those values (elementwise, so the bits of a whole-set
     product).  Nodes are taken in chunks of at most _BLOCK_VALUES
-    monomial values (never fewer than one node), each built into the same
-    preallocated buffers.  Both moments of a chunk are contracted by
-    ``_add_node_products``: in node blocks of at most _BLOCK_VALUES
-    multiply-adds for K <= 50, so OpenBLAS stays on one thread, and as
-    one product for a larger K.
+    monomial values (never fewer than one node).  A chunk is built
+    (monomial rows, S, conj(e) and w f e) into a buffer set, and its two
+    moments are contracted by ``_add_node_products``.
+
+    Where the products are node-blocked (K <= 50), so each stays on one
+    BLAS thread, and there is more than one chunk, the two halves run as
+    a pipeline: one helper thread contracts chunk i while this thread
+    builds chunk i + 1 into the other of two buffer sets, and waits for a
+    set's last contraction before it reuses the set.  Each set carries
+    the (blocks, K, K) stacks of its products, so the helper allocates
+    almost nothing.  Only the helper adds to the sums, in chunk order, so
+    they are bitwise those of one thread, however the two are scheduled.
+    Otherwise (one chunk, or K > 50, where the BLAS threads each product
+    itself) the chunks run inline with one buffer set.
     """
     k = basis.count
     total = nodes.shape[0]
     chunk = max(1, min(total, _BLOCK_VALUES // k))
+    nb = _node_blocks(k)
+    pipelined = bool(nb) and total > chunk
     fv = evaluate_finite(fn, nodes)
     acc = np.zeros((k, k), dtype=complex)
-    # flat buffers, so the shorter last chunk still gets contiguous rows
-    bufs = [np.empty(k * chunk, dtype=complex) for _ in range(2)]
-    acc2 = None
-    if second_moment:
-        acc2 = np.zeros((k, k))
-        bufs += [np.empty(k * chunk) for _ in range(2)]
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        w = weights[start:stop] if np.ndim(weights) else weights
-        v, work, *sq = (b[: k * (stop - start)].reshape(k, -1) for b in bufs)
-        _monomial_rows(nodes[start:stop], basis, v)
-        if second_moment:
-            s, im2 = sq
-            np.multiply(v.real, v.real, out=s)
-            np.multiply(v.imag, v.imag, out=im2)
-            s += im2
-            s *= np.sqrt(w) * np.abs(fv[start:stop])
-            _add_node_products(acc2, s, s)  # symmetric: syrk per block
-        np.multiply(v, w * fv[start:stop], out=work)
-        _add_node_products(acc, np.conjugate(v, out=v), work)
+    acc2 = np.zeros((k, k)) if second_moment else None
+    stack = (chunk // nb if nb else 0, k, k)
+    # a set: e, w f e and S as flat buffers, so the shorter last chunk still
+    # gets contiguous rows, and the (blocks, K, K) stacks of the two products
+    dtypes = (complex, float) if second_moment else (complex,)
+    sets = [
+        ([np.empty(k * chunk, dtype=t) for t in (complex,) + dtypes],
+         [np.empty(stack, dtype=t) for t in dtypes])
+        for _ in range(2 if pipelined else 1)
+    ]
+
+    def contract(stacks, v, work, s=None):
+        _add_node_products(acc, v, work, out=stacks[0])
+        if s is not None:
+            _add_node_products(acc2, s, s, out=stacks[1])  # symmetric: syrk per block
+
+    pending = [None] * len(sets)
+    helper = ThreadPoolExecutor(max_workers=1) if pipelined else None
+    try:
+        for i, start in enumerate(range(0, total, chunk)):
+            slot = i % len(sets)
+            if pending[slot] is not None:
+                pending[slot].result()  # the set's last contraction
+            stop = min(start + chunk, total)
+            w = weights[start:stop] if np.ndim(weights) else weights
+            bufs, stacks = sets[slot]
+            v, work, *sq = (b[: k * (stop - start)].reshape(k, -1) for b in bufs)
+            _monomial_rows(nodes[start:stop], basis, v)
+            if second_moment:
+                # |e|^2 = re^2 + im^2, im^2 held in the work buffer before w f e
+                s = sq[0]
+                np.multiply(v.real, v.real, out=s)
+                np.multiply(v.imag, v.imag, out=work.real)
+                s += work.real
+                s *= np.sqrt(w) * np.abs(fv[start:stop])
+            np.multiply(v, w * fv[start:stop], out=work)
+            np.conjugate(v, out=v)
+            if helper is None:
+                contract(stacks, v, work, *sq)
+            else:
+                pending[slot] = helper.submit(contract, stacks, v, work, *sq)
+        for job in pending:
+            if job is not None:
+                job.result()
+    finally:
+        if helper is not None:
+            helper.shutdown(cancel_futures=True)
     return acc, acc2
 
 

@@ -528,9 +528,11 @@ def test_one_operator_type_holds_a_radial_operator():
 
 def test_monte_carlo_node_sums_take_their_products_in_one_helper():
     """Node-blocked Monte Carlo products: ``toeplitz._node_sums`` takes no
-    product itself (no ``@``, ``np.matmul`` or ``np.dot``) and hands both
-    moments of a chunk to ``_add_node_products``, which keeps each product
-    within _BLOCK_VALUES multiply-adds (see test_mc_assembly.py)."""
+    product itself (no ``@``, ``np.matmul`` or ``np.dot`` in its body or in
+    a function nested in it, such as the contraction step its helper
+    thread runs) and hands both moments of a chunk, the sums ``acc`` and
+    ``acc2``, to ``_add_node_products``, which keeps each product within
+    _BLOCK_VALUES multiply-adds (see test_mc_assembly.py)."""
     tree = ast.parse((SRC / "toeplitz.py").read_text())
     products = _scoped_nodes(
         tree,
@@ -538,7 +540,13 @@ def test_monte_carlo_node_sums_take_their_products_in_one_helper():
                       and isinstance(node.op, ast.MatMult))
         or (isinstance(node, ast.Attribute) and node.attr in {"matmul", "dot"}),
     )
-    assert "_node_sums" not in {scope for scope, _ in products}
-    assert "_add_node_products" in {scope for scope, _ in products}
-    helper = [scope for scope, _ in _name_calls(SRC / "toeplitz.py", "_add_node_products")]
-    assert helper == ["_node_sums", "_node_sums"]
+    scopes = {scope for scope, _ in products}
+    assert not {s for s in scopes if s == "_node_sums" or s.startswith("_node_sums.")}
+    assert "_add_node_products" in scopes
+    calls = _scoped_calls(tree, lambda func: getattr(func, "id", None) == "_add_node_products")
+    assert len(calls) == 2
+    assert all(s == "_node_sums" or s.startswith("_node_sums.") for s, _ in calls)
+    sums = sorted(node.args[0].id for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "_add_node_products")
+    assert sums == ["acc", "acc2"]

@@ -35,6 +35,7 @@ from berglab import toeplitz as toeplitz_module
 from berglab.core import compositions
 from berglab.levels import _neville_to_zero
 from berglab.quadrature import MONTE_CARLO
+from berglab.suites import ExperimentConfig, run_factorization_suite
 
 
 @pytest.fixture
@@ -367,6 +368,32 @@ def test_monte_carlo_factorization_gate():
     for rep in reports:
         assert rep.monte_carlo
         assert rep.passed, rep.summary()
+
+
+def test_a_deviation_of_five_standard_errors_reads_one(monkeypatch):
+    """The sampling gate's ratio is max dev / (5 SE), and both the level
+    summary and the suite's pair detail say so: a full route exactly
+    5 SE off the level route reads 1.00 and passes."""
+    g = BallGeometry(2, 1, (1,))
+
+    def five_se_off(f, space, D, spec):
+        factored = toeplitz_matrix(f, space, D, levels_module._level_route(f, space, D, spec))
+        full = OperatorMatrix(factored.basis, factored.entries + (0.25 - 0.5j))
+        return full, np.abs(full.entries - factored.entries) / 5.0
+
+    monkeypatch.setattr(levels_module, "toeplitz_matrix_with_stderr", five_se_off)
+    spec = QuadratureSpec(scheme=MONTE_CARLO, n_samples=2000, seed=3)
+    f = parse_symbol("prod(a = 1 - r1^2, c = re(zc1))", g)
+    _, reports = verify_tensor_factorization(f.a, f.c, g, 0.0, [(0,), (1,)], 3, spec)
+    for rep in reports:
+        assert rep.passed and "[ok] (max dev/(5 SE) = 1.00)" in rep.summary(), rep.summary()
+
+    cfg = ExperimentConfig.from_mapping({
+        "quad.scheme": "monte_carlo", "quad.samples": "2000", "truncation.D": "3",
+        "truncation.R": "1", "threads": "1",
+    })
+    pairs = [c for c in run_factorization_suite(cfg).checks if c.label.startswith("pair(")]
+    assert pairs and all(c.passed and c.detail.endswith(", max dev/(5 SE) 1.00") for c in pairs)
 
 
 def test_recovery_refuses_points_of_another_dimension():

@@ -9,9 +9,17 @@ draws its samples once.  A chunk's products are taken in node blocks of
 _BLOCK_VALUES // K^2 samples while K^3 <= 2 _BLOCK_VALUES (K = 35 and 45
 here), so no product passes _BLOCK_VALUES multiply-adds, and as one
 product past that cut (K = 84); both sides must match the reference.
+On the blocked side one helper thread contracts a chunk while the next
+is built: the sums must keep the bits of an inline run, the helper must
+be the only thread that adds to them, and it must be gone when the
+assembly returns or fails.
 """
 
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -222,6 +230,182 @@ def test_every_node_product_stays_within_the_block_budget(monkeypatch, d, D, k):
     assert max(_multiply_adds(a, b) for a, b in products) <= toeplitz._BLOCK_VALUES
 
 
+class _InlineExecutor:
+    """A one-worker executor that runs each job as it is submitted."""
+
+    def __init__(self, max_workers):
+        assert max_workers == 1
+
+    def submit(self, fn, *args):
+        done = Future()
+        try:
+            done.set_result(fn(*args))
+        except BaseException as exc:
+            done.set_exception(exc)
+        return done
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Every helper pool ``_node_sums`` starts, and the thread of every
+    ``_add_node_products`` call."""
+    made, callers = [], []
+
+    class Recorded(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    add = toeplitz._add_node_products
+
+    def recorded(*args, **kwargs):
+        callers.append(threading.get_ident())
+        return add(*args, **kwargs)
+
+    monkeypatch.setattr(toeplitz, "ThreadPoolExecutor", Recorded)
+    monkeypatch.setattr(toeplitz, "_add_node_products", recorded)
+    return made, callers
+
+
+# K = 35 (1,872-node chunks) and K = 45 (1,456-node chunks) over 10,001
+# samples: several chunks and a short last one
+@pytest.mark.parametrize("d, D, k", [(3, 4, 35), (2, 8, 45)])
+def test_the_pipeline_keeps_the_bits_of_one_thread(monkeypatch, helpers, d, D, k):
+    made, callers = helpers
+    f = parse_symbol("(0.2 + 0.1*i)*z1^2*conj(z2) + conj(z1)^3 + 1/(2 - abs2(z))", None)
+    space = WeightedSpace(d, 0.5)
+    spec = _mc(10_001, 7)
+    chunk = toeplitz._BLOCK_VALUES // k
+    assert k**3 <= 2 * toeplitz._BLOCK_VALUES and 10_001 // chunk >= 5 and 10_001 % chunk
+
+    m, se = toeplitz_matrix_with_stderr(f, space, D, spec)
+    plain = toeplitz_matrix(f, space, D, spec, use_fast_paths=False)
+    assert m.size == k and len(made) == 2
+    assert all(pool._max_workers == 1 and pool._shutdown for pool in made)
+    # only the helpers add to the sums: 2 + 1 products per chunk
+    assert len(callers) == 3 * -(-10_001 // chunk)
+    assert threading.get_ident() not in callers
+
+    monkeypatch.setattr(toeplitz, "ThreadPoolExecutor", _InlineExecutor)
+    m_inline, se_inline = toeplitz_matrix_with_stderr(f, space, D, spec)
+    plain_inline = toeplitz_matrix(f, space, D, spec, use_fast_paths=False)
+    assert m.entries.tobytes() == m_inline.entries.tobytes()
+    assert se.tobytes() == se_inline.tobytes()
+    assert plain.entries.tobytes() == plain_inline.entries.tobytes()
+    assert plain.entries.tobytes() == m.entries.tobytes()
+
+
+def test_past_the_node_block_cut_no_helper_is_started(monkeypatch):
+    # K = 84: the BLAS threads each product itself, and the chunks run inline
+    def refuse(*args, **kwargs):
+        raise AssertionError("a helper pool was started")
+
+    monkeypatch.setattr(toeplitz, "ThreadPoolExecutor", refuse)
+    f = parse_symbol("z1*conj(z2) + 1/(2 - abs2(z))", None)
+    m, se = toeplitz_matrix_with_stderr(f, WeightedSpace(3, 0.0), 6, _mc(4001))
+    assert m.size == 84 and 4001 > toeplitz._BLOCK_VALUES // 84
+    assert np.all(np.isfinite(se))
+
+
+def test_an_assembly_leaves_no_thread_behind():
+    f = parse_symbol("z1*conj(z2) + 0.5", None)
+    before = threading.active_count()
+    toeplitz_matrix_with_stderr(f, WeightedSpace(3, 0.0), 4, _mc(20_000))
+    toeplitz_matrix(f, WeightedSpace(2, 0.0), 8, _mc(20_000), use_fast_paths=False)
+    assert threading.active_count() == before
+
+
+def test_a_failed_contraction_propagates_and_shuts_the_helper_down(monkeypatch, helpers):
+    made, _ = helpers
+    add = toeplitz._add_node_products  # the recording wrapper
+    calls = []
+
+    def third_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise FloatingPointError("third contraction")
+        return add(*args, **kwargs)
+
+    monkeypatch.setattr(toeplitz, "_add_node_products", third_fails)
+    f = parse_symbol("z1*conj(z3) + 0.5", None)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="third contraction"):
+        # first moment only: one product per chunk, 22 chunks of K = 35
+        toeplitz_matrix(f, WeightedSpace(3, 0.0), 4, _mc(40_000), use_fast_paths=False)
+    assert len(made) == 1 and made[0]._shutdown
+    assert 3 <= len(calls) < 22
+    assert threading.active_count() == before
+
+
+def test_concurrent_pipelined_assemblies_keep_their_bits(monkeypatch):
+    # four callers, each with its own helper, so eight busy threads, and a
+    # thread switch every microsecond: a reused buffer set or a lost or
+    # reordered add would move the bits of some sum
+    cases = [("z1*conj(z2) + 1/(2 - abs2(z))", 3, 4), ("conj(z1)^3 + abs2(z)", 2, 8)]
+    spec = _mc(12_000, 3)
+
+    def assemble(i):
+        text, d, D = cases[i % 2]
+        return toeplitz_matrix_with_stderr(parse_symbol(text, None), WeightedSpace(d, 0.0), D, spec)
+
+    monkeypatch.setattr(toeplitz, "ThreadPoolExecutor", _InlineExecutor)
+    want = [assemble(i) for i in range(2)]
+    monkeypatch.undo()
+    got = {}
+
+    def run(i):
+        got[i] = assemble(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(got) == 4
+    for i, (m, se) in got.items():
+        m_want, se_want = want[i % 2]
+        assert m.entries.tobytes() == m_want.entries.tobytes()
+        assert se.tobytes() == se_want.tobytes()
+
+
+def test_concurrent_callers_of_one_key_share_one_draw(monkeypatch):
+    calls = []
+
+    def slow(d, lam, n, seed):
+        calls.append((d, lam, n, seed))
+        time.sleep(0.2)  # the second caller arrives while the first draws
+        return monte_carlo_points(d, lam, n, seed)
+
+    toeplitz._sample_points.cache_clear()
+    monkeypatch.setattr(toeplitz, "monte_carlo_points", slow)
+    start = threading.Barrier(2)
+    got = [None, None]
+
+    def draw(i):
+        start.wait()
+        got[i] = toeplitz._sample_points(2, 0.0, 5000, 20_260_813)
+
+    try:
+        threads = [threading.Thread(target=draw, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        toeplitz._sample_points.cache_clear()
+    assert not any(t.is_alive() for t in threads)
+    assert calls == [(2, 0.0, 5000, 20_260_813)]
+    assert got[0] is got[1] and not got[0].flags.writeable
+
+
 @pytest.fixture
 def draws(monkeypatch):
     """The (d, lam, n, seed) of every fresh Monte Carlo draw, from an
@@ -320,7 +504,10 @@ def test_the_stderr_sums_add_only_their_chunk_buffers_to_the_evaluation():
             tracemalloc.stop()
     finally:
         toeplitz._sample_points.cache_clear()
-    # two complex and two real chunk buffers of _BLOCK_VALUES values
+    # the evaluation peaks at twice its 6.4 MB of values; the two buffer
+    # sets (two complex and one real chunk buffer of _BLOCK_VALUES values
+    # each, plus their product stacks, 7.3 MB at K = 35) go over that peak
+    # by at most four complex chunk buffers
     assert peak <= evaluation + 4 * toeplitz._BLOCK_VALUES * 16
 
 
