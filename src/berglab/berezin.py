@@ -424,7 +424,7 @@ def berezin_plan(
         return radial_expansion_degree(d, mu, t)
     if spec.scheme != MONTE_CARLO:
         deg = symbol_degree_hint(g) if is_symbolic(g) else 8
-        resolved = spec.resolved(d, 8, deg)
+        resolved = spec.resolved(8, deg)
         closeness = max(1.0 - math.sqrt(t), 1e-3)
         q_eff = max(resolved.q, min(128, int(14.0 / math.sqrt(closeness)) + 8))
         ang_cap = 4096 if d == 1 else 128

@@ -32,7 +32,7 @@ from .core import (
     levels_up_to,
 )
 from .errors import DomainError
-from .levels import FACTORIZATION_TOL, _level_route, verify_tensor_factorization
+from .levels import FACTORIZATION_TOL, _pair_plans, verify_tensor_factorization
 from .quadrature import GAUSS_JACOBI, MONTE_CARLO, QuadratureSpec, require_sample_count
 from .suites import (
     ExperimentConfig,
@@ -152,9 +152,9 @@ def _add_quad(sub: argparse.ArgumentParser) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each but ``suite`` is a plan step.  It parses, validates and
-# plans every assembly its run makes, so a refusal comes before any output
-# and under --dry-run too; ``main`` echoes, stops there or runs.
+# Subcommands: each but ``suite`` is a plan step (``suite`` runs one per
+# suite): it parses, validates and plans every assembly its run makes, so a
+# refusal comes first, under --dry-run too; ``main`` echoes, stops or runs.
 
 
 def cmd_parse(args: argparse.Namespace) -> _Plan:
@@ -242,9 +242,9 @@ def cmd_decompose(args: argparse.Namespace) -> _Plan:
             "lambda": args.lam, "D": args.D, "R": args.R, "tol": tol, "scheme": spec.scheme}
     composite = parse_symbol(f"prod(a = {args.a}, c = {args.c})", geometry)
     # plan both routes, so the dry run refuses what the check would
-    space = WeightedSpace(geometry.n, args.lam, geometry=geometry)
-    assembly_path(composite, space, args.D, spec, use_fast_paths=False)
-    _level_route(composite, space, args.D, spec)
+    for _, plan in _pair_plans(composite, WeightedSpace(geometry.n, args.lam, geometry=geometry),
+                               args.D, spec):
+        plan()
 
     def run():
         levels = levels_up_to(args.R, geometry.m)

@@ -203,6 +203,12 @@ def _level_route(
     return spec
 
 
+def _pair_plans(f_ac: ProductSymbol, space: WeightedSpace, D: int, spec: QuadratureSpec):
+    """The check's two route plans, each a call named for its refusal."""
+    return (("full route", lambda: assembly_path(f_ac, space, D, spec, use_fast_paths=False)),
+            ("level route", lambda: _level_route(f_ac, space, D, spec)))
+
+
 def verify_tensor_factorization(
     a: SymbolExpr,
     c: SymbolExpr,

@@ -73,7 +73,7 @@ class QuadratureSpec:
             raise DomainError("quadrature orders must be nonnegative and N >= 1")
         require_sample_count(self.n_samples)
 
-    def resolved(self, d: int, max_degree: int, sym_degree: int = 0) -> "QuadratureSpec":
+    def resolved(self, max_degree: int, sym_degree: int = 0) -> "QuadratureSpec":
         """Fill in automatic orders for a basis cutoff and symbol degree: 2D +
         deg + 1 phases, the fallback for a symbol with no phase band."""
         q = self.q if self.q > 0 else max_degree + (sym_degree + 1) // 2 + 3

@@ -1,14 +1,16 @@
 """Configuration-driven experiment suites and their output artifacts.
 
-Each suite returns a result object holding labelled pass/fail checks and
-named CSV tables; the writer lands everything in an output directory in
-one atomic swap so a crashed run never leaves a half-written directory
-behind.  Config files are flat "key = value" text with dotted key names;
-unknown keys are rejected rather than ignored.
+Each suite is a plan step, ``plan_<suite>(cfg)``: it builds its run's
+inputs, plans every matrix the run assembles and returns the run, whose
+result holds labelled pass/fail checks and named CSV tables.  The writer
+lands everything in an output directory in one atomic swap so a crashed
+run never leaves a half-written directory behind.  Config files are flat
+"key = value" text with dotted key names; unknown keys are rejected.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import shutil
@@ -44,6 +46,7 @@ from .errors import DomainError
 from .levels import (
     FACTORIZATION_TOL,
     _level_route,
+    _pair_plans,
     block_norms,
     level_block_direct,
     off_block_mass,
@@ -70,6 +73,7 @@ from .toeplitz import (
     gamma_sequence,
     operator_norm,
     radial_table_order,
+    _semicommutator_symbols,
     semicommutator,
     toeplitz_matrix,
 )
@@ -247,7 +251,7 @@ class ExperimentConfig:
                 f"r = {r_last!r}: {exc}"
             ) from None
 
-        # the quantization suite builds its grid only after other stages
+        # refused here with its keys, not in the quantization suite's plan step
         grid_points = values["grid.points"]
         grid_tmax = values["grid.tmax"]
         try:
@@ -361,26 +365,50 @@ def _radial_grid(d: int, tmax: float, points: int) -> np.ndarray:
 # Suites
 
 
-def run_norm_identity(cfg: ExperimentConfig) -> SuiteResult:
-    """Block norms of the canonical vanishing symbol against closed forms.
+def _plan_or_refuse(what: str, plan: Callable[..., object], *args, **kwargs) -> object:
+    """``plan(*args, **kwargs)``; its refusal names the suite and ``what`` needed it."""
+    try:
+        return plan(*args, **kwargs)
+    except DomainError as exc:
+        raise DomainError(f"suite {what}: {exc}; or leave the suite out with --only") from None
 
-    Checks the diagonal and quadrature routes to sigma_max on every level
-    weight, the sup-over-blocks identity on the full ball, and the
-    monotone climb of the block norms toward the symbol's sup.
-    """
+
+def plan_norm_identity(cfg: ExperimentConfig) -> Callable[[], SuiteResult]:
+    """The norm-identity suite's run, once its matrices are planned: c =
+    1 - |z|^2 on each level's inner ball, on the diagonal and on the
+    quadrature route, and the level route of 1 (x) c on the full ball."""
+    geo = cfg.geometry
+    d_in = geo.d_inner
+    c_expr = parse_symbol("1 - abs2(z)", BallGeometry(d_in, d_in, (d_in,)))
+    spaces = [geo.level_space(cfg.lam, (k,) + (0,) * (geo.m - 1)) for k in range(cfg.R + 1)]
+    for space in spaces:
+        for route, fast in (("diagonal", True), ("quadrature", False)):
+            _plan_or_refuse(f"norm_identity: the {route} route of c at mu = {space.lam}",
+                            assembly_path, c_expr, space, cfg.D, cfg.spec, use_fast_paths=fast)
+    f_c = ProductSymbol(a=Const(1.0), c=c_expr, geometry=geo)
+    space = WeightedSpace(geo.n, cfg.lam, geometry=geo)
+    spec = _plan_or_refuse("norm_identity: the level route of 1 (x) c",
+                           _level_route, f_c, space, cfg.D, cfg.spec)
+    return functools.partial(run_norm_identity, cfg, c_expr, spaces, (f_c, space, cfg.D, spec))
+
+
+def run_norm_identity(cfg: ExperimentConfig, c_expr: SymbolExpr,
+                      spaces: Sequence[WeightedSpace], full: tuple) -> SuiteResult:
+    """Block norms of the canonical vanishing symbol against closed forms:
+    the diagonal and quadrature routes on each level's space, the sup over
+    the blocks of the ``full``-ball matrix of 1 (x) c on its level route
+    against its norm, and the block norms' climb toward the sup."""
     res = SuiteResult("norm_identity")
     geo = cfg.geometry
     d_in = geo.d_inner
     tol = cfg.tolerances
-    c_expr = parse_symbol("1 - abs2(z)", BallGeometry(d_in, d_in, (d_in,)))
 
     rows = []
     worst_closed = 0.0
     worst_quad = 0.0
-    for k_level in range(cfg.R + 1):
-        mu = cfg.lam + k_level + geo.ell
+    for k_level, space in enumerate(spaces):
+        mu = space.lam
         closed = (mu + 1.0) / (d_in + mu + 1.0)
-        space = WeightedSpace(d_in, mu)
         sigma_diag = operator_norm(toeplitz_matrix(c_expr, space, cfg.D, cfg.spec))
         sigma_quad = operator_norm(
             toeplitz_matrix(c_expr, space, cfg.D, cfg.spec, use_fast_paths=False)
@@ -399,11 +427,10 @@ def run_norm_identity(cfg: ExperimentConfig) -> SuiteResult:
         f"max |sigma - closed| = {worst_quad:.3e} (tol {tol['norm_quadrature']:.1e})",
     )
 
-    f_c = ProductSymbol(a=Const(1.0), c=c_expr, geometry=geo)
-    space_full = WeightedSpace(geo.n, cfg.lam, geometry=geo)
-    m_full = toeplitz_matrix(f_c, space_full, cfg.D, cfg.spec)
-    sup_blocks = max(block_norms(m_full, geo).values())
-    sigma_full = operator_norm(m_full)
+    # the monomial eigenvalues 1 - (|alpha''| + d'') / (|alpha| + n + lam + 1)
+    # of T_c on the full ball peak at |alpha''| = 0, |alpha| = D
+    sup_blocks = max(block_norms(toeplitz_matrix(*full), geo).values())
+    sigma_full = 1.0 - d_in / (cfg.D + geo.n + cfg.lam + 1.0)
     gap = abs(sup_blocks - sigma_full)
     res.add(
         "sup_over_blocks",
@@ -439,30 +466,44 @@ def _canned_pairs(cfg: ExperimentConfig) -> List[Tuple[str, str]]:
     return pairs
 
 
-def run_factorization_suite(cfg: ExperimentConfig) -> SuiteResult:
-    """Two-route factorization deviations over every level up to R."""
+def plan_factorization_suite(cfg: ExperimentConfig) -> Callable[[], SuiteResult]:
+    """The factorization suite's run, once both routes of each pair
+    (``_pair_plans``) and the commutator's two operators are planned."""
+    geo = cfg.geometry
+    space = WeightedSpace(geo.n, cfg.lam, geometry=geo)
+    pairs = [(texts, parse_symbol(f"prod(a = {texts[0]}, c = {texts[1]})", geo))
+             for texts in _canned_pairs(cfg)]
+    for (a_text, c_text), composite in pairs:
+        for route, plan in _pair_plans(composite, space, cfg.D, cfg.spec):
+            _plan_or_refuse(f"factorization: the {route} of pair ({a_text} | {c_text})", plan)
+    one_sided = (parse_symbol(f"prod(a = {cfg.a_text}, c = 1)", geo),
+                 parse_symbol(f"prod(a = 1, c = {cfg.c_text})", geo))
+    for f in one_sided:
+        _plan_or_refuse(f"factorization: the commutator's matrix of {symbol_to_text(f)}",
+                        assembly_path, f, space, cfg.D, cfg.spec)
+    return functools.partial(run_factorization_suite, cfg, space, pairs, one_sided)
+
+
+def run_factorization_suite(cfg: ExperimentConfig, space: WeightedSpace,
+                            pairs: Sequence[tuple], one_sided: tuple) -> SuiteResult:
+    """Two-route factorization deviations over every level up to R for each
+    of the ``pairs`` ((a text, c text), symbol), and the commutator."""
     res = SuiteResult("factorization")
     geo = cfg.geometry
     tol = cfg.tolerances
-    space = WeightedSpace(geo.n, cfg.lam, geometry=geo)
     levels = levels_up_to(cfg.R, geo.m)
-    pairs = _canned_pairs(cfg)
 
-    def one_pair(texts: Tuple[str, str]):
-        a_text, c_text = texts
-        composite = parse_symbol(f"prod(a = {a_text}, c = {c_text})", geo)
+    def one_pair(composite: ProductSymbol):
         return verify_tensor_factorization(
             composite.a, composite.c, geo, cfg.lam, levels, cfg.D, cfg.spec,
             tol=tol["factorization"],
         )
 
     with ThreadPoolExecutor(max_workers=cfg.worker_count()) as pool:
-        outcomes = list(pool.map(one_pair, pairs))
+        outcomes = list(pool.map(one_pair, [composite for _, composite in pairs]))
 
     table = []
-    last_full = None
-    for (a_text, c_text), (full, reports) in zip(pairs, outcomes):
-        last_full = full
+    for ((a_text, c_text), _), (_, reports) in zip(pairs, outcomes):
         worst = max(r.max_deviation for r in reports)
         ok = all(r.passed for r in reports)
         if cfg.spec.scheme == MONTE_CARLO:
@@ -477,10 +518,7 @@ def run_factorization_suite(cfg: ExperimentConfig) -> SuiteResult:
     res.tables["factorization.csv"] = csv_lines("a,c,rho,mu,max_deviation,passed", table)
 
     # the two one-sided operators must commute (their levels share bases)
-    f_a = parse_symbol(f"prod(a = {cfg.a_text}, c = 1)", geo)
-    f_c = parse_symbol(f"prod(a = 1, c = {cfg.c_text})", geo)
-    t_a = toeplitz_matrix(f_a, space, cfg.D, cfg.spec)
-    t_c = toeplitz_matrix(f_c, space, cfg.D, cfg.spec)
+    t_a, t_c = (toeplitz_matrix(f, space, cfg.D, cfg.spec) for f in one_sided)
     comm = operator_norm((t_a @ t_c) - (t_c @ t_a))
     res.add(
         "commutator",
@@ -488,8 +526,8 @@ def run_factorization_suite(cfg: ExperimentConfig) -> SuiteResult:
         f"||[T_fa, T_fc]|| = {comm:.3e} (tol {tol['commutator']:.1e})",
     )
 
-    if cfg.spec.scheme == GAUSS_JACOBI and last_full is not None:
-        off, total = off_block_mass(last_full, geo)
+    if cfg.spec.scheme == GAUSS_JACOBI:
+        off, total = off_block_mass(outcomes[-1][0], geo)
         rel = off / total if total > 0 else 0.0
         res.add(
             "off_block_mass",
@@ -519,47 +557,88 @@ def _probe_cutoff(symbols: Sequence[SymbolExpr], d: int, spec: QuadratureSpec) -
     return probe_D
 
 
-def _consistency_probe(
-    cfg: ExperimentConfig,
-) -> Tuple[List[int], List[SymbolExpr], np.ndarray]:
-    """The weights, symbols and points of the Berezin-consistency probe:
-    the two smallest weights of the schedule, c and re(z1) on the inner
-    ball, at a few grid points with |z|^2 <= 1/2, where the probe cutoff
-    swallows the kernel mass."""
+def plan_quantization_suite(cfg: ExperimentConfig) -> Callable[[], SuiteResult]:
+    """The quantization suite's run, once everything it assembles is
+    planned: each semicommutator's three matrices, each recovery block and
+    each remainder's estimate, a callable (on radial blocks its moment
+    table, else its matrix), the consistency probe's matrices, and each
+    Berezin transform (``berezin_plan``) of each probe at each point."""
+    geo = cfg.geometry
+    d_in = geo.d_inner
+    c_in = rebase_inner(cfg.c_expr)
     mus = list(cfg.mu_schedule)
-    d_in = cfg.geometry.d_inner
-    inner_geo = BallGeometry(d_in, d_in, (d_in,))
-    symbols = [rebase_inner(cfg.c_expr), parse_symbol("re(z1)", inner_geo)]
+    c_disk = parse_symbol("1 - abs2(z)", BallGeometry(1, 1, (1,)))
+    semis = [(c_in, c_in, WeightedSpace(d_in, float(mu)), cfg.D) for mu in mus]
+    semis += [(c_in, Const(1.0), WeightedSpace(d_in, float(mus[-1])), cfg.D),
+              (c_disk, c_disk, WeightedSpace(1, 0.0), 4)]
+    for c1, c2, space, D in semis:
+        for f in _semicommutator_symbols(c1, c2):
+            _plan_or_refuse(f"quantization: the semicommutator at mu = {space.lam}, D = {D}, "
+                            f"its matrix of {symbol_to_text(f)}",
+                            assembly_path, f, space, D, cfg.spec)
+
+    pad = (0,) * (geo.m - 1)
+    recovery = [[(tot,) + pad for tot in levels]
+                for levels in (cfg.eval_levels, cfg.remainder_levels)]
+    plans = (("block", c_in, "truncation.D_eval", recovery[0]),
+             ("block", c_in, "truncation.D_remainder", recovery[1]),
+             ("remainder", as_point_function(c_in), "truncation.D_remainder", recovery[1]))
+    kinds = set()
+    for what, sym, key, rhos in plans:
+        D = cfg.settings[key]
+        for rho in rhos:
+            plan = _plan_or_refuse(
+                f"quantization: the recovery {what} of level {rho[0]} at {key} = {D}",
+                lambda: radial_table_order(sym, D, f"the radial moment table for degrees <= {D}")
+                if what == "remainder" and kinds == {"radial"}
+                else assembly_path(sym, geo.level_space(cfg.lam, rho), D, cfg.spec),
+            )
+            if what == "block":
+                kinds.add(plan.kind)
+
+    # the consistency probe: the two smallest weights, c and re(z1), at a few
+    # grid points with |z|^2 <= 1/2, where its cutoff swallows the kernel mass
     grid = _radial_grid(d_in, cfg.grid_tmax, cfg.grid_points)
     keep = np.sum(np.abs(grid) ** 2, axis=1) <= 0.5
-    points = grid[keep][:: max(1, int(np.count_nonzero(keep)) // 4 or 1)]
-    return sorted(set(mus))[:2] if len(mus) >= 2 else mus, symbols, points
-
-
-def _boundary_points(cfg: ExperimentConfig) -> Tuple[Tuple[float, ...], np.ndarray]:
-    """The radii of the quantization suite's boundary table and its points
-    r e_1 on the inner ball, shape (len(radii), d_inner)."""
+    probe_pts = grid[keep][:: max(1, int(np.count_nonzero(keep)) // 4 or 1)]
+    probe_mus = sorted(set(mus))[:2] if len(mus) >= 2 else mus
+    probe_symbols = [c_in, parse_symbol("re(z1)", BallGeometry(d_in, d_in, (d_in,)))]
+    probe_D = _probe_cutoff(probe_symbols, d_in, cfg.spec)
+    for mu in probe_mus:
+        for sym in probe_symbols:
+            _plan_or_refuse(f"quantization: the Berezin-consistency probe's matrix of "
+                            f"{symbol_to_text(sym)} at mu = {mu}, D = {probe_D}",
+                            assembly_path, sym, WeightedSpace(d_in, float(mu)), probe_D, cfg.spec)
     radii = default_radius_schedule(cfg.radii_count, include_terminal=False)
-    points = np.zeros((len(radii), cfg.geometry.d_inner), dtype=complex)
-    points[:, 0] = radii
-    return radii, points
+    b_points = np.zeros((len(radii), d_in), dtype=complex)
+    b_points[:, 0] = radii
+    probes = [("Berezin error probe", c_in, mus, grid)]
+    probes += [("Berezin-consistency probe", sym, probe_mus, probe_pts) for sym in probe_symbols]
+    probes.append(("boundary probe", c_in, [_BOUNDARY_MU], b_points))
+    for what, sym, weights, pts in probes:
+        what = f"quantization: the {what} of {symbol_to_text(sym)}"
+        for mu in weights:
+            for z in pts:
+                _plan_or_refuse(f"{what} at |z|^2 = {float(np.sum(np.abs(z) ** 2))!r}, mu = {mu}",
+                                berezin_plan, sym, float(mu), z, cfg.spec)
+    return functools.partial(run_quantization_suite, cfg, c_in, semis, grid, recovery,
+                             (probe_mus, probe_symbols, probe_pts, probe_D), (radii, b_points))
 
 
-def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
-    """Semicommutator decay, Berezin error decay, boundary table, recovery."""
+def run_quantization_suite(cfg: ExperimentConfig, c_in: SymbolExpr, semis: Sequence[tuple],
+                           grid: np.ndarray, recovery_levels: Sequence[list],
+                           probe: tuple, boundary: tuple) -> SuiteResult:
+    """Semicommutator decay, Berezin error decay, boundary table, recovery;
+    ``semis`` holds each semicommutator's (c1, c2, space, D): c c at each
+    weight of the schedule, c 1 at the largest, the disk's degree-0 one."""
     res = SuiteResult("quantization")
     geo = cfg.geometry
     d_in = geo.d_inner
     tol = cfg.tolerances
-    c_in = rebase_inner(cfg.c_expr)
     mus = list(cfg.mu_schedule)
 
-    semi_norms = []
-    for mu in mus:
-        n_mat = semicommutator(
-            c_in, c_in, WeightedSpace(d_in, float(mu)), cfg.D, cfg.spec
-        )
-        semi_norms.append(operator_norm(n_mat))
+    *decay_mats, single, s_disk = [semicommutator(*args, cfg.spec) for args in semis]
+    semi_norms = [operator_norm(n_mat) for n_mat in decay_mats]
     decreasing = all(b < a for a, b in zip(semi_norms, semi_norms[1:]))
     res.add(
         "semicommutator_decay",
@@ -576,9 +655,6 @@ def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
         )
 
     # fixed low-weight disk value of the degree-0 semicommutator entry
-    disk = BallGeometry(1, 1, (1,))
-    c_disk = parse_symbol("1 - abs2(z)", disk)
-    s_disk = semicommutator(c_disk, c_disk, WeightedSpace(1, 0.0), 4, cfg.spec)
     v0 = complex(s_disk.entry((0,), (0,)))
     res.add(
         "degree0_value",
@@ -586,9 +662,6 @@ def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
         f"entry = {v0.real!r} vs -1/12",
     )
 
-    single = semicommutator(
-        c_in, Const(1.0), WeightedSpace(d_in, float(mus[-1])), cfg.D, cfg.spec
-    )
     nrm_single = operator_norm(single)
     res.add(
         "single_generator",
@@ -596,7 +669,6 @@ def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
         f"||T_c T_1 - T_c|| = {format_float(nrm_single)}",
     )
 
-    grid = _radial_grid(d_in, cfg.grid_tmax, cfg.grid_points)
     decay = quantization_probe(c_in, mus, grid, cfg.spec)
     errs = [row[1] for row in decay.rows]
     res.add(
@@ -612,8 +684,7 @@ def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
 
     # operator side vs symbol side of the Berezin transform
     worst_consistency = 0.0
-    probe_mus, probe_symbols, probe_pts = _consistency_probe(cfg)
-    probe_D = _probe_cutoff(probe_symbols, d_in, cfg.spec)
+    probe_mus, probe_symbols, probe_pts, probe_D = probe
     for mu in probe_mus:
         for sym in probe_symbols:
             t_sym = toeplitz_matrix(sym, WeightedSpace(d_in, float(mu)), probe_D, cfg.spec)
@@ -628,7 +699,7 @@ def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
     )
 
     # |c - B_mu[c]| at r e_1 of the inner ball, one probe point per radius
-    radii, b_points = _boundary_points(cfg)
+    radii, b_points = boundary
     b_errs = [
         quantization_probe(c_in, [_BOUNDARY_MU], b_points[i : i + 1], cfg.spec).rows[0][1]
         for i in range(len(radii))
@@ -640,15 +711,10 @@ def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
     )
     res.tables["boundary_decay.csv"] = csv_lines("radius,error", zip(radii, b_errs))
 
-    pad = (0,) * (geo.m - 1)
-    eval_blocks = [
-        level_block_direct(c_in, geo, cfg.lam, (tot,) + pad, cfg.D_eval, cfg.spec)
-        for tot in cfg.eval_levels
-    ]
-    rem_blocks = [
-        level_block_direct(c_in, geo, cfg.lam, (tot,) + pad, cfg.D_remainder, cfg.spec)
-        for tot in cfg.remainder_levels
-    ]
+    eval_blocks, rem_blocks = (
+        [level_block_direct(c_in, geo, cfg.lam, rho, D, cfg.spec) for rho in rhos]
+        for rhos, D in zip(recovery_levels, (cfg.D_eval, cfg.D_remainder))
+    )
     recovery = recover_symbol_and_remainder(
         eval_blocks, grid, cfg.spec, remainder_blocks=rem_blocks
     )
@@ -671,8 +737,21 @@ def run_quantization_suite(cfg: ExperimentConfig) -> SuiteResult:
     return res
 
 
-def run_spectrum_suite(cfg: ExperimentConfig) -> SuiteResult:
-    """Essential spectrum samples, Fredholm verdicts, sigma_min trends."""
+def plan_spectrum_suite(cfg: ExperimentConfig) -> Callable[[], SuiteResult]:
+    """The spectrum suite's run, once its sigma_min matrices are planned: a
+    vanishing and an invertible symbol on the disk at mu = 2, at D = 4, 8, 16."""
+    disk = BallGeometry(1, 1, (1,))
+    sigma_min = [[(parse_symbol(text, disk), WeightedSpace(1, 2.0), n, cfg.spec)
+                  for n in (4, 8, 16)] for text in ("1 - abs2(z)", "2 - abs2(z)")]
+    for req in sigma_min[0] + sigma_min[1]:
+        _plan_or_refuse(f"spectrum: the sigma_min matrix at D = {req[2]}", assembly_path, *req)
+    return functools.partial(run_spectrum_suite, cfg, sigma_min)
+
+
+def run_spectrum_suite(cfg: ExperimentConfig, sigma_min: Sequence[list]) -> SuiteResult:
+    """Essential spectrum samples, Fredholm verdicts, and the sigma_min
+    trends of the vanishing and the invertible symbol's ``sigma_min``
+    matrices, each the arguments of its ``toeplitz_matrix`` call."""
     res = SuiteResult("spectrum")
     tol = cfg.tolerances
     # boundary sampling needs a sphere with room for a vanishing locus;
@@ -733,15 +812,9 @@ def run_spectrum_suite(cfg: ExperimentConfig) -> SuiteResult:
     )
     res.tables["spectrum_weighted.csv"] = sample_w.csv_lines()
 
-    disk = BallGeometry(1, 1, (1,))
-    vanish = parse_symbol("1 - abs2(z)", disk)
-    invert = parse_symbol("2 - abs2(z)", disk)
-    sizes = (4, 8, 16)
-    tab_v = min_singular_probe(
-        [toeplitz_matrix(vanish, WeightedSpace(1, 2.0), n, cfg.spec) for n in sizes]
-    )
-    tab_i = min_singular_probe(
-        [toeplitz_matrix(invert, WeightedSpace(1, 2.0), n, cfg.spec) for n in sizes]
+    tab_v, tab_i = (
+        min_singular_probe([toeplitz_matrix(*request) for request in requests])
+        for requests in sigma_min
     )
     res.add(
         "sigma_min_trends",
@@ -756,109 +829,29 @@ def run_spectrum_suite(cfg: ExperimentConfig) -> SuiteResult:
     return res
 
 
-_ALL_SUITES: Tuple[Tuple[str, Callable[[ExperimentConfig], SuiteResult]], ...] = (
-    ("norm_identity", run_norm_identity),
-    ("factorization", run_factorization_suite),
-    ("quantization", run_quantization_suite),
-    ("spectrum", run_spectrum_suite),
+_ALL_SUITES: Tuple[Tuple[str, Callable[[ExperimentConfig], Callable[[], SuiteResult]]], ...] = (
+    ("norm_identity", plan_norm_identity),
+    ("factorization", plan_factorization_suite),
+    ("quantization", plan_quantization_suite),
+    ("spectrum", plan_spectrum_suite),
 )
-
-
-def _plan_or_refuse(what: str, plan: Callable[[], object]) -> object:
-    """Make one plan a suite will need (an ``assembly_path`` call) and
-    return it; its refusal names the suite and what needed the plan
-    (``what``)."""
-    try:
-        return plan()
-    except DomainError as exc:
-        raise DomainError(
-            f"suite {what}: {exc}; or leave the suite out with --only"
-        ) from None
 
 
 def plan_suites(
     cfg: ExperimentConfig, only: Optional[Sequence[str]] = None
-) -> List[str]:
-    """The suites a run of this selection makes, refused before any runs.
-
-    Unknown names are refused, and so is a suite that could only stop
-    halfway.  A factorization suite is refused where ``assembly_path``
-    refuses the full route of one of its pairs (a product rule over the
-    node budget), or refuses or does not take the "levels" path for its
-    level route (an a-factor that turns under the group torus).  A
-    quantization suite is refused where ``berezin_plan`` refuses one of
-    its Berezin transforms: c at each weight of the schedule on the error
-    grid and at the boundary table's radii, and each symbol of the
-    Berezin-consistency probe at its weights and points.  It is refused
-    as well where ``assembly_path`` refuses a recovery block (a radial
-    moment table, or a matrix, over the desk budget), or where a
-    remainder level refuses the recovered estimate, a callable: on radial
-    blocks its moment table (``radial_table_order``), on any other its
-    matrix (a product rule over the node budget).
-    """
-    names = [name for name, _ in _ALL_SUITES]
-    if only:
-        missing = set(only) - set(names)
-        if missing:
-            raise DomainError(f"unknown suite names: {', '.join(sorted(missing))}")
-        names = [name for name in names if name in only]
-    geo = cfg.geometry
-    if "factorization" in names:
-        space = WeightedSpace(geo.n, cfg.lam, geometry=geo)
-        for a_text, c_text in _canned_pairs(cfg):
-            composite = parse_symbol(f"prod(a = {a_text}, c = {c_text})", geo)
-            _plan_or_refuse(
-                f"factorization: the full route of pair ({a_text} | {c_text})",
-                lambda: assembly_path(composite, space, cfg.D, cfg.spec,
-                                      use_fast_paths=False),
-            )
-            _plan_or_refuse(
-                f"factorization: the level route of pair ({a_text} | {c_text})",
-                lambda: _level_route(composite, space, cfg.D, cfg.spec),
-            )
-    if "quantization" not in names:
-        return names
-    c_in = rebase_inner(cfg.c_expr)
-    pad = (0,) * (geo.m - 1)
-    # each remainder subtracts the recovered estimate, a callable of unknown
-    # degree: on radial blocks its radial moment table, else its matrix
-    plans = (("block", c_in, "truncation.D_eval", cfg.eval_levels),
-             ("block", c_in, "truncation.D_remainder", cfg.remainder_levels),
-             ("remainder", as_point_function(c_in), "truncation.D_remainder",
-              cfg.remainder_levels))
-    kinds = set()
-    for what, sym, key, levels in plans:
-        D = cfg.settings[key]
-        for tot in levels:
-            space = geo.level_space(cfg.lam, (tot,) + pad)
-            plan = _plan_or_refuse(
-                f"quantization: the recovery {what} of level {tot} at {key} = {D}",
-                lambda: radial_table_order(sym, D, f"the radial moment table for degrees <= {D}")
-                if what == "remainder" and kinds == {"radial"}
-                else assembly_path(sym, space, D, cfg.spec),
-            )
-            if what == "block":
-                kinds.add(plan.kind)
-    grid = _radial_grid(geo.d_inner, cfg.grid_tmax, cfg.grid_points)
-    probe_mus, symbols, points = _consistency_probe(cfg)
-    probes = [("Berezin error probe", c_in, cfg.mu_schedule, grid)]
-    probes += [("Berezin-consistency probe", sym, probe_mus, points) for sym in symbols]
-    probes.append(("boundary probe", c_in, [_BOUNDARY_MU], _boundary_points(cfg)[1]))
-    for what, sym, mus, pts in probes:
-        what = f"quantization: the {what} of {symbol_to_text(sym)}"
-        for mu in mus:
-            for z in pts:
-                _plan_or_refuse(
-                    f"{what} at |z|^2 = {float(np.sum(np.abs(z) ** 2))!r}, mu = {mu}",
-                    lambda: berezin_plan(sym, float(mu), z, cfg.spec),
-                )
-    return names
+) -> List[Tuple[str, Callable[[], SuiteResult]]]:
+    """The name and run of each suite of this selection, from its plan
+    step, so whatever a suite would stop on is refused before any runs.
+    Unknown names are refused too."""
+    missing = set(only or ()) - {name for name, _ in _ALL_SUITES}
+    if missing:
+        raise DomainError(f"unknown suite names: {', '.join(sorted(missing))}")
+    return [(name, plan(cfg)) for name, plan in _ALL_SUITES if not only or name in only]
 
 
 def run_all(cfg: ExperimentConfig, only: Optional[Sequence[str]] = None) -> List[SuiteResult]:
     """Run the suites sequentially (each may parallelize internally)."""
-    suites = dict(_ALL_SUITES)
-    return [suites[name](cfg) for name in plan_suites(cfg, only)]
+    return [run() for _, run in plan_suites(cfg, only)]
 
 
 # ---------------------------------------------------------------------------

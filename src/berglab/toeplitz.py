@@ -808,7 +808,7 @@ def resolve_assembly_spec(
     if spec.scheme == MONTE_CARLO:
         return spec
     deg_hint = symbol_degree_hint(f) if is_symbolic(f) else 8
-    resolved = spec.resolved(d, D, deg_hint)
+    resolved = spec.resolved(D, deg_hint)
     band = _axis_band(f, d, geometry)
     if spec.angular == 0 and band is not None:
         resolved = replace(resolved, angular=D + 1 + max(max(hi, -lo) for lo, hi in band))
@@ -1138,21 +1138,22 @@ def semicommutator(
     vanishes, the result is exact, and it is a radial form of D + 1
     values at any cutoff.
     """
-    t1 = toeplitz_matrix(c1, space, D, spec)
-    t2 = toeplitz_matrix(c2, space, D, spec)
+    t1, t2, t12 = (toeplitz_matrix(f, space, D, spec)
+                   for f in _semicommutator_symbols(c1, c2, space.geometry))
+    return t1 @ t2 - t12
+
+
+def _semicommutator_symbols(c1: SymbolLike, c2: SymbolLike, geometry=None):
+    """c1, c2 and their product, the three symbols ``semicommutator``
+    compresses; the product is a symbol where both factors are plain
+    symbols, else a point function."""
     if is_symbolic(c1) and is_symbolic(c2) and not (
         isinstance(c1, ProductSymbol) or isinstance(c2, ProductSymbol)
     ):
-        product: SymbolLike = BinOp("*", c1, c2)
-    else:
-        f1 = as_point_function(c1, space.geometry)
-        f2 = as_point_function(c2, space.geometry)
-
-        def product(z: np.ndarray) -> np.ndarray:
-            return np.asarray(f1(z)) * np.asarray(f2(z))
-
-    t12 = toeplitz_matrix(product, space, D, spec)
-    return t1 @ t2 - t12
+        return c1, c2, BinOp("*", c1, c2)
+    f1 = as_point_function(c1, geometry)
+    f2 = as_point_function(c2, geometry)
+    return c1, c2, lambda z: np.asarray(f1(z)) * np.asarray(f2(z))
 
 
 # ---------------------------------------------------------------------------

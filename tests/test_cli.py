@@ -614,6 +614,22 @@ def test_suite_refuses_at_config_time_what_a_suite_would_stop_on(
     assert err.startswith("error:") and key in err
 
 
+def _refuse_every_suite_run(monkeypatch):
+    """Each suite's plan step still plans, but the run it returns fails
+    the test: a refusal must come before any suite runs."""
+
+    def refusing(plan):
+        def step(cfg):
+            plan(cfg)
+            return lambda: pytest.fail("a suite ran before the selection was checked")
+
+        return step
+
+    monkeypatch.setattr(
+        suites, "_ALL_SUITES", tuple((name, refusing(plan)) for name, plan in suites._ALL_SUITES)
+    )
+
+
 def test_suite_refuses_a_factorization_over_the_rule_budget(capsys, tmp_path, monkeypatch):
     # on the 3-ball the honest full route of r1^2 | 1 needs 34 M nodes, at
     # the phase count D + 1 of its invariant band
@@ -621,10 +637,7 @@ def test_suite_refuses_a_factorization_over_the_rule_budget(capsys, tmp_path, mo
     cfg.write_text("geometry.n = 3\n")
     out_dir = tmp_path / "runs"
 
-    def refuse(cfg):
-        raise AssertionError("a suite ran before the selection was checked")
-
-    monkeypatch.setattr(suites, "_ALL_SUITES", tuple((n, refuse) for n, _ in suites._ALL_SUITES))
+    _refuse_every_suite_run(monkeypatch)
     for extra in ([], ["--only", "factorization"], ["--dry-run"]):
         code, out, err = run(
             capsys, ["suite", "--config", str(cfg), "--out", str(out_dir)] + extra
@@ -648,10 +661,7 @@ def test_suite_refuses_a_factorization_the_level_route_does_not_take(
     cfg = tmp_path / "turning.cfg"
     cfg.write_text("symbol.a = re(z1)\n")
 
-    def refuse(cfg):
-        raise AssertionError("a suite ran before the selection was checked")
-
-    monkeypatch.setattr(suites, "_ALL_SUITES", tuple((n, refuse) for n, _ in suites._ALL_SUITES))
+    _refuse_every_suite_run(monkeypatch)
     out_dir = tmp_path / "runs"
     for extra in ([], ["--dry-run"]):
         code, out, err = run(
@@ -672,10 +682,7 @@ def test_suite_refuses_a_non_radial_recovery_block_over_the_budget(
     cfg.write_text("geometry.n = 3\nsymbol.c = 1 - abs2(zc) + re(zc1)\n")
     out_dir = tmp_path / "runs"
 
-    def refuse(cfg):
-        raise AssertionError("a suite ran before the selection was checked")
-
-    monkeypatch.setattr(suites, "_ALL_SUITES", tuple((n, refuse) for n, _ in suites._ALL_SUITES))
+    _refuse_every_suite_run(monkeypatch)
     for extra in ([], ["--dry-run"]):
         code, out, err = run(
             capsys,
@@ -733,10 +740,7 @@ def test_suite_refuses_a_berezin_probe_over_the_rule_budget(capsys, tmp_path, mo
     cfg.write_text("geometry.n = 4\n")
     out_dir = tmp_path / "runs"
 
-    def refuse(cfg):
-        raise AssertionError("a suite ran before the selection was checked")
-
-    monkeypatch.setattr(suites, "_ALL_SUITES", tuple((n, refuse) for n, _ in suites._ALL_SUITES))
+    _refuse_every_suite_run(monkeypatch)
     for extra in ([], ["--dry-run"]):
         code, out, err = run(
             capsys,
@@ -888,10 +892,7 @@ def test_suite_refuses_a_radial_berezin_point_over_the_budget(capsys, tmp_path, 
     cfg = tmp_path / "edge.cfg"
     cfg.write_text("grid.tmax = 0.995\n")
 
-    def refuse(cfg):
-        raise AssertionError("a suite ran before the selection was checked")
-
-    monkeypatch.setattr(suites, "_ALL_SUITES", tuple((n, refuse) for n, _ in suites._ALL_SUITES))
+    _refuse_every_suite_run(monkeypatch)
     out_dir = tmp_path / "runs"
     code, out, err = run(capsys, ["suite", "--config", str(cfg), "--out", str(out_dir)] + extra)
     assert code == 1 and out == ""
@@ -920,3 +921,37 @@ def test_suite_refuses_a_recovery_remainder_over_the_rule_budget(
     assert code == 1 and out == ""
     assert "suite quantization: the recovery remainder of level 32" in err
     assert "truncation.D_remainder = 60" in err and "74701449 nodes" in err
+
+
+@pytest.mark.parametrize(
+    "text, only, refusal",
+    [
+        # T_(c c) of re(z1)^40 on the inner 2-ball at D = 12
+        ("geometry.n = 3\nsymbol.c = re(zc1)^40\ntruncation.D = 12\ntruncation.R = 2\n"
+         "truncation.D_eval = 30\ntruncation.D_remainder = 30\nschedule.radii = 1\n"
+         "schedule.eval_levels = 8 16\nschedule.remainder_levels = 8\ngrid.tmax = 0.2\n"
+         "grid.points = 3\n",
+         "quantization", "suite quantization: the semicommutator at mu = 1.0, D = 12, its "
+         "matrix of re(z1)^40 * re(z1)^40: the product rule needs 26163225 nodes"),
+        # the quadrature route of 1 - abs2(z) on the inner 3-ball at q = 40
+        ("geometry.n = 4\nquad.q = 40\n", "norm_identity",
+         "suite norm_identity: the quadrature route of c at mu = 1.0: the product rule "
+         "needs 46656000 nodes"),
+    ],
+    ids=["semicommutator", "norm_quadrature"],
+)
+@pytest.mark.parametrize("extra", [[], ["--dry-run"]], ids=["run", "dry_run"])
+def test_suite_plans_every_matrix_its_run_assembles(
+    capsys, tmp_path, monkeypatch, text, only, refusal, extra
+):
+    # each of these passed the dry run and stopped its suite with an
+    # unnamed refusal, once the suites' plans were kept apart from the runs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out_dir = tmp_path / "runs"
+    _refuse_every_suite_run(monkeypatch)
+    code, out, err = run(capsys, ["suite", "--config", str(cfg), "--only", only,
+                                  "--out", str(out_dir)] + extra)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {refusal}")
+    assert not out_dir.exists()

@@ -508,7 +508,8 @@ def test_one_operator_type_holds_a_radial_operator():
     ``OperatorMatrix``: a ``LevelBlock`` holds its inner operator as one
     field, ``level_block_direct`` is one ``toeplitz_matrix`` call and judges
     no route (no ``is_radial`` or ``radial_toeplitz_diagonal`` call),
-    ``plan_suites`` takes the route of a recovery block from its plan (no
+    the quantization suite's plan step, which plans the remainders' moment
+    tables, takes the route of a recovery block from its plan (no
     ``is_radial`` call), and outside toeplitz.py only the remainder of a
     radial estimate calls ``radial_toeplitz_diagonal``."""
     fields = {f.name for f in dataclasses.fields(berglab.LevelBlock)}
@@ -520,7 +521,8 @@ def test_one_operator_type_holds_a_radial_operator():
     assert scopes("levels.py", "toeplitz_matrix").count("level_block_direct") == 1
     for name in ("is_radial", "radial_toeplitz_diagonal"):
         assert "level_block_direct" not in scopes("levels.py", name)
-    assert "plan_suites" not in scopes("suites.py", "is_radial")
+    assert "plan_quantization_suite" in scopes("suites.py", "radial_table_order")
+    assert "plan_quantization_suite" not in scopes("suites.py", "is_radial")
     found = [f"{path.name}: {scope}" for path in _package_paths() if path.name != "toeplitz.py"
              for scope in scopes(path.name, "radial_toeplitz_diagonal")]
     assert found == ["levels.py: recover_symbol_and_remainder"]

@@ -35,7 +35,7 @@ from berglab import toeplitz as toeplitz_module
 from berglab.core import compositions
 from berglab.levels import _neville_to_zero
 from berglab.quadrature import MONTE_CARLO
-from berglab.suites import ExperimentConfig, run_factorization_suite
+from berglab.suites import ExperimentConfig, plan_factorization_suite
 
 
 @pytest.fixture
@@ -392,7 +392,7 @@ def test_a_deviation_of_five_standard_errors_reads_one(monkeypatch):
         "quad.scheme": "monte_carlo", "quad.samples": "2000", "truncation.D": "3",
         "truncation.R": "1", "threads": "1",
     })
-    pairs = [c for c in run_factorization_suite(cfg).checks if c.label.startswith("pair(")]
+    pairs = [c for c in plan_factorization_suite(cfg)().checks if c.label.startswith("pair(")]
     assert pairs and all(c.passed and c.detail.endswith(", max dev/(5 SE) 1.00") for c in pairs)
 
 

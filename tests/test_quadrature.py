@@ -143,7 +143,7 @@ def test_spec_validation():
 
 def test_spec_resolution_honors_explicit_orders():
     spec = QuadratureSpec(q=17, angular=9)
-    r = spec.resolved(2, 8, 4)
+    r = spec.resolved(8, 4)
     assert r.q == 17 and r.angular == 9
-    auto = QuadratureSpec().resolved(2, 8, 4)
+    auto = QuadratureSpec().resolved(8, 4)
     assert auto.q > 0 and auto.angular >= 2 * 8 + 1

@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from berglab import (
@@ -27,8 +28,11 @@ from berglab.suites import (
     ExperimentConfig,
     _canned_pairs,
     _probe_cutoff,
+    plan_norm_identity,
+    plan_quantization_suite,
     plan_suites,
 )
+from berglab.symbols import Const
 
 
 def test_parse_config_text_basics():
@@ -283,7 +287,32 @@ def test_plan_refuses_every_berezin_point_of_a_non_radial_c(extra, probe):
     message = str(info.value)
     assert f"suite quantization: the {probe} of re(z2) at |z|^2 = 0.5625" in message
     assert "21233664 nodes" in message
-    assert plan_suites(cfg, ["norm_identity"]) == ["norm_identity"]
+    assert [name for name, _ in plan_suites(cfg, ["norm_identity"])] == ["norm_identity"]
+
+
+def test_sup_over_blocks_fails_on_a_faulty_level_route(monkeypatch):
+    # the full side is the closed form of the norm, so a fault of the level
+    # route no longer moves both sides alike
+    assemble = toeplitz._assemble_by_levels
+    monkeypatch.setattr(toeplitz, "_assemble_by_levels",
+                        lambda *args: assemble(*args) * (1.0 + 1e-9))
+    checks = {c.label: c for c in plan_norm_identity(default_config())().checks}
+    assert not checks["sup_over_blocks"].passed
+    assert checks["closed_form"].passed and checks["quadrature"].passed
+
+
+def test_single_generator_fails_on_a_t1_one_ulp_off(monkeypatch):
+    # ||T_c T_1 - T_c|| = 0.0 is bitwise: T_1 one ulp off the identity fails it
+    assemble = toeplitz.toeplitz_matrix
+
+    def one_ulp_off(f, *args, **kwargs):
+        mat = assemble(f, *args, **kwargs)
+        return mat * np.nextafter(1.0, 2.0) if f == Const(1.0) else mat
+
+    monkeypatch.setattr(toeplitz, "toeplitz_matrix", one_ulp_off)
+    checks = {c.label: c for c in plan_quantization_suite(default_config())().checks}
+    assert not checks["single_generator"].passed
+    assert checks["semicommutator_decay"].passed
 
 
 def test_berezin_probe_cutoff_fits_the_rule_budget():

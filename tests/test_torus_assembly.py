@@ -234,7 +234,7 @@ def _assembly_at_d24():
     # the flat node array alone is 65 MB and the dense route's Vandermonde
     # would be 10.6 GB
     f = parse_symbol("z1*conj(z2) + 1", None)
-    spec = QuadratureSpec().resolved(2, 24, 2)
+    spec = QuadratureSpec().resolved(24, 2)
     toeplitz_matrix(f, WeightedSpace(2, 0.0), 24, spec, use_fast_paths=False)
 
 
@@ -335,14 +335,14 @@ def test_resolved_orders_add_the_margin_only_when_automatic():
     poly = parse_symbol("z1*conj(z2)", geo)
     rational = parse_symbol("1/(2 - abs2(z))", geo)
     # a phase band [lo, hi] per axis sets angular = D + max(hi, -lo) + 1
-    base = QuadratureSpec().resolved(2, 6, 2)
+    base = QuadratureSpec().resolved(6, 2)
     assert resolve_assembly_spec(poly, 2, 6, QuadratureSpec()) == replace(base, angular=8)
     bumped = resolve_assembly_spec(rational, 2, 6, QuadratureSpec())
-    assert bumped.q == QuadratureSpec().resolved(2, 6, 0).q + 24
+    assert bumped.q == QuadratureSpec().resolved(6, 0).q + 24
     assert bumped.angular == 7
     # no band: the 2D + deg + 1 fallback
     unbanded = resolve_assembly_spec(parse_symbol("1/(2 - z1)", geo), 2, 6, QuadratureSpec())
-    assert unbanded.angular == QuadratureSpec().resolved(2, 6, 0).angular == 13
+    assert unbanded.angular == QuadratureSpec().resolved(6, 0).angular == 13
     explicit = QuadratureSpec(q=11, angular=13)
     assert resolve_assembly_spec(rational, 2, 6, explicit) == explicit
     mc = QuadratureSpec(scheme="monte_carlo")
@@ -429,7 +429,7 @@ def test_a_band_that_keeps_no_pair_gives_zeros_without_evaluating(monkeypatch, s
 def _band_blind_spec(f, d, D):
     """The automatic orders with 2D + deg + 1 phases, as if f had no band."""
     resolved = resolve_assembly_spec(f, d, D, QuadratureSpec())
-    blind = QuadratureSpec().resolved(d, D, symbol_degree_hint(f))
+    blind = QuadratureSpec().resolved(D, symbol_degree_hint(f))
     return replace(resolved, angular=blind.angular)
 
 
@@ -466,7 +466,7 @@ def test_a_symbol_without_band_keeps_the_band_blind_torus_bitwise():
     space = WeightedSpace(2, 0.0)
     path = assembly_path(f, space, 4, QuadratureSpec())
     assert path.record()["band"] is None
-    assert path.spec == replace(QuadratureSpec().resolved(2, 4, 0), q=7 + 24)
+    assert path.spec == replace(QuadratureSpec().resolved(4, 0), q=7 + 24)
     rule = ball_rule(2, 0.0, path.spec.q, path.spec.angular)
     every_pair = toeplitz._assemble_on_torus(rule, as_point_function(f), enumerate_basis(2, 4, 0.0))
     assert np.array_equal(toeplitz_matrix(f, space, 4, QuadratureSpec()).entries, every_pair)
