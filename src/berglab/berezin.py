@@ -2,13 +2,18 @@
 
 The operator-side transform is a quadratic form against the coefficient
 vector of the normalized reproducing kernel in the truncated basis; the
-symbol-side transform integrates the Mobius pullback of the symbol.  That
+symbol-side transform of a radial symbol is a kernel-mass sum over its
+diagonal, and of any other symbol integrates its Mobius pullback.  That
 integral is <T_{g o phi_z} 1, 1>, the degree-0 entry of the pullback's
 Toeplitz matrix, so it is assembled, streamed, as any matrix is; no flat
-node array is built.  Both sides carry explicit truncation bookkeeping:
-``kernel_tail`` is the kernel mass the operator side neglects, and the
-symbol side upgrades its quadrature orders as the evaluation point
-approaches the boundary (the pullback develops a near-pole there).
+node array is built.  The symbol side takes one point or an (N, d) point
+set; over a set a radial symbol's route and eigenvalue sequence are
+found once, and every value keeps the bits of a one-point call.  Both
+sides carry explicit truncation bookkeeping: ``kernel_tail`` is the
+kernel mass the operator side neglects (``kernel_tail_at_most`` compares
+it with a cap from two bounds, over a point set), and the symbol side
+upgrades its quadrature orders as the evaluation point approaches the
+boundary (the pullback develops a near-pole there).
 
 Spectral objects (essential spectrum, Fredholm verdicts) are finite
 surrogates: boundary values are sampled along a radius schedule plus the
@@ -96,13 +101,18 @@ def mobius(z: Sequence[complex], w: np.ndarray) -> np.ndarray:
 # Berezin transforms
 
 
-def _interior(z: Sequence[complex]) -> Tuple[np.ndarray, float]:
-    """z as a flat complex array and its |z|^2, refused off the open ball."""
-    z_arr = np.asarray(z, dtype=complex).reshape(-1)
-    t = float(np.sum(np.abs(z_arr) ** 2))
-    if not t < 1.0:  # NaN coordinates fail this too
+def _interior(z) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """z as an (N, d) complex point set, the |z|^2 of each point, and
+    whether z was one (d,) point; a point off the open ball is refused."""
+    z_arr = np.asarray(z, dtype=complex)
+    single = z_arr.ndim < 2
+    points = z_arr.reshape(1, -1) if single else z_arr
+    if points.ndim != 2:
+        raise DomainError(f"an array of shape {z_arr.shape} is neither a point nor a point set")
+    ts = np.sum(np.abs(points) ** 2, axis=1)
+    if not np.all(ts < 1.0):  # NaN coordinates fail this too
         raise DomainError("Berezin evaluation needs an interior point")
-    return z_arr, t
+    return points, ts, single
 
 
 def kernel_coefficients(
@@ -116,7 +126,8 @@ def kernel_coefficients(
     d = exponents.shape[1]
     if z_arr.shape[-1:] != (d,) or z_arr.size != d:
         raise DomainError(f"a point of shape {z_arr.shape} is not a point of the {d}-ball")
-    z_arr, t = _interior(z_arr)
+    points, ts, _ = _interior(z_arr.reshape(-1))
+    z_arr, t = points[0], float(ts[0])
     mono = np.ones(exponents.shape[0], dtype=complex)
     for ax in range(exponents.shape[1]):
         mono *= np.conj(z_arr[ax]) ** exponents[:, ax]
@@ -308,6 +319,41 @@ def kernel_tail(s_exp: float, D: int, t) -> np.ndarray:
     return out[()]
 
 
+# slack, in log, of the tail bounds below: log-gamma is rough by a few
+# ulp of its size, under 1e-7 at the 2 * 10^7 degrees of the largest table
+# the desk budget holds
+_TAIL_SLACK = 1e-6
+
+
+def kernel_tail_at_most(s_exp: float, D: int, t, cap: float) -> np.ndarray:
+    """``kernel_tail(s_exp, D, t) <= cap``, elementwise in t, taking the
+    tail only where two bounds on it leave the answer open.
+
+    The tail lies between its first mass m, at D + 1, and m / (1 - r),
+    with r the ratio bound of ``_far_end`` past D + 1 (while r < 1).  A
+    point whose lower bound is above the cap, or whose upper bound is
+    below it, by more than _TAIL_SLACK in log, is decided by the bound,
+    all points at once; ``kernel_tail`` runs on the others.  A t at or
+    below 0 passes, one on or past the sphere or NaN does not.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    out = t_arr <= 0.0
+    inside = (t_arr > 0.0) & (t_arr < 1.0)
+    ts = t_arr[inside]
+    n = D + 1.0
+    log_first = _log_choose(s_exp, n) + n * np.log(ts) + s_exp * np.log1p(-ts)
+    r = ts * max(1.0, (s_exp + n) / (n + 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):  # r >= 1 bounds nothing
+        log_upper = log_first - np.log1p(-r)
+    log_cap = math.log(cap)
+    below = log_upper < log_cap - _TAIL_SLACK
+    unsure = ~below & ~(log_first > log_cap + _TAIL_SLACK)
+    if np.any(unsure):
+        below[unsure] = kernel_tail(s_exp, D, ts[unsure]) <= cap
+    out[inside] = below
+    return out
+
+
 def radial_berezin_sum(
     eigenvalues: np.ndarray, s_exp: float, t_points: np.ndarray
 ) -> np.ndarray:
@@ -399,12 +445,13 @@ def _exact_sequence(g: SymbolExpr, d: int, nu: float, N: int) -> Optional[np.nda
 def berezin_plan(
     g: SymbolLike,
     mu: float,
-    z: Sequence[complex],
+    z,
     spec: QuadratureSpec,
     *,
     geometry: Optional[BallGeometry] = None,
-) -> Union[int, AssemblyPath]:
-    """The route ``berezin_of_symbol`` takes at z, refused where it would be.
+) -> Union[int, AssemblyPath, List[Union[int, AssemblyPath]]]:
+    """The route ``berezin_of_symbol`` takes at z, refused where it would be;
+    at an (N, d) point set, the list of its points' routes.
 
     A radial symbol (``is_radial``) expands over its diagonal: the plan is
     its ``radial_expansion_degree``, which refuses a point whose
@@ -415,57 +462,36 @@ def berezin_plan(
     approaches the boundary, up to 128 radial nodes and 128 phases per
     axis (4096 on the disk); a sampling spec is taken as it is.  A point
     off the open ball and a geometry of another dimension are refused.
-    Nothing is summed or assembled.
+    The route is chosen once for all the points.  Nothing is summed or
+    assembled.
     """
-    z_arr, t = _interior(z)
-    d = z_arr.shape[0]
+    points, ts, single = _interior(z)
+    d = points.shape[1]
     space = WeightedSpace(d, mu, geometry=geometry)  # refuses a geometry of another n
     if is_symbolic(g) and is_radial(g, geometry):
-        return radial_expansion_degree(d, mu, t)
+        plans = [radial_expansion_degree(d, mu, t) for t in ts.tolist()]
+        return plans[0] if single else plans
+    specs = [spec] * len(ts)
     if spec.scheme != MONTE_CARLO:
         deg = symbol_degree_hint(g) if is_symbolic(g) else 8
         resolved = spec.resolved(8, deg)
-        closeness = max(1.0 - math.sqrt(t), 1e-3)
-        q_eff = max(resolved.q, min(128, int(14.0 / math.sqrt(closeness)) + 8))
         ang_cap = 4096 if d == 1 else 128
-        ang_eff = max(resolved.angular, min(ang_cap, int(30.0 / closeness) + 8))
-        spec = replace(spec, q=q_eff, angular=ang_eff)
-    return assembly_path(as_point_function(g, geometry), space, 0, spec)
-
-
-def berezin_of_symbol(
-    g: SymbolLike,
-    mu: float,
-    z: Sequence[complex],
-    spec: QuadratureSpec,
-    *,
-    geometry: Optional[BallGeometry] = None,
-) -> complex:
-    """Integral of g against the Mobius-pulled-back weight at z, along the
-    route ``berezin_plan`` gives.
-
-    A radial symbol takes a diagonal expansion, which stays accurate
-    arbitrarily close to the boundary (a polynomial one over its exact
-    diagonal).  Any other gives <T_{g o phi_z} 1, 1>_mu, the degree-0
-    entry of the pullback's Toeplitz matrix.  The geometry, when given,
-    declares the partition that group radii such as ``r1`` read.
-    """
-    plan = berezin_plan(g, mu, z, spec, geometry=geometry)
-    z_arr, t = _interior(z)
-    d = z_arr.shape[0]
-    if isinstance(plan, int):
-        # expand to the planned degree over the diagonal: exact for a
-        # polynomial, and shared across points; else from the rule its profile
-        # callable takes, of an order set by the degree alone
-        lam = _exact_sequence(g, d, mu, plan)
-        if lam is None:
-            lam = diagonal_values(quasi_radial_profile(g, 1), (d,), mu, np.arange(plan + 1))
-        return complex(radial_berezin_sum(lam, d + mu + 1.0, np.array([t]))[0])
-
+        specs = []
+        for t in ts.tolist():
+            closeness = max(1.0 - math.sqrt(t), 1e-3)
+            q_eff = max(resolved.q, min(128, int(14.0 / math.sqrt(closeness)) + 8))
+            ang_eff = max(resolved.angular, min(ang_cap, int(30.0 / closeness) + 8))
+            specs.append(replace(spec, q=q_eff, angular=ang_eff))
     fn = as_point_function(g, geometry)
+    plans = [assembly_path(fn, space, 0, point_spec) for point_spec in specs]
+    return plans[0] if single else plans
+
+
+def _pullback(fn: PointFunction, z: np.ndarray) -> PointFunction:
+    """g o phi_z for the point function of g."""
 
     def pulled(w: np.ndarray) -> np.ndarray:
-        x = mobius(z_arr, w)
+        x = mobius(z, w)
         # roundoff can push |x| onto the boundary; nudge inward
         nrm2 = np.sum(np.abs(x) ** 2, axis=-1)
         over = nrm2 >= 1.0
@@ -473,7 +499,53 @@ def berezin_of_symbol(
             x = np.where(over[..., None], x * (1.0 - 1e-13), x)
         return np.asarray(fn(x))
 
-    return complex(toeplitz_matrix(pulled, WeightedSpace(d, mu), 0, plan.spec).entries[0, 0])
+    return pulled
+
+
+def berezin_of_symbol(
+    g: SymbolLike,
+    mu: float,
+    z,
+    spec: QuadratureSpec,
+    *,
+    geometry: Optional[BallGeometry] = None,
+) -> Union[complex, np.ndarray]:
+    """Integral of g against the Mobius-pulled-back weight at z, along the
+    route ``berezin_plan`` gives: a complex at one (d,) point, a complex
+    array of N values at an (N, d) point set.
+
+    A radial symbol takes a diagonal expansion, which stays accurate
+    arbitrarily close to the boundary (a polynomial one over its exact
+    diagonal).  Over a point set, one eigenvalue sequence up to the
+    largest planned degree serves every point, and each point sums the
+    prefix up to its own degree, so it keeps the bits of a one-point call.
+    Any other symbol gives <T_{g o phi_z} 1, 1>_mu, the degree-0 entry of
+    the pullback's Toeplitz matrix, point by point.  The geometry, when
+    given, declares the partition that group radii such as ``r1`` read.
+    """
+    plans = berezin_plan(g, mu, z, spec, geometry=geometry)
+    points, ts, single = _interior(z)
+    plans = [plans] if single else plans
+    d = points.shape[1]
+    out = np.empty(len(plans), dtype=complex)
+    if plans and isinstance(plans[0], int):
+        # expand each point to its planned degree over the diagonal: exact
+        # for a polynomial, and shared across points; else from the rule its
+        # profile callable takes, of an order set by the top degree, so one
+        # rule per distinct degree
+        degrees = np.array(plans)
+        lam = _exact_sequence(g, d, mu, max(plans))
+        for top in sorted(set(plans)):
+            rows = degrees == top
+            seq = lam[: top + 1] if lam is not None else diagonal_values(
+                quasi_radial_profile(g, 1), (d,), mu, np.arange(top + 1))
+            out[rows] = radial_berezin_sum(seq, d + mu + 1.0, ts[rows])
+    else:
+        fn = as_point_function(g, geometry)
+        space = WeightedSpace(d, mu)
+        for i, plan in enumerate(plans):
+            out[i] = toeplitz_matrix(_pullback(fn, points[i]), space, 0, plan.spec).entries[0, 0]
+    return complex(out[0]) if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +562,23 @@ class DecayTable:
         return csv_lines(header, self.rows)
 
 
+def berezin_errors(
+    c: SymbolLike,
+    mu: float,
+    points: np.ndarray,
+    spec: QuadratureSpec,
+    *,
+    geometry: Optional[BallGeometry] = None,
+) -> List[float]:
+    """|c(z) - B_mu[c](z)| at each point of an (N, d) set, from one
+    :func:`berezin_of_symbol` call.  Each modulus is Python's ``abs``:
+    numpy's complex modulus can differ from it in the last bit."""
+    points = np.asarray(points, dtype=complex)
+    c_vals = np.asarray(as_point_function(c, geometry)(points))
+    b = berezin_of_symbol(c, float(mu), points, spec, geometry=geometry)
+    return [abs(v) for v in (b - c_vals).tolist()]
+
+
 def quantization_probe(
     c: SymbolLike,
     mu_list: Sequence[float],
@@ -500,8 +589,9 @@ def quantization_probe(
 ) -> DecayTable:
     """sup-grid |B_mu[c] - c| for each mu; the decay surrogate.
 
-    The grid is an array of interior points, shape (N, d), with N >= 1.
-    The geometry is passed on to :func:`berezin_of_symbol`.
+    The grid is an array of interior points, shape (N, d), with N >= 1,
+    transformed whole at each mu (:func:`berezin_errors`).  The geometry
+    is passed on to :func:`berezin_of_symbol`.
     """
     spec = spec or QuadratureSpec()
     grid = np.asarray(grid, dtype=complex)
@@ -509,15 +599,8 @@ def quantization_probe(
         grid = grid[:, None]
     if grid.shape[0] == 0:
         raise DomainError("the probe grid needs at least one point")
-    c_fn = as_point_function(c, geometry)
-    c_vals = np.asarray(c_fn(grid))
-    rows = []
-    for mu in mu_list:
-        worst = 0.0
-        for i in range(grid.shape[0]):
-            b = berezin_of_symbol(c, float(mu), grid[i], spec, geometry=geometry)
-            worst = max(worst, abs(b - complex(c_vals[i])))
-        rows.append((float(mu), worst))
+    rows = [(float(mu), max([0.0] + berezin_errors(c, mu, grid, spec, geometry=geometry)))
+            for mu in mu_list]
     return DecayTable(rows=tuple(rows))
 
 
@@ -531,18 +614,15 @@ def boundary_vanishing_probe(
     radii: Sequence[float],
     spec: Optional[QuadratureSpec] = None,
 ) -> DecayTable:
-    """|f(z) - B_mu[f](z)| at z = r e_1 on the disk, r approaching 1."""
+    """|f(z) - B_mu[f](z)| at z = r e_1 on the disk, r approaching 1, all
+    radii transformed at once (:func:`berezin_errors`)."""
     spec = spec or QuadratureSpec()
-    f_fn = as_point_function(f)
-    rows = []
     for r in radii:
         if not 0.0 <= r < 1.0:
             raise DomainError(f"probe radius must lie in [0, 1), got {r}")
-        z = r * _PROBE_DIRECTION
-        fv = complex(np.asarray(f_fn(z[None, :]))[0])
-        bv = berezin_of_symbol(f, mu, z, spec)
-        rows.append((float(r), abs(fv - bv)))
-    return DecayTable(rows=tuple(rows))
+    points = np.asarray(radii, dtype=float)[:, None] * _PROBE_DIRECTION
+    errors = berezin_errors(f, mu, points, spec)
+    return DecayTable(rows=tuple((float(r), err) for r, err in zip(radii, errors)))
 
 
 # ---------------------------------------------------------------------------

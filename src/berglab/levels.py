@@ -14,7 +14,10 @@ radial form, its per-degree eigenvalues, at any cutoff.
 
 Recovery runs the Berezin transform over the available levels and, when
 several shifted weights are present, extrapolates the values to the
-infinite-level limit through the node 1/(d + mu + 1) -> 0.
+infinite-level limit through the node 1/(d + mu + 1) -> 0.  It works on
+a point set whole: the blocks that resolve each point come from bounds
+on the kernel tail, and the points that keep the same blocks share one
+extrapolation.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .berezin import berezin_of_operator, kernel_tail, radial_berezin_sum
+from .berezin import berezin_of_operator, kernel_tail_at_most, radial_berezin_sum
 from .core import (
     BallGeometry,
     MultiIndex,
@@ -328,10 +331,12 @@ class RecoveredSymbol:
     Each block's Berezin transform is its kernel-mass sum at |z|^2 over
     its per-degree values when the block is a radial form, its quadratic
     form otherwise.  At each point the blocks whose truncation still
-    resolves the kernel are kept; with two or more of them the values
-    extrapolate through u = 1/(d + mu + 1) to u = 0, otherwise the largest
-    reliable weight wins.  Falls back to the largest weight outright when
-    nothing is reliable (far outside the trusted radius).
+    resolves the kernel are kept (``kernel_tail_at_most``, for all points
+    at once); with two or more of them the values extrapolate through
+    u = 1/(d + mu + 1) to u = 0, once for each set of kept blocks over
+    the points that share it, otherwise the largest reliable weight wins.
+    Falls back to the largest weight outright when nothing is reliable
+    (far outside the trusted radius).
     """
 
     def __init__(self, blocks: Sequence[LevelBlock]):
@@ -356,8 +361,8 @@ class RecoveredSymbol:
         t = np.sum(np.abs(z) ** 2, axis=1)
         s_exps = np.array([b.d + b.mu + 1.0 for b in self.blocks])
         # usable[i, j]: block j enters the value at point i
-        tails = [kernel_tail(s, b.D, t) for s, b in zip(s_exps, self.blocks)]
-        usable = np.array(tails).T <= _TAIL_CAP
+        usable = np.array([kernel_tail_at_most(s, b.D, t, _TAIL_CAP)
+                           for s, b in zip(s_exps, self.blocks)]).T
         usable &= np.cumsum(usable, axis=1) <= _MAX_NODES
         usable[~usable.any(axis=1), 0] = True
         table = np.zeros(usable.shape, dtype=complex)
@@ -369,13 +374,17 @@ class RecoveredSymbol:
                 ]
             else:
                 table[rows, j] = radial_berezin_sum(blk.block.per_degree, s_exps[j], t[rows])
+        # one extrapolation per pattern of usable blocks, over its points
         out = np.empty(z.shape[0], dtype=complex)
-        for i in range(z.shape[0]):
-            cols = np.flatnonzero(usable[i])
-            if cols.size == 1:
-                out[i] = table[i, cols[0]]
-            else:
-                out[i] = _neville_to_zero(1.0 / s_exps[cols], table[i, cols])
+        left = np.ones(z.shape[0], dtype=bool)
+        while left.any():
+            pattern = usable[np.argmax(left)]
+            rows = np.flatnonzero(left & (usable == pattern).all(axis=1))
+            left[rows] = False
+            cols = np.flatnonzero(pattern)
+            values = table[np.ix_(rows, cols)].T
+            out[rows] = values[0] if cols.size == 1 else _neville_to_zero(
+                1.0 / s_exps[cols], values)
         return out[0] if single else out
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .berezin import (
     MatrixSymbol,
+    berezin_errors,
     berezin_of_operator,
     berezin_of_symbol,
     berezin_plan,
@@ -688,10 +689,10 @@ def run_quantization_suite(cfg: ExperimentConfig, c_in: SymbolExpr, semis: Seque
     for mu in probe_mus:
         for sym in probe_symbols:
             t_sym = toeplitz_matrix(sym, WeightedSpace(d_in, float(mu)), probe_D, cfg.spec)
-            for z in probe_pts:
+            rhs = berezin_of_symbol(sym, float(mu), probe_pts, cfg.spec)
+            for z, rhs_z in zip(probe_pts, rhs.tolist()):
                 lhs = berezin_of_operator(t_sym, float(mu), z)
-                rhs = berezin_of_symbol(sym, float(mu), z, cfg.spec)
-                worst_consistency = max(worst_consistency, abs(lhs - rhs))
+                worst_consistency = max(worst_consistency, abs(lhs - rhs_z))
     res.add(
         "berezin_consistency",
         worst_consistency <= tol["berezin"],
@@ -700,10 +701,7 @@ def run_quantization_suite(cfg: ExperimentConfig, c_in: SymbolExpr, semis: Seque
 
     # |c - B_mu[c]| at r e_1 of the inner ball, one probe point per radius
     radii, b_points = boundary
-    b_errs = [
-        quantization_probe(c_in, [_BOUNDARY_MU], b_points[i : i + 1], cfg.spec).rows[0][1]
-        for i in range(len(radii))
-    ]
+    b_errs = berezin_errors(c_in, _BOUNDARY_MU, b_points, cfg.spec)
     res.add(
         "boundary_vanishing",
         all(b < a for a, b in zip(b_errs, b_errs[1:])) and b_errs[-1] < 0.05,

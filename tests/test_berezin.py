@@ -1,5 +1,6 @@
 """Transforms, boundary probes and the Fredholm machinery."""
 
+import math
 import time
 
 import numpy as np
@@ -30,10 +31,13 @@ from berglab.berezin import (
     kernel_coefficients,
     kernel_masses,
     kernel_tail,
+    kernel_tail_at_most,
     radial_expansion_degree,
 )
 from berglab.core import enumerate_basis
+from berglab.levels import _TAIL_CAP
 from berglab.quadrature import MONTE_CARLO, as_point_function, ball_rule, monte_carlo_points
+from test_kernel_masses import SWEEP_S, SWEEP_T, _log_first_tail_mass
 
 
 def _kernel_form_berezin(g, mu, z):
@@ -424,3 +428,147 @@ def test_the_radial_plan_is_the_expansion_degree_taken_once(monkeypatch):
     assert calls == [(2, 4.0, t)]
     with pytest.raises(DomainError, match="radial Berezin expansion"):
         berezin_plan(f, 16.0, [np.sqrt(0.995), 0.0], QuadratureSpec())
+
+
+# points of the 2-ball: the centre, two of one radius, and radii toward the sphere
+POINT_SET = [[0.0, 0.0], [0.3, 0.4j], [0.4j, 0.3], [0.6 + 0.2j, -0.3], [0.5, 0.5],
+             [0.9, 0.1j]]
+
+
+@pytest.mark.parametrize("text, points", [
+    ("1 - abs2(z) + 0.5*abs2(z)^2", POINT_SET),  # exact diagonal
+    ("1/(2 - abs2(z))", POINT_SET),  # the rule its profile callable takes
+    ("re(z1) + abs2(z1)", [[0.0], [0.3], [0.2 + 0.3j], [-0.5j]]),  # the pullback
+])
+def test_a_point_set_transform_keeps_the_bits_of_one_point_calls(monkeypatch, text, points):
+    spec = QuadratureSpec()
+    points = np.array(points, dtype=complex)
+    d = points.shape[1]
+    f = parse_symbol(text, BallGeometry(d, d, (d,)))
+    for mu in (0.0, 3.0):
+        # each side builds its exact sequence afresh: the set's is summed
+        # once to its top degree, the points' extended point by point
+        monkeypatch.setattr(berezin, "_EXACT_SEQUENCES", {})
+        got = berezin_of_symbol(f, mu, points, spec)
+        monkeypatch.setattr(berezin, "_EXACT_SEQUENCES", {})
+        want = [berezin_of_symbol(f, mu, z, spec) for z in points]
+        assert all(type(w) is complex for w in want)
+        assert got.dtype == complex and got.tobytes() == np.array(want).tobytes(), (text, mu)
+        plans = berezin_plan(f, mu, points, spec)
+        assert plans == [berezin_plan(f, mu, z, spec) for z in points]
+        assert all(isinstance(plan, int) == ("re(" not in text) for plan in plans)
+    assert berezin_of_symbol(f, 1.0, points[:0], spec).shape == (0,)
+
+
+def test_a_point_set_takes_one_route_and_one_rule_per_degree(monkeypatch):
+    radial_calls, tops = [], []
+    is_radial, diagonal_values = berezin.is_radial, berezin.diagonal_values
+
+    def radial_spy(*args):
+        radial_calls.append(args)
+        return is_radial(*args)
+
+    def diagonal_spy(a, k, lam, levels, *args):
+        tops.append(int(np.max(levels)))
+        return diagonal_values(a, k, lam, levels, *args)
+
+    monkeypatch.setattr(berezin, "is_radial", radial_spy)
+    monkeypatch.setattr(berezin, "diagonal_values", diagonal_spy)
+    spec = QuadratureSpec()
+    points = np.array(POINT_SET, dtype=complex)
+    f = parse_symbol("1/(2 - abs2(z))", None)
+    plans = berezin_plan(f, 3.0, points, spec)
+    assert len(set(plans)) == 5 < len(plans)  # two points share a radius
+    radial_calls.clear()
+    berezin_of_symbol(f, 3.0, points, spec)
+    assert len(radial_calls) == 1 and tops == sorted(set(plans))
+    # a polynomial sums its diagonal once, to the largest degree
+    monkeypatch.setattr(berezin, "_EXACT_SEQUENCES", {})
+    tops.clear()
+    berezin_of_symbol(parse_symbol("1 - abs2(z)", None), 3.0, points, spec)
+    assert tops == [max(plans)]
+
+
+def test_the_probes_transform_each_weight_once(monkeypatch):
+    spec = QuadratureSpec()
+    f = parse_symbol("1 - abs2(z) + 0.25*abs2(z)^3", None)
+    grid = np.sqrt(np.linspace(0.0, 0.6, 7))[:, None].astype(complex)
+    radii = default_radius_schedule(5, include_terminal=False)
+    mus = [1.0, 2.0, 8.0]
+    # the one-point loops the probes replace
+    want = [(mu, max([0.0] + [abs(berezin_of_symbol(f, mu, z, spec) - (1.0 - t + 0.25 * t**3))
+                              for z, t in zip(grid, np.abs(grid[:, 0]) ** 2)]))
+            for mu in mus]
+    want_boundary = [
+        (r, abs(complex(as_point_function(f)(np.array([[r + 0j]]))[0])
+                - berezin_of_symbol(f, 2.0, [r], spec)))
+        for r in radii
+    ]
+    shapes = []
+    transform = berezin.berezin_of_symbol
+
+    def spy(g, mu, z, *args, **kwargs):
+        shapes.append(np.shape(z))
+        return transform(g, mu, z, *args, **kwargs)
+
+    monkeypatch.setattr(berezin, "berezin_of_symbol", spy)
+    assert quantization_probe(f, mus, grid, spec).rows == tuple(want)
+    assert shapes == [(7, 1)] * 3
+    shapes.clear()
+    assert boundary_vanishing_probe(f, 2.0, radii, spec).rows == tuple(want_boundary)
+    assert shapes == [(5, 1)]
+
+
+def _near_cap_points(s_exp, D, cap):
+    """t on both sides of where kernel_tail(s_exp, D, t) crosses cap, the
+    tail at each within 1e-7 relative of the cap, by bisection in
+    log(t / (1 - t))."""
+
+    def at(u):
+        t = 1.0 / (1.0 + math.exp(-u))
+        return t, float(kernel_tail(s_exp, D, t))
+
+    (t_lo, tail_lo), (t_hi, tail_hi) = at(-40.0), at(40.0)
+    u_lo, u_hi = -40.0, 40.0
+    while max(cap - tail_lo, tail_hi - cap) > 1e-7 * cap:
+        u = 0.5 * (u_lo + u_hi)
+        t, tail = at(u)
+        if tail <= cap:
+            u_lo, t_lo, tail_lo = u, t, tail
+        else:
+            u_hi, t_hi, tail_hi = u, t, tail
+    return [t_lo, t_hi]
+
+
+def test_the_tail_bounds_decide_as_the_tail_does(monkeypatch):
+    """Recovery's usability test, ``kernel_tail <= _TAIL_CAP``, from the
+    first tail mass and its geometric bound, and the tail itself only
+    where they leave it open: at the points bisected onto the cap."""
+    cap, slack = _TAIL_CAP, berezin._TAIL_SLACK
+    asked = []
+
+    def spy(s_exp, D, t):
+        asked.extend(np.atleast_1d(t).tolist())
+        return kernel_tail(s_exp, D, t)
+
+    monkeypatch.setattr(berezin, "kernel_tail", spy)
+    near = 0
+    for s_exp in SWEEP_S:
+        for D in (1, 60, 1800):
+            close = _near_cap_points(s_exp, D, cap)
+            ts = np.array(SWEEP_T + [math.nan, 1.0, 1.5, -0.5] + close)
+            asked.clear()
+            got = kernel_tail_at_most(s_exp, D, ts, cap)
+            assert np.array_equal(got, kernel_tail(s_exp, D, ts) <= cap), (s_exp, D)
+            unsure = []
+            for t in ts[(ts > 0.0) & (ts < 1.0)].tolist():
+                log_first = _log_first_tail_mass(s_exp, D, t)
+                r = t * max(1.0, (s_exp + D + 1.0) / (D + 2.0))
+                above = log_first > math.log(cap) + slack
+                below = r < 1.0 and log_first - math.log1p(-r) < math.log(cap) - slack
+                if not (above or below):
+                    unsure.append(t)
+            assert asked == unsure, (s_exp, D)
+            assert set(close) <= set(unsure)
+            near += len(close)
+    assert near == 2 * len(SWEEP_S) * 3

@@ -33,7 +33,8 @@ from berglab import (
 from berglab import levels as levels_module
 from berglab import toeplitz as toeplitz_module
 from berglab.core import compositions
-from berglab.levels import _neville_to_zero
+from berglab.berezin import kernel_tail, radial_berezin_sum
+from berglab.levels import _MAX_NODES, _TAIL_CAP, _neville_to_zero
 from berglab.quadrature import MONTE_CARLO
 from berglab.suites import ExperimentConfig, plan_factorization_suite
 
@@ -477,6 +478,56 @@ def test_diagonal_blocks_give_the_dense_blocks_recovery():
             got = RecoveredSymbol([blk])(grid)
             ref = RecoveredSymbol([dense])(grid)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (n, D, r)
+
+
+def _recovered_point_by_point(estimator, z):
+    """The per-point loop ``RecoveredSymbol`` ran before point sets: each
+    block's kernel tail at each point and one extrapolation per point.
+    Returns the values and, per point, how many blocks resolved it before
+    the _MAX_NODES cut and which blocks entered its value."""
+    t = np.sum(np.abs(z) ** 2, axis=1)
+    s_exps = np.array([b.d + b.mu + 1.0 for b in estimator.blocks])
+    out = np.empty(z.shape[0], dtype=complex)
+    resolved, entered = [], []
+    for i in range(z.shape[0]):
+        usable = np.array([kernel_tail(s, b.D, t[i]) <= _TAIL_CAP
+                           for s, b in zip(s_exps, estimator.blocks)])
+        resolved.append(int(np.count_nonzero(usable)))
+        usable &= np.cumsum(usable) <= _MAX_NODES
+        usable[0] |= not usable.any()
+        cols = np.flatnonzero(usable)
+        entered.append(cols.tolist())
+        row = np.array([
+            berezin_of_operator(estimator.blocks[j].block, estimator.blocks[j].mu, z[i])
+            if estimator.blocks[j].block.per_degree is None
+            else radial_berezin_sum(estimator.blocks[j].block.per_degree, s_exps[j], t[i : i + 1])[0]
+            for j in cols
+        ], dtype=complex)
+        out[i] = row[0] if cols.size == 1 else _neville_to_zero(1.0 / s_exps[cols], row)
+    return out, resolved, entered
+
+
+def test_recovery_over_a_point_set_keeps_the_bits_of_the_point_loop():
+    """Usability decided by the tail bounds and one extrapolation per
+    pattern of usable blocks give the per-point loop's values bitwise,
+    with a dense block among radial ones, points past the node cut, points
+    one block resolves and points none does (the largest-weight fallback)."""
+    g = BallGeometry(2, 1, (1,))
+    spec = QuadratureSpec()
+    c = parse_symbol("2 - abs2(zc) + 0.3*abs2(zc)^2", None)
+    blocks = [level_block_direct(c, g, 0.0, (r,), 40, spec) for r in (4, 8, 16, 24, 32, 48, 64)]
+    blocks.append(level_block_direct(c, g, 0.0, (20,), 60, spec))
+    blocks.append(_dense_block(level_block_direct(c, g, 0.0, (12,), 40, spec)))
+    ts = np.linspace(0.0, 0.6, 40)
+    grid = (np.sqrt(ts) * np.exp(1j * np.arange(40.0)))[:, None]
+    estimator = RecoveredSymbol(blocks)
+    want, resolved, entered = _recovered_point_by_point(estimator, grid)
+    got = estimator(grid)
+    assert got.tobytes() == want.tobytes()
+    assert {0, 1, 2}.issubset(resolved) and max(resolved) > _MAX_NODES
+    dense = next(j for j, b in enumerate(estimator.blocks) if b.block.per_degree is None)
+    assert any(dense in cols and len(cols) > 1 for cols in entered)
+    assert estimator(grid[5]) == got[5]
 
 
 def test_deep_radial_recovery_never_builds_a_dense_block():

@@ -21,7 +21,7 @@ from berglab import (
     verify_tensor_factorization,
     write_outputs,
 )
-from berglab import quadrature, toeplitz
+from berglab import levels, quadrature, toeplitz
 from berglab.quadrature import _MAX_RULE_NODES, ball_rule_size
 from berglab.suites import (
     _KNOWN_KEYS,
@@ -313,6 +313,16 @@ def test_single_generator_fails_on_a_t1_one_ulp_off(monkeypatch):
     checks = {c.label: c for c in plan_quantization_suite(default_config())().checks}
     assert not checks["single_generator"].passed
     assert checks["semicommutator_decay"].passed
+
+
+def test_recovery_remainders_fails_without_the_extrapolation(monkeypatch):
+    # the largest usable weight's value in place of the extrapolation to
+    # u = 0 leaves remainders of about 7.4e-03 against the 1e-6 bound
+    monkeypatch.setattr(levels, "_neville_to_zero",
+                        lambda us, values: np.asarray(values[np.argmin(us)], dtype=complex))
+    checks = {c.label: c for c in plan_quantization_suite(default_config())().checks}
+    assert not checks["recovery_remainders"].passed
+    assert checks["single_generator"].passed
 
 
 def test_berezin_probe_cutoff_fits_the_rule_budget():
