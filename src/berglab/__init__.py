@@ -80,6 +80,7 @@ from .symbols import (
 from .toeplitz import (
     AssemblyPath,
     OperatorMatrix,
+    assemble,
     assembly_path,
     diagonal_values,
     export_matrix_csv,

@@ -53,10 +53,10 @@ from .toeplitz import (
     OperatorMatrix,
     _diagonal_order,
     _singular_values,
+    assemble,
     assembly_path,
     diagonal_values,
     radial_table_order,
-    toeplitz_matrix,
 )
 
 
@@ -457,13 +457,14 @@ def berezin_plan(
     its ``radial_expansion_degree``, which refuses a point whose
     eigenvalue table would pass the desk budget.  Any other symbol
     integrates its Mobius pullback: the plan is the ``assembly_path`` of
-    the pullback at cutoff 0.  The pullback has a near-pole at distance
-    ~ (1 - |z|) outside the closed ball, so the rule's orders rise as z
-    approaches the boundary, up to 128 radial nodes and 128 phases per
-    axis (4096 on the disk); a sampling spec is taken as it is.  A point
-    off the open ball and a geometry of another dimension are refused.
-    The route is chosen once for all the points.  Nothing is summed or
-    assembled.
+    the pullback at z, at cutoff 0, which ``berezin_of_symbol`` assembles
+    as it is; a refusal names |z|^2 of the point.  The pullback has a
+    near-pole at distance ~ (1 - |z|) outside the closed ball, so the
+    rule's orders rise as z approaches the boundary, up to 128 radial
+    nodes and 128 phases per axis (4096 on the disk); a sampling spec is
+    taken as it is.  A point off the open ball and a geometry of another
+    dimension are refused.  The route is chosen once for all the points.
+    Nothing is summed or assembled.
     """
     points, ts, single = _interior(z)
     d = points.shape[1]
@@ -471,19 +472,21 @@ def berezin_plan(
     if is_symbolic(g) and is_radial(g, geometry):
         plans = [radial_expansion_degree(d, mu, t) for t in ts.tolist()]
         return plans[0] if single else plans
-    specs = [spec] * len(ts)
-    if spec.scheme != MONTE_CARLO:
-        deg = symbol_degree_hint(g) if is_symbolic(g) else 8
-        resolved = spec.resolved(8, deg)
-        ang_cap = 4096 if d == 1 else 128
-        specs = []
-        for t in ts.tolist():
+    fn = as_point_function(g, geometry)
+    resolved = spec.resolved(8, symbol_degree_hint(g) if is_symbolic(g) else 8)
+    ang_cap = 4096 if d == 1 else 128
+    plans = []
+    for z_i, t in zip(points, ts.tolist()):
+        point_spec = spec
+        if spec.scheme != MONTE_CARLO:
             closeness = max(1.0 - math.sqrt(t), 1e-3)
             q_eff = max(resolved.q, min(128, int(14.0 / math.sqrt(closeness)) + 8))
             ang_eff = max(resolved.angular, min(ang_cap, int(30.0 / closeness) + 8))
-            specs.append(replace(spec, q=q_eff, angular=ang_eff))
-    fn = as_point_function(g, geometry)
-    plans = [assembly_path(fn, space, 0, point_spec) for point_spec in specs]
+            point_spec = replace(spec, q=q_eff, angular=ang_eff)
+        try:
+            plans.append(assembly_path(_pullback(fn, z_i), space, 0, point_spec))
+        except DomainError as exc:
+            raise DomainError(f"{exc} (the Mobius pullback at |z|^2 = {t!r})") from None
     return plans[0] if single else plans
 
 
@@ -520,8 +523,9 @@ def berezin_of_symbol(
     largest planned degree serves every point, and each point sums the
     prefix up to its own degree, so it keeps the bits of a one-point call.
     Any other symbol gives <T_{g o phi_z} 1, 1>_mu, the degree-0 entry of
-    the pullback's Toeplitz matrix, point by point.  The geometry, when
-    given, declares the partition that group radii such as ``r1`` read.
+    the pullback's Toeplitz matrix, assembled along its plan point by
+    point.  The geometry, when given, declares the partition that group
+    radii such as ``r1`` read.
     """
     plans = berezin_plan(g, mu, z, spec, geometry=geometry)
     points, ts, single = _interior(z)
@@ -541,10 +545,7 @@ def berezin_of_symbol(
                 quasi_radial_profile(g, 1), (d,), mu, np.arange(top + 1))
             out[rows] = radial_berezin_sum(seq, d + mu + 1.0, ts[rows])
     else:
-        fn = as_point_function(g, geometry)
-        space = WeightedSpace(d, mu)
-        for i, plan in enumerate(plans):
-            out[i] = toeplitz_matrix(_pullback(fn, points[i]), space, 0, plan.spec).entries[0, 0]
+        out[:] = [assemble(plan).entries[0, 0] for plan in plans]
     return complex(out[0]) if single else out
 
 

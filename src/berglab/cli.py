@@ -32,7 +32,7 @@ from .core import (
     levels_up_to,
 )
 from .errors import DomainError
-from .levels import FACTORIZATION_TOL, _pair_plans, verify_tensor_factorization
+from .levels import FACTORIZATION_TOL, _compare_routes, _pair_plans
 from .quadrature import GAUSS_JACOBI, MONTE_CARLO, QuadratureSpec, require_sample_count
 from .suites import (
     ExperimentConfig,
@@ -53,11 +53,11 @@ from .symbols import (
 )
 from .toeplitz import (
     _require_dense,
+    assemble,
     assembly_path,
     export_matrix_csv,
     gamma_sequence,
     operator_norm,
-    toeplitz_matrix,
 )
 
 class _Parser(argparse.ArgumentParser):
@@ -154,7 +154,8 @@ def _add_quad(sub: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------------------
 # Subcommands: each but ``suite`` is a plan step (``suite`` runs one per
 # suite): it parses, validates and plans every assembly its run makes, so a
-# refusal comes first, under --dry-run too; ``main`` echoes, stops or runs.
+# refusal comes first, under --dry-run too, and the run assembles those
+# paths; ``main`` echoes, stops or runs.
 
 
 def cmd_parse(args: argparse.Namespace) -> _Plan:
@@ -174,10 +175,8 @@ def cmd_matrix(args: argparse.Namespace) -> _Plan:
         raise DomainError("matrix needs --d or a geometry via --n/--ell/--k")
     expr = parse_symbol(args.symbol, geometry)
     space = WeightedSpace(d, args.mu, geometry=geometry)
-    request = _spec_from(args)
-    # record the orders the assembly uses, not the 0 = auto request;
-    # assembling the request itself keeps every inner plan the recorded one
-    path = assembly_path(expr, space, args.D, request)
+    # record the orders the assembly uses, not the 0 = auto request
+    path = assembly_path(expr, space, args.D, _spec_from(args))
     spec = path.spec
     if args.out:  # the CSV lists every entry, a radial form's too
         _require_dense(d, args.D)
@@ -189,7 +188,7 @@ def cmd_matrix(args: argparse.Namespace) -> _Plan:
         echo["band"] = path.record()["band"]
 
     def run():
-        mat = toeplitz_matrix(expr, space, args.D, request)
+        mat = assemble(path)
         lines = [f"size = {mat.size}, norm = {format_float(operator_norm(mat))}"]
         if args.out:
             export_matrix_csv(
@@ -222,10 +221,9 @@ def cmd_norm(args: argparse.Namespace) -> _Plan:
     echo = {"symbol": args.symbol, "d": args.d, "mu": args.mu, "D": args.D}
     geometry = BallGeometry(args.d, args.d, (args.d,))
     expr = parse_symbol(args.symbol, geometry)
-    space = WeightedSpace(args.d, args.mu, geometry=geometry)
-    assembly_path(expr, space, args.D, spec)
+    path = assembly_path(expr, WeightedSpace(args.d, args.mu, geometry=geometry), args.D, spec)
     return echo, "plan: sigma_max of the truncated matrix", lambda: (
-        [format_float(operator_norm(toeplitz_matrix(expr, space, args.D, spec)))], 0)
+        [format_float(operator_norm(assemble(path)))], 0)
 
 
 def cmd_decompose(args: argparse.Namespace) -> _Plan:
@@ -242,15 +240,11 @@ def cmd_decompose(args: argparse.Namespace) -> _Plan:
             "lambda": args.lam, "D": args.D, "R": args.R, "tol": tol, "scheme": spec.scheme}
     composite = parse_symbol(f"prod(a = {args.a}, c = {args.c})", geometry)
     # plan both routes, so the dry run refuses what the check would
-    for _, plan in _pair_plans(composite, WeightedSpace(geometry.n, args.lam, geometry=geometry),
-                               args.D, spec):
-        plan()
+    routes = [plan() for _, plan in _pair_plans(
+        composite, WeightedSpace(geometry.n, args.lam, geometry=geometry), args.D, spec)]
 
     def run():
-        levels = levels_up_to(args.R, geometry.m)
-        _, reports = verify_tensor_factorization(
-            composite.a, composite.c, geometry, args.lam, levels, args.D, spec, tol=tol
-        )
+        _, reports = _compare_routes(*routes, levels_up_to(args.R, geometry.m), tol)
         rows = [(rep.rho, rep.mu, rep.max_deviation, rep.passed) for rep in reports]
         lines = [rep.summary() for rep in reports]
         lines += _output(csv_lines("rho,mu,max_deviation,passed", rows), args.out)
@@ -278,14 +272,12 @@ def cmd_berezin(args: argparse.Namespace) -> _Plan:
     geometry = BallGeometry(args.d, args.d, (args.d,))
     expr = parse_symbol(args.symbol, geometry)
     z = _parse_point(args.z, args.d)
-    space = WeightedSpace(args.d, args.mu, geometry=geometry)
-    assembly_path(expr, space, args.D, spec)
+    path = assembly_path(expr, WeightedSpace(args.d, args.mu, geometry=geometry), args.D, spec)
     _require_dense(args.d, args.D)  # the operator side reads the basis
     berezin_plan(expr, args.mu, z, spec, geometry=geometry)
 
     def run():
-        mat = toeplitz_matrix(expr, space, args.D, spec)
-        op_side = berezin_of_operator(mat, args.mu, z)
+        op_side = berezin_of_operator(assemble(path), args.mu, z)
         sym_side = berezin_of_symbol(expr, args.mu, z, spec, geometry=geometry)
         return [
             f"operator side = {format_float(op_side.real)} + {format_float(op_side.imag)}i",
@@ -304,8 +296,7 @@ def cmd_quantize(args: argparse.Namespace) -> _Plan:
     expr = parse_symbol(args.symbol, geometry)
     grid = _radial_grid(args.d, args.tmax, args.grid_points)
     for mu in args.mus:
-        for z in grid:
-            berezin_plan(expr, float(mu), z, spec, geometry=geometry)
+        berezin_plan(expr, float(mu), grid, spec, geometry=geometry)
 
     def run():
         table = quantization_probe(expr, args.mus, grid, spec, geometry=geometry)

@@ -41,13 +41,15 @@ from .errors import DomainError
 from .quadrature import MONTE_CARLO, QuadratureSpec, SymbolLike
 from .symbols import ProductSymbol, SymbolExpr, is_symbolic, rebase_inner
 from .toeplitz import (
+    AssemblyPath,
     OperatorMatrix,
+    _assemble_with_stderr,
     _diagonal_norm,
+    assemble,
     assembly_path,
     operator_norm,
     radial_toeplitz_diagonal,
     toeplitz_matrix,
-    toeplitz_matrix_with_stderr,
 )
 
 
@@ -195,19 +197,21 @@ FACTORIZATION_TOL = 1e-5
 
 def _level_route(
     f_ac: ProductSymbol, space: WeightedSpace, D: int, spec: QuadratureSpec
-) -> QuadratureSpec:
-    """The spec of the check's level route, refused off the "levels" path.
+) -> AssemblyPath:
+    """The plan of the check's level route, refused off the "levels" path.
     Under sampling it is the rule of the same orders: the reference's own
     noise stays out of the 5 SE gate."""
     if spec.scheme == MONTE_CARLO:
         spec = QuadratureSpec(q=spec.q, angular=spec.angular)
-    if assembly_path(f_ac, space, D, spec).kind != "levels":
+    path = assembly_path(f_ac, space, D, spec)
+    if path.kind != "levels":
         raise DomainError("the z'-factor must be invariant under the group torus action")
-    return spec
+    return path
 
 
 def _pair_plans(f_ac: ProductSymbol, space: WeightedSpace, D: int, spec: QuadratureSpec):
-    """The check's two route plans, each a call named for its refusal."""
+    """The check's two route plans, the honest full path and the level
+    path, each as a call named for its refusal that returns it."""
     return (("full route", lambda: assembly_path(f_ac, space, D, spec, use_fast_paths=False)),
             ("level route", lambda: _level_route(f_ac, space, D, spec)))
 
@@ -222,39 +226,47 @@ def verify_tensor_factorization(
     spec: QuadratureSpec,
     tol: float = FACTORIZATION_TOL,
 ) -> Tuple[OperatorMatrix, List[FactorizationReport]]:
-    """Compare full-ball quadrature of the product symbol with its level
-    route on each level.
-
-    The full route integrates over all 2n real dimensions with no use of
-    the factorization and is assembled once for all the levels: a sampling
-    spec gives the Monte Carlo matrix and its per-entry standard errors, a
-    rule gives plain quadrature with the fast paths off.  The factorized
-    route is the symbol's matrix on the "levels" path of
-    ``toeplitz_matrix``.  Agreement is the numerical content of the level
-    decomposition.  A level that is not one of the partition, or whose
-    total exceeds D, a factor that is not a parsed symbol, and an a-factor
-    that path does not take are refused before anything is planned or
-    assembled.  Returns the full-route matrix and one report per level, in
-    the order given.
-    """
+    """The factorization check of prod(a, c) on each level: its two
+    ``_pair_plans``, compared by ``_compare_routes``.  A level that is not
+    one of the partition, or whose total exceeds D, and a factor that is
+    not a parsed symbol are refused before anything is planned, an
+    a-factor the "levels" path does not take before anything is assembled."""
     for name, factor in (("a", a), ("c", c)):
         if not is_symbolic(factor):
             raise DomainError(
                 f"the {name}-factor must be a parsed symbol, got a {type(factor).__name__}"
             )
     levels_t = [_check_level(rho, geometry, D) for rho in levels]
-    f_ac = ProductSymbol(a=a, c=c, geometry=geometry)
     space = WeightedSpace(geometry.n, lam, geometry=geometry)
-    mc = spec.scheme == MONTE_CARLO
-    level_spec = _level_route(f_ac, space, D, spec)
-    if mc:
-        full, se = toeplitz_matrix_with_stderr(f_ac, space, D, spec)
-    else:
-        full = toeplitz_matrix(f_ac, space, D, spec, use_fast_paths=False)
-    factored = toeplitz_matrix(f_ac, space, D, level_spec)
+    routes = _pair_plans(ProductSymbol(a=a, c=c, geometry=geometry), space, D, spec)
+    return _compare_routes(*(plan() for _, plan in routes), levels_t, tol)
+
+
+def _compare_routes(
+    full_path: AssemblyPath,
+    level_path: AssemblyPath,
+    levels: Sequence[Tuple[int, ...]],
+    tol: float,
+) -> Tuple[OperatorMatrix, List[FactorizationReport]]:
+    """Compare full-ball quadrature of a product symbol with its level
+    route, the two plans of ``_pair_plans``, on each of ``levels`` (of the
+    partition, none past the cutoff).
+
+    The full route integrates over all 2n real dimensions with no use of
+    the factorization and is assembled once for all the levels: a sampling
+    plan gives the Monte Carlo matrix and its per-entry standard errors
+    (the 5 SE gate), a rule plain quadrature with the fast paths off (the
+    ``tol`` gate).  Agreement is the numerical content of the level
+    decomposition.  Returns the full-route matrix and one report per
+    level, in the order given.
+    """
+    mc = full_path.kind == "monte_carlo"
+    full, se = _assemble_with_stderr(full_path) if mc else (assemble(full_path), None)
+    factored = assemble(level_path)
+    geometry, lam = level_path.symbol.geometry, level_path.space.lam
     layout = level_layout(full.basis, geometry)
     reports = []
-    for rho in levels_t:
+    for rho in levels:
         rows = layout[rho].ravel()
         pos = np.ix_(rows, rows)
         dev = np.abs(full.entries[pos] - factored.entries[pos])

@@ -1,8 +1,9 @@
 """Configuration-driven experiment suites and their output artifacts.
 
 Each suite is a plan step, ``plan_<suite>(cfg)``: it builds its run's
-inputs, plans every matrix the run assembles and returns the run, whose
-result holds labelled pass/fail checks and named CSV tables.  The writer
+inputs, plans every matrix the run assembles and returns the run, which
+assembles those paths and plans no matrix again, and whose result holds
+labelled pass/fail checks and named CSV tables.  The writer
 lands everything in an output directory in one atomic swap so a crashed
 run never leaves a half-written directory behind.  Config files are flat
 "key = value" text with dotted key names; unknown keys are rejected.
@@ -39,6 +40,7 @@ from .core import (
     WeightedSpace,
     count_basis,
     csv_lines,
+    dim_level,
     format_cell,
     format_float,
     levels_up_to,
@@ -46,13 +48,13 @@ from .core import (
 from .errors import DomainError
 from .levels import (
     FACTORIZATION_TOL,
+    LevelBlock,
+    _compare_routes,
     _level_route,
     _pair_plans,
     block_norms,
-    level_block_direct,
     off_block_mass,
     recover_symbol_and_remainder,
-    verify_tensor_factorization,
 )
 from .quadrature import (
     GAUSS_JACOBI,
@@ -70,13 +72,14 @@ from .symbols import (
     symbol_to_text,
 )
 from .toeplitz import (
+    AssemblyPath,
+    _assemble_semicommutator,
+    _semicommutator_paths,
+    assemble,
     assembly_path,
     gamma_sequence,
     operator_norm,
     radial_table_order,
-    _semicommutator_symbols,
-    semicommutator,
-    toeplitz_matrix,
 )
 
 # ---------------------------------------------------------------------------
@@ -382,22 +385,21 @@ def plan_norm_identity(cfg: ExperimentConfig) -> Callable[[], SuiteResult]:
     d_in = geo.d_inner
     c_expr = parse_symbol("1 - abs2(z)", BallGeometry(d_in, d_in, (d_in,)))
     spaces = [geo.level_space(cfg.lam, (k,) + (0,) * (geo.m - 1)) for k in range(cfg.R + 1)]
-    for space in spaces:
-        for route, fast in (("diagonal", True), ("quadrature", False)):
-            _plan_or_refuse(f"norm_identity: the {route} route of c at mu = {space.lam}",
-                            assembly_path, c_expr, space, cfg.D, cfg.spec, use_fast_paths=fast)
+    routes = [[_plan_or_refuse(f"norm_identity: the {route} route of c at mu = {space.lam}",
+                               assembly_path, c_expr, space, cfg.D, cfg.spec, use_fast_paths=fast)
+               for route, fast in (("diagonal", True), ("quadrature", False))]
+              for space in spaces]
     f_c = ProductSymbol(a=Const(1.0), c=c_expr, geometry=geo)
-    space = WeightedSpace(geo.n, cfg.lam, geometry=geo)
-    spec = _plan_or_refuse("norm_identity: the level route of 1 (x) c",
-                           _level_route, f_c, space, cfg.D, cfg.spec)
-    return functools.partial(run_norm_identity, cfg, c_expr, spaces, (f_c, space, cfg.D, spec))
+    full = _plan_or_refuse("norm_identity: the level route of 1 (x) c", _level_route, f_c,
+                           WeightedSpace(geo.n, cfg.lam, geometry=geo), cfg.D, cfg.spec)
+    return functools.partial(run_norm_identity, cfg, routes, full)
 
 
-def run_norm_identity(cfg: ExperimentConfig, c_expr: SymbolExpr,
-                      spaces: Sequence[WeightedSpace], full: tuple) -> SuiteResult:
+def run_norm_identity(cfg: ExperimentConfig, routes: Sequence[list],
+                      full: AssemblyPath) -> SuiteResult:
     """Block norms of the canonical vanishing symbol against closed forms:
-    the diagonal and quadrature routes on each level's space, the sup over
-    the blocks of the ``full``-ball matrix of 1 (x) c on its level route
+    each level's diagonal and quadrature ``routes``, the sup over the
+    blocks of the ``full``-ball matrix of 1 (x) c on its level route
     against its norm, and the block norms' climb toward the sup."""
     res = SuiteResult("norm_identity")
     geo = cfg.geometry
@@ -407,13 +409,11 @@ def run_norm_identity(cfg: ExperimentConfig, c_expr: SymbolExpr,
     rows = []
     worst_closed = 0.0
     worst_quad = 0.0
-    for k_level, space in enumerate(spaces):
-        mu = space.lam
+    for k_level, (diagonal, quadrature) in enumerate(routes):
+        mu = diagonal.space.lam
         closed = (mu + 1.0) / (d_in + mu + 1.0)
-        sigma_diag = operator_norm(toeplitz_matrix(c_expr, space, cfg.D, cfg.spec))
-        sigma_quad = operator_norm(
-            toeplitz_matrix(c_expr, space, cfg.D, cfg.spec, use_fast_paths=False)
-        )
+        sigma_diag = operator_norm(assemble(diagonal))
+        sigma_quad = operator_norm(assemble(quadrature))
         worst_closed = max(worst_closed, abs(sigma_diag - closed))
         worst_quad = max(worst_quad, abs(sigma_quad - closed))
         rows.append((k_level, mu, closed, sigma_diag, sigma_quad))
@@ -430,7 +430,7 @@ def run_norm_identity(cfg: ExperimentConfig, c_expr: SymbolExpr,
 
     # the monomial eigenvalues 1 - (|alpha''| + d'') / (|alpha| + n + lam + 1)
     # of T_c on the full ball peak at |alpha''| = 0, |alpha| = D
-    sup_blocks = max(block_norms(toeplitz_matrix(*full), geo).values())
+    sup_blocks = max(block_norms(assemble(full), geo).values())
     sigma_full = 1.0 - d_in / (cfg.D + geo.n + cfg.lam + 1.0)
     gap = abs(sup_blocks - sigma_full)
     res.add(
@@ -472,36 +472,35 @@ def plan_factorization_suite(cfg: ExperimentConfig) -> Callable[[], SuiteResult]
     (``_pair_plans``) and the commutator's two operators are planned."""
     geo = cfg.geometry
     space = WeightedSpace(geo.n, cfg.lam, geometry=geo)
-    pairs = [(texts, parse_symbol(f"prod(a = {texts[0]}, c = {texts[1]})", geo))
-             for texts in _canned_pairs(cfg)]
-    for (a_text, c_text), composite in pairs:
-        for route, plan in _pair_plans(composite, space, cfg.D, cfg.spec):
+    pairs = []
+    for a_text, c_text in _canned_pairs(cfg):
+        composite = parse_symbol(f"prod(a = {a_text}, c = {c_text})", geo)
+        pairs.append(((a_text, c_text), [
             _plan_or_refuse(f"factorization: the {route} of pair ({a_text} | {c_text})", plan)
-    one_sided = (parse_symbol(f"prod(a = {cfg.a_text}, c = 1)", geo),
-                 parse_symbol(f"prod(a = 1, c = {cfg.c_text})", geo))
-    for f in one_sided:
+            for route, plan in _pair_plans(composite, space, cfg.D, cfg.spec)]))
+    one_sided = [
         _plan_or_refuse(f"factorization: the commutator's matrix of {symbol_to_text(f)}",
                         assembly_path, f, space, cfg.D, cfg.spec)
-    return functools.partial(run_factorization_suite, cfg, space, pairs, one_sided)
+        for f in (parse_symbol(f"prod(a = {cfg.a_text}, c = 1)", geo),
+                  parse_symbol(f"prod(a = 1, c = {cfg.c_text})", geo))]
+    return functools.partial(run_factorization_suite, cfg, pairs, one_sided)
 
 
-def run_factorization_suite(cfg: ExperimentConfig, space: WeightedSpace,
-                            pairs: Sequence[tuple], one_sided: tuple) -> SuiteResult:
+def run_factorization_suite(cfg: ExperimentConfig, pairs: Sequence[tuple],
+                            one_sided: Sequence[AssemblyPath]) -> SuiteResult:
     """Two-route factorization deviations over every level up to R for each
-    of the ``pairs`` ((a text, c text), symbol), and the commutator."""
+    of the ``pairs`` ((a text, c text), its two route plans), and the
+    commutator of the ``one_sided`` operators."""
     res = SuiteResult("factorization")
     geo = cfg.geometry
     tol = cfg.tolerances
     levels = levels_up_to(cfg.R, geo.m)
 
-    def one_pair(composite: ProductSymbol):
-        return verify_tensor_factorization(
-            composite.a, composite.c, geo, cfg.lam, levels, cfg.D, cfg.spec,
-            tol=tol["factorization"],
-        )
+    def one_pair(routes: Sequence[AssemblyPath]):
+        return _compare_routes(*routes, levels, tol["factorization"])
 
     with ThreadPoolExecutor(max_workers=cfg.worker_count()) as pool:
-        outcomes = list(pool.map(one_pair, [composite for _, composite in pairs]))
+        outcomes = list(pool.map(one_pair, [routes for _, routes in pairs]))
 
     table = []
     for ((a_text, c_text), _), (_, reports) in zip(pairs, outcomes):
@@ -519,7 +518,7 @@ def run_factorization_suite(cfg: ExperimentConfig, space: WeightedSpace,
     res.tables["factorization.csv"] = csv_lines("a,c,rho,mu,max_deviation,passed", table)
 
     # the two one-sided operators must commute (their levels share bases)
-    t_a, t_c = (toeplitz_matrix(f, space, cfg.D, cfg.spec) for f in one_sided)
+    t_a, t_c = (assemble(path) for path in one_sided)
     comm = operator_norm((t_a @ t_c) - (t_c @ t_a))
     res.add(
         "commutator",
@@ -560,10 +559,10 @@ def _probe_cutoff(symbols: Sequence[SymbolExpr], d: int, spec: QuadratureSpec) -
 
 def plan_quantization_suite(cfg: ExperimentConfig) -> Callable[[], SuiteResult]:
     """The quantization suite's run, once everything it assembles is
-    planned: each semicommutator's three matrices, each recovery block and
-    each remainder's estimate, a callable (on radial blocks its moment
+    planned: each semicommutator's distinct matrices, each recovery block
+    and each remainder's estimate, a callable (on radial blocks its moment
     table, else its matrix), the consistency probe's matrices, and each
-    Berezin transform (``berezin_plan``) of each probe at each point."""
+    probe's Berezin transforms at each weight over its points at once."""
     geo = cfg.geometry
     d_in = geo.d_inner
     c_in = rebase_inner(cfg.c_expr)
@@ -572,30 +571,30 @@ def plan_quantization_suite(cfg: ExperimentConfig) -> Callable[[], SuiteResult]:
     semis = [(c_in, c_in, WeightedSpace(d_in, float(mu)), cfg.D) for mu in mus]
     semis += [(c_in, Const(1.0), WeightedSpace(d_in, float(mus[-1])), cfg.D),
               (c_disk, c_disk, WeightedSpace(1, 0.0), 4)]
-    for c1, c2, space, D in semis:
-        for f in _semicommutator_symbols(c1, c2):
-            _plan_or_refuse(f"quantization: the semicommutator at mu = {space.lam}, D = {D}, "
-                            f"its matrix of {symbol_to_text(f)}",
-                            assembly_path, f, space, D, cfg.spec)
+    semi_paths = [
+        _semicommutator_paths(c1, c2, None, lambda f: _plan_or_refuse(
+            f"quantization: the semicommutator at mu = {space.lam}, D = {D}, "
+            f"its matrix of {symbol_to_text(f)}", assembly_path, f, space, D, cfg.spec))
+        for c1, c2, space, D in semis]
 
     pad = (0,) * (geo.m - 1)
-    recovery = [[(tot,) + pad for tot in levels]
-                for levels in (cfg.eval_levels, cfg.remainder_levels)]
-    plans = (("block", c_in, "truncation.D_eval", recovery[0]),
-             ("block", c_in, "truncation.D_remainder", recovery[1]),
-             ("remainder", as_point_function(c_in), "truncation.D_remainder", recovery[1]))
-    kinds = set()
-    for what, sym, key, rhos in plans:
-        D = cfg.settings[key]
-        for rho in rhos:
-            plan = _plan_or_refuse(
-                f"quantization: the recovery {what} of level {rho[0]} at {key} = {D}",
-                lambda: radial_table_order(sym, D, f"the radial moment table for degrees <= {D}")
-                if what == "remainder" and kinds == {"radial"}
-                else assembly_path(sym, geo.level_space(cfg.lam, rho), D, cfg.spec),
-            )
-            if what == "block":
-                kinds.add(plan.kind)
+    recovery = [
+        [(rho, _plan_or_refuse(
+            f"quantization: the recovery block of level {rho[0]} at {key} = {D}",
+            assembly_path, c_in, geo.level_space(cfg.lam, rho), D, cfg.spec))
+         for rho in ((tot,) + pad for tot in levels)]
+        for key, D, levels in (("truncation.D_eval", cfg.D_eval, cfg.eval_levels),
+                               ("truncation.D_remainder", cfg.D_remainder,
+                                cfg.remainder_levels))]
+    radial = all(path.kind == "radial" for rows in recovery for _, path in rows)
+    c_fn = as_point_function(c_in)
+    D = cfg.D_remainder
+    for rho, _ in recovery[1]:
+        _plan_or_refuse(
+            f"quantization: the recovery remainder of level {rho[0]} at "
+            f"truncation.D_remainder = {D}",
+            lambda: radial_table_order(c_fn, D, f"the radial moment table for degrees <= {D}")
+            if radial else assembly_path(c_fn, geo.level_space(cfg.lam, rho), D, cfg.spec))
 
     # the consistency probe: the two smallest weights, c and re(z1), at a few
     # grid points with |z|^2 <= 1/2, where its cutoff swallows the kernel mass
@@ -605,11 +604,11 @@ def plan_quantization_suite(cfg: ExperimentConfig) -> Callable[[], SuiteResult]:
     probe_mus = sorted(set(mus))[:2] if len(mus) >= 2 else mus
     probe_symbols = [c_in, parse_symbol("re(z1)", BallGeometry(d_in, d_in, (d_in,)))]
     probe_D = _probe_cutoff(probe_symbols, d_in, cfg.spec)
-    for mu in probe_mus:
-        for sym in probe_symbols:
-            _plan_or_refuse(f"quantization: the Berezin-consistency probe's matrix of "
-                            f"{symbol_to_text(sym)} at mu = {mu}, D = {probe_D}",
-                            assembly_path, sym, WeightedSpace(d_in, float(mu)), probe_D, cfg.spec)
+    probe = [(mu, sym, _plan_or_refuse(
+        f"quantization: the Berezin-consistency probe's matrix of {symbol_to_text(sym)} at "
+        f"mu = {mu}, D = {probe_D}",
+        assembly_path, sym, WeightedSpace(d_in, float(mu)), probe_D, cfg.spec))
+        for mu in probe_mus for sym in probe_symbols]
     radii = default_radius_schedule(cfg.radii_count, include_terminal=False)
     b_points = np.zeros((len(radii), d_in), dtype=complex)
     b_points[:, 0] = radii
@@ -617,28 +616,25 @@ def plan_quantization_suite(cfg: ExperimentConfig) -> Callable[[], SuiteResult]:
     probes += [("Berezin-consistency probe", sym, probe_mus, probe_pts) for sym in probe_symbols]
     probes.append(("boundary probe", c_in, [_BOUNDARY_MU], b_points))
     for what, sym, weights, pts in probes:
-        what = f"quantization: the {what} of {symbol_to_text(sym)}"
         for mu in weights:
-            for z in pts:
-                _plan_or_refuse(f"{what} at |z|^2 = {float(np.sum(np.abs(z) ** 2))!r}, mu = {mu}",
-                                berezin_plan, sym, float(mu), z, cfg.spec)
-    return functools.partial(run_quantization_suite, cfg, c_in, semis, grid, recovery,
-                             (probe_mus, probe_symbols, probe_pts, probe_D), (radii, b_points))
+            _plan_or_refuse(f"quantization: the {what} of {symbol_to_text(sym)} at mu = {mu}",
+                            berezin_plan, sym, float(mu), pts, cfg.spec)
+    return functools.partial(run_quantization_suite, cfg, c_in, semi_paths, grid, recovery,
+                             (probe, probe_pts), (radii, b_points))
 
 
-def run_quantization_suite(cfg: ExperimentConfig, c_in: SymbolExpr, semis: Sequence[tuple],
-                           grid: np.ndarray, recovery_levels: Sequence[list],
-                           probe: tuple, boundary: tuple) -> SuiteResult:
+def run_quantization_suite(cfg: ExperimentConfig, c_in: SymbolExpr, semi_paths: Sequence[tuple],
+                           grid: np.ndarray, recovery: Sequence[list], probe: tuple,
+                           boundary: tuple) -> SuiteResult:
     """Semicommutator decay, Berezin error decay, boundary table, recovery;
-    ``semis`` holds each semicommutator's (c1, c2, space, D): c c at each
-    weight of the schedule, c 1 at the largest, the disk's degree-0 one."""
+    ``semi_paths`` holds each semicommutator's plans: c c at each weight
+    of the schedule, c 1 at the largest, the disk's degree-0 one."""
     res = SuiteResult("quantization")
     geo = cfg.geometry
-    d_in = geo.d_inner
     tol = cfg.tolerances
     mus = list(cfg.mu_schedule)
 
-    *decay_mats, single, s_disk = [semicommutator(*args, cfg.spec) for args in semis]
+    *decay_mats, single, s_disk = [_assemble_semicommutator(paths) for paths in semi_paths]
     semi_norms = [operator_norm(n_mat) for n_mat in decay_mats]
     decreasing = all(b < a for a, b in zip(semi_norms, semi_norms[1:]))
     res.add(
@@ -685,14 +681,13 @@ def run_quantization_suite(cfg: ExperimentConfig, c_in: SymbolExpr, semis: Seque
 
     # operator side vs symbol side of the Berezin transform
     worst_consistency = 0.0
-    probe_mus, probe_symbols, probe_pts, probe_D = probe
-    for mu in probe_mus:
-        for sym in probe_symbols:
-            t_sym = toeplitz_matrix(sym, WeightedSpace(d_in, float(mu)), probe_D, cfg.spec)
-            rhs = berezin_of_symbol(sym, float(mu), probe_pts, cfg.spec)
-            for z, rhs_z in zip(probe_pts, rhs.tolist()):
-                lhs = berezin_of_operator(t_sym, float(mu), z)
-                worst_consistency = max(worst_consistency, abs(lhs - rhs_z))
+    probe_paths, probe_pts = probe
+    for mu, sym, path in probe_paths:
+        t_sym = assemble(path)
+        rhs = berezin_of_symbol(sym, float(mu), probe_pts, cfg.spec)
+        for z, rhs_z in zip(probe_pts, rhs.tolist()):
+            lhs = berezin_of_operator(t_sym, float(mu), z)
+            worst_consistency = max(worst_consistency, abs(lhs - rhs_z))
     res.add(
         "berezin_consistency",
         worst_consistency <= tol["berezin"],
@@ -710,8 +705,8 @@ def run_quantization_suite(cfg: ExperimentConfig, c_in: SymbolExpr, semis: Seque
     res.tables["boundary_decay.csv"] = csv_lines("radius,error", zip(radii, b_errs))
 
     eval_blocks, rem_blocks = (
-        [level_block_direct(c_in, geo, cfg.lam, rho, D, cfg.spec) for rho in rhos]
-        for rhos, D in zip(recovery_levels, (cfg.D_eval, cfg.D_remainder))
+        [LevelBlock(rho, dim_level(rho, geo.k), assemble(path)) for rho, path in blocks]
+        for blocks in recovery
     )
     recovery = recover_symbol_and_remainder(
         eval_blocks, grid, cfg.spec, remainder_blocks=rem_blocks
@@ -739,17 +734,16 @@ def plan_spectrum_suite(cfg: ExperimentConfig) -> Callable[[], SuiteResult]:
     """The spectrum suite's run, once its sigma_min matrices are planned: a
     vanishing and an invertible symbol on the disk at mu = 2, at D = 4, 8, 16."""
     disk = BallGeometry(1, 1, (1,))
-    sigma_min = [[(parse_symbol(text, disk), WeightedSpace(1, 2.0), n, cfg.spec)
+    sigma_min = [[_plan_or_refuse(f"spectrum: the sigma_min matrix at D = {n}", assembly_path,
+                                  parse_symbol(text, disk), WeightedSpace(1, 2.0), n, cfg.spec)
                   for n in (4, 8, 16)] for text in ("1 - abs2(z)", "2 - abs2(z)")]
-    for req in sigma_min[0] + sigma_min[1]:
-        _plan_or_refuse(f"spectrum: the sigma_min matrix at D = {req[2]}", assembly_path, *req)
     return functools.partial(run_spectrum_suite, cfg, sigma_min)
 
 
 def run_spectrum_suite(cfg: ExperimentConfig, sigma_min: Sequence[list]) -> SuiteResult:
     """Essential spectrum samples, Fredholm verdicts, and the sigma_min
     trends of the vanishing and the invertible symbol's ``sigma_min``
-    matrices, each the arguments of its ``toeplitz_matrix`` call."""
+    matrices, each given by its plan."""
     res = SuiteResult("spectrum")
     tol = cfg.tolerances
     # boundary sampling needs a sphere with room for a vanishing locus;
@@ -811,8 +805,8 @@ def run_spectrum_suite(cfg: ExperimentConfig, sigma_min: Sequence[list]) -> Suit
     res.tables["spectrum_weighted.csv"] = sample_w.csv_lines()
 
     tab_v, tab_i = (
-        min_singular_probe([toeplitz_matrix(*request) for request in requests])
-        for requests in sigma_min
+        min_singular_probe([assemble(path) for path in paths])
+        for paths in sigma_min
     )
     res.add(
         "sigma_min_trends",

@@ -64,6 +64,11 @@ T_a and T_c take their balls' own paths (so a quasi-radial a gives
 gamma_a(rho) I), and no full-ball rule is built; within one z'-exponent
 the basis order is the inner basis order.
 
+A request is planned once: ``assembly_path`` chooses its route and
+orders, refuses what would not fit, and returns an ``AssemblyPath`` that
+holds the request; ``assemble`` builds the matrix along that plan, and
+``toeplitz_matrix`` is the two in a row.
+
 Truncation is compression: norms computed here are lower bounds that
 increase toward the operator norm as D grows.
 """
@@ -73,7 +78,7 @@ from __future__ import annotations
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, wraps
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
@@ -819,8 +824,8 @@ def resolve_assembly_spec(
 
 @dataclass(frozen=True)
 class AssemblyPath:
-    """The plan ``toeplitz_matrix`` follows for one request: its route and
-    the orders of that route.
+    """The plan of one request, which ``assemble`` follows: its route, the
+    orders of that route, and the request itself.
 
     ``kind`` is "radial" (a radial form, its eigenvalues one per
     degree), "quasi_radial" (a diagonal of the gamma sequence, one value
@@ -833,11 +838,17 @@ class AssemblyPath:
     is the plan of T_a on the z'-ball and ``inner`` the inner-ball plan
     of each level |rho| <= D, in graded order.  ``spec`` is the
     resolved request whatever the path; ``band`` is the torus or Monte
-    Carlo one's.
+    Carlo one's.  The request, ``symbol``, ``space``, cutoff ``D`` and
+    ``fast_paths``, is what ``assemble`` reads; plans compare by route and
+    orders alone, leaving it out.
     """
 
     kind: str
     spec: QuadratureSpec
+    symbol: SymbolLike = field(compare=False, repr=False)
+    space: WeightedSpace = field(compare=False, repr=False)
+    D: int = field(compare=False, repr=False)
+    fast_paths: bool = field(compare=False, repr=False)
     parts: Tuple[int, ...] = ()
     q: Optional[int] = None
     inner: Tuple["AssemblyPath", ...] = field(default=(), repr=False)
@@ -899,13 +910,14 @@ def assembly_path(
     k = count_basis(space.d, D)
     geometry = space.geometry
     resolved = resolve_assembly_spec(f, space.d, D, spec, geometry)
+    request = dict(spec=resolved, symbol=f, space=space, D=D, fast_paths=use_fast_paths)
     if (use_fast_paths and is_symbolic(f) and not isinstance(f, ProductSymbol)
             and is_radial(f, geometry)):
         q = radial_table_order(f, D, f"the radial moment table for degrees <= {D}")
         if k * k <= _MAX_DENSE_ENTRIES:
             even = [D // space.d + (j < D % space.d) for j in range(space.d)]
             basis_norm_constant(even, space.d, space.lam)
-        return AssemblyPath("radial", resolved, (space.d,), q)
+        return AssemblyPath("radial", **request, parts=(space.d,), q=q)
     _require_dense(space.d, D)
     if use_fast_paths and isinstance(f, ProductSymbol):
         geo = f.geometry
@@ -918,15 +930,15 @@ def assembly_path(
                     assembly_path(c_inner, geo.level_space(space.lam, rho), D - sum(rho), spec)
                     for rho in levels_up_to(D, geo.m)
                 )
-                return AssemblyPath("levels", resolved, inner=inner, factor=factor)
+                return AssemblyPath("levels", **request, inner=inner, factor=factor)
     elif (use_fast_paths and is_symbolic(f) and geometry is not None
           and sum(geometry.k) == space.d and quasi_radial_profile(f, geometry.m) is not None):
         q = _diagonal_order(f, geometry.m, D)
-        return AssemblyPath("quasi_radial", resolved, geometry.k, q)
+        return AssemblyPath("quasi_radial", **request, parts=geometry.k, q=q)
     kind = "monte_carlo" if spec.scheme == MONTE_CARLO else "torus"
     if kind == "torus":
         require_rule_size(space.d, resolved.q, resolved.angular)
-    return AssemblyPath(kind, resolved, band=_axis_band(f, space.d, geometry))
+    return AssemblyPath(kind, **request, band=_axis_band(f, space.d, geometry))
 
 
 def toeplitz_matrix(
@@ -937,33 +949,20 @@ def toeplitz_matrix(
     *,
     use_fast_paths: bool = True,
 ) -> OperatorMatrix:
-    """Compression of the symbol's Toeplitz operator to degrees <= D.
-
-    Fast paths: radial symbols become radial forms, their D + 1
-    eigenvalues, group-radius symbols diagonals of the gamma sequence, product
-    symbols whose a-factor is invariant under the group torus are
-    assembled level by level (a diagonal form when T_a and every inner
-    matrix are one), and on the torus and Monte Carlo paths only the
-    entries inside the symbol's phase bands are computed, every other
-    one an exact zero.  The diagonal of a
-    polynomial symbol is exact, a sum of Pochhammer ratios over its
-    terms; any other diagonal comes from one Gauss-Jacobi or simplex rule.
+    """Compression of the symbol's Toeplitz operator to degrees <= D:
+    ``assemble`` of the request's ``assembly_path``, which names the route
+    (a fast path of ``AssemblyPath``, or plain quadrature).
     ``use_fast_paths=False`` forces plain quadrature for every entry,
     which is the honest reference the fast paths are tested against.
-    ``assembly_path`` names the route taken.
     """
-    path = assembly_path(f, space, D, spec, use_fast_paths=use_fast_paths)
-    return _assemble(path, f, space, D, use_fast_paths)
+    return assemble(assembly_path(f, space, D, spec, use_fast_paths=use_fast_paths))
 
 
-def _assemble(
-    path: AssemblyPath,
-    f: SymbolLike,
-    space: WeightedSpace,
-    D: int,
-    use_fast_paths: bool = True,
-) -> OperatorMatrix:
-    """The matrix of ``f`` along a path ``assembly_path`` chose for it."""
+def assemble(path: AssemblyPath) -> OperatorMatrix:
+    """The matrix of the request a plan holds, along that plan's route
+    (the fast paths of the module docstring), planning nothing again: a
+    "levels" plan's factor and levels are assembled as they were planned."""
+    f, space, D = path.symbol, path.space, path.D
     if path.kind == "radial":
         values = diagonal_values(f, path.parts, space.lam, np.arange(D + 1), path.q)
         return OperatorMatrix.radial(space.d, D, space.lam, values)
@@ -977,9 +976,9 @@ def _assemble(
         values = diagonal_values(f, path.parts, space.lam, degrees[first], path.q)
         return OperatorMatrix.diagonal(basis, values[of_row])
     if path.kind == "levels":
-        return _assemble_by_levels(path, f, basis)
+        return _assemble_by_levels(path, basis)
 
-    keep = _band_pairs(path.band, f, basis, geometry) if use_fast_paths else None
+    keep = _band_pairs(path.band, f, basis, geometry) if path.fast_paths else None
     if keep is not None and not keep.any():
         # the band keeps no pair: every entry is an exact zero, with no node
         return OperatorMatrix(basis, np.zeros((basis.count, basis.count), dtype=complex))
@@ -1011,31 +1010,24 @@ def _band_pairs(
     return None if keep.all() else keep
 
 
-def _assemble_by_levels(
-    path: AssemblyPath, f: ProductSymbol, basis: TruncatedBasis
-) -> OperatorMatrix:
+def _assemble_by_levels(path: AssemblyPath, basis: TruncatedBasis) -> OperatorMatrix:
     """(rows of T_a on H_rho) (x) T_c at weight mu_rho on every level.
 
-    T_a is assembled once on the z'-ball, along ``path.factor``; level
-    rho reads its rows at that ball's ``level_layout`` positions (a
-    quasi-radial a gives gamma(rho) I).  The full basis's ``level_layout``
-    rows are in inner-basis order, so the inner matrix times a factor
-    entry lands on a pair of rows as it is; zero factor entries are
-    skipped, so their pairs stay exact +0.0, never 0 times the inner
-    matrix.  A diagonal T_a with diagonal inner matrices gives a diagonal
-    form, anything else a dense matrix.
+    T_a is ``path.factor`` assembled once on the z'-ball, each level's T_c
+    its plan in ``path.inner``; level rho reads its rows of T_a at the
+    z'-ball's ``level_layout`` positions (a quasi-radial a gives
+    gamma(rho) I).  The full basis's ``level_layout`` rows are in
+    inner-basis order, so the inner matrix times a factor entry lands on
+    a pair of rows as it is; zero factor entries are skipped, so their
+    pairs stay exact +0.0, never 0 times the inner matrix.  A diagonal T_a
+    with diagonal inner matrices gives a diagonal form, anything else a
+    dense matrix.
     """
-    geo = f.geometry
-    layout = level_layout(basis, geo)
-    c_inner = rebase_inner(f.c)
-    blocks = [
-        _assemble(inner, c_inner, geo.level_space(basis.lam, rho), basis.D - sum(rho))
-        for rho, inner in zip(layout, path.inner)
-    ]
-    prime = geo.prime_space(basis.lam)
-    t_a = _assemble(path.factor, f.a, prime, basis.D)
+    layout = level_layout(basis, path.symbol.geometry)
+    blocks = [assemble(inner) for inner in path.inner]
+    t_a = assemble(path.factor)
     # the same levels in the same order; on the z'-ball each row is one position
-    pos = [rows[:, 0] for rows in level_layout(t_a.basis, prime.geometry).values()]
+    pos = [rows[:, 0] for rows in level_layout(t_a.basis, path.factor.space.geometry).values()]
     if t_a.diag is not None and all(blk.diag is not None for blk in blocks):
         diag = np.empty(basis.count, dtype=complex)
         for rows, i, blk in zip(layout.values(), pos, blocks):
@@ -1059,23 +1051,26 @@ def toeplitz_matrix_with_stderr(
     D: int,
     spec: QuadratureSpec,
 ) -> Tuple[OperatorMatrix, np.ndarray]:
-    """Monte Carlo assembly plus a per-entry standard error estimate.
-
-    The error matrix bounds the magnitude of the complex deviation of
-    each sample-mean entry, from the sample second moments.  Only the
+    """Monte Carlo assembly plus a per-entry standard error estimate:
+    ``_assemble_with_stderr`` of the request's honest plan
+    (``use_fast_paths=False``), refused as that plan is.  Only the
     sampling scheme supports this; a fixed rule has no comparable notion.
-    This is the honest route: every pair, no band mask, so the matrix
-    equals ``toeplitz_matrix(..., use_fast_paths=False)`` on the same
-    draw bitwise, and it refuses what that route's ``assembly_path``
-    refuses.
     """
     if spec.scheme != MONTE_CARLO:
         raise DomainError("standard errors are only defined for sampling schemes")
-    assembly_path(f, space, D, spec, use_fast_paths=False)
-    basis = enumerate_basis(space.d, D, space.lam)
-    z = _sample_points(space.d, space.lam, spec.n_samples, spec.seed)
+    return _assemble_with_stderr(assembly_path(f, space, D, spec, use_fast_paths=False))
+
+
+def _assemble_with_stderr(path: AssemblyPath) -> Tuple[OperatorMatrix, np.ndarray]:
+    """The matrix of an honest Monte Carlo plan and the standard error of
+    each entry, the bound on the complex deviation of its sample mean from
+    the sample second moments.  Every pair, no band mask, so the matrix is
+    ``assemble`` of the plan on the same draw, bitwise."""
+    space = path.space
+    basis = enumerate_basis(space.d, path.D, space.lam)
+    z = _sample_points(space.d, space.lam, path.spec.n_samples, path.spec.seed)
     n = z.shape[0]
-    acc, acc2 = _node_sums(z, 1.0 / n, as_point_function(f, space.geometry), basis,
+    acc, acc2 = _node_sums(z, 1.0 / n, as_point_function(path.symbol, space.geometry), basis,
                            second_moment=True)
     var = np.maximum(acc2 - np.abs(acc) ** 2, 0.0) / max(n - 1, 1)
     return OperatorMatrix(basis, acc), np.sqrt(var)
@@ -1138,22 +1133,34 @@ def semicommutator(
     vanishes, the result is exact, and it is a radial form of D + 1
     values at any cutoff.
     """
-    t1, t2, t12 = (toeplitz_matrix(f, space, D, spec)
-                   for f in _semicommutator_symbols(c1, c2, space.geometry))
-    return t1 @ t2 - t12
+    return _assemble_semicommutator(_semicommutator_paths(
+        c1, c2, space.geometry, lambda f: assembly_path(f, space, D, spec)))
 
 
-def _semicommutator_symbols(c1: SymbolLike, c2: SymbolLike, geometry=None):
-    """c1, c2 and their product, the three symbols ``semicommutator``
-    compresses; the product is a symbol where both factors are plain
+def _semicommutator_paths(c1: SymbolLike, c2: SymbolLike, geometry, plan: Callable) -> tuple:
+    """``plan`` of c1, c2 and their product, the three symbols a
+    semicommutator compresses; c2 equal to c1 shares c1's plan, so T_c is
+    planned once.  The product is a symbol where both factors are plain
     symbols, else a point function."""
     if is_symbolic(c1) and is_symbolic(c2) and not (
         isinstance(c1, ProductSymbol) or isinstance(c2, ProductSymbol)
     ):
-        return c1, c2, BinOp("*", c1, c2)
-    f1 = as_point_function(c1, geometry)
-    f2 = as_point_function(c2, geometry)
-    return c1, c2, lambda z: np.asarray(f1(z)) * np.asarray(f2(z))
+        product = BinOp("*", c1, c2)
+    else:
+        f1 = as_point_function(c1, geometry)
+        f2 = as_point_function(c2, geometry)
+        product = lambda z: np.asarray(f1(z)) * np.asarray(f2(z))  # noqa: E731
+    p1 = plan(c1)
+    return p1, p1 if c2 == c1 else plan(c2), plan(product)
+
+
+def _assemble_semicommutator(paths: Sequence[AssemblyPath]) -> OperatorMatrix:
+    """T_{c1} T_{c2} - T_{c1 c2} from the three ``_semicommutator_paths``,
+    each distinct plan assembled once."""
+    p1, p2, p12 = paths
+    t1 = assemble(p1)
+    t2 = t1 if p2 is p1 else assemble(p2)
+    return t1 @ t2 - assemble(p12)
 
 
 # ---------------------------------------------------------------------------
@@ -1184,15 +1191,7 @@ def export_matrix_csv(
         "lam": M.basis.lam,
         "d": M.basis.d,
         "symbol": symbol_text,
-        "quadrature": None
-        if spec is None
-        else {
-            "scheme": spec.scheme,
-            "q": spec.q,
-            "angular": spec.angular,
-            "n_samples": spec.n_samples,
-            "seed": spec.seed,
-        },
+        "quadrature": None if spec is None else asdict(spec),
         "seed": None if spec is None else spec.seed,
     }
     if extra:

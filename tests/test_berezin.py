@@ -373,13 +373,13 @@ def test_symbol_transform_refuses_a_geometry_of_another_dimension():
 
 def test_symbol_transform_integrates_with_the_pullback_orders(monkeypatch):
     seen = []
-    real = berezin.toeplitz_matrix
+    real = berezin.assemble
 
-    def spy(f, space, D, spec, **kwargs):
-        seen.append(spec)
-        return real(f, space, D, spec, **kwargs)
+    def spy(path):
+        seen.append(path.spec)
+        return real(path)
 
-    monkeypatch.setattr(berezin, "toeplitz_matrix", spy)
+    monkeypatch.setattr(berezin, "assemble", spy)
     g = parse_symbol("re(z1)", None)
     spec = QuadratureSpec()
     for r, orders in ((0.0, (22, 38)), (0.3, (24, 50)), (0.6, (30, 83))):

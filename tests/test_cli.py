@@ -955,3 +955,27 @@ def test_suite_plans_every_matrix_its_run_assembles(
     assert code == 1 and out == ""
     assert err.startswith(f"error: {refusal}")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "--symbol", "prod(a = 1 - r1^2, c = re(zc1))", "--n", "2", "--ell", "1",
+         "--k", "1", "--mu", "0", "--D", "6"],
+        ["norm", "--symbol", "re(z1)", "--d", "2", "--mu", "1", "--D", "8"],
+        ["decompose", "--a", "1 - r1^2", "--c", "re(zc1)", "--n", "2"],
+        ["berezin", "--symbol", "1 - abs2(z)", "--d", "2", "--mu", "1", "--D", "12",
+         "--z", "0.3+0.1i,0.2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_run_assembles_only_the_paths_its_plan_step_made(plan_recorder, tmp_path, argv):
+    from berglab.cli import build_parser
+
+    args = build_parser().parse_args(argv + (["--out", str(tmp_path / "m.csv")]
+                                             if argv[0] == "matrix" else []))
+    _, _, run_step = args.func(args)
+    plan_recorder.phase = "run"
+    _, code = run_step()
+    assert code == 0 and plan_recorder.stray == []
+    assert "plan" in plan_recorder.planned and plan_recorder.assembled

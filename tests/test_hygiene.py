@@ -114,6 +114,8 @@ def _production_uses():
 # reason
 _KEPT_PUBLIC = {
     "load_config": "the config-file entry point",
+    "verify_tensor_factorization": "the one-call factorization check; the suite and "
+                                   "`decompose` run its comparison on their own plans",
 }
 
 
@@ -135,6 +137,7 @@ def test_every_public_name_has_a_use_outside_the_tests():
 # reason, as "callee(parameter)"
 _KEPT_DEFAULTS = {
     "default_config(overrides)": "how the tests build a config with a few keys set",
+    "verify_tensor_factorization(tol)": "the one-call check's default bound",
 }
 
 
@@ -422,14 +425,19 @@ def test_only_the_assembly_builds_a_level_factor():
 def test_the_level_assembly_reads_one_factor():
     """One level factor: ``toeplitz._assemble_by_levels`` reads each
     level's rows of T_a and sums no gamma of its own (no
-    ``diagonal_values`` or ``quasi_radial_profile`` call)."""
-    names = {"diagonal_values", "quasi_radial_profile"}
+    ``diagonal_values`` or ``quasi_radial_profile`` call), and it
+    assembles the factor and the levels its plan holds, working out no
+    part of the request again (no ``rebase_inner``, ``level_space`` or
+    ``prime_space`` call): ``assembly_path`` does that once."""
+    names = {"diagonal_values", "quasi_radial_profile", "rebase_inner", "level_space",
+             "prime_space"}
+    tree = ast.parse((SRC / "toeplitz.py").read_text())
     calls = _scoped_calls(
-        ast.parse((SRC / "toeplitz.py").read_text()),
-        lambda func: (getattr(func, "id", None) or getattr(func, "attr", None)) in names,
-    )
+        tree, lambda func: (getattr(func, "id", None) or getattr(func, "attr", None)) in names)
     assert [scope for scope, _ in calls if scope == "_assemble_by_levels"] == []
-    assert calls  # the names are still called elsewhere in the module
+    called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert names <= called  # each is still called elsewhere in the module
 
 
 def _name_calls(path, name):

@@ -234,8 +234,8 @@ def test_factorization_refuses_a_level_over_the_cutoff_before_assembling(monkeyp
     def sentinel(*args, **kwargs):
         raise Assembled
 
-    monkeypatch.setattr(levels_module, "toeplitz_matrix", sentinel)
-    monkeypatch.setattr(levels_module, "toeplitz_matrix_with_stderr", sentinel)
+    monkeypatch.setattr(levels_module, "assemble", sentinel)
+    monkeypatch.setattr(levels_module, "_assemble_with_stderr", sentinel)
     mc = QuadratureSpec(scheme=MONTE_CARLO, n_samples=1000, seed=1)
     for spec in (QuadratureSpec(), mc):
         for bad in ([(0,), (5,)], [(1, 0)], [(-1,)]):
@@ -259,8 +259,8 @@ def test_factorization_refuses_a_non_invariant_a_before_assembling(monkeypatch):
     def sentinel(*args, **kwargs):
         raise Assembled
 
-    monkeypatch.setattr(levels_module, "toeplitz_matrix", sentinel)
-    monkeypatch.setattr(levels_module, "toeplitz_matrix_with_stderr", sentinel)
+    monkeypatch.setattr(levels_module, "assemble", sentinel)
+    monkeypatch.setattr(levels_module, "_assemble_with_stderr", sentinel)
     monkeypatch.setattr(toeplitz_module, "ball_rule", sentinel)
     mc = QuadratureSpec(scheme=MONTE_CARLO, n_samples=1000, seed=1)
     for spec in (QuadratureSpec(), mc):
@@ -275,7 +275,7 @@ def test_factorization_refuses_a_callable_factor_before_any_plan(monkeypatch):
     def sentinel(*args, **kwargs):
         raise AssertionError("planned or assembled")
 
-    for name in ("assembly_path", "toeplitz_matrix", "toeplitz_matrix_with_stderr"):
+    for name in ("assembly_path", "assemble", "_assemble_with_stderr"):
         monkeypatch.setattr(levels_module, name, sentinel)
     fn = lambda z: np.ones(len(z))  # noqa: E731
     for which, (a, c) in (("a", (fn, one)), ("c", (one, fn))):
@@ -377,12 +377,13 @@ def test_a_deviation_of_five_standard_errors_reads_one(monkeypatch):
     5 SE off the level route reads 1.00 and passes."""
     g = BallGeometry(2, 1, (1,))
 
-    def five_se_off(f, space, D, spec):
-        factored = toeplitz_matrix(f, space, D, levels_module._level_route(f, space, D, spec))
+    def five_se_off(path):
+        factored = toeplitz_module.assemble(
+            levels_module._level_route(path.symbol, path.space, path.D, path.spec))
         full = OperatorMatrix(factored.basis, factored.entries + (0.25 - 0.5j))
         return full, np.abs(full.entries - factored.entries) / 5.0
 
-    monkeypatch.setattr(levels_module, "toeplitz_matrix_with_stderr", five_se_off)
+    monkeypatch.setattr(levels_module, "_assemble_with_stderr", five_se_off)
     spec = QuadratureSpec(scheme=MONTE_CARLO, n_samples=2000, seed=3)
     f = parse_symbol("prod(a = 1 - r1^2, c = re(zc1))", g)
     _, reports = verify_tensor_factorization(f.a, f.c, g, 0.0, [(0,), (1,)], 3, spec)

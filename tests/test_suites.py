@@ -273,19 +273,22 @@ _N3_NON_RADIAL = {
 
 
 @pytest.mark.parametrize(
-    "extra, probe",
-    [({}, "Berezin error probe"), ({"grid.tmax": 0.5, "grid.points": 5}, "boundary probe")],
+    "extra, probe, mu",
+    [({}, "Berezin error probe", "1"),
+     ({"grid.tmax": 0.5, "grid.points": 5}, "boundary probe", "2.0")],
     ids=["grid", "boundary"],
 )
-def test_plan_refuses_every_berezin_point_of_a_non_radial_c(extra, probe):
+def test_plan_refuses_every_berezin_point_of_a_non_radial_c(extra, probe, mu):
     # on the inner 2-ball the Mobius pullback of re(z2) at |z|^2 = 0.5625
     # needs a 21,233,664-node rule: the error grid reaches it at
-    # grid.tmax = 0.9, the boundary table's second radius r = 3/4 always
+    # grid.tmax = 0.9, the boundary table's second radius r = 3/4 always;
+    # the probe's points are planned at once, and the refusal names the point
     cfg = default_config({**_N3_NON_RADIAL, **extra})
     with pytest.raises(DomainError) as info:
         plan_suites(cfg, ["quantization"])
     message = str(info.value)
-    assert f"suite quantization: the {probe} of re(z2) at |z|^2 = 0.5625" in message
+    assert f"suite quantization: the {probe} of re(z2) at mu = {mu}: " in message
+    assert "the Mobius pullback at |z|^2 = 0.5625" in message
     assert "21233664 nodes" in message
     assert [name for name, _ in plan_suites(cfg, ["norm_identity"])] == ["norm_identity"]
 
@@ -303,13 +306,13 @@ def test_sup_over_blocks_fails_on_a_faulty_level_route(monkeypatch):
 
 def test_single_generator_fails_on_a_t1_one_ulp_off(monkeypatch):
     # ||T_c T_1 - T_c|| = 0.0 is bitwise: T_1 one ulp off the identity fails it
-    assemble = toeplitz.toeplitz_matrix
+    assemble = toeplitz.assemble
 
-    def one_ulp_off(f, *args, **kwargs):
-        mat = assemble(f, *args, **kwargs)
-        return mat * np.nextafter(1.0, 2.0) if f == Const(1.0) else mat
+    def one_ulp_off(path):
+        mat = assemble(path)
+        return mat * np.nextafter(1.0, 2.0) if path.symbol == Const(1.0) else mat
 
-    monkeypatch.setattr(toeplitz, "toeplitz_matrix", one_ulp_off)
+    monkeypatch.setattr(toeplitz, "assemble", one_ulp_off)
     checks = {c.label: c for c in plan_quantization_suite(default_config())().checks}
     assert not checks["single_generator"].passed
     assert checks["semicommutator_decay"].passed
@@ -395,3 +398,16 @@ def test_every_csv_header_is_documented(default_csv_tables):
             assert header == "re_z1,im_z1,re_c,im_c"
             header = "re_z1,im_z1,...,re_c,im_c"
         assert f"`{header}`" in schemas, name
+
+
+def test_each_suite_run_assembles_only_what_its_plan_step_planned(plan_recorder):
+    # the plan is the thing that runs: a run plans nothing again but the
+    # Berezin transforms of berezin_of_symbol, which plan themselves
+    cfg = default_config({"threads": 2})
+    runs = plan_suites(cfg)
+    plan_recorder.phase = "run"
+    assert all(run().passed for _, run in runs)
+    assert plan_recorder.stray == []
+    assert "plan" in plan_recorder.planned and plan_recorder.assembled
+    # the pullbacks of the consistency probe's re(z1), planned by the transform
+    assert plan_recorder.planned.count("run") == 10
