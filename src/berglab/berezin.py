@@ -1,15 +1,18 @@
 """Berezin transforms, boundary probes, and spectral sampling.
 
 The operator-side transform is a quadratic form against the coefficient
-vector of the normalized reproducing kernel in the truncated basis; the
-symbol-side transform of a radial symbol is a kernel-mass sum over its
-diagonal, and of any other symbol integrates its Mobius pullback.  That
+vector of the normalized reproducing kernel in the truncated basis.  The
+symbol side is planned, then evaluated: ``berezin_plan`` takes one point
+or an (N, d) point set and returns a ``BerezinPlan`` holding one route
+per point and the request, and ``berezin_transform`` follows it.  A
+radial symbol's route is its expansion degree, a kernel-mass sum over
+its diagonal; any other symbol integrates its Mobius pullback.  That
 integral is <T_{g o phi_z} 1, 1>, the degree-0 entry of the pullback's
-Toeplitz matrix, so it is assembled, streamed, as any matrix is; no flat
-node array is built.  The symbol side takes one point or an (N, d) point
-set; over a set a radial symbol's route and eigenvalue sequence are
-found once, and every value keeps the bits of a one-point call.  Both
-sides carry explicit truncation bookkeeping: ``kernel_tail`` is the
+Toeplitz matrix, so its route is that matrix's plan, assembled,
+streamed, as any matrix is; no flat node array is built.  Over a set a
+radial symbol's route and eigenvalue sequence are found once, and every
+value keeps the bits of a one-point call; the probes read plans too.
+Both sides carry explicit truncation bookkeeping: ``kernel_tail`` is the
 kernel mass the operator side neglects (``kernel_tail_at_most`` compares
 it with a cap from two bounds, over a point set), and the symbol side
 upgrades its quadrature orders as the evaluation point approaches the
@@ -274,7 +277,7 @@ def berezin_of_operator(M: OperatorMatrix, mu: float, z: Sequence[complex]) -> c
     return complex(np.vdot(coef, image))
 
 
-# kernel mass left out of the radial expansion of berezin_of_symbol
+# kernel mass left out of the radial expansion of berezin_transform
 _TAIL_TOL = 1e-13
 
 
@@ -386,8 +389,8 @@ def radial_expansion_degree(d: int, nu: float, t: float) -> int:
     so close to the sphere that the eigenvalue table of the expansion
     (degrees x radial nodes) would pass the desk budget is refused with a
     ``DomainError`` before anything is built.  Degrees are kept for reuse:
-    a plan (``berezin_plan``) and the transforms that follow it ask for
-    the same points.
+    radial symbols probed at one weight over one point set, such as the
+    profiles of a recovery study, ask for the same (d, nu, t) keys.
     """
     if not 0.0 <= t < 1.0:
         raise DomainError(f"radial expansion needs 0 <= |z|^2 < 1, got {t!r}")
@@ -422,11 +425,12 @@ def _exact_sequence(g: SymbolExpr, d: int, nu: float, N: int) -> Optional[np.nda
     """The exact radial eigenvalues of degrees 0..N of a polynomial symbol,
     None for any other.
 
-    One sequence is kept per (symbol, d, nu) and extended only when a
-    point needs a longer one, to at least twice its length, so points
-    taken in order of growing |z| extend it a few times, not once each.
-    Each degree's value is summed on its own, so an extended sequence has
-    the bits of one summed whole.
+    One sequence is kept per (symbol, d, nu), so probes of one symbol
+    and weight over different point sets sum it once.  It is extended
+    only when a point set needs a longer one, to at least twice its
+    length, so a few extensions serve sets reaching ever nearer the
+    sphere.  Each degree's value is summed on its own, so an extended
+    sequence has the bits of one summed whole.
     """
     if _diagonal_order(g, 1, N) is not None:
         return None
@@ -442,6 +446,28 @@ def _exact_sequence(g: SymbolExpr, d: int, nu: float, N: int) -> Optional[np.nda
     return have[: N + 1]
 
 
+@dataclass(frozen=True)
+class BerezinPlan:
+    """The plan of one symbol-side transform, which ``berezin_transform``
+    follows: one route per point, and the request itself.
+
+    Each route is the ``radial_expansion_degree`` of a radial symbol at
+    the point, or else the ``AssemblyPath`` of the point's Mobius
+    pullback at cutoff 0.  The request, ``symbol``, weight ``mu``, the
+    (N, d) ``points`` with the |z|^2 of each in ``ts``, the ``geometry``
+    and whether one (d,) point was asked (``single``), is what the
+    evaluation reads; plans compare by their routes alone, leaving it out.
+    """
+
+    routes: Tuple[Union[int, AssemblyPath], ...]
+    symbol: SymbolLike = field(compare=False, repr=False)
+    mu: float = field(compare=False, repr=False)
+    points: np.ndarray = field(compare=False, repr=False)
+    ts: np.ndarray = field(compare=False, repr=False)
+    geometry: Optional[BallGeometry] = field(compare=False, repr=False)
+    single: bool = field(compare=False, repr=False)
+
+
 def berezin_plan(
     g: SymbolLike,
     mu: float,
@@ -449,33 +475,34 @@ def berezin_plan(
     spec: QuadratureSpec,
     *,
     geometry: Optional[BallGeometry] = None,
-) -> Union[int, AssemblyPath, List[Union[int, AssemblyPath]]]:
-    """The route ``berezin_of_symbol`` takes at z, refused where it would be;
-    at an (N, d) point set, the list of its points' routes.
+) -> BerezinPlan:
+    """The routes ``berezin_transform`` takes at one point z or at each
+    point of an (N, d) set, refused where it would be.
 
-    A radial symbol (``is_radial``) expands over its diagonal: the plan is
-    its ``radial_expansion_degree``, which refuses a point whose
+    A radial symbol (``is_radial``) expands over its diagonal: its route
+    is its ``radial_expansion_degree``, which refuses a point whose
     eigenvalue table would pass the desk budget.  Any other symbol
-    integrates its Mobius pullback: the plan is the ``assembly_path`` of
-    the pullback at z, at cutoff 0, which ``berezin_of_symbol`` assembles
-    as it is; a refusal names |z|^2 of the point.  The pullback has a
+    integrates its Mobius pullback: its route is the ``assembly_path`` of
+    the pullback at z, at cutoff 0, which the transform assembles as it
+    is; a refusal names |z|^2 of the point.  The pullback has a
     near-pole at distance ~ (1 - |z|) outside the closed ball, so the
     rule's orders rise as z approaches the boundary, up to 128 radial
     nodes and 128 phases per axis (4096 on the disk); a sampling spec is
-    taken as it is.  A point off the open ball and a geometry of another
-    dimension are refused.  The route is chosen once for all the points.
-    Nothing is summed or assembled.
+    taken as it is.  The geometry, when given, declares the partition
+    that group radii such as ``r1`` read.  A point off the open ball and
+    a geometry of another dimension are refused.  The route is chosen
+    once for all the points.  Nothing is summed or assembled.
     """
     points, ts, single = _interior(z)
     d = points.shape[1]
     space = WeightedSpace(d, mu, geometry=geometry)  # refuses a geometry of another n
     if is_symbolic(g) and is_radial(g, geometry):
-        plans = [radial_expansion_degree(d, mu, t) for t in ts.tolist()]
-        return plans[0] if single else plans
+        routes = [radial_expansion_degree(d, mu, t) for t in ts.tolist()]
+        return BerezinPlan(tuple(routes), g, mu, points, ts, geometry, single)
     fn = as_point_function(g, geometry)
     resolved = spec.resolved(8, symbol_degree_hint(g) if is_symbolic(g) else 8)
     ang_cap = 4096 if d == 1 else 128
-    plans = []
+    routes = []
     for z_i, t in zip(points, ts.tolist()):
         point_spec = spec
         if spec.scheme != MONTE_CARLO:
@@ -484,10 +511,10 @@ def berezin_plan(
             ang_eff = max(resolved.angular, min(ang_cap, int(30.0 / closeness) + 8))
             point_spec = replace(spec, q=q_eff, angular=ang_eff)
         try:
-            plans.append(assembly_path(_pullback(fn, z_i), space, 0, point_spec))
+            routes.append(assembly_path(_pullback(fn, z_i), space, 0, point_spec))
         except DomainError as exc:
             raise DomainError(f"{exc} (the Mobius pullback at |z|^2 = {t!r})") from None
-    return plans[0] if single else plans
+    return BerezinPlan(tuple(routes), g, mu, points, ts, geometry, single)
 
 
 def _pullback(fn: PointFunction, z: np.ndarray) -> PointFunction:
@@ -505,17 +532,10 @@ def _pullback(fn: PointFunction, z: np.ndarray) -> PointFunction:
     return pulled
 
 
-def berezin_of_symbol(
-    g: SymbolLike,
-    mu: float,
-    z,
-    spec: QuadratureSpec,
-    *,
-    geometry: Optional[BallGeometry] = None,
-) -> Union[complex, np.ndarray]:
-    """Integral of g against the Mobius-pulled-back weight at z, along the
-    route ``berezin_plan`` gives: a complex at one (d,) point, a complex
-    array of N values at an (N, d) point set.
+def berezin_transform(plan: BerezinPlan) -> Union[complex, np.ndarray]:
+    """Integral of the plan's symbol against the Mobius-pulled-back weight
+    at each of its points, along its routes: a complex at one (d,) point,
+    a complex array of N values at an (N, d) point set.
 
     A radial symbol takes a diagonal expansion, which stays accurate
     arbitrarily close to the boundary (a polynomial one over its exact
@@ -523,30 +543,33 @@ def berezin_of_symbol(
     largest planned degree serves every point, and each point sums the
     prefix up to its own degree, so it keeps the bits of a one-point call.
     Any other symbol gives <T_{g o phi_z} 1, 1>_mu, the degree-0 entry of
-    the pullback's Toeplitz matrix, assembled along its plan point by
-    point.  The geometry, when given, declares the partition that group
-    radii such as ``r1`` read.
+    the pullback's Toeplitz matrix, assembled along its route point by
+    point.
     """
-    plans = berezin_plan(g, mu, z, spec, geometry=geometry)
-    points, ts, single = _interior(z)
-    plans = [plans] if single else plans
-    d = points.shape[1]
-    out = np.empty(len(plans), dtype=complex)
-    if plans and isinstance(plans[0], int):
+    g, mu, routes = plan.symbol, plan.mu, plan.routes
+    d = plan.points.shape[1]
+    out = np.empty(len(routes), dtype=complex)
+    if routes and isinstance(routes[0], int):
         # expand each point to its planned degree over the diagonal: exact
         # for a polynomial, and shared across points; else from the rule its
         # profile callable takes, of an order set by the top degree, so one
         # rule per distinct degree
-        degrees = np.array(plans)
-        lam = _exact_sequence(g, d, mu, max(plans))
-        for top in sorted(set(plans)):
+        degrees = np.array(routes)
+        lam = _exact_sequence(g, d, mu, max(routes))
+        for top in sorted(set(routes)):
             rows = degrees == top
             seq = lam[: top + 1] if lam is not None else diagonal_values(
                 quasi_radial_profile(g, 1), (d,), mu, np.arange(top + 1))
-            out[rows] = radial_berezin_sum(seq, d + mu + 1.0, ts[rows])
+            out[rows] = radial_berezin_sum(seq, d + mu + 1.0, plan.ts[rows])
     else:
-        out[:] = [assemble(plan).entries[0, 0] for plan in plans]
-    return complex(out[0]) if single else out
+        out[:] = [assemble(route).entries[0, 0] for route in routes]
+    return complex(out[0]) if plan.single else out
+
+
+def berezin_of_symbol(g: SymbolLike, mu: float, z, spec: QuadratureSpec
+                      ) -> Union[complex, np.ndarray]:
+    """The ``berezin_transform`` of the ``berezin_plan`` of g at z."""
+    return berezin_transform(berezin_plan(g, mu, z, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -563,21 +586,19 @@ class DecayTable:
         return csv_lines(header, self.rows)
 
 
-def berezin_errors(
-    c: SymbolLike,
-    mu: float,
-    points: np.ndarray,
-    spec: QuadratureSpec,
-    *,
-    geometry: Optional[BallGeometry] = None,
-) -> List[float]:
-    """|c(z) - B_mu[c](z)| at each point of an (N, d) set, from one
-    :func:`berezin_of_symbol` call.  Each modulus is Python's ``abs``:
+def berezin_errors(plan: BerezinPlan) -> List[float]:
+    """|c(z) - B_mu[c](z)| at each point of the plan, c its symbol, from
+    one :func:`berezin_transform`.  Each modulus is Python's ``abs``:
     numpy's complex modulus can differ from it in the last bit."""
-    points = np.asarray(points, dtype=complex)
-    c_vals = np.asarray(as_point_function(c, geometry)(points))
-    b = berezin_of_symbol(c, float(mu), points, spec, geometry=geometry)
-    return [abs(v) for v in (b - c_vals).tolist()]
+    c_vals = np.asarray(as_point_function(plan.symbol, plan.geometry)(plan.points))
+    return [abs(v) for v in (berezin_transform(plan) - c_vals).tolist()]
+
+
+def decay_table(plans: Sequence[BerezinPlan]) -> DecayTable:
+    """sup over its points of |B_mu[c] - c| for each plan, at its weight;
+    the decay surrogate (:func:`berezin_errors`)."""
+    return DecayTable(rows=tuple((float(plan.mu), max([0.0] + berezin_errors(plan)))
+                                 for plan in plans))
 
 
 def quantization_probe(
@@ -585,14 +606,12 @@ def quantization_probe(
     mu_list: Sequence[float],
     grid: np.ndarray,
     spec: Optional[QuadratureSpec] = None,
-    *,
-    geometry: Optional[BallGeometry] = None,
 ) -> DecayTable:
-    """sup-grid |B_mu[c] - c| for each mu; the decay surrogate.
+    """sup-grid |B_mu[c] - c| for each mu: the :func:`decay_table` of one
+    plan per weight.
 
     The grid is an array of interior points, shape (N, d), with N >= 1,
-    transformed whole at each mu (:func:`berezin_errors`).  The geometry
-    is passed on to :func:`berezin_of_symbol`.
+    transformed whole at each mu.
     """
     spec = spec or QuadratureSpec()
     grid = np.asarray(grid, dtype=complex)
@@ -600,9 +619,7 @@ def quantization_probe(
         grid = grid[:, None]
     if grid.shape[0] == 0:
         raise DomainError("the probe grid needs at least one point")
-    rows = [(float(mu), max([0.0] + berezin_errors(c, mu, grid, spec, geometry=geometry)))
-            for mu in mu_list]
-    return DecayTable(rows=tuple(rows))
+    return decay_table([berezin_plan(c, float(mu), grid, spec) for mu in mu_list])
 
 
 # the probe's ray: e_1 of the disk
@@ -622,7 +639,7 @@ def boundary_vanishing_probe(
         if not 0.0 <= r < 1.0:
             raise DomainError(f"probe radius must lie in [0, 1), got {r}")
     points = np.asarray(radii, dtype=float)[:, None] * _PROBE_DIRECTION
-    errors = berezin_errors(f, mu, points, spec)
+    errors = berezin_errors(berezin_plan(f, float(mu), points, spec))
     return DecayTable(rows=tuple((float(r), err) for r, err in zip(radii, errors)))
 
 

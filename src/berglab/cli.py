@@ -17,11 +17,11 @@ import numpy as np
 
 from .berezin import (
     berezin_of_operator,
-    berezin_of_symbol,
     berezin_plan,
+    berezin_transform,
+    decay_table,
     essential_spectrum_sample,
     fredholm_index_report,
-    quantization_probe,
 )
 from .core import (
     BallGeometry,
@@ -274,11 +274,19 @@ def cmd_berezin(args: argparse.Namespace) -> _Plan:
     z = _parse_point(args.z, args.d)
     path = assembly_path(expr, WeightedSpace(args.d, args.mu, geometry=geometry), args.D, spec)
     _require_dense(args.d, args.D)  # the operator side reads the basis
-    berezin_plan(expr, args.mu, z, spec, geometry=geometry)
+    plan = berezin_plan(expr, args.mu, z, spec, geometry=geometry)
+    # the orders both sides use, not the 0 = auto request
+    (route,) = plan.routes
+    if path.spec.scheme == GAUSS_JACOBI:
+        echo.update(q=path.spec.q, angular=path.spec.angular)
+    if isinstance(route, int):
+        echo["expansion_degree"] = route
+    elif route.spec.scheme == GAUSS_JACOBI:
+        echo.update(pullback_q=route.spec.q, pullback_angular=route.spec.angular)
 
     def run():
         op_side = berezin_of_operator(assemble(path), args.mu, z)
-        sym_side = berezin_of_symbol(expr, args.mu, z, spec, geometry=geometry)
+        sym_side = berezin_transform(plan)
         return [
             f"operator side = {format_float(op_side.real)} + {format_float(op_side.imag)}i",
             f"symbol side   = {format_float(sym_side.real)} + {format_float(sym_side.imag)}i",
@@ -295,12 +303,10 @@ def cmd_quantize(args: argparse.Namespace) -> _Plan:
     geometry = BallGeometry(args.d, args.d, (args.d,))
     expr = parse_symbol(args.symbol, geometry)
     grid = _radial_grid(args.d, args.tmax, args.grid_points)
-    for mu in args.mus:
-        berezin_plan(expr, float(mu), grid, spec, geometry=geometry)
+    plans = [berezin_plan(expr, float(mu), grid, spec, geometry=geometry) for mu in args.mus]
 
     def run():
-        table = quantization_probe(expr, args.mus, grid, spec, geometry=geometry)
-        return _output(table.csv_lines(), args.out), 0
+        return _output(decay_table(plans).csv_lines(), args.out), 0
 
     return echo, "plan: sup-grid Berezin error for each weight", run
 

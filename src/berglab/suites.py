@@ -23,16 +23,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .berezin import (
+    BerezinPlan,
     MatrixSymbol,
     berezin_errors,
     berezin_of_operator,
-    berezin_of_symbol,
     berezin_plan,
+    berezin_transform,
+    decay_table,
     default_radius_schedule,
     essential_spectrum_sample,
     fredholm_index_report,
     min_singular_probe,
-    quantization_probe,
     radial_expansion_degree,
 )
 from .core import (
@@ -604,10 +605,10 @@ def plan_quantization_suite(cfg: ExperimentConfig) -> Callable[[], SuiteResult]:
     probe_mus = sorted(set(mus))[:2] if len(mus) >= 2 else mus
     probe_symbols = [c_in, parse_symbol("re(z1)", BallGeometry(d_in, d_in, (d_in,)))]
     probe_D = _probe_cutoff(probe_symbols, d_in, cfg.spec)
-    probe = [(mu, sym, _plan_or_refuse(
+    probe_paths = [_plan_or_refuse(
         f"quantization: the Berezin-consistency probe's matrix of {symbol_to_text(sym)} at "
         f"mu = {mu}, D = {probe_D}",
-        assembly_path, sym, WeightedSpace(d_in, float(mu)), probe_D, cfg.spec))
+        assembly_path, sym, WeightedSpace(d_in, float(mu)), probe_D, cfg.spec)
         for mu in probe_mus for sym in probe_symbols]
     radii = default_radius_schedule(cfg.radii_count, include_terminal=False)
     b_points = np.zeros((len(radii), d_in), dtype=complex)
@@ -615,20 +616,26 @@ def plan_quantization_suite(cfg: ExperimentConfig) -> Callable[[], SuiteResult]:
     probes = [("Berezin error probe", c_in, mus, grid)]
     probes += [("Berezin-consistency probe", sym, probe_mus, probe_pts) for sym in probe_symbols]
     probes.append(("boundary probe", c_in, [_BOUNDARY_MU], b_points))
-    for what, sym, weights, pts in probes:
-        for mu in weights:
-            _plan_or_refuse(f"quantization: the {what} of {symbol_to_text(sym)} at mu = {mu}",
-                            berezin_plan, sym, float(mu), pts, cfg.spec)
+    decay_plans, *consistency, (boundary,) = [
+        [_plan_or_refuse(f"quantization: the {what} of {symbol_to_text(sym)} at mu = {mu}",
+                         berezin_plan, sym, float(mu), pts, cfg.spec) for mu in weights]
+        for what, sym, weights, pts in probes]
+    # each consistency matrix with its transform: by weight, then symbol
+    probe = list(zip(probe_paths, [plan for at_mu in zip(*consistency) for plan in at_mu]))
     return functools.partial(run_quantization_suite, cfg, c_in, semi_paths, grid, recovery,
-                             (probe, probe_pts), (radii, b_points))
+                             decay_plans, probe, (radii, boundary))
 
 
 def run_quantization_suite(cfg: ExperimentConfig, c_in: SymbolExpr, semi_paths: Sequence[tuple],
-                           grid: np.ndarray, recovery: Sequence[list], probe: tuple,
+                           grid: np.ndarray, recovery: Sequence[list],
+                           decay_plans: Sequence[BerezinPlan], probe: Sequence[tuple],
                            boundary: tuple) -> SuiteResult:
     """Semicommutator decay, Berezin error decay, boundary table, recovery;
     ``semi_paths`` holds each semicommutator's plans: c c at each weight
-    of the schedule, c 1 at the largest, the disk's degree-0 one."""
+    of the schedule, c 1 at the largest, the disk's degree-0 one.  The
+    Berezin transforms are plans: ``decay_plans`` one per weight over the
+    error grid, ``probe`` each consistency matrix's plan with its
+    transform's, and ``boundary`` the radii with the boundary table's."""
     res = SuiteResult("quantization")
     geo = cfg.geometry
     tol = cfg.tolerances
@@ -666,7 +673,7 @@ def run_quantization_suite(cfg: ExperimentConfig, c_in: SymbolExpr, semi_paths: 
         f"||T_c T_1 - T_c|| = {format_float(nrm_single)}",
     )
 
-    decay = quantization_probe(c_in, mus, grid, cfg.spec)
+    decay = decay_table(decay_plans)
     errs = [row[1] for row in decay.rows]
     res.add(
         "berezin_error_decay",
@@ -681,12 +688,10 @@ def run_quantization_suite(cfg: ExperimentConfig, c_in: SymbolExpr, semi_paths: 
 
     # operator side vs symbol side of the Berezin transform
     worst_consistency = 0.0
-    probe_paths, probe_pts = probe
-    for mu, sym, path in probe_paths:
+    for path, plan in probe:
         t_sym = assemble(path)
-        rhs = berezin_of_symbol(sym, float(mu), probe_pts, cfg.spec)
-        for z, rhs_z in zip(probe_pts, rhs.tolist()):
-            lhs = berezin_of_operator(t_sym, float(mu), z)
+        for z, rhs_z in zip(plan.points, berezin_transform(plan).tolist()):
+            lhs = berezin_of_operator(t_sym, plan.mu, z)
             worst_consistency = max(worst_consistency, abs(lhs - rhs_z))
     res.add(
         "berezin_consistency",
@@ -695,8 +700,8 @@ def run_quantization_suite(cfg: ExperimentConfig, c_in: SymbolExpr, semi_paths: 
     )
 
     # |c - B_mu[c]| at r e_1 of the inner ball, one probe point per radius
-    radii, b_points = boundary
-    b_errs = berezin_errors(c_in, _BOUNDARY_MU, b_points, cfg.spec)
+    radii, b_plan = boundary
+    b_errs = berezin_errors(b_plan)
     res.add(
         "boundary_vanishing",
         all(b < a for a, b in zip(b_errs, b_errs[1:])) and b_errs[-1] < 0.05,

@@ -1,5 +1,4 @@
 import sys
-import threading
 import traceback
 
 import numpy as np
@@ -38,42 +37,31 @@ def _seed_numpy():
 
 class _PlanRecorder:
     """Every ``assembly_path`` call, by phase: ``phase`` is "plan" or "run",
-    and a call in the run phase is ``stray`` (its caller's name) unless it
-    comes from the ``berezin_plan`` that ``berezin_of_symbol`` makes of its
-    own.  ``assembled`` lists the kind of each plan the run assembles.
-    Lists only, appended to from the suite's pool threads too."""
+    and a call in the run phase is ``stray`` (its caller's name).
+    ``assembled`` lists the kind of each plan the run assembles.  Lists
+    only, appended to from the suite's pool threads too."""
 
     def __init__(self):
         self.phase = "plan"
         self.planned = []
         self.stray = []
         self.assembled = []
-        self._local = threading.local()
 
 
 @pytest.fixture
 def plan_recorder(monkeypatch):
     """Wraps ``assembly_path`` and ``assemble`` in every module that binds
-    them, and the ``berezin_plan`` the package calls through the berezin
-    module's globals, into one ``_PlanRecorder``."""
-    from berglab import berezin, toeplitz
+    them into one ``_PlanRecorder``."""
+    from berglab import toeplitz
 
     rec = _PlanRecorder()
-    real_path, real_plan, real_assemble = (
-        toeplitz.assembly_path, berezin.berezin_plan, toeplitz.assemble)
+    real_path, real_assemble = toeplitz.assembly_path, toeplitz.assemble
 
     def assembly_path(*args, **kwargs):
         rec.planned.append(rec.phase)
-        if rec.phase == "run" and not getattr(rec._local, "berezin", False):
+        if rec.phase == "run":
             rec.stray.append(traceback.extract_stack(limit=2)[0].name)
         return real_path(*args, **kwargs)
-
-    def berezin_plan(*args, **kwargs):
-        rec._local.berezin = True
-        try:
-            return real_plan(*args, **kwargs)
-        finally:
-            rec._local.berezin = False
 
     def assemble(path):
         if rec.phase == "run":
@@ -87,5 +75,4 @@ def plan_recorder(monkeypatch):
                                ("assemble", real_assemble, assemble)):
             if getattr(module, attr, None) is old:
                 monkeypatch.setattr(module, attr, new)
-    monkeypatch.setattr(berezin, "berezin_plan", berezin_plan)
     return rec

@@ -28,6 +28,8 @@ from berglab import (
 from berglab import berezin, toeplitz
 from berglab.berezin import (
     berezin_plan,
+    berezin_transform,
+    decay_table,
     kernel_coefficients,
     kernel_masses,
     kernel_tail,
@@ -212,7 +214,8 @@ def test_quantization_probe_of_a_constant_product_symbol():
     g = BallGeometry(2, 1, (1,))
     f = parse_symbol("prod(a = 1, c = 2)", g)
     grid = np.array([[0.1, 0.2j], [0.3, -0.1]])
-    table = quantization_probe(f, [1.0, 4.0], grid, QuadratureSpec(), geometry=g)
+    table = decay_table([berezin_plan(f, mu, grid, QuadratureSpec(), geometry=g)
+                         for mu in (1.0, 4.0)])
     assert [mu for mu, _ in table.rows] == [1.0, 4.0]
     assert all(err <= 1e-13 for _, err in table.rows)
 
@@ -367,8 +370,8 @@ def test_symbol_transform_refuses_a_geometry_of_another_dimension():
     g = BallGeometry(3, 3, (3,))
     for text in ("1 - abs2(z)", "re(z1)"):
         with pytest.raises(DomainError, match="differs from the geometry"):
-            berezin_of_symbol(parse_symbol(text, g), 1.0, (0.3, 0.2), QuadratureSpec(),
-                              geometry=g)
+            berezin_transform(berezin_plan(parse_symbol(text, g), 1.0, (0.3, 0.2),
+                                           QuadratureSpec(), geometry=g))
 
 
 def test_symbol_transform_integrates_with_the_pullback_orders(monkeypatch):
@@ -385,13 +388,13 @@ def test_symbol_transform_integrates_with_the_pullback_orders(monkeypatch):
     for r, orders in ((0.0, (22, 38)), (0.3, (24, 50)), (0.6, (30, 83))):
         z = np.array([r, 0.0], dtype=complex)
         berezin_of_symbol(g, 1.0, z, spec)
-        plan = berezin_plan(g, 1.0, z, spec)
-        assert plan.kind == "torus" and seen[-1] == plan.spec
-        assert (plan.spec.q, plan.spec.angular) == orders
+        (route,) = berezin_plan(g, 1.0, z, spec).routes
+        assert route.kind == "torus" and seen[-1] == route.spec
+        assert (route.spec.q, route.spec.angular) == orders
     # the orders rise toward the sphere; a sampling spec passes through
     assert seen[0].q < seen[-1].q and seen[0].angular < seen[-1].angular
     mc = QuadratureSpec(scheme=MONTE_CARLO, n_samples=1000)
-    assert berezin_plan(g, 1.0, [0.9, 0.0], mc).spec == mc
+    assert berezin_plan(g, 1.0, [0.9, 0.0], mc).routes[0].spec == mc
 
 
 def test_the_pullback_plan_refuses_what_the_transform_would(monkeypatch):
@@ -422,7 +425,7 @@ def test_the_radial_plan_is_the_expansion_degree_taken_once(monkeypatch):
     f = parse_symbol("1/(2 - abs2(z))", None)
     z = [0.5, 0.3j]
     t = 0.5**2 + 0.3**2
-    assert berezin_plan(f, 4.0, z, QuadratureSpec()) == real(2, 4.0, t)
+    assert berezin_plan(f, 4.0, z, QuadratureSpec()).routes == (real(2, 4.0, t),)
     calls.clear()
     berezin_of_symbol(f, 4.0, z, QuadratureSpec())
     assert calls == [(2, 4.0, t)]
@@ -454,9 +457,9 @@ def test_a_point_set_transform_keeps_the_bits_of_one_point_calls(monkeypatch, te
         want = [berezin_of_symbol(f, mu, z, spec) for z in points]
         assert all(type(w) is complex for w in want)
         assert got.dtype == complex and got.tobytes() == np.array(want).tobytes(), (text, mu)
-        plans = berezin_plan(f, mu, points, spec)
-        assert plans == [berezin_plan(f, mu, z, spec) for z in points]
-        assert all(isinstance(plan, int) == ("re(" not in text) for plan in plans)
+        routes = berezin_plan(f, mu, points, spec).routes
+        assert routes == tuple(berezin_plan(f, mu, z, spec).routes[0] for z in points)
+        assert all(isinstance(route, int) == ("re(" not in text) for route in routes)
     assert berezin_of_symbol(f, 1.0, points[:0], spec).shape == (0,)
 
 
@@ -477,16 +480,16 @@ def test_a_point_set_takes_one_route_and_one_rule_per_degree(monkeypatch):
     spec = QuadratureSpec()
     points = np.array(POINT_SET, dtype=complex)
     f = parse_symbol("1/(2 - abs2(z))", None)
-    plans = berezin_plan(f, 3.0, points, spec)
-    assert len(set(plans)) == 5 < len(plans)  # two points share a radius
+    degrees = berezin_plan(f, 3.0, points, spec).routes
+    assert len(set(degrees)) == 5 < len(degrees)  # two points share a radius
     radial_calls.clear()
     berezin_of_symbol(f, 3.0, points, spec)
-    assert len(radial_calls) == 1 and tops == sorted(set(plans))
+    assert len(radial_calls) == 1 and tops == sorted(set(degrees))
     # a polynomial sums its diagonal once, to the largest degree
     monkeypatch.setattr(berezin, "_EXACT_SEQUENCES", {})
     tops.clear()
     berezin_of_symbol(parse_symbol("1 - abs2(z)", None), 3.0, points, spec)
-    assert tops == [max(plans)]
+    assert tops == [max(degrees)]
 
 
 def test_the_probes_transform_each_weight_once(monkeypatch):
@@ -505,13 +508,13 @@ def test_the_probes_transform_each_weight_once(monkeypatch):
         for r in radii
     ]
     shapes = []
-    transform = berezin.berezin_of_symbol
+    transform = berezin.berezin_transform
 
-    def spy(g, mu, z, *args, **kwargs):
-        shapes.append(np.shape(z))
-        return transform(g, mu, z, *args, **kwargs)
+    def spy(plan):
+        shapes.append(plan.points.shape)
+        return transform(plan)
 
-    monkeypatch.setattr(berezin, "berezin_of_symbol", spy)
+    monkeypatch.setattr(berezin, "berezin_transform", spy)
     assert quantization_probe(f, mus, grid, spec).rows == tuple(want)
     assert shapes == [(7, 1)] * 3
     shapes.clear()

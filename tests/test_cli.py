@@ -966,8 +966,13 @@ def test_suite_plans_every_matrix_its_run_assembles(
         ["decompose", "--a", "1 - r1^2", "--c", "re(zc1)", "--n", "2"],
         ["berezin", "--symbol", "1 - abs2(z)", "--d", "2", "--mu", "1", "--D", "12",
          "--z", "0.3+0.1i,0.2"],
+        # the Mobius pullback's route, planned once by the plan step
+        ["berezin", "--symbol", "re(z1)", "--d", "2", "--mu", "1", "--D", "12",
+         "--z", "0.3,0"],
+        ["quantize", "--symbol", "re(z1)", "--d", "2", "--mus", "1,2", "--grid-points", "3",
+         "--tmax", "0.3"],
     ],
-    ids=lambda argv: argv[0],
+    ids=["matrix", "norm", "decompose", "berezin", "berezin_pullback", "quantize"],
 )
 def test_a_run_assembles_only_the_paths_its_plan_step_made(plan_recorder, tmp_path, argv):
     from berglab.cli import build_parser
@@ -979,3 +984,24 @@ def test_a_run_assembles_only_the_paths_its_plan_step_made(plan_recorder, tmp_pa
     _, code = run_step()
     assert code == 0 and plan_recorder.stray == []
     assert "plan" in plan_recorder.planned and plan_recorder.assembled
+
+
+@pytest.mark.parametrize("symbol, sides", [
+    # the pullback orders at |z| = 0.3 that test_berezin pins
+    ("re(z1)", ["# pullback_angular = 50", "# pullback_q = 24"]),
+    # radial_expansion_degree(2, 1.0, 0.09)
+    ("1 - abs2(z)", ["# expansion_degree = 31"]),
+])
+def test_berezin_echoes_the_route_of_both_sides(capsys, symbol, sides):
+    # the orders each side uses, read from its plan, not the 0 = auto request
+    argv = ["berezin", "--symbol", symbol, "--d", "2", "--mu", "1", "--z", "0.3,0"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    echo = [line for line in out.splitlines() if line.startswith("# ")]
+    geometry = BallGeometry(2, 2, (2,))
+    op_spec = toeplitz.assembly_path(parse_symbol(symbol, geometry),
+                                     WeightedSpace(2, 1.0, geometry=geometry), 48,
+                                     QuadratureSpec()).spec
+    operator_side = [f"# angular = {op_spec.angular}", f"# q = {op_spec.q}"]
+    assert [line for line in echo if line.split()[1] in ("angular", "q")] == operator_side
+    assert [line for line in echo if line.split()[1].startswith(("pullback", "expansion"))] == sides

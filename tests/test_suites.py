@@ -21,7 +21,7 @@ from berglab import (
     verify_tensor_factorization,
     write_outputs,
 )
-from berglab import levels, quadrature, toeplitz
+from berglab import berezin, levels, quadrature, suites, toeplitz
 from berglab.quadrature import _MAX_RULE_NODES, ball_rule_size
 from berglab.suites import (
     _KNOWN_KEYS,
@@ -400,14 +400,23 @@ def test_every_csv_header_is_documented(default_csv_tables):
         assert f"`{header}`" in schemas, name
 
 
-def test_each_suite_run_assembles_only_what_its_plan_step_planned(plan_recorder):
-    # the plan is the thing that runs: a run plans nothing again but the
-    # Berezin transforms of berezin_of_symbol, which plan themselves
+def test_each_suite_run_assembles_only_what_its_plan_step_planned(plan_recorder, monkeypatch):
+    # the plan is the thing that runs: a run plans no matrix and no Berezin
+    # transform again, the pullbacks of the consistency probe's re(z1) included
+    transforms = []
+    real = berezin.berezin_plan
+
+    def berezin_plan(*args, **kwargs):
+        transforms.append(plan_recorder.phase)
+        return real(*args, **kwargs)
+
+    for module in (berezin, suites):
+        monkeypatch.setattr(module, "berezin_plan", berezin_plan)
     cfg = default_config({"threads": 2})
     runs = plan_suites(cfg)
     plan_recorder.phase = "run"
     assert all(run().passed for _, run in runs)
-    assert plan_recorder.stray == []
+    assert plan_recorder.stray == [] and plan_recorder.planned.count("run") == 0
     assert "plan" in plan_recorder.planned and plan_recorder.assembled
-    # the pullbacks of the consistency probe's re(z1), planned by the transform
-    assert plan_recorder.planned.count("run") == 10
+    # 6 error-probe weights, 2 x 2 consistency probes, 1 boundary probe
+    assert transforms == ["plan"] * 11
